@@ -25,13 +25,12 @@ from .lifting import (
     synth_pose3d_corpus,
     train_lift,
 )
-from .model import ModelConfig, Seq2SeqModel, backward, decode_step, encode_text, forward, init_model
+from .model import ModelConfig, Seq2SeqModel, backward, forward, init_model
 from .pose import (
     GESTURE_DIM,
     JOINT_NAMES,
     NormalizedPose,
     PcaModel,
-    PoseSequence,
     RawPose,
     component_sweep,
     decode_pose,
@@ -56,7 +55,7 @@ from .training import (
     TrainingPair,
     adam_step,
     clip_gradients,
-    compute_loss,
+    compute_loss_graph,
     make_training_pairs,
     train_model,
 )

@@ -9,8 +9,9 @@ the content, and numeric payloads round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,16 +61,7 @@ def save_checkpoint(ck: Checkpoint, path):
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     if ck.model is not None:
-        c = ck.model.cfg
-        header["model_cfg"] = {
-            "word_dim": c.word_dim,
-            "hidden": c.hidden,
-            "att_dim": c.att_dim,
-            "gesture_dim": c.gesture_dim,
-            "n_seed_poses": c.n_seed_poses,
-            "n_output_poses": c.n_output_poses,
-            "dropout": c.dropout,
-        }
+        header["model_cfg"] = asdict(ck.model.cfg)
     if ck.lift is not None:
         header["lift_cfg"] = {"bn_momentum": ck.lift.bn_momentum, "bn_eps": ck.lift.bn_eps}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -99,41 +91,48 @@ def load_checkpoint(path) -> Checkpoint:
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointVersionError(f"corrupt checkpoint header: {exc}") from exc
 
     offset = 16 + header_len
+    expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(raw) != expected:
+        raise CheckpointVersionError(f"checkpoint is {len(raw)} bytes, its header implies {expected}")
     values = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        values[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+    for name, shape in shapes:
+        count = math.prod(shape)
+        values[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += count * 8
+
+    def take(name):
+        if name not in values:
+            raise CheckpointVersionError(f"checkpoint is missing array {name}")
+        return values[name]
+
+    def restore(name, target):
+        stored = take(name)
+        if stored.shape != target.shape:
+            raise CheckpointVersionError(f"array {name} has shape {stored.shape}, expected {target.shape}")
+        target[...] = stored
 
     pca = None
     if header.get("has_pca"):
-        pca = PcaModel(
-            mean=values["pca.mean"],
-            components=values["pca.components"],
-            explained_variance_ratio=values["pca.explained_variance_ratio"],
-        )
+        pca = PcaModel(**{key: take(f"pca.{key}") for key in ("mean", "components", "explained_variance_ratio")})
 
     model = None
     if header.get("model_cfg"):
         model = init_model(ModelConfig(**header["model_cfg"]), seed=0)
         for name, p in model.store.items():
-            stored = values[f"seq2seq.{name}"]
-            if stored.shape != p.value.shape:
-                raise CheckpointVersionError(f"parameter {name} has shape {stored.shape}, expected {p.value.shape}")
-            p.value[...] = stored
+            restore(f"seq2seq.{name}", p.value)
 
     lift = None
     if header.get("lift_cfg"):
         lift = init_lift_params(seed=0, **header["lift_cfg"])
         for name, p in lift.store.items():
-            p.value[...] = values[f"lift.{name}"]
-        for key in lift.running:
-            lift.running[key][...] = values[f"lift.running.{key}"]
+            restore(f"lift.{name}", p.value)
+        for key, buffer in lift.running.items():
+            restore(f"lift.running.{key}", buffer)
 
     return Checkpoint(
         config=header.get("config", {}),

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,35 +35,12 @@ from .synthesis import (
 from .text import file_sha256, load_embedding_table, tokenize, write_synthetic_embeddings
 from .training import make_training_pairs, train_model, write_history_csv
 
-_CONFIG_OVERRIDES = (
-    "seed",
-    "epochs",
-    "lr",
-    "alpha",
-    "beta",
-    "batch_size",
-    "dropout",
-    "hidden",
-    "att_dim",
-    "word_dim",
-    "stride",
-    "checkpoint_every",
-    "words_per_minute",
-    "dataset",
-    "embeddings",
-    "checkpoint",
-    "out_dir",
-    "lift_steps",
-    "lift_corpus_size",
-    "chunk_len",
-)
-
-
 def _apply_overrides(cfg: Config, args) -> Config:
-    for name in _CONFIG_OVERRIDES:
-        value = getattr(args, name, None)
+    """Copy every flag whose dest names a Config field and was given."""
+    for f in fields(Config):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
@@ -139,7 +117,10 @@ def cmd_pca_sweep(cfg: Config, args) -> int:
     ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
     if ck.pca is None:
         raise InvalidConfig("checkpoint has no fitted pose model")
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise InvalidConfig(f"--values must be comma-separated numbers, got {args.values!r}") from None
     dims = [args.dim] if args.dim else list(range(1, ck.pca.n_components + 1))
     total = 0
     for dim in dims:
@@ -265,7 +246,10 @@ def cmd_retarget(cfg: Config, args) -> int:
     track = load_track_csv(args.track, cfg.fps)
     limits = None
     if args.limits:
-        limits = {k: tuple(v) for k, v in json.loads(Path(args.limits).read_text(encoding="utf-8")).items()}
+        try:
+            limits = {k: tuple(v) for k, v in json.loads(Path(args.limits).read_text(encoding="utf-8")).items()}
+        except (OSError, ValueError, AttributeError, TypeError) as exc:
+            raise MalformedFile(f"cannot read joint limits {args.limits}: {exc}") from exc
     angles = retarget_track(track, ck.pca, ck.lift, limits)
     out = _prepare(args.out) if args.out else str(_out_path(cfg, "trajectory.csv"))
     save_angles_csv(angles, out)

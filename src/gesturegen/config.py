@@ -71,38 +71,20 @@ class Config:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def _record(self, cls, **renamed):
+        """Build ``cls`` from the same-named fields; ``renamed`` supplies the
+        fields whose name differs here."""
+        values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in renamed}
+        return cls(**values, **renamed)
+
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            alpha=self.alpha,
-            beta=self.beta,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            clip_lo=self.clip_lo,
-            clip_hi=self.clip_hi,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            seed=self.seed,
-        )
+        return self._record(Hyperparams)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            word_dim=self.word_dim,
-            hidden=self.hidden,
-            att_dim=self.att_dim,
-            gesture_dim=self.pca_components,
-            n_seed_poses=self.n_seed_poses,
-            n_output_poses=self.n_output_poses,
-            dropout=self.dropout,
-        )
+        return self._record(ModelConfig, gesture_dim=self.pca_components)
 
     def curation_thresholds(self) -> CurationThresholds:
-        return CurationThresholds(
-            min_size_ratio=self.min_size_ratio,
-            min_frontal_ratio=self.min_frontal_ratio,
-            min_duration=self.min_duration,
-            min_motion=self.min_motion,
-            max_jitter=self.max_jitter,
-        )
+        return self._record(CurationThresholds)
 
 
 def load_config(path=None) -> Config:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import BatchTooSmall, EmptyDataset, InvalidConfig
 from .kinematics import AngleTrack, JointAngles, LimbLengths, Pose3D, clamp_angles, compute_joint_angles, forward_kinematics
-from .model import ParamStore, accumulate_gradients, _xavier
+from .model import ParamStore, _xavier, backward
 from .pose import NECK, NormalizedPose, decode_pose
 from .training import AdamState, adam_step
 
@@ -140,23 +140,17 @@ def assemble_pose3d(pose2d: NormalizedPose, depths) -> Pose3D:
 
 
 def lift_forward(params: LiftNetParams, poses, mode: str = "eval"):
-    """Depths for one NormalizedPose or a batch (list, or (B, 14) array).
+    """Depths (7,) for one (14,) lift input, or (B, 7) for a (B, 14) batch.
 
     Train mode uses batch statistics and needs at least 2 samples; eval
     mode uses running statistics and is batch-size independent.
     """
     if mode not in ("train", "eval"):
         raise InvalidConfig(f"unknown mode: {mode}")
-    single = isinstance(poses, NormalizedPose)
+    x = np.asarray(poses, dtype=np.float64)
+    single = x.ndim == 1
     if single:
-        x = pose2d_to_lift_input(poses)[None]
-    elif isinstance(poses, (list, tuple)):
-        x = np.stack([pose2d_to_lift_input(p) if isinstance(p, NormalizedPose) else np.asarray(p) for p in poses])
-    else:
-        x = np.asarray(poses, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None]
-            single = True
+        x = x[None]
     if mode == "train" and x.shape[0] < 2:
         raise BatchTooSmall("train-mode batch normalization needs at least 2 samples")
     out = lift_forward_graph(params, Tensor(x), train=(mode == "train"), record=False).data
@@ -239,7 +233,7 @@ def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetPa
         diff = ad.add(out, -y)
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()
-        accumulate_gradients(loss)
+        backward(loss)
         adam_step(params.store, state, cfg.lr)
     return params
 

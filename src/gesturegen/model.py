@@ -6,8 +6,10 @@ emit gesture vectors autoregressively. The decoder is warmed on seed poses
 (their outputs are not emitted), then generates a fixed number of poses,
 each feeding the next step.
 
-All forward paths run through the autodiff graph builders so the numeric
-API and the differentiable API cannot drift apart.
+Every pass runs through one set of autodiff graph builders: `forward_graph`
+records the graph for training, `forward` runs the same builders without
+recording and returns plain arrays, and `backward` harvests parameter
+gradients from a recorded loss.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class ParamStore:
         for p in self._params.values():
             p.grad[...] = 0.0
 
-    def num_values(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
 
 @dataclass
 class GruCellParams:
@@ -88,10 +87,6 @@ class GruCellParams:
     @property
     def hidden_size(self) -> int:
         return self.b_z.value.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_z.value.shape[1]
 
 
 @dataclass
@@ -125,10 +120,6 @@ class Seq2SeqModel:
     pre_b: Parameter = None
     post_w: Parameter = None
     post_b: Parameter = None
-
-    @property
-    def annotation_dim(self) -> int:
-        return 2 * self.cfg.hidden
 
 
 def _xavier(rng, out_dim, in_dim):
@@ -337,82 +328,15 @@ def forward(model, embedded_words, seed_poses, mode: str = "eval", rng=None):
     return out.poses.data[0], out.attn.data[0]
 
 
-def accumulate_gradients(loss: Tensor):
-    """Run the reverse pass and add every reachable parameter's gradient
-    into its store accumulator."""
+def backward(loss: Tensor):
+    """Reverse-mode pass: add d(loss)/d(parameter) into the store
+    accumulator of every parameter the loss reaches.
+
+    Gradients add up across calls until the caller clears them.
+    """
     if not isinstance(loss, Tensor) or not loss._parents:
         raise NoRecordedGraph("loss is not the result of a recorded forward pass")
     order = loss.backward()
     for node in order:
         if node._param is not None and node.grad is not None:
             node._param.grad += node.grad
-
-
-def backward(model: Seq2SeqModel, loss: Tensor):
-    """Reverse-mode pass: accumulate d(loss)/d(parameter) into the store.
-
-    Gradients add up across calls until the caller clears them.
-    """
-    accumulate_gradients(loss)
-
-
-# -- numeric views of the building blocks (shared graph code, no recording) --
-
-
-def gru_cell_forward(cell: GruCellParams, x, h) -> np.ndarray:
-    """One GRU cell update; accepts single vectors or (B, ·) batches."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x, h = x[None], h[None]
-    if x.shape[-1] != cell.input_size or h.shape[-1] != cell.hidden_size or x.shape[0] != h.shape[0]:
-        raise ShapeMismatch(f"cell expects input {cell.input_size}, hidden {cell.hidden_size}")
-    out = _cell_step(_Bag(False), cell, Tensor(x), Tensor(h)).data
-    return out[0] if single else out
-
-
-def encode_text(model: Seq2SeqModel, embedded_words) -> list[np.ndarray]:
-    """Per-word annotations: concatenated forward/backward top-layer states."""
-    embedded = [np.asarray(w, dtype=np.float64) for w in embedded_words]
-    if not embedded:
-        raise EmptyInput("cannot encode an empty word sequence")
-    bag = _Bag(False)
-    inputs = [Tensor(w[None]) for w in embedded]
-    annotations = _encode_graph(model, bag, inputs, train=False, rng=None)
-    return [annotations.data[0, t].copy() for t in range(len(embedded))]
-
-
-def attention_weights(model: Seq2SeqModel, decoder_state, annotations):
-    """Additive attention over annotations. Returns (weights (s,), context)."""
-    ann = np.asarray(annotations, dtype=np.float64)
-    if ann.ndim != 2 or ann.shape[0] == 0:
-        raise EmptyInput("need at least one annotation")
-    bag = _Bag(False)
-    att = _Attention(model, bag, Tensor(ann[None]))
-    weights, context = att(Tensor(np.asarray(decoder_state, dtype=np.float64)[None]))
-    return weights.data[0], context.data[0]
-
-
-def decode_step(model: Seq2SeqModel, prev_pose, hidden, annotations):
-    """One decoder step. hidden is a (h1, h2) pair of (H,) vectors.
-
-    Returns (pose (10,), (h1', h2'), attention weights (s,)).
-    """
-    ann = np.asarray(annotations, dtype=np.float64)
-    if ann.ndim != 2 or ann.shape[0] == 0:
-        raise EmptyInput("need at least one annotation")
-    h1, h2 = hidden
-    bag = _Bag(False)
-    att = _Attention(model, bag, Tensor(ann[None]))
-    pose, h1n, h2n, weights = _decode_step_graph(
-        model,
-        bag,
-        att,
-        Tensor(np.asarray(prev_pose, dtype=np.float64)[None]),
-        Tensor(np.asarray(h1, dtype=np.float64)[None]),
-        Tensor(np.asarray(h2, dtype=np.float64)[None]),
-        train=False,
-        rng=None,
-    )
-    return pose.data[0], (h1n.data[0], h2n.data[0]), weights.data[0]

@@ -109,22 +109,6 @@ class PcaModel:
         return self.components.shape[0]
 
 
-@dataclass(frozen=True)
-class PoseSequence:
-    """Gesture vectors over time at a fixed frame rate."""
-
-    frames: np.ndarray  # (T, GESTURE_DIM)
-    fps: float
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise InvalidConfig("frames must be a 2-d array")
-        if self.fps <= 0:
-            raise InvalidConfig("fps must be positive")
-        object.__setattr__(self, "frames", frames)
-
-
 def normalize_pose(raw: RawPose) -> NormalizedPose:
     """Translate the neck to the origin and rescale so that the mean
     neck-to-shoulder distance is exactly 1."""
@@ -195,11 +179,6 @@ def decode_pose(model: PcaModel, coeffs) -> NormalizedPose:
     if coeffs.shape != (model.n_components,):
         raise InvalidConfig(f"expected {model.n_components} coefficients, got {coeffs.shape}")
     return NormalizedPose.from_flat(model.mean + model.components.T @ coeffs)
-
-
-def decode_sequence(model: PcaModel, frames) -> list:
-    """decode_pose applied to each row of a (T, k) coefficient array."""
-    return [decode_pose(model, row) for row in np.asarray(frames, dtype=np.float64)]
 
 
 def component_sweep(model: PcaModel, dim: int, values) -> list:

@@ -183,10 +183,13 @@ def load_track_csv(path, fps: float = DEFAULT_FPS) -> TimedPoseTrack:
                     continue
                 fields = line.split(",")
                 try:
-                    rows.append([float(f) for f in fields[1:]])
+                    row = [float(f) for f in fields[1:]]
                 except ValueError:
                     raise MalformedFile(f"{path}: non-numeric value on line {line_no}") from None
-    except OSError as exc:
+                if not all(map(math.isfinite, row)):
+                    raise MalformedFile(f"{path}: non-finite value on line {line_no}")
+                rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read track file: {exc}") from exc
     if not rows:
         raise MalformedFile(f"{path}: no frames")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedLine
+from .errors import DimensionMismatch, MalformedFile, MalformedLine
 
 EMBED_DIM = 300
 
@@ -57,39 +57,39 @@ class EmbeddingTable:
 
 def load_embedding_table(path) -> EmbeddingTable:
     """Parse a text embedding file. The first line fixes the dimension;
-    later lines disagreeing raise DimensionMismatch, non-numeric fields
-    raise MalformedLine. Blank lines are skipped."""
+    later lines disagreeing raise DimensionMismatch, non-numeric or
+    non-finite fields raise MalformedLine, and an unreadable or non-UTF-8
+    file raises MalformedFile. Blank lines are skipped."""
     dim = None
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, fields = parts[0], parts[1:]
-            if not fields:
-                raise MalformedLine(line_no, "token without vector")
-            if dim is None:
-                dim = len(fields)
-            elif len(fields) != dim:
-                raise DimensionMismatch(line_no, f"expected {dim} values, got {len(fields)}")
-            try:
-                entries[token] = np.array([float(f) for f in fields])
-            except ValueError:
-                raise MalformedLine(line_no, "non-numeric field") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token, fields = parts[0], parts[1:]
+                if not fields:
+                    raise MalformedLine(line_no, "token without vector")
+                if dim is None:
+                    dim = len(fields)
+                elif len(fields) != dim:
+                    raise DimensionMismatch(line_no, f"expected {dim} values, got {len(fields)}")
+                try:
+                    vec = np.array([float(f) for f in fields])
+                except ValueError:
+                    raise MalformedLine(line_no, "non-numeric field") from None
+                if not np.isfinite(vec).all():
+                    raise MalformedLine(line_no, "non-finite value")
+                entries[token] = vec
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read embedding table: {exc}") from exc
     return EmbeddingTable(dim=dim if dim is not None else EMBED_DIM, entries=entries)
 
 
 def embed_tokens(table: EmbeddingTable, tokens) -> list[np.ndarray]:
     """Per-token vector lookup; unknown tokens map to the zero vector."""
     return [table.lookup(tok) for tok in tokens]
-
-
-def embed_matrix(table: EmbeddingTable, tokens) -> np.ndarray:
-    """(len(tokens), dim) array of looked-up vectors."""
-    if not tokens:
-        return np.zeros((0, table.dim))
-    return np.stack(embed_tokens(table, tokens))
 
 
 def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0) -> int:

@@ -77,12 +77,15 @@ class AdamState:
         self.second = {name: np.zeros_like(p.value) for name, p in store.items()}
 
 
-def _loss_graph(pred: Tensor, target: np.ndarray, alpha: float, beta: float):
-    """Loss terms for a (B, m, d) prediction tensor, averaged over the batch.
-
-    Returns (mse, continuity, variance, total) graph tensors.
-    """
-    batch, m, dim = pred.shape
+def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
+    """Differentiable loss for a (B, m, d) prediction tensor, averaged over
+    the batch. Returns (LossBreakdown, total tensor)."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape[1] < 2:
+        raise LengthMismatch("need at least 2 poses per sequence")
+    if pred.shape != target.shape:
+        raise LengthMismatch(f"prediction {pred.shape} vs target {target.shape}")
+    m = pred.shape[1]
     diff = ad.add(pred, -target)
     mse = ad.tmean(ad.mul(diff, diff))
     steps = ad.add(pred[:, 1:, :], ad.mul(pred[:, :-1, :], -1.0))
@@ -91,33 +94,9 @@ def _loss_graph(pred: Tensor, target: np.ndarray, alpha: float, beta: float):
     centered = ad.add(pred, ad.mul(ad.tmean(pred, axis=1, keepdims=True), -1.0))
     per_dim_var = ad.tmean(ad.mul(centered, centered), axis=1)  # (B, d) population variance
     variance = ad.mul(ad.tmean(per_dim_var), -1.0)
-    total = ad.add(ad.add(mse, ad.mul(continuity, alpha)), ad.mul(variance, beta))
-    return mse, continuity, variance, total
-
-
-def compute_loss(pred, target, h: Hyperparams) -> LossBreakdown:
-    """Loss breakdown for one m-pose sequence against its targets."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LengthMismatch(f"prediction {pred.shape} vs target {target.shape}")
-    if pred.ndim != 2 or pred.shape[0] < 2:
-        raise LengthMismatch("need at least 2 poses per sequence")
-    mse, cont, var, total = _loss_graph(Tensor(pred[None]), target[None], h.alpha, h.beta)
-    return LossBreakdown(
-        mse=float(mse.data), continuity=float(cont.data), variance=float(var.data), total=float(total.data)
-    )
-
-
-def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
-    """Differentiable batched loss; returns (LossBreakdown, total tensor)."""
-    if pred.shape[1] < 2:
-        raise LengthMismatch("need at least 2 poses per sequence")
-    if pred.shape != np.asarray(target).shape:
-        raise LengthMismatch(f"prediction {pred.shape} vs target {np.asarray(target).shape}")
-    mse, cont, var, total = _loss_graph(pred, np.asarray(target, dtype=np.float64), h.alpha, h.beta)
+    total = ad.add(ad.add(mse, ad.mul(continuity, h.alpha)), ad.mul(variance, h.beta))
     breakdown = LossBreakdown(
-        mse=float(mse.data), continuity=float(cont.data), variance=float(var.data), total=float(total.data)
+        mse=float(mse.data), continuity=float(continuity.data), variance=float(variance.data), total=float(total.data)
     )
     return breakdown, total
 
@@ -251,7 +230,7 @@ def train_model(
                 batch_sums += weight * np.array(
                     [breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]
                 )
-            backward(model, batch_total)
+            backward(batch_total)
             clip_gradients(model.store, h.clip_lo, h.clip_hi)
             adam_step(model.store, state, h.lr)
             sums += batch_sums * len(batch)

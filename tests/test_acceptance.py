@@ -28,14 +28,7 @@ from gesturegen.lifting import (
     synth_pose3d_corpus,
     train_lift,
 )
-from gesturegen.model import (
-    ModelConfig,
-    accumulate_gradients,
-    backward,
-    forward_graph,
-    gru_cell_forward,
-    init_model,
-)
+from gesturegen.model import ModelConfig, backward, forward_graph, init_model
 from gesturegen.pose import (
     GESTURE_DIM,
     L_WRIST,
@@ -49,9 +42,11 @@ from gesturegen.pose import (
 )
 from gesturegen.synthesis import TimedPoseTrack, align_track, generate_gesture, plan_chunks, save_track_csv
 from gesturegen.text import EmbeddingTable
-from gesturegen.training import Hyperparams, compute_loss, compute_loss_graph, make_training_pairs, train_model
+from gesturegen.training import Hyperparams, compute_loss_graph, make_training_pairs, train_model
 
 from test_baselines import oracle_bleu
+from test_model import attend, cell_step
+from test_training import compute_loss
 
 
 _SCOREBOARD = []
@@ -88,7 +83,7 @@ def test_criterion_1_gradient_check():
     rollout = forward_graph(model, emb, seeds)
     _, total = compute_loss_graph(rollout.poses, target, h)
     model.store.zero_grads()
-    backward(model, total)
+    backward(total)
 
     step = 1e-5
     worst = 0.0
@@ -215,12 +210,10 @@ def test_criterion_5_attention_gru_invariants():
     cfg = ModelConfig(word_dim=5, hidden=6, att_dim=4, n_seed_poses=2, n_output_poses=3)
 
     worst_sum = 0.0
-    from gesturegen.model import attention_weights
-
     model = init_model(cfg, seed=4)
     for _ in range(1000):
         ann = rng.normal(size=(int(rng.integers(1, 9)), 12))
-        weights, _ = attention_weights(model, rng.normal(size=6), ann)
+        weights, _ = attend(model, rng.normal(size=6), ann)
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
         assert np.all(weights >= 0)
 
@@ -236,14 +229,14 @@ def test_criterion_5_attention_gru_invariants():
     for trial in range(1000):
         cell = init_model(cfg, seed=trial % 17).encoder[0][0]
         h = rng.uniform(-1, 1, 6)
-        h = gru_cell_forward(cell, rng.normal(0, 2.0, 5), h)
+        h = cell_step(cell, rng.normal(0, 2.0, 5), h)
         bounded = bounded and bool(np.all(np.abs(h) <= 1.0))
 
     zero_cell = init_model(cfg, seed=0).encoder[0][0]
     for p in vars(zero_cell).values():
         p.value[...] = 0.0
     h0 = np.array([0.3, -0.9, 0.0, 1.0, -0.2, 0.5])
-    halved = np.array_equal(gru_cell_forward(zero_cell, np.zeros(5), h0), 0.5 * h0)
+    halved = np.array_equal(cell_step(zero_cell, np.zeros(5), h0), 0.5 * h0)
 
     ok = worst_sum < 1e-9 and worst_shift < 1e-12 and bounded and halved
     scoreboard(
@@ -423,7 +416,7 @@ def test_criterion_9_lift_network():
     diff = ad.add(out, -target)
     loss = ad.tmean(ad.mul(diff, diff))
     fd_params.store.zero_grads()
-    accumulate_gradients(loss)
+    backward(loss)
     worst_grad = 0.0
     step = 1e-5
     for name, p in fd_params.store.items():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gesturegen.errors import CheckpointVersionError
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
-from gesturegen.pose import NormalizedPose, fit_pca
+from gesturegen.pose import NormalizedPose, PcaModel, fit_pca
 from gesturegen.render import pose_svg, render
 from gesturegen.synthesis import TimedPoseTrack
 
@@ -81,6 +83,61 @@ class TestVersioning:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
+
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        # a model with no lift arrays, relabelled as carrying a lift net
+        ck = _full_checkpoint()
+        ck.lift = None
+        path = tmp_path / "m.ggck"
+        save_checkpoint(ck, path)
+        raw = path.read_bytes()
+        old = b'"lift_cfg":null'
+        new = b'"lift_cfg":{"bn_eps":1e-5,"bn_momentum":0.1}'
+        header_len = int.from_bytes(raw[8:16], "little") + len(new) - len(old)
+        path.write_bytes(raw[:8] + header_len.to_bytes(8, "little") + raw[16:].replace(old, new, 1))
+        with pytest.raises(CheckpointVersionError, match="missing array lift"):
+            load_checkpoint(path)
+
+
+def _pinned_checkpoint():
+    """Fixed tiny content whose saved bytes must never change under format 1.
+
+    The pose basis is built by hand: fitted bases depend on the BLAS build.
+    """
+    pca = PcaModel(
+        mean=np.linspace(-1.0, 1.0, 16),
+        components=np.eye(16)[:3],
+        explained_variance_ratio=np.array([0.5, 0.25, 0.125]),
+    )
+    cfg = ModelConfig(word_dim=6, hidden=5, att_dim=4, gesture_dim=3, n_seed_poses=2, n_output_poses=3, dropout=0.25)
+    return Checkpoint(
+        config={"epochs": 3, "seed": 1},
+        pca=pca,
+        model=init_model(cfg, seed=1),
+        lift=init_lift_params(seed=2, bn_momentum=0.2, bn_eps=1e-4),
+        embedding_ref={"path": "emb.txt", "sha256": "abc123"},
+    )
+
+
+def test_format_1_bytes_pinned(tmp_path):
+    save_checkpoint(_pinned_checkpoint(), tmp_path / "pinned.ggck")
+    digest = hashlib.sha256((tmp_path / "pinned.ggck").read_bytes()).hexdigest()
+    assert digest == "10a3703ce876a9bed2fce742eaf7912e7d41c78c03133dee0747fd67830f1d81"
 
 
 class TestRender:

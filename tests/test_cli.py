@@ -403,3 +403,58 @@ def test_schedule_uses_rate_estimate_without_duration(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["speech_duration"] == 60.0
+
+
+def _single_line_error(capsys, command):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"{command}:")
+    assert "\n" not in err
+
+
+def test_missing_embedding_file_is_single_line(workspace, capsys):
+    root, _ = workspace
+    rc = main(
+        ["generate", "--checkpoint", str(root / "ck.ggck"), "--embeddings", str(root / "nope.txt"), "--text", "hi"]
+    )
+    assert rc == 1
+    _single_line_error(capsys, "generate")
+
+
+def test_non_utf8_embedding_file_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    (tmp_path / "emb.txt").write_bytes(b"tok \xff\xfe 1.0\n")
+    rc = main(
+        ["generate", "--checkpoint", str(root / "ck.ggck"), "--embeddings", str(tmp_path / "emb.txt"), "--text", "hi"]
+    )
+    assert rc == 1
+    _single_line_error(capsys, "generate")
+
+
+@pytest.mark.parametrize("limits", [None, "{not json"])
+def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
+    root, _ = workspace
+    path = tmp_path / "limits.json"
+    if limits is not None:
+        path.write_text(limits)
+    rc = main(
+        [
+            "retarget",
+            "--checkpoint",
+            str(root / "ck.ggck"),
+            "--track",
+            str(root / "track.csv"),
+            "--limits",
+            str(path),
+            "--out-dir",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    _single_line_error(capsys, "retarget")
+
+
+def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    rc = main(["pca-sweep", "--checkpoint", str(root / "ck.ggck"), "--values", "1,x", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    _single_line_error(capsys, "pca-sweep")

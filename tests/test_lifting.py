@@ -19,7 +19,7 @@ from gesturegen.lifting import (
     synth_pose3d_corpus,
     train_lift,
 )
-from gesturegen.model import accumulate_gradients
+from gesturegen.model import backward
 from gesturegen.pose import NECK, fit_pca, normalize_pose, RawPose
 from gesturegen.synthesis import TimedPoseTrack
 
@@ -98,7 +98,7 @@ class TestLiftForward:
         diff = ad.add(out, -target)
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()
-        accumulate_gradients(loss)
+        backward(loss)
         step = 1e-5
         for name, p in params.store.items():
             flat = p.value.reshape(-1)

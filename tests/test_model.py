@@ -1,21 +1,56 @@
 import numpy as np
 import pytest
 
+from gesturegen.autodiff import Tensor
 from gesturegen.errors import EmptyInput, NoRecordedGraph, SeedLengthMismatch, ShapeMismatch
 from gesturegen.model import (
     ModelConfig,
-    attention_weights,
+    _Attention,
+    _Bag,
+    _cell_step,
+    _decode_step_graph,
+    _encode_graph,
     backward,
-    decode_step,
-    encode_text,
     forward,
     forward_graph,
-    gru_cell_forward,
     init_model,
 )
 from gesturegen.training import Hyperparams, compute_loss_graph
 
 TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+
+
+# Single-sequence runs of the graph builders that forward_graph is made of,
+# without recording: one vector in, one vector out.
+
+
+def cell_step(cell, x, h):
+    """One GRU cell update of an (input,) vector and an (H,) state."""
+    return _cell_step(_Bag(False), cell, Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])).data[0]
+
+
+def encode(model, words):
+    """(2H,) annotation per word of a list of (word_dim,) vectors."""
+    annotations = _encode_graph(model, _Bag(False), [Tensor(w[None]) for w in words], train=False, rng=None)
+    return list(annotations.data[0])
+
+
+def attend(model, state, annotations):
+    """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
+    attention = _Attention(model, _Bag(False), Tensor(np.asarray(annotations)[None]))
+    weights, context = attention(Tensor(np.asarray(state)[None]))
+    return weights.data[0], context.data[0]
+
+
+def decode(model, prev_pose, hidden, annotations):
+    """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
+    bag = _Bag(False)
+    attention = _Attention(model, bag, Tensor(np.asarray(annotations)[None]))
+    h1, h2 = (Tensor(np.asarray(h)[None]) for h in hidden)
+    pose, h1, h2, weights = _decode_step_graph(
+        model, bag, attention, Tensor(np.asarray(prev_pose)[None]), h1, h2, train=False, rng=None
+    )
+    return pose.data[0], (h1.data[0], h2.data[0]), weights.data[0]
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +92,7 @@ class TestGruCell:
         for p in (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h):
             p.value[...] = 0.0
         h = np.array([0.4, -0.8, 0.2, 1.0])
-        out = gru_cell_forward(cell, np.zeros(7), h)
+        out = cell_step(cell, np.zeros(7), h)
         assert np.array_equal(out, 0.5 * h)
 
     def test_saturated_update_gate(self):
@@ -67,7 +102,7 @@ class TestGruCell:
         cell.u_h.value[...] = 0.0
         cell.b_h.value[...] = 0.0
         h = np.array([0.9, -0.5, 0.1, 0.7])
-        out = gru_cell_forward(cell, np.ones(7) * 0.3, h)
+        out = cell_step(cell, np.ones(7) * 0.3, h)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_hidden_stays_bounded(self):
@@ -80,7 +115,7 @@ class TestGruCell:
                 p.value[...] = rng.normal(0, 2.0, p.value.shape)
             h = rng.uniform(-1, 1, 6)
             for _ in range(3):
-                h = gru_cell_forward(cell, rng.normal(0, 2.0, 5), h)
+                h = cell_step(cell, rng.normal(0, 2.0, 5), h)
                 assert np.all(np.abs(h) <= 1.0)
 
     def test_contraction_bound(self, tiny):
@@ -89,31 +124,31 @@ class TestGruCell:
         cell = tiny.encoder[0][0]
         for _ in range(200):
             h = rng.normal(0, 4.0, 4)
-            out = gru_cell_forward(cell, rng.normal(0, 2.0, 7), h)
+            out = cell_step(cell, rng.normal(0, 2.0, 7), h)
             assert np.max(np.abs(out)) <= max(np.max(np.abs(h)), 1.0) + 1e-12
 
     def test_shape_mismatch(self, tiny):
         with pytest.raises(ShapeMismatch):
-            gru_cell_forward(tiny.encoder[0][0], np.zeros(6), np.zeros(4))
+            forward(tiny, np.zeros((3, 6)), np.zeros((2, 10)))
 
 
 class TestEncoder:
     def test_annotation_shapes(self, tiny):
         rng = np.random.default_rng(0)
         for s in (1, 4):
-            anns = encode_text(tiny, [rng.normal(size=7) for _ in range(s)])
+            anns = encode(tiny, [rng.normal(size=7) for _ in range(s)])
             assert len(anns) == s
             assert all(a.shape == (8,) for a in anns)
 
     def test_empty_input(self, tiny):
         with pytest.raises(EmptyInput):
-            encode_text(tiny, [])
+            forward_graph(tiny, np.zeros((1, 0, 7)), np.zeros((1, 2, 10)))
 
     def test_deterministic(self, tiny):
         rng = np.random.default_rng(1)
         words = [rng.normal(size=7) for _ in range(3)]
-        a = encode_text(tiny, words)
-        b = encode_text(tiny, words)
+        a = encode(tiny, words)
+        b = encode(tiny, words)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_reversal_swaps_directions(self):
@@ -133,8 +168,8 @@ class TestEncoder:
                 w[:, hidden:] = w[:, :hidden]
         rng = np.random.default_rng(2)
         words = [rng.normal(size=5) for _ in range(4)]
-        fwd_anns = encode_text(model, words)
-        rev_anns = encode_text(model, words[::-1])
+        fwd_anns = encode(model, words)
+        rev_anns = encode(model, words[::-1])
         for t in range(4):
             expected = np.concatenate([fwd_anns[3 - t][hidden:], fwd_anns[3 - t][:hidden]])
             assert np.allclose(rev_anns[t], expected, atol=1e-12)
@@ -143,25 +178,21 @@ class TestEncoder:
 class TestAttention:
     def test_single_annotation(self, tiny):
         ann = np.random.default_rng(0).normal(size=(1, 8))
-        weights, context = attention_weights(tiny, np.zeros(4), ann)
+        weights, context = attend(tiny, np.zeros(4), ann)
         assert np.allclose(weights, [1.0])
         assert np.allclose(context, ann[0])
 
     def test_identical_annotations_uniform(self, tiny):
         ann = np.tile(np.random.default_rng(1).normal(size=8), (5, 1))
-        weights, _ = attention_weights(tiny, np.ones(4) * 0.3, ann)
+        weights, _ = attend(tiny, np.ones(4) * 0.3, ann)
         assert np.max(np.abs(weights - 0.2)) < 1e-12
 
     def test_rows_sum_to_one_nonnegative(self, tiny):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            weights, _ = attention_weights(tiny, rng.normal(size=4), rng.normal(size=(6, 8)))
+            weights, _ = attend(tiny, rng.normal(size=4), rng.normal(size=(6, 8)))
             assert abs(weights.sum() - 1.0) < 1e-9
             assert np.all(weights >= 0)
-
-    def test_empty(self, tiny):
-        with pytest.raises(EmptyInput):
-            attention_weights(tiny, np.zeros(4), np.zeros((0, 8)))
 
 
 class TestDecodeStep:
@@ -171,7 +202,7 @@ class TestDecodeStep:
             p.value[...] = 0.0
         model.post_b.value[...] = np.arange(10.0) * 0.1
         ann = np.random.default_rng(0).normal(size=(3, 8))
-        pose, hidden, weights = decode_step(model, np.zeros(10), (np.zeros(4), np.zeros(4)), ann)
+        pose, hidden, weights = decode(model, np.zeros(10), (np.zeros(4), np.zeros(4)), ann)
         assert np.allclose(pose, np.arange(10.0) * 0.1, atol=1e-15)
 
     def test_deterministic_and_shapes(self, tiny):
@@ -179,8 +210,8 @@ class TestDecodeStep:
         ann = rng.normal(size=(4, 8))
         prev = rng.normal(size=10)
         hidden = (rng.normal(size=4), rng.normal(size=4))
-        a = decode_step(tiny, prev, hidden, ann)
-        b = decode_step(tiny, prev, hidden, ann)
+        a = decode(tiny, prev, hidden, ann)
+        b = decode(tiny, prev, hidden, ann)
         assert a[0].shape == (10,)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[2], b[2])
@@ -228,7 +259,7 @@ class TestBackward:
         h = Hyperparams(alpha=0.0, beta=0.0)
         _, total = compute_loss_graph(rollout.poses, target, h)
         tiny.store.zero_grads()
-        backward(tiny, total)
+        backward(total)
         assert all(np.array_equal(p.grad, np.zeros_like(p.grad)) for _, p in tiny.store.items())
 
     def test_two_backward_passes_double(self, tiny):
@@ -238,17 +269,15 @@ class TestBackward:
         rollout = forward_graph(tiny, emb, seeds)
         _, total = compute_loss_graph(rollout.poses, target, Hyperparams())
         tiny.store.zero_grads()
-        backward(tiny, total)
+        backward(total)
         singles = {name: p.grad.copy() for name, p in tiny.store.items()}
-        backward(tiny, total)
+        backward(total)
         for name, p in tiny.store.items():
             assert np.allclose(p.grad, 2.0 * singles[name], atol=1e-15), name
 
     def test_no_recorded_graph(self, tiny):
-        from gesturegen.autodiff import Tensor
-
         with pytest.raises(NoRecordedGraph):
-            backward(tiny, Tensor(np.array(1.0), requires_grad=True))
+            backward(Tensor(np.array(1.0), requires_grad=True))
 
     def test_finite_difference_subset(self, tiny):
         """Spot-check analytic gradients of the full loss on a few entries
@@ -266,7 +295,7 @@ class TestBackward:
         rollout = forward_graph(tiny, emb, seeds)
         _, total = compute_loss_graph(rollout.poses, target, h)
         tiny.store.zero_grads()
-        backward(tiny, total)
+        backward(total)
         step = 1e-5
         for name, p in tiny.store.items():
             flat = p.value.reshape(-1)

@@ -198,3 +198,9 @@ class TestTrackCsv:
             load_track_csv(path)
         with pytest.raises(MalformedFile):
             load_track_csv(tmp_path / "missing.csv")
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t_s,c1,c2\n0.0,0.5,1.0\n\n0.1,nan,1.0\n")
+        with pytest.raises(MalformedFile, match="line 4"):
+            load_track_csv(path)

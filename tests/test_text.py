@@ -65,6 +65,15 @@ def test_loader_non_numeric(tmp_path):
         load_embedding_table(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_loader_non_finite(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"tok 1.0 2.0\nbad 1.0 {value}\n")
+    with pytest.raises(MalformedLine) as err:
+        load_embedding_table(path)
+    assert err.value.line_no == 2
+
+
 def test_synthetic_table_round_trip(tmp_path):
     path = tmp_path / "emb.txt"
     tokens = [f"tok{i}" for i in range(50)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gesturegen.autodiff import Tensor
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import EmptyDataset, InvalidConfig, LengthMismatch
 from gesturegen.model import ModelConfig, init_model
@@ -12,7 +13,6 @@ from gesturegen.training import (
     TrainingPair,
     adam_step,
     clip_gradients,
-    compute_loss,
     compute_loss_graph,
     make_training_pairs,
     train_model,
@@ -29,6 +29,11 @@ class TestHyperparams:
     def test_validation(self, kwargs):
         with pytest.raises(InvalidConfig):
             Hyperparams(**kwargs)
+
+
+def compute_loss(pred, target, h):
+    """Loss breakdown of one (m, d) prediction against its targets."""
+    return compute_loss_graph(Tensor(np.asarray(pred)[None]), np.asarray(target)[None], h)[0]
 
 
 class TestComputeLoss:
@@ -86,16 +91,28 @@ class TestComputeLoss:
             compute_loss(np.zeros((1, 10)), np.zeros((1, 10)), h)
 
     def test_graph_matches_numeric(self):
-        from gesturegen.autodiff import Tensor
-
+        # the documented formula evaluated in plain numpy
         rng = np.random.default_rng(2)
         pred = rng.normal(size=(7, 10))
         target = rng.normal(size=(7, 10))
         h = Hyperparams(alpha=0.3, beta=0.7)
-        numeric = compute_loss(pred, target, h)
+        mse = np.mean((pred - target) ** 2)
+        continuity = np.mean(np.linalg.norm(np.diff(pred, axis=0), axis=1))
+        variance = -np.mean(np.var(pred, axis=0))
+        numeric_total = mse + h.alpha * continuity + h.beta * variance
         breakdown, _ = compute_loss_graph(Tensor(pred[None]), target[None], h)
-        assert abs(numeric.total - breakdown.total) < 1e-12
-        assert abs(numeric.mse - breakdown.mse) < 1e-12
+        assert abs(numeric_total - breakdown.total) < 1e-12
+        assert abs(mse - breakdown.mse) < 1e-12
+
+    def test_batch_is_mean_of_sequences(self):
+        rng = np.random.default_rng(3)
+        pred = rng.normal(size=(3, 5, 10))
+        target = rng.normal(size=(3, 5, 10))
+        h = Hyperparams(alpha=0.3, beta=0.7)
+        batch, _ = compute_loss_graph(Tensor(pred), target, h)
+        singles = [compute_loss(pred[i], target[i], h) for i in range(3)]
+        for term in ("mse", "continuity", "variance", "total"):
+            assert abs(getattr(batch, term) - np.mean([getattr(s, term) for s in singles])) < 1e-12
 
 
 class TestClipAndAdam:
