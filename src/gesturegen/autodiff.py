@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoRecordedGraph, ShapeMismatch
+from .errors import InvalidConfig
 
 
 class Tensor:
@@ -66,7 +66,7 @@ class Tensor:
         recompute the same values instead of accumulating.
         """
         if not self._parents:
-            raise NoRecordedGraph("tensor has no recorded computation to differentiate")
+            raise InvalidConfig("tensor has no recorded computation to differentiate")
         order = self._toposort()
         for node in order:
             node.grad = None
@@ -76,29 +76,7 @@ class Tensor:
                 node._backprop(node.grad)
         return order
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing -----------------------------------------------------------
 
     def __getitem__(self, index):
         return take(self, index)
@@ -168,7 +146,7 @@ def matmul(a, b) -> Tensor:
     """np.matmul semantics for operands of ndim >= 2, broadcasting batch dims."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch("matmul operands must have ndim >= 2")
+        raise InvalidConfig("matmul operands must have ndim >= 2")
     out_val = np.matmul(a.data, b.data)
 
     def backprop(g):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyReference, EmptyTrainingSet, LengthMismatch
+from .errors import InvalidConfig
 from .pose import encode_pose, normalize_pose
 from .synthesis import TimedPoseTrack, align_track, load_track_csv
 
@@ -28,7 +28,7 @@ def bleu_score(candidate, reference, max_n: int = 4) -> float:
     candidate = list(candidate)
     reference = list(reference)
     if not reference:
-        raise EmptyReference("reference must be non-empty")
+        raise InvalidConfig("reference must be non-empty")
     if not candidate:
         return 0.0
     top = min(max_n, len(candidate))
@@ -78,9 +78,9 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int =
     """
     query_tokens = list(query_tokens)
     if not records:
-        raise EmptyTrainingSet("no training records")
+        raise InvalidConfig("no training records")
     if not query_tokens:
-        raise EmptyReference("empty query text")
+        raise InvalidConfig("empty query text")
 
     ordered = sorted(records, key=lambda r: r.id)
     tracks = {rec.id: _record_track(rec, pca) for rec in ordered}
@@ -118,7 +118,7 @@ def random_baseline(records, pca, speech_duration: float, rng) -> TimedPoseTrack
     """A uniformly chosen training record's pose track, rescaled to the
     speech duration."""
     if not records:
-        raise EmptyTrainingSet("no training records")
+        raise InvalidConfig("no training records")
     rec = records[int(rng.integers(0, len(records)))]
     track = TimedPoseTrack(frames=_record_track(rec, pca), fps=rec.fps)
     return align_track(track, speech_duration)
@@ -140,7 +140,7 @@ class TrackMetrics:
 def eval_tracks(generated: TimedPoseTrack, reference: TimedPoseTrack) -> TrackMetrics:
     """Objective diagnostics; frame counts must already match."""
     if len(generated) != len(reference):
-        raise LengthMismatch(f"{len(generated)} generated vs {len(reference)} reference frames")
+        raise InvalidConfig(f"{len(generated)} generated vs {len(reference)} reference frames")
     gen = generated.frames
     mse = float(np.mean((gen - reference.frames) ** 2))
     if len(gen) >= 2:

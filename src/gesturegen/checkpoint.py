@@ -8,14 +8,16 @@ the content, and numeric payloads round-trip bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import CheckpointVersionError, IoFailure
+from .errors import IoFailure, MalformedFile
 from .lifting import LiftNetParams, init_lift_params
 from .model import ModelConfig, Seq2SeqModel, init_model
 from .pose import PcaModel
@@ -65,16 +67,37 @@ def save_checkpoint(ck: Checkpoint, path):
     if ck.lift is not None:
         header["lift_cfg"] = {"bn_momentum": ck.lift.bn_momentum, "bn_eps": ck.lift.bn_eps}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # Write beside the target and rename over it, so a failed write never
+    # leaves a half-written checkpoint where the old one was.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             for _, a in arrays:
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint: {exc}") from exc
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write checkpoint: {exc}") from exc
+        raise
+
+
+def _header_config(header, key, names):
+    """The keyword arguments stored under header[key], or None if absent."""
+    entry = header.get(key)
+    if not entry:
+        return None
+    if not isinstance(entry, dict) or set(entry) != set(names):
+        raise MalformedFile(f"corrupt checkpoint header: {key} must have the keys {', '.join(sorted(names))}")
+    for name, value in entry.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MalformedFile(f"corrupt checkpoint header: {key}.{name} is not a number")
+    return entry
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -82,23 +105,23 @@ def load_checkpoint(path) -> Checkpoint:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint: {exc}") from exc
+        raise MalformedFile(f"cannot read checkpoint: {exc}") from exc
     if len(raw) < 16 or raw[:4] != MAGIC:
-        raise CheckpointVersionError("not a checkpoint file (bad magic)")
+        raise MalformedFile("not a checkpoint file (bad magic)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != FORMAT_VERSION:
-        raise CheckpointVersionError(f"unsupported checkpoint format version {version}")
+        raise MalformedFile(f"unsupported checkpoint format version {version}")
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointVersionError(f"corrupt checkpoint header: {exc}") from exc
+        raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
 
     offset = 16 + header_len
     expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != expected:
-        raise CheckpointVersionError(f"checkpoint is {len(raw)} bytes, its header implies {expected}")
+        raise MalformedFile(f"checkpoint is {len(raw)} bytes, its header implies {expected}")
     values = {}
     for name, shape in shapes:
         count = math.prod(shape)
@@ -107,28 +130,31 @@ def load_checkpoint(path) -> Checkpoint:
 
     def take(name):
         if name not in values:
-            raise CheckpointVersionError(f"checkpoint is missing array {name}")
+            raise MalformedFile(f"checkpoint is missing array {name}")
         return values[name]
 
     def restore(name, target):
         stored = take(name)
         if stored.shape != target.shape:
-            raise CheckpointVersionError(f"array {name} has shape {stored.shape}, expected {target.shape}")
+            raise MalformedFile(f"array {name} has shape {stored.shape}, expected {target.shape}")
         target[...] = stored
 
     pca = None
     if header.get("has_pca"):
         pca = PcaModel(**{key: take(f"pca.{key}") for key in ("mean", "components", "explained_variance_ratio")})
 
-    model = None
-    if header.get("model_cfg"):
-        model = init_model(ModelConfig(**header["model_cfg"]), seed=0)
+    model_cfg = _header_config(header, "model_cfg", [f.name for f in fields(ModelConfig)])
+    lift_cfg = _header_config(header, "lift_cfg", ["bn_momentum", "bn_eps"])
+    try:
+        model = None if model_cfg is None else init_model(ModelConfig(**model_cfg), seed=0)
+        lift = None if lift_cfg is None else init_lift_params(seed=0, **lift_cfg)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
+
+    if model is not None:
         for name, p in model.store.items():
             restore(f"seq2seq.{name}", p.value)
-
-    lift = None
-    if header.get("lift_cfg"):
-        lift = init_lift_params(seed=0, **header["lift_cfg"])
+    if lift is not None:
         for name, p in lift.store.items():
             restore(f"lift.{name}", p.value)
         for key, buffer in lift.running.items():

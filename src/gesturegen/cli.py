@@ -17,7 +17,7 @@ from .baselines import eval_tracks, manual_baseline, nn_baseline, random_baselin
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import corpus_vocabulary, curate_shots, load_records_jsonl, save_records_jsonl, synth_corpus
-from .errors import GestureGenError, InvalidConfig, MalformedFile, UntrainedModel
+from .errors import GestureGenError, InvalidConfig, MalformedFile
 from .kinematics import save_angles_csv
 from .lifting import LiftTrainConfig, lift_mse, retarget_track, synth_pose3d_corpus, train_lift
 from .model import init_model
@@ -173,7 +173,7 @@ def cmd_train(cfg: Config, args) -> int:
 def cmd_generate(cfg: Config, args) -> int:
     ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
     if ck.model is None:
-        raise UntrainedModel("checkpoint has no trained generation model")
+        raise InvalidConfig("checkpoint has no trained generation model")
     if ck.pca is None:
         raise InvalidConfig("checkpoint has no fitted pose model")
     table = _load_table(cfg, ck, args.embeddings)

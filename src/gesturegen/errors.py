@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 Everything derives from GestureGenError so the CLI can catch one base class
-and report the failing stage with a single-line diagnostic.
+and report the failing stage with a single-line diagnostic. The subclasses
+are the cases a caller can act on differently.
 """
 
 
@@ -9,103 +10,17 @@ class GestureGenError(Exception):
     pass
 
 
-# pose space
-class MissingJoint(GestureGenError):
-    pass
-
-
-class DegeneratePose(GestureGenError):
-    pass
-
-
-class InsufficientData(GestureGenError):
-    pass
-
-
-class IndexOutOfRange(GestureGenError):
-    pass
-
-
-# text / embeddings
-class MalformedLine(GestureGenError):
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class DimensionMismatch(MalformedLine):
-    """A line whose vector length disagrees with the first line of the file."""
-
-
-# network core
-class ShapeMismatch(GestureGenError):
-    pass
-
-
-class EmptyInput(GestureGenError):
-    pass
-
-
-class SeedLengthMismatch(GestureGenError):
-    pass
-
-
-class NoRecordedGraph(GestureGenError):
-    pass
-
-
 class InvalidConfig(GestureGenError):
-    pass
-
-
-# training
-class LengthMismatch(GestureGenError):
-    pass
-
-
-class EmptyDataset(GestureGenError):
-    pass
-
-
-# synthesis
-class InvalidDuration(GestureGenError):
-    pass
-
-
-class UntrainedModel(GestureGenError):
-    pass
-
-
-# embodiment
-class BatchTooSmall(GestureGenError):
-    pass
-
-
-class DegenerateArm(GestureGenError):
-    pass
-
-
-class InvalidLimbLength(GestureGenError):
-    pass
-
-
-# corpus / baselines
-class EmptyReference(GestureGenError):
-    pass
-
-
-class EmptyTrainingSet(GestureGenError):
-    pass
+    """A caller passed a value the function cannot use."""
 
 
 class MalformedFile(GestureGenError):
-    pass
-
-
-# persistence / rendering
-class CheckpointVersionError(GestureGenError):
-    pass
+    """Bytes from outside the program cannot be read or are invalid."""
 
 
 class IoFailure(GestureGenError):
-    pass
+    """An output file could not be written."""
+
+
+class DegeneratePose(GestureGenError):
+    """The geometry of a pose leaves a joint or angle undefined."""

@@ -13,12 +13,14 @@ because nothing in an 8-joint skeleton determines them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateArm, InvalidConfig, InvalidLimbLength
+from .errors import DegeneratePose, InvalidConfig
 from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST
+from .synthesis import TimedPoseTrack, save_track_csv
 
 ANGLE_NAMES = (
     "head_pitch",
@@ -103,7 +105,7 @@ class LimbLengths:
     def validate(self):
         for name in ("neck_to_shoulder", "upper_arm", "forearm", "neck_to_nose"):
             if getattr(self, name) <= 0:
-                raise InvalidLimbLength(f"{name} must be positive")
+                raise InvalidConfig(f"{name} must be positive")
 
 
 def _rot_x(a):
@@ -156,11 +158,11 @@ def _solve_arm(shoulder, elbow, wrist, prev_yaw):
     upper = elbow - shoulder
     upper_len = np.linalg.norm(upper)
     if upper_len < 1e-6:
-        raise DegenerateArm("zero-length upper arm")
+        raise DegeneratePose("zero-length upper arm")
     fore = wrist - elbow
     fore_len = np.linalg.norm(fore)
     if fore_len < 1e-6:
-        raise DegenerateArm("zero-length forearm")
+        raise DegeneratePose("zero-length forearm")
     u = upper / upper_len
     f = fore / fore_len
 
@@ -207,6 +209,15 @@ def compute_joint_angles(pose: Pose3D, previous: JointAngles | None = None) -> J
     )
 
 
+def _is_range(bounds) -> bool:
+    """True for a pair of finite numbers (lo, hi) with lo <= hi."""
+    try:
+        lo, hi = bounds
+        return -math.inf < lo <= hi < math.inf  # False for NaN, TypeError for non-numbers
+    except (TypeError, ValueError):
+        return False
+
+
 def clamp_angles(angles: JointAngles, limits: dict | None) -> JointAngles:
     """Clamp angles into per-joint (lo, hi) ranges; None means no clamping."""
     if not limits:
@@ -215,25 +226,13 @@ def clamp_angles(angles: JointAngles, limits: dict | None) -> JointAngles:
     for name, bounds in limits.items():
         if name not in ANGLE_NAMES:
             raise InvalidConfig(f"unknown joint name in limits: {name}")
+        if not _is_range(bounds):
+            raise InvalidConfig(f"limits for {name} must be two finite numbers lo <= hi, got {bounds!r}")
         lo, hi = bounds
         updates[name] = float(np.clip(getattr(angles, name), lo, hi))
     return replace(angles, **updates)
 
 
-@dataclass(frozen=True)
-class AngleTrack:
-    """Joint-angle rows over time at a fixed frame rate."""
-
-    frames: np.ndarray  # (T, 12)
-    fps: float
-
-    def __len__(self):
-        return self.frames.shape[0]
-
-
-def save_angles_csv(track: AngleTrack, path):
-    header = "t_s," + ",".join(ANGLE_NAMES)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(track.frames):
-            fh.write(repr(float(i / track.fps)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+def save_angles_csv(track: TimedPoseTrack, path):
+    """Joint trajectory CSV: a track CSV whose columns are ANGLE_NAMES."""
+    save_track_csv(track, path, ANGLE_NAMES)

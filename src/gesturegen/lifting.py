@@ -17,10 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import BatchTooSmall, EmptyDataset, InvalidConfig
-from .kinematics import AngleTrack, JointAngles, LimbLengths, Pose3D, clamp_angles, compute_joint_angles, forward_kinematics
+from .errors import DegeneratePose, InvalidConfig
+from .kinematics import JointAngles, LimbLengths, Pose3D, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _xavier, backward
 from .pose import NECK, NormalizedPose, decode_pose
+from .synthesis import TimedPoseTrack
 from .training import AdamState, adam_step
 
 LIFT_INPUT_DIM = 14  # 7 non-neck joints x (x, y)
@@ -135,7 +136,7 @@ def assemble_pose3d(pose2d: NormalizedPose, depths) -> Pose3D:
     pose = Pose3D(joints)
     scale = pose.shoulder_scale()
     if scale < 1e-9:
-        raise InvalidConfig("degenerate shoulders after lifting")
+        raise DegeneratePose("degenerate shoulders after lifting")
     return Pose3D(joints / scale)
 
 
@@ -152,7 +153,7 @@ def lift_forward(params: LiftNetParams, poses, mode: str = "eval"):
     if single:
         x = x[None]
     if mode == "train" and x.shape[0] < 2:
-        raise BatchTooSmall("train-mode batch normalization needs at least 2 samples")
+        raise InvalidConfig("train-mode batch normalization needs at least 2 samples")
     out = lift_forward_graph(params, Tensor(x), train=(mode == "train"), record=False).data
     return out[0] if single else out
 
@@ -216,7 +217,7 @@ class LiftTrainConfig:
 def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:
     """Minimize mean squared depth error over projected, augmented samples."""
     if not dataset3d:
-        raise EmptyDataset("no 3D poses to train on")
+        raise InvalidConfig("no 3D poses to train on")
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
@@ -246,12 +247,12 @@ def lift_mse(params: LiftNetParams, dataset3d) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
-def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) -> AngleTrack:
+def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) -> TimedPoseTrack:
     """Per frame: decode the gesture vector, lift to 3D, solve joint angles,
-    clamp to configured limits."""
+    clamp to configured limits. Returns a (T, 12) track in ANGLE_NAMES order."""
     poses2d = [decode_pose(pca, row) for row in track.frames]
     if not poses2d:
-        return AngleTrack(frames=np.zeros((0, 12)), fps=track.fps)
+        return TimedPoseTrack(frames=np.zeros((0, 12)), fps=track.fps)
     x = np.stack([pose2d_to_lift_input(p) for p in poses2d])
     depths = lift_forward(lift, x, mode="eval")
     rows = []
@@ -261,4 +262,4 @@ def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) 
         angles = clamp_angles(compute_joint_angles(pose3d, previous), limits)
         previous = angles
         rows.append(angles.to_array())
-    return AngleTrack(frames=np.stack(rows), fps=track.fps)
+    return TimedPoseTrack(frames=np.stack(rows), fps=track.fps)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyInput, InvalidConfig, NoRecordedGraph, SeedLengthMismatch, ShapeMismatch
+from .errors import InvalidConfig
 
 
 class Parameter:
@@ -284,11 +284,11 @@ def forward_graph(
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
     if embedded.ndim != 3 or embedded.shape[1] < 1:
-        raise EmptyInput("need at least one embedded word")
+        raise InvalidConfig("need at least one embedded word")
     if embedded.shape[2] != model.cfg.word_dim:
-        raise ShapeMismatch(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
+        raise InvalidConfig(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
     if seed_poses.ndim != 3 or seed_poses.shape[1] != model.cfg.n_seed_poses:
-        raise SeedLengthMismatch(
+        raise InvalidConfig(
             f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
         )
     if train and rng is None and model.cfg.dropout > 0.0:
@@ -320,9 +320,9 @@ def forward(model, embedded_words, seed_poses, mode: str = "eval", rng=None):
         raise InvalidConfig(f"unknown mode: {mode}")
     embedded = np.asarray(embedded_words, dtype=np.float64)
     if embedded.size == 0:
-        raise EmptyInput("cannot run on an empty word sequence")
+        raise InvalidConfig("cannot run on an empty word sequence")
     if embedded.ndim != 2:
-        raise ShapeMismatch(f"embedded words must be (s, {model.cfg.word_dim})")
+        raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
     seeds = np.asarray(seed_poses, dtype=np.float64)
     out = forward_graph(model, embedded[None], seeds[None], train=(mode == "train"), rng=rng, record=False)
     return out.poses.data[0], out.attn.data[0]
@@ -335,7 +335,7 @@ def backward(loss: Tensor):
     Gradients add up across calls until the caller clears them.
     """
     if not isinstance(loss, Tensor) or not loss._parents:
-        raise NoRecordedGraph("loss is not the result of a recorded forward pass")
+        raise InvalidConfig("loss is not the result of a recorded forward pass")
     order = loss.backward()
     for node in order:
         if node._param is not None and node.grad is not None:

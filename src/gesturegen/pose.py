@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePose, IndexOutOfRange, InsufficientData, InvalidConfig, MissingJoint
+from .errors import DegeneratePose, InvalidConfig
 
 JOINT_NAMES = (
     "head",
@@ -114,7 +114,7 @@ def normalize_pose(raw: RawPose) -> NormalizedPose:
     neck-to-shoulder distance is exactly 1."""
     if not raw.present.all():
         missing = [JOINT_NAMES[i] for i in np.flatnonzero(~raw.present)]
-        raise MissingJoint(f"missing joints: {', '.join(missing)}")
+        raise DegeneratePose(f"missing joints: {', '.join(missing)}")
     centered = raw.joints - raw.joints[NECK]
     scale = 0.5 * (np.linalg.norm(centered[L_SHOULDER]) + np.linalg.norm(centered[R_SHOULDER]))
     if scale < 1e-12:
@@ -134,7 +134,7 @@ def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
         raise InvalidConfig(f"component count must be in [1, {POSE_DIM}], got {k}")
     data = np.stack([p.flatten() for p in poses]) if len(poses) else np.empty((0, POSE_DIM))
     if data.shape[0] < k + 1:
-        raise InsufficientData(f"need at least {k + 1} poses, got {data.shape[0]}")
+        raise InvalidConfig(f"need at least {k + 1} poses, got {data.shape[0]}")
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (data.shape[0] - 1)
@@ -185,7 +185,7 @@ def component_sweep(model: PcaModel, dim: int, values) -> list:
     """Poses obtained by varying a single component (1-based) over `values`
     while holding all others at zero."""
     if not 1 <= dim <= model.n_components:
-        raise IndexOutOfRange(f"component {dim} not in [1, {model.n_components}]")
+        raise InvalidConfig(f"component {dim} not in [1, {model.n_components}]")
     poses = []
     for v in values:
         coeffs = np.zeros(model.n_components)

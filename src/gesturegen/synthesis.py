@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidDuration, MalformedFile, UntrainedModel
+from .errors import InvalidConfig, MalformedFile
 from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0
@@ -33,9 +33,10 @@ class ChunkPlan:
 
 @dataclass(frozen=True)
 class TimedPoseTrack:
-    """Gesture vectors at a fixed frame rate."""
+    """Per-frame rows at a fixed frame rate: gesture vectors from synthesis,
+    joint angles from retargeting."""
 
-    frames: np.ndarray  # (T, gesture_dim)
+    frames: np.ndarray  # (T, gesture_dim) or (T, 12) joint angles
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
@@ -53,9 +54,9 @@ def estimate_speech_duration(tokens, words_per_minute: float = DEFAULT_WORDS_PER
     """Duration stub standing in for a synthesizer-reported value; callers
     with a measured duration should pass it directly to plan_chunks."""
     if not tokens:
-        raise EmptyInput("cannot estimate duration of empty text")
+        raise InvalidConfig("cannot estimate duration of empty text")
     if words_per_minute <= 0:
-        raise InvalidDuration("speech rate must be positive")
+        raise InvalidConfig("speech rate must be positive")
     return len(tokens) * 60.0 / words_per_minute
 
 
@@ -65,9 +66,9 @@ def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> Chu
     size with the last one possibly shorter."""
     tokens = list(tokens)
     if not tokens:
-        raise EmptyInput("cannot plan chunks for empty text")
+        raise InvalidConfig("cannot plan chunks for empty text")
     if speech_duration <= 0:
-        raise InvalidDuration(f"speech duration must be positive, got {speech_duration}")
+        raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     total = len(tokens)
     size = math.floor(total * (m + n) * FRAME_DURATION / speech_duration)
     size = max(1, min(size, total))
@@ -85,7 +86,7 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     Returns (TimedPoseTrack, list of per-chunk attention matrices (m, s_i)).
     """
     if model is None:
-        raise UntrainedModel("no model provided")
+        raise InvalidConfig("no model provided")
     n = model.cfg.n_seed_poses
     dim = model.cfg.gesture_dim
     seeds = np.zeros((n, dim))
@@ -107,9 +108,9 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
     ceil(duration * fps) frames. First and last poses are preserved exactly;
     a track already at the right length comes back unchanged."""
     if len(track) == 0:
-        raise InvalidDuration("cannot align an empty track")
+        raise InvalidConfig("cannot align an empty track")
     if speech_duration <= 0:
-        raise InvalidDuration(f"speech duration must be positive, got {speech_duration}")
+        raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     target = int(math.ceil(speech_duration * track.fps))
     source = len(track)
     if target == source:
@@ -133,7 +134,7 @@ def assemble_attention(maps, chunks) -> np.ndarray:
     frames in order, columns are words in order; entries outside a chunk's
     word span are zero."""
     if len(maps) != len(chunks):
-        raise InvalidDuration("one attention map per chunk required")
+        raise InvalidConfig("one attention map per chunk required")
     total_rows = sum(m.shape[0] for m in maps)
     total_cols = sum(len(c) for c in chunks)
     out = np.zeros((total_rows, total_cols))
@@ -141,7 +142,7 @@ def assemble_attention(maps, chunks) -> np.ndarray:
     for attn, chunk in zip(maps, chunks):
         rows, cols = attn.shape
         if cols != len(chunk):
-            raise InvalidDuration(f"attention has {cols} columns for a {len(chunk)}-word chunk")
+            raise InvalidConfig(f"attention has {cols} columns for a {len(chunk)}-word chunk")
         out[r : r + rows, c : c + cols] = attn
         r += rows
         c += cols
@@ -160,10 +161,12 @@ def export_attention(maps, chunks, path) -> np.ndarray:
     return matrix
 
 
-def save_track_csv(track: TimedPoseTrack, path):
-    """Track CSV: header t_s,c1..c10, one row per frame."""
-    dim = track.frames.shape[1]
-    header = "t_s," + ",".join(f"c{i + 1}" for i in range(dim))
+def save_track_csv(track: TimedPoseTrack, path, columns=None):
+    """Track CSV: header t_s then the column names (default c1..cD), one
+    row per frame. load_track_csv reads back every non-empty file written here."""
+    if columns is None:
+        columns = [f"c{i + 1}" for i in range(track.frames.shape[1])]
+    header = "t_s," + ",".join(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i, row in enumerate(track.frames):

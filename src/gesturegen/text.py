@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedFile, MalformedLine
+from .errors import MalformedFile
 
 EMBED_DIM = 300
 
@@ -57,9 +57,9 @@ class EmbeddingTable:
 
 def load_embedding_table(path) -> EmbeddingTable:
     """Parse a text embedding file. The first line fixes the dimension;
-    later lines disagreeing raise DimensionMismatch, non-numeric or
-    non-finite fields raise MalformedLine, and an unreadable or non-UTF-8
-    file raises MalformedFile. Blank lines are skipped."""
+    a later line disagreeing, a non-numeric or non-finite field, and an
+    unreadable or non-UTF-8 file raise MalformedFile; line errors name the
+    line number. Blank lines are skipped."""
     dim = None
     entries = {}
     try:
@@ -70,17 +70,17 @@ def load_embedding_table(path) -> EmbeddingTable:
                     continue
                 token, fields = parts[0], parts[1:]
                 if not fields:
-                    raise MalformedLine(line_no, "token without vector")
+                    raise MalformedFile(f"line {line_no}: token without vector")
                 if dim is None:
                     dim = len(fields)
                 elif len(fields) != dim:
-                    raise DimensionMismatch(line_no, f"expected {dim} values, got {len(fields)}")
+                    raise MalformedFile(f"line {line_no}: expected {dim} values, got {len(fields)}")
                 try:
                     vec = np.array([float(f) for f in fields])
                 except ValueError:
-                    raise MalformedLine(line_no, "non-numeric field") from None
+                    raise MalformedFile(f"line {line_no}: non-numeric field") from None
                 if not np.isfinite(vec).all():
-                    raise MalformedLine(line_no, "non-finite value")
+                    raise MalformedFile(f"line {line_no}: non-finite value")
                 entries[token] = vec
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read embedding table: {exc}") from exc

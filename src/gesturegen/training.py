@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
+from .errors import InvalidConfig
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
 from .pose import encode_pose, normalize_pose
 
@@ -82,9 +82,9 @@ def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
     the batch. Returns (LossBreakdown, total tensor)."""
     target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
-        raise LengthMismatch("need at least 2 poses per sequence")
+        raise InvalidConfig("need at least 2 poses per sequence")
     if pred.shape != target.shape:
-        raise LengthMismatch(f"prediction {pred.shape} vs target {target.shape}")
+        raise InvalidConfig(f"prediction {pred.shape} vs target {target.shape}")
     m = pred.shape[1]
     diff = ad.add(pred, -target)
     mse = ad.tmean(ad.mul(diff, diff))
@@ -118,7 +118,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None or m.shape != p.value.shape:
-            raise ShapeMismatch(f"Adam state does not match parameter {name}")
+            raise InvalidConfig(f"Adam state does not match parameter {name}")
         m *= state.beta1
         m += (1.0 - state.beta1) * p.grad
         v *= state.beta2
@@ -196,13 +196,13 @@ def train_model(
     checkpointing.
     """
     if not pairs:
-        raise EmptyDataset("no training pairs")
+        raise InvalidConfig("no training pairs")
     model.cfg.dropout = h.dropout
     n = model.cfg.n_seed_poses
     m = model.cfg.n_output_poses
     for p in pairs:
         if p.target_poses.shape[0] != n + m:
-            raise LengthMismatch(f"pair has {p.target_poses.shape[0]} poses, expected {n + m}")
+            raise InvalidConfig(f"pair has {p.target_poses.shape[0]} poses, expected {n + m}")
 
     embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
     lengths = [e.shape[0] for e in embedded]

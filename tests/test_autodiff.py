@@ -1,12 +1,12 @@
 """Finite-difference checks for every autodiff primitive, plus graph
-semantics (re-running backward, NoRecordedGraph)."""
+semantics (re-running backward, no recorded graph)."""
 
 import numpy as np
 import pytest
 
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
-from gesturegen.errors import NoRecordedGraph
+from gesturegen.errors import InvalidConfig
 
 
 def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
@@ -105,7 +105,7 @@ def test_backward_recomputes_not_accumulates():
 
 
 def test_no_recorded_graph():
-    with pytest.raises(NoRecordedGraph):
+    with pytest.raises(InvalidConfig, match="no recorded computation"):
         Tensor(np.ones(3), requires_grad=True).backward()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gesturegen.baselines import bleu_score, eval_tracks, manual_baseline, nn_baseline, random_baseline
 from gesturegen.corpus import synth_corpus
-from gesturegen.errors import EmptyReference, EmptyTrainingSet, LengthMismatch, MalformedFile
+from gesturegen.errors import InvalidConfig, MalformedFile
 from gesturegen.pose import encode_pose, fit_pca, normalize_pose
 from gesturegen.synthesis import TimedPoseTrack, save_track_csv
 
@@ -94,7 +94,7 @@ class TestBleu:
                 assert score < 1.0
 
     def test_empty_reference(self):
-        with pytest.raises(EmptyReference):
+        with pytest.raises(InvalidConfig, match="reference must be non-empty"):
             bleu_score(["a"], [])
 
     def test_empty_candidate(self):
@@ -136,7 +136,7 @@ class TestNnBaseline:
 
     def test_empty_training_set(self, corpus_and_pca):
         _, pca = corpus_and_pca
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(InvalidConfig, match="no training records"):
             nn_baseline(["hi"], [], pca)
 
 
@@ -164,7 +164,7 @@ class TestRandomBaseline:
 
     def test_empty(self, corpus_and_pca):
         _, pca = corpus_and_pca
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(InvalidConfig, match="no training records"):
             random_baseline([], pca, 5.0, np.random.default_rng(0))
 
 
@@ -214,5 +214,5 @@ class TestEvalTracks:
     def test_length_mismatch(self):
         a = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
         b = TimedPoseTrack(frames=np.zeros((4, 10)), fps=12.0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidConfig, match="3 generated vs 4 reference frames"):
             eval_tracks(a, b)

@@ -1,10 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from gesturegen import checkpoint
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from gesturegen.errors import CheckpointVersionError
+from gesturegen.errors import IoFailure, MalformedFile
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.pose import NormalizedPose, PcaModel, fit_pca
@@ -75,13 +77,13 @@ class TestVersioning:
         raw = bytearray(path.read_bytes())
         raw[4] = 99  # stomp the version field
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(MalformedFile, match="unsupported checkpoint format version 99"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ggck"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(MalformedFile, match="not a checkpoint file"):
             load_checkpoint(path)
 
 
@@ -89,14 +91,14 @@ class TestVersioning:
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(MalformedFile, match="its header implies"):
             load_checkpoint(path)
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(MalformedFile, match="its header implies"):
             load_checkpoint(path)
 
     def test_missing_array_rejected(self, tmp_path):
@@ -110,8 +112,74 @@ class TestVersioning:
         new = b'"lift_cfg":{"bn_eps":1e-5,"bn_momentum":0.1}'
         header_len = int.from_bytes(raw[8:16], "little") + len(new) - len(old)
         path.write_bytes(raw[:8] + header_len.to_bytes(8, "little") + raw[16:].replace(old, new, 1))
-        with pytest.raises(CheckpointVersionError, match="missing array lift"):
+        with pytest.raises(MalformedFile, match="missing array lift"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda h: h["model_cfg"].update(word_dxm=h["model_cfg"].pop("word_dim")), "model_cfg must have the keys"),
+            (lambda h: h["model_cfg"].pop("dropout"), "model_cfg must have the keys"),
+            (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must have the keys"),
+            (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden is not a number"),
+        ],
+        ids=["unknown_model_key", "missing_model_key", "unknown_lift_key", "non_numeric_model_value"],
+    )
+    def test_bad_config_header_rejected(self, tmp_path, edit, reason):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16 : 16 + header_len])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + header_len :])
+        with pytest.raises(MalformedFile, match=f"corrupt checkpoint header: {reason}"):
+            load_checkpoint(path)
+
+
+class _FailAfterHeader:
+    """A binary file whose writes fail once magic, version, header length and
+    header have gone through."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error, self.writes = fh, error, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 4:
+            raise self.error
+        return self.fh.write(data)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "error, raised", [(OSError(28, "No space left on device"), IoFailure), (RuntimeError("interrupted"), RuntimeError)]
+    )
+    def test_failed_write_keeps_old_bytes(self, tmp_path, monkeypatch, error, raised):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        before = path.read_bytes()
+        opened = []
+
+        def failing_open(*args, **kwargs):
+            opened.append(_FailAfterHeader(open(*args, **kwargs), error))
+            return opened[-1]
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        ck = _full_checkpoint()
+        ck.embedding_ref = None  # new content, unlike the file it would replace
+        with pytest.raises(raised, match=str(error.args[-1])):
+            save_checkpoint(ck, path)
+        assert opened and opened[0].writes == 5  # the header went out before the failure
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
 
 
 def _pinned_checkpoint():

@@ -430,7 +430,9 @@ def test_non_utf8_embedding_file_is_single_line(workspace, tmp_path, capsys):
     _single_line_error(capsys, "generate")
 
 
-@pytest.mark.parametrize("limits", [None, "{not json"])
+@pytest.mark.parametrize(
+    "limits", [None, "{not json", '{"head_yaw": [1.0]}', '{"head_yaw": ["a", "b"]}', '{"head_yaw": [1.0, -1.0]}']
+)
 def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
     root, _ = workspace
     path = tmp_path / "limits.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gesturegen.errors import DegenerateArm, InvalidLimbLength
+from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.kinematics import (
     ANGLE_NAMES,
     JointAngles,
@@ -55,7 +55,7 @@ class TestForwardKinematics:
         assert np.allclose(upper / np.linalg.norm(upper), [1, 0, 0], atol=1e-12)
 
     def test_invalid_limbs(self):
-        with pytest.raises(InvalidLimbLength):
+        with pytest.raises(InvalidConfig, match="upper_arm must be positive"):
             forward_kinematics(JointAngles(), LimbLengths(upper_arm=0.0))
 
     def test_normalization_invariant(self):
@@ -105,7 +105,7 @@ class TestInverseKinematics:
     def test_degenerate_arm(self):
         joints = forward_kinematics(JointAngles()).joints.copy()
         joints[L_ELBOW] = joints[L_SHOULDER]
-        with pytest.raises(DegenerateArm):
+        with pytest.raises(DegeneratePose, match="zero-length upper arm"):
             compute_joint_angles(Pose3D(joints))
 
     def test_singular_elbow_carries_previous_yaw(self):
@@ -134,6 +134,11 @@ class TestClamp:
         clamped = clamp_angles(angles, {"l_sh_roll": (-0.5, 0.5), "r_sh_pitch": (-0.1, 0.1)})
         assert clamped.l_sh_roll == 0.5
         assert clamped.r_sh_pitch == -0.1
+
+    @pytest.mark.parametrize("bounds", [(1.0,), ("a", "b"), (0.5, -0.5), (0.0, float("nan")), (-float("inf"), 0.0)])
+    def test_bad_range_rejected(self, bounds):
+        with pytest.raises(InvalidConfig, match="limits for l_sh_roll must be two finite numbers lo <= hi"):
+            clamp_angles(JointAngles(), {"l_sh_roll": bounds})
 
     def test_none_is_identity(self):
         angles = JointAngles(l_sh_roll=1.0)

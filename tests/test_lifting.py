@@ -3,7 +3,7 @@ import pytest
 
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
-from gesturegen.errors import BatchTooSmall, EmptyDataset
+from gesturegen.errors import InvalidConfig
 from gesturegen.lifting import (
     LiftTrainConfig,
     assemble_pose3d,
@@ -38,7 +38,7 @@ class TestLiftForward:
 
     def test_train_mode_needs_batch(self):
         params = init_lift_params(seed=1)
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(InvalidConfig, match="needs at least 2 samples"):
             lift_forward(params, np.zeros((1, 14)), mode="train")
 
     def test_batchnorm_unit_statistics(self):
@@ -172,7 +172,7 @@ class TestProjectionBridge:
 
 class TestTrainLift:
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InvalidConfig, match="no 3D poses to train on"):
             train_lift([], LiftTrainConfig(steps=1))
 
     def test_learnability_beats_zero_predictor(self):
@@ -223,6 +223,7 @@ class TestRetarget:
         frames = rng.normal(0, 0.4, size=(8, 10))
         track = TimedPoseTrack(frames=frames, fps=12.0)
         out = retarget_track(track, pca, lift)
+        assert isinstance(out, TimedPoseTrack) and out.fps == 12.0
         assert out.frames.shape == (8, 12)
         perm = rng.permutation(8)
         permuted = retarget_track(TimedPoseTrack(frames=frames[perm], fps=12.0), pca, lift)

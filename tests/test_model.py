@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesturegen.autodiff import Tensor
-from gesturegen.errors import EmptyInput, NoRecordedGraph, SeedLengthMismatch, ShapeMismatch
+from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
     _Attention,
@@ -128,7 +128,7 @@ class TestGruCell:
             assert np.max(np.abs(out)) <= max(np.max(np.abs(h)), 1.0) + 1e-12
 
     def test_shape_mismatch(self, tiny):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidConfig, match="word dim 6 != "):
             forward(tiny, np.zeros((3, 6)), np.zeros((2, 10)))
 
 
@@ -141,7 +141,7 @@ class TestEncoder:
             assert all(a.shape == (8,) for a in anns)
 
     def test_empty_input(self, tiny):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidConfig, match="need at least one embedded word"):
             forward_graph(tiny, np.zeros((1, 0, 7)), np.zeros((1, 2, 10)))
 
     def test_deterministic(self, tiny):
@@ -235,11 +235,11 @@ class TestForward:
 
     def test_seed_length_mismatch(self, tiny):
         rng = np.random.default_rng(8)
-        with pytest.raises(SeedLengthMismatch):
+        with pytest.raises(InvalidConfig, match="seed poses, got 5"):
             forward(tiny, rng.normal(size=(4, 7)), rng.normal(size=(5, 10)))
 
     def test_empty_words(self, tiny):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
             forward(tiny, np.zeros((0, 7)), np.zeros((2, 10)))
 
     def test_train_mode_dropout_changes_output(self, tiny):
@@ -276,7 +276,7 @@ class TestBackward:
             assert np.allclose(p.grad, 2.0 * singles[name], atol=1e-15), name
 
     def test_no_recorded_graph(self, tiny):
-        with pytest.raises(NoRecordedGraph):
+        with pytest.raises(InvalidConfig, match="loss is not the result of a recorded forward pass"):
             backward(Tensor(np.array(1.0), requires_grad=True))
 
     def test_finite_difference_subset(self, tiny):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gesturegen.errors import DegeneratePose, IndexOutOfRange, InsufficientData, MissingJoint
+from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.pose import (
     CLAMPED_COMPONENTS,
     GESTURE_DIM,
@@ -81,12 +81,12 @@ class TestNormalizePose:
         raw = _raw_with((0.0, 0.0), (40.0, 0.0), (-40.0, 0.0))
         present = raw.present.copy()
         present[4] = False
-        with pytest.raises(MissingJoint):
+        with pytest.raises(DegeneratePose, match="^missing joints: l_wrist$"):
             normalize_pose(RawPose(raw.joints, present))
 
     def test_degenerate(self):
         joints = np.zeros((8, 2))
-        with pytest.raises(DegeneratePose):
+        with pytest.raises(DegeneratePose, match="both shoulders coincide with the neck"):
             normalize_pose(RawPose.complete(joints))
 
 
@@ -168,7 +168,7 @@ class TestFitPca:
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(8)
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidConfig, match="need at least 11 poses, got 10"):
             fit_pca([random_normalized(rng) for _ in range(10)], k=10)
 
 
@@ -246,7 +246,7 @@ class TestComponentSweep:
         assert np.allclose(b - a, c - b, atol=1e-12)
 
     def test_out_of_range(self, fitted):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidConfig, match=r"component 11 not in \[1, "):
             component_sweep(fitted, 11, [0.0])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidConfig, match=r"component 0 not in \[1, "):
             component_sweep(fitted, 0, [0.0])

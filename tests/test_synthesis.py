@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gesturegen.errors import EmptyInput, InvalidDuration, MalformedFile
+from gesturegen.errors import InvalidConfig, MalformedFile
+from gesturegen.kinematics import ANGLE_NAMES, save_angles_csv
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.synthesis import (
     TimedPoseTrack,
@@ -30,7 +34,7 @@ class TestEstimateDuration:
         assert estimate_speech_duration(["w"]) == 0.375
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidConfig, match="cannot estimate duration of empty text"):
             estimate_speech_duration([])
 
 
@@ -63,9 +67,9 @@ class TestPlanChunks:
             assert len(plan.chunks) == math.ceil(count / plan.words_per_chunk)
 
     def test_errors(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidConfig, match="cannot plan chunks for empty text"):
             plan_chunks([], 5.0)
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(InvalidConfig, match="speech duration must be positive"):
             plan_chunks(["a"], 0.0)
 
 
@@ -155,9 +159,9 @@ class TestAlignTrack:
 
     def test_errors(self):
         track = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(InvalidConfig, match="speech duration must be positive"):
             align_track(track, -1.0)
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(InvalidConfig, match="cannot align an empty track"):
             align_track(TimedPoseTrack(frames=np.zeros((0, 10)), fps=12.0), 1.0)
 
 
@@ -183,7 +187,36 @@ class TestAttentionExport:
         assert np.allclose(matrix.sum(axis=1), 1.0)
 
 
+def _finite_frames(width):
+    """(T, width) float64 frames of any finite values, T in [1, 20]."""
+    rows = st.integers(min_value=1, max_value=20)
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    return hnp.arrays(np.float64, st.tuples(rows, st.just(width)), elements=values)
+
+
+# one track file per example, rewritten in place
+_codec_settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestTrackCsv:
+    @_codec_settings
+    @given(frames=st.sampled_from([10, 12]).flatmap(_finite_frames))
+    def test_round_trip_is_bit_exact(self, tmp_path, frames):
+        path = tmp_path / "t.csv"
+        save_track_csv(TimedPoseTrack(frames), path)
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",") == ["t_s"] + [f"c{i + 1}" for i in range(frames.shape[1])]
+        assert load_track_csv(path).frames.tobytes() == frames.tobytes()
+
+    @_codec_settings
+    @given(frames=_finite_frames(len(ANGLE_NAMES)))
+    def test_angles_file_reads_back(self, tmp_path, frames):
+        path = tmp_path / "angles.csv"
+        save_angles_csv(TimedPoseTrack(frames), path)
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",") == ["t_s", *ANGLE_NAMES]
+        assert load_track_csv(path).frames.tobytes() == frames.tobytes()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         track = TimedPoseTrack(frames=rng.normal(size=(9, 10)), fps=12.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gesturegen.errors import DimensionMismatch, MalformedLine
+from gesturegen.errors import MalformedFile
 from gesturegen.text import (
     EmbeddingTable,
     embed_tokens,
@@ -52,16 +52,14 @@ def test_loader_wrong_count(tmp_path):
     path = tmp_path / "emb.txt"
     lines = ["tok " + " ".join(["0.5"] * 300), "bad " + " ".join(["0.5"] * 299)]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedLine) as err:
+    with pytest.raises(MalformedFile, match="^line 2: expected 300 values, got 299$"):
         load_embedding_table(path)
-    assert err.value.line_no == 2
-    assert isinstance(err.value, DimensionMismatch)
 
 
 def test_loader_non_numeric(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("tok 1.0 oops 3.0\n")
-    with pytest.raises(MalformedLine):
+    with pytest.raises(MalformedFile, match="^line 1: non-numeric field$"):
         load_embedding_table(path)
 
 
@@ -69,9 +67,8 @@ def test_loader_non_numeric(tmp_path):
 def test_loader_non_finite(tmp_path, value):
     path = tmp_path / "emb.txt"
     path.write_text(f"tok 1.0 2.0\nbad 1.0 {value}\n")
-    with pytest.raises(MalformedLine) as err:
+    with pytest.raises(MalformedFile, match="^line 2: non-finite value$"):
         load_embedding_table(path)
-    assert err.value.line_no == 2
 
 
 def test_synthetic_table_round_trip(tmp_path):
