@@ -9,13 +9,7 @@ from .baselines import bleu_score, eval_tracks, manual_baseline, nn_baseline, ra
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import CurationThresholds, DatasetRecord, WordSpan, curate_shots, synth_corpus
-from .kinematics import (
-    JointAngles,
-    LimbLengths,
-    Pose3D,
-    compute_joint_angles,
-    forward_kinematics,
-)
+from .kinematics import LimbLengths, compute_joint_angles, forward_kinematics
 from .lifting import (
     LiftNetParams,
     LiftTrainConfig,
@@ -29,7 +23,6 @@ from .model import ModelConfig, Seq2SeqModel, backward, forward, init_model
 from .pose import (
     GESTURE_DIM,
     JOINT_NAMES,
-    NormalizedPose,
     PcaModel,
     RawPose,
     component_sweep,

@@ -138,11 +138,13 @@ class TrackMetrics:
 
 
 def eval_tracks(generated: TimedPoseTrack, reference: TimedPoseTrack) -> TrackMetrics:
-    """Objective diagnostics; frame counts must already match."""
+    """Objective diagnostics; frame counts and widths must already match."""
     if len(generated) != len(reference):
         raise InvalidConfig(f"{len(generated)} generated vs {len(reference)} reference frames")
-    gen = generated.frames
-    mse = float(np.mean((gen - reference.frames) ** 2))
+    gen, ref = generated.frames, reference.frames
+    if gen.shape[1] != ref.shape[1]:
+        raise InvalidConfig(f"{gen.shape[1]} generated vs {ref.shape[1]} reference columns")
+    mse = float(np.mean((gen - ref) ** 2))
     if len(gen) >= 2:
         disp = float(np.linalg.norm(np.diff(gen, axis=0), axis=1).mean())
     else:

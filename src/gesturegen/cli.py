@@ -17,7 +17,7 @@ from .baselines import eval_tracks, manual_baseline, nn_baseline, random_baselin
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import corpus_vocabulary, curate_shots, load_records_jsonl, save_records_jsonl, synth_corpus
-from .errors import GestureGenError, InvalidConfig, MalformedFile
+from .errors import GestureGenError, InvalidConfig, MalformedFile, open_for_write
 from .kinematics import save_angles_csv
 from .lifting import LiftTrainConfig, lift_mse, retarget_track, synth_pose3d_corpus, train_lift
 from .model import init_model
@@ -97,7 +97,8 @@ def cmd_curate(cfg: Config, args) -> int:
     save_records_jsonl(kept, out)
     if args.report:
         entries = [{"id": rid, "kept": ok, "rule": rule} for rid, ok, rule in report.entries]
-        Path(args.report).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with open_for_write(args.report, "curation report") as fh:
+            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     print(f"kept {len(kept)} of {len(records)} records -> {out}")
     return 0
 
@@ -211,7 +212,8 @@ def cmd_schedule(cfg: Config, args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with open_for_write(args.out, "plan file") as fh:
+            fh.write(text + "\n")
     print(text)
     return 0
 
@@ -292,7 +294,8 @@ def cmd_eval(cfg: Config, args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with open_for_write(args.out, "metrics file") as fh:
+            fh.write(text + "\n")
     print(text)
     return 0
 

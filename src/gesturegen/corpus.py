@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedFile
+from .errors import InvalidConfig, MalformedFile, open_for_write
 from .pose import (
     HEAD,
     L_ELBOW,
@@ -274,7 +274,7 @@ def synth_corpus(seed: int, n_sentences: int) -> list:
 def save_records_jsonl(records, path):
     """One record per line: coordinates in pixels, y down; absent joints
     are null."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_write(path, "records file") as fh:
         for rec in records:
             obj = {
                 "id": rec.id,

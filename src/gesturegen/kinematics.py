@@ -2,6 +2,10 @@
 humanoid joint configuration, with forward kinematics as the verification
 oracle for the inverse computation.
 
+Array layouts (float64): a 3D pose is (..., 8, 3) joint positions in the
+torso frame, in pose.JOINT_NAMES order; joint angles are (..., 12) radians
+in ANGLE_NAMES order.
+
 Torso frame: origin at the neck, X toward the speaker's left (right
 shoulder to left shoulder), Y up, Z = X cross Y (forward). Arms rest
 pointing straight down (-Y). Shoulder pitch rotates about the torso X
@@ -14,12 +18,12 @@ because nothing in an 8-joint skeleton determines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePose, InvalidConfig
-from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST
+from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST, rowdot
 from .synthesis import TimedPoseTrack, save_track_csv
 
 ANGLE_NAMES = (
@@ -38,64 +42,20 @@ ANGLE_NAMES = (
 )
 
 _REST_NOSE = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)  # forward-up at zero yaw
-
-
-@dataclass(frozen=True)
-class Pose3D:
-    """8 named 3D joints in the torso frame (same joint order as 2D poses).
-
-    Valid instances have the neck at the origin and mean neck-to-shoulder
-    distance 1.
-    """
-
-    joints: np.ndarray  # (8, 3)
-
-    def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        if joints.shape != (8, 3):
-            raise InvalidConfig(f"need (8,3) joints, got {joints.shape}")
-        object.__setattr__(self, "joints", joints)
-
-    def shoulder_scale(self) -> float:
-        neck = self.joints[NECK]
-        return 0.5 * (
-            np.linalg.norm(self.joints[L_SHOULDER] - neck) + np.linalg.norm(self.joints[R_SHOULDER] - neck)
-        )
-
-
-@dataclass(frozen=True)
-class JointAngles:
-    """12 humanoid joint angles in radians. head_pitch and the wrist yaws
-    are always 0 (set, not computed)."""
-
-    head_pitch: float = 0.0
-    head_yaw: float = 0.0
-    l_sh_pitch: float = 0.0
-    l_sh_roll: float = 0.0
-    l_el_roll: float = 0.0
-    l_el_yaw: float = 0.0
-    l_wr_yaw: float = 0.0
-    r_sh_pitch: float = 0.0
-    r_sh_roll: float = 0.0
-    r_el_roll: float = 0.0
-    r_el_yaw: float = 0.0
-    r_wr_yaw: float = 0.0
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in ANGLE_NAMES])
-
-    @classmethod
-    def from_array(cls, values) -> "JointAngles":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(ANGLE_NAMES),):
-            raise InvalidConfig(f"need {len(ANGLE_NAMES)} angles, got {values.shape}")
-        return cls(**dict(zip(ANGLE_NAMES, (float(v) for v in values))))
+_DOWN = np.array([0.0, -1.0, 0.0])
+_HEAD_YAW = ANGLE_NAMES.index("head_yaw")
+# Per arm: joints, then the first of its four consecutive angle columns
+# (shoulder pitch, shoulder roll, elbow roll, elbow yaw).
+_ARMS = (
+    (L_SHOULDER, L_ELBOW, L_WRIST, ANGLE_NAMES.index("l_sh_pitch")),
+    (R_SHOULDER, R_ELBOW, R_WRIST, ANGLE_NAMES.index("r_sh_pitch")),
+)
 
 
 @dataclass(frozen=True)
 class LimbLengths:
-    """Segment lengths in shoulder units (neck-to-shoulder = 1 keeps the
-    Pose3D normalization invariant)."""
+    """Segment lengths in shoulder units (neck-to-shoulder = 1 keeps 3D
+    poses normalized)."""
 
     neck_to_shoulder: float = 1.0
     upper_arm: float = 1.5
@@ -108,105 +68,100 @@ class LimbLengths:
                 raise InvalidConfig(f"{name} must be positive")
 
 
-def _rot_x(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
+def _rot(axis, angle):
+    """(..., 3, 3) right-handed rotations by `angle` about coordinate `axis`."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    m = np.zeros(np.shape(angle) + (3, 3))
+    m[..., axis, axis] = 1.0
+    m[..., i, i] = c
+    m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
+    return m
 
 
-def _rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
-
-
-def _rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
+def _apply(m, v):
+    """Stacked matrix-vector products (..., 3, 3) x (..., 3) -> (..., 3)."""
+    return (m @ v[..., None])[..., 0]
 
 
 def _shoulder_frame(pitch, roll):
-    return _rot_x(pitch) @ _rot_z(roll)
+    return _rot(0, pitch) @ _rot(2, roll)
 
 
 def _forearm_local(bend, yaw):
     """Forearm direction in the shoulder frame; (0,-1,0) when extended."""
     sb, cb = np.sin(bend), np.cos(bend)
     sy, cy = np.sin(yaw), np.cos(yaw)
-    return np.array([-sb * sy, -cb, sb * cy])
+    return np.stack([-sb * sy, -cb, sb * cy], axis=-1)
 
 
-def forward_kinematics(angles: JointAngles, limbs: LimbLengths = LimbLengths()) -> Pose3D:
-    """Joint positions in the torso frame for the given joint angles."""
+def forward_kinematics(angles, limbs: LimbLengths = LimbLengths()) -> np.ndarray:
+    """Joint positions (..., 8, 3) in the torso frame for (..., 12) angles."""
     limbs.validate()
-    joints = np.zeros((8, 3))
-    joints[NECK] = 0.0
-    joints[L_SHOULDER] = (limbs.neck_to_shoulder, 0.0, 0.0)
-    joints[R_SHOULDER] = (-limbs.neck_to_shoulder, 0.0, 0.0)
-    joints[HEAD] = limbs.neck_to_nose * (_rot_y(angles.head_yaw) @ _REST_NOSE)
-    for shoulder, elbow, wrist, pitch, roll, bend, yaw in (
-        (L_SHOULDER, L_ELBOW, L_WRIST, angles.l_sh_pitch, angles.l_sh_roll, angles.l_el_roll, angles.l_el_yaw),
-        (R_SHOULDER, R_ELBOW, R_WRIST, angles.r_sh_pitch, angles.r_sh_roll, angles.r_el_roll, angles.r_el_yaw),
-    ):
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.shape[-1:] != (len(ANGLE_NAMES),):
+        raise InvalidConfig(f"need {len(ANGLE_NAMES)} angles, got {angles.shape}")
+    joints = np.zeros(angles.shape[:-1] + (8, 3))
+    joints[..., L_SHOULDER, 0] = limbs.neck_to_shoulder
+    joints[..., R_SHOULDER, 0] = -limbs.neck_to_shoulder
+    joints[..., HEAD, :] = limbs.neck_to_nose * (_rot(1, angles[..., _HEAD_YAW]) @ _REST_NOSE)
+    for shoulder, elbow, wrist, col in _ARMS:
+        pitch, roll, bend, yaw = np.moveaxis(angles[..., col : col + 4], -1, 0)
         frame = _shoulder_frame(pitch, roll)
-        upper_dir = frame @ np.array([0.0, -1.0, 0.0])
-        joints[elbow] = joints[shoulder] + limbs.upper_arm * upper_dir
-        fore_dir = frame @ _forearm_local(bend, yaw)
-        joints[wrist] = joints[elbow] + limbs.forearm * fore_dir
-    return Pose3D(joints)
+        joints[..., elbow, :] = joints[..., shoulder, :] + limbs.upper_arm * (frame @ _DOWN)
+        joints[..., wrist, :] = joints[..., elbow, :] + limbs.forearm * _apply(frame, _forearm_local(bend, yaw))
+    return joints
 
 
-def _solve_arm(shoulder, elbow, wrist, prev_yaw):
-    upper = elbow - shoulder
-    upper_len = np.linalg.norm(upper)
-    if upper_len < 1e-6:
-        raise DegeneratePose("zero-length upper arm")
-    fore = wrist - elbow
-    fore_len = np.linalg.norm(fore)
-    if fore_len < 1e-6:
-        raise DegeneratePose("zero-length forearm")
-    u = upper / upper_len
-    f = fore / fore_len
-
-    roll = np.arcsin(np.clip(u[0], -1.0, 1.0))
-    cos_roll = np.sqrt(max(0.0, 1.0 - u[0] * u[0]))
-    pitch = 0.0 if cos_roll < 1e-9 else np.arctan2(-u[2], -u[1])
-
-    bend = np.arctan2(np.linalg.norm(np.cross(u, f)), np.dot(u, f))
-    f_local = _shoulder_frame(pitch, roll).T @ f
-    planar = np.hypot(f_local[0], f_local[2])
-    if planar < 1e-9:
-        yaw = prev_yaw  # forearm plane undefined when the arm is straight
-    else:
-        yaw = np.arctan2(-f_local[0], f_local[2])
-    return float(pitch), float(roll), float(bend), float(yaw)
+def _hold_last(values, hold):
+    """`values` with every entry where `hold` is set replaced by the last
+    entry before it that is not held (0 if there is none)."""
+    source = np.where(hold, 0, np.arange(1, len(values) + 1))
+    return np.concatenate([[0.0], values])[np.maximum.accumulate(source)]
 
 
-def compute_joint_angles(pose: Pose3D, previous: JointAngles | None = None) -> JointAngles:
+def _solve_arm(u, f):
+    """(T, 4) shoulder pitch, shoulder roll, elbow roll and elbow yaw from
+    (T, 3) unit upper-arm and forearm directions."""
+    roll = np.arcsin(np.clip(u[:, 0], -1.0, 1.0))
+    cos_roll = np.sqrt(np.maximum(0.0, 1.0 - u[:, 0] * u[:, 0]))
+    pitch = np.where(cos_roll < 1e-9, 0.0, np.arctan2(-u[:, 2], -u[:, 1]))
+
+    normal = np.cross(u, f)
+    bend = np.arctan2(np.sqrt(rowdot(normal, normal)), rowdot(u, f))
+    f_local = _apply(np.swapaxes(_shoulder_frame(pitch, roll), -1, -2), f)
+    straight = np.hypot(f_local[:, 0], f_local[:, 2]) < 1e-9  # forearm plane undefined
+    yaw = _hold_last(np.arctan2(-f_local[:, 0], f_local[:, 2]), straight)
+    return np.stack([pitch, roll, bend, yaw], axis=1)
+
+
+def compute_joint_angles(joints) -> np.ndarray:
     """Analytic inverse of forward_kinematics on arm directions and head
-    yaw. At the straight-arm singularity the elbow yaw carries over from
-    `previous` (or 0 on a first frame)."""
-    joints = pose.joints
-    prev_l = previous.l_el_yaw if previous is not None else 0.0
-    prev_r = previous.r_el_yaw if previous is not None else 0.0
-    l_pitch, l_roll, l_bend, l_yaw = _solve_arm(joints[L_SHOULDER], joints[L_ELBOW], joints[L_WRIST], prev_l)
-    r_pitch, r_roll, r_bend, r_yaw = _solve_arm(joints[R_SHOULDER], joints[R_ELBOW], joints[R_WRIST], prev_r)
+    yaw: (T, 8, 3) poses in time order -> (T, 12) angles. At the
+    straight-arm singularity the elbow yaw carries over from the last frame
+    where that arm was bent (0 before any)."""
+    joints = np.asarray(joints, dtype=np.float64)
+    if joints.ndim != 3 or joints.shape[1:] != (8, 3):
+        raise InvalidConfig(f"need (T, 8, 3) joints, got {joints.shape}")
+    # left upper arm, left forearm, right upper arm, right forearm: the first
+    # zero-length segment of the first bad frame, in this order, is reported
+    segments = [joints[:, b] - joints[:, a] for s, e, w, _ in _ARMS for a, b in ((s, e), (e, w))]
+    lengths = np.stack([np.sqrt(rowdot(v, v)) for v in segments], axis=1)
+    short = lengths < 1e-6
+    if short.any():
+        first_frame = short[np.argmax(short.any(axis=1))]
+        raise DegeneratePose(("zero-length upper arm", "zero-length forearm")[np.argmax(first_frame) % 2])
 
-    nose = joints[HEAD] - joints[NECK]
-    head_yaw = 0.0 if np.hypot(nose[0], nose[2]) < 1e-9 else float(np.arctan2(nose[0], nose[2]))
-
-    return JointAngles(
-        head_pitch=0.0,
-        head_yaw=head_yaw,
-        l_sh_pitch=l_pitch,
-        l_sh_roll=l_roll,
-        l_el_roll=l_bend,
-        l_el_yaw=l_yaw,
-        l_wr_yaw=0.0,
-        r_sh_pitch=r_pitch,
-        r_sh_roll=r_roll,
-        r_el_roll=r_bend,
-        r_el_yaw=r_yaw,
-        r_wr_yaw=0.0,
-    )
+    angles = np.zeros((joints.shape[0], len(ANGLE_NAMES)))
+    units = [v / length[:, None] for v, length in zip(segments, lengths.T)]
+    for k, (_, _, _, col) in enumerate(_ARMS):
+        angles[:, col : col + 4] = _solve_arm(units[2 * k], units[2 * k + 1])
+    nose = joints[:, HEAD] - joints[:, NECK]
+    flat = np.hypot(nose[:, 0], nose[:, 2]) < 1e-9
+    angles[:, _HEAD_YAW] = np.where(flat, 0.0, np.arctan2(nose[:, 0], nose[:, 2]))
+    return angles
 
 
 def _is_range(bounds) -> bool:
@@ -218,19 +173,21 @@ def _is_range(bounds) -> bool:
         return False
 
 
-def clamp_angles(angles: JointAngles, limits: dict | None) -> JointAngles:
-    """Clamp angles into per-joint (lo, hi) ranges; None means no clamping."""
+def clamp_angles(angles, limits: dict | None):
+    """Clip (..., 12) angles into per-joint (lo, hi) ranges; None means no
+    clamping. The limits are checked once per call."""
     if not limits:
         return angles
-    updates = {}
+    lo = np.full(len(ANGLE_NAMES), -np.inf)
+    hi = np.full(len(ANGLE_NAMES), np.inf)
     for name, bounds in limits.items():
         if name not in ANGLE_NAMES:
             raise InvalidConfig(f"unknown joint name in limits: {name}")
         if not _is_range(bounds):
             raise InvalidConfig(f"limits for {name} must be two finite numbers lo <= hi, got {bounds!r}")
-        lo, hi = bounds
-        updates[name] = float(np.clip(getattr(angles, name), lo, hi))
-    return replace(angles, **updates)
+        col = ANGLE_NAMES.index(name)
+        lo[col], hi[col] = bounds
+    return np.clip(angles, lo, hi)
 
 
 def save_angles_csv(track: TimedPoseTrack, path):

@@ -6,7 +6,8 @@ normalized 2D pose; the neck anchors the torso frame at depth 0.
 
 Axis bridge: 2D poses use image convention (y down), the 3D torso frame
 has Y up. Projection of a 3D pose to a 2D training input is (X, -Y); the
-predicted depth is the torso-frame Z.
+predicted depth is the torso-frame Z. Poses are arrays laid out as in
+pose.py (2D) and kinematics.py (3D).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegeneratePose, InvalidConfig
-from .kinematics import JointAngles, LimbLengths, Pose3D, clamp_angles, compute_joint_angles, forward_kinematics
+from .kinematics import ANGLE_NAMES, LimbLengths, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _xavier, backward
-from .pose import NECK, NormalizedPose, decode_pose
+from .pose import NECK, decode_pose, shoulder_scale
 from .synthesis import TimedPoseTrack
 from .training import AdamState, adam_step
 
@@ -106,38 +107,38 @@ def lift_forward_graph(params: LiftNetParams, x: Tensor, train: bool, record: bo
     return ad.add(ad.matmul(h, ad.transpose(p(w))), p(b))
 
 
-def pose2d_to_lift_input(pose: NormalizedPose) -> np.ndarray:
-    """Flatten the 7 non-neck joints (image convention) into 14 values."""
-    return pose.joints[NON_NECK].reshape(-1)
+def pose2d_to_lift_input(pose2d) -> np.ndarray:
+    """Flatten the 7 non-neck joints (image convention) of (..., 8, 2)
+    poses into (..., 14) values."""
+    return pose2d[..., NON_NECK, :].reshape(pose2d.shape[:-2] + (LIFT_INPUT_DIM,))
 
 
-def project_to_image(pose: Pose3D) -> NormalizedPose:
+def project_to_image(pose3d) -> np.ndarray:
     """Drop depth and flip Y into image convention (y down)."""
-    flat = np.stack([pose.joints[:, 0], -pose.joints[:, 1]], axis=1)
-    return NormalizedPose(flat)
+    return np.stack([pose3d[..., 0], -pose3d[..., 1]], axis=-1)
 
 
-def depth_targets(pose: Pose3D) -> np.ndarray:
-    """Torso-frame Z of the 7 non-neck joints."""
-    return pose.joints[NON_NECK, 2].copy()
+def depth_targets(pose3d) -> np.ndarray:
+    """Torso-frame Z (..., 7) of the 7 non-neck joints."""
+    return pose3d[..., NON_NECK, 2]
 
 
-def assemble_pose3d(pose2d: NormalizedPose, depths) -> Pose3D:
-    """Combine an image-convention 2D pose with predicted depths into a
-    torso-frame 3D pose, rescaled so mean neck-to-shoulder distance is 1."""
+def assemble_pose3d(pose2d, depths) -> np.ndarray:
+    """Combine (..., 8, 2) image-convention poses with (..., 7) predicted
+    depths into torso-frame (..., 8, 3) poses, rescaled so the mean
+    neck-to-shoulder distance is 1."""
     depths = np.asarray(depths, dtype=np.float64)
-    if depths.shape != (7,):
-        raise InvalidConfig(f"expected 7 depths, got {depths.shape}")
-    joints = np.zeros((8, 3))
-    joints[:, 0] = pose2d.joints[:, 0]
-    joints[:, 1] = -pose2d.joints[:, 1]
-    joints[NON_NECK, 2] = depths
-    joints -= joints[NECK]
-    pose = Pose3D(joints)
-    scale = pose.shoulder_scale()
-    if scale < 1e-9:
+    if depths.shape != pose2d.shape[:-2] + (7,):
+        raise InvalidConfig(f"expected {pose2d.shape[:-2] + (7,)} depths, got {depths.shape}")
+    joints = np.zeros(pose2d.shape[:-1] + (3,))
+    joints[..., 0] = pose2d[..., 0]
+    joints[..., 1] = -pose2d[..., 1]
+    joints[..., NON_NECK, 2] = depths
+    joints -= joints[..., NECK : NECK + 1, :]
+    scale = shoulder_scale(joints)
+    if np.any(scale < 1e-9):
         raise DegeneratePose("degenerate shoulders after lifting")
-    return Pose3D(joints / scale)
+    return joints / scale[..., None, None]
 
 
 def lift_forward(params: LiftNetParams, poses, mode: str = "eval"):
@@ -158,23 +159,37 @@ def lift_forward(params: LiftNetParams, poses, mode: str = "eval"):
     return out[0] if single else out
 
 
-def augment_3d(sample: Pose3D, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> Pose3D:
-    """Rigid rotation about the vertical axis, then isotropic joint noise,
-    then renormalization (neck to origin, mean shoulder distance 1)."""
+def augment_3d(sample, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
+    """Rigid rotation of an (8, 3) pose about the vertical axis, then
+    isotropic joint noise, then renormalization (neck to origin, mean
+    shoulder distance 1)."""
     angle = rng.uniform(-rot_range, rot_range)
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    joints = sample.joints @ rot.T
+    joints = sample @ rot.T
     if noise_sigma > 0:
         joints = joints + rng.normal(0.0, noise_sigma, size=(8, 3))
     joints = joints - joints[NECK]
-    pose = Pose3D(joints)
-    return Pose3D(joints / pose.shoulder_scale())
+    return joints / shoulder_scale(joints)
 
 
-def synth_pose3d_corpus(seed: int, size: int, limbs: LimbLengths = LimbLengths()) -> list[Pose3D]:
-    """Parametric sampler over plausible gesture arm configurations pushed
-    through forward kinematics.
+# Sampled joint ranges, in draw order; head pitch and wrist yaws stay 0.
+_SAMPLED_ANGLES = (
+    ("head_yaw", -0.6, 0.6),
+    ("l_sh_pitch", -1.6, -0.1),
+    ("l_sh_roll", -0.3, 1.4),
+    ("l_el_roll", 0.05, 2.3),
+    ("l_el_yaw", -1.2, 1.2),
+    ("r_sh_pitch", -1.6, -0.1),
+    ("r_sh_roll", -1.4, 0.3),
+    ("r_el_roll", 0.05, 2.3),
+    ("r_el_yaw", -1.2, 1.2),
+)
+
+
+def synth_pose3d_corpus(seed: int, size: int, limbs: LimbLengths = LimbLengths()) -> np.ndarray:
+    """(size, 8, 3) poses from a parametric sampler over plausible gesture
+    arm configurations pushed through forward kinematics.
 
     Upper arms always point forward of the torso (negative pitch): hands
     stay in front of the body while gesturing, and a frontal 2D view only
@@ -182,22 +197,11 @@ def synth_pose3d_corpus(seed: int, size: int, limbs: LimbLengths = LimbLengths()
     """
     if size < 1:
         raise InvalidConfig("corpus size must be >= 1")
-    rng = np.random.default_rng(seed)
-    poses = []
-    for _ in range(size):
-        angles = JointAngles(
-            head_yaw=rng.uniform(-0.6, 0.6),
-            l_sh_pitch=rng.uniform(-1.6, -0.1),
-            l_sh_roll=rng.uniform(-0.3, 1.4),
-            l_el_roll=rng.uniform(0.05, 2.3),
-            l_el_yaw=rng.uniform(-1.2, 1.2),
-            r_sh_pitch=rng.uniform(-1.6, -0.1),
-            r_sh_roll=rng.uniform(-1.4, 0.3),
-            r_el_roll=rng.uniform(0.05, 2.3),
-            r_el_yaw=rng.uniform(-1.2, 1.2),
-        )
-        poses.append(forward_kinematics(angles, limbs))
-    return poses
+    names, lo, hi = zip(*_SAMPLED_ANGLES)
+    draws = np.random.default_rng(seed).uniform(lo, hi, size=(size, len(names)))  # sample by sample
+    angles = np.zeros((size, len(ANGLE_NAMES)))
+    angles[:, [ANGLE_NAMES.index(n) for n in names]] = draws
+    return forward_kinematics(angles, limbs)
 
 
 @dataclass
@@ -216,22 +220,16 @@ class LiftTrainConfig:
 
 def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:
     """Minimize mean squared depth error over projected, augmented samples."""
-    if not dataset3d:
+    if len(dataset3d) == 0:
         raise InvalidConfig("no 3D poses to train on")
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
         idx = rng.integers(0, len(dataset3d), size=cfg.batch_size)
-        inputs, targets = [], []
-        for i in idx:
-            aug = augment_3d(dataset3d[i], rng, cfg.rot_range, cfg.noise_sigma)
-            inputs.append(pose2d_to_lift_input(project_to_image(aug)))
-            targets.append(depth_targets(aug))
-        x = Tensor(np.stack(inputs))
-        y = np.stack(targets)
-        out = lift_forward_graph(params, x, train=True)
-        diff = ad.add(out, -y)
+        batch = np.stack([augment_3d(dataset3d[i], rng, cfg.rot_range, cfg.noise_sigma) for i in idx])
+        out = lift_forward_graph(params, Tensor(pose2d_to_lift_input(project_to_image(batch))), train=True)
+        diff = ad.add(out, -depth_targets(batch))
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()
         backward(loss)
@@ -240,26 +238,17 @@ def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetPa
 
 
 def lift_mse(params: LiftNetParams, dataset3d) -> float:
-    """Eval-mode mean squared depth error over clean projections."""
-    x = np.stack([pose2d_to_lift_input(project_to_image(p)) for p in dataset3d])
-    y = np.stack([depth_targets(p) for p in dataset3d])
-    pred = lift_forward(params, x, mode="eval")
-    return float(np.mean((pred - y) ** 2))
+    """Eval-mode mean squared depth error over clean projections of
+    (N, 8, 3) poses."""
+    pred = lift_forward(params, pose2d_to_lift_input(project_to_image(dataset3d)), mode="eval")
+    return float(np.mean((pred - depth_targets(dataset3d)) ** 2))
 
 
 def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) -> TimedPoseTrack:
-    """Per frame: decode the gesture vector, lift to 3D, solve joint angles,
-    clamp to configured limits. Returns a (T, 12) track in ANGLE_NAMES order."""
-    poses2d = [decode_pose(pca, row) for row in track.frames]
-    if not poses2d:
-        return TimedPoseTrack(frames=np.zeros((0, 12)), fps=track.fps)
-    x = np.stack([pose2d_to_lift_input(p) for p in poses2d])
-    depths = lift_forward(lift, x, mode="eval")
-    rows = []
-    previous = None
-    for pose2d, d in zip(poses2d, depths):
-        pose3d = assemble_pose3d(pose2d, d)
-        angles = clamp_angles(compute_joint_angles(pose3d, previous), limits)
-        previous = angles
-        rows.append(angles.to_array())
-    return TimedPoseTrack(frames=np.stack(rows), fps=track.fps)
+    """Decode the gesture vectors, lift them to 3D, solve joint angles and
+    clamp them to the configured limits, each step once over the whole
+    track. Returns a (T, 12) track in ANGLE_NAMES order."""
+    poses2d = decode_pose(pca, track.frames)
+    depths = lift_forward(lift, pose2d_to_lift_input(poses2d), mode="eval")
+    angles = compute_joint_angles(assemble_pose3d(poses2d, depths))
+    return TimedPoseTrack(frames=clamp_angles(angles, limits), fps=track.fps)

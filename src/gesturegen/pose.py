@@ -1,8 +1,12 @@
 """Upper-body pose representation and the low-dimensional gesture space.
 
-A pose is 8 named 2D joints. Flattening order is fixed so fitted models and
-checkpoints stay portable: head, neck, l_shoulder, l_elbow, l_wrist,
-r_shoulder, r_elbow, r_wrist, with x before y (16 values).
+Poses are plain float64 arrays of 8 joints in JOINT_NAMES order:
+- a 2D pose is (..., 8, 2) in image convention (y down); a normalized
+  pose has the neck at the origin and mean neck-to-shoulder distance 1;
+- a 3D pose is (..., 8, 3) in the torso frame (see kinematics.py).
+Flattening order is fixed so fitted models and checkpoints stay portable:
+head, neck, l_shoulder, l_elbow, l_wrist, r_shoulder, r_elbow, r_wrist,
+with x before y (16 values).
 
 Gesture vectors are 10-dimensional coefficient vectors in a linear pose
 basis fitted from data; components 1 and 4 (1-based) are restrained to
@@ -61,38 +65,19 @@ class RawPose:
         return cls(np.asarray(joints, dtype=np.float64), np.ones(8, dtype=bool))
 
 
-@dataclass(frozen=True)
-class NormalizedPose:
-    """Unitless pose with the neck at the origin and mean neck-to-shoulder
-    distance 1. Outputs of linear decoding reuse this container even though
-    reconstruction does not exactly preserve the shoulder-length constraint.
-    """
+def rowdot(a, b):
+    """Dot products over the last axis of stacked vectors. Each is one
+    (1, D) @ (D, 1) product, which rounds exactly as np.dot does on a single
+    vector, so batched and per-vector results agree bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    joints: np.ndarray
 
-    def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        if joints.shape != (8, 2):
-            raise InvalidConfig(f"normalized pose needs (8,2) joints, got {joints.shape}")
-        object.__setattr__(self, "joints", joints)
-
-    def flatten(self) -> np.ndarray:
-        """16-vector in the documented joint order, x before y."""
-        return self.joints.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, flat) -> "NormalizedPose":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (POSE_DIM,):
-            raise InvalidConfig(f"expected {POSE_DIM} values, got {flat.shape}")
-        return cls(flat.reshape(8, 2))
-
-    def shoulder_scale(self) -> float:
-        """Mean of the two neck-to-shoulder distances."""
-        neck = self.joints[NECK]
-        left = np.linalg.norm(self.joints[L_SHOULDER] - neck)
-        right = np.linalg.norm(self.joints[R_SHOULDER] - neck)
-        return 0.5 * (left + right)
+def shoulder_scale(joints):
+    """Mean of the two neck-to-shoulder distances of (..., 8, D) joints."""
+    neck = joints[..., NECK, :]
+    left = joints[..., L_SHOULDER, :] - neck
+    right = joints[..., R_SHOULDER, :] - neck
+    return 0.5 * (np.sqrt(rowdot(left, left)) + np.sqrt(rowdot(right, right)))
 
 
 @dataclass(frozen=True)
@@ -109,21 +94,22 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def normalize_pose(raw: RawPose) -> NormalizedPose:
-    """Translate the neck to the origin and rescale so that the mean
-    neck-to-shoulder distance is exactly 1."""
+def normalize_pose(raw: RawPose) -> np.ndarray:
+    """(8, 2) pose with the neck translated to the origin and rescaled so
+    that the mean neck-to-shoulder distance is exactly 1."""
     if not raw.present.all():
         missing = [JOINT_NAMES[i] for i in np.flatnonzero(~raw.present)]
         raise DegeneratePose(f"missing joints: {', '.join(missing)}")
     centered = raw.joints - raw.joints[NECK]
-    scale = 0.5 * (np.linalg.norm(centered[L_SHOULDER]) + np.linalg.norm(centered[R_SHOULDER]))
+    scale = shoulder_scale(centered)
     if scale < 1e-12:
         raise DegeneratePose("both shoulders coincide with the neck")
-    return NormalizedPose(centered / scale)
+    return centered / scale
 
 
 def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
-    """Fit the linear gesture basis from normalized poses.
+    """Fit the linear gesture basis from (N, 8, 2) normalized poses (or a
+    sequence of (8, 2) poses).
 
     Mean-centered eigendecomposition of the sample covariance. Rows are
     sorted by descending eigenvalue and sign-fixed so the largest-magnitude
@@ -132,7 +118,7 @@ def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
     """
     if k < 1 or k > POSE_DIM:
         raise InvalidConfig(f"component count must be in [1, {POSE_DIM}], got {k}")
-    data = np.stack([p.flatten() for p in poses]) if len(poses) else np.empty((0, POSE_DIM))
+    data = np.asarray(poses, dtype=np.float64).reshape(-1, POSE_DIM)
     if data.shape[0] < k + 1:
         raise InvalidConfig(f"need at least {k + 1} poses, got {data.shape[0]}")
     mean = data.mean(axis=0)
@@ -155,14 +141,14 @@ def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
     return PcaModel(mean=mean, components=rows, explained_variance_ratio=ratios)
 
 
-def project_pose(model: PcaModel, pose: NormalizedPose) -> np.ndarray:
-    """Raw (unclamped) coefficients of the pose in the fitted basis."""
-    return model.components @ (pose.flatten() - model.mean)
+def project_pose(model: PcaModel, pose) -> np.ndarray:
+    """Raw (unclamped) coefficients of an (8, 2) pose in the fitted basis."""
+    return model.components @ (np.reshape(pose, POSE_DIM) - model.mean)
 
 
-def encode_pose(model: PcaModel, pose: NormalizedPose) -> np.ndarray:
-    """Project onto the basis, then clamp the in-plane-rotation components
-    (1 and 4, 1-based) to [-1, 1]."""
+def encode_pose(model: PcaModel, pose) -> np.ndarray:
+    """Project an (8, 2) pose onto the basis, then clamp the
+    in-plane-rotation components (1 and 4, 1-based) to [-1, 1]."""
     coeffs = project_pose(model, pose)
     for dim in CLAMPED_COMPONENTS:
         if dim <= coeffs.shape[0]:
@@ -170,25 +156,24 @@ def encode_pose(model: PcaModel, pose: NormalizedPose) -> np.ndarray:
     return coeffs
 
 
-def decode_pose(model: PcaModel, coeffs) -> NormalizedPose:
-    """Reconstruct a pose from coefficients: mean + components^T @ coeffs.
+def decode_pose(model: PcaModel, coeffs) -> np.ndarray:
+    """Reconstruct (..., 8, 2) poses from (..., k) coefficients:
+    mean + components^T @ coeffs.
 
     Accepts any coefficient values; network outputs are unconstrained.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (model.n_components,):
-        raise InvalidConfig(f"expected {model.n_components} coefficients, got {coeffs.shape}")
-    return NormalizedPose.from_flat(model.mean + model.components.T @ coeffs)
+    if coeffs.shape[-1:] != (model.n_components,):
+        raise InvalidConfig(f"expected {model.n_components} coefficients, got {coeffs.shape[-1:]}")
+    flat = model.mean + (model.components.T @ coeffs[..., None])[..., 0]
+    return flat.reshape(coeffs.shape[:-1] + (8, 2))
 
 
-def component_sweep(model: PcaModel, dim: int, values) -> list:
-    """Poses obtained by varying a single component (1-based) over `values`
-    while holding all others at zero."""
+def component_sweep(model: PcaModel, dim: int, values) -> np.ndarray:
+    """(V, 8, 2) poses obtained by varying a single component (1-based)
+    over the V `values` while holding all others at zero."""
     if not 1 <= dim <= model.n_components:
         raise InvalidConfig(f"component {dim} not in [1, {model.n_components}]")
-    poses = []
-    for v in values:
-        coeffs = np.zeros(model.n_components)
-        coeffs[dim - 1] = v
-        poses.append(decode_pose(model, coeffs))
-    return poses
+    coeffs = np.zeros((len(values), model.n_components))
+    coeffs[:, dim - 1] = values
+    return decode_pose(model, coeffs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedFile
+from .errors import InvalidConfig, MalformedFile, open_for_write
 from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0
@@ -154,7 +154,7 @@ def export_attention(maps, chunks, path) -> np.ndarray:
     headers. Returns the matrix."""
     matrix = assemble_attention(maps, chunks)
     words = [w for chunk in chunks for w in chunk]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_write(path, "attention file") as fh:
         fh.write(",".join(words) + "\n")
         for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -167,7 +167,7 @@ def save_track_csv(track: TimedPoseTrack, path, columns=None):
     if columns is None:
         columns = [f"c{i + 1}" for i in range(track.frames.shape[1])]
     header = "t_s," + ",".join(columns)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_write(path, "track file") as fh:
         fh.write(header + "\n")
         for i, row in enumerate(track.frames):
             fh.write(repr(float(i / track.fps)) + "," + ",".join(repr(float(v)) for v in row) + "\n")

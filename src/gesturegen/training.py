@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InvalidConfig
+from .errors import InvalidConfig, open_for_write
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
 from .pose import encode_pose, normalize_pose
 
@@ -245,7 +245,7 @@ def train_model(
 
 
 def write_history_csv(history, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_write(path, "history file") as fh:
         fh.write("epoch,mse,continuity,variance,total\n")
         for i, b in enumerate(history):
             fh.write(f"{i},{b.mse!r},{b.continuity!r},{b.variance!r},{b.total!r}\n")

@@ -17,7 +17,7 @@ from gesturegen.baselines import bleu_score, manual_baseline, nn_baseline, rando
 from gesturegen.checkpoint import load_checkpoint, save_checkpoint
 from gesturegen.cli import main
 from gesturegen.corpus import corpus_vocabulary, synth_corpus
-from gesturegen.kinematics import compute_joint_angles, forward_kinematics
+from gesturegen.kinematics import ANGLE_NAMES, compute_joint_angles, forward_kinematics
 from gesturegen.lifting import (
     LiftTrainConfig,
     batch_norm_graph,
@@ -32,7 +32,6 @@ from gesturegen.model import ModelConfig, backward, forward_graph, init_model
 from gesturegen.pose import (
     GESTURE_DIM,
     L_WRIST,
-    NormalizedPose,
     POSE_DIM,
     R_WRIST,
     decode_pose,
@@ -168,7 +167,7 @@ def test_criterion_4_pose_basis():
     coeffs = rng.normal(size=(200, GESTURE_DIM)) * np.linspace(3.0, 0.3, GESTURE_DIM)
     offset = rng.normal(size=POSE_DIM)
     data = offset + coeffs @ basis
-    model = fit_pca([NormalizedPose.from_flat(row) for row in data])
+    model = fit_pca([row.reshape(8, 2) for row in data])
 
     gram_err = float(np.max(np.abs(model.components @ model.components.T - np.eye(GESTURE_DIM))))
 
@@ -186,8 +185,8 @@ def test_criterion_4_pose_basis():
         pose = decode_pose(model, c)
         round_trip = max(round_trip, float(np.max(np.abs(encode_pose(model, pose) - c))))
 
-    mean_code = float(np.max(np.abs(encode_pose(model, NormalizedPose.from_flat(model.mean)))))
-    decode_err = float(np.max(np.abs(decode_pose(model, np.zeros(GESTURE_DIM)).flatten() - model.mean)))
+    mean_code = float(np.max(np.abs(encode_pose(model, model.mean.reshape(8, 2)))))
+    decode_err = float(np.max(np.abs(decode_pose(model, np.zeros(GESTURE_DIM)).reshape(-1) - model.mean)))
 
     ok = gram_err < 1e-10 and oracle_err < 1e-8 and round_trip < 1e-8 and mean_code < 1e-10 and decode_err == 0.0
     scoreboard(
@@ -281,7 +280,7 @@ def _wrist_spread(pca, frames):
     best = 0.0
     for row in frames:
         pose = decode_pose(pca, row)
-        best = max(best, float(np.linalg.norm(pose.joints[L_WRIST] - pose.joints[R_WRIST])))
+        best = max(best, float(np.linalg.norm(pose[L_WRIST] - pose[R_WRIST])))
     return best
 
 
@@ -365,14 +364,13 @@ def test_criterion_8_retargeting_round_trip():
 
     poses = synth_pose3d_corpus(seed=3, size=1000)
     worst = 0.0
-    zeros_ok = True
-    for pose in poses:
-        angles = compute_joint_angles(pose)
-        zeros_ok = zeros_ok and angles.head_pitch == 0.0 and angles.l_wr_yaw == 0.0 and angles.r_wr_yaw == 0.0
-        rebuilt = forward_kinematics(angles)
+    angles = compute_joint_angles(poses)
+    fixed = [ANGLE_NAMES.index(name) for name in ("head_pitch", "l_wr_yaw", "r_wr_yaw")]
+    zeros_ok = bool(np.all(angles[:, fixed] == 0.0))
+    for pose, rebuilt in zip(poses, forward_kinematics(angles)):
         for shoulder, elbow, wrist in ((L_SHOULDER, L_ELBOW, L_WRIST), (R_SHOULDER, R_ELBOW, R_WRIST)):
-            worst = max(worst, _angle_between(pose.joints[elbow] - pose.joints[shoulder], rebuilt.joints[elbow] - rebuilt.joints[shoulder]))
-            worst = max(worst, _angle_between(pose.joints[wrist] - pose.joints[elbow], rebuilt.joints[wrist] - rebuilt.joints[elbow]))
+            worst = max(worst, _angle_between(pose[elbow] - pose[shoulder], rebuilt[elbow] - rebuilt[shoulder]))
+            worst = max(worst, _angle_between(pose[wrist] - pose[elbow], rebuilt[wrist] - rebuilt[elbow]))
     ok = worst < 1e-6 and zeros_ok
     scoreboard(
         f"[acceptance 8] {'PASS' if ok else 'FAIL'} — FK(IK(p)) on 1000 poses: worst arm-direction error "
@@ -435,7 +433,7 @@ def test_criterion_9_lift_network():
     train_set = synth_pose3d_corpus(seed=15, size=50)
     held_out = synth_pose3d_corpus(seed=16, size=50)
     lift = train_lift(train_set, LiftTrainConfig(steps=2000, lr=0.01, batch_size=16, seed=0))
-    baseline = float(np.mean(np.stack([depth_targets(p) for p in held_out]) ** 2))
+    baseline = float(np.mean(depth_targets(held_out) ** 2))
     model_mse = lift_mse(lift, held_out)
     lift_ratio = model_mse / baseline
 

@@ -216,3 +216,9 @@ class TestEvalTracks:
         b = TimedPoseTrack(frames=np.zeros((4, 10)), fps=12.0)
         with pytest.raises(InvalidConfig, match="3 generated vs 4 reference frames"):
             eval_tracks(a, b)
+
+    def test_width_mismatch(self):
+        a = TimedPoseTrack(frames=np.zeros((3, 12)), fps=12.0)
+        b = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
+        with pytest.raises(InvalidConfig, match="12 generated vs 10 reference columns"):
+            eval_tracks(a, b)

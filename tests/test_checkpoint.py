@@ -9,14 +9,14 @@ from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gesturegen.errors import IoFailure, MalformedFile
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
-from gesturegen.pose import NormalizedPose, PcaModel, fit_pca
+from gesturegen.pose import PcaModel, fit_pca
 from gesturegen.render import pose_svg, render
 from gesturegen.synthesis import TimedPoseTrack
 
 
 def _full_checkpoint():
     rng = np.random.default_rng(0)
-    poses = [NormalizedPose.from_flat(rng.normal(size=16)) for _ in range(30)]
+    poses = rng.normal(size=(30, 8, 2))
     pca = fit_pca(poses)
     model = init_model(ModelConfig(word_dim=6, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3), seed=1)
     lift = init_lift_params(seed=2)
@@ -211,7 +211,7 @@ def test_format_1_bytes_pinned(tmp_path):
 class TestRender:
     def test_files_and_manifest(self, tmp_path):
         rng = np.random.default_rng(1)
-        poses = [NormalizedPose.from_flat(rng.normal(size=16)) for _ in range(5)]
+        poses = rng.normal(size=(5, 8, 2))
         names = render(poses, tmp_path / "out")
         assert len(names) == 5
         assert (tmp_path / "out" / "manifest.json").exists()
@@ -220,7 +220,7 @@ class TestRender:
 
     def test_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
-        poses = [NormalizedPose.from_flat(rng.normal(size=16)) for _ in range(3)]
+        poses = rng.normal(size=(3, 8, 2))
         render(poses, tmp_path / "a")
         render(poses, tmp_path / "b")
         for name in ("frame_00000.svg", "manifest.json"):
@@ -236,5 +236,5 @@ class TestRender:
     def test_svg_is_wellformed(self):
         import xml.etree.ElementTree as ET
 
-        pose = NormalizedPose.from_flat(np.random.default_rng(3).normal(size=16))
+        pose = np.random.default_rng(3).normal(size=(8, 2))
         ET.fromstring(pose_svg(pose))

@@ -339,17 +339,16 @@ def test_mean_pose_render_is_symmetric(workspace):
         L_ELBOW,
         L_SHOULDER,
         L_WRIST,
-        NormalizedPose,
         R_ELBOW,
         R_SHOULDER,
         R_WRIST,
     )
 
     mean = load_checkpoint(root / "ck.ggck").pca.mean
-    pose = NormalizedPose.from_flat(mean)
+    pose = mean.reshape(8, 2)
     for left, right in ((L_SHOULDER, R_SHOULDER), (L_ELBOW, R_ELBOW), (L_WRIST, R_WRIST)):
-        assert abs(pose.joints[left, 0] + pose.joints[right, 0]) < 0.2
-        assert abs(pose.joints[left, 1] - pose.joints[right, 1]) < 0.2
+        assert abs(pose[left, 0] + pose[right, 0]) < 0.2
+        assert abs(pose[left, 1] - pose[right, 1]) < 0.2
 
 
 def test_checkpoint_every_writes_epoch_snapshots(workspace, tmp_path):
@@ -460,3 +459,42 @@ def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
     rc = main(["pca-sweep", "--checkpoint", str(root / "ck.ggck"), "--values", "1,x", "--out-dir", str(tmp_path)])
     assert rc == 1
     _single_line_error(capsys, "pca-sweep")
+
+
+@pytest.mark.parametrize("command", ["generate", "retarget", "schedule"])
+def test_output_path_is_directory_is_single_line(workspace, tmp_path, capsys, command):
+    root, _ = workspace
+    common = ["--checkpoint", str(root / "ck.ggck"), "--out-dir", str(tmp_path / "o")]
+    args = {
+        "generate": ["--text", "we hold a big idea", "--duration", "2.0", "--attention", str(tmp_path / "a.csv")],
+        "retarget": ["--track", str(root / "track.csv")],
+        "schedule": ["--text", "we hold a big idea"],
+    }[command]
+    rc = main([command, *args, *common, "--out", str(tmp_path)])
+    assert rc == 1
+    what = "plan file" if command == "schedule" else "track file"
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"{command}: cannot write {what}: ") and "\n" not in err
+
+
+def test_eval_width_mismatch_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    rc = main(
+        [
+            "retarget",
+            "--checkpoint",
+            str(root / "ck.ggck"),
+            "--track",
+            str(root / "track.csv"),
+            "--out",
+            str(tmp_path / "traj.csv"),
+            "--out-dir",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["eval", "--generated", str(tmp_path / "traj.csv"), "--reference", str(root / "track.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "eval: 12 generated vs 10 reference columns"

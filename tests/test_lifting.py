@@ -3,7 +3,7 @@ import pytest
 
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
-from gesturegen.errors import InvalidConfig
+from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.lifting import (
     LiftTrainConfig,
     assemble_pose3d,
@@ -20,7 +20,8 @@ from gesturegen.lifting import (
     train_lift,
 )
 from gesturegen.model import backward
-from gesturegen.pose import NECK, fit_pca, normalize_pose, RawPose
+from gesturegen.pose import NECK, RawPose, fit_pca, normalize_pose, shoulder_scale
+from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
 
@@ -119,28 +120,28 @@ class TestAugment:
     def test_identity_with_zero_params(self):
         pose = synth_pose3d_corpus(seed=6, size=1)[0]
         out = augment_3d(pose, np.random.default_rng(0), rot_range=0.0, noise_sigma=0.0)
-        assert np.max(np.abs(out.joints - pose.joints)) < 1e-12
+        assert np.max(np.abs(out - pose)) < 1e-12
 
     def test_rotation_preserves_distances(self):
         pose = synth_pose3d_corpus(seed=7, size=1)[0]
         out = augment_3d(pose, np.random.default_rng(1), rot_range=np.deg2rad(30), noise_sigma=0.0)
         for a in range(8):
             for b in range(a + 1, 8):
-                d0 = np.linalg.norm(pose.joints[a] - pose.joints[b])
-                d1 = np.linalg.norm(out.joints[a] - out.joints[b])
+                d0 = np.linalg.norm(pose[a] - pose[b])
+                d1 = np.linalg.norm(out[a] - out[b])
                 assert abs(d0 - d1) < 1e-9
 
     def test_deterministic(self):
         pose = synth_pose3d_corpus(seed=8, size=1)[0]
         a = augment_3d(pose, np.random.default_rng(9), noise_sigma=0.05)
         b = augment_3d(pose, np.random.default_rng(9), noise_sigma=0.05)
-        assert np.array_equal(a.joints, b.joints)
+        assert np.array_equal(a, b)
 
     def test_renormalized(self):
         pose = synth_pose3d_corpus(seed=10, size=1)[0]
         out = augment_3d(pose, np.random.default_rng(2), noise_sigma=0.1)
-        assert np.allclose(out.joints[NECK], 0.0)
-        assert abs(out.shoulder_scale() - 1.0) < 1e-9
+        assert np.allclose(out[NECK], 0.0)
+        assert abs(shoulder_scale(out) - 1.0) < 1e-9
 
 
 class TestSynthCorpus3d:
@@ -148,26 +149,32 @@ class TestSynthCorpus3d:
         poses = synth_pose3d_corpus(seed=11, size=10)
         assert len(poses) == 10
         for p in poses:
-            assert np.allclose(p.joints[NECK], 0)
-            assert abs(p.shoulder_scale() - 1.0) < 1e-9
+            assert np.allclose(p[NECK], 0)
+            assert abs(shoulder_scale(p) - 1.0) < 1e-9
 
     def test_deterministic(self):
         a = synth_pose3d_corpus(seed=12, size=5)
         b = synth_pose3d_corpus(seed=12, size=5)
-        assert all(np.array_equal(x.joints, y.joints) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
 
 class TestProjectionBridge:
     def test_round_trip_through_depths(self):
         pose = synth_pose3d_corpus(seed=13, size=1)[0]
         rebuilt = assemble_pose3d(project_to_image(pose), depth_targets(pose))
-        assert np.allclose(rebuilt.joints, pose.joints, atol=1e-9)
+        assert np.allclose(rebuilt, pose, atol=1e-9)
+
+    def test_degenerate_frame_aborts(self):
+        poses = project_to_image(synth_pose3d_corpus(seed=14, size=3))
+        poses[1] = 0.0  # shoulders on the neck
+        with pytest.raises(DegeneratePose, match="^degenerate shoulders after lifting$"):
+            assemble_pose3d(poses, np.zeros((3, 7)))
 
     def test_input_layout(self):
         pose = synth_pose3d_corpus(seed=14, size=1)[0]
         vec = pose2d_to_lift_input(project_to_image(pose))
         assert vec.shape == (14,)
-        assert vec[2] == pose.joints[2, 0]  # l_shoulder x passes through
+        assert vec[2] == pose[2, 0]  # l_shoulder x passes through
 
 
 class TestTrainLift:
@@ -179,7 +186,7 @@ class TestTrainLift:
         train_set = synth_pose3d_corpus(seed=15, size=50)
         held_out = synth_pose3d_corpus(seed=16, size=50)
         params = train_lift(train_set, LiftTrainConfig(steps=2000, lr=0.01, batch_size=16, seed=0))
-        baseline = float(np.mean(np.stack([depth_targets(p) for p in held_out]) ** 2))
+        baseline = float(np.mean(depth_targets(held_out) ** 2))
         model_mse = lift_mse(params, held_out)
         assert model_mse < 0.25 * baseline, (model_mse, baseline)
 
@@ -234,8 +241,6 @@ class TestRetarget:
         lift = init_lift_params(seed=22)
         rng = np.random.default_rng(22)
         track = TimedPoseTrack(frames=rng.normal(0, 0.5, size=(5, 10)), fps=12.0)
-        from gesturegen.kinematics import ANGLE_NAMES
-
         limits = {name: (-0.01, 0.01) for name in ANGLE_NAMES}
         out = retarget_track(track, pca, lift, limits)
         assert np.all(out.frames >= -0.01) and np.all(out.frames <= 0.01)
@@ -245,7 +250,88 @@ class TestRetarget:
         lift = init_lift_params(seed=23)
         track = TimedPoseTrack(frames=np.random.default_rng(23).normal(0, 0.4, (7, 10)), fps=12.0)
         out = retarget_track(track, pca, lift)
-        from gesturegen.kinematics import ANGLE_NAMES
-
         for col in ("head_pitch", "l_wr_yaw", "r_wr_yaw"):
             assert np.all(out.frames[:, ANGLE_NAMES.index(col)] == 0.0)
+
+    def test_pinned_values(self):
+        # Output of the per-frame implementation on this input, recorded
+        # before retargeting became one array pass over the track.
+        rng = np.random.default_rng(40)
+        base = np.array(
+            [[320, 110], [320, 190], [375, 190], [395, 255], [405, 320], [265, 190], [245, 255], [235, 320]],
+            dtype=float,
+        )
+        pca = fit_pca([normalize_pose(RawPose.complete(base + rng.normal(0, 6.0, (8, 2)))) for _ in range(40)])
+        lift = train_lift(synth_pose3d_corpus(seed=41, size=30), LiftTrainConfig(steps=50, seed=42))
+        track = TimedPoseTrack(frames=rng.normal(0, 0.6, size=(48, 10)), fps=12.0)
+        limits = {
+            "head_pitch": (-0.5, 0.5),
+            "head_yaw": (-0.3, 0.3),
+            "l_sh_pitch": (-2.0, 0.2),
+            "l_sh_roll": (-0.3, 1.3),
+            "l_el_roll": (0.0, 1.5),
+            "l_el_yaw": (-0.5, 0.5),
+            "l_wr_yaw": (-1.8, 1.8),
+            "r_sh_pitch": (-2.0, 0.2),
+            "r_sh_roll": (-1.3, 0.3),
+            "r_el_roll": (0.0, 1.5),
+            "r_el_yaw": (-0.5, 0.5),
+            "r_wr_yaw": (-1.8, 1.8),
+        }
+        out = retarget_track(track, pca, lift, limits).frames
+        assert out.shape == _PINNED.shape
+        assert np.max(np.abs(out - _PINNED)) <= 1e-12
+
+
+# fmt: off
+_PINNED = np.array([
+    [0.0, 0.3, -1.100098315030653, -0.17797699730899083, 0.8074035491838092, -0.5, 0.0, -0.11642719966020898, -0.5974239220999235, 0.6660547345495258, -0.5, 0.0],
+    [0.0, 0.3, -0.1680105988937266, 0.1038006304406696, 0.42193608482095074, -0.5, 0.0, -0.23945174118492804, -0.8333380730881664, 0.9262722440683596, -0.5, 0.0],
+    [0.0, 0.3, -1.3823391520601205, 0.6334836871792081, 1.0791466879720666, 0.5, 0.0, -0.2370184725240336, -0.39512887019547926, 1.4422151888614392, -0.5, 0.0],
+    [0.0, -0.05316068256243158, -0.8976228501046815, 0.2400333043436952, 0.7004237171541192, -0.5, 0.0, -0.1318459872098803, 0.3, 1.0142130250010244, 0.5, 0.0],
+    [0.0, -0.3, -0.17389096058282377, 0.27021774427847556, 0.5724256872726955, -0.08028006481342971, 0.0, 0.2, -0.6923793478094594, 1.3603452786184715, 0.08378092085301538, 0.0],
+    [0.0, 0.3, 0.2, 0.7961951308470685, 1.19758290259601, 0.5, 0.0, 0.15033560064287504, 0.23343403276053049, 1.0787465537107968, 0.5, 0.0],
+    [0.0, -0.3, -0.5918692591128006, 0.08736524216923335, 0.5405154939327849, -0.12230799180745042, 0.0, 0.2, -0.840436026127836, 1.1537604860167956, -0.5, 0.0],
+    [0.0, 0.11984878526129467, -0.06588851898117588, 0.6910756096449437, 1.045935553620984, 0.4835471124105841, 0.0, 0.11646215336284955, 0.3, 1.5, 0.5, 0.0],
+    [0.0, 0.3, -0.689352044404959, 0.40526947312533, 0.2986608806481562, 0.5, 0.0, -0.08427633713629479, -0.2359575156745331, 0.3987246093020326, 0.5, 0.0],
+    [0.0, 0.3, -0.9148013534926476, -0.3, 0.9841180344725055, -0.5, 0.0, -0.8652897339646679, 0.2041942268848046, 1.2106881909666525, 0.5, 0.0],
+    [0.0, 0.3, -0.7998908450612535, 1.024004271770267, 1.4642461114159708, 0.5, 0.0, -0.1991629257628939, -0.4662952374207707, 1.0488787474075838, -0.5, 0.0],
+    [0.0, 0.3, -0.16197482492986007, -0.3, 1.4204138852558172, -0.5, 0.0, -0.12478899375927444, -0.562457937838174, 0.8716740525645887, 0.2304583541993736, 0.0],
+    [0.0, -0.3, -0.6739910682596052, 0.10377381458065758, 0.27793207213676313, -0.5, 0.0, -0.15123691225410235, -0.19179347594072868, 0.7482087521136499, -0.5, 0.0],
+    [0.0, -0.3, -0.3595466991868798, -0.06483597482342154, 1.5, 0.002386807123773953, 0.0, -0.22616692648291095, -0.8386353783431059, 0.6342391522554813, -0.5, 0.0],
+    [0.0, -0.3, -0.8145807782506521, -0.3, 0.4130843274437246, -0.5, 0.0, 0.2, -0.8285131716108618, 1.5, -0.5, 0.0],
+    [0.0, 0.3, 0.07392569239906838, -0.3, 1.5, -0.26768921477612767, 0.0, -0.1554687532476563, -0.37128275424210144, 0.8024334539463162, 0.5, 0.0],
+    [0.0, -0.3, -0.37506856100464786, 0.42120920296204867, 0.3758537253589014, 0.5, 0.0, -0.013416859737869524, 0.2410988894861931, 0.7979290848737629, 0.5, 0.0],
+    [0.0, -0.3, -0.6090219122335071, 0.35606150986185303, 0.4001464211303063, 0.5, 0.0, 0.2, 0.29391145822381803, 0.8095667242578957, -0.1424083290981019, 0.0],
+    [0.0, -0.3, -0.8955010656161566, 0.08061985748355494, 0.26460338047887877, -0.5, 0.0, -0.018745142564959568, -0.5649198852701166, 1.5, -0.5, 0.0],
+    [0.0, 0.3, -2.0, -0.03856223394753914, 1.5, 0.5, 0.0, -0.08529647187227424, -0.26438973668586424, 1.1860280051702792, -0.5, 0.0],
+    [0.0, -0.3, -0.5359550208948516, -0.09181079164650462, 0.5179713535829504, -0.5, 0.0, 0.2, 0.24315799128878296, 0.6508152063617365, 0.4511223695730371, 0.0],
+    [0.0, -0.3, -0.5026763617661174, -0.24721766747393709, 0.6779713194688782, -0.5, 0.0, 0.2, -0.9515792087959422, 1.5, 0.5, 0.0],
+    [0.0, 0.3, -1.6122519451761936, 0.7185584708442454, 1.190846654910683, 0.5, 0.0, -0.09777186309933804, -0.3898423662652696, 1.4836648860429593, -0.5, 0.0],
+    [0.0, 0.3, 0.18053690927965702, 0.46944562959896485, 1.5, 0.04715157683993464, 0.0, -0.11748606389309889, -0.505909836322237, 0.9634042333699775, -0.5, 0.0],
+    [0.0, -0.3, -0.7521178216701179, -0.27283969715475936, 0.6361797287147201, -0.5, 0.0, 0.008419993052636436, -0.7781879816136016, 1.5, -0.5, 0.0],
+    [0.0, -0.3, -0.8371545527820959, 0.923082615192826, 1.2368963143011862, 0.5, 0.0, 0.2, 0.3, 0.9935694302918187, 0.5, 0.0],
+    [0.0, -0.3, -0.5757006425555407, 0.7137865422197627, 1.5, 0.5, 0.0, -2.0, -0.5921566547465894, 1.5, 0.5, 0.0],
+    [0.0, -0.3, -0.4944441873552545, 0.7239675947678135, 0.9160887533319004, 0.5, 0.0, 0.009568260992374601, -0.15131233095351382, 0.7922677610494305, -0.5, 0.0],
+    [0.0, -0.1940695142339991, 0.11375958718611495, 0.5298379481886525, 1.2401599868079143, 0.13392780618730998, 0.0, 0.036496857326410594, 0.3, 1.1065024098310587, 0.5, 0.0],
+    [0.0, -0.3, -0.3257589483667376, 0.33745634371494265, 0.891555680563225, 0.3191677289241173, 0.0, -0.38306163926001113, -0.45743069034355305, 1.5, -0.5, 0.0],
+    [0.0, 0.27464437505044714, -0.17020408009017235, -0.013322357252833908, 0.5930839874086459, -0.5, 0.0, 0.008788244558913394, -0.372422035954717, 0.7487628662383895, 0.39626167558707526, 0.0],
+    [0.0, -0.3, -1.078990598988059, 0.5660542262285244, 0.8053281105281491, 0.5, 0.0, 0.2, -0.004628275156148182, 0.7146838070870608, -0.2367376098282223, 0.0],
+    [0.0, 0.3, 0.2, -0.09704718436893839, 1.0529926863706456, -0.016868596426853892, 0.0, 0.08509132324772638, -0.8330831455245895, 1.5, -0.5, 0.0],
+    [0.0, -0.2694570564656351, -2.0, 0.920835377166937, 1.5, 0.5, 0.0, 0.2, -0.1435861632610793, 0.8508353873232357, -0.5, 0.0],
+    [0.0, 0.3, 0.011955339776634677, 0.6675317082257207, 1.091730745999282, 0.5, 0.0, -0.15901783389872332, -0.167319971970284, 0.9058125175068727, -0.2439640851951003, 0.0],
+    [0.0, -0.3, -0.8052432812255188, -0.283039249733382, 0.6877405866306776, -0.5, 0.0, 0.14165816751078114, -0.7667060936392736, 1.5, -0.5, 0.0],
+    [0.0, -0.3, -0.8379621658120977, 0.24777310216915888, 0.05456636693066839, 0.5, 0.0, -0.04002111110510984, -0.8363820887548027, 1.4620898503681852, -0.5, 0.0],
+    [0.0, 0.3, -0.26547424340991116, 1.007209500771034, 1.5, 0.5, 0.0, -0.0866768134791281, -0.2025898293888701, 0.2675013884567898, 0.5, 0.0],
+    [0.0, -0.3, 0.18460406675945767, 0.24150954934123575, 1.5, 0.10676512000198476, 0.0, 0.10512605479337774, -0.28359412847050497, 1.5, -0.5, 0.0],
+    [0.0, -0.3, -0.7910287592133942, 0.876332130017461, 1.0333133880830174, 0.5, 0.0, 0.2, -1.3, 1.5, -0.5, 0.0],
+    [0.0, 0.02838739701466398, -0.706586392111173, 0.03503150415637223, 0.35179727716834247, -0.5, 0.0, -0.3778469200771332, -1.3, 1.4581919401645551, -0.5, 0.0],
+    [0.0, 0.3, -0.48984772775549945, 0.35788487006735414, 0.6964340329620362, 0.5, 0.0, 0.010067550840176557, 0.3, 1.0526418364658556, 0.5, 0.0],
+    [0.0, -0.3, -1.3173365818685125, -0.3, 0.8809124074338877, -0.5, 0.0, 0.2, -0.8264955628660096, 1.2657103634618039, -0.5, 0.0],
+    [0.0, 0.3, -0.3223310109977932, 0.4682444033848083, 0.45476938825297003, 0.5, 0.0, 0.1566107741393201, 0.23816658046198602, 1.0732854097468334, 0.5, 0.0],
+    [0.0, 0.3, -1.000011651787561, -0.3, 1.1329173457366901, -0.5, 0.0, -0.04782116218631173, 0.3, 1.496074377305786, 0.5, 0.0],
+    [0.0, 0.3, -0.37194062664456584, 0.19719851329325624, 0.18198511156014718, -0.5, 0.0, -0.32779595480510854, 0.3, 1.2913724488662668, 0.5, 0.0],
+    [0.0, -0.3, -0.16151740783777935, 0.392584925452394, 0.4739564132202104, 0.42492297187081957, 0.0, 0.15574612434148422, -0.07250362523714583, 0.9353403681069133, -0.03199155814395922, 0.0],
+    [0.0, 0.239020977469826, -1.1525568171692575, -0.2907502054675155, 1.1721392841610538, -0.5, 0.0, -1.7561735660934552, -0.49951076176532777, 1.3887676138051468, 0.5, 0.0],
+])
+# fmt: on

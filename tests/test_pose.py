@@ -8,7 +8,6 @@ from gesturegen.pose import (
     L_SHOULDER,
     NECK,
     POSE_DIM,
-    NormalizedPose,
     R_SHOULDER,
     RawPose,
     component_sweep,
@@ -17,6 +16,7 @@ from gesturegen.pose import (
     fit_pca,
     normalize_pose,
     project_pose,
+    shoulder_scale,
 )
 
 
@@ -50,32 +50,32 @@ class TestNormalizePose:
         # neck (100,200), shoulders 40 px away on the x axis: scale is 1/40
         raw = _raw_with((100.0, 200.0), (140.0, 200.0), (60.0, 200.0))
         norm = normalize_pose(raw)
-        assert np.allclose(norm.joints[NECK], [0.0, 0.0])
-        assert np.allclose(norm.joints[L_SHOULDER], [1.0, 0.0])
-        assert np.allclose(norm.joints[R_SHOULDER], [-1.0, 0.0])
+        assert np.allclose(norm[NECK], [0.0, 0.0])
+        assert np.allclose(norm[L_SHOULDER], [1.0, 0.0])
+        assert np.allclose(norm[R_SHOULDER], [-1.0, 0.0])
 
     def test_idempotent(self):
         raw = _raw_with((100.0, 200.0), (141.0, 196.0), (59.0, 203.0))
         once = normalize_pose(raw)
-        twice = normalize_pose(RawPose.complete(once.joints))
-        assert np.allclose(once.joints, twice.joints, atol=1e-12)
+        twice = normalize_pose(RawPose.complete(once))
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_translation_invariance(self):
         raw = _raw_with((100.0, 200.0), (141.0, 196.0), (59.0, 203.0))
         shifted = RawPose.complete(raw.joints + np.array([7.0, -3.0]))
-        assert np.allclose(normalize_pose(raw).joints, normalize_pose(shifted).joints, atol=1e-12)
+        assert np.allclose(normalize_pose(raw), normalize_pose(shifted), atol=1e-12)
 
     def test_scale_invariance(self):
         raw = _raw_with((10.0, 20.0), (14.0, 19.0), (6.0, 21.0))
         scaled = RawPose.complete(raw.joints * 3.7)
-        a, b = normalize_pose(raw).joints, normalize_pose(scaled).joints
+        a, b = normalize_pose(raw), normalize_pose(scaled)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_shoulder_scale_is_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             pose = random_normalized(rng)
-            assert abs(pose.shoulder_scale() - 1.0) < 1e-9
+            assert abs(shoulder_scale(pose) - 1.0) < 1e-9
 
     def test_missing_joint(self):
         raw = _raw_with((0.0, 0.0), (40.0, 0.0), (-40.0, 0.0))
@@ -111,14 +111,14 @@ class TestFitPca:
         pose = random_normalized(rng)
         model = fit_pca([pose] * 20)
         assert np.allclose(model.explained_variance_ratio, 0.0)
-        assert np.allclose(model.mean, pose.flatten())
+        assert np.allclose(model.mean, pose.reshape(-1))
 
     def test_rank_one(self):
         rng = np.random.default_rng(1)
         direction = rng.normal(size=POSE_DIM)
         direction /= np.linalg.norm(direction)
         base = rng.normal(size=POSE_DIM)
-        poses = [NormalizedPose.from_flat(base + t * direction) for t in np.linspace(-2, 2, 30)]
+        poses = [(base + t * direction).reshape(8, 2) for t in np.linspace(-2, 2, 30)]
         model = fit_pca(poses)
         assert abs(model.explained_variance_ratio[0] - 1.0) < 1e-9
         assert min(
@@ -130,7 +130,7 @@ class TestFitPca:
         basis = np.linalg.qr(rng.normal(size=(POSE_DIM, POSE_DIM)))[0][:, :10].T
         coeffs = rng.normal(size=(200, 10)) * np.linspace(3.0, 0.3, 10)
         data = rng.normal(size=POSE_DIM) + coeffs @ basis  # exact rank 10
-        model = fit_pca([NormalizedPose.from_flat(row) for row in data])
+        model = fit_pca([row.reshape(8, 2) for row in data])
         mean_o, rows_o, ratios_o = _svd_oracle(data, 10)
         assert np.allclose(model.mean, mean_o, atol=1e-10)
         assert np.allclose(model.components, rows_o, atol=1e-8)
@@ -156,7 +156,7 @@ class TestFitPca:
         rng = np.random.default_rng(6)
         basis = np.linalg.qr(rng.normal(size=(POSE_DIM, 6)))[0].T  # rank 6
         data = rng.normal(size=(50, 6)) @ basis
-        model = fit_pca([NormalizedPose.from_flat(row) for row in data])
+        model = fit_pca([row.reshape(8, 2) for row in data])
         assert np.all(model.explained_variance_ratio[6:] <= 1e-12)
 
     def test_deterministic_refit(self):
@@ -180,22 +180,22 @@ def fitted():
 
 class TestEncodeDecode:
     def test_mean_encodes_to_zero(self, fitted):
-        coeffs = encode_pose(fitted, NormalizedPose.from_flat(fitted.mean))
+        coeffs = encode_pose(fitted, fitted.mean.reshape(8, 2))
         assert np.max(np.abs(coeffs)) < 1e-10
 
     def test_zero_decodes_to_mean(self, fitted):
         pose = decode_pose(fitted, np.zeros(GESTURE_DIM))
-        assert np.array_equal(pose.flatten(), fitted.mean)
+        assert np.array_equal(pose.reshape(-1), fitted.mean)
 
     def test_basis_projection(self, fitted):
-        pose = NormalizedPose.from_flat(fitted.mean + 0.5 * fitted.components[1])
+        pose = (fitted.mean + 0.5 * fitted.components[1]).reshape(8, 2)
         coeffs = encode_pose(fitted, pose)
         expected = np.zeros(GESTURE_DIM)
         expected[1] = 0.5
         assert np.allclose(coeffs, expected, atol=1e-10)
 
     def test_clamp_on_first_component(self, fitted):
-        pose = NormalizedPose.from_flat(fitted.mean + 3.0 * fitted.components[0])
+        pose = (fitted.mean + 3.0 * fitted.components[0]).reshape(8, 2)
         coeffs = encode_pose(fitted, pose)
         assert coeffs[0] == 1.0
         raw = project_pose(fitted, pose)
@@ -204,7 +204,7 @@ class TestEncodeDecode:
     def test_clamped_components_in_range(self, fitted):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            coeffs = encode_pose(fitted, NormalizedPose.from_flat(rng.normal(0, 3, POSE_DIM)))
+            coeffs = encode_pose(fitted, rng.normal(0, 3, POSE_DIM).reshape(8, 2))
             for dim in CLAMPED_COMPONENTS:
                 assert -1.0 <= coeffs[dim - 1] <= 1.0
 
@@ -216,22 +216,22 @@ class TestEncodeDecode:
             back = encode_pose(fitted, pose)
             assert np.allclose(back, coeffs, atol=1e-8)
             again = decode_pose(fitted, back)
-            assert np.allclose(again.flatten(), pose.flatten(), atol=1e-8)
+            assert np.allclose(again.reshape(-1), pose.reshape(-1), atol=1e-8)
 
     def test_unit_coefficient_decodes_to_component(self, fitted):
         coeffs = np.zeros(GESTURE_DIM)
         coeffs[4] = 1.0
         pose = decode_pose(fitted, coeffs)
-        assert np.allclose(pose.flatten(), fitted.mean + fitted.components[4], atol=1e-12)
+        assert np.allclose(pose.reshape(-1), fitted.mean + fitted.components[4], atol=1e-12)
 
     def test_projection_optimality(self, fitted):
         rng = np.random.default_rng(14)
-        pose = NormalizedPose.from_flat(rng.normal(0, 1.5, POSE_DIM))
+        pose = rng.normal(0, 1.5, POSE_DIM).reshape(8, 2)
         best = decode_pose(fitted, project_pose(fitted, pose))
-        best_err = np.linalg.norm(best.flatten() - pose.flatten())
+        best_err = np.linalg.norm(best.reshape(-1) - pose.reshape(-1))
         for _ in range(1000):
             w = rng.normal(0, 2.0, GESTURE_DIM)
-            err = np.linalg.norm(decode_pose(fitted, w).flatten() - pose.flatten())
+            err = np.linalg.norm(decode_pose(fitted, w).reshape(-1) - pose.reshape(-1))
             assert best_err <= err + 1e-9
 
 
@@ -239,10 +239,10 @@ class TestComponentSweep:
     def test_single_zero_value(self, fitted):
         poses = component_sweep(fitted, 2, [0.0])
         assert len(poses) == 1
-        assert np.array_equal(poses[0].flatten(), fitted.mean)
+        assert np.array_equal(poses[0].reshape(-1), fitted.mean)
 
     def test_collinear(self, fitted):
-        a, b, c = (p.flatten() for p in component_sweep(fitted, 2, [-1.0, 0.0, 1.0]))
+        a, b, c = (p.reshape(-1) for p in component_sweep(fitted, 2, [-1.0, 0.0, 1.0]))
         assert np.allclose(b - a, c - b, atol=1e-12)
 
     def test_out_of_range(self, fitted):
