@@ -143,19 +143,91 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """np.matmul semantics for operands of ndim >= 2, broadcasting batch dims."""
+    """np.matmul semantics for operands of ndim >= 2, broadcasting batch dims.
+
+    An N-d input times a 2-d weight runs as one 2-d GEMM over the flattened
+    leading dims, forward and backward."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidConfig("matmul operands must have ndim >= 2")
-    out_val = np.matmul(a.data, b.data)
+    flat = a.ndim > 2 and b.ndim == 2
+    if flat:
+        out_val = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        out_val = np.matmul(a.data, b.data)
 
     def backprop(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            if flat:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            _accumulate(b, gb)
 
     return _wrap(out_val, (a, b), backprop)
+
+
+def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
+    """One fused GRU update, gates ordered update (z), reset (r), candidate:
+
+        z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
+        c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
+
+    gx is the hoisted input projection x W, (B, 3H), or (B, s, 3H) read at
+    time index t; h is (B, H); u is the gate-concatenated recurrent weight
+    (H, 3H) and b the bias (3H,). Rows where the optional (B,) bool mask
+    ``keep`` is False carry h unchanged (padded steps). The whole cell is one
+    graph node with a hand-written backward.
+    """
+    gx, h, u, b = as_tensor(gx), as_tensor(h), as_tensor(u), as_tensor(b)
+    hidden = h.shape[-1]
+    two = 2 * hidden
+    gxt = gx.data if t is None else gx.data[:, t]
+    hd, ud, bd = h.data, u.data, b.data
+    u_zr, u_c = ud[:, :two], ud[:, two:]
+    zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + hd @ u_zr) + bd[:two])) + 1.0)  # overflow-free logistic
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    rh = r * hd
+    c = np.tanh((gxt[:, two:] + rh @ u_c) + bd[two:])
+    out_val = hd + z * (c - hd)
+    if keep is not None:
+        keep = keep[:, None]
+        out_val = np.where(keep, out_val, hd)
+
+    def backprop(g):
+        g_carry = None
+        if keep is not None:
+            g_carry = np.where(keep, 0.0, g)
+            g = np.where(keep, g, 0.0)
+        d_pre = np.empty_like(gxt)
+        d_c = g * z
+        d_pre[:, two:] = d_c * (1.0 - c * c)
+        d_rh = d_pre[:, two:] @ u_c.T
+        d_pre[:, :hidden] = g * (c - hd) * z * (1.0 - z)
+        d_pre[:, hidden:two] = d_rh * hd * r * (1.0 - r)
+        if gx.requires_grad:
+            if t is None:
+                _accumulate(gx, d_pre)
+            else:
+                if gx.grad is None:
+                    gx.grad = np.zeros_like(gx.data)
+                gx.grad[:, t] += d_pre
+        if h.requires_grad:
+            d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T
+            if g_carry is not None:
+                d_h += g_carry
+            _accumulate(h, d_h)
+        if u.requires_grad:
+            d_u = np.empty_like(ud)
+            d_u[:, :two] = hd.T @ d_pre[:, :two]
+            d_u[:, two:] = rh.T @ d_pre[:, two:]
+            _accumulate(u, d_u)
+        if b.requires_grad:
+            _accumulate(b, d_pre.sum(axis=0))
+
+    return _wrap(out_val, (gx, h, u, b), backprop)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -167,16 +239,6 @@ def tanh(x) -> Tensor:
 
     def backprop(g):
         _accumulate(x, g * (1.0 - y * y))
-
-    return _wrap(y, (x,), backprop)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    y = 0.5 * (np.tanh(0.5 * x.data) + 1.0)  # numerically stable logistic
-
-    def backprop(g):
-        _accumulate(x, g * y * (1.0 - y))
 
     return _wrap(y, (x,), backprop)
 

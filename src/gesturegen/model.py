@@ -10,6 +10,15 @@ Every pass runs through one set of autodiff graph builders: `forward_graph`
 records the graph for training, `forward` runs the same builders without
 recording and returns plain arrays, and `backward` harvests parameter
 gradients from a recorded loss.
+
+A GRU cell step is one graph node (`autodiff.gru_step`, hand-written
+backward). Each pass concatenates a cell's per-gate weights once, as graph
+nodes, so checkpoints keep the per-gate parameters; the encoder projects
+all timesteps' inputs with one matmul per layer and direction before the
+recurrence. A batch of word sequences of different lengths runs as one
+zero-padded rollout: padded steps carry the encoder state in both
+directions and get attention weight exactly 0, so every row equals its own
+unpadded rollout.
 """
 
 from __future__ import annotations
@@ -169,12 +178,15 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
 
 
 class _Bag:
-    """Per-pass cache mapping parameters to graph tensors (and transposes)."""
+    """Per-pass cache mapping parameters to graph tensors: plain, transposed,
+    and each GRU cell's gates concatenated, so gradients split back into the
+    per-gate parameters."""
 
     def __init__(self, record: bool):
         self.record = record
         self._plain: dict[str, Tensor] = {}
         self._transposed: dict[str, Tensor] = {}
+        self._cells: dict[int, tuple] = {}
 
     def __call__(self, p: Parameter) -> Tensor:
         t = self._plain.get(p.name)
@@ -190,48 +202,69 @@ class _Bag:
             self._transposed[p.name] = t
         return t
 
+    def cell(self, cell: GruCellParams) -> tuple:
+        """(W (in, 3H), U (H, 3H), b (3H,)) with gates in z, r, h order."""
+        packed = self._cells.get(id(cell))
+        if packed is None:
+            packed = tuple(
+                ad.transpose(ad.concat([self(getattr(cell, f"{kind}_{gate}")) for gate in "zrh"], axis=0))
+                for kind in "wu"
+            ) + (ad.concat([self(cell.b_z), self(cell.b_r), self(cell.b_h)], axis=0),)
+            self._cells[id(cell)] = packed
+        return packed
+
 
 def _cell_step(bag: _Bag, cell: GruCellParams, x: Tensor, h: Tensor) -> Tensor:
-    """z = sigm(Wz x + Uz h + bz); r = sigm(Wr x + Ur h + br);
-    cand = tanh(Wh x + Uh (r*h) + bh); h' = h + z * (cand - h)."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, bag.T(cell.w_z)), ad.matmul(h, bag.T(cell.u_z))), bag(cell.b_z)))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, bag.T(cell.w_r)), ad.matmul(h, bag.T(cell.u_r))), bag(cell.b_r)))
-    cand = ad.tanh(
-        ad.add(ad.add(ad.matmul(x, bag.T(cell.w_h)), ad.matmul(ad.mul(r, h), bag.T(cell.u_h))), bag(cell.b_h))
-    )
-    return ad.add(h, ad.mul(z, ad.add(cand, ad.mul(h, -1.0))))
+    """One GRU update of a (B, input) step input: the input projection, then
+    the fused gate step (`autodiff.gru_step`)."""
+    w, u, b = bag.cell(cell)
+    return ad.gru_step(ad.matmul(x, w), h, u, b)
 
 
-def _run_direction(bag, cell, inputs, reverse: bool):
-    batch = inputs[0].shape[0]
+def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
+    """(B, s, in) inputs -> (B, s, H) states. One input matmul for every
+    step, then the fused recurrence; keep[t] (None: every row) masks the
+    rows whose sequence has ended, which carry their state."""
+    w, u, b = bag.cell(cell)
+    gx = ad.matmul(inputs, w)
+    batch, s, _ = inputs.shape
     h = Tensor(np.zeros((batch, cell.hidden_size)))
-    states = [None] * len(inputs)
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    for t in order:
-        h = _cell_step(bag, cell, inputs[t], h)
+    states = [None] * s
+    for t in range(s - 1, -1, -1) if reverse else range(s):
+        h = ad.gru_step(gx, h, u, b, t=t, keep=keep[t])
         states[t] = h
-    return states
+    return ad.stack(states, axis=1)
 
 
-def _encode_graph(model, bag, inputs, train, rng):
-    """inputs: list of (B, word_dim) tensors -> annotations tensor (B, s, 2H)."""
+def _encode_graph(model, bag, inputs: Tensor, lengths=None, train=False, rng=None, dropout=0.0):
+    """(B, s, word_dim) embedded words -> annotations (B, s, 2H). Row i has
+    lengths[i] words followed by padding (None: no padding); padded steps
+    carry the state in both directions, so the backward direction starts
+    from zero at each row's last word."""
+    s = inputs.shape[1]
+    if lengths is None:
+        keep = [None] * s
+    else:
+        keep = [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
     if train:
-        inputs = [ad.dropout(x, model.cfg.dropout, rng) for x in inputs]
-    layer_in = inputs
-    for layer, (fwd_cell, bwd_cell) in enumerate(model.encoder):
-        fwd = _run_direction(bag, fwd_cell, layer_in, reverse=False)
-        bwd = _run_direction(bag, bwd_cell, layer_in, reverse=True)
-        layer_in = [ad.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-    return ad.stack(layer_in, axis=1)
+        inputs = ad.dropout(inputs, dropout, rng)
+    for fwd_cell, bwd_cell in model.encoder:
+        fwd = _run_direction(bag, fwd_cell, inputs, keep, reverse=False)
+        bwd = _run_direction(bag, bwd_cell, inputs, keep, reverse=True)
+        inputs = ad.concat([fwd, bwd], axis=-1)
+    return inputs
 
 
 class _Attention:
-    """Additive scorer with the annotation projection precomputed once."""
+    """Additive scorer with the annotation projection precomputed once.
+    ``mask`` is a (B, s) array added to the scores: 0 on words, -inf on
+    padding, so padded positions get weight exactly 0."""
 
-    def __init__(self, model, bag, annotations: Tensor):
+    def __init__(self, model, bag, annotations: Tensor, mask=None):
         self.bag = bag
         self.model = model
         self.annotations = annotations  # (B, s, 2H)
+        self.mask = mask
         self.projected = ad.matmul(annotations, bag.T(model.att_ann))  # (B, s, A)
         self.score_col = ad.reshape(bag(model.att_score), (model.cfg.att_dim, 1))
 
@@ -240,17 +273,20 @@ class _Attention:
         query = ad.matmul(state, self.bag.T(self.model.att_query))  # (B, A)
         query = ad.reshape(query, (batch, 1, self.model.cfg.att_dim))
         scores = ad.matmul(ad.tanh(ad.add(query, self.projected)), self.score_col)  # (B, s, 1)
-        weights = ad.softmax(ad.reshape(scores, (batch, s)), axis=-1)
+        scores = ad.reshape(scores, (batch, s))
+        if self.mask is not None:
+            scores = ad.add(scores, self.mask)
+        weights = ad.softmax(scores, axis=-1)
         context = ad.matmul(ad.reshape(weights, (batch, 1, s)), self.annotations)
         return weights, ad.reshape(context, (batch, self.annotations.shape[-1]))
 
 
-def _decode_step_graph(model, bag, attention, prev_pose, h1, h2, train, rng):
+def _decode_step_graph(model, bag, attention, prev_pose, h1, h2, train=False, rng=None, dropout=0.0):
     pre = ad.add(ad.matmul(prev_pose, bag.T(model.pre_w)), bag(model.pre_b))
     weights, context = attention(h2)  # query with the top layer's previous state
     x = ad.concat([pre, context], axis=-1)
     if train:
-        x = ad.dropout(x, model.cfg.dropout, rng)
+        x = ad.dropout(x, dropout, rng)
     h1 = _cell_step(bag, model.decoder[0], x, h1)
     h2 = _cell_step(bag, model.decoder[1], h1, h2)
     pose = ad.add(ad.matmul(h2, bag.T(model.post_w)), bag(model.post_b))
@@ -273,13 +309,18 @@ def forward_graph(
     train: bool = False,
     rng: np.random.Generator | None = None,
     record: bool = True,
+    lengths=None,
+    dropout: float | None = None,
 ) -> RolloutGraph:
     """Batched rollout. embedded: (B, s, word_dim); seed_poses: (B, n, 10).
 
     Warms the decoder on the n seed poses (outputs unused except that the
     last one feeds the first emitted step), then emits m poses feeding each
-    into the next step. Dropout (first GRU layer inputs of both encoder and
-    decoder) is active only when train=True.
+    into the next step. ``lengths`` (B,) gives each row's word count when
+    rows are zero-padded to s (None: every row has s words); each row's
+    result equals its own unpadded rollout. Dropout (first GRU layer inputs
+    of both encoder and decoder) at rate ``dropout`` (None: the model's
+    configured rate) is active only when train=True.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
@@ -291,23 +332,35 @@ def forward_graph(
         raise InvalidConfig(
             f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
         )
-    if train and rng is None and model.cfg.dropout > 0.0:
+    batch, s, _ = embedded.shape
+    mask = None
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (batch,) or np.any(lengths < 1) or np.any(lengths > s):
+            raise InvalidConfig(f"lengths must be {batch} word counts in [1, {s}]")
+        if np.any(lengths < s):
+            mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
+        else:
+            lengths = None
+    if dropout is None:
+        dropout = model.cfg.dropout
+    if train and rng is None and dropout > 0.0:
         raise InvalidConfig("train-mode forward needs an rng for dropout")
 
-    batch, s, _ = embedded.shape
     bag = _Bag(record)
-    word_inputs = [Tensor(embedded[:, t]) for t in range(s)]
-    annotations = _encode_graph(model, bag, word_inputs, train, rng)
-    attention = _Attention(model, bag, annotations)
+    annotations = _encode_graph(model, bag, Tensor(embedded), lengths, train, rng, dropout)
+    attention = _Attention(model, bag, annotations, mask)
 
     h1 = Tensor(np.zeros((batch, model.cfg.hidden)))
     h2 = Tensor(np.zeros((batch, model.cfg.hidden)))
     prev = None
     for t in range(model.cfg.n_seed_poses):
-        prev, h1, h2, _ = _decode_step_graph(model, bag, attention, Tensor(seed_poses[:, t]), h1, h2, train, rng)
+        prev, h1, h2, _ = _decode_step_graph(
+            model, bag, attention, Tensor(seed_poses[:, t]), h1, h2, train, rng, dropout
+        )
     poses, rows = [], []
     for _ in range(model.cfg.n_output_poses):
-        prev, h1, h2, weights = _decode_step_graph(model, bag, attention, prev, h1, h2, train, rng)
+        prev, h1, h2, weights = _decode_step_graph(model, bag, attention, prev, h1, h2, train, rng, dropout)
         poses.append(prev)
         rows.append(weights)
     return RolloutGraph(poses=ad.stack(poses, axis=1), attn=ad.stack(rows, axis=1))

@@ -168,16 +168,14 @@ class TrainResult:
     history: list = field(default_factory=list)  # per-epoch LossBreakdown
 
 
-def _length_groups(batch_indices, lengths):
-    """Split a batch into runs of equal word count, ascending, stable."""
-    ordered = sorted(batch_indices, key=lambda i: lengths[i])
-    groups = []
-    for idx in ordered:
-        if groups and lengths[groups[-1][-1]] == lengths[idx]:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+def _check_finite(store: ParamStore, loss: float, epoch: int, batch: int):
+    if not np.isfinite(loss):
+        what = "loss"
+    elif not all(np.isfinite(p.grad).all() for _, p in store.items()):
+        what = "gradient"
+    else:
+        return
+    raise InvalidConfig(f"training diverged at epoch {epoch}, batch {batch}: non-finite {what}")
 
 
 def train_model(
@@ -187,17 +185,18 @@ def train_model(
     table,
     on_epoch=None,
 ) -> TrainResult:
-    """Seeded shuffle, fixed-size batches (last partial batch kept), forward
-    in train mode with ground-truth seed poses, loss on the m outputs,
-    backward, clip, Adam step. Deterministic for a fixed seed when run
-    single-threaded.
+    """Seeded shuffle, fixed-size batches (last partial batch kept), one
+    zero-padded train-mode rollout per batch with ground-truth seed poses,
+    loss on the m outputs, backward, clip, Adam step. Deterministic for a
+    fixed seed when run single-threaded. Dropout runs at ``h.dropout``;
+    ``model.cfg`` is not changed.
 
-    ``on_epoch(epoch_index, model, breakdown)`` runs after every epoch, for
-    checkpointing.
+    A non-finite loss or gradient raises InvalidConfig naming the
+    (0-based) epoch and batch. ``on_epoch(epoch_index, model, breakdown)``
+    runs after every epoch, for checkpointing.
     """
     if not pairs:
         raise InvalidConfig("no training pairs")
-    model.cfg.dropout = h.dropout
     n = model.cfg.n_seed_poses
     m = model.cfg.n_output_poses
     for p in pairs:
@@ -205,7 +204,7 @@ def train_model(
             raise InvalidConfig(f"pair has {p.target_poses.shape[0]} poses, expected {n + m}")
 
     embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
-    lengths = [e.shape[0] for e in embedded]
+    lengths = np.array([e.shape[0] for e in embedded])
     rng = np.random.default_rng(h.seed)
     state = AdamState(model.store)
     history = []
@@ -214,26 +213,24 @@ def train_model(
         perm = rng.permutation(len(pairs))
         sums = np.zeros(4)
         for bstart in range(0, len(perm), h.batch_size):
-            batch = list(perm[bstart : bstart + h.batch_size])
+            batch = perm[bstart : bstart + h.batch_size]
+            words = lengths[batch]
+            emb = np.zeros((len(batch), words.max(), embedded[0].shape[1]))
+            for row, i in enumerate(batch):
+                emb[row, : words[row]] = embedded[i]
+            seeds = np.stack([pairs[i].target_poses[:n] for i in batch])
+            targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()
-            batch_total = None
-            batch_sums = np.zeros(4)
-            for group in _length_groups(batch, lengths):
-                emb = np.stack([embedded[i] for i in group])
-                seeds = np.stack([pairs[i].target_poses[:n] for i in group])
-                targets = np.stack([pairs[i].target_poses[n:] for i in group])
-                rollout = forward_graph(model, emb, seeds, train=True, rng=rng)
-                breakdown, total = compute_loss_graph(rollout.poses, targets, h)
-                weight = len(group) / len(batch)
-                weighted = ad.mul(total, weight)
-                batch_total = weighted if batch_total is None else ad.add(batch_total, weighted)
-                batch_sums += weight * np.array(
-                    [breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
+                rollout = forward_graph(
+                    model, emb, seeds, train=True, rng=rng, lengths=words, dropout=h.dropout
                 )
-            backward(batch_total)
+                breakdown, total = compute_loss_graph(rollout.poses, targets, h)
+                backward(total)
+            _check_finite(model.store, breakdown.total, epoch, bstart // h.batch_size)
             clip_gradients(model.store, h.clip_lo, h.clip_hi)
             adam_step(model.store, state, h.lr)
-            sums += batch_sums * len(batch)
+            sums += np.array([breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]) * len(batch)
         means = sums / len(pairs)
         breakdown = LossBreakdown(
             mse=float(means[0]), continuity=float(means[1]), variance=float(means[2]), total=float(means[3])

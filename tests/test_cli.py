@@ -2,6 +2,7 @@
 of output bytes, and error reporting."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -498,3 +499,16 @@ def test_eval_width_mismatch_is_single_line(workspace, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err == "eval: 12 generated vs 10 reference columns"
+
+
+def test_diverging_train_is_single_line(workspace, tmp_path, capsys):
+    root, train_args = workspace
+    args = list(train_args)
+    args[args.index("--lr") + 1] = "1e300"
+    args[args.index("--out-dir") + 1] = str(tmp_path / "out")
+    args[args.index("--history") + 1] = str(tmp_path / "history.csv")
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "ck.ggck")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert re.fullmatch(r"train: training diverged at epoch \d+, batch \d+: non-finite (loss|gradient)", err), err
+    assert not (tmp_path / "ck.ggck").exists()

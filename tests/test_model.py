@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
     _Attention,
     _Bag,
-    _cell_step,
     _decode_step_graph,
     _encode_graph,
     backward,
@@ -26,12 +28,14 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    return _cell_step(_Bag(False), cell, Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])).data[0]
+    w, u, b = _Bag(False).cell(cell)
+    gx = ad.matmul(Tensor(np.asarray(x)[None]), w)
+    return ad.gru_step(gx, Tensor(np.asarray(h)[None]), u, b).data[0]
 
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    annotations = _encode_graph(model, _Bag(False), [Tensor(w[None]) for w in words], train=False, rng=None)
+    annotations = _encode_graph(model, _Bag(False), Tensor(np.stack(words)[None]))
     return list(annotations.data[0])
 
 
@@ -310,3 +314,68 @@ class TestBackward:
                 fd = (hi - lo) / (2 * step)
                 rel = abs(grad[i] - fd) / max(1e-6, abs(grad[i]), abs(fd))
                 assert rel < 1e-4, (name, i, grad[i], fd)
+
+
+PADDED = ModelConfig(word_dim=7, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.0)
+
+
+def _padded_batch(rng, lengths, s):
+    emb = np.zeros((len(lengths), s, 7))
+    for row, length in enumerate(lengths):
+        emb[row, :length] = rng.normal(size=(length, 7))
+    return emb, rng.normal(size=(len(lengths), 2, 10)) * 0.3
+
+
+class TestPaddedBatch:
+    def test_loss_and_gradients_equal_group_weighted_sum(self):
+        model = init_model(PADDED, seed=11)
+        rng = np.random.default_rng(13)
+        lengths = np.array([3, 1, 4, 3, 2, 4, 1])
+        emb, seeds = _padded_batch(rng, lengths, 4)
+        targets = rng.normal(size=(len(lengths), 3, 10)) * 0.3
+        h = Hyperparams()
+
+        rollout = forward_graph(model, emb, seeds, train=True, lengths=lengths, dropout=0.0)
+        padded, total = compute_loss_graph(rollout.poses, targets, h)
+        model.store.zero_grads()
+        backward(total)
+        padded_grads = {name: p.grad.copy() for name, p in model.store.items()}
+
+        # one unpadded rollout per word count, weighted by its share of the batch
+        model.store.zero_grads()
+        grouped = 0.0
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            out = forward_graph(model, emb[rows, :length], seeds[rows])
+            breakdown, group_total = compute_loss_graph(out.poses, targets[rows], h)
+            weight = len(rows) / len(lengths)
+            backward(ad.mul(group_total, weight))
+            grouped += weight * breakdown.total
+        assert abs(padded.total - grouped) <= 1e-12 * abs(grouped)
+        for name, p in model.store.items():
+            scale = np.max(np.abs(p.grad))
+            assert scale > 0.0, name
+            assert np.max(np.abs(padded_grads[name] - p.grad)) <= 1e-12 * scale, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eval_rows_equal_single_sequences(self, lengths, extra, seed):
+        model = init_model(PADDED, seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        s = max(lengths) + extra
+        emb, seeds = _padded_batch(rng, lengths, s)
+        out = forward_graph(model, emb, seeds, lengths=lengths, record=False)
+        for row, length in enumerate(lengths):
+            poses, attn = forward(model, emb[row, :length], seeds[row])
+            assert np.max(np.abs(out.poses.data[row] - poses)) <= 1e-12
+            assert np.max(np.abs(out.attn.data[row, :, :length] - attn)) <= 1e-12
+            assert np.all(out.attn.data[row, :, length:] == 0.0)
+        assert np.max(np.abs(out.attn.data.sum(axis=-1) - 1.0)) <= 1e-12
+
+    def test_bad_lengths(self, tiny):
+        with pytest.raises(InvalidConfig, match=r"lengths must be 2 word counts in \[1, 3\]"):
+            forward_graph(tiny, np.zeros((2, 3, 7)), np.zeros((2, 2, 10)), lengths=[0, 3])

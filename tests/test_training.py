@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gesturegen import training
 from gesturegen.autodiff import Tensor
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import InvalidConfig
-from gesturegen.model import ModelConfig, init_model
+from gesturegen.model import ModelConfig, backward, init_model
 from gesturegen.pose import RawPose, fit_pca
 from gesturegen.text import EmbeddingTable
 from gesturegen.training import (
@@ -310,3 +311,42 @@ class TestTrainModel:
             on_epoch=lambda e, model, b: seen.append(e),
         )
         assert seen == [0, 1]
+
+    def test_dropout_from_hyperparams_leaves_config(self):
+        rng = np.random.default_rng(9)
+        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
+        pairs = _template_pairs(4, 2, 4, rng)
+        model = init_model(cfg, seed=0)
+        h = Hyperparams(epochs=1, lr=1e-3, batch_size=4, dropout=0.3, seed=0)
+        train_model(pairs, h, model, _toy_table())
+        assert model.cfg == ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
+
+    def test_non_finite_loss_is_named(self):
+        rng = np.random.default_rng(10)
+        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.0)
+        model = init_model(cfg, seed=0)
+        model.post_b.value[0] = np.inf
+        with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 0, batch 0: non-finite loss$"):
+            train_model(_template_pairs(4, 2, 4, rng), Hyperparams(epochs=1, batch_size=2), model, _toy_table())
+
+    def test_non_finite_gradient_is_named(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.0)
+        model = init_model(cfg, seed=0)
+        calls = []
+
+        def poisoned(loss):
+            backward(loss)
+            calls.append(1)
+            if len(calls) == 4:  # epoch 1, batch 1 of two 2-pair batches
+                model.store["enc.l0.fwd.u_h"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 1, batch 1: non-finite gradient$"):
+            train_model(_template_pairs(4, 2, 4, rng), Hyperparams(epochs=2, batch_size=2), model, _toy_table())
+
+    def test_embedding_width_mismatch(self):
+        rng = np.random.default_rng(12)
+        cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4)
+        with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
+            train_model(_template_pairs(2, 2, 4, rng), Hyperparams(epochs=1), init_model(cfg, seed=0), _toy_table())
