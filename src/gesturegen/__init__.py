@@ -24,7 +24,6 @@ from .pose import (
     GESTURE_DIM,
     JOINT_NAMES,
     PcaModel,
-    RawPose,
     component_sweep,
     decode_pose,
     encode_pose,

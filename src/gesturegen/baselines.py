@@ -50,10 +50,6 @@ def bleu_score(candidate, reference, max_n: int = 4) -> float:
     return brevity * math.exp(log_sum)
 
 
-def _record_track(record, pca) -> np.ndarray:
-    return np.stack([encode_pose(pca, normalize_pose(f)) for f in record.frames])
-
-
 def _crossfade(segments, overlap: int = 4) -> np.ndarray:
     """Concatenate pose segments, linearly blending `overlap` shared frames
     at each junction. Output length is the total minus the overlaps."""
@@ -83,7 +79,7 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int =
         raise InvalidConfig("empty query text")
 
     ordered = sorted(records, key=lambda r: r.id)
-    tracks = {rec.id: _record_track(rec, pca) for rec in ordered}
+    tracks = {rec.id: encode_pose(pca, normalize_pose(rec.frames)) for rec in ordered}
     fps = ordered[0].fps
 
     segments = []
@@ -120,7 +116,7 @@ def random_baseline(records, pca, speech_duration: float, rng) -> TimedPoseTrack
     if not records:
         raise InvalidConfig("no training records")
     rec = records[int(rng.integers(0, len(records)))]
-    track = TimedPoseTrack(frames=_record_track(rec, pca), fps=rec.fps)
+    track = TimedPoseTrack(frames=encode_pose(pca, normalize_pose(rec.frames)), fps=rec.fps)
     return align_track(track, speech_duration)
 
 

@@ -92,20 +92,22 @@ def cmd_synth_corpus(cfg: Config, args) -> int:
 
 def cmd_curate(cfg: Config, args) -> int:
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
-    kept, report = curate_shots(records, cfg.curation_thresholds())
+    kept, entries = curate_shots(records, cfg.curation_thresholds())
     out = _prepare(args.out) if args.out else str(_out_path(cfg, "curated.jsonl"))
     save_records_jsonl(kept, out)
     if args.report:
-        entries = [{"id": rid, "kept": ok, "rule": rule} for rid, ok, rule in report.entries]
+        report = [{"id": rid, "kept": ok, "rule": rule} for rid, ok, rule in entries]
         with open_for_write(args.report, "curation report") as fh:
-            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"kept {len(kept)} of {len(records)} records -> {out}")
     return 0
 
 
 def cmd_fit_pca(cfg: Config, args) -> int:
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
-    poses = [normalize_pose(f) for rec in records for f in rec.frames]
+    if not records:
+        raise InvalidConfig("dataset has no records")
+    poses = np.concatenate([normalize_pose(rec.frames) for rec in records])
     pca = fit_pca(poses, cfg.pca_components)
     ck_path = _prepare(_require(cfg.checkpoint, "checkpoint path"))
     save_checkpoint(Checkpoint(config=cfg.to_dict(), pca=pca), ck_path)

@@ -1,9 +1,11 @@
 """Dataset records, shot-curation filters, and the synthetic corpus.
 
-Records hold raw pixel-space pose tracks with word-level transcript
-timestamps. Curation keeps only shots that look like usable frontal
-upper-body footage: every joint visible, figure large in frame, roughly
-frontal, at least five seconds long, actually moving, and not jittering.
+A record holds a raw pixel-space pose track, one (T, 8, 2) float64 array
+(y down, JOINT_NAMES order) in which an undetected joint is a NaN row, with
+word-level transcript timestamps. Curation keeps only shots that look like
+usable frontal upper-body footage: every joint visible, figure large in
+frame, roughly frontal, at least five seconds long, actually moving, and
+not jittering; each rule is one array expression over the record.
 
 The synthetic corpus generator stands in for real footage at desk scale:
 a small template grammar where certain keywords drive parametric gesture
@@ -15,7 +17,8 @@ pixel-space pose frames at 12 fps with mild seeded wobble.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .pose import (
     R_ELBOW,
     R_SHOULDER,
     R_WRIST,
-    RawPose,
+    rowdot,
 )
 
 
@@ -39,6 +42,16 @@ class WordSpan:
     t_start: float
     t_end: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise InvalidConfig(f"word {self.surface!r} needs finite times")
+        if self.t_end < self.t_start:
+            raise InvalidConfig(f"word {self.surface!r} ends before it starts")
+
+
+def _finite_positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
 
 @dataclass
 class DatasetRecord:
@@ -46,13 +59,21 @@ class DatasetRecord:
     fps: float
     frame_height: float
     words: list  # of WordSpan, starts non-decreasing
-    frames: list  # of RawPose
+    frames: np.ndarray  # (T, 8, 2) pixels, NaN rows for undetected joints
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise InvalidConfig("fps must be positive")
-        if not self.frames:
-            raise InvalidConfig("record needs at least one frame")
+        if not _finite_positive(self.fps):
+            raise InvalidConfig("fps must be finite and positive")
+        if not _finite_positive(self.frame_height):
+            raise InvalidConfig("frame height must be finite and positive")
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        if self.frames.shape[1:] != (8, 2) or len(self.frames) == 0:
+            raise InvalidConfig(f"record needs (T >= 1, 8, 2) frames, got {self.frames.shape}")
+        if np.isinf(self.frames).any():
+            raise InvalidConfig("joint coordinates must be finite or NaN")
+        absent = np.isnan(self.frames)
+        if (absent[..., 0] != absent[..., 1]).any():
+            raise InvalidConfig("a joint has exactly one NaN coordinate")
         starts = [w.t_start for w in self.words]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise InvalidConfig("word timestamps must be non-decreasing")
@@ -71,65 +92,50 @@ class CurationThresholds:
     max_jitter: float = 30.0  # 99th-percentile inter-frame displacement, pixels
 
 
-@dataclass
-class CurationReport:
-    """One entry per input record: (record id, kept, first violated rule)."""
-
-    entries: list = field(default_factory=list)
-
-    def add(self, record_id, kept, rule=None):
-        self.entries.append((record_id, kept, rule))
-
-
-def _upper_body_height(frame: RawPose) -> float:
-    neck = frame.joints[NECK]
-    head = np.linalg.norm(frame.joints[HEAD] - neck)
-    wrist = max(
-        np.linalg.norm(frame.joints[L_WRIST] - neck),
-        np.linalg.norm(frame.joints[R_WRIST] - neck),
-    )
-    return head + wrist
+def _norm(v):
+    """Euclidean lengths of (..., 2) vectors."""
+    return np.sqrt(rowdot(v, v))
 
 
 def _first_violation(rec: DatasetRecord, th: CurationThresholds):
-    if not all(f.present.all() for f in rec.frames):
+    frames = rec.frames
+    if np.isnan(frames).any():
         return "visibility"
-    heights = np.array([_upper_body_height(f) for f in rec.frames])
+    neck = frames[:, NECK]
+    wrist = np.maximum(_norm(frames[:, L_WRIST] - neck), _norm(frames[:, R_WRIST] - neck))
+    heights = _norm(frames[:, HEAD] - neck) + wrist  # upper-body height per frame
     if heights.mean() <= th.min_size_ratio * rec.frame_height:
         return "size"
-    widths = np.array([np.linalg.norm(f.joints[L_SHOULDER] - f.joints[R_SHOULDER]) for f in rec.frames])
+    widths = _norm(frames[:, L_SHOULDER] - frames[:, R_SHOULDER])
     if widths.mean() <= th.min_frontal_ratio * heights.mean():
         return "frontality"
     if rec.duration < th.min_duration:
         return "duration"
-    if len(rec.frames) >= 2:
-        stack = np.stack([f.joints for f in rec.frames])
-        disp = np.linalg.norm(np.diff(stack, axis=0), axis=2).mean(axis=1)  # per frame pair
-        if disp.mean() <= th.min_motion:
-            return "motion"
-        if np.percentile(disp, 99) >= th.max_jitter:
-            return "jitter"
-    else:
+    if len(frames) < 2:
         return "motion"
+    disp = _norm(np.diff(frames, axis=0)).mean(axis=1)  # per frame pair
+    if disp.mean() <= th.min_motion:
+        return "motion"
+    if np.percentile(disp, 99) >= th.max_jitter:
+        return "jitter"
     return None
 
 
 def curate_shots(records, thresholds: CurationThresholds = CurationThresholds()):
-    """Pure filter: returns (kept records in input order, CurationReport).
+    """Pure filter: returns (kept records in input order, entries), one
+    (record id, kept, first violated rule or None) entry per input record.
 
     Rules are checked in a fixed order (visibility, size, frontality,
     duration, motion, jitter) and the first violation is reported.
     """
     kept = []
-    report = CurationReport()
+    entries = []
     for rec in records:
         rule = _first_violation(rec, thresholds)
         if rule is None:
             kept.append(rec)
-            report.add(rec.id, True)
-        else:
-            report.add(rec.id, False, rule)
-    return kept, report
+        entries.append((rec.id, rule is None, rule))
+    return kept, entries
 
 
 # -- synthetic corpus ---------------------------------------------------------
@@ -221,7 +227,7 @@ def _render_frames(words, rng):
             offsets[:, joint, axis] += rng.uniform(1.0, 3.0) * np.sin(2 * np.pi * freq * t + phase)
     offsets += rng.normal(0.0, 0.4, size=offsets.shape)
 
-    return [RawPose.complete(_BASE + offsets[i]) for i in range(count)]
+    return _BASE + offsets
 
 
 def _build_sentence(rng):
@@ -281,12 +287,18 @@ def save_records_jsonl(records, path):
                 "fps": rec.fps,
                 "frame_height": rec.frame_height,
                 "words": [[w.surface, w.t_start, w.t_end] for w in rec.words],
-                "frames": [
-                    [([float(x), float(y)] if present else None) for (x, y), present in zip(f.joints, f.present)]
-                    for f in rec.frames
-                ],
+                "frames": rec.frames.tolist(),
             }
+            for t, j in zip(*np.nonzero(np.isnan(rec.frames[..., 0]))):
+                obj["frames"][t][j] = None
             fh.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+_ABSENT = [math.nan, math.nan]
 
 
 def load_records_jsonl(path) -> list:
@@ -298,16 +310,8 @@ def load_records_jsonl(path) -> list:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                    frames = []
-                    for joints in obj["frames"]:
-                        arr = np.zeros((8, 2))
-                        present = np.zeros(8, dtype=bool)
-                        for j, entry in enumerate(joints):
-                            if entry is not None:
-                                arr[j] = entry
-                                present[j] = True
-                        frames.append(RawPose(arr, present))
+                    obj = json.loads(line, parse_constant=_reject_constant)
+                    frames = [[_ABSENT if joint is None else joint for joint in f] for f in obj["frames"]]
                     records.append(
                         DatasetRecord(
                             id=obj["id"],

@@ -1,12 +1,17 @@
 """Upper-body pose representation and the low-dimensional gesture space.
 
 Poses are plain float64 arrays of 8 joints in JOINT_NAMES order:
-- a 2D pose is (..., 8, 2) in image convention (y down); a normalized
-  pose has the neck at the origin and mean neck-to-shoulder distance 1;
+- a 2D pose is (..., 8, 2) in image convention (y down); in a raw
+  pixel-space pose an undetected joint is a NaN row; a normalized pose has
+  no missing joints, the neck at the origin and mean neck-to-shoulder
+  distance 1;
 - a 3D pose is (..., 8, 3) in the torso frame (see kinematics.py).
 Flattening order is fixed so fitted models and checkpoints stay portable:
 head, neck, l_shoulder, l_elbow, l_wrist, r_shoulder, r_elbow, r_wrist,
 with x before y (16 values).
+
+normalize_pose, project_pose and encode_pose take one pose or a stack of
+them and give the same bits either way.
 
 Gesture vectors are 10-dimensional coefficient vectors in a linear pose
 basis fitted from data; components 1 and 4 (1-based) are restrained to
@@ -39,32 +44,6 @@ GESTURE_DIM = 10
 CLAMPED_COMPONENTS = (1, 4)  # 1-based component indices clamped at encode time
 
 
-@dataclass(frozen=True)
-class RawPose:
-    """Detected 2D joints in image pixels (y grows downward).
-
-    joints: (8, 2) float array in JOINT_NAMES order.
-    present: (8,) bool array, False where the detector produced no joint.
-    """
-
-    joints: np.ndarray
-    present: np.ndarray
-
-    def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        present = np.asarray(self.present, dtype=bool)
-        if joints.shape != (8, 2) or present.shape != (8,):
-            raise InvalidConfig(f"raw pose needs (8,2) joints and (8,) flags, got {joints.shape}/{present.shape}")
-        if not np.all(np.isfinite(joints[present])):
-            raise InvalidConfig("present joints must have finite coordinates")
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "present", present)
-
-    @classmethod
-    def complete(cls, joints) -> "RawPose":
-        return cls(np.asarray(joints, dtype=np.float64), np.ones(8, dtype=bool))
-
-
 def rowdot(a, b):
     """Dot products over the last axis of stacked vectors. Each is one
     (1, D) @ (D, 1) product, which rounds exactly as np.dot does on a single
@@ -94,17 +73,25 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def normalize_pose(raw: RawPose) -> np.ndarray:
-    """(8, 2) pose with the neck translated to the origin and rescaled so
-    that the mean neck-to-shoulder distance is exactly 1."""
-    if not raw.present.all():
-        missing = [JOINT_NAMES[i] for i in np.flatnonzero(~raw.present)]
-        raise DegeneratePose(f"missing joints: {', '.join(missing)}")
-    centered = raw.joints - raw.joints[NECK]
+def normalize_pose(joints) -> np.ndarray:
+    """(..., 8, 2) poses with the neck translated to the origin and
+    rescaled so that the mean neck-to-shoulder distance is exactly 1.
+
+    A joint with a non-finite coordinate (NaN marks an undetected joint) is
+    missing; the error names the missing joints of the first such frame.
+    """
+    joints = np.asarray(joints, dtype=np.float64)
+    if joints.shape[-2:] != (8, 2):
+        raise InvalidConfig(f"poses need shape (..., 8, 2), got {joints.shape}")
+    if not np.isfinite(joints).all():
+        bad = ~np.isfinite(joints).reshape(-1, 8, 2).all(axis=2)
+        first = bad[np.flatnonzero(bad.any(axis=1))[0]]
+        raise DegeneratePose(f"missing joints: {', '.join(JOINT_NAMES[i] for i in np.flatnonzero(first))}")
+    centered = joints - joints[..., NECK : NECK + 1, :]
     scale = shoulder_scale(centered)
-    if scale < 1e-12:
+    if (scale < 1e-12).any():
         raise DegeneratePose("both shoulders coincide with the neck")
-    return centered / scale
+    return centered / scale[..., None, None]
 
 
 def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
@@ -141,18 +128,22 @@ def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
     return PcaModel(mean=mean, components=rows, explained_variance_ratio=ratios)
 
 
-def project_pose(model: PcaModel, pose) -> np.ndarray:
-    """Raw (unclamped) coefficients of an (8, 2) pose in the fitted basis."""
-    return model.components @ (np.reshape(pose, POSE_DIM) - model.mean)
+def project_pose(model: PcaModel, poses) -> np.ndarray:
+    """Raw (unclamped) (..., k) coefficients of (..., 8, 2) poses in the
+    fitted basis. One stacked (k, 16) @ (16, 1) product per pose, so a batch
+    projects bit for bit as its poses do one at a time."""
+    poses = np.asarray(poses, dtype=np.float64)
+    flat = poses.reshape(poses.shape[:-2] + (POSE_DIM,)) - model.mean
+    return (model.components @ flat[..., :, None])[..., 0]
 
 
-def encode_pose(model: PcaModel, pose) -> np.ndarray:
-    """Project an (8, 2) pose onto the basis, then clamp the
+def encode_pose(model: PcaModel, poses) -> np.ndarray:
+    """Project (..., 8, 2) poses onto the basis, then clamp the
     in-plane-rotation components (1 and 4, 1-based) to [-1, 1]."""
-    coeffs = project_pose(model, pose)
+    coeffs = project_pose(model, poses)
     for dim in CLAMPED_COMPONENTS:
-        if dim <= coeffs.shape[0]:
-            coeffs[dim - 1] = np.clip(coeffs[dim - 1], -1.0, 1.0)
+        if dim <= coeffs.shape[-1]:
+            coeffs[..., dim - 1] = np.clip(coeffs[..., dim - 1], -1.0, 1.0)
     return coeffs
 
 

@@ -67,6 +67,8 @@ def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> Chu
     tokens = list(tokens)
     if not tokens:
         raise InvalidConfig("cannot plan chunks for empty text")
+    if not math.isfinite(speech_duration):
+        raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
     if speech_duration <= 0:
         raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     total = len(tokens)
@@ -109,6 +111,8 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
     a track already at the right length comes back unchanged."""
     if len(track) == 0:
         raise InvalidConfig("cannot align an empty track")
+    if not math.isfinite(speech_duration):
+        raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
     if speech_duration <= 0:
         raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     target = int(math.ceil(speech_duration * track.fps))

@@ -148,7 +148,7 @@ def make_training_pairs(records, pca, n: int, m: int, stride: int | None = None)
         if not rec.words or len(rec.frames) < n + m:
             continue
         chunks = plan_chunks([w.surface for w in rec.words], rec.duration, n, m).chunks
-        coeffs = np.stack([encode_pose(pca, normalize_pose(f)) for f in rec.frames])
+        coeffs = encode_pose(pca, normalize_pose(rec.frames))
         total = coeffs.shape[0]
         for start in range(0, total - m + 1, stride):
             chunk = chunks[min(start // m, len(chunks) - 1)]

@@ -2,6 +2,7 @@
 (``bench/workloads.py``); a rename in the package would silently drop a
 layer from the trace, so every traced name must still resolve."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def test_retarget_reaches_each_traced_layer_once(workloads, monkeypatch):
     import numpy as np
 
     from gesturegen import lifting
-    from gesturegen.pose import RawPose, fit_pca, normalize_pose
+    from gesturegen.pose import fit_pca, normalize_pose
     from gesturegen.synthesis import TimedPoseTrack
 
     layers = [
@@ -55,8 +56,27 @@ def test_retarget_reaches_each_traced_layer_once(workloads, monkeypatch):
 
     rng = np.random.default_rng(0)
     base = np.array([[0, -1], [0, 0], [1, 0], [1.2, 0.8], [1.3, 1.6], [-1, 0], [-1.2, 0.8], [-1.3, 1.6]])
-    pca = fit_pca([normalize_pose(RawPose.complete(base + rng.normal(0, 0.05, (8, 2)))) for _ in range(20)])
+    pca = fit_pca([normalize_pose(base + rng.normal(0, 0.05, (8, 2))) for _ in range(20)])
     track = TimedPoseTrack(frames=rng.normal(0, 0.3, size=(9, 10)))
     out = lifting.retarget_track(track, pca, lifting.init_lift_params(seed=0), {"head_yaw": (-0.3, 0.3)})
     assert out.frames.shape == (9, 12)
     assert calls == dict.fromkeys(layers, 1)
+
+
+def test_train_setup_digest_pinned(workloads, tmp_path):
+    """The train set-up (corpus, pose basis, training pairs) hashes to the
+    value the benchmark printed for seed 0 before records became arrays."""
+    _, digest = workloads.setup_train(0, tmp_path)
+    assert digest == "a2a0fdce1a34c070d8ee65e4e721b40ddf4dbfc264997167d5bb5b0acdebaf8a"
+
+
+def test_synth_corpus_bytes_pinned(tmp_path):
+    """The criterion-11 corpus file, as written before records became arrays."""
+    from gesturegen.cli import main
+
+    out = tmp_path / "corpus.jsonl"
+    args = ["synth-corpus", "--sentences", "10", "--seed", "5", "--out", str(out), "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7ca985bbd290725053edddc4f90bedbe48e3b82b7fc9aa2c34b5787764d69271"
+    )

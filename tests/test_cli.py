@@ -501,6 +501,34 @@ def test_eval_width_mismatch_is_single_line(workspace, tmp_path, capsys):
     assert err == "eval: 12 generated vs 10 reference columns"
 
 
+def test_non_finite_record_train_is_single_line(workspace, tmp_path, capsys):
+    root, train_args = workspace
+    lines = (root / "kept.jsonl").read_text().splitlines()
+    lines[1] = lines[1].replace('"fps":12.0', '"fps":NaN')
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    args = list(train_args)
+    args[args.index("--dataset") + 1] = str(tmp_path / "bad.jsonl")
+    args[args.index("--out-dir") + 1] = str(tmp_path / "out")
+    args[args.index("--history") + 1] = str(tmp_path / "history.csv")
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "ck.ggck")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("train: ") and "bad record on line 2: non-finite number NaN" in err
+    assert "\n" not in err
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["schedule", "generate"])
+def test_non_finite_duration_is_single_line(workspace, tmp_path, capsys, command, duration):
+    root, _ = workspace
+    args = [command, "--text", "hello there", "--duration", duration, "--checkpoint", str(root / "ck.ggck")]
+    capsys.readouterr()
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"{command}: speech duration must be finite, got {duration}"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_diverging_train_is_single_line(workspace, tmp_path, capsys):
     root, train_args = workspace
     args = list(train_args)

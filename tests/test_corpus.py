@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from gesturegen.corpus import (
     synth_corpus,
 )
 from gesturegen.errors import InvalidConfig, MalformedFile
-from gesturegen.pose import L_WRIST, R_WRIST, RawPose
+from gesturegen.pose import L_WRIST, R_WRIST
 
 
 def _passing_record(record_id="ok", n_frames=70, fps=12.0):
@@ -26,7 +28,7 @@ def _passing_record(record_id="ok", n_frames=70, fps=12.0):
         wobble = 6.0 * np.sin(2 * np.pi * 0.8 * i / fps)
         offsets = rng.normal(0, 0.5, (8, 2))
         offsets[:, 1] += wobble
-        frames.append(RawPose.complete(base + offsets))
+        frames.append(base + offsets)
     words = [WordSpan("hello", 0.3, 0.8), WordSpan("there", 0.8, 1.3)]
     return DatasetRecord(id=record_id, fps=fps, frame_height=400, words=words, frames=frames)
 
@@ -48,27 +50,40 @@ class TestRecordValidation:
             )
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])  # NaN in one coordinate only
+    def test_bad_coordinates(self, value):
+        frames = _passing_record().frames.copy()
+        frames[2, 4, 0] = value
+        with pytest.raises(InvalidConfig):
+            DatasetRecord(id="x", fps=12, frame_height=400, words=[], frames=frames)
+
+    def test_frame_shape(self):
+        with pytest.raises(InvalidConfig):
+            DatasetRecord(id="x", fps=12, frame_height=400, words=[], frames=np.zeros((3, 7, 2)))
+
+    def test_word_ends_before_start(self):
+        with pytest.raises(InvalidConfig):
+            WordSpan("a", 1.0, 0.5)
+
+
 class TestCurateShots:
     def test_passing_record_kept(self):
-        kept, report = curate_shots([_passing_record()])
+        kept, entries = curate_shots([_passing_record()])
         assert len(kept) == 1
-        assert report.entries == [("ok", True, None)]
+        assert entries == [("ok", True, None)]
 
     def test_duration_rule(self):
         short = _passing_record("short", n_frames=58)  # 4.83 s < 5 s
-        kept, report = curate_shots([short])
+        kept, entries = curate_shots([short])
         assert kept == []
-        assert report.entries[0] == ("short", False, "duration")
+        assert entries[0] == ("short", False, "duration")
 
     def test_missing_joint_rule(self):
         rec = _passing_record("nomiss")
-        frame = rec.frames[10]
-        present = frame.present.copy()
-        present[L_WRIST] = False
-        rec.frames[10] = RawPose(frame.joints, present)
-        kept, report = curate_shots([rec])
+        rec.frames[10, L_WRIST] = np.nan
+        kept, entries = curate_shots([rec])
         assert kept == []
-        assert report.entries[0][2] == "visibility"
+        assert entries[0][2] == "visibility"
 
     def test_size_rule(self):
         rec = _passing_record("small")
@@ -77,11 +92,11 @@ class TestCurateShots:
             fps=rec.fps,
             frame_height=rec.frame_height,
             words=rec.words,
-            frames=[RawPose.complete(f.joints * 0.3) for f in rec.frames],
+            frames=rec.frames * 0.3,
         )]
-        kept, report = curate_shots(tiny)
+        kept, entries = curate_shots(tiny)
         assert kept == []
-        assert report.entries[0][2] == "size"
+        assert entries[0][2] == "size"
 
     def test_still_picture_rule(self):
         rec = _passing_record("still")
@@ -92,28 +107,26 @@ class TestCurateShots:
             words=rec.words,
             frames=[rec.frames[0]] * len(rec.frames),
         )
-        kept, report = curate_shots([frozen])
+        kept, entries = curate_shots([frozen])
         assert kept == []
-        assert report.entries[0][2] == "motion"
+        assert entries[0][2] == "motion"
 
     def test_jitter_rule(self):
         rec = _passing_record("jitter")
-        frames = list(rec.frames)
-        jumped = frames[30].joints.copy()
-        jumped += 200.0  # teleporting pose
-        frames[30] = RawPose.complete(jumped)
+        frames = rec.frames.copy()
+        frames[30] += 200.0  # teleporting pose
         noisy = DatasetRecord(id="jitter", fps=rec.fps, frame_height=rec.frame_height, words=rec.words, frames=frames)
-        kept, report = curate_shots([noisy])
+        kept, entries = curate_shots([noisy])
         assert kept == []
-        assert report.entries[0][2] == "jitter"
+        assert entries[0][2] == "jitter"
 
     def test_pure_filter_order_preserved(self):
         records = [_passing_record(f"r{i}") for i in range(3)]
         records.insert(1, _passing_record("bad", n_frames=30))
-        kept, report = curate_shots(records)
+        kept, entries = curate_shots(records)
         assert [r.id for r in kept] == ["r0", "r1", "r2"]
-        assert [e[0] for e in report.entries] == ["r0", "bad", "r1", "r2"]
-        assert len(report.entries) == len(records)
+        assert [e[0] for e in entries] == ["r0", "bad", "r1", "r2"]
+        assert len(entries) == len(records)
 
 
 class TestSynthCorpus:
@@ -123,12 +136,12 @@ class TestSynthCorpus:
         for ra, rb in zip(a, b):
             assert ra.id == rb.id
             assert [w.surface for w in ra.words] == [w.surface for w in rb.words]
-            assert all(np.array_equal(x.joints, y.joints) for x, y in zip(ra.frames, rb.frames))
+            assert np.array_equal(ra.frames, rb.frames)
 
     def test_all_records_pass_curation(self):
         records = synth_corpus(seed=2, n_sentences=40)
-        kept, report = curate_shots(records)
-        failures = [e for e in report.entries if not e[1]]
+        kept, entries = curate_shots(records)
+        failures = [e for e in entries if not e[1]]
         assert failures == []
         assert len(kept) == 40
 
@@ -143,7 +156,7 @@ class TestSynthCorpus:
         records = synth_corpus(seed=4, n_sentences=60)
 
         def max_spread(rec):
-            return max(np.linalg.norm(f.joints[L_WRIST] - f.joints[R_WRIST]) for f in rec.frames)
+            return max(np.linalg.norm(f[L_WRIST] - f[R_WRIST]) for f in rec.frames)
 
         bigs = [max_spread(r) for r in records if any(w.surface == "big" for w in r.words)]
         smalls = [max_spread(r) for r in records if any(w.surface == "small" for w in r.words)]
@@ -160,10 +173,7 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         records = synth_corpus(seed=6, n_sentences=3)
         # punch one joint out to exercise the null path
-        frame = records[0].frames[0]
-        present = frame.present.copy()
-        present[3] = False
-        records[0].frames[0] = RawPose(frame.joints, present)
+        records[0].frames[0, 3] = np.nan
         path = tmp_path / "corpus.jsonl"
         save_records_jsonl(records, path)
         loaded = load_records_jsonl(path)
@@ -171,9 +181,34 @@ class TestJsonl:
         for a, b in zip(records, loaded):
             assert a.id == b.id and a.fps == b.fps and a.frame_height == b.frame_height
             assert [w.surface for w in a.words] == [w.surface for w in b.words]
-            for fa, fb in zip(a.frames, b.frames):
-                assert np.array_equal(fa.present, fb.present)
-                assert np.array_equal(fa.joints[fa.present], fb.joints[fb.present])
+            assert np.array_equal(a.frames, b.frames, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "where, raw",
+        [
+            (("fps",), "NaN"),
+            (("fps",), "1e999"),
+            (("frame_height",), "Infinity"),
+            (("frame_height",), "-1e999"),
+            (("words", 0, 2), "0.1"),  # ends before its 0.3 s start
+            (("words", 1, 1), "1e999"),
+            (("frames", 5, 3, 0), "NaN"),
+            (("frames", 5, 3, 1), "1e999"),
+        ],
+    )
+    def test_non_finite_field_rejected_with_line_number(self, tmp_path, where, raw):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl([_passing_record(f"r{i}") for i in range(3)], path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = "PLACEHOLDER"
+        lines[1] = json.dumps(obj).replace('"PLACEHOLDER"', raw)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match="bad record on line 2: "):
+            load_records_jsonl(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.jsonl"

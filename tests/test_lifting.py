@@ -20,7 +20,7 @@ from gesturegen.lifting import (
     train_lift,
 )
 from gesturegen.model import backward
-from gesturegen.pose import NECK, RawPose, fit_pca, normalize_pose, shoulder_scale
+from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
@@ -209,7 +209,7 @@ def _track_pca():
         [[320, 110], [320, 190], [375, 190], [395, 255], [405, 320], [265, 190], [245, 255], [235, 320]],
         dtype=float,
     )
-    poses = [normalize_pose(RawPose.complete(base + rng.normal(0, 6.0, (8, 2)))) for _ in range(40)]
+    poses = [normalize_pose(base + rng.normal(0, 6.0, (8, 2))) for _ in range(40)]
     return fit_pca(poses)
 
 
@@ -261,7 +261,7 @@ class TestRetarget:
             [[320, 110], [320, 190], [375, 190], [395, 255], [405, 320], [265, 190], [245, 255], [235, 320]],
             dtype=float,
         )
-        pca = fit_pca([normalize_pose(RawPose.complete(base + rng.normal(0, 6.0, (8, 2)))) for _ in range(40)])
+        pca = fit_pca([normalize_pose(base + rng.normal(0, 6.0, (8, 2))) for _ in range(40)])
         lift = train_lift(synth_pose3d_corpus(seed=41, size=30), LiftTrainConfig(steps=50, seed=42))
         track = TimedPoseTrack(frames=rng.normal(0, 0.6, size=(48, 10)), fps=12.0)
         limits = {

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.pose import (
     CLAMPED_COMPONENTS,
     GESTURE_DIM,
+    JOINT_NAMES,
     L_SHOULDER,
     NECK,
     POSE_DIM,
     R_SHOULDER,
-    RawPose,
     component_sweep,
     decode_pose,
     encode_pose,
@@ -34,7 +37,7 @@ def _raw_with(neck, l_sh, r_sh):
         ],
         dtype=float,
     )
-    return RawPose.complete(joints)
+    return joints
 
 
 def random_normalized(rng):
@@ -42,7 +45,7 @@ def random_normalized(rng):
     raw = _raw_with((0.0, 0.0), (55.0, 2.0), (-53.0, -1.0))
     jitter = rng.normal(0, 8.0, size=(8, 2))
     jitter[NECK] = 0
-    return normalize_pose(RawPose.complete(raw.joints + jitter))
+    return normalize_pose(raw + jitter)
 
 
 class TestNormalizePose:
@@ -57,17 +60,17 @@ class TestNormalizePose:
     def test_idempotent(self):
         raw = _raw_with((100.0, 200.0), (141.0, 196.0), (59.0, 203.0))
         once = normalize_pose(raw)
-        twice = normalize_pose(RawPose.complete(once))
+        twice = normalize_pose(once)
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_translation_invariance(self):
         raw = _raw_with((100.0, 200.0), (141.0, 196.0), (59.0, 203.0))
-        shifted = RawPose.complete(raw.joints + np.array([7.0, -3.0]))
+        shifted = raw + np.array([7.0, -3.0])
         assert np.allclose(normalize_pose(raw), normalize_pose(shifted), atol=1e-12)
 
     def test_scale_invariance(self):
         raw = _raw_with((10.0, 20.0), (14.0, 19.0), (6.0, 21.0))
-        scaled = RawPose.complete(raw.joints * 3.7)
+        scaled = raw * 3.7
         a, b = normalize_pose(raw), normalize_pose(scaled)
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -79,15 +82,47 @@ class TestNormalizePose:
 
     def test_missing_joint(self):
         raw = _raw_with((0.0, 0.0), (40.0, 0.0), (-40.0, 0.0))
-        present = raw.present.copy()
-        present[4] = False
+        raw[4] = np.nan
         with pytest.raises(DegeneratePose, match="^missing joints: l_wrist$"):
-            normalize_pose(RawPose(raw.joints, present))
+            normalize_pose(raw)
 
     def test_degenerate(self):
         joints = np.zeros((8, 2))
         with pytest.raises(DegeneratePose, match="both shoulders coincide with the neck"):
-            normalize_pose(RawPose.complete(joints))
+            normalize_pose(joints)
+
+
+_SKELETON = _raw_with((0.0, 0.0), (40.0, 0.0), (-40.0, 0.0))
+
+# jitter of at most 15 px per coordinate keeps each shoulder off the neck
+_JITTER = arrays(
+    np.float64, st.tuples(st.integers(1, 12), st.just(8), st.just(2)), elements=st.floats(-15.0, 15.0)
+)
+
+
+class TestBatchedPose:
+    @settings(max_examples=40, deadline=None)
+    @given(jitter=_JITTER)
+    def test_batch_equals_stacked_frames(self, fitted, jitter):
+        poses = _SKELETON + jitter
+        norm = normalize_pose(poses)
+        assert np.array_equal(norm, np.stack([normalize_pose(p) for p in poses]))
+        for batch in (norm, poses / 40.0):  # raw scale also exercises the clamp
+            coeffs = encode_pose(fitted, batch)
+            assert np.array_equal(coeffs, np.stack([encode_pose(fitted, p) for p in batch]))
+
+    def test_missing_joint_names_first_bad_frame(self):
+        poses = np.tile(_SKELETON, (5, 1, 1))
+        poses[2, 4] = np.nan
+        poses[3, 6] = np.nan
+        with pytest.raises(DegeneratePose, match=f"^missing joints: {JOINT_NAMES[4]}$"):
+            normalize_pose(poses)
+
+    def test_degenerate_frame_in_batch(self):
+        poses = np.tile(_SKELETON, (5, 1, 1))
+        poses[3, [L_SHOULDER, R_SHOULDER]] = poses[3, NECK]
+        with pytest.raises(DegeneratePose, match="^both shoulders coincide with the neck$"):
+            normalize_pose(poses)
 
 
 def _svd_oracle(data, k):

@@ -71,6 +71,9 @@ class TestPlanChunks:
             plan_chunks([], 5.0)
         with pytest.raises(InvalidConfig, match="speech duration must be positive"):
             plan_chunks(["a"], 0.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidConfig, match="speech duration must be finite"):
+                plan_chunks(["a"], bad)
 
 
 def _tiny_model_and_table():
@@ -161,6 +164,9 @@ class TestAlignTrack:
         track = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
         with pytest.raises(InvalidConfig, match="speech duration must be positive"):
             align_track(track, -1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig, match="speech duration must be finite"):
+                align_track(track, bad)
         with pytest.raises(InvalidConfig, match="cannot align an empty track"):
             align_track(TimedPoseTrack(frames=np.zeros((0, 10)), fps=12.0), 1.0)
 

@@ -6,7 +6,7 @@ from gesturegen.autodiff import Tensor
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import ModelConfig, backward, init_model
-from gesturegen.pose import RawPose, fit_pca
+from gesturegen.pose import fit_pca
 from gesturegen.text import EmbeddingTable
 from gesturegen.training import (
     AdamState,
@@ -181,7 +181,7 @@ def _record(n_frames, words, fps=12.0):
         dtype=float,
     )
     rng = np.random.default_rng(0)
-    frames = [RawPose.complete(base + rng.normal(0, 2.0, (8, 2))) for _ in range(n_frames)]
+    frames = [base + rng.normal(0, 2.0, (8, 2)) for _ in range(n_frames)]
     return DatasetRecord(id="r0", fps=fps, frame_height=400, words=words, frames=frames)
 
 
@@ -196,7 +196,7 @@ def small_pca():
     from gesturegen.pose import normalize_pose
 
     for _ in range(40):
-        poses.append(normalize_pose(RawPose.complete(base + rng.normal(0, 6.0, (8, 2)))))
+        poses.append(normalize_pose(base + rng.normal(0, 6.0, (8, 2))))
     return fit_pca(poses)
 
 
