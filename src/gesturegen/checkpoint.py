@@ -3,7 +3,8 @@
 Layout: 4-byte magic, little-endian uint32 format version, uint64 header
 length, a JSON header (sorted keys), then the concatenated raw float64
 bytes of every array in header order. Writing is fully deterministic given
-the content, and numeric payloads round-trip bit-exactly.
+the content, and numeric payloads round-trip bit-exactly. Every array is
+finite both ways: saving refuses a non-finite value and loading rejects one.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import IoFailure, MalformedFile
+from .errors import InvalidConfig, IoFailure, MalformedFile
 from .lifting import LiftNetParams, init_lift_params
 from .model import ModelConfig, Seq2SeqModel, init_model
 from .pose import PcaModel
 
 MAGIC = b"GGCK"
 FORMAT_VERSION = 1
+_PCA_FIELDS = ("mean", "components", "explained_variance_ratio")
 
 
 @dataclass
@@ -35,25 +37,43 @@ class Checkpoint:
     embedding_ref: dict | None = None  # {"path": ..., "sha256": ...}
 
 
-def _collect_arrays(ck: Checkpoint):
+def _format1_arrays(ck: Checkpoint) -> list:
+    """(format-1 name, array view) of every stored array, in file order.
+
+    Format 1 stores a GRU cell gate by gate: the cell's gate-stacked w, u
+    and b expand here into the row views w_z, u_z, b_z, w_r, ..., b_h at the
+    cell's position. Saving writes these views and loading fills them.
+    """
     arrays = []
     if ck.pca is not None:
-        arrays.append(("pca.mean", ck.pca.mean))
-        arrays.append(("pca.components", ck.pca.components))
-        arrays.append(("pca.explained_variance_ratio", ck.pca.explained_variance_ratio))
+        arrays += [(f"pca.{key}", getattr(ck.pca, key)) for key in _PCA_FIELDS]
     if ck.model is not None:
+        cells = [*(cell for layer in ck.model.encoder for cell in layer), *ck.model.decoder]
+        cell_of = {id(p): cell for cell in cells for p in cell}
         for name, p in ck.model.store.items():
-            arrays.append((f"seq2seq.{name}", p.value))
+            cell = cell_of.get(id(p))
+            if cell is None:
+                arrays.append((f"seq2seq.{name}", p.value))
+            elif p is cell[0]:  # a cell registers w, u, b together
+                hidden = cell[2].value.shape[0] // 3
+                arrays += [
+                    (f"seq2seq.{name.removesuffix('.w')}.{kind}_{gate}", q.value[k * hidden : (k + 1) * hidden])
+                    for k, gate in enumerate("zrh")
+                    for kind, q in zip("wub", cell)
+                ]
     if ck.lift is not None:
-        for name, p in ck.lift.store.items():
-            arrays.append((f"lift.{name}", p.value))
-        for key in sorted(ck.lift.running):
-            arrays.append((f"lift.running.{key}", ck.lift.running[key]))
+        arrays += [(f"lift.{name}", p.value) for name, p in ck.lift.store.items()]
+        arrays += [(f"lift.running.{key}", ck.lift.running[key]) for key in sorted(ck.lift.running)]
     return arrays
 
 
 def save_checkpoint(ck: Checkpoint, path):
-    arrays = _collect_arrays(ck)
+    """Write ck atomically; a non-finite array is refused before any file
+    is opened, so an existing checkpoint at path keeps its bytes."""
+    arrays = _format1_arrays(ck)
+    for name, a in arrays:
+        if not np.isfinite(a).all():
+            raise InvalidConfig(f"cannot save checkpoint: array {name} has non-finite values")
     header = {
         "config": ck.config,
         "embedding_ref": ck.embedding_ref,
@@ -133,15 +153,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise MalformedFile(f"checkpoint is missing array {name}")
         return values[name]
 
-    def restore(name, target):
-        stored = take(name)
-        if stored.shape != target.shape:
-            raise MalformedFile(f"array {name} has shape {stored.shape}, expected {target.shape}")
-        target[...] = stored
-
     pca = None
     if header.get("has_pca"):
-        pca = PcaModel(**{key: take(f"pca.{key}") for key in ("mean", "components", "explained_variance_ratio")})
+        pca = PcaModel(**{key: take(f"pca.{key}") for key in _PCA_FIELDS})
 
     model_cfg = _header_config(header, "model_cfg", [f.name for f in fields(ModelConfig)])
     lift_cfg = _header_config(header, "lift_cfg", ["bn_momentum", "bn_eps"])
@@ -151,19 +165,18 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
 
-    if model is not None:
-        for name, p in model.store.items():
-            restore(f"seq2seq.{name}", p.value)
-    if lift is not None:
-        for name, p in lift.store.items():
-            restore(f"lift.{name}", p.value)
-        for key, buffer in lift.running.items():
-            restore(f"lift.running.{key}", buffer)
-
-    return Checkpoint(
+    ck = Checkpoint(
         config=header.get("config", {}),
         pca=pca,
         model=model,
         lift=lift,
         embedding_ref=header.get("embedding_ref"),
     )
+    for name, target in _format1_arrays(ck):
+        stored = take(name)
+        if stored.shape != target.shape:
+            raise MalformedFile(f"array {name} has shape {stored.shape}, expected {target.shape}")
+        if not np.isfinite(stored).all():
+            raise MalformedFile(f"array {name} has non-finite values")
+        target[...] = stored
+    return ck

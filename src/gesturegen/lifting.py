@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, LimbLengths, clamp_angles, compute_joint_angles, forward_kinematics
-from .model import ParamStore, _xavier, backward
+from .model import ParamStore, _Bag, _xavier, backward
 from .pose import NECK, decode_pose, shoulder_scale
 from .synthesis import TimedPoseTrack
 from .training import AdamState, adam_step
@@ -83,19 +83,16 @@ def batch_norm_graph(x: Tensor, scale: Tensor, shift: Tensor, run_mean, run_var,
 
 def lift_forward_graph(params: LiftNetParams, x: Tensor, train: bool, record: bool = True) -> Tensor:
     """x: (B, 14) -> depths (B, 7)."""
-
-    def p(param):
-        return Tensor(param.value, requires_grad=record, _param=param if record else None)
-
+    bag = _Bag(record)
     h = x
     for i in (1, 2):
         w, b = params.layer(i)
-        h = ad.add(ad.matmul(h, ad.transpose(p(w))), p(b))
+        h = ad.add(ad.matmul(h, bag.T(w)), bag(b))
         scale, shift = params.norm(i)
         h = batch_norm_graph(
             h,
-            p(scale),
-            p(shift),
+            bag(scale),
+            bag(shift),
             params.running[f"mean{i}"],
             params.running[f"var{i}"],
             train,
@@ -104,7 +101,7 @@ def lift_forward_graph(params: LiftNetParams, x: Tensor, train: bool, record: bo
         )
         h = ad.relu(h)
     w, b = params.layer(3)
-    return ad.add(ad.matmul(h, ad.transpose(p(w))), p(b))
+    return ad.add(ad.matmul(h, bag.T(w)), bag(b))
 
 
 def pose2d_to_lift_input(pose2d) -> np.ndarray:
@@ -247,8 +244,10 @@ def lift_mse(params: LiftNetParams, dataset3d) -> float:
 def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) -> TimedPoseTrack:
     """Decode the gesture vectors, lift them to 3D, solve joint angles and
     clamp them to the configured limits, each step once over the whole
-    track. Returns a (T, 12) track in ANGLE_NAMES order."""
-    poses2d = decode_pose(pca, track.frames)
-    depths = lift_forward(lift, pose2d_to_lift_input(poses2d), mode="eval")
-    angles = compute_joint_angles(assemble_pose3d(poses2d, depths))
-    return TimedPoseTrack(frames=clamp_angles(angles, limits), fps=track.fps)
+    track. Returns a (T, 12) track in ANGLE_NAMES order; huge gesture
+    vectors overflow into non-finite angles, which the track writer refuses."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # save_track_csv reports these
+        poses2d = decode_pose(pca, track.frames)
+        depths = lift_forward(lift, pose2d_to_lift_input(poses2d), mode="eval")
+        angles = compute_joint_angles(assemble_pose3d(poses2d, depths))
+        return TimedPoseTrack(frames=clamp_angles(angles, limits), fps=track.fps)

@@ -11,10 +11,11 @@ records the graph for training, `forward` runs the same builders without
 recording and returns plain arrays, and `backward` harvests parameter
 gradients from a recorded loss.
 
-A GRU cell step is one graph node (`autodiff.gru_step`, hand-written
-backward). Each pass concatenates a cell's per-gate weights once, as graph
-nodes, so checkpoints keep the per-gate parameters; the encoder projects
-all timesteps' inputs with one matmul per layer and direction before the
+A GRU cell is three parameters with the update (z), reset (r) and
+candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
+`b (3H,)`. A cell step is one graph node (`autodiff.gru_step`, hand-written
+backward) fed the transposed weights directly; the encoder projects all
+timesteps' inputs with one matmul per layer and direction before the
 recurrence. A batch of word sequences of different lengths runs as one
 zero-padded rollout: padded steps carry the encoder state in both
 directions and get attention weight exactly 0, so every row equals its own
@@ -42,9 +43,6 @@ class Parameter:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.value.shape})"
-
 
 class ParamStore:
     """Ordered collection of uniquely named parameters."""
@@ -62,40 +60,12 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def items(self):
         return self._params.items()
-
-    def names(self):
-        return list(self._params)
 
     def zero_grads(self):
         for p in self._params.values():
             p.grad[...] = 0.0
-
-
-@dataclass
-class GruCellParams:
-    """Gate parameters of one GRU cell: update (z), reset (r), candidate (h)."""
-
-    w_z: Parameter
-    u_z: Parameter
-    b_z: Parameter
-    w_r: Parameter
-    u_r: Parameter
-    b_r: Parameter
-    w_h: Parameter
-    u_h: Parameter
-    b_h: Parameter
-
-    @property
-    def hidden_size(self) -> int:
-        return self.b_z.value.shape[0]
 
 
 @dataclass
@@ -120,8 +90,8 @@ class ModelConfig:
 class Seq2SeqModel:
     cfg: ModelConfig
     store: ParamStore
-    encoder: list = field(default_factory=list)  # [layer][direction] -> GruCellParams
-    decoder: list = field(default_factory=list)  # [layer] -> GruCellParams
+    encoder: list = field(default_factory=list)  # [layer][direction] -> cell (w, u, b)
+    decoder: list = field(default_factory=list)  # [layer] -> cell (w, u, b)
     att_query: Parameter = None
     att_ann: Parameter = None
     att_score: Parameter = None
@@ -136,13 +106,16 @@ def _xavier(rng, out_dim, in_dim):
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def _register_cell(store, rng, prefix, input_size, hidden) -> GruCellParams:
-    kwargs = {}
-    for gate in ("z", "r", "h"):
-        kwargs[f"w_{gate}"] = store.register(f"{prefix}.w_{gate}", _xavier(rng, hidden, input_size))
-        kwargs[f"u_{gate}"] = store.register(f"{prefix}.u_{gate}", _xavier(rng, hidden, hidden))
-        kwargs[f"b_{gate}"] = store.register(f"{prefix}.b_{gate}", np.zeros(hidden))
-    return GruCellParams(**kwargs)
+def _register_cell(store, rng, prefix, input_size, hidden) -> tuple:
+    """(w (3H, in), u (3H, H), b (3H,)) with the z, r, h gates stacked along
+    rows; the Xavier draws run gate by gate, w before u."""
+    draws = [(_xavier(rng, hidden, input_size), _xavier(rng, hidden, hidden)) for _ in "zrh"]
+    w, u = (np.concatenate(blocks) for blocks in zip(*draws))
+    return (
+        store.register(f"{prefix}.w", w),
+        store.register(f"{prefix}.u", u),
+        store.register(f"{prefix}.b", np.zeros(3 * hidden)),
+    )
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
@@ -178,15 +151,13 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
 
 
 class _Bag:
-    """Per-pass cache mapping parameters to graph tensors: plain, transposed,
-    and each GRU cell's gates concatenated, so gradients split back into the
-    per-gate parameters."""
+    """Per-pass cache mapping parameters to graph tensors, plain and
+    transposed, so each parameter enters a pass's graph once."""
 
     def __init__(self, record: bool):
         self.record = record
         self._plain: dict[str, Tensor] = {}
         self._transposed: dict[str, Tensor] = {}
-        self._cells: dict[int, tuple] = {}
 
     def __call__(self, p: Parameter) -> Tensor:
         t = self._plain.get(p.name)
@@ -202,33 +173,23 @@ class _Bag:
             self._transposed[p.name] = t
         return t
 
-    def cell(self, cell: GruCellParams) -> tuple:
-        """(W (in, 3H), U (H, 3H), b (3H,)) with gates in z, r, h order."""
-        packed = self._cells.get(id(cell))
-        if packed is None:
-            packed = tuple(
-                ad.transpose(ad.concat([self(getattr(cell, f"{kind}_{gate}")) for gate in "zrh"], axis=0))
-                for kind in "wu"
-            ) + (ad.concat([self(cell.b_z), self(cell.b_r), self(cell.b_h)], axis=0),)
-            self._cells[id(cell)] = packed
-        return packed
 
-
-def _cell_step(bag: _Bag, cell: GruCellParams, x: Tensor, h: Tensor) -> Tensor:
+def _cell_step(bag: _Bag, cell: tuple, x: Tensor, h: Tensor) -> Tensor:
     """One GRU update of a (B, input) step input: the input projection, then
     the fused gate step (`autodiff.gru_step`)."""
-    w, u, b = bag.cell(cell)
-    return ad.gru_step(ad.matmul(x, w), h, u, b)
+    w, u, b = cell
+    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b))
 
 
 def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
     """(B, s, in) inputs -> (B, s, H) states. One input matmul for every
     step, then the fused recurrence; keep[t] (None: every row) masks the
     rows whose sequence has ended, which carry their state."""
-    w, u, b = bag.cell(cell)
-    gx = ad.matmul(inputs, w)
+    w, u, b = cell
+    gx = ad.matmul(inputs, bag.T(w))
+    u, b = bag.T(u), bag(b)
     batch, s, _ = inputs.shape
-    h = Tensor(np.zeros((batch, cell.hidden_size)))
+    h = Tensor(np.zeros((batch, u.shape[0])))
     states = [None] * s
     for t in range(s - 1, -1, -1) if reverse else range(s):
         h = ad.gru_step(gx, h, u, b, t=t, keep=keep[t])

@@ -155,8 +155,11 @@ def assemble_attention(maps, chunks) -> np.ndarray:
 
 def export_attention(maps, chunks, path) -> np.ndarray:
     """Write the assembled attention matrix as CSV with word-surface column
-    headers. Returns the matrix."""
+    headers. Returns the matrix. A non-finite entry is refused before the
+    file is opened."""
     matrix = assemble_attention(maps, chunks)
+    if not np.isfinite(matrix).all():
+        raise InvalidConfig("attention matrix has non-finite values")
     words = [w for chunk in chunks for w in chunk]
     with open_for_write(path, "attention file") as fh:
         fh.write(",".join(words) + "\n")
@@ -167,7 +170,11 @@ def export_attention(maps, chunks, path) -> np.ndarray:
 
 def save_track_csv(track: TimedPoseTrack, path, columns=None):
     """Track CSV: header t_s then the column names (default c1..cD), one
-    row per frame. load_track_csv reads back every non-empty file written here."""
+    row per frame. load_track_csv reads back every non-empty file written here.
+    A frame with a non-finite value is refused before the file is opened."""
+    finite = np.isfinite(track.frames).all(axis=1)
+    if not finite.all():
+        raise InvalidConfig(f"track frame {int(np.argmin(finite))} has non-finite values")
     if columns is None:
         columns = [f"c{i + 1}" for i in range(track.frames.shape[1])]
     header = "t_s," + ",".join(columns)

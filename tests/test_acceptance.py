@@ -232,7 +232,7 @@ def test_criterion_5_attention_gru_invariants():
         bounded = bounded and bool(np.all(np.abs(h) <= 1.0))
 
     zero_cell = init_model(cfg, seed=0).encoder[0][0]
-    for p in vars(zero_cell).values():
+    for p in zero_cell:
         p.value[...] = 0.0
     h0 = np.array([0.3, -0.9, 0.0, 1.0, -0.2, 0.5])
     halved = np.array_equal(cell_step(zero_cell, np.zeros(5), h0), 0.5 * h0)

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gesturegen import checkpoint
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from gesturegen.errors import IoFailure, MalformedFile
+from gesturegen.errors import InvalidConfig, IoFailure, MalformedFile
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.pose import PcaModel, fit_pca
@@ -178,6 +179,54 @@ class TestAtomicWrite:
         with pytest.raises(raised, match=str(error.args[-1])):
             save_checkpoint(ck, path)
         assert opened and opened[0].writes == 5  # the header went out before the failure
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
+
+
+def patch_array_value(path, name, value):
+    """Overwrite the first value of the named payload array of a saved
+    checkpoint in place, leaving the header as it is."""
+    raw = bytearray(path.read_bytes())
+    offset = 16 + int.from_bytes(raw[8:16], "little")
+    for entry in json.loads(raw[16:offset])["arrays"]:
+        if entry["name"] == name:
+            raw[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+            path.write_bytes(bytes(raw))
+            return
+        offset += 8 * math.prod(entry["shape"])
+    raise KeyError(name)
+
+
+class TestFinite:
+    def test_load_rejects_non_finite_payload(self, tmp_path):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        patch_array_value(path, "seq2seq.dec.post.b", np.nan)
+        with pytest.raises(MalformedFile, match=r"^array seq2seq\.dec\.post\.b has non-finite values$"):
+            load_checkpoint(path)
+
+    def test_load_names_first_non_finite_array(self, tmp_path):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        patch_array_value(path, "lift.running.var1", -np.inf)
+        patch_array_value(path, "seq2seq.enc.l1.bwd.u_r", np.inf)
+        patch_array_value(path, "seq2seq.dec.post.b", np.nan)
+        with pytest.raises(MalformedFile, match=r"^array seq2seq\.enc\.l1\.bwd\.u_r has non-finite values$"):
+            load_checkpoint(path)
+
+    def test_save_refuses_non_finite_and_keeps_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ggck"
+        save_checkpoint(_full_checkpoint(), path)
+        before = path.read_bytes()
+        ck = _full_checkpoint()
+        ck.model.decoder[1][1].value[5, 0] = np.inf  # hidden 5: row 5 is u_r[0, 0]
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("save_checkpoint opened a file")
+
+        monkeypatch.setattr(checkpoint, "open", no_open, raising=False)
+        with pytest.raises(InvalidConfig, match=r"^cannot save checkpoint: array seq2seq\.dec\.l1\.u_r has non-finite"):
+            save_checkpoint(ck, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
 

@@ -540,3 +540,30 @@ def test_diverging_train_is_single_line(workspace, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert re.fullmatch(r"train: training diverged at epoch \d+, batch \d+: non-finite (loss|gradient)", err), err
     assert not (tmp_path / "ck.ggck").exists()
+
+
+def test_non_finite_checkpoint_generate_is_single_line(workspace, tmp_path, capsys):
+    from test_checkpoint import patch_array_value
+
+    root, _ = workspace
+    path = tmp_path / "ck.ggck"
+    shutil.copyfile(root / "ck.ggck", path)
+    patch_array_value(path, "seq2seq.dec.post.b", np.nan)
+    capsys.readouterr()
+    args = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2.0"]
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "track.csv")]) == 1
+    assert capsys.readouterr().err.strip() == "generate: array seq2seq.dec.post.b has non-finite values"
+    assert not (tmp_path / "track.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_track_retarget_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    rows = [f"{t / 12.0!r}," + ",".join(["1e308"] * 10) for t in range(3)]
+    (tmp_path / "huge.csv").write_text("\n".join(["t_s," + ",".join(f"c{i + 1}" for i in range(10)), *rows]) + "\n")
+    capsys.readouterr()
+    args = ["retarget", "--checkpoint", str(root / "ck.ggck"), "--track", str(tmp_path / "huge.csv")]
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "traj.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("retarget: "), lines
+    assert not (tmp_path / "traj.csv").exists()

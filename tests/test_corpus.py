@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gesturegen.corpus import (
     DatasetRecord,
@@ -169,7 +172,36 @@ class TestSynthCorpus:
             assert rec.words[-1].t_end <= rec.duration + 1e-9
 
 
+@st.composite
+def _records(draw):
+    """A valid record: any finite rates, sorted word starts, and (T, 8, 2)
+    frames in which some joints are absent (NaN rows)."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    times = st.floats(-1e6, 1e6)
+    starts = sorted(draw(st.lists(times, max_size=4)))
+    words = [WordSpan(draw(st.text(max_size=4)), t, t + draw(st.floats(0.0, 1e6))) for t in starts]
+    count = draw(st.integers(1, 6))
+    frames = draw(hnp.arrays(np.float64, (count, 8, 2), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    frames[draw(hnp.arrays(bool, (count, 8)))] = np.nan
+    return DatasetRecord(draw(st.text(max_size=6)), draw(positive), draw(positive), words, frames)
+
+
 class TestJsonl:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(_records(), min_size=1, max_size=3))
+    def test_round_trip_property(self, tmp_path, records):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl(records, path)
+        loaded = load_records_jsonl(path)
+        assert len(loaded) == len(records)
+        for a, b in zip(records, loaded):
+            assert (a.id, a.fps, a.frame_height) == (b.id, b.fps, b.frame_height)
+            assert [(w.surface, w.t_start, w.t_end) for w in a.words] == [
+                (w.surface, w.t_start, w.t_end) for w in b.words
+            ]
+            assert np.array_equal(np.isnan(a.frames), np.isnan(b.frames))
+            assert np.array_equal(a.frames, b.frames, equal_nan=True)
+
     def test_round_trip(self, tmp_path):
         records = synth_corpus(seed=6, n_sentences=3)
         # punch one joint out to exercise the null path

@@ -10,6 +10,7 @@ from gesturegen.model import (
     ModelConfig,
     _Attention,
     _Bag,
+    _cell_step,
     _decode_step_graph,
     _encode_graph,
     backward,
@@ -28,9 +29,14 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    w, u, b = _Bag(False).cell(cell)
-    gx = ad.matmul(Tensor(np.asarray(x)[None]), w)
-    return ad.gru_step(gx, Tensor(np.asarray(h)[None]), u, b).data[0]
+    return _cell_step(_Bag(False), cell, Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])).data[0]
+
+
+def gate(p, k):
+    """Rows of gate k (0: update z, 1: reset r, 2: candidate h) of a
+    gate-stacked cell parameter, as a writable view."""
+    hidden = p.value.shape[0] // 3
+    return p.value[k * hidden : (k + 1) * hidden]
 
 
 def encode(model, words):
@@ -76,16 +82,16 @@ class TestInit:
 
     def test_shapes(self):
         model = init_model(ModelConfig(), seed=0)
-        assert model.store["enc.l0.fwd.w_z"].value.shape == (200, 300)
-        assert model.store["enc.l1.bwd.u_h"].value.shape == (200, 200)
+        assert gate(model.store["enc.l0.fwd.w"], 0).shape == (200, 300)
+        assert gate(model.store["enc.l1.bwd.u"], 2).shape == (200, 200)
         assert model.store["att.u_ann"].value.shape == (200, 400)
-        assert model.store["dec.l0.w_z"].value.shape == (200, 600)
+        assert gate(model.store["dec.l0.w"], 0).shape == (200, 600)
         assert model.store["dec.post.w"].value.shape == (10, 200)
 
     def test_biases_zero_weights_in_xavier_range(self):
         model = init_model(TINY, seed=1)
         assert np.array_equal(model.store["dec.pre.b"].value, np.zeros(4))
-        w = model.store["enc.l0.fwd.w_z"].value
+        w = gate(model.store["enc.l0.fwd.w"], 0)
         limit = np.sqrt(6.0 / (7 + 4))
         assert np.all(np.abs(w) <= limit)
 
@@ -93,7 +99,7 @@ class TestInit:
 class TestGruCell:
     def test_zero_params_halve_hidden(self, tiny):
         cell = init_model(TINY, seed=0).encoder[0][0]
-        for p in (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h):
+        for p in cell:  # w, u, b: every gate of the cell
             p.value[...] = 0.0
         h = np.array([0.4, -0.8, 0.2, 1.0])
         out = cell_step(cell, np.zeros(7), h)
@@ -101,10 +107,11 @@ class TestGruCell:
 
     def test_saturated_update_gate(self):
         cell = init_model(TINY, seed=3).encoder[0][0]
-        cell.b_z.value[...] = 50.0
-        cell.w_h.value[...] = 0.0
-        cell.u_h.value[...] = 0.0
-        cell.b_h.value[...] = 0.0
+        w, u, b = cell
+        gate(b, 0)[...] = 50.0
+        gate(w, 2)[...] = 0.0
+        gate(u, 2)[...] = 0.0
+        gate(b, 2)[...] = 0.0
         h = np.array([0.9, -0.5, 0.1, 0.7])
         out = cell_step(cell, np.ones(7) * 0.3, h)
         assert np.max(np.abs(out)) < 1e-12
@@ -115,8 +122,9 @@ class TestGruCell:
         for trial in range(1000):
             model = init_model(cfg, seed=trial % 13)
             cell = model.encoder[0][0]
-            for p in (cell.w_z, cell.u_z, cell.w_r, cell.u_r, cell.w_h, cell.u_h):
-                p.value[...] = rng.normal(0, 2.0, p.value.shape)
+            for k in range(3):  # w_z, u_z, w_r, u_r, w_h, u_h
+                for rows in (gate(cell[0], k), gate(cell[1], k)):
+                    rows[...] = rng.normal(0, 2.0, rows.shape)
             h = rng.uniform(-1, 1, 6)
             for _ in range(3):
                 h = cell_step(cell, rng.normal(0, 2.0, 5), h)
@@ -163,12 +171,12 @@ class TestEncoder:
         model = init_model(ModelConfig(word_dim=5, hidden=3, att_dim=3, n_seed_poses=2, n_output_poses=2), seed=9)
         for layer in range(2):
             fwd, bwd = model.encoder[layer]
-            for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
-                getattr(bwd, name).value[...] = getattr(fwd, name).value
+            for pb, pf in zip(bwd, fwd):
+                pb.value[...] = pf.value
         hidden = 3
         for cell in model.encoder[1]:
-            for name in ("w_z", "w_r", "w_h"):
-                w = getattr(cell, name).value
+            for k in range(3):
+                w = gate(cell[0], k)
                 w[:, hidden:] = w[:, :hidden]
         rng = np.random.default_rng(2)
         words = [rng.normal(size=5) for _ in range(4)]

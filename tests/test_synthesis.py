@@ -66,6 +66,20 @@ class TestPlanChunks:
             assert rebuilt == tokens
             assert len(plan.chunks) == math.ceil(count / plan.words_per_chunk)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        count=st.integers(1, 60),
+        duration=st.floats(min_value=1e-3, max_value=1e4),
+        n=st.integers(1, 20),
+        m=st.integers(1, 40),
+    )
+    def test_every_token_once_in_order(self, count, duration, n, m):
+        tokens = [f"w{i}" for i in range(count)]  # distinct, so "once" is checkable
+        plan = plan_chunks(tokens, duration, n, m)
+        assert [w for chunk in plan.chunks for w in chunk] == tokens
+        assert all(len(chunk) == plan.words_per_chunk for chunk in plan.chunks[:-1])
+        assert 1 <= len(plan.chunks[-1]) <= plan.words_per_chunk
+
     def test_errors(self):
         with pytest.raises(InvalidConfig, match="cannot plan chunks for empty text"):
             plan_chunks([], 5.0)
@@ -160,6 +174,28 @@ class TestAlignTrack:
             aligned = align_track(track, duration)
             assert abs(aligned.duration - duration) <= 1.0 / aligned.fps
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        frames=hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)), elements=st.floats(-1e6, 1e6)
+        ),
+        fps=st.floats(min_value=1.0, max_value=60.0),
+        duration=st.floats(min_value=1e-3, max_value=30.0),
+    )
+    def test_frame_count_and_kept_endpoints(self, frames, fps, duration):
+        aligned = align_track(TimedPoseTrack(frames=frames, fps=fps), duration)
+        assert len(aligned) == math.ceil(duration * fps)
+        assert aligned.fps == fps
+        assert aligned.frames[0].tobytes() == frames[0].tobytes()
+        if len(aligned) > 1:  # a one-frame result can only keep the first frame
+            assert aligned.frames[-1].tobytes() == frames[-1].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(duration=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=0.0)))
+    def test_non_finite_or_non_positive_duration_rejected(self, duration):
+        with pytest.raises(InvalidConfig, match="^speech duration must be (finite|positive), got "):
+            align_track(TimedPoseTrack(frames=np.zeros((3, 2)), fps=12.0), duration)
+
     def test_errors(self):
         track = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
         with pytest.raises(InvalidConfig, match="speech duration must be positive"):
@@ -182,6 +218,12 @@ class TestAttentionExport:
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
         header = (tmp_path / "attn.csv").read_text().splitlines()[0]
         assert header == "w0,w1,w2"
+
+    def test_non_finite_refused_before_writing(self, tmp_path):
+        maps = [np.array([[0.5, 0.5]]), np.array([[np.nan]])]
+        with pytest.raises(InvalidConfig, match="^attention matrix has non-finite values$"):
+            export_attention(maps, [("a", "b"), ("c",)], tmp_path / "attn.csv")
+        assert not (tmp_path / "attn.csv").exists()
 
     def test_two_chunks_block_diagonal(self):
         maps = [np.full((4, 2), 0.5), np.full((4, 3), 1 / 3)]
@@ -229,6 +271,15 @@ class TestTrackCsv:
         save_track_csv(track, tmp_path / "t.csv")
         loaded = load_track_csv(tmp_path / "t.csv")
         assert np.array_equal(loaded.frames, track.frames)  # repr round-trips floats
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_refused_before_writing(self, tmp_path, bad):
+        frames = np.zeros((4, 12))
+        frames[2, 7] = bad
+        for save in (save_track_csv, save_angles_csv):
+            with pytest.raises(InvalidConfig, match="^track frame 2 has non-finite values$"):
+                save(TimedPoseTrack(frames), tmp_path / "t.csv")
+            assert not (tmp_path / "t.csv").exists()
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -339,7 +339,7 @@ class TestTrainModel:
             backward(loss)
             calls.append(1)
             if len(calls) == 4:  # epoch 1, batch 1 of two 2-pair batches
-                model.store["enc.l0.fwd.u_h"].grad[0, 0] = np.nan
+                model.store["enc.l0.fwd.u"].grad[2 * cfg.hidden, 0] = np.nan  # u_h[0, 0]
 
         monkeypatch.setattr(training, "backward", poisoned)
         with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 1, batch 1: non-finite gradient$"):
