@@ -9,7 +9,7 @@ from .baselines import bleu_score, eval_tracks, manual_baseline, nn_baseline, ra
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import CurationThresholds, DatasetRecord, WordSpan, curate_shots, synth_corpus
-from .kinematics import LimbLengths, compute_joint_angles, forward_kinematics
+from .kinematics import compute_joint_angles, forward_kinematics
 from .lifting import (
     LiftNetParams,
     LiftTrainConfig,

@@ -1,7 +1,7 @@
 """Comparison baselines and objective track diagnostics.
 
 BLEU here is the single-reference variant used for chunk matching: a
-geometric mean of modified n-gram precisions up to min(max_n, candidate
+geometric mean of modified n-gram precisions up to min(4, candidate
 length), with add-one smoothing on orders >= 2 (chunks are short, so raw
 higher-order counts often vanish), times the brevity penalty.
 """
@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .pose import encode_pose, normalize_pose
-from .synthesis import TimedPoseTrack, align_track, load_track_csv
+from .synthesis import DEFAULT_FPS, TimedPoseTrack, align_track, load_track_csv
 
 
 def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_score(candidate, reference, max_n: int = 4) -> float:
+def bleu_score(candidate, reference) -> float:
     """Similarity of candidate to reference in [0, 1]."""
     candidate = list(candidate)
     reference = list(reference)
@@ -31,7 +31,7 @@ def bleu_score(candidate, reference, max_n: int = 4) -> float:
         raise InvalidConfig("reference must be non-empty")
     if not candidate:
         return 0.0
-    top = min(max_n, len(candidate))
+    top = min(4, len(candidate))
     log_sum = 0.0
     for n in range(1, top + 1):
         counts = _ngram_counts(candidate, n)
@@ -80,7 +80,6 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int =
 
     ordered = sorted(records, key=lambda r: r.id)
     tracks = {rec.id: encode_pose(pca, normalize_pose(rec.frames)) for rec in ordered}
-    fps = ordered[0].fps
 
     segments = []
     for start in range(0, len(query_tokens), chunk_len):
@@ -99,15 +98,15 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int =
         if w0 == 0:
             f0 = 0
         else:
-            f0 = max(0, int(math.floor(rec.words[w0].t_start * rec.fps)))
+            f0 = max(0, int(math.floor(rec.words[w0].t_start * DEFAULT_FPS)))
         if w0 + window == len(rec.words):
             f1 = len(rec.frames)
         else:
-            f1 = min(len(rec.frames), int(math.ceil(rec.words[w0 + window - 1].t_end * rec.fps)))
+            f1 = min(len(rec.frames), int(math.ceil(rec.words[w0 + window - 1].t_end * DEFAULT_FPS)))
         if f1 <= f0:
             f0, f1 = 0, len(rec.frames)
         segments.append(tracks[rec.id][f0:f1])
-    return TimedPoseTrack(frames=_crossfade(segments, crossfade), fps=fps)
+    return TimedPoseTrack(frames=_crossfade(segments, crossfade))
 
 
 def random_baseline(records, pca, speech_duration: float, rng) -> TimedPoseTrack:
@@ -116,7 +115,7 @@ def random_baseline(records, pca, speech_duration: float, rng) -> TimedPoseTrack
     if not records:
         raise InvalidConfig("no training records")
     rec = records[int(rng.integers(0, len(records)))]
-    track = TimedPoseTrack(frames=encode_pose(pca, normalize_pose(rec.frames)), fps=rec.fps)
+    track = TimedPoseTrack(frames=encode_pose(pca, normalize_pose(rec.frames)))
     return align_track(track, speech_duration)
 
 

@@ -159,6 +159,11 @@ def load_checkpoint(path) -> Checkpoint:
 
     model_cfg = _header_config(header, "model_cfg", [f.name for f in fields(ModelConfig)])
     lift_cfg = _header_config(header, "lift_cfg", ["bn_momentum", "bn_eps"])
+    ref = header.get("embedding_ref")
+    if ref is not None and not (
+        isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
+    ):
+        raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
     try:
         model = None if model_cfg is None else init_model(ModelConfig(**model_cfg), seed=0)
         lift = None if lift_cfg is None else init_lift_params(seed=0, **lift_cfg)
@@ -170,7 +175,7 @@ def load_checkpoint(path) -> Checkpoint:
         pca=pca,
         model=model,
         lift=lift,
-        embedding_ref=header.get("embedding_ref"),
+        embedding_ref=ref,
     )
     for name, target in _format1_arrays(ck):
         stored = take(name)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -17,13 +18,14 @@ from .baselines import eval_tracks, manual_baseline, nn_baseline, random_baselin
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import corpus_vocabulary, curate_shots, load_records_jsonl, save_records_jsonl, synth_corpus
-from .errors import GestureGenError, InvalidConfig, MalformedFile, open_for_write
+from .errors import GestureGenError, InvalidConfig, IoFailure, MalformedFile, open_for_write
 from .kinematics import save_angles_csv
-from .lifting import LiftTrainConfig, lift_mse, retarget_track, synth_pose3d_corpus, train_lift
+from .lifting import lift_mse, retarget_track, synth_pose3d_corpus, train_lift
 from .model import init_model
 from .pose import component_sweep, fit_pca, normalize_pose
 from .render import render
 from .synthesis import (
+    DEFAULT_FPS,
     align_track,
     estimate_speech_duration,
     export_attention,
@@ -56,7 +58,7 @@ def _load_table(cfg: Config, ck: Checkpoint | None, override=None):
     elif ck is not None and ck.embedding_ref:
         path = ck.embedding_ref["path"]
         table = load_embedding_table(path)
-        if file_sha256(path) != ck.embedding_ref.get("sha256"):
+        if file_sha256(path) != ck.embedding_ref["sha256"]:
             raise MalformedFile(f"embedding file {path} does not match the checkpoint reference hash")
     else:
         raise InvalidConfig("no embedding table: pass --embeddings or set it in the config")
@@ -64,27 +66,24 @@ def _load_table(cfg: Config, ck: Checkpoint | None, override=None):
     return table
 
 
-def _out_path(cfg: Config, name: str) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
-
-
-def _prepare(path) -> str:
-    """Make sure the parent directory of an output path exists."""
-    p = Path(path)
-    if str(p.parent) not in ("", "."):
+def _output(cfg: Config, path, default_name: str = "") -> str:
+    """``path``, or ``default_name`` in the output directory when no path is
+    given, with its parent directory created."""
+    p = Path(path) if path else Path(cfg.out_dir) / default_name
+    try:
         p.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory: {exc}") from exc
     return str(p)
 
 
 def cmd_synth_corpus(cfg: Config, args) -> int:
     records = synth_corpus(cfg.seed, args.sentences)
-    out = _prepare(args.out) if args.out else str(_out_path(cfg, "corpus.jsonl"))
+    out = _output(cfg, args.out, "corpus.jsonl")
     save_records_jsonl(records, out)
     print(f"wrote {len(records)} records to {out}")
     if args.embeddings_out:
-        emb_out = _prepare(args.embeddings_out)
+        emb_out = _output(cfg, args.embeddings_out)
         count = write_synthetic_embeddings(corpus_vocabulary(), emb_out, dim=cfg.word_dim, seed=cfg.seed)
         print(f"wrote synthetic embedding table ({count} tokens, dim {cfg.word_dim}) to {emb_out}")
     return 0
@@ -93,7 +92,7 @@ def cmd_synth_corpus(cfg: Config, args) -> int:
 def cmd_curate(cfg: Config, args) -> int:
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
     kept, entries = curate_shots(records, cfg.curation_thresholds())
-    out = _prepare(args.out) if args.out else str(_out_path(cfg, "curated.jsonl"))
+    out = _output(cfg, args.out, "curated.jsonl")
     save_records_jsonl(kept, out)
     if args.report:
         report = [{"id": rid, "kept": ok, "rule": rule} for rid, ok, rule in entries]
@@ -109,7 +108,7 @@ def cmd_fit_pca(cfg: Config, args) -> int:
         raise InvalidConfig("dataset has no records")
     poses = np.concatenate([normalize_pose(rec.frames) for rec in records])
     pca = fit_pca(poses, cfg.pca_components)
-    ck_path = _prepare(_require(cfg.checkpoint, "checkpoint path"))
+    ck_path = _output(cfg, _require(cfg.checkpoint, "checkpoint path"))
     save_checkpoint(Checkpoint(config=cfg.to_dict(), pca=pca), ck_path)
     covered = float(pca.explained_variance_ratio.sum())
     print(f"fitted {cfg.pca_components} components on {len(poses)} poses, variance covered {covered:.3f} -> {ck_path}")
@@ -122,8 +121,10 @@ def cmd_pca_sweep(cfg: Config, args) -> int:
         raise InvalidConfig("checkpoint has no fitted pose model")
     try:
         values = [float(v) for v in args.values.split(",")]
+        if not all(map(math.isfinite, values)):
+            raise ValueError
     except ValueError:
-        raise InvalidConfig(f"--values must be comma-separated numbers, got {args.values!r}") from None
+        raise InvalidConfig(f"--values must be comma-separated finite numbers, got {args.values!r}") from None
     dims = [args.dim] if args.dim else list(range(1, ck.pca.n_components + 1))
     total = 0
     for dim in dims:
@@ -150,17 +151,17 @@ def cmd_train(cfg: Config, args) -> int:
 
     def on_epoch(epoch, current, breakdown):
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            path = _out_path(cfg, f"checkpoint_epoch{epoch + 1:05d}.ggck")
+            path = _output(cfg, None, f"checkpoint_epoch{epoch + 1:05d}.ggck")
             save_checkpoint(
                 Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=current, lift=ck.lift, embedding_ref=ref), path
             )
 
     result = train_model(pairs, cfg.hyperparams(), model, table, on_epoch=on_epoch)
-    out_ck = _prepare(args.out) if args.out else ck_path
+    out_ck = _output(cfg, args.out or ck_path)
     save_checkpoint(
         Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=result.model, lift=ck.lift, embedding_ref=ref), out_ck
     )
-    history_path = _prepare(args.history) if args.history else str(_out_path(cfg, "history.csv"))
+    history_path = _output(cfg, args.history, "history.csv")
     write_history_csv(result.history, history_path)
     last = result.history[-1] if result.history else None
     if last is not None:
@@ -181,15 +182,15 @@ def cmd_generate(cfg: Config, args) -> int:
         raise InvalidConfig("checkpoint has no fitted pose model")
     table = _load_table(cfg, ck, args.embeddings)
     tokens = tokenize(args.text)
-    duration = args.duration if args.duration else estimate_speech_duration(tokens, cfg.words_per_minute)
+    duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = plan_chunks(tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
     start = time.perf_counter()
     track, maps = generate_gesture(ck.model, plan, table)
     elapsed = time.perf_counter() - start
     aligned = align_track(track, duration)
-    out = _prepare(args.out) if args.out else str(_out_path(cfg, "track.csv"))
+    out = _output(cfg, args.out, "track.csv")
     save_track_csv(aligned, out)
-    attn_path = _prepare(args.attention) if args.attention else str(_out_path(cfg, "attention.csv"))
+    attn_path = _output(cfg, args.attention, "attention.csv")
     export_attention(maps, plan.chunks, attn_path)
     print(
         f"{plan.word_count} words, {len(plan.chunks)} chunks of {plan.words_per_chunk}; "
@@ -201,7 +202,7 @@ def cmd_generate(cfg: Config, args) -> int:
 
 def cmd_schedule(cfg: Config, args) -> int:
     tokens = tokenize(args.text)
-    duration = args.duration if args.duration else estimate_speech_duration(tokens, cfg.words_per_minute)
+    duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = plan_chunks(tokens, duration, cfg.n_seed_poses, cfg.n_output_poses)
     payload = {
         "word_count": plan.word_count,
@@ -209,7 +210,7 @@ def cmd_schedule(cfg: Config, args) -> int:
         "chunk_count": len(plan.chunks),
         "chunks": [list(c) for c in plan.chunks],
         "speech_duration": plan.speech_duration,
-        "frame_duration": plan.frame_duration,
+        "frame_duration": 1.0 / DEFAULT_FPS,
         "generated_frames": len(plan.chunks) * cfg.n_output_poses,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -224,16 +225,8 @@ def cmd_lift_train(cfg: Config, args) -> int:
     ck_path = _require(cfg.checkpoint, "checkpoint path")
     ck = load_checkpoint(ck_path)
     corpus3d = synth_pose3d_corpus(cfg.seed, cfg.lift_corpus_size)
-    lift_cfg = LiftTrainConfig(
-        steps=cfg.lift_steps,
-        lr=cfg.lift_lr,
-        batch_size=cfg.lift_batch,
-        rot_range=float(np.deg2rad(cfg.rot_range_deg)),
-        noise_sigma=cfg.noise_sigma,
-        seed=cfg.seed,
-    )
-    lift = train_lift(corpus3d, lift_cfg)
-    out_ck = _prepare(args.out) if args.out else ck_path
+    lift = train_lift(corpus3d, cfg.lift_config())
+    out_ck = _output(cfg, args.out or ck_path)
     save_checkpoint(
         Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=ck.model, lift=lift, embedding_ref=ck.embedding_ref),
         out_ck,
@@ -247,7 +240,7 @@ def cmd_retarget(cfg: Config, args) -> int:
     ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
     if ck.pca is None or ck.lift is None:
         raise InvalidConfig("retargeting needs a checkpoint with both the pose model and the lift net")
-    track = load_track_csv(args.track, cfg.fps)
+    track = load_track_csv(args.track)
     limits = None
     if args.limits:
         try:
@@ -255,9 +248,9 @@ def cmd_retarget(cfg: Config, args) -> int:
         except (OSError, ValueError, AttributeError, TypeError) as exc:
             raise MalformedFile(f"cannot read joint limits {args.limits}: {exc}") from exc
     angles = retarget_track(track, ck.pca, ck.lift, limits)
-    out = _prepare(args.out) if args.out else str(_out_path(cfg, "trajectory.csv"))
+    out = _output(cfg, args.out, "trajectory.csv")
     save_angles_csv(angles, out)
-    print(f"retargeted {len(angles)} frames at {angles.fps:g} fps -> {out}")
+    print(f"retargeted {len(angles)} frames at {DEFAULT_FPS:g} fps -> {out}")
     return 0
 
 
@@ -265,18 +258,20 @@ def cmd_baseline(cfg: Config, args) -> int:
     ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
     if ck.pca is None:
         raise InvalidConfig("baselines need the fitted pose model from fit-pca")
-    out = _prepare(args.out) if args.out else str(_out_path(cfg, f"baseline_{args.kind}.csv"))
+    out = _output(cfg, args.out, f"baseline_{args.kind}.csv")
+    if args.kind != "nn" and args.duration is None:
+        raise InvalidConfig("missing required --duration")
     if args.kind == "manual":
-        track = manual_baseline(_require(args.file, "--file"), _require(args.duration, "--duration"))
+        track = manual_baseline(_require(args.file, "--file"), args.duration)
     else:
         records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
         if args.kind == "random":
             rng = np.random.default_rng(cfg.seed)
-            track = random_baseline(records, ck.pca, _require(args.duration, "--duration"), rng)
+            track = random_baseline(records, ck.pca, args.duration, rng)
         else:
             tokens = tokenize(_require(args.text, "--text"))
             track = nn_baseline(tokens, records, ck.pca, cfg.chunk_len, cfg.crossfade)
-            if args.duration:
+            if args.duration is not None:
                 track = align_track(track, args.duration)
     save_track_csv(track, out)
     print(f"{args.kind} baseline: {len(track)} frames ({track.duration:.2f} s) -> {out}")
@@ -284,8 +279,8 @@ def cmd_baseline(cfg: Config, args) -> int:
 
 
 def cmd_eval(cfg: Config, args) -> int:
-    generated = load_track_csv(args.generated, cfg.fps)
-    reference = load_track_csv(args.reference, cfg.fps)
+    generated = load_track_csv(args.generated)
+    reference = load_track_csv(args.reference)
     if len(generated) != len(reference):
         generated = align_track(generated, reference.duration)
     metrics = eval_tracks(generated, reference)
@@ -306,7 +301,7 @@ def cmd_render(cfg: Config, args) -> int:
     ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
     if ck.pca is None:
         raise InvalidConfig("rendering a track needs the fitted pose model")
-    track = load_track_csv(args.track, cfg.fps)
+    track = load_track_csv(args.track)
     out_dir = args.out or str(Path(cfg.out_dir) / "render")
     files = render(track, out_dir, pca=ck.pca)
     print(f"rendered {len(files)} frames to {out_dir}")

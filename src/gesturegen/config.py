@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .corpus import CurationThresholds
 from .errors import InvalidConfig, MalformedFile
+from .lifting import LiftTrainConfig
 from .model import ModelConfig
 from .training import Hyperparams
 
@@ -32,7 +35,6 @@ class Config:
     word_dim: int = 300
     pca_components: int = 10
     # timing
-    fps: float = 12.0
     words_per_minute: float = 160.0
     # training pairs
     stride: int = 0  # 0 means "one output length"
@@ -85,6 +87,15 @@ class Config:
 
     def curation_thresholds(self) -> CurationThresholds:
         return self._record(CurationThresholds)
+
+    def lift_config(self) -> LiftTrainConfig:
+        return self._record(
+            LiftTrainConfig,
+            steps=self.lift_steps,
+            lr=self.lift_lr,
+            batch_size=self.lift_batch,
+            rot_range=float(np.deg2rad(self.rot_range_deg)),
+        )
 
 
 def load_config(path=None) -> Config:

@@ -1,11 +1,12 @@
 """Dataset records, shot-curation filters, and the synthetic corpus.
 
-A record holds a raw pixel-space pose track, one (T, 8, 2) float64 array
-(y down, JOINT_NAMES order) in which an undetected joint is a NaN row, with
-word-level transcript timestamps. Curation keeps only shots that look like
-usable frontal upper-body footage: every joint visible, figure large in
-frame, roughly frontal, at least five seconds long, actually moving, and
-not jittering; each rule is one array expression over the record.
+A record holds a raw pixel-space pose track at synthesis.DEFAULT_FPS, one
+(T, 8, 2) float64 array (y down, JOINT_NAMES order) in which an undetected
+joint is a NaN row, with word-level transcript timestamps. Curation keeps
+only shots that look like usable frontal upper-body footage: every joint
+visible, figure large in frame, roughly frontal, at least five seconds
+long, actually moving, and not jittering; each rule is one array
+expression over the record.
 
 The synthetic corpus generator stands in for real footage at desk scale:
 a small template grammar where certain keywords drive parametric gesture
@@ -34,6 +35,7 @@ from .pose import (
     R_WRIST,
     rowdot,
 )
+from .synthesis import DEFAULT_FPS
 
 
 @dataclass(frozen=True)
@@ -49,22 +51,15 @@ class WordSpan:
             raise InvalidConfig(f"word {self.surface!r} ends before it starts")
 
 
-def _finite_positive(value) -> bool:
-    return math.isfinite(value) and value > 0
-
-
 @dataclass
 class DatasetRecord:
     id: str
-    fps: float
     frame_height: float
     words: list  # of WordSpan, starts non-decreasing
     frames: np.ndarray  # (T, 8, 2) pixels, NaN rows for undetected joints
 
     def __post_init__(self):
-        if not _finite_positive(self.fps):
-            raise InvalidConfig("fps must be finite and positive")
-        if not _finite_positive(self.frame_height):
+        if not (math.isfinite(self.frame_height) and self.frame_height > 0):
             raise InvalidConfig("frame height must be finite and positive")
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.shape[1:] != (8, 2) or len(self.frames) == 0:
@@ -80,7 +75,7 @@ class DatasetRecord:
 
     @property
     def duration(self) -> float:
-        return len(self.frames) / self.fps
+        return len(self.frames) / DEFAULT_FPS
 
 
 @dataclass
@@ -141,7 +136,6 @@ def curate_shots(records, thresholds: CurationThresholds = CurationThresholds())
 # -- synthetic corpus ---------------------------------------------------------
 
 FRAME_HEIGHT = 400.0
-CORPUS_FPS = 12.0
 WORD_DURATION = 0.4
 LEAD_SILENCE = 0.3
 
@@ -190,8 +184,8 @@ def _render_frames(words, rng):
     """Pixel pose frames for a timed word list, driven by keyword
     prototypes plus an always-on beat oscillation and smooth wobble."""
     duration = LEAD_SILENCE * 2 + len(words) * WORD_DURATION
-    count = int(round(duration * CORPUS_FPS))
-    t = np.arange(count) / CORPUS_FPS
+    count = int(round(duration * DEFAULT_FPS))
+    t = np.arange(count) / DEFAULT_FPS
     offsets = np.zeros((count, 8, 2))
 
     for span in words:
@@ -269,7 +263,7 @@ def synth_corpus(seed: int, n_sentences: int) -> list:
         ]
         frames = _render_frames(spans, rng)
         records.append(
-            DatasetRecord(id=f"synth-{i:04d}", fps=CORPUS_FPS, frame_height=FRAME_HEIGHT, words=spans, frames=frames)
+            DatasetRecord(id=f"synth-{i:04d}", frame_height=FRAME_HEIGHT, words=spans, frames=frames)
         )
     return records
 
@@ -279,12 +273,13 @@ def synth_corpus(seed: int, n_sentences: int) -> list:
 
 def save_records_jsonl(records, path):
     """One record per line: coordinates in pixels, y down; absent joints
-    are null."""
+    are null. Every line states "fps": DEFAULT_FPS, the only rate the reader
+    accepts."""
     with open_for_write(path, "records file") as fh:
         for rec in records:
             obj = {
                 "id": rec.id,
-                "fps": rec.fps,
+                "fps": DEFAULT_FPS,
                 "frame_height": rec.frame_height,
                 "words": [[w.surface, w.t_start, w.t_end] for w in rec.words],
                 "frames": rec.frames.tolist(),
@@ -311,11 +306,12 @@ def load_records_jsonl(path) -> list:
                     continue
                 try:
                     obj = json.loads(line, parse_constant=_reject_constant)
+                    if obj["fps"] != DEFAULT_FPS:
+                        raise ValueError(f"fps must be {DEFAULT_FPS:g}, got {obj['fps']!r}")
                     frames = [[_ABSENT if joint is None else joint for joint in f] for f in obj["frames"]]
                     records.append(
                         DatasetRecord(
                             id=obj["id"],
-                            fps=obj["fps"],
                             frame_height=obj["frame_height"],
                             words=[WordSpan(s, t0, t1) for s, t0, t1 in obj["words"]],
                             frames=frames,

@@ -18,7 +18,6 @@ because nothing in an 8-joint skeleton determines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,20 +51,10 @@ _ARMS = (
 )
 
 
-@dataclass(frozen=True)
-class LimbLengths:
-    """Segment lengths in shoulder units (neck-to-shoulder = 1 keeps 3D
-    poses normalized)."""
-
-    neck_to_shoulder: float = 1.0
-    upper_arm: float = 1.5
-    forearm: float = 1.3
-    neck_to_nose: float = 1.0
-
-    def validate(self):
-        for name in ("neck_to_shoulder", "upper_arm", "forearm", "neck_to_nose"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive")
+# Segment lengths in shoulder units: neck-to-shoulder and neck-to-nose are 1,
+# which keeps 3D poses normalized.
+UPPER_ARM = 1.5
+FOREARM = 1.3
 
 
 def _rot(axis, angle):
@@ -97,21 +86,20 @@ def _forearm_local(bend, yaw):
     return np.stack([-sb * sy, -cb, sb * cy], axis=-1)
 
 
-def forward_kinematics(angles, limbs: LimbLengths = LimbLengths()) -> np.ndarray:
+def forward_kinematics(angles) -> np.ndarray:
     """Joint positions (..., 8, 3) in the torso frame for (..., 12) angles."""
-    limbs.validate()
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape[-1:] != (len(ANGLE_NAMES),):
         raise InvalidConfig(f"need {len(ANGLE_NAMES)} angles, got {angles.shape}")
     joints = np.zeros(angles.shape[:-1] + (8, 3))
-    joints[..., L_SHOULDER, 0] = limbs.neck_to_shoulder
-    joints[..., R_SHOULDER, 0] = -limbs.neck_to_shoulder
-    joints[..., HEAD, :] = limbs.neck_to_nose * (_rot(1, angles[..., _HEAD_YAW]) @ _REST_NOSE)
+    joints[..., L_SHOULDER, 0] = 1.0
+    joints[..., R_SHOULDER, 0] = -1.0
+    joints[..., HEAD, :] = _rot(1, angles[..., _HEAD_YAW]) @ _REST_NOSE
     for shoulder, elbow, wrist, col in _ARMS:
         pitch, roll, bend, yaw = np.moveaxis(angles[..., col : col + 4], -1, 0)
         frame = _shoulder_frame(pitch, roll)
-        joints[..., elbow, :] = joints[..., shoulder, :] + limbs.upper_arm * (frame @ _DOWN)
-        joints[..., wrist, :] = joints[..., elbow, :] + limbs.forearm * _apply(frame, _forearm_local(bend, yaw))
+        joints[..., elbow, :] = joints[..., shoulder, :] + UPPER_ARM * (frame @ _DOWN)
+        joints[..., wrist, :] = joints[..., elbow, :] + FOREARM * _apply(frame, _forearm_local(bend, yaw))
     return joints
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegeneratePose, InvalidConfig
-from .kinematics import ANGLE_NAMES, LimbLengths, clamp_angles, compute_joint_angles, forward_kinematics
+from .kinematics import ANGLE_NAMES, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _Bag, _xavier, backward
 from .pose import NECK, decode_pose, shoulder_scale
 from .synthesis import TimedPoseTrack
@@ -138,21 +138,17 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
     return joints / scale[..., None, None]
 
 
-def lift_forward(params: LiftNetParams, poses, mode: str = "eval"):
+def lift_forward(params: LiftNetParams, poses):
     """Depths (7,) for one (14,) lift input, or (B, 7) for a (B, 14) batch.
 
-    Train mode uses batch statistics and needs at least 2 samples; eval
-    mode uses running statistics and is batch-size independent.
+    Eval mode: batch normalization uses the running statistics, so each
+    row's depths are independent of the batch size.
     """
-    if mode not in ("train", "eval"):
-        raise InvalidConfig(f"unknown mode: {mode}")
     x = np.asarray(poses, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None]
-    if mode == "train" and x.shape[0] < 2:
-        raise InvalidConfig("train-mode batch normalization needs at least 2 samples")
-    out = lift_forward_graph(params, Tensor(x), train=(mode == "train"), record=False).data
+    out = lift_forward_graph(params, Tensor(x), train=False, record=False).data
     return out[0] if single else out
 
 
@@ -184,7 +180,7 @@ _SAMPLED_ANGLES = (
 )
 
 
-def synth_pose3d_corpus(seed: int, size: int, limbs: LimbLengths = LimbLengths()) -> np.ndarray:
+def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
     """(size, 8, 3) poses from a parametric sampler over plausible gesture
     arm configurations pushed through forward kinematics.
 
@@ -198,7 +194,7 @@ def synth_pose3d_corpus(seed: int, size: int, limbs: LimbLengths = LimbLengths()
     draws = np.random.default_rng(seed).uniform(lo, hi, size=(size, len(names)))  # sample by sample
     angles = np.zeros((size, len(ANGLE_NAMES)))
     angles[:, [ANGLE_NAMES.index(n) for n in names]] = draws
-    return forward_kinematics(angles, limbs)
+    return forward_kinematics(angles)
 
 
 @dataclass
@@ -237,7 +233,7 @@ def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetPa
 def lift_mse(params: LiftNetParams, dataset3d) -> float:
     """Eval-mode mean squared depth error over clean projections of
     (N, 8, 3) poses."""
-    pred = lift_forward(params, pose2d_to_lift_input(project_to_image(dataset3d)), mode="eval")
+    pred = lift_forward(params, pose2d_to_lift_input(project_to_image(dataset3d)))
     return float(np.mean((pred - depth_targets(dataset3d)) ** 2))
 
 
@@ -248,6 +244,6 @@ def retarget_track(track, pca, lift: LiftNetParams, limits: dict | None = None) 
     vectors overflow into non-finite angles, which the track writer refuses."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # save_track_csv reports these
         poses2d = decode_pose(pca, track.frames)
-        depths = lift_forward(lift, pose2d_to_lift_input(poses2d), mode="eval")
+        depths = lift_forward(lift, pose2d_to_lift_input(poses2d))
         angles = compute_joint_angles(assemble_pose3d(poses2d, depths))
-        return TimedPoseTrack(frames=clamp_angles(angles, limits), fps=track.fps)
+        return TimedPoseTrack(frames=clamp_angles(angles, limits))

@@ -327,18 +327,17 @@ def forward_graph(
     return RolloutGraph(poses=ad.stack(poses, axis=1), attn=ad.stack(rows, axis=1))
 
 
-def forward(model, embedded_words, seed_poses, mode: str = "eval", rng=None):
-    """Single-sequence rollout. embedded_words: (s, word_dim); seed_poses:
-    (n, 10). Returns (poses (m, 10), attention (m, s)) as plain arrays."""
-    if mode not in ("train", "eval"):
-        raise InvalidConfig(f"unknown mode: {mode}")
+def forward(model, embedded_words, seed_poses):
+    """Single-sequence eval-mode rollout. embedded_words: (s, word_dim);
+    seed_poses: (n, 10). Returns (poses (m, 10), attention (m, s)) as plain
+    arrays."""
     embedded = np.asarray(embedded_words, dtype=np.float64)
     if embedded.size == 0:
         raise InvalidConfig("cannot run on an empty word sequence")
     if embedded.ndim != 2:
         raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
     seeds = np.asarray(seed_poses, dtype=np.float64)
-    out = forward_graph(model, embedded[None], seeds[None], train=(mode == "train"), rng=rng, record=False)
+    out = forward_graph(model, embedded[None], seeds[None], record=False)
     return out.poses.data[0], out.attn.data[0]
 
 

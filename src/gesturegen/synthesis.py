@@ -17,8 +17,7 @@ import numpy as np
 from .errors import InvalidConfig, MalformedFile, open_for_write
 from .model import Seq2SeqModel, forward
 
-DEFAULT_FPS = 12.0
-FRAME_DURATION = 1.0 / 12.0
+DEFAULT_FPS = 12.0  # the one frame rate of records, tracks and the decoder
 DEFAULT_WORDS_PER_MINUTE = 160.0
 
 
@@ -28,23 +27,21 @@ class ChunkPlan:
     words_per_chunk: int
     chunks: tuple  # tuple of token tuples, in order, partitioning the text
     speech_duration: float
-    frame_duration: float = FRAME_DURATION
 
 
 @dataclass(frozen=True)
 class TimedPoseTrack:
-    """Per-frame rows at a fixed frame rate: gesture vectors from synthesis,
-    joint angles from retargeting."""
+    """Per-frame rows at DEFAULT_FPS: gesture vectors from synthesis, joint
+    angles from retargeting."""
 
     frames: np.ndarray  # (T, gesture_dim) or (T, 12) joint angles
-    fps: float = DEFAULT_FPS
 
     def __post_init__(self):
         object.__setattr__(self, "frames", np.asarray(self.frames, dtype=np.float64))
 
     @property
     def duration(self) -> float:
-        return self.frames.shape[0] / self.fps
+        return self.frames.shape[0] / DEFAULT_FPS
 
     def __len__(self):
         return self.frames.shape[0]
@@ -61,7 +58,7 @@ def estimate_speech_duration(tokens, words_per_minute: float = DEFAULT_WORDS_PER
 
 
 def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> ChunkPlan:
-    """Words per chunk: floor(S * (m + n) * frame_duration / duration),
+    """Words per chunk: floor(S * (m + n) / DEFAULT_FPS / duration),
     clamped into [1, S]; the text splits into consecutive chunks of that
     size with the last one possibly shorter."""
     tokens = list(tokens)
@@ -72,7 +69,7 @@ def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> Chu
     if speech_duration <= 0:
         raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     total = len(tokens)
-    size = math.floor(total * (m + n) * FRAME_DURATION / speech_duration)
+    size = math.floor(total * (m + n) * (1.0 / DEFAULT_FPS) / speech_duration)
     size = max(1, min(size, total))
     chunks = tuple(tuple(tokens[i : i + size]) for i in range(0, total, size))
     return ChunkPlan(
@@ -96,33 +93,33 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     maps = []
     for chunk in plan.chunks:
         embedded = np.stack([table.lookup(w) for w in chunk])
-        poses, attn = forward(model, embedded, seeds, mode="eval")
+        poses, attn = forward(model, embedded, seeds)
         all_frames.append(poses)
         maps.append(attn)
         tail = np.concatenate([seeds, poses])[-n:]
         seeds = tail
-    track = TimedPoseTrack(frames=np.concatenate(all_frames), fps=DEFAULT_FPS)
+    track = TimedPoseTrack(frames=np.concatenate(all_frames))
     return track, maps
 
 
 def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack:
     """Uniformly rescale the track in time (linear interpolation) so it has
-    ceil(duration * fps) frames. First and last poses are preserved exactly;
-    a track already at the right length comes back unchanged."""
+    ceil(duration * DEFAULT_FPS) frames. First and last poses are preserved
+    exactly; a track already at the right length comes back unchanged."""
     if len(track) == 0:
         raise InvalidConfig("cannot align an empty track")
     if not math.isfinite(speech_duration):
         raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
     if speech_duration <= 0:
         raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
-    target = int(math.ceil(speech_duration * track.fps))
+    target = int(math.ceil(speech_duration * DEFAULT_FPS))
     source = len(track)
     if target == source:
-        return TimedPoseTrack(frames=track.frames.copy(), fps=track.fps)
+        return TimedPoseTrack(frames=track.frames.copy())
     if source == 1:
-        return TimedPoseTrack(frames=np.repeat(track.frames, target, axis=0), fps=track.fps)
+        return TimedPoseTrack(frames=np.repeat(track.frames, target, axis=0))
     if target == 1:
-        return TimedPoseTrack(frames=track.frames[:1].copy(), fps=track.fps)
+        return TimedPoseTrack(frames=track.frames[:1].copy())
     positions = np.linspace(0.0, source - 1, target)
     lo = np.floor(positions).astype(int)
     lo = np.minimum(lo, source - 2)
@@ -130,7 +127,7 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
     frames = (1.0 - frac) * track.frames[lo] + frac * track.frames[lo + 1]
     frames[0] = track.frames[0]
     frames[-1] = track.frames[-1]
-    return TimedPoseTrack(frames=frames, fps=track.fps)
+    return TimedPoseTrack(frames=frames)
 
 
 def assemble_attention(maps, chunks) -> np.ndarray:
@@ -181,10 +178,10 @@ def save_track_csv(track: TimedPoseTrack, path, columns=None):
     with open_for_write(path, "track file") as fh:
         fh.write(header + "\n")
         for i, row in enumerate(track.frames):
-            fh.write(repr(float(i / track.fps)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(repr(float(i / DEFAULT_FPS)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_track_csv(path, fps: float = DEFAULT_FPS) -> TimedPoseTrack:
+def load_track_csv(path) -> TimedPoseTrack:
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -210,4 +207,4 @@ def load_track_csv(path, fps: float = DEFAULT_FPS) -> TimedPoseTrack:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise MalformedFile(f"{path}: inconsistent column counts")
-    return TimedPoseTrack(frames=np.array(rows), fps=fps)
+    return TimedPoseTrack(frames=np.array(rows))

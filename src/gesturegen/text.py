@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile
+from .errors import MalformedFile, open_for_write
 
 EMBED_DIM = 300
 
@@ -100,7 +100,7 @@ def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0
     """
     rng = np.random.default_rng(seed)
     unique = sorted(set(tokens))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_write(path, "embedding table") as fh:
         for token in unique:
             vec = rng.normal(0.0, 0.4, size=dim)
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")

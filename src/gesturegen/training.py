@@ -20,6 +20,11 @@ from .errors import InvalidConfig, open_for_write
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
 from .pose import encode_pose, normalize_pose
 
+# Adam's decay rates and denominator guard: the defaults of Kingma & Ba 2015
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class Hyperparams:
@@ -68,10 +73,7 @@ class TrainingPair:
 class AdamState:
     """Per-parameter moment accumulators for bias-corrected Adam."""
 
-    def __init__(self, store: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, store: ParamStore):
         self.step_count = 0
         self.first = {name: np.zeros_like(p.value) for name, p in store.items()}
         self.second = {name: np.zeros_like(p.value) for name, p in store.items()}
@@ -112,18 +114,18 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
     the caller decides when to clear them."""
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for name, p in store.items():
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None or m.shape != p.value.shape:
             raise InvalidConfig(f"Adam state does not match parameter {name}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * p.grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (p.grad * p.grad)
-        p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
+        p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def make_training_pairs(records, pca, n: int, m: int, stride: int | None = None) -> list[TrainingPair]:

@@ -39,7 +39,7 @@ from gesturegen.pose import (
     fit_pca,
     normalize_pose,
 )
-from gesturegen.synthesis import TimedPoseTrack, align_track, generate_gesture, plan_chunks, save_track_csv
+from gesturegen.synthesis import DEFAULT_FPS, TimedPoseTrack, align_track, generate_gesture, plan_chunks, save_track_csv
 from gesturegen.text import EmbeddingTable
 from gesturegen.training import Hyperparams, compute_loss_graph, make_training_pairs, train_model
 
@@ -491,13 +491,13 @@ def test_criterion_10_baselines(tmp_path):
     verbatim = np.array_equal(nn_track.frames, expected)
 
     rand_track = random_baseline(records, pca, 7.3, np.random.default_rng(1))
-    rand_ok = abs(rand_track.duration - 7.3) <= 1.0 / rand_track.fps
+    rand_ok = abs(rand_track.duration - 7.3) <= 1.0 / DEFAULT_FPS
 
-    authored = TimedPoseTrack(frames=np.random.default_rng(2).normal(size=(20, 10)), fps=12.0)
+    authored = TimedPoseTrack(frames=np.random.default_rng(2).normal(size=(20, 10)))
     path = tmp_path / "manual.csv"
     save_track_csv(authored, path)
     manual_track = manual_baseline(path, 4.6)
-    manual_ok = abs(manual_track.duration - 4.6) <= 1.0 / manual_track.fps
+    manual_ok = abs(manual_track.duration - 4.6) <= 1.0 / DEFAULT_FPS
 
     ok = worst < 1e-12 and identical and disjoint and verbatim and rand_ok and manual_ok
     scoreboard(

@@ -7,7 +7,7 @@ from gesturegen.baselines import bleu_score, eval_tracks, manual_baseline, nn_ba
 from gesturegen.corpus import synth_corpus
 from gesturegen.errors import InvalidConfig, MalformedFile
 from gesturegen.pose import encode_pose, fit_pca, normalize_pose
-from gesturegen.synthesis import TimedPoseTrack, save_track_csv
+from gesturegen.synthesis import DEFAULT_FPS, TimedPoseTrack, save_track_csv
 
 
 def oracle_bleu(candidate, reference, max_n=4):
@@ -151,7 +151,7 @@ class TestRandomBaseline:
         records, pca = corpus_and_pca
         for duration in (2.0, 5.5, 9.25):
             track = random_baseline(records, pca, duration, np.random.default_rng(0))
-            assert abs(track.duration - duration) <= 1.0 / track.fps
+            assert abs(track.duration - duration) <= 1.0 / DEFAULT_FPS
 
     def test_single_record_always_selected(self, corpus_and_pca):
         records, pca = corpus_and_pca
@@ -171,7 +171,7 @@ class TestRandomBaseline:
 class TestManualBaseline:
     def test_own_duration_unchanged(self, tmp_path):
         rng = np.random.default_rng(4)
-        track = TimedPoseTrack(frames=rng.normal(size=(20, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(20, 10)))
         path = tmp_path / "manual.csv"
         save_track_csv(track, path)
         out = manual_baseline(path, track.duration)
@@ -179,7 +179,7 @@ class TestManualBaseline:
 
     def test_double_duration_doubles_frames(self, tmp_path):
         rng = np.random.default_rng(5)
-        track = TimedPoseTrack(frames=rng.normal(size=(20, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(20, 10)))
         path = tmp_path / "manual.csv"
         save_track_csv(track, path)
         out = manual_baseline(path, 2 * track.duration)
@@ -193,32 +193,32 @@ class TestManualBaseline:
 class TestEvalTracks:
     def test_identical_zero_mse(self):
         rng = np.random.default_rng(6)
-        track = TimedPoseTrack(frames=rng.normal(size=(8, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(8, 10)))
         metrics = eval_tracks(track, track)
         assert metrics.mse == 0.0
 
     def test_constant_track(self):
-        track = TimedPoseTrack(frames=np.ones((5, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=np.ones((5, 10)))
         metrics = eval_tracks(track, track)
         assert metrics.mean_displacement == 0.0
         assert np.array_equal(metrics.temporal_variance, np.zeros(10))
 
     def test_hand_two_frame_case(self):
-        gen = TimedPoseTrack(frames=np.array([[0.0] * 10, [2.0] + [0.0] * 9]), fps=12.0)
-        ref = TimedPoseTrack(frames=np.zeros((2, 10)), fps=12.0)
+        gen = TimedPoseTrack(frames=np.array([[0.0] * 10, [2.0] + [0.0] * 9]))
+        ref = TimedPoseTrack(frames=np.zeros((2, 10)))
         metrics = eval_tracks(gen, ref)
         assert abs(metrics.mse - (4.0 / 20)) < 1e-12  # one squared error of 4 over 20 entries
         assert abs(metrics.mean_displacement - 2.0) < 1e-12
         assert abs(metrics.temporal_variance[0] - 1.0) < 1e-12
 
     def test_length_mismatch(self):
-        a = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
-        b = TimedPoseTrack(frames=np.zeros((4, 10)), fps=12.0)
+        a = TimedPoseTrack(frames=np.zeros((3, 10)))
+        b = TimedPoseTrack(frames=np.zeros((4, 10)))
         with pytest.raises(InvalidConfig, match="3 generated vs 4 reference frames"):
             eval_tracks(a, b)
 
     def test_width_mismatch(self):
-        a = TimedPoseTrack(frames=np.zeros((3, 12)), fps=12.0)
-        b = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
+        a = TimedPoseTrack(frames=np.zeros((3, 12)))
+        b = TimedPoseTrack(frames=np.zeros((3, 10)))
         with pytest.raises(InvalidConfig, match="12 generated vs 10 reference columns"):
             eval_tracks(a, b)

@@ -123,18 +123,22 @@ class TestVersioning:
             (lambda h: h["model_cfg"].pop("dropout"), "model_cfg must have the keys"),
             (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must have the keys"),
             (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden is not a number"),
+            (lambda h: h.update(embedding_ref={"sha256": "x"}), "embedding_ref must be null or string path and sha256"),
+            (lambda h: h.update(embedding_ref="emb.txt"), "embedding_ref must be null or string path and sha256"),
         ],
-        ids=["unknown_model_key", "missing_model_key", "unknown_lift_key", "non_numeric_model_value"],
+        ids=[
+            "unknown_model_key",
+            "missing_model_key",
+            "unknown_lift_key",
+            "non_numeric_model_value",
+            "embedding_ref_without_path",
+            "embedding_ref_string",
+        ],
     )
     def test_bad_config_header_rejected(self, tmp_path, edit, reason):
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
-        raw = path.read_bytes()
-        header_len = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16 : 16 + header_len])
-        edit(header)
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + header_len :])
+        edit_header(path, edit)
         with pytest.raises(MalformedFile, match=f"corrupt checkpoint header: {reason}"):
             load_checkpoint(path)
 
@@ -181,6 +185,17 @@ class TestAtomicWrite:
         assert opened and opened[0].writes == 5  # the header went out before the failure
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
+
+
+def edit_header(path, edit):
+    """Rewrite the JSON header of a saved checkpoint through ``edit(header)``,
+    keeping the payload."""
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + header_len :])
 
 
 def patch_array_value(path, name, value):
@@ -278,7 +293,7 @@ class TestRender:
     def test_track_requires_pca(self, tmp_path):
         from gesturegen.errors import InvalidConfig
 
-        track = TimedPoseTrack(frames=np.zeros((2, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=np.zeros((2, 10)))
         with pytest.raises(InvalidConfig):
             render(track, tmp_path / "x")
 

@@ -462,20 +462,32 @@ def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
     _single_line_error(capsys, "pca-sweep")
 
 
-@pytest.mark.parametrize("command", ["generate", "retarget", "schedule"])
-def test_output_path_is_directory_is_single_line(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, out, reason",
+    [
+        ("generate", ["--out", "."], "cannot write track file: "),
+        ("retarget", ["--out", "."], "cannot write track file: "),
+        ("schedule", ["--out", "."], "cannot write plan file: "),
+        ("generate", ["--out", "afile/t.csv"], "cannot create output directory: "),
+        ("generate", ["--out-dir", "afile/sub"], "cannot create output directory: "),
+        ("synth-corpus", ["--embeddings-out", "."], "cannot write embedding table: "),
+    ],
+    ids=["generate", "retarget", "schedule", "generate-out-under-file", "generate-out-dir-under-file", "synth-corpus"],
+)
+def test_output_path_is_directory_is_single_line(workspace, tmp_path, capsys, command, out, reason):
     root, _ = workspace
+    (tmp_path / "afile").write_text("")
     common = ["--checkpoint", str(root / "ck.ggck"), "--out-dir", str(tmp_path / "o")]
     args = {
         "generate": ["--text", "we hold a big idea", "--duration", "2.0", "--attention", str(tmp_path / "a.csv")],
         "retarget": ["--track", str(root / "track.csv")],
         "schedule": ["--text", "we hold a big idea"],
+        "synth-corpus": ["--sentences", "1", "--out", str(tmp_path / "c.jsonl")],
     }[command]
-    rc = main([command, *args, *common, "--out", str(tmp_path)])
+    rc = main([command, *args, *common, out[0], str(tmp_path / out[1])])
     assert rc == 1
-    what = "plan file" if command == "schedule" else "track file"
     err = capsys.readouterr().err.strip()
-    assert err.startswith(f"{command}: cannot write {what}: ") and "\n" not in err
+    assert err.startswith(f"{command}: {reason}") and "\n" not in err
 
 
 def test_eval_width_mismatch_is_single_line(workspace, tmp_path, capsys):
@@ -567,3 +579,53 @@ def test_overflowing_track_retarget_is_single_line(workspace, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("retarget: "), lines
     assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("duration", ["0", "-1"])
+@pytest.mark.parametrize("command", ["generate", "schedule", "baseline nn", "baseline random"])
+def test_non_positive_duration_is_single_line(workspace, tmp_path, capsys, command, duration):
+    root, _ = workspace
+    args = [*command.split(), "--text", "we hold a big idea", "--duration", duration]
+    args += ["--checkpoint", str(root / "ck.ggck"), "--dataset", str(root / "kept.jsonl")]
+    capsys.readouterr()
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"{command.split()[0]}: speech duration must be positive, got {float(duration)}"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bad_embedding_ref_generate_is_single_line(workspace, tmp_path, capsys):
+    from test_checkpoint import edit_header
+
+    root, _ = workspace
+    path = tmp_path / "ck.ggck"
+    shutil.copyfile(root / "ck.ggck", path)
+    edit_header(path, lambda h: h.update(embedding_ref={"sha256": "x"}))
+    capsys.readouterr()
+    args = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2.0"]
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "track.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("generate: corrupt checkpoint header: embedding_ref ") and "\n" not in err
+    assert not (tmp_path / "track.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        ("render", "pose 0 has non-finite values"),
+        ("pca-sweep", "--values must be comma-separated finite numbers, got '0,1e309'"),
+    ],
+)
+def test_overflowing_render_is_single_line(workspace, tmp_path, capsys, command, reason):
+    root, _ = workspace
+    rows = [f"{t / 12.0!r}," + ",".join(["1.7e308"] * 10) for t in range(3)]
+    (tmp_path / "huge.csv").write_text("\n".join(["t_s," + ",".join(f"c{i + 1}" for i in range(10)), *rows]) + "\n")
+    args = {
+        "render": ["--track", str(tmp_path / "huge.csv"), "--out", str(tmp_path / "svg")],
+        "pca-sweep": ["--dim", "1", "--values", "0,1e309", "--out-dir", str(tmp_path / "svg")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(root / "ck.ggck"), *args]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{command}: {reason}"]
+    assert not (tmp_path / "svg").exists()

@@ -4,11 +4,13 @@ curation records and the CLI flag overrides are derived from its fields."""
 import argparse
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from gesturegen.cli import _apply_overrides, build_parser
+from gesturegen.cli import _apply_overrides, build_parser, main
 from gesturegen.config import Config
 from gesturegen.corpus import CurationThresholds
+from gesturegen.lifting import LiftTrainConfig
 from gesturegen.model import ModelConfig
 from gesturegen.training import Hyperparams
 
@@ -33,6 +35,11 @@ NON_DEFAULT = dict(
     min_duration=6.0,
     min_motion=0.4,
     max_jitter=20.0,
+    lift_steps=3,
+    lift_lr=0.5,
+    lift_batch=4,
+    rot_range_deg=10.0,
+    noise_sigma=0.1,
 )
 
 
@@ -42,6 +49,11 @@ NON_DEFAULT = dict(
         ("hyperparams", Hyperparams, {}),
         ("model_config", ModelConfig, {"gesture_dim": "pca_components"}),
         ("curation_thresholds", CurationThresholds, {}),
+        (
+            "lift_config",
+            LiftTrainConfig,
+            {"steps": "lift_steps", "lr": "lift_lr", "batch_size": "lift_batch", "rot_range": "rot_range_deg"},
+        ),
     ],
 )
 def test_every_record_field_comes_from_config(method, record, renamed):
@@ -49,6 +61,8 @@ def test_every_record_field_comes_from_config(method, record, renamed):
     defaults = record()
     for f in fields(record):
         value = NON_DEFAULT[renamed.get(f.name, f.name)]
+        if f.name == "rot_range":  # the config states it in degrees
+            value = float(np.deg2rad(value))
         assert getattr(defaults, f.name) != value, f.name
         assert getattr(out, f.name) == value, f.name
 
@@ -94,3 +108,10 @@ def test_override_flag_sets_its_field(name):
     assert {k: v for k, v in cfg.to_dict().items() if k != name} == {
         k: v for k, v in Config().to_dict().items() if k != name
     }
+
+
+@pytest.mark.parametrize("value", ["NaN", "0", "-12"])
+def test_fps_is_not_a_config_key(tmp_path, capsys, value):
+    (tmp_path / "cfg.json").write_text(f'{{"fps": {value}}}')
+    assert main(["schedule", "--config", str(tmp_path / "cfg.json"), "--text", "hi", "--duration", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["schedule: unknown config keys: fps"]

@@ -19,7 +19,7 @@ from gesturegen.errors import InvalidConfig, MalformedFile
 from gesturegen.pose import L_WRIST, R_WRIST
 
 
-def _passing_record(record_id="ok", n_frames=70, fps=12.0):
+def _passing_record(record_id="ok", n_frames=70):
     """A synthetic record engineered to satisfy every curation rule."""
     rng = np.random.default_rng(0)
     base = np.array(
@@ -28,25 +28,24 @@ def _passing_record(record_id="ok", n_frames=70, fps=12.0):
     )
     frames = []
     for i in range(n_frames):
-        wobble = 6.0 * np.sin(2 * np.pi * 0.8 * i / fps)
+        wobble = 6.0 * np.sin(2 * np.pi * 0.8 * i / 12.0)
         offsets = rng.normal(0, 0.5, (8, 2))
         offsets[:, 1] += wobble
         frames.append(base + offsets)
     words = [WordSpan("hello", 0.3, 0.8), WordSpan("there", 0.8, 1.3)]
-    return DatasetRecord(id=record_id, fps=fps, frame_height=400, words=words, frames=frames)
+    return DatasetRecord(id=record_id, frame_height=400, words=words, frames=frames)
 
 
 class TestRecordValidation:
     def test_requires_frames(self):
         with pytest.raises(InvalidConfig):
-            DatasetRecord(id="x", fps=12, frame_height=400, words=[], frames=[])
+            DatasetRecord(id="x", frame_height=400, words=[], frames=[])
 
     def test_word_order(self):
         rec = _passing_record()
         with pytest.raises(InvalidConfig):
             DatasetRecord(
                 id="x",
-                fps=12,
                 frame_height=400,
                 words=[WordSpan("b", 1.0, 1.5), WordSpan("a", 0.5, 0.9)],
                 frames=rec.frames,
@@ -58,11 +57,11 @@ class TestRecordValidation:
         frames = _passing_record().frames.copy()
         frames[2, 4, 0] = value
         with pytest.raises(InvalidConfig):
-            DatasetRecord(id="x", fps=12, frame_height=400, words=[], frames=frames)
+            DatasetRecord(id="x", frame_height=400, words=[], frames=frames)
 
     def test_frame_shape(self):
         with pytest.raises(InvalidConfig):
-            DatasetRecord(id="x", fps=12, frame_height=400, words=[], frames=np.zeros((3, 7, 2)))
+            DatasetRecord(id="x", frame_height=400, words=[], frames=np.zeros((3, 7, 2)))
 
     def test_word_ends_before_start(self):
         with pytest.raises(InvalidConfig):
@@ -92,7 +91,6 @@ class TestCurateShots:
         rec = _passing_record("small")
         tiny = [DatasetRecord(
             id="small",
-            fps=rec.fps,
             frame_height=rec.frame_height,
             words=rec.words,
             frames=rec.frames * 0.3,
@@ -105,7 +103,6 @@ class TestCurateShots:
         rec = _passing_record("still")
         frozen = DatasetRecord(
             id="still",
-            fps=rec.fps,
             frame_height=rec.frame_height,
             words=rec.words,
             frames=[rec.frames[0]] * len(rec.frames),
@@ -118,7 +115,7 @@ class TestCurateShots:
         rec = _passing_record("jitter")
         frames = rec.frames.copy()
         frames[30] += 200.0  # teleporting pose
-        noisy = DatasetRecord(id="jitter", fps=rec.fps, frame_height=rec.frame_height, words=rec.words, frames=frames)
+        noisy = DatasetRecord(id="jitter", frame_height=rec.frame_height, words=rec.words, frames=frames)
         kept, entries = curate_shots([noisy])
         assert kept == []
         assert entries[0][2] == "jitter"
@@ -174,8 +171,8 @@ class TestSynthCorpus:
 
 @st.composite
 def _records(draw):
-    """A valid record: any finite rates, sorted word starts, and (T, 8, 2)
-    frames in which some joints are absent (NaN rows)."""
+    """A valid record: any finite frame height, sorted word starts, and
+    (T, 8, 2) frames in which some joints are absent (NaN rows)."""
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     times = st.floats(-1e6, 1e6)
     starts = sorted(draw(st.lists(times, max_size=4)))
@@ -183,7 +180,7 @@ def _records(draw):
     count = draw(st.integers(1, 6))
     frames = draw(hnp.arrays(np.float64, (count, 8, 2), elements=st.floats(allow_nan=False, allow_infinity=False)))
     frames[draw(hnp.arrays(bool, (count, 8)))] = np.nan
-    return DatasetRecord(draw(st.text(max_size=6)), draw(positive), draw(positive), words, frames)
+    return DatasetRecord(draw(st.text(max_size=6)), draw(positive), words, frames)
 
 
 class TestJsonl:
@@ -195,7 +192,7 @@ class TestJsonl:
         loaded = load_records_jsonl(path)
         assert len(loaded) == len(records)
         for a, b in zip(records, loaded):
-            assert (a.id, a.fps, a.frame_height) == (b.id, b.fps, b.frame_height)
+            assert (a.id, a.frame_height) == (b.id, b.frame_height)
             assert [(w.surface, w.t_start, w.t_end) for w in a.words] == [
                 (w.surface, w.t_start, w.t_end) for w in b.words
             ]
@@ -211,7 +208,7 @@ class TestJsonl:
         loaded = load_records_jsonl(path)
         assert len(loaded) == 3
         for a, b in zip(records, loaded):
-            assert a.id == b.id and a.fps == b.fps and a.frame_height == b.frame_height
+            assert a.id == b.id and a.frame_height == b.frame_height
             assert [w.surface for w in a.words] == [w.surface for w in b.words]
             assert np.array_equal(a.frames, b.frames, equal_nan=True)
 
@@ -240,6 +237,17 @@ class TestJsonl:
         lines[1] = json.dumps(obj).replace('"PLACEHOLDER"', raw)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile, match="bad record on line 2: "):
+            load_records_jsonl(path)
+
+    @pytest.mark.parametrize("fps", ["24.0", "0", "-12"])
+    def test_other_frame_rate_rejected(self, tmp_path, fps):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl([_passing_record(f"r{i}") for i in range(3)], path)
+        lines = path.read_text().splitlines()
+        assert '"fps":12.0' in lines[1]
+        lines[1] = lines[1].replace('"fps":12.0', f'"fps":{fps}')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=f"bad record on line 2: fps must be 12, got {fps}$"):
             load_records_jsonl(path)
 
     def test_malformed(self, tmp_path):

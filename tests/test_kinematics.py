@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.kinematics import (
     ANGLE_NAMES,
-    LimbLengths,
     clamp_angles,
     compute_joint_angles,
     forward_kinematics,
@@ -64,10 +63,6 @@ class TestForwardKinematics:
         pose = forward_kinematics(_angles(l_sh_roll=np.pi / 2))
         upper = pose[L_ELBOW] - pose[L_SHOULDER]
         assert np.allclose(upper / np.linalg.norm(upper), [1, 0, 0], atol=1e-12)
-
-    def test_invalid_limbs(self):
-        with pytest.raises(InvalidConfig, match="upper_arm must be positive"):
-            forward_kinematics(_angles(), LimbLengths(upper_arm=0.0))
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(0)

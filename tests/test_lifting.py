@@ -32,15 +32,10 @@ class TestLiftForward:
             if name.endswith(".w") or name.endswith(".b") or name.endswith(".shift"):
                 p.value[...] = 0.0
         rng = np.random.default_rng(0)
-        out = lift_forward(params, rng.normal(size=(5, 14)), mode="eval")
+        out = lift_forward(params, rng.normal(size=(5, 14)))
         assert np.array_equal(out, np.zeros((5, 7)))
-        out_train = lift_forward(params, rng.normal(size=(5, 14)), mode="train")
+        out_train = lift_forward_graph(params, Tensor(rng.normal(size=(5, 14))), train=True).data
         assert np.allclose(out_train, 0.0)
-
-    def test_train_mode_needs_batch(self):
-        params = init_lift_params(seed=1)
-        with pytest.raises(InvalidConfig, match="needs at least 2 samples"):
-            lift_forward(params, np.zeros((1, 14)), mode="train")
 
     def test_batchnorm_unit_statistics(self):
         # After the first linear layer, train-mode normalization (scale 1,
@@ -71,17 +66,17 @@ class TestLiftForward:
         params = init_lift_params(seed=3)
         before = params.running["mean1"].copy()
         rng = np.random.default_rng(3)
-        lift_forward(params, rng.normal(size=(8, 14)), mode="eval")
+        lift_forward(params, rng.normal(size=(8, 14)))
         assert np.array_equal(params.running["mean1"], before)
-        lift_forward(params, rng.normal(size=(8, 14)) + 2.0, mode="train")
+        lift_forward_graph(params, Tensor(rng.normal(size=(8, 14)) + 2.0), train=True)
         assert not np.array_equal(params.running["mean1"], before)
 
     def test_eval_batch_size_independent(self):
         params = init_lift_params(seed=4)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 14))
-        full = lift_forward(params, x, mode="eval")
-        singles = np.stack([lift_forward(params, x[i], mode="eval") for i in range(6)])
+        full = lift_forward(params, x)
+        singles = np.stack([lift_forward(params, x[i]) for i in range(6)])
         assert np.allclose(full, singles, atol=1e-12)
 
     def test_finite_difference_gradients(self):
@@ -218,7 +213,7 @@ class TestRetarget:
         pca = _track_pca()
         lift = init_lift_params(seed=20)
         frame = np.random.default_rng(20).normal(0, 0.4, 10)
-        track = TimedPoseTrack(frames=np.tile(frame, (6, 1)), fps=12.0)
+        track = TimedPoseTrack(frames=np.tile(frame, (6, 1)))
         angles = retarget_track(track, pca, lift)
         assert len(angles) == 6
         assert np.allclose(angles.frames, angles.frames[0])
@@ -228,19 +223,19 @@ class TestRetarget:
         lift = init_lift_params(seed=21)
         rng = np.random.default_rng(21)
         frames = rng.normal(0, 0.4, size=(8, 10))
-        track = TimedPoseTrack(frames=frames, fps=12.0)
+        track = TimedPoseTrack(frames=frames)
         out = retarget_track(track, pca, lift)
-        assert isinstance(out, TimedPoseTrack) and out.fps == 12.0
+        assert isinstance(out, TimedPoseTrack)
         assert out.frames.shape == (8, 12)
         perm = rng.permutation(8)
-        permuted = retarget_track(TimedPoseTrack(frames=frames[perm], fps=12.0), pca, lift)
+        permuted = retarget_track(TimedPoseTrack(frames=frames[perm]), pca, lift)
         assert np.allclose(permuted.frames, out.frames[perm], atol=1e-12)
 
     def test_limits_clamp_everything(self):
         pca = _track_pca()
         lift = init_lift_params(seed=22)
         rng = np.random.default_rng(22)
-        track = TimedPoseTrack(frames=rng.normal(0, 0.5, size=(5, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(0, 0.5, size=(5, 10)))
         limits = {name: (-0.01, 0.01) for name in ANGLE_NAMES}
         out = retarget_track(track, pca, lift, limits)
         assert np.all(out.frames >= -0.01) and np.all(out.frames <= 0.01)
@@ -248,7 +243,7 @@ class TestRetarget:
     def test_head_and_wrist_columns_zero(self):
         pca = _track_pca()
         lift = init_lift_params(seed=23)
-        track = TimedPoseTrack(frames=np.random.default_rng(23).normal(0, 0.4, (7, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=np.random.default_rng(23).normal(0, 0.4, (7, 10)))
         out = retarget_track(track, pca, lift)
         for col in ("head_pitch", "l_wr_yaw", "r_wr_yaw"):
             assert np.all(out.frames[:, ANGLE_NAMES.index(col)] == 0.0)
@@ -263,7 +258,7 @@ class TestRetarget:
         )
         pca = fit_pca([normalize_pose(base + rng.normal(0, 6.0, (8, 2))) for _ in range(40)])
         lift = train_lift(synth_pose3d_corpus(seed=41, size=30), LiftTrainConfig(steps=50, seed=42))
-        track = TimedPoseTrack(frames=rng.normal(0, 0.6, size=(48, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(0, 0.6, size=(48, 10)))
         limits = {
             "head_pitch": (-0.5, 0.5),
             "head_yaw": (-0.3, 0.3),

@@ -10,6 +10,7 @@ from gesturegen.errors import InvalidConfig, MalformedFile
 from gesturegen.kinematics import ANGLE_NAMES, save_angles_csv
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.synthesis import (
+    DEFAULT_FPS,
     TimedPoseTrack,
     align_track,
     assemble_attention,
@@ -139,19 +140,19 @@ class TestGenerateGesture:
 class TestAlignTrack:
     def test_identity_when_matching(self):
         rng = np.random.default_rng(1)
-        track = TimedPoseTrack(frames=rng.normal(size=(24, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(24, 10)))
         aligned = align_track(track, 2.0)
         assert np.array_equal(aligned.frames, track.frames)
 
     def test_140_to_180_frames(self):
         rng = np.random.default_rng(2)
-        track = TimedPoseTrack(frames=rng.normal(size=(140, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(140, 10)))
         aligned = align_track(track, 15.0)
         assert len(aligned) == 180
 
     def test_two_frame_interpolation(self):
         p, q = np.zeros(10), np.arange(10.0)
-        track = TimedPoseTrack(frames=np.stack([p, q]), fps=12.0)
+        track = TimedPoseTrack(frames=np.stack([p, q]))
         aligned = align_track(track, 4 / 12.0)
         assert len(aligned) == 4
         assert np.allclose(aligned.frames[0], p)
@@ -161,7 +162,7 @@ class TestAlignTrack:
 
     def test_endpoints_preserved_exactly(self):
         rng = np.random.default_rng(3)
-        track = TimedPoseTrack(frames=rng.normal(size=(17, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(17, 10)))
         aligned = align_track(track, 3.71)
         assert np.array_equal(aligned.frames[0], track.frames[0])
         assert np.array_equal(aligned.frames[-1], track.frames[-1])
@@ -169,23 +170,21 @@ class TestAlignTrack:
     def test_duration_contract(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            track = TimedPoseTrack(frames=rng.normal(size=(int(rng.integers(2, 60)), 10)), fps=12.0)
+            track = TimedPoseTrack(frames=rng.normal(size=(int(rng.integers(2, 60)), 10)))
             duration = float(rng.uniform(0.2, 10))
             aligned = align_track(track, duration)
-            assert abs(aligned.duration - duration) <= 1.0 / aligned.fps
+            assert abs(aligned.duration - duration) <= 1.0 / DEFAULT_FPS
 
     @settings(max_examples=50, deadline=None)
     @given(
         frames=hnp.arrays(
             np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)), elements=st.floats(-1e6, 1e6)
         ),
-        fps=st.floats(min_value=1.0, max_value=60.0),
         duration=st.floats(min_value=1e-3, max_value=30.0),
     )
-    def test_frame_count_and_kept_endpoints(self, frames, fps, duration):
-        aligned = align_track(TimedPoseTrack(frames=frames, fps=fps), duration)
-        assert len(aligned) == math.ceil(duration * fps)
-        assert aligned.fps == fps
+    def test_frame_count_and_kept_endpoints(self, frames, duration):
+        aligned = align_track(TimedPoseTrack(frames=frames), duration)
+        assert len(aligned) == math.ceil(duration * DEFAULT_FPS)
         assert aligned.frames[0].tobytes() == frames[0].tobytes()
         if len(aligned) > 1:  # a one-frame result can only keep the first frame
             assert aligned.frames[-1].tobytes() == frames[-1].tobytes()
@@ -194,17 +193,17 @@ class TestAlignTrack:
     @given(duration=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=0.0)))
     def test_non_finite_or_non_positive_duration_rejected(self, duration):
         with pytest.raises(InvalidConfig, match="^speech duration must be (finite|positive), got "):
-            align_track(TimedPoseTrack(frames=np.zeros((3, 2)), fps=12.0), duration)
+            align_track(TimedPoseTrack(frames=np.zeros((3, 2))), duration)
 
     def test_errors(self):
-        track = TimedPoseTrack(frames=np.zeros((3, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=np.zeros((3, 10)))
         with pytest.raises(InvalidConfig, match="speech duration must be positive"):
             align_track(track, -1.0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvalidConfig, match="speech duration must be finite"):
                 align_track(track, bad)
         with pytest.raises(InvalidConfig, match="cannot align an empty track"):
-            align_track(TimedPoseTrack(frames=np.zeros((0, 10)), fps=12.0), 1.0)
+            align_track(TimedPoseTrack(frames=np.zeros((0, 10))), 1.0)
 
 
 class TestAttentionExport:
@@ -267,7 +266,7 @@ class TestTrackCsv:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        track = TimedPoseTrack(frames=rng.normal(size=(9, 10)), fps=12.0)
+        track = TimedPoseTrack(frames=rng.normal(size=(9, 10)))
         save_track_csv(track, tmp_path / "t.csv")
         loaded = load_track_csv(tmp_path / "t.csv")
         assert np.array_equal(loaded.frames, track.frames)  # repr round-trips floats

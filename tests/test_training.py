@@ -175,14 +175,14 @@ class TestClipAndAdam:
         assert np.all(p.grad == 2.0)
 
 
-def _record(n_frames, words, fps=12.0):
+def _record(n_frames, words):
     base = np.array(
         [[320, 110], [320, 190], [375, 190], [395, 255], [405, 320], [265, 190], [245, 255], [235, 320]],
         dtype=float,
     )
     rng = np.random.default_rng(0)
     frames = [base + rng.normal(0, 2.0, (8, 2)) for _ in range(n_frames)]
-    return DatasetRecord(id="r0", fps=fps, frame_height=400, words=words, frames=frames)
+    return DatasetRecord(id="r0", frame_height=400, words=words, frames=frames)
 
 
 @pytest.fixture(scope="module")
