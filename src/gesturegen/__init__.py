@@ -8,7 +8,7 @@ plans timed generation for arbitrary-length speech, and retargets generated
 from .baselines import bleu_score, eval_tracks, manual_baseline, nn_baseline, random_baseline
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
-from .corpus import CurationThresholds, DatasetRecord, WordSpan, curate_shots, synth_corpus
+from .corpus import DatasetRecord, WordSpan, curate_shots, synth_corpus
 from .kinematics import compute_joint_angles, forward_kinematics
 from .lifting import (
     LiftNetParams,
@@ -39,7 +39,7 @@ from .synthesis import (
     generate_gesture,
     plan_chunks,
 )
-from .text import EmbeddingTable, embed_tokens, load_embedding_table, tokenize
+from .text import EmbeddingTable, load_embedding_table, tokenize
 from .training import (
     AdamState,
     Hyperparams,

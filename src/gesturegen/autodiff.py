@@ -35,9 +35,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- graph traversal ----------------------------------------------------
 
     def _toposort(self):

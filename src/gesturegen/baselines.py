@@ -18,6 +18,8 @@ from .errors import InvalidConfig
 from .pose import encode_pose, normalize_pose
 from .synthesis import DEFAULT_FPS, TimedPoseTrack, align_track, load_track_csv
 
+CROSSFADE = 4  # frames blended at each junction of the nn baseline's segments
+
 
 def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -50,12 +52,12 @@ def bleu_score(candidate, reference) -> float:
     return brevity * math.exp(log_sum)
 
 
-def _crossfade(segments, overlap: int = 4) -> np.ndarray:
-    """Concatenate pose segments, linearly blending `overlap` shared frames
+def _crossfade(segments) -> np.ndarray:
+    """Concatenate pose segments, linearly blending CROSSFADE shared frames
     at each junction. Output length is the total minus the overlaps."""
     out = segments[0]
     for seg in segments[1:]:
-        k = min(overlap, len(out), len(seg))
+        k = min(CROSSFADE, len(out), len(seg))
         if k == 0:
             out = np.concatenate([out, seg])
             continue
@@ -65,7 +67,7 @@ def _crossfade(segments, overlap: int = 4) -> np.ndarray:
     return out
 
 
-def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int = 4) -> TimedPoseTrack:
+def nn_baseline(query_tokens, records, pca, chunk_len: int = 6) -> TimedPoseTrack:
     """Chunked text matching: split the query into chunk_len-word pieces,
     pick the training word window with the highest BLEU for each, and
     cross-fade the winners' pose spans together.
@@ -106,7 +108,7 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int = 6, crossfade: int =
         if f1 <= f0:
             f0, f1 = 0, len(rec.frames)
         segments.append(tracks[rec.id][f0:f1])
-    return TimedPoseTrack(frames=_crossfade(segments, crossfade))
+    return TimedPoseTrack(frames=_crossfade(segments))
 
 
 def random_baseline(records, pca, speech_duration: float, rng) -> TimedPoseTrack:

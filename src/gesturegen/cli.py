@@ -9,7 +9,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +38,10 @@ from .text import file_sha256, load_embedding_table, tokenize, write_synthetic_e
 from .training import make_training_pairs, train_model, write_history_csv
 
 def _apply_overrides(cfg: Config, args) -> Config:
-    """Copy every flag whose dest names a Config field and was given."""
-    for f in fields(Config):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+    """``cfg`` with every given flag whose dest names a Config field,
+    validated again."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _require(value, what):
@@ -91,7 +89,7 @@ def cmd_synth_corpus(cfg: Config, args) -> int:
 
 def cmd_curate(cfg: Config, args) -> int:
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
-    kept, entries = curate_shots(records, cfg.curation_thresholds())
+    kept, entries = curate_shots(records)
     out = _output(cfg, args.out, "curated.jsonl")
     save_records_jsonl(kept, out)
     if args.report:
@@ -107,11 +105,11 @@ def cmd_fit_pca(cfg: Config, args) -> int:
     if not records:
         raise InvalidConfig("dataset has no records")
     poses = np.concatenate([normalize_pose(rec.frames) for rec in records])
-    pca = fit_pca(poses, cfg.pca_components)
+    pca = fit_pca(poses)
     ck_path = _output(cfg, _require(cfg.checkpoint, "checkpoint path"))
     save_checkpoint(Checkpoint(config=cfg.to_dict(), pca=pca), ck_path)
     covered = float(pca.explained_variance_ratio.sum())
-    print(f"fitted {cfg.pca_components} components on {len(poses)} poses, variance covered {covered:.3f} -> {ck_path}")
+    print(f"fitted {pca.n_components} components on {len(poses)} poses, variance covered {covered:.3f} -> {ck_path}")
     return 0
 
 
@@ -141,11 +139,10 @@ def cmd_train(cfg: Config, args) -> int:
     if ck.pca is None:
         raise InvalidConfig("checkpoint has no fitted pose model; run fit-pca first")
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
-    stride = cfg.stride if cfg.stride > 0 else cfg.n_output_poses
-    pairs = make_training_pairs(records, ck.pca, cfg.n_seed_poses, cfg.n_output_poses, stride)
+    pairs = make_training_pairs(records, ck.pca, cfg.n_seed_poses, cfg.n_output_poses)
     table = _load_table(cfg, ck, args.embeddings)
     emb_path = args.embeddings or cfg.embeddings or (ck.embedding_ref or {}).get("path")
-    model = init_model(cfg.model_config(), cfg.seed)
+    model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
 
     ref = {"path": str(emb_path), "sha256": file_sha256(emb_path)}
 
@@ -270,7 +267,7 @@ def cmd_baseline(cfg: Config, args) -> int:
             track = random_baseline(records, ck.pca, args.duration, rng)
         else:
             tokens = tokenize(_require(args.text, "--text"))
-            track = nn_baseline(tokens, records, ck.pca, cfg.chunk_len, cfg.crossfade)
+            track = nn_baseline(tokens, records, ck.pca, cfg.chunk_len)
             if args.duration is not None:
                 track = align_track(track, args.duration)
     save_track_csv(track, out)
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int)
     p.add_argument("--att-dim", dest="att_dim", type=int)
     p.add_argument("--word-dim", dest="word_dim", type=int)
-    p.add_argument("--stride", type=int)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
     p.add_argument("--out", help="output checkpoint (default: overwrite input)")
     p.add_argument("--history", help="loss history CSV path")
@@ -422,8 +418,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         return args.func(cfg, args)
     except GestureGenError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

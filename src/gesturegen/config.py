@@ -4,15 +4,17 @@ with defaults matching the published training setup where one exists."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
-from .corpus import CurationThresholds
 from .errors import InvalidConfig, MalformedFile
 from .lifting import LiftTrainConfig
 from .model import ModelConfig
 from .training import Hyperparams
+
+# Accepted value types per annotated field type; a bool is never an int
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_KIND = {"int": "an integer", "float": "a finite number", "str": "a string"}
 
 
 @dataclass
@@ -22,8 +24,6 @@ class Config:
     beta: float = 1.0
     lr: float = 0.0001
     batch_size: int = 64
-    clip_lo: float = -5.0
-    clip_hi: float = 5.0
     dropout: float = 0.1
     epochs: int = 560
     seed: int = 0
@@ -33,27 +33,13 @@ class Config:
     hidden: int = 200
     att_dim: int = 200
     word_dim: int = 300
-    pca_components: int = 10
     # timing
     words_per_minute: float = 160.0
-    # training pairs
-    stride: int = 0  # 0 means "one output length"
-    # curation thresholds
-    min_size_ratio: float = 0.5
-    min_frontal_ratio: float = 0.25
-    min_duration: float = 5.0
-    min_motion: float = 0.2
-    max_jitter: float = 30.0
     # baselines
     chunk_len: int = 6
-    crossfade: int = 4
     # lifting
     lift_steps: int = 2000
-    lift_lr: float = 0.01
-    lift_batch: int = 16
     lift_corpus_size: int = 400
-    rot_range_deg: float = 30.0
-    noise_sigma: float = 0.02
     # checkpointing
     checkpoint_every: int = 0
     # paths
@@ -61,6 +47,18 @@ class Config:
     embeddings: str = ""
     checkpoint: str = ""
     out_dir: str = "out"
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, _TYPES[f.type])
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise InvalidConfig(f"config {f.name} must be {_KIND[f.type]}, got {value!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"config seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
@@ -73,29 +71,21 @@ class Config:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def _record(self, cls, **renamed):
-        """Build ``cls`` from the same-named fields; ``renamed`` supplies the
-        fields whose name differs here."""
-        values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in renamed}
-        return cls(**values, **renamed)
+    def _record(self, cls, **given):
+        """Build ``cls`` from the same-named fields; ``given`` supplies the
+        fields that have no same-named field here."""
+        values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**values, **given)
 
     def hyperparams(self) -> Hyperparams:
         return self._record(Hyperparams)
 
-    def model_config(self) -> ModelConfig:
-        return self._record(ModelConfig, gesture_dim=self.pca_components)
-
-    def curation_thresholds(self) -> CurationThresholds:
-        return self._record(CurationThresholds)
+    def model_config(self, gesture_dim: int) -> ModelConfig:
+        """The model record for a pose basis of ``gesture_dim`` components."""
+        return self._record(ModelConfig, gesture_dim=gesture_dim)
 
     def lift_config(self) -> LiftTrainConfig:
-        return self._record(
-            LiftTrainConfig,
-            steps=self.lift_steps,
-            lr=self.lift_lr,
-            batch_size=self.lift_batch,
-            rot_range=float(np.deg2rad(self.rot_range_deg)),
-        )
+        return self._record(LiftTrainConfig, steps=self.lift_steps)
 
 
 def load_config(path=None) -> Config:

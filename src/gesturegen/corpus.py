@@ -78,13 +78,12 @@ class DatasetRecord:
         return len(self.frames) / DEFAULT_FPS
 
 
-@dataclass
-class CurationThresholds:
-    min_size_ratio: float = 0.5  # mean upper-body height over frame height
-    min_frontal_ratio: float = 0.25  # shoulder width over upper-body height
-    min_duration: float = 5.0  # seconds
-    min_motion: float = 0.2  # mean inter-frame joint displacement, pixels
-    max_jitter: float = 30.0  # 99th-percentile inter-frame displacement, pixels
+# Shot-curation thresholds
+MIN_SIZE_RATIO = 0.5  # mean upper-body height over frame height
+MIN_FRONTAL_RATIO = 0.25  # shoulder width over upper-body height
+MIN_DURATION = 5.0  # seconds
+MIN_MOTION = 0.2  # mean inter-frame joint displacement, pixels
+MAX_JITTER = 30.0  # 99th-percentile inter-frame displacement, pixels
 
 
 def _norm(v):
@@ -92,31 +91,31 @@ def _norm(v):
     return np.sqrt(rowdot(v, v))
 
 
-def _first_violation(rec: DatasetRecord, th: CurationThresholds):
+def _first_violation(rec: DatasetRecord):
     frames = rec.frames
     if np.isnan(frames).any():
         return "visibility"
     neck = frames[:, NECK]
     wrist = np.maximum(_norm(frames[:, L_WRIST] - neck), _norm(frames[:, R_WRIST] - neck))
     heights = _norm(frames[:, HEAD] - neck) + wrist  # upper-body height per frame
-    if heights.mean() <= th.min_size_ratio * rec.frame_height:
+    if heights.mean() <= MIN_SIZE_RATIO * rec.frame_height:
         return "size"
     widths = _norm(frames[:, L_SHOULDER] - frames[:, R_SHOULDER])
-    if widths.mean() <= th.min_frontal_ratio * heights.mean():
+    if widths.mean() <= MIN_FRONTAL_RATIO * heights.mean():
         return "frontality"
-    if rec.duration < th.min_duration:
+    if rec.duration < MIN_DURATION:
         return "duration"
     if len(frames) < 2:
         return "motion"
     disp = _norm(np.diff(frames, axis=0)).mean(axis=1)  # per frame pair
-    if disp.mean() <= th.min_motion:
+    if disp.mean() <= MIN_MOTION:
         return "motion"
-    if np.percentile(disp, 99) >= th.max_jitter:
+    if np.percentile(disp, 99) >= MAX_JITTER:
         return "jitter"
     return None
 
 
-def curate_shots(records, thresholds: CurationThresholds = CurationThresholds()):
+def curate_shots(records):
     """Pure filter: returns (kept records in input order, entries), one
     (record id, kept, first violated rule or None) entry per input record.
 
@@ -126,7 +125,7 @@ def curate_shots(records, thresholds: CurationThresholds = CurationThresholds())
     kept = []
     entries = []
     for rec in records:
-        rule = _first_violation(rec, thresholds)
+        rule = _first_violation(rec)
         if rule is None:
             kept.append(rec)
         entries.append((rec.id, rule is None, rule))

@@ -28,6 +28,8 @@ from .training import AdamState, adam_step
 LIFT_INPUT_DIM = 14  # 7 non-neck joints x (x, y)
 LIFT_WIDTHS = (30, 20, 7)
 NON_NECK = [i for i in range(8) if i != NECK]
+LIFT_LR = 0.01  # Adam learning rate of lift training
+LIFT_BATCH = 16  # poses per lift training step
 
 
 @dataclass
@@ -200,15 +202,11 @@ def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
 @dataclass
 class LiftTrainConfig:
     steps: int = 2000
-    lr: float = 0.01
-    batch_size: int = 16
-    rot_range: float = np.deg2rad(30.0)
-    noise_sigma: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 2 or self.lr <= 0:
-            raise InvalidConfig("need steps >= 1, batch_size >= 2, lr > 0")
+        if self.steps < 1:
+            raise InvalidConfig("need steps >= 1")
 
 
 def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:
@@ -219,14 +217,14 @@ def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetPa
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
-        idx = rng.integers(0, len(dataset3d), size=cfg.batch_size)
-        batch = np.stack([augment_3d(dataset3d[i], rng, cfg.rot_range, cfg.noise_sigma) for i in idx])
+        idx = rng.integers(0, len(dataset3d), size=LIFT_BATCH)
+        batch = np.stack([augment_3d(dataset3d[i], rng) for i in idx])
         out = lift_forward_graph(params, Tensor(pose2d_to_lift_input(project_to_image(batch))), train=True)
         diff = ad.add(out, -depth_targets(batch))
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()
         backward(loss)
-        adam_step(params.store, state, cfg.lr)
+        adam_step(params.store, state, LIFT_LR)
     return params
 
 

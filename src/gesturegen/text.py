@@ -44,9 +44,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, token):
-        return token in self.entries
-
     def lookup(self, token: str) -> np.ndarray:
         """Stored vector, or an exact zero vector for unknown tokens."""
         vec = self.entries.get(token)
@@ -85,11 +82,6 @@ def load_embedding_table(path) -> EmbeddingTable:
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read embedding table: {exc}") from exc
     return EmbeddingTable(dim=dim if dim is not None else EMBED_DIM, entries=entries)
-
-
-def embed_tokens(table: EmbeddingTable, tokens) -> list[np.ndarray]:
-    """Per-token vector lookup; unknown tokens map to the zero vector."""
-    return [table.lookup(tok) for tok in tokens]
 
 
 def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0) -> int:

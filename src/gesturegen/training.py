@@ -24,6 +24,7 @@ from .pose import encode_pose, normalize_pose
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_CLIP = 5.0  # bound on every gradient entry before the Adam step
 
 
 @dataclass
@@ -32,8 +33,6 @@ class Hyperparams:
     beta: float = 1.0  # variance weight
     lr: float = 0.0001
     batch_size: int = 64
-    clip_lo: float = -5.0
-    clip_hi: float = 5.0
     dropout: float = 0.1
     epochs: int = 560
     seed: int = 0
@@ -43,8 +42,6 @@ class Hyperparams:
             raise InvalidConfig("alpha and beta must be non-negative")
         if self.lr <= 0:
             raise InvalidConfig("lr must be positive")
-        if self.clip_lo >= self.clip_hi:
-            raise InvalidConfig("clip_lo must be below clip_hi")
         if self.batch_size < 1 or self.epochs < 0:
             raise InvalidConfig("batch_size must be >= 1 and epochs >= 0")
 
@@ -103,10 +100,10 @@ def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
     return breakdown, total
 
 
-def clip_gradients(store: ParamStore, lo: float, hi: float):
-    """Clamp every gradient entry into [lo, hi], in place. Idempotent."""
+def clip_gradients(store: ParamStore):
+    """Clamp every gradient entry into [-GRAD_CLIP, GRAD_CLIP], in place. Idempotent."""
     for _, p in store.items():
-        np.clip(p.grad, lo, hi, out=p.grad)
+        np.clip(p.grad, -GRAD_CLIP, GRAD_CLIP, out=p.grad)
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float):
@@ -128,7 +125,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
         p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def make_training_pairs(records, pca, n: int, m: int, stride: int | None = None) -> list[TrainingPair]:
+def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
     """Build training pairs the way chunked generation consumes them.
 
     Each record's words are partitioned into inference chunks with the
@@ -136,15 +133,10 @@ def make_training_pairs(records, pca, n: int, m: int, stride: int | None = None)
     output frames [i*m, (i+1)*m), and its n seed frames are the ground
     truth immediately before that span. The first chunk is seeded with the
     mean pose (zero vectors), the same cold start generation uses. Records
-    shorter than n + m frames yield nothing; `stride` overrides the frame
-    step between windows (default m, the generation-aligned spacing).
+    shorter than n + m frames yield nothing.
     """
     from .synthesis import plan_chunks
 
-    if stride is None:
-        stride = m
-    if stride < 1:
-        raise InvalidConfig("stride must be >= 1")
     pairs = []
     for rec in records:
         if not rec.words or len(rec.frames) < n + m:
@@ -152,7 +144,7 @@ def make_training_pairs(records, pca, n: int, m: int, stride: int | None = None)
         chunks = plan_chunks([w.surface for w in rec.words], rec.duration, n, m).chunks
         coeffs = encode_pose(pca, normalize_pose(rec.frames))
         total = coeffs.shape[0]
-        for start in range(0, total - m + 1, stride):
+        for start in range(0, total - m + 1, m):
             chunk = chunks[min(start // m, len(chunks) - 1)]
             if not chunk:
                 continue
@@ -230,7 +222,7 @@ def train_model(
                 breakdown, total = compute_loss_graph(rollout.poses, targets, h)
                 backward(total)
             _check_finite(model.store, breakdown.total, epoch, bstart // h.batch_size)
-            clip_gradients(model.store, h.clip_lo, h.clip_hi)
+            clip_gradients(model.store)
             adam_step(model.store, state, h.lr)
             sums += np.array([breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]) * len(batch)
         means = sums / len(pairs)

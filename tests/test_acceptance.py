@@ -432,7 +432,7 @@ def test_criterion_9_lift_network():
     # learnability on the synthetic 3D corpus
     train_set = synth_pose3d_corpus(seed=15, size=50)
     held_out = synth_pose3d_corpus(seed=16, size=50)
-    lift = train_lift(train_set, LiftTrainConfig(steps=2000, lr=0.01, batch_size=16, seed=0))
+    lift = train_lift(train_set, LiftTrainConfig(steps=2000, seed=0))
     baseline = float(np.mean(depth_targets(held_out) ** 2))
     model_mse = lift_mse(lift, held_out)
     lift_ratio = model_mse / baseline

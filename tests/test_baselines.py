@@ -122,7 +122,7 @@ class TestNnBaseline:
         a = [w.surface for w in records[0].words]
         b = [w.surface for w in records[1].words]
         chunk_len = max(len(a), len(b))
-        track = nn_baseline(a + b, records, pca, chunk_len=chunk_len, crossfade=4)
+        track = nn_baseline(a + b, records, pca, chunk_len=chunk_len)
         len_a = len(records[0].frames)
         len_b = len(records[1].frames)
         assert len(track) == len_a + len_b - 4

