@@ -22,7 +22,7 @@ from .errors import GestureGenError, InvalidConfig, IoFailure, MalformedFile, op
 from .kinematics import save_angles_csv
 from .lifting import lift_mse, retarget_track, synth_pose3d_corpus, train_lift
 from .model import init_model
-from .pose import component_sweep, fit_pca, normalize_pose
+from .pose import component_sweep, decode_pose, fit_pca, normalize_pose
 from .render import render
 from .synthesis import (
     DEFAULT_FPS,
@@ -50,18 +50,50 @@ def _require(value, what):
     return value
 
 
-def _load_table(cfg: Config, ck: Checkpoint | None, override=None):
-    if override or cfg.embeddings:
-        table = load_embedding_table(override or cfg.embeddings)
-    elif ck is not None and ck.embedding_ref:
-        path = ck.embedding_ref["path"]
-        table = load_embedding_table(path)
-        if file_sha256(path) != ck.embedding_ref["sha256"]:
-            raise MalformedFile(f"embedding file {path} does not match the checkpoint reference hash")
-    else:
+# Checkpoint part -> what a checkpoint without it lacks
+_PARTS = {
+    "pca": "fitted pose model; run fit-pca first",
+    "model": "trained generation model; run train first",
+    "lift": "lift net; run lift-train first",
+}
+
+
+def _checkpoint(cfg: Config, *parts) -> Checkpoint:
+    """The checkpoint at ``cfg.checkpoint``, refused unless it holds every
+    named part."""
+    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
+    for part in parts:
+        if getattr(ck, part) is None:
+            raise InvalidConfig(f"checkpoint has no {_PARTS[part]}")
+    return ck
+
+
+def _save(cfg: Config, ck: Checkpoint, path, **parts):
+    """Write ``ck`` with ``parts`` replaced and this run's config to ``path``."""
+    save_checkpoint(replace(ck, config=cfg.to_dict(), **parts), path)
+
+
+def _load_table(cfg: Config, ck: Checkpoint):
+    """The embedding table and its ``{"path", "sha256"}`` reference: the
+    configured file, else the checkpoint's, which must match its hash."""
+    path = cfg.embeddings or (ck.embedding_ref or {}).get("path")
+    if not path:
         raise InvalidConfig("no embedding table: pass --embeddings or set it in the config")
+    table = load_embedding_table(path)
+    ref = {"path": path, "sha256": file_sha256(path)}
+    if not cfg.embeddings and ref["sha256"] != ck.embedding_ref["sha256"]:
+        raise MalformedFile(f"embedding file {path} does not match the checkpoint reference hash")
     print(f"loaded {len(table)} embeddings (dim {table.dim})")
-    return table
+    return table, ref
+
+
+def _report(payload, path, what: str):
+    """Print ``payload`` as JSON, and write it to ``path`` too when given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path:
+        with open_for_write(path, what) as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _output(cfg: Config, path, default_name: str = "") -> str:
@@ -107,16 +139,14 @@ def cmd_fit_pca(cfg: Config, args) -> int:
     poses = np.concatenate([normalize_pose(rec.frames) for rec in records])
     pca = fit_pca(poses)
     ck_path = _output(cfg, _require(cfg.checkpoint, "checkpoint path"))
-    save_checkpoint(Checkpoint(config=cfg.to_dict(), pca=pca), ck_path)
+    _save(cfg, Checkpoint(config={}), ck_path, pca=pca)
     covered = float(pca.explained_variance_ratio.sum())
     print(f"fitted {pca.n_components} components on {len(poses)} poses, variance covered {covered:.3f} -> {ck_path}")
     return 0
 
 
 def cmd_pca_sweep(cfg: Config, args) -> int:
-    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
-    if ck.pca is None:
-        raise InvalidConfig("checkpoint has no fitted pose model")
+    ck = _checkpoint(cfg, "pca")
     try:
         values = [float(v) for v in args.values.split(",")]
         if not all(map(math.isfinite, values)):
@@ -134,30 +164,20 @@ def cmd_pca_sweep(cfg: Config, args) -> int:
 
 
 def cmd_train(cfg: Config, args) -> int:
-    ck_path = _require(cfg.checkpoint, "checkpoint path")
-    ck = load_checkpoint(ck_path)
-    if ck.pca is None:
-        raise InvalidConfig("checkpoint has no fitted pose model; run fit-pca first")
+    ck = _checkpoint(cfg, "pca")
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
     pairs = make_training_pairs(records, ck.pca, cfg.n_seed_poses, cfg.n_output_poses)
-    table = _load_table(cfg, ck, args.embeddings)
-    emb_path = args.embeddings or cfg.embeddings or (ck.embedding_ref or {}).get("path")
+    table, ref = _load_table(cfg, ck)
     model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
-
-    ref = {"path": str(emb_path), "sha256": file_sha256(emb_path)}
 
     def on_epoch(epoch, current, breakdown):
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             path = _output(cfg, None, f"checkpoint_epoch{epoch + 1:05d}.ggck")
-            save_checkpoint(
-                Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=current, lift=ck.lift, embedding_ref=ref), path
-            )
+            _save(cfg, ck, path, model=current, embedding_ref=ref)
 
     result = train_model(pairs, cfg.hyperparams(), model, table, on_epoch=on_epoch)
-    out_ck = _output(cfg, args.out or ck_path)
-    save_checkpoint(
-        Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=result.model, lift=ck.lift, embedding_ref=ref), out_ck
-    )
+    out_ck = _output(cfg, args.out or cfg.checkpoint)
+    _save(cfg, ck, out_ck, model=result.model, embedding_ref=ref)
     history_path = _output(cfg, args.history, "history.csv")
     write_history_csv(result.history, history_path)
     last = result.history[-1] if result.history else None
@@ -172,12 +192,8 @@ def cmd_train(cfg: Config, args) -> int:
 
 
 def cmd_generate(cfg: Config, args) -> int:
-    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
-    if ck.model is None:
-        raise InvalidConfig("checkpoint has no trained generation model")
-    if ck.pca is None:
-        raise InvalidConfig("checkpoint has no fitted pose model")
-    table = _load_table(cfg, ck, args.embeddings)
+    ck = _checkpoint(cfg, "model")
+    table, _ = _load_table(cfg, ck)
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = plan_chunks(tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
@@ -210,33 +226,23 @@ def cmd_schedule(cfg: Config, args) -> int:
         "frame_duration": 1.0 / DEFAULT_FPS,
         "generated_frames": len(plan.chunks) * cfg.n_output_poses,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open_for_write(args.out, "plan file") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _report(payload, args.out, "plan file")
     return 0
 
 
 def cmd_lift_train(cfg: Config, args) -> int:
-    ck_path = _require(cfg.checkpoint, "checkpoint path")
-    ck = load_checkpoint(ck_path)
+    ck = _checkpoint(cfg)
     corpus3d = synth_pose3d_corpus(cfg.seed, cfg.lift_corpus_size)
     lift = train_lift(corpus3d, cfg.lift_config())
-    out_ck = _output(cfg, args.out or ck_path)
-    save_checkpoint(
-        Checkpoint(config=cfg.to_dict(), pca=ck.pca, model=ck.model, lift=lift, embedding_ref=ck.embedding_ref),
-        out_ck,
-    )
+    out_ck = _output(cfg, args.out or cfg.checkpoint)
+    _save(cfg, ck, out_ck, lift=lift)
     mse = lift_mse(lift, corpus3d)
     print(f"trained depth-lift net on {len(corpus3d)} synthetic poses ({cfg.lift_steps} steps); train mse {mse:.5f} -> {out_ck}")
     return 0
 
 
 def cmd_retarget(cfg: Config, args) -> int:
-    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
-    if ck.pca is None or ck.lift is None:
-        raise InvalidConfig("retargeting needs a checkpoint with both the pose model and the lift net")
+    ck = _checkpoint(cfg, "pca", "lift")
     track = load_track_csv(args.track)
     limits = None
     if args.limits:
@@ -252,9 +258,7 @@ def cmd_retarget(cfg: Config, args) -> int:
 
 
 def cmd_baseline(cfg: Config, args) -> int:
-    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
-    if ck.pca is None:
-        raise InvalidConfig("baselines need the fitted pose model from fit-pca")
+    ck = _checkpoint(cfg, "pca")
     out = _output(cfg, args.out, f"baseline_{args.kind}.csv")
     if args.kind != "nn" and args.duration is None:
         raise InvalidConfig("missing required --duration")
@@ -286,130 +290,97 @@ def cmd_eval(cfg: Config, args) -> int:
         "mean_displacement": metrics.mean_displacement,
         "temporal_variance": list(metrics.temporal_variance),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open_for_write(args.out, "metrics file") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _report(payload, args.out, "metrics file")
     return 0
 
 
 def cmd_render(cfg: Config, args) -> int:
-    ck = load_checkpoint(_require(cfg.checkpoint, "checkpoint path"))
-    if ck.pca is None:
-        raise InvalidConfig("rendering a track needs the fitted pose model")
+    ck = _checkpoint(cfg, "pca")
     track = load_track_csv(args.track)
+    with np.errstate(over="ignore", invalid="ignore"):  # render refuses non-finite poses
+        poses = decode_pose(ck.pca, track.frames)
     out_dir = args.out or str(Path(cfg.out_dir) / "render")
-    files = render(track, out_dir, pca=ck.pca)
+    files = render(poses, out_dir)
     print(f"rendered {len(files)} frames to {out_dir}")
     return 0
 
 
-def _add_common(p):
+# Config fields every command takes as a flag
+_COMMON = ("seed", "out_dir", "checkpoint", "dataset", "embeddings")
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _command(sub, name: str, func, help: str, *config_fields):
+    """Add subcommand ``name`` with ``--config`` and a flag per common and
+    named Config field: ``--`` plus the name with dashes, typed from the
+    field's annotation."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--checkpoint", help="checkpoint file path")
-    p.add_argument("--dataset", help="dataset JSON Lines path")
-    p.add_argument("--embeddings", help="embedding table path")
+    types = {f.name: f.type for f in fields(Config)}
+    for field in (*_COMMON, *config_fields):
+        p.add_argument("--" + field.replace("_", "-"), dest=field, type=_FLAG_TYPES[types[field]])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gesturegen", description="Co-speech gesture synthesis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-corpus", help="generate the synthetic gesture dataset")
-    _add_common(p)
+    p = _command(sub, "synth-corpus", cmd_synth_corpus, "generate the synthetic gesture dataset")
     p.add_argument("--sentences", type=int, default=500)
     p.add_argument("--out", help="output JSONL path")
     p.add_argument("--embeddings-out", help="also write a synthetic embedding table here")
-    p.set_defaults(func=cmd_synth_corpus)
 
-    p = sub.add_parser("curate", help="filter records by the shot-selection rules")
-    _add_common(p)
+    p = _command(sub, "curate", cmd_curate, "filter records by the shot-selection rules")
     p.add_argument("--out", help="kept-records JSONL path")
     p.add_argument("--report", help="per-record report JSON path")
-    p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("fit-pca", help="fit the pose basis and start a checkpoint")
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_pca)
+    _command(sub, "fit-pca", cmd_fit_pca, "fit the pose basis and start a checkpoint")
 
-    p = sub.add_parser("pca-sweep", help="render component sweeps")
-    _add_common(p)
+    p = _command(sub, "pca-sweep", cmd_pca_sweep, "render component sweeps")
     p.add_argument("--dim", type=int, help="single component (default: all)")
     p.add_argument("--values", default="-1,-0.5,0,0.5,1")
-    p.set_defaults(func=cmd_pca_sweep)
 
-    p = sub.add_parser("train", help="train the gesture generation model")
-    _add_common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--att-dim", dest="att_dim", type=int)
-    p.add_argument("--word-dim", dest="word_dim", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    train = ("epochs", "lr", "alpha", "beta", "batch_size", "dropout", "hidden", "att_dim", "word_dim", "checkpoint_every")
+    p = _command(sub, "train", cmd_train, "train the gesture generation model", *train)
     p.add_argument("--out", help="output checkpoint (default: overwrite input)")
     p.add_argument("--history", help="loss history CSV path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="generate a gesture track for text")
-    _add_common(p)
+    p = _command(sub, "generate", cmd_generate, "generate a gesture track for text", "words_per_minute")
     p.add_argument("--text", required=True)
     p.add_argument("--duration", type=float, help="speech duration in seconds (default: rate estimate)")
-    p.add_argument("--words-per-minute", dest="words_per_minute", type=float)
     p.add_argument("--out", help="track CSV path")
     p.add_argument("--attention", help="attention CSV path")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("schedule", help="plan inference chunks for text and duration")
-    _add_common(p)
+    p = _command(sub, "schedule", cmd_schedule, "plan inference chunks for text and duration", "words_per_minute")
     p.add_argument("--text", required=True)
     p.add_argument("--duration", type=float)
-    p.add_argument("--words-per-minute", dest="words_per_minute", type=float)
     p.add_argument("--out", help="write the plan JSON here too")
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("lift-train", help="train the 2D-to-3D depth lift net")
-    _add_common(p)
-    p.add_argument("--lift-steps", dest="lift_steps", type=int)
-    p.add_argument("--lift-corpus-size", dest="lift_corpus_size", type=int)
+    p = _command(sub, "lift-train", cmd_lift_train, "train the 2D-to-3D depth lift net", "lift_steps", "lift_corpus_size")
     p.add_argument("--out", help="output checkpoint (default: overwrite input)")
-    p.set_defaults(func=cmd_lift_train)
 
-    p = sub.add_parser("retarget", help="convert a gesture track to joint-angle rows")
-    _add_common(p)
+    p = _command(sub, "retarget", cmd_retarget, "convert a gesture track to joint-angle rows")
     p.add_argument("--track", required=True)
     p.add_argument("--limits", help="JSON file of per-joint (lo, hi) clamp ranges")
     p.add_argument("--out", help="trajectory CSV path")
-    p.set_defaults(func=cmd_retarget)
 
-    p = sub.add_parser("baseline", help="run a comparison baseline")
-    _add_common(p)
+    p = _command(sub, "baseline", cmd_baseline, "run a comparison baseline", "chunk_len")
     p.add_argument("kind", choices=("random", "nn", "manual"))
     p.add_argument("--text", help="query text (nn)")
     p.add_argument("--duration", type=float)
     p.add_argument("--file", help="hand-authored track CSV (manual)")
-    p.add_argument("--chunk-len", dest="chunk_len", type=int)
     p.add_argument("--out", help="track CSV path")
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("eval", help="objective metrics between two tracks")
-    _add_common(p)
+    p = _command(sub, "eval", cmd_eval, "objective metrics between two tracks")
     p.add_argument("--generated", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", help="metrics JSON path")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("render", help="render a track as stick-figure SVGs")
-    _add_common(p)
+    p = _command(sub, "render", cmd_render, "render a track as stick-figure SVGs")
     p.add_argument("--track", required=True)
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_render)
 
     return parser
 

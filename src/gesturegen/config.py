@@ -15,6 +15,8 @@ from .training import Hyperparams
 # Accepted value types per annotated field type; a bool is never an int
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _KIND = {"int": "an integer", "float": "a finite number", "str": "a string"}
+# Smallest accepted value of each bounded field
+_MINIMUM = {"seed": 0, "checkpoint_every": 0, "chunk_len": 1}
 
 
 @dataclass
@@ -57,16 +59,9 @@ class Config:
                 or (isinstance(value, float) and not math.isfinite(value))
             ):
                 raise InvalidConfig(f"config {f.name} must be {_KIND[f.type]}, got {value!r}")
-        if self.seed < 0:
-            raise InvalidConfig(f"config seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Config":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**data)
+        for name, low in _MINIMUM.items():
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"config {name} must be >= {low}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,4 +95,7 @@ def load_config(path=None) -> Config:
         raise MalformedFile(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedFile("config must be a JSON object")
-    return Config.from_dict(data)
+    unknown = set(data) - {f.name for f in fields(Config)}
+    if unknown:
+        raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return Config(**data)

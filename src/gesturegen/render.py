@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoFailure
-from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST, decode_pose
+from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST
 
 SEGMENTS = (
     (NECK, HEAD),
@@ -48,20 +48,12 @@ def pose_svg(pose) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render(frames, out_dir, pca=None, prefix: str = "frame") -> list:
-    """Write one SVG per pose plus an index manifest.
+def render(poses, out_dir, prefix: str = "frame") -> list:
+    """Write one SVG per (8, 2) pose of ``poses`` plus an index manifest.
 
-    `frames` is (V, 8, 2) poses, or a TimedPoseTrack (requires the fitted
-    pose basis to decode). Returns the written file names in order. A pose
-    with a non-finite coordinate is refused before anything is written.
+    Returns the written file names in order. A pose with a non-finite
+    coordinate is refused before anything is written.
     """
-    if hasattr(frames, "frames"):  # a track of gesture vectors
-        if pca is None:
-            raise InvalidConfig("rendering a gesture track requires the fitted pose model")
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            poses = decode_pose(pca, frames.frames)
-    else:
-        poses = frames
     finite = np.isfinite(poses).all(axis=(1, 2))
     if not finite.all():
         raise InvalidConfig(f"pose {int(np.argmin(finite))} has non-finite values")

@@ -19,6 +19,7 @@ from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0  # the one frame rate of records, tracks and the decoder
 DEFAULT_WORDS_PER_MINUTE = 160.0
+MAX_SPEECH_SECONDS = 86400.0  # one day; align_track allocates frames per second of speech
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
         raise InvalidConfig("cannot align an empty track")
     if not math.isfinite(speech_duration):
         raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
+    if speech_duration > MAX_SPEECH_SECONDS:
+        raise InvalidConfig(f"speech duration must be at most {MAX_SPEECH_SECONDS:g} s, got {speech_duration}")
     if speech_duration <= 0:
         raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
     target = int(math.ceil(speech_duration * DEFAULT_FPS))

@@ -12,7 +12,6 @@ from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.pose import PcaModel, fit_pca
 from gesturegen.render import pose_svg, render
-from gesturegen.synthesis import TimedPoseTrack
 
 
 def _full_checkpoint():
@@ -289,13 +288,6 @@ class TestRender:
         render(poses, tmp_path / "b")
         for name in ("frame_00000.svg", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_track_requires_pca(self, tmp_path):
-        from gesturegen.errors import InvalidConfig
-
-        track = TimedPoseTrack(frames=np.zeros((2, 10)))
-        with pytest.raises(InvalidConfig):
-            render(track, tmp_path / "x")
 
     def test_svg_is_wellformed(self):
         import xml.etree.ElementTree as ET

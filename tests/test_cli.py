@@ -633,3 +633,56 @@ def test_overflowing_render_is_single_line(workspace, tmp_path, capsys, command,
     assert main([command, "--checkpoint", str(root / "ck.ggck"), *args]) == 1
     assert capsys.readouterr().err.splitlines() == [f"{command}: {reason}"]
     assert not (tmp_path / "svg").exists()
+
+
+@pytest.mark.parametrize(
+    "command, duration",
+    [("generate", "1e308"), ("baseline random", "1e308"), ("generate", "1e300")],
+    ids=["generate-1e308", "baseline-random-1e308", "generate-1e300"],
+)
+def test_huge_duration_is_single_line(workspace, tmp_path, capsys, command, duration):
+    root, _ = workspace
+    args = [*command.split(), "--text", "we hold a big idea", "--duration", duration]
+    args += ["--checkpoint", str(root / "ck.ggck"), "--dataset", str(root / "kept.jsonl")]
+    capsys.readouterr()
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{command.split()[0]}: speech duration must be at most 86400 s, got {float(duration)}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, basis, reason",
+    [
+        ("generate --text hi", True, "trained generation model; run train first"),
+        ("retarget --track t.csv", True, "lift net; run lift-train first"),
+        ("train", False, "fitted pose model; run fit-pca first"),
+        ("render --track t.csv", False, "fitted pose model; run fit-pca first"),
+        ("pca-sweep", False, "fitted pose model; run fit-pca first"),
+        ("baseline random --duration 2", False, "fitted pose model; run fit-pca first"),
+    ],
+    ids=["generate", "retarget", "train", "render", "pca-sweep", "baseline"],
+)
+def test_missing_checkpoint_part_is_single_line(workspace, tmp_path, capsys, command, basis, reason):
+    from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+
+    root, _ = workspace
+    pca = load_checkpoint(root / "ck.ggck").pca if basis else None
+    save_checkpoint(Checkpoint(config={}, pca=pca), tmp_path / "ck.ggck")
+    capsys.readouterr()
+    assert main([*command.split(), "--checkpoint", str(tmp_path / "ck.ggck"), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{command.split()[0]}: checkpoint has no {reason}"]
+
+
+def test_generate_needs_no_pose_basis(workspace, tmp_path):
+    from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+    from gesturegen.synthesis import load_track_csv
+
+    root, _ = workspace
+    full = load_checkpoint(root / "ck.ggck")
+    save_checkpoint(Checkpoint(config={}, model=full.model, embedding_ref=full.embedding_ref), tmp_path / "ck.ggck")
+    args = ["generate", "--checkpoint", str(tmp_path / "ck.ggck"), "--text", "we hold a big idea", "--duration", "2.0"]
+    args += ["--out", str(tmp_path / "track.csv"), "--attention", str(tmp_path / "attn.csv")]
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
+    track = load_track_csv(tmp_path / "track.csv")
+    assert len(track) == 24 and np.isfinite(track.frames).all()

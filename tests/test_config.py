@@ -106,11 +106,18 @@ def test_fps_is_not_a_config_key(tmp_path, capsys, value):
         ("train", '{"epochs": 2.5}', [], "config epochs must be an integer, got 2.5"),
         ("synth-corpus", '{"seed": 1.5}', [], "config seed must be an integer, got 1.5"),
         ("synth-corpus", "{}", ["--seed", "-1"], "config seed must be >= 0, got -1"),
+        ("train", "{}", ["--checkpoint-every", "-1"], "config checkpoint_every must be >= 0, got -1"),
+        ("baseline", "{}", ["--chunk-len", "0"], "config chunk_len must be >= 1, got 0"),
     ],
 )
 def test_bad_config_value_is_single_line(tmp_path, capsys, command, config, flags, reason):
     (tmp_path / "cfg.json").write_text(config)
-    args = {"schedule": ["--text", "hi", "--duration", "2"], "train": [], "synth-corpus": ["--sentences", "1"]}[command]
+    args = {
+        "schedule": ["--text", "hi", "--duration", "2"],
+        "train": [],
+        "synth-corpus": ["--sentences", "1"],
+        "baseline": ["nn", "--text", "hi"],
+    }[command]
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out"), *args, *flags]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"{command}: {reason}"]
