@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .config import check_setting
 from .errors import InvalidConfig, IoFailure, MalformedFile
 from .lifting import LiftNetParams, init_lift_params
 from .model import ModelConfig, Seq2SeqModel, init_model
-from .pose import PcaModel
+from .pose import POSE_DIM, PcaModel
 
 MAGIC = b"GGCK"
 FORMAT_VERSION = 1
@@ -107,17 +108,30 @@ def save_checkpoint(ck: Checkpoint, path):
         raise
 
 
-def _header_config(header, key, names):
-    """The keyword arguments stored under header[key], or None if absent."""
+def _header_config(header, key, types):
+    """The keyword arguments stored under header[key], or None if absent;
+    ``types`` maps each key to its annotated type."""
     entry = header.get(key)
     if not entry:
         return None
-    if not isinstance(entry, dict) or set(entry) != set(names):
-        raise MalformedFile(f"corrupt checkpoint header: {key} must have the keys {', '.join(sorted(names))}")
+    if not isinstance(entry, dict) or set(entry) != set(types):
+        raise MalformedFile(f"corrupt checkpoint header: {key} must have the keys {', '.join(sorted(types))}")
     for name, value in entry.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedFile(f"corrupt checkpoint header: {key}.{name} is not a number")
+        check_setting(name, value, types[name], f"corrupt checkpoint header: {key}.", MalformedFile)
     return entry
+
+
+def _check_basis(pca: PcaModel):
+    """Refuse a pose basis that is not a (16,) mean, (k, 16) components and
+    (k,) variance ratios with k a valid gesture_dim."""
+    shapes = tuple(getattr(pca, key).shape for key in _PCA_FIELDS)
+    k = shapes[1][0] if shapes[1] else 0
+    if shapes != ((POSE_DIM,), (k, POSE_DIM), (k,)):
+        raise MalformedFile(
+            f"corrupt pose basis: mean, components and explained_variance_ratio have shapes "
+            f"{', '.join(map(str, shapes))}, expected ({POSE_DIM},), (k, {POSE_DIM}), (k,)"
+        )
+    check_setting("gesture_dim", k, "int", "corrupt pose basis: ", MalformedFile)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -156,9 +170,10 @@ def load_checkpoint(path) -> Checkpoint:
     pca = None
     if header.get("has_pca"):
         pca = PcaModel(**{key: take(f"pca.{key}") for key in _PCA_FIELDS})
+        _check_basis(pca)
 
-    model_cfg = _header_config(header, "model_cfg", [f.name for f in fields(ModelConfig)])
-    lift_cfg = _header_config(header, "lift_cfg", ["bn_momentum", "bn_eps"])
+    model_cfg = _header_config(header, "model_cfg", {f.name: f.type for f in fields(ModelConfig)})
+    lift_cfg = _header_config(header, "lift_cfg", {"bn_momentum": "float", "bn_eps": "float"})
     ref = header.get("embedding_ref")
     if ref is not None and not (
         isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())

@@ -258,20 +258,20 @@ def cmd_retarget(cfg: Config, args) -> int:
 
 
 def cmd_baseline(cfg: Config, args) -> int:
-    ck = _checkpoint(cfg, "pca")
     out = _output(cfg, args.out, f"baseline_{args.kind}.csv")
     if args.kind != "nn" and args.duration is None:
         raise InvalidConfig("missing required --duration")
     if args.kind == "manual":
         track = manual_baseline(_require(args.file, "--file"), args.duration)
     else:
+        pca = _checkpoint(cfg, "pca").pca
         records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
         if args.kind == "random":
             rng = np.random.default_rng(cfg.seed)
-            track = random_baseline(records, ck.pca, args.duration, rng)
+            track = random_baseline(records, pca, args.duration, rng)
         else:
             tokens = tokenize(_require(args.text, "--text"))
-            track = nn_baseline(tokens, records, ck.pca, cfg.chunk_len)
+            track = nn_baseline(tokens, records, pca, cfg.chunk_len)
             if args.duration is not None:
                 track = align_track(track, args.duration)
     save_track_csv(track, out)

@@ -5,18 +5,50 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidConfig, MalformedFile
 from .lifting import LiftTrainConfig
 from .model import ModelConfig
+from .pose import POSE_DIM
 from .training import Hyperparams
 
 # Accepted value types per annotated field type; a bool is never an int
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _KIND = {"int": "an integer", "float": "a finite number", "str": "a string"}
-# Smallest accepted value of each bounded field
-_MINIMUM = {"seed": 0, "checkpoint_every": 0, "chunk_len": 1}
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+# Every bound of every numeric setting, and the only range checks of Config,
+# ModelConfig and the lift net's settings. Widths stop at 1024: a model with
+# all three at 1024 has 53.5M parameters, about 1.6 GiB to train with
+# gradients and both Adam moments (6.4 GiB at 2048). 120 poses are 10 s.
+_BOUNDS = {
+    **dict.fromkeys(("alpha", "beta", "epochs", "seed", "checkpoint_every"), ">= 0"),
+    **dict.fromkeys(("lr", "words_per_minute", "bn_eps"), "> 0"),
+    **dict.fromkeys(("batch_size", "chunk_len", "lift_steps"), ">= 1"),
+    **dict.fromkeys(("hidden", "att_dim", "word_dim"), ">= 1, <= 1024"),
+    **dict.fromkeys(("n_seed_poses", "n_output_poses"), ">= 1, <= 120"),
+    "gesture_dim": f">= 1, <= {POSE_DIM}",
+    "lift_corpus_size": ">= 1, <= 100000",
+    "dropout": ">= 0, < 1",
+    "bn_momentum": ">= 0, <= 1",
+}
+
+
+def check_setting(name: str, value, kind: str, label: str = "config ", error=InvalidConfig) -> None:
+    """Raise ``error`` unless ``value`` has the annotated type ``kind`` and
+    meets every bound of setting ``name``; the message names the setting
+    as ``label`` plus ``name``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, _TYPES[kind])
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise error(f"{label}{name} must be {_KIND[kind]}, got {value!r}")
+    for term in filter(None, _BOUNDS.get(name, "").split(", ")):
+        op, bound = term.split()
+        if not _OPS[op](value, float(bound)):
+            raise error(f"{label}{name} must be {term}, got {value}")
 
 
 @dataclass
@@ -52,16 +84,7 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, _TYPES[f.type])
-                or (isinstance(value, float) and not math.isfinite(value))
-            ):
-                raise InvalidConfig(f"config {f.name} must be {_KIND[f.type]}, got {value!r}")
-        for name, low in _MINIMUM.items():
-            if getattr(self, name) < low:
-                raise InvalidConfig(f"config {name} must be >= {low}, got {getattr(self, name)}")
+            check_setting(f.name, getattr(self, f.name), f.type)
 
     def to_dict(self) -> dict:
         return asdict(self)

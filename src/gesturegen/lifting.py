@@ -190,8 +190,6 @@ def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
     stay in front of the body while gesturing, and a frontal 2D view only
     determines depth up to a front/back flip that this constraint removes.
     """
-    if size < 1:
-        raise InvalidConfig("corpus size must be >= 1")
     names, lo, hi = zip(*_SAMPLED_ANGLES)
     draws = np.random.default_rng(seed).uniform(lo, hi, size=(size, len(names)))  # sample by sample
     angles = np.zeros((size, len(ANGLE_NAMES)))
@@ -203,10 +201,6 @@ def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
 class LiftTrainConfig:
     steps: int = 2000
     seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidConfig("need steps >= 1")
 
 
 def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:

@@ -78,13 +78,6 @@ class ModelConfig:
     n_output_poses: int = 20
     dropout: float = 0.1
 
-    def __post_init__(self):
-        for name in ("word_dim", "hidden", "att_dim", "gesture_dim", "n_seed_poses", "n_output_poses"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfig("dropout must be in [0, 1)")
-
 
 @dataclass
 class Seq2SeqModel:

@@ -53,8 +53,6 @@ def estimate_speech_duration(tokens, words_per_minute: float = DEFAULT_WORDS_PER
     with a measured duration should pass it directly to plan_chunks."""
     if not tokens:
         raise InvalidConfig("cannot estimate duration of empty text")
-    if words_per_minute <= 0:
-        raise InvalidConfig("speech rate must be positive")
     return len(tokens) * 60.0 / words_per_minute
 
 

@@ -37,14 +37,6 @@ class Hyperparams:
     epochs: int = 560
     seed: int = 0
 
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidConfig("alpha and beta must be non-negative")
-        if self.lr <= 0:
-            raise InvalidConfig("lr must be positive")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise InvalidConfig("batch_size must be >= 1 and epochs >= 0")
-
 
 @dataclass
 class LossBreakdown:

@@ -121,7 +121,9 @@ class TestVersioning:
             (lambda h: h["model_cfg"].update(word_dxm=h["model_cfg"].pop("word_dim")), "model_cfg must have the keys"),
             (lambda h: h["model_cfg"].pop("dropout"), "model_cfg must have the keys"),
             (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must have the keys"),
-            (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden is not a number"),
+            (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden must be an integer, got '5'"),
+            (lambda h: h["model_cfg"].update(hidden=1025), "model_cfg.hidden must be <= 1024, got 1025"),
+            (lambda h: h["lift_cfg"].update(bn_eps=0.0), "lift_cfg.bn_eps must be > 0, got 0.0"),
             (lambda h: h.update(embedding_ref={"sha256": "x"}), "embedding_ref must be null or string path and sha256"),
             (lambda h: h.update(embedding_ref="emb.txt"), "embedding_ref must be null or string path and sha256"),
         ],
@@ -130,16 +132,35 @@ class TestVersioning:
             "missing_model_key",
             "unknown_lift_key",
             "non_numeric_model_value",
+            "model_value_above_bound",
+            "lift_value_below_bound",
             "embedding_ref_without_path",
             "embedding_ref_string",
         ],
     )
-    def test_bad_config_header_rejected(self, tmp_path, edit, reason):
+    def test_bad_config_header_rejected(self, tmp_path, monkeypatch, edit, reason):
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
         edit_header(path, edit)
+        monkeypatch.setattr(checkpoint, "init_model", None)  # refused before any model is built
         with pytest.raises(MalformedFile, match=f"corrupt checkpoint header: {reason}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mean, components, ratio, reason",
+        [
+            ((3,), (2, 5), (2,), r"have shapes \(3,\), \(2, 5\), \(2,\), expected \(16,\), \(k, 16\), \(k,\)"),
+            ((16,), (2, 16), (3,), r"have shapes \(16,\), \(2, 16\), \(3,\)"),
+            ((16,), (0, 16), (0,), "gesture_dim must be >= 1, got 0"),
+            ((16,), (17, 16), (17,), "gesture_dim must be <= 16, got 17"),
+        ],
+        ids=["misshapen", "ratio_length", "no_components", "too_many_components"],
+    )
+    def test_bad_pose_basis_rejected(self, tmp_path, mean, components, ratio, reason):
+        pca = PcaModel(mean=np.zeros(mean), components=np.zeros(components), explained_variance_ratio=np.zeros(ratio))
+        save_checkpoint(Checkpoint(config={}, pca=pca), tmp_path / "p.ggck")
+        with pytest.raises(MalformedFile, match=f"^corrupt pose basis: .*{reason}"):
+            load_checkpoint(tmp_path / "p.ggck")
 
 
 class _FailAfterHeader:

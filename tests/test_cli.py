@@ -259,6 +259,11 @@ def test_baselines_and_eval(workspace):
         ]
     )
     assert rc == 0
+    # the manual baseline reads no pose basis, so it takes no checkpoint
+    args = ["--file", str(root / "rand.csv"), "--duration", "2.0", "--out", str(root / "manual.csv")]
+    rc = main(["baseline", "manual", *args, "--out-dir", str(root / "out")])
+    assert rc == 0
+    assert len((root / "manual.csv").read_text().strip().splitlines()) == 1 + 24
     rc = main(["eval", "--generated", str(root / "nn.csv"), "--reference", str(root / "rand.csv")])
     assert rc == 0
 

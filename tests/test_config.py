@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from gesturegen.cli import _apply_overrides, build_parser, main
-from gesturegen.config import Config
+from gesturegen.config import _BOUNDS, Config
 from gesturegen.lifting import LiftTrainConfig
 from gesturegen.model import ModelConfig
 from gesturegen.training import Hyperparams
@@ -108,6 +108,19 @@ def test_fps_is_not_a_config_key(tmp_path, capsys, value):
         ("synth-corpus", "{}", ["--seed", "-1"], "config seed must be >= 0, got -1"),
         ("train", "{}", ["--checkpoint-every", "-1"], "config checkpoint_every must be >= 0, got -1"),
         ("baseline", "{}", ["--chunk-len", "0"], "config chunk_len must be >= 1, got 0"),
+        ("train", "{}", ["--dropout", "1.0"], "config dropout must be < 1, got 1.0"),
+        ("train", "{}", ["--batch-size", "0"], "config batch_size must be >= 1, got 0"),
+        ("train", "{}", ["--lr", "0"], "config lr must be > 0, got 0.0"),
+        ("train", "{}", ["--alpha", "-1"], "config alpha must be >= 0, got -1.0"),
+        ("train", "{}", ["--epochs", "-1"], "config epochs must be >= 0, got -1"),
+        ("train", "{}", ["--hidden", "1025"], "config hidden must be <= 1024, got 1025"),
+        ("train", "{}", ["--att-dim", "1025"], "config att_dim must be <= 1024, got 1025"),
+        ("train", "{}", ["--word-dim", "1025"], "config word_dim must be <= 1024, got 1025"),
+        ("lift-train", "{}", ["--lift-steps", "0"], "config lift_steps must be >= 1, got 0"),
+        ("lift-train", "{}", ["--lift-corpus-size", "0"], "config lift_corpus_size must be >= 1, got 0"),
+        ("lift-train", "{}", ["--lift-corpus-size", "100001"], "config lift_corpus_size must be <= 100000, got 100001"),
+        ("schedule", "{}", ["--words-per-minute", "0"], "config words_per_minute must be > 0, got 0.0"),
+        ("schedule", '{"n_output_poses": 121}', [], "config n_output_poses must be <= 120, got 121"),
     ],
 )
 def test_bad_config_value_is_single_line(tmp_path, capsys, command, config, flags, reason):
@@ -117,7 +130,17 @@ def test_bad_config_value_is_single_line(tmp_path, capsys, command, config, flag
         "train": [],
         "synth-corpus": ["--sentences", "1"],
         "baseline": ["nn", "--text", "hi"],
+        "lift-train": [],
     }[command]
+    # Input paths that do not exist: a refusal after a file read fails the row
+    for flag in ("dataset", "embeddings", "checkpoint"):
+        args += [f"--{flag}", str(tmp_path / f"missing_{flag}")]
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out"), *args, *flags]
     assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [f"{command}: {reason}"]
+    assert capsys.readouterr() == ("", f"{command}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_every_numeric_setting_is_bounded():
+    numeric = {f.name for record in (Config, ModelConfig) for f in fields(record) if f.type in ("int", "float")}
+    assert numeric - set(_BOUNDS) == set()
