@@ -153,7 +153,7 @@ def cmd_pca_sweep(cfg: Config, args) -> int:
             raise ValueError
     except ValueError:
         raise InvalidConfig(f"--values must be comma-separated finite numbers, got {args.values!r}") from None
-    dims = [args.dim] if args.dim else list(range(1, ck.pca.n_components + 1))
+    dims = [args.dim] if args.dim is not None else list(range(1, ck.pca.n_components + 1))
     total = 0
     for dim in dims:
         poses = component_sweep(ck.pca, dim, values)
@@ -193,10 +193,10 @@ def cmd_train(cfg: Config, args) -> int:
 
 def cmd_generate(cfg: Config, args) -> int:
     ck = _checkpoint(cfg, "model")
-    table, _ = _load_table(cfg, ck)
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = plan_chunks(tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
+    table, _ = _load_table(cfg, ck)
     start = time.perf_counter()
     track, maps = generate_gesture(ck.model, plan, table)
     elapsed = time.perf_counter() - start

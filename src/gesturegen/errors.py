@@ -1,11 +1,19 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its file helpers.
 
 Everything derives from GestureGenError so the CLI can catch one base class
 and report the failing stage with a single-line diagnostic. The subclasses
 are the cases a caller can act on differently.
+
+Every float table passed between stages (embedding table, track, attention,
+joint trajectory, loss history) is one text codec, written by write_rows and
+read by read_rows: an optional header line, then per row an optional label
+and its values as repr(float), so values read back bit-exact.
 """
 
+import array
 import contextlib
+
+import numpy as np
 
 
 class GestureGenError(Exception):
@@ -37,3 +45,58 @@ def open_for_write(path, what: str):
 
 class DegeneratePose(GestureGenError):
     """The geometry of a pose leaves a joint or angle undefined."""
+
+
+def write_rows(path, what: str, rows, *, header=None, labels=None, sep=","):
+    """Write the (N, D) array ``rows``: ``header`` if given, then per row its
+    label if ``labels`` is given and its values, joined by ``sep``. A row
+    with a non-finite value is refused before the file is opened."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InvalidConfig(f"{what} row {int(np.argmin(finite))} has non-finite values")
+    with open_for_write(path, what) as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        lines = (sep.join(map(repr, row.tolist())) for row in rows)
+        if labels is not None:
+            lines = (label + sep + line for label, line in zip(labels, lines))
+        fh.writelines(line + "\n" for line in lines)
+
+
+def read_rows(path, what: str, *, header=None, labels=False, sep=","):
+    """``(labels, rows)`` of a write_rows file: the first field of each line
+    (if ``labels``) and an (N, D) float array. ``sep`` None splits on any
+    whitespace; blank lines are skipped. MalformedFile names the line of a
+    missing header, non-numeric or non-finite value, line without values or
+    width other than the first row's, or says the file is empty or unreadable."""
+    names, flat, line_nos, width = [], array.array("d"), [], None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if header is not None and not fh.readline().startswith(header):
+                raise MalformedFile(f"{path}: line 1 does not start with {header!r}")
+            for line_no, line in enumerate(fh, start=1 if header is None else 2):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(sep)
+                if labels:
+                    names.append(fields.pop(0))
+                if not fields:
+                    raise MalformedFile(f"{path}: line {line_no}: no values")
+                try:
+                    flat.extend(map(float, fields))
+                except ValueError:
+                    raise MalformedFile(f"{path}: line {line_no}: non-numeric value") from None
+                width = width or len(fields)
+                if len(fields) != width:
+                    raise MalformedFile(f"{path}: line {line_no}: expected {width} values, got {len(fields)}")
+                line_nos.append(line_no)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read {what}: {exc}") from exc
+    if not line_nos:
+        raise MalformedFile(f"{path}: no rows")
+    table = np.frombuffer(flat).reshape(-1, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise MalformedFile(f"{path}: line {line_nos[int(np.argmin(finite))]}: non-finite value")
+    return names, table

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedFile, open_for_write
+from .errors import InvalidConfig, read_rows, write_rows
 from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0  # the one frame rate of records, tracks and the decoder
@@ -56,6 +56,15 @@ def estimate_speech_duration(tokens, words_per_minute: float = DEFAULT_WORDS_PER
     return len(tokens) * 60.0 / words_per_minute
 
 
+def _check_duration(speech_duration: float):
+    if not math.isfinite(speech_duration):
+        raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
+    if speech_duration <= 0:
+        raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
+    if speech_duration > MAX_SPEECH_SECONDS:
+        raise InvalidConfig(f"speech duration must be at most {MAX_SPEECH_SECONDS:g} s, got {speech_duration}")
+
+
 def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> ChunkPlan:
     """Words per chunk: floor(S * (m + n) / DEFAULT_FPS / duration),
     clamped into [1, S]; the text splits into consecutive chunks of that
@@ -63,10 +72,7 @@ def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> Chu
     tokens = list(tokens)
     if not tokens:
         raise InvalidConfig("cannot plan chunks for empty text")
-    if not math.isfinite(speech_duration):
-        raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
-    if speech_duration <= 0:
-        raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
+    _check_duration(speech_duration)
     total = len(tokens)
     size = math.floor(total * (m + n) * (1.0 / DEFAULT_FPS) / speech_duration)
     size = max(1, min(size, total))
@@ -107,12 +113,7 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
     exactly; a track already at the right length comes back unchanged."""
     if len(track) == 0:
         raise InvalidConfig("cannot align an empty track")
-    if not math.isfinite(speech_duration):
-        raise InvalidConfig(f"speech duration must be finite, got {speech_duration}")
-    if speech_duration > MAX_SPEECH_SECONDS:
-        raise InvalidConfig(f"speech duration must be at most {MAX_SPEECH_SECONDS:g} s, got {speech_duration}")
-    if speech_duration <= 0:
-        raise InvalidConfig(f"speech duration must be positive, got {speech_duration}")
+    _check_duration(speech_duration)
     target = int(math.ceil(speech_duration * DEFAULT_FPS))
     source = len(track)
     if target == source:
@@ -156,13 +157,7 @@ def export_attention(maps, chunks, path) -> np.ndarray:
     headers. Returns the matrix. A non-finite entry is refused before the
     file is opened."""
     matrix = assemble_attention(maps, chunks)
-    if not np.isfinite(matrix).all():
-        raise InvalidConfig("attention matrix has non-finite values")
-    words = [w for chunk in chunks for w in chunk]
-    with open_for_write(path, "attention file") as fh:
-        fh.write(",".join(words) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_rows(path, "attention file", matrix, header=",".join(w for chunk in chunks for w in chunk))
     return matrix
 
 
@@ -170,42 +165,12 @@ def save_track_csv(track: TimedPoseTrack, path, columns=None):
     """Track CSV: header t_s then the column names (default c1..cD), one
     row per frame. load_track_csv reads back every non-empty file written here.
     A frame with a non-finite value is refused before the file is opened."""
-    finite = np.isfinite(track.frames).all(axis=1)
-    if not finite.all():
-        raise InvalidConfig(f"track frame {int(np.argmin(finite))} has non-finite values")
     if columns is None:
         columns = [f"c{i + 1}" for i in range(track.frames.shape[1])]
-    header = "t_s," + ",".join(columns)
-    with open_for_write(path, "track file") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(track.frames):
-            fh.write(repr(float(i / DEFAULT_FPS)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    times = [repr(i / DEFAULT_FPS) for i in range(len(track))]
+    write_rows(path, "track file", track.frames, header=",".join(["t_s", *columns]), labels=times)
 
 
 def load_track_csv(path) -> TimedPoseTrack:
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("t_s,"):
-                raise MalformedFile(f"{path}: missing t_s header")
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                try:
-                    row = [float(f) for f in fields[1:]]
-                except ValueError:
-                    raise MalformedFile(f"{path}: non-numeric value on line {line_no}") from None
-                if not all(map(math.isfinite, row)):
-                    raise MalformedFile(f"{path}: non-finite value on line {line_no}")
-                rows.append(row)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"cannot read track file: {exc}") from exc
-    if not rows:
-        raise MalformedFile(f"{path}: no frames")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise MalformedFile(f"{path}: inconsistent column counts")
-    return TimedPoseTrack(frames=np.array(rows))
+    """A track CSV written by save_track_csv; its t_s column is ignored."""
+    return TimedPoseTrack(frames=read_rows(path, "track file", header="t_s,", labels=True)[1])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile, open_for_write
+from .errors import read_rows, write_rows
 
 EMBED_DIM = 300
 
@@ -53,35 +53,9 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path) -> EmbeddingTable:
-    """Parse a text embedding file. The first line fixes the dimension;
-    a later line disagreeing, a non-numeric or non-finite field, and an
-    unreadable or non-UTF-8 file raise MalformedFile; line errors name the
-    line number. Blank lines are skipped."""
-    dim = None
-    entries = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                token, fields = parts[0], parts[1:]
-                if not fields:
-                    raise MalformedFile(f"line {line_no}: token without vector")
-                if dim is None:
-                    dim = len(fields)
-                elif len(fields) != dim:
-                    raise MalformedFile(f"line {line_no}: expected {dim} values, got {len(fields)}")
-                try:
-                    vec = np.array([float(f) for f in fields])
-                except ValueError:
-                    raise MalformedFile(f"line {line_no}: non-numeric field") from None
-                if not np.isfinite(vec).all():
-                    raise MalformedFile(f"line {line_no}: non-finite value")
-                entries[token] = vec
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"cannot read embedding table: {exc}") from exc
-    return EmbeddingTable(dim=dim if dim is not None else EMBED_DIM, entries=entries)
+    """Read an embedding file in the format above; an empty file is refused."""
+    tokens, vectors = read_rows(path, "embedding table", labels=True, sep=None)
+    return EmbeddingTable(dim=vectors.shape[1], entries=dict(zip(tokens, vectors)))
 
 
 def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0) -> int:
@@ -90,12 +64,9 @@ def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0
     Stands in for a pretrained table at desk scale; the loader cannot tell
     the difference. Returns the number of lines written.
     """
-    rng = np.random.default_rng(seed)
     unique = sorted(set(tokens))
-    with open_for_write(path, "embedding table") as fh:
-        for token in unique:
-            vec = rng.normal(0.0, 0.4, size=dim)
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    vectors = np.random.default_rng(seed).normal(0.0, 0.4, size=(len(unique), dim))
+    write_rows(path, "embedding table", vectors, labels=unique, sep=" ")
     return len(unique)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InvalidConfig, open_for_write
+from .errors import InvalidConfig, write_rows
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
 from .pose import encode_pose, normalize_pose
 
@@ -228,7 +228,6 @@ def train_model(
 
 
 def write_history_csv(history, path):
-    with open_for_write(path, "history file") as fh:
-        fh.write("epoch,mse,continuity,variance,total\n")
-        for i, b in enumerate(history):
-            fh.write(f"{i},{b.mse!r},{b.continuity!r},{b.variance!r},{b.total!r}\n")
+    rows = np.array([[b.mse, b.continuity, b.variance, b.total] for b in history]).reshape(-1, 4)
+    header = "epoch,mse,continuity,variance,total"
+    write_rows(path, "history file", rows, header=header, labels=map(str, range(len(rows))))

@@ -471,6 +471,11 @@ def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
     rc = main(["pca-sweep", "--checkpoint", str(root / "ck.ggck"), "--values", "1,x", "--out-dir", str(tmp_path)])
     assert rc == 1
     _single_line_error(capsys, "pca-sweep")
+    for dim in ("0", "11"):
+        rc = main(["pca-sweep", "--checkpoint", str(root / "ck.ggck"), "--dim", dim, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"pca-sweep: component {dim} not in [1, 10]"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -641,18 +646,32 @@ def test_overflowing_render_is_single_line(workspace, tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "command, duration",
-    [("generate", "1e308"), ("baseline random", "1e308"), ("generate", "1e300")],
-    ids=["generate-1e308", "baseline-random-1e308", "generate-1e300"],
+    "command, flags, got",
+    [
+        ("generate", "--duration 1e308", "1e+308"),
+        ("baseline random", "--duration 1e308", "1e+308"),
+        ("generate", "--duration 1e300", "1e+300"),
+        ("schedule", "--duration 1e308", "1e+308"),
+        ("generate", "--words-per-minute 1e-300", "3e+302"),
+        ("schedule", "--words-per-minute 1e-300", "3e+302"),
+    ],
+    ids=["generate-1e308", "baseline-random-1e308", "generate-1e300", "schedule-1e308", "generate-rate", "schedule-rate"],
 )
-def test_huge_duration_is_single_line(workspace, tmp_path, capsys, command, duration):
+def test_huge_duration_is_single_line(workspace, tmp_path, capsys, monkeypatch, command, flags, got):
+    import gesturegen.cli
+
+    def no_inference(*args):
+        raise AssertionError("generation ran")
+
+    monkeypatch.setattr(gesturegen.cli, "generate_gesture", no_inference)
     root, _ = workspace
-    args = [*command.split(), "--text", "we hold a big idea", "--duration", duration]
+    args = [*command.split(), "--text", "we hold a big idea", *flags.split()]
     args += ["--checkpoint", str(root / "ck.ggck"), "--dataset", str(root / "kept.jsonl")]
     capsys.readouterr()
     assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.csv")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"{command.split()[0]}: speech duration must be at most 86400 s, got {float(duration)}"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"{command.split()[0]}: speech duration must be at most 86400 s, got {got}"]
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -691,3 +710,34 @@ def test_generate_needs_no_pose_basis(workspace, tmp_path):
     assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
     track = load_track_csv(tmp_path / "track.csv")
     assert len(track) == 24 and np.isfinite(track.frames).all()
+
+
+# A RuntimeWarning is an error under the pytest config, so these cases also
+# show that no NaN is computed on the way to the refusal.
+@pytest.mark.parametrize(
+    "command, table, reason",
+    [
+        ("eval", "track", "{path}: line 2: no values"),
+        ("baseline manual", "track", "{path}: line 2: no values"),
+        ("train", "embeddings", "{path}: no rows"),
+        ("generate", "embeddings", "{path}: no rows"),
+    ],
+    ids=["eval-value-less-track", "baseline-manual-value-less-track", "train-empty-table", "generate-empty-table"],
+)
+def test_table_without_values_is_single_line(workspace, tmp_path, capsys, command, table, reason):
+    root, train_args = workspace
+    path = tmp_path / ("bare.csv" if table == "track" else "empty.txt")
+    path.write_text("t_s,\n0.0\n0.08333333333333333\n" if table == "track" else "")
+    out = ["--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.csv")]
+    args = {
+        "eval": ["eval", "--generated", str(path), "--reference", str(path)],
+        "baseline manual": ["baseline", "manual", "--file", str(path), "--duration", "2"],
+        "train": [*train_args, "--embeddings", str(path), "--history", str(tmp_path / "history.csv")],
+        "generate": ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", "hi", "--embeddings", str(path)],
+    }[command]
+    capsys.readouterr()
+    assert main([*args, *out]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"{command.split()[0]}: " + reason.format(path=path)]
+    assert not (tmp_path / "out.csv").exists()

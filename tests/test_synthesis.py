@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gesturegen.errors import InvalidConfig, MalformedFile
+from gesturegen.errors import InvalidConfig, MalformedFile, write_rows
 from gesturegen.kinematics import ANGLE_NAMES, save_angles_csv
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.synthesis import (
@@ -21,7 +21,7 @@ from gesturegen.synthesis import (
     plan_chunks,
     save_track_csv,
 )
-from gesturegen.text import EmbeddingTable
+from gesturegen.text import EmbeddingTable, load_embedding_table
 
 
 class TestEstimateDuration:
@@ -220,7 +220,7 @@ class TestAttentionExport:
 
     def test_non_finite_refused_before_writing(self, tmp_path):
         maps = [np.array([[0.5, 0.5]]), np.array([[np.nan]])]
-        with pytest.raises(InvalidConfig, match="^attention matrix has non-finite values$"):
+        with pytest.raises(InvalidConfig, match="^attention file row 1 has non-finite values$"):
             export_attention(maps, [("a", "b"), ("c",)], tmp_path / "attn.csv")
         assert not (tmp_path / "attn.csv").exists()
 
@@ -254,6 +254,11 @@ class TestTrackCsv:
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header.split(",") == ["t_s"] + [f"c{i + 1}" for i in range(frames.shape[1])]
         assert load_track_csv(path).frames.tobytes() == frames.tobytes()
+        # the embedding table is the same codec, space-separated with a token label
+        tokens = [f"tok{i}" for i in range(len(frames))]
+        write_rows(path, "embedding table", frames, labels=tokens, sep=" ")
+        table = load_embedding_table(path)
+        assert np.stack([table.lookup(t) for t in tokens]).tobytes() == frames.tobytes()
 
     @_codec_settings
     @given(frames=_finite_frames(len(ANGLE_NAMES)))
@@ -276,7 +281,7 @@ class TestTrackCsv:
         frames = np.zeros((4, 12))
         frames[2, 7] = bad
         for save in (save_track_csv, save_angles_csv):
-            with pytest.raises(InvalidConfig, match="^track frame 2 has non-finite values$"):
+            with pytest.raises(InvalidConfig, match="^track file row 2 has non-finite values$"):
                 save(TimedPoseTrack(frames), tmp_path / "t.csv")
             assert not (tmp_path / "t.csv").exists()
 

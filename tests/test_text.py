@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -53,14 +54,14 @@ def test_loader_wrong_count(tmp_path):
     path = tmp_path / "emb.txt"
     lines = ["tok " + " ".join(["0.5"] * 300), "bad " + " ".join(["0.5"] * 299)]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedFile, match="^line 2: expected 300 values, got 299$"):
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path))}: line 2: expected 300 values, got 299$"):
         load_embedding_table(path)
 
 
 def test_loader_non_numeric(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("tok 1.0 oops 3.0\n")
-    with pytest.raises(MalformedFile, match="^line 1: non-numeric field$"):
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path))}: line 1: non-numeric value$"):
         load_embedding_table(path)
 
 
@@ -68,7 +69,7 @@ def test_loader_non_numeric(tmp_path):
 def test_loader_non_finite(tmp_path, value):
     path = tmp_path / "emb.txt"
     path.write_text(f"tok 1.0 2.0\nbad 1.0 {value}\n")
-    with pytest.raises(MalformedFile, match="^line 2: non-finite value$"):
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path))}: line 2: non-finite value$"):
         load_embedding_table(path)
 
 
