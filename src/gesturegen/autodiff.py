@@ -227,6 +227,39 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
     return _wrap(out_val, (gx, h, u, b), backprop)
 
 
+def batch_norm(x, scale, shift, eps: float):
+    """Train-mode batch normalization of (B, F) rows, one fused graph node:
+
+        mu = mean(x);  c = x - mu;  var = mean(c * c)
+        y = (c * (var + eps) ** -0.5) * scale + shift
+
+    Statistics are per feature over the batch (population variance).
+    Returns (y, mu, var) with mu and var as (1, F) arrays. The forward and
+    the hand-written backward round as the composed mean / add / mul /
+    power graph does, so both give the same bits.
+    """
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
+    inv_n = 1.0 / x.shape[0]
+    mu = x.data.sum(axis=0, keepdims=True) * inv_n
+    centered = x.data + mu * -1.0
+    var = (centered * centered).sum(axis=0, keepdims=True) * inv_n
+    var_eps = var + eps
+    inv_std = np.power(var_eps, -0.5)
+    normalized = centered * inv_std
+    out_val = normalized * scale.data + shift.data
+
+    def backprop(g):
+        _accumulate(shift, _unbroadcast(g, shift.data.shape))
+        _accumulate(scale, _unbroadcast(g * normalized, scale.data.shape))
+        g_norm = g * scale.data
+        g_var = (g_norm * centered).sum(axis=0, keepdims=True) * -0.5 * np.power(var_eps, -1.5)
+        g_sq_c = g_var * inv_n * centered
+        g_centered = (g_norm * inv_std + g_sq_c) + g_sq_c
+        _accumulate(x, g_centered + g_centered.sum(axis=0, keepdims=True) * -1.0 * inv_n)
+
+    return _wrap(out_val, (x, scale, shift), backprop), mu, var
+
+
 # -- nonlinearities -----------------------------------------------------------
 
 

@@ -233,11 +233,16 @@ def cmd_schedule(cfg: Config, args) -> int:
 def cmd_lift_train(cfg: Config, args) -> int:
     ck = _checkpoint(cfg)
     corpus3d = synth_pose3d_corpus(cfg.seed, cfg.lift_corpus_size)
+    start = time.perf_counter()
     lift = train_lift(corpus3d, cfg.lift_config())
+    elapsed = time.perf_counter() - start
     out_ck = _output(cfg, args.out or cfg.checkpoint)
     _save(cfg, ck, out_ck, lift=lift)
     mse = lift_mse(lift, corpus3d)
-    print(f"trained depth-lift net on {len(corpus3d)} synthetic poses ({cfg.lift_steps} steps); train mse {mse:.5f} -> {out_ck}")
+    print(
+        f"trained depth-lift net on {len(corpus3d)} synthetic poses ({cfg.lift_steps} steps in {elapsed:.2f} s); "
+        f"train mse {mse:.5f} -> {out_ck}"
+    )
     return 0
 
 

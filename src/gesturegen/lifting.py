@@ -2,7 +2,10 @@
 
 A small fully connected network (14 -> 30 -> 20 -> 7, batch normalization
 after the first two layers) predicts a depth for each non-neck joint of a
-normalized 2D pose; the neck anchors the torso frame at depth 0.
+normalized 2D pose; the neck anchors the torso frame at depth 0. Training
+draws 16-pose batches, augments each batch with one augment_3d call and
+records each train-mode batch normalization as one fused graph node
+(autodiff.batch_norm).
 
 Axis bridge: 2D poses use image convention (y down), the 3D torso frame
 has Y up. Projection of a 3D pose to a 2D training input is (X, -Y); the
@@ -65,21 +68,17 @@ def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e
 
 def batch_norm_graph(x: Tensor, scale: Tensor, shift: Tensor, run_mean, run_var, train, momentum, eps):
     """Normalize per feature. Train mode uses batch statistics (population
-    variance) and updates the running buffers in place; eval mode uses the
-    running statistics as constants."""
+    variance, one fused graph node) and updates the running buffers in
+    place; eval mode uses the running statistics as constants."""
     if train:
-        mu = ad.tmean(x, axis=0, keepdims=True)
-        centered = ad.add(x, ad.mul(mu, -1.0))
-        var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
-        inv_std = ad.power(ad.add(var, eps), -0.5)
-        normalized = ad.mul(centered, inv_std)
+        out, mu, var = ad.batch_norm(x, scale, shift, eps)
         run_mean *= 1.0 - momentum
-        run_mean += momentum * mu.data[0]
+        run_mean += momentum * mu[0]
         run_var *= 1.0 - momentum
-        run_var += momentum * var.data[0]
-    else:
-        inv = 1.0 / np.sqrt(run_var + eps)
-        normalized = ad.mul(ad.add(x, -run_mean), inv)
+        run_var += momentum * var[0]
+        return out
+    inv = 1.0 / np.sqrt(run_var + eps)
+    normalized = ad.mul(ad.add(x, -run_mean), inv)
     return ad.add(ad.mul(normalized, scale), shift)
 
 
@@ -154,18 +153,33 @@ def lift_forward(params: LiftNetParams, poses):
     return out[0] if single else out
 
 
-def augment_3d(sample, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
-    """Rigid rotation of an (8, 3) pose about the vertical axis, then
-    isotropic joint noise, then renormalization (neck to origin, mean
-    shoulder distance 1)."""
-    angle = rng.uniform(-rot_range, rot_range)
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    joints = sample @ rot.T
+def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
+    """Rigid rotation of one (8, 3) pose or a (B, 8, 3) batch about the
+    vertical axis, then isotropic joint noise, then renormalization (neck to
+    origin, mean shoulder distance 1).
+
+    Draws are per pose in batch order (its angle, then its noise), so a
+    batch consumes ``rng`` exactly as one call per pose would."""
+    single = samples.ndim == 2
+    samples = samples[None] if single else samples
+    angles = np.empty(len(samples))
+    noise = np.empty(samples.shape)
+    for i in range(len(samples)):
+        angles[i] = rng.uniform(-rot_range, rot_range)
+        if noise_sigma > 0:
+            noise[i] = rng.normal(0.0, noise_sigma, size=(8, 3))
+    c, s = np.cos(angles), np.sin(angles)
+    rot = np.zeros((len(samples), 3, 3))
+    rot[:, 0, 0] = rot[:, 2, 2] = c
+    rot[:, 0, 2] = s
+    rot[:, 2, 0] = -s
+    rot[:, 1, 1] = 1.0
+    joints = samples @ np.swapaxes(rot, -1, -2)
     if noise_sigma > 0:
-        joints = joints + rng.normal(0.0, noise_sigma, size=(8, 3))
-    joints = joints - joints[NECK]
-    return joints / shoulder_scale(joints)
+        joints = joints + noise
+    joints = joints - joints[:, NECK : NECK + 1]
+    joints = joints / shoulder_scale(joints)[:, None, None]
+    return joints[0] if single else joints
 
 
 # Sampled joint ranges, in draw order; head pitch and wrist yaws stay 0.
@@ -204,15 +218,23 @@ class LiftTrainConfig:
 
 
 def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:
-    """Minimize mean squared depth error over projected, augmented samples."""
-    if len(dataset3d) == 0:
+    """Minimize mean squared depth error over projected, augmented samples
+    of (N, 8, 3) poses."""
+    try:
+        data = np.asarray(dataset3d, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"3D poses must be an (N, 8, 3) array: {exc}") from None
+    if data.size == 0:
         raise InvalidConfig("no 3D poses to train on")
+    if data.ndim != 3 or data.shape[1:] != (8, 3):
+        raise InvalidConfig(f"3D poses must be an (N, 8, 3) array, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise InvalidConfig("3D poses hold non-finite values")
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
-        idx = rng.integers(0, len(dataset3d), size=LIFT_BATCH)
-        batch = np.stack([augment_3d(dataset3d[i], rng) for i in idx])
+        batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
         out = lift_forward_graph(params, Tensor(pose2d_to_lift_input(project_to_image(batch))), train=True)
         diff = ad.add(out, -depth_targets(batch))
         loss = ad.tmean(ad.mul(diff, diff))

@@ -1,9 +1,9 @@
 """Tokenization and word-embedding lookup.
 
 The embedding file format is plain text: one token per line followed by its
-vector, space-separated decimals. Any dimension is accepted (the first line
-sets it); 300 is the conventional size. Unknown tokens embed to the zero
-vector.
+vector, space-separated decimals; no token appears twice. Any dimension is
+accepted (the first line sets it); 300 is the conventional size. Unknown
+tokens embed to the zero vector.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import read_rows, write_rows
+from .errors import MalformedFile, read_rows, write_rows
 
 EMBED_DIM = 300
 
@@ -53,9 +53,15 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path) -> EmbeddingTable:
-    """Read an embedding file in the format above; an empty file is refused."""
+    """Read an embedding file in the format above; an empty file or a token
+    listed twice is refused."""
     tokens, vectors = read_rows(path, "embedding table", labels=True, sep=None)
-    return EmbeddingTable(dim=vectors.shape[1], entries=dict(zip(tokens, vectors)))
+    entries = dict(zip(tokens, vectors))
+    if len(entries) < len(tokens):
+        seen = set()
+        repeated = next(t for t in tokens if t in seen or seen.add(t))
+        raise MalformedFile(f"{path}: token {repeated!r} is listed more than once")
+    return EmbeddingTable(dim=vectors.shape[1], entries=entries)
 
 
 def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0) -> int:

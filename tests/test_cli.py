@@ -408,6 +408,18 @@ def test_model_takes_its_size_from_the_fitted_basis(workspace, tmp_path):
     assert (tmp_path / "track.csv").read_text().splitlines()[0] == "t_s,c1,c2,c3,c4"
 
 
+def test_lift_train_reports_wall_time(tmp_path, capsys):
+    from gesturegen.checkpoint import Checkpoint, save_checkpoint
+
+    ck = tmp_path / "ck.ggck"
+    save_checkpoint(Checkpoint(config={}), ck)
+    args = ["lift-train", "--checkpoint", str(ck), "--lift-steps", "3", "--lift-corpus-size", "10"]
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
+    line = capsys.readouterr().out.strip()
+    pattern = r"trained depth-lift net on 10 synthetic poses \(3 steps in \d+\.\d\d s\); train mse \d+\.\d{5} -> "
+    assert re.fullmatch(pattern + re.escape(str(ck)), line), line
+
+
 def test_schedule_uses_rate_estimate_without_duration(capsys):
     # 160 words at the default 160 words/minute estimate to 60 s
     rc = main(["schedule", "--text", " ".join(f"w{i}" for i in range(160))])
@@ -429,6 +441,18 @@ def test_missing_embedding_file_is_single_line(workspace, capsys):
     )
     assert rc == 1
     _single_line_error(capsys, "generate")
+
+
+def test_repeated_embedding_token_is_single_line(workspace, tmp_path, capsys):
+    _, train_args = workspace
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\na 3 4\n")
+    args = [*train_args, "--embeddings", str(path), "--history", str(tmp_path / "history.csv")]
+    capsys.readouterr()
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"train: {path}: token 'a' is listed more than once"]
 
 
 def test_non_utf8_embedding_file_is_single_line(workspace, tmp_path, capsys):

@@ -111,6 +111,89 @@ class TestLiftForward:
                 assert rel < 1e-4, (name, i, grad[i], fd)
 
 
+def _composed_batch_norm(x, scale, shift, eps):
+    # The train-mode graph batch_norm_graph recorded before autodiff.batch_norm
+    # fused it into one node, kept as the reference.
+    mu = ad.tmean(x, axis=0, keepdims=True)
+    centered = ad.add(x, ad.mul(mu, -1.0))
+    var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
+    inv_std = ad.power(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv_std), scale), shift), mu.data, var.data
+
+
+def _bn_inputs(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(1.5, 3.0, size=(16, 30))
+    scale, shift, weights = rng.normal(size=30), rng.normal(size=30), rng.normal(size=(16, 30))
+    return x, scale, shift, weights
+
+
+def _bn_grads(node, x, scale, shift, weights):
+    leaves = [Tensor(v, requires_grad=True) for v in (x, scale, shift)]
+    out, mu, var = node(*leaves, 1e-5)
+    ad.tsum(ad.mul(out, weights)).backward()
+    return out.data, mu, var, [leaf.grad for leaf in leaves]
+
+
+class TestBatchNormNode:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_composed_graph(self, seed):
+        inputs = _bn_inputs(seed)
+        fused = _bn_grads(ad.batch_norm, *inputs)
+        composed = _bn_grads(_composed_batch_norm, *inputs)
+        for a, b in zip(fused[:3], composed[:3]):
+            assert np.array_equal(a, b)
+        for name, a, b in zip(("x", "scale", "shift"), fused[3], composed[3]):
+            assert np.array_equal(a, b), name
+
+    def test_train_mode_finite_differences(self):
+        x, scale, shift, weights = _bn_inputs(3)
+        _, _, _, grads = _bn_grads(ad.batch_norm, x, scale, shift, weights)
+        values = [x, scale, shift]
+
+        def loss_value():
+            return float(np.sum(ad.batch_norm(*values, 1e-5)[0].data * weights))
+
+        step = 1e-5
+        rng = np.random.default_rng(3)
+        for name, value, grad in zip(("x", "scale", "shift"), values, grads):
+            flat, gflat = value.reshape(-1), grad.reshape(-1)
+            for i in rng.choice(flat.size, size=6, replace=False):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = loss_value()
+                flat[i] = orig - step
+                lo = loss_value()
+                flat[i] = orig
+                fd = (hi - lo) / (2 * step)
+                assert abs(gflat[i] - fd) / max(1e-6, abs(gflat[i]), abs(fd)) < 1e-5, (name, i, gflat[i], fd)
+
+    def test_train_step_graph_size(self):
+        # One train-mode lift step's reverse pass: 3 linear layers (matmul,
+        # transposed weight, bias add and the two leaves each), 2 fused
+        # batch-norm nodes with their scale and shift leaves, 2 ReLUs and the
+        # 4-node squared-error loss. A batch norm composed of mean, add, mul
+        # and power nodes records 11 more nodes per layer.
+        params = init_lift_params(seed=6)
+        rng = np.random.default_rng(6)
+        out = lift_forward_graph(params, Tensor(rng.normal(size=(16, 14))), train=True)
+        diff = ad.add(out, -rng.normal(size=(16, 7)))
+        order = ad.tmean(ad.mul(diff, diff)).backward()
+        assert len(order) <= 27
+
+
+def _augment_one(sample, rng, noise_sigma, rot_range=np.deg2rad(30.0)):
+    # The one-pose augmentation train_lift ran per sample before augment_3d
+    # took whole batches, kept as the reference.
+    angle = rng.uniform(-rot_range, rot_range)
+    c, s = np.cos(angle), np.sin(angle)
+    joints = sample @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]).T
+    if noise_sigma > 0:
+        joints = joints + rng.normal(0.0, noise_sigma, size=(8, 3))
+    joints = joints - joints[NECK]
+    return joints / shoulder_scale(joints)
+
+
 class TestAugment:
     def test_identity_with_zero_params(self):
         pose = synth_pose3d_corpus(seed=6, size=1)[0]
@@ -137,6 +220,18 @@ class TestAugment:
         out = augment_3d(pose, np.random.default_rng(2), noise_sigma=0.1)
         assert np.allclose(out[NECK], 0.0)
         assert abs(shoulder_scale(out) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+    def test_batch_matches_single_calls(self, noise_sigma):
+        poses = synth_pose3d_corpus(seed=11, size=16)
+        rngs = [np.random.default_rng(5) for _ in range(3)]
+        batch = augment_3d(poses, rngs[0], noise_sigma=noise_sigma)
+        singles = np.stack([augment_3d(p, rngs[1], noise_sigma=noise_sigma) for p in poses])
+        reference = np.stack([_augment_one(p, rngs[2], noise_sigma) for p in poses])
+        assert batch.shape == (16, 8, 3)
+        assert np.array_equal(batch, singles)
+        assert np.array_equal(batch, reference)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
 
 
 class TestSynthCorpus3d:
@@ -176,6 +271,34 @@ class TestTrainLift:
     def test_empty_dataset(self):
         with pytest.raises(InvalidConfig, match="no 3D poses to train on"):
             train_lift([], LiftTrainConfig(steps=1))
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (np.zeros((4, 8, 2)), r"3D poses must be an \(N, 8, 3\) array, got shape \(4, 8, 2\)"),
+            (np.zeros((8, 3)), r"3D poses must be an \(N, 8, 3\) array, got shape \(8, 3\)"),
+            ([[[0.0] * 3] * 8, [[0.0] * 3] * 7], r"3D poses must be an \(N, 8, 3\) array: "),
+            ([[["x"] * 3] * 8], r"3D poses must be an \(N, 8, 3\) array: "),
+        ],
+        ids=["2d-joints", "single-pose", "ragged", "non-numeric"],
+    )
+    def test_bad_shape_refused(self, data, reason):
+        with pytest.raises(InvalidConfig, match=f"^{reason}"):
+            train_lift(data, LiftTrainConfig(steps=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused(self, bad):
+        data = synth_pose3d_corpus(seed=18, size=4)
+        data[2, 3, 1] = bad
+        with pytest.raises(InvalidConfig, match="^3D poses hold non-finite values$"):
+            train_lift(data, LiftTrainConfig(steps=1))
+
+    def test_list_of_poses_trains_as_array(self):
+        data = synth_pose3d_corpus(seed=18, size=6)
+        a = train_lift(list(data), LiftTrainConfig(steps=5, seed=2))
+        b = train_lift(data, LiftTrainConfig(steps=5, seed=2))
+        for name, p in a.store.items():
+            assert np.array_equal(p.value, b.store[name].value), name
 
     def test_learnability_beats_zero_predictor(self):
         train_set = synth_pose3d_corpus(seed=15, size=50)

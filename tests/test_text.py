@@ -50,6 +50,13 @@ def test_loader_two_lines(tmp_path):
     assert np.array_equal(table.lookup("beta"), [-0.5, 0.25, 0.125])
 
 
+def test_loader_refuses_repeated_token(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\na 3 4\n")
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path))}: token 'a' is listed more than once$"):
+        load_embedding_table(path)
+
+
 def test_loader_wrong_count(tmp_path):
     path = tmp_path / "emb.txt"
     lines = ["tok " + " ".join(["0.5"] * 300), "bad " + " ".join(["0.5"] * 299)]
