@@ -135,15 +135,20 @@ class TrackMetrics:
 
 
 def eval_tracks(generated: TimedPoseTrack, reference: TimedPoseTrack) -> TrackMetrics:
-    """Objective diagnostics; frame counts and widths must already match."""
+    """Objective diagnostics; frame counts and widths must already match.
+    A metric that overflows raises InvalidConfig naming it."""
     if len(generated) != len(reference):
         raise InvalidConfig(f"{len(generated)} generated vs {len(reference)} reference frames")
     gen, ref = generated.frames, reference.frames
     if gen.shape[1] != ref.shape[1]:
         raise InvalidConfig(f"{gen.shape[1]} generated vs {ref.shape[1]} reference columns")
-    mse = float(np.mean((gen - ref) ** 2))
-    if len(gen) >= 2:
-        disp = float(np.linalg.norm(np.diff(gen, axis=0), axis=1).mean())
-    else:
-        disp = 0.0
-    return TrackMetrics(mse=mse, mean_displacement=disp, temporal_variance=gen.var(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        metrics = TrackMetrics(
+            mse=float(np.mean((gen - ref) ** 2)),
+            mean_displacement=float(np.linalg.norm(np.diff(gen, axis=0), axis=1).mean()) if len(gen) >= 2 else 0.0,
+            temporal_variance=gen.var(axis=0),
+        )
+    for name in ("mse", "mean_displacement", "temporal_variance"):
+        if not np.isfinite(getattr(metrics, name)).all():
+            raise InvalidConfig(f"{name} is not finite: the track values are too large")
+    return metrics

@@ -175,7 +175,7 @@ def cmd_train(cfg: Config, args) -> int:
             path = _output(cfg, None, f"checkpoint_epoch{epoch + 1:05d}.ggck")
             _save(cfg, ck, path, model=current, embedding_ref=ref)
 
-    result = train_model(pairs, cfg.hyperparams(), model, table, on_epoch=on_epoch)
+    result = train_model(pairs, cfg, model, table, on_epoch=on_epoch)
     out_ck = _output(cfg, args.out or cfg.checkpoint)
     _save(cfg, ck, out_ck, model=result.model, embedding_ref=ref)
     history_path = _output(cfg, args.history, "history.csv")
@@ -234,7 +234,7 @@ def cmd_lift_train(cfg: Config, args) -> int:
     ck = _checkpoint(cfg)
     corpus3d = synth_pose3d_corpus(cfg.seed, cfg.lift_corpus_size)
     start = time.perf_counter()
-    lift = train_lift(corpus3d, cfg.lift_config())
+    lift = train_lift(corpus3d, cfg)
     elapsed = time.perf_counter() - start
     out_ck = _output(cfg, args.out or cfg.checkpoint)
     _save(cfg, ck, out_ck, lift=lift)

@@ -1,5 +1,9 @@
 """Run configuration: one flat record of every tunable, JSON-loadable,
-with defaults matching the published training setup where one exists."""
+with defaults matching the published training setup where one exists.
+
+Config is the one place a setting's default is written: train_model,
+compute_loss_graph and train_lift take a Config, and the model record is
+built from it by model_config."""
 
 from __future__ import annotations
 
@@ -9,10 +13,8 @@ import operator
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidConfig, MalformedFile
-from .lifting import LiftTrainConfig
 from .model import ModelConfig
 from .pose import POSE_DIM
-from .training import Hyperparams
 
 # Accepted value types per annotated field type; a bool is never an int
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -89,21 +91,10 @@ class Config:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def _record(self, cls, **given):
-        """Build ``cls`` from the same-named fields; ``given`` supplies the
-        fields that have no same-named field here."""
-        values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
-        return cls(**values, **given)
-
-    def hyperparams(self) -> Hyperparams:
-        return self._record(Hyperparams)
-
     def model_config(self, gesture_dim: int) -> ModelConfig:
         """The model record for a pose basis of ``gesture_dim`` components."""
-        return self._record(ModelConfig, gesture_dim=gesture_dim)
-
-    def lift_config(self) -> LiftTrainConfig:
-        return self._record(LiftTrainConfig, steps=self.lift_steps)
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "gesture_dim"}
+        return ModelConfig(**shared, gesture_dim=gesture_dim)
 
 
 def load_config(path=None) -> Config:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import Config
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _Bag, _xavier, backward
@@ -33,6 +34,8 @@ LIFT_WIDTHS = (30, 20, 7)
 NON_NECK = [i for i in range(8) if i != NECK]
 LIFT_LR = 0.01  # Adam learning rate of lift training
 LIFT_BATCH = 16  # poses per lift training step
+
+LiftTrainConfig = Config  # bench/workloads.py is its only user; the next benchmark change drops it
 
 
 @dataclass
@@ -139,29 +142,22 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
     return joints / scale[..., None, None]
 
 
-def lift_forward(params: LiftNetParams, poses):
-    """Depths (7,) for one (14,) lift input, or (B, 7) for a (B, 14) batch.
+def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
+    """Depths (B, 7) for a (B, 14) batch of lift inputs.
 
     Eval mode: batch normalization uses the running statistics, so each
     row's depths are independent of the batch size.
     """
-    x = np.asarray(poses, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    out = lift_forward_graph(params, Tensor(x), train=False, record=False).data
-    return out[0] if single else out
+    return lift_forward_graph(params, Tensor(np.asarray(poses, dtype=np.float64)), train=False, record=False).data
 
 
 def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
-    """Rigid rotation of one (8, 3) pose or a (B, 8, 3) batch about the
-    vertical axis, then isotropic joint noise, then renormalization (neck to
-    origin, mean shoulder distance 1).
+    """Rigid rotation of each pose of a (B, 8, 3) batch about the vertical
+    axis, then isotropic joint noise, then renormalization (neck to origin,
+    mean shoulder distance 1).
 
     Draws are per pose in batch order (its angle, then its noise), so a
-    batch consumes ``rng`` exactly as one call per pose would."""
-    single = samples.ndim == 2
-    samples = samples[None] if single else samples
+    batch consumes ``rng`` exactly as one call per one-pose slice would."""
     angles = np.empty(len(samples))
     noise = np.empty(samples.shape)
     for i in range(len(samples)):
@@ -178,8 +174,7 @@ def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: f
     if noise_sigma > 0:
         joints = joints + noise
     joints = joints - joints[:, NECK : NECK + 1]
-    joints = joints / shoulder_scale(joints)[:, None, None]
-    return joints[0] if single else joints
+    return joints / shoulder_scale(joints)[:, None, None]
 
 
 # Sampled joint ranges, in draw order; head pitch and wrist yaws stay 0.
@@ -211,15 +206,9 @@ def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
     return forward_kinematics(angles)
 
 
-@dataclass
-class LiftTrainConfig:
-    steps: int = 2000
-    seed: int = 0
-
-
-def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetParams:
+def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     """Minimize mean squared depth error over projected, augmented samples
-    of (N, 8, 3) poses."""
+    of (N, 8, 3) poses, for ``cfg.lift_steps`` steps from ``cfg.seed``."""
     try:
         data = np.asarray(dataset3d, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -233,7 +222,7 @@ def train_lift(dataset3d, cfg: LiftTrainConfig = LiftTrainConfig()) -> LiftNetPa
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.steps):
+    for _ in range(cfg.lift_steps):
         batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
         out = lift_forward_graph(params, Tensor(pose2d_to_lift_input(project_to_image(batch))), train=True)
         diff = ad.add(out, -depth_targets(batch))

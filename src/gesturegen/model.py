@@ -31,6 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvalidConfig
+from .pose import GESTURE_DIM
 
 
 class Parameter:
@@ -70,13 +71,15 @@ class ParamStore:
 
 @dataclass
 class ModelConfig:
-    word_dim: int = 300
-    hidden: int = 200
-    att_dim: int = 200
-    gesture_dim: int = 10
-    n_seed_poses: int = 10
-    n_output_poses: int = 20
-    dropout: float = 0.1
+    """The checkpoint header's model record; Config.model_config builds it."""
+
+    word_dim: int
+    hidden: int
+    att_dim: int
+    n_seed_poses: int
+    n_output_poses: int
+    dropout: float
+    gesture_dim: int = GESTURE_DIM
 
 
 @dataclass

@@ -18,7 +18,6 @@ from .errors import InvalidConfig, read_rows, write_rows
 from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0  # the one frame rate of records, tracks and the decoder
-DEFAULT_WORDS_PER_MINUTE = 160.0
 MAX_SPEECH_SECONDS = 86400.0  # one day; align_track allocates frames per second of speech
 
 
@@ -48,7 +47,7 @@ class TimedPoseTrack:
         return self.frames.shape[0]
 
 
-def estimate_speech_duration(tokens, words_per_minute: float = DEFAULT_WORDS_PER_MINUTE) -> float:
+def estimate_speech_duration(tokens, words_per_minute: float) -> float:
     """Duration stub standing in for a synthesizer-reported value; callers
     with a measured duration should pass it directly to plan_chunks."""
     if not tokens:
@@ -67,15 +66,15 @@ def _check_duration(speech_duration: float):
 
 def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> ChunkPlan:
     """Words per chunk: floor(S * (m + n) / DEFAULT_FPS / duration),
-    clamped into [1, S]; the text splits into consecutive chunks of that
-    size with the last one possibly shorter."""
+    clamped into [1, S] (the upper clamp comes first, so a tiny duration
+    gives one chunk of all S words); the text splits into consecutive
+    chunks of that size with the last one possibly shorter."""
     tokens = list(tokens)
     if not tokens:
         raise InvalidConfig("cannot plan chunks for empty text")
     _check_duration(speech_duration)
     total = len(tokens)
-    size = math.floor(total * (m + n) * (1.0 / DEFAULT_FPS) / speech_duration)
-    size = max(1, min(size, total))
+    size = max(1, math.floor(min(total, total * (m + n) * (1.0 / DEFAULT_FPS) / speech_duration)))
     chunks = tuple(tuple(tokens[i : i + size]) for i in range(0, total, size))
     return ChunkPlan(
         word_count=total, words_per_chunk=size, chunks=chunks, speech_duration=float(speech_duration)

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import MalformedFile, read_rows, write_rows
 
-EMBED_DIM = 300
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation except intra-word apostrophes, split on
@@ -38,7 +36,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class EmbeddingTable:
-    dim: int = EMBED_DIM
+    dim: int
     entries: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -64,7 +62,7 @@ def load_embedding_table(path) -> EmbeddingTable:
     return EmbeddingTable(dim=vectors.shape[1], entries=entries)
 
 
-def write_synthetic_embeddings(tokens, path, dim: int = EMBED_DIM, seed: int = 0) -> int:
+def write_synthetic_embeddings(tokens, path, dim: int, seed: int) -> int:
     """Write a small random embedding table in the standard text format.
 
     Stands in for a pretrained table at desk scale; the loader cannot tell

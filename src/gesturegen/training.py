@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import Config
 from .errors import InvalidConfig, write_rows
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
 from .pose import encode_pose, normalize_pose
@@ -26,16 +27,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP = 5.0  # bound on every gradient entry before the Adam step
 
-
-@dataclass
-class Hyperparams:
-    alpha: float = 0.01  # continuity weight
-    beta: float = 1.0  # variance weight
-    lr: float = 0.0001
-    batch_size: int = 64
-    dropout: float = 0.1
-    epochs: int = 560
-    seed: int = 0
+Hyperparams = Config  # bench/workloads.py is its only user; the next benchmark change drops it
 
 
 @dataclass
@@ -68,9 +60,10 @@ class AdamState:
         self.second = {name: np.zeros_like(p.value) for name, p in store.items()}
 
 
-def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
+def compute_loss_graph(pred: Tensor, target: np.ndarray, cfg: Config):
     """Differentiable loss for a (B, m, d) prediction tensor, averaged over
-    the batch. Returns (LossBreakdown, total tensor)."""
+    the batch, with the weights ``cfg.alpha`` and ``cfg.beta``. Returns
+    (LossBreakdown, total tensor)."""
     target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
@@ -85,7 +78,7 @@ def compute_loss_graph(pred: Tensor, target: np.ndarray, h: Hyperparams):
     centered = ad.add(pred, ad.mul(ad.tmean(pred, axis=1, keepdims=True), -1.0))
     per_dim_var = ad.tmean(ad.mul(centered, centered), axis=1)  # (B, d) population variance
     variance = ad.mul(ad.tmean(per_dim_var), -1.0)
-    total = ad.add(ad.add(mse, ad.mul(continuity, h.alpha)), ad.mul(variance, h.beta))
+    total = ad.add(ad.add(mse, ad.mul(continuity, cfg.alpha)), ad.mul(variance, cfg.beta))
     breakdown = LossBreakdown(
         mse=float(mse.data), continuity=float(continuity.data), variance=float(variance.data), total=float(total.data)
     )
@@ -164,17 +157,12 @@ def _check_finite(store: ParamStore, loss: float, epoch: int, batch: int):
     raise InvalidConfig(f"training diverged at epoch {epoch}, batch {batch}: non-finite {what}")
 
 
-def train_model(
-    pairs: list[TrainingPair],
-    h: Hyperparams,
-    model: Seq2SeqModel,
-    table,
-    on_epoch=None,
-) -> TrainResult:
+def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, on_epoch=None) -> TrainResult:
     """Seeded shuffle, fixed-size batches (last partial batch kept), one
     zero-padded train-mode rollout per batch with ground-truth seed poses,
     loss on the m outputs, backward, clip, Adam step. Deterministic for a
-    fixed seed when run single-threaded. Dropout runs at ``h.dropout``;
+    fixed seed when run single-threaded. ``cfg`` gives the loss weights,
+    ``lr``, ``batch_size``, ``dropout``, ``epochs`` and ``seed``;
     ``model.cfg`` is not changed.
 
     A non-finite loss or gradient raises InvalidConfig naming the
@@ -191,15 +179,15 @@ def train_model(
 
     embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
     lengths = np.array([e.shape[0] for e in embedded])
-    rng = np.random.default_rng(h.seed)
+    rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     history = []
 
-    for epoch in range(h.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(len(pairs))
         sums = np.zeros(4)
-        for bstart in range(0, len(perm), h.batch_size):
-            batch = perm[bstart : bstart + h.batch_size]
+        for bstart in range(0, len(perm), cfg.batch_size):
+            batch = perm[bstart : bstart + cfg.batch_size]
             words = lengths[batch]
             emb = np.zeros((len(batch), words.max(), embedded[0].shape[1]))
             for row, i in enumerate(batch):
@@ -208,14 +196,12 @@ def train_model(
             targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-                rollout = forward_graph(
-                    model, emb, seeds, train=True, rng=rng, lengths=words, dropout=h.dropout
-                )
-                breakdown, total = compute_loss_graph(rollout.poses, targets, h)
+                rollout = forward_graph(model, emb, seeds, train=True, rng=rng, lengths=words, dropout=cfg.dropout)
+                breakdown, total = compute_loss_graph(rollout.poses, targets, cfg)
                 backward(total)
-            _check_finite(model.store, breakdown.total, epoch, bstart // h.batch_size)
+            _check_finite(model.store, breakdown.total, epoch, bstart // cfg.batch_size)
             clip_gradients(model.store)
-            adam_step(model.store, state, h.lr)
+            adam_step(model.store, state, cfg.lr)
             sums += np.array([breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]) * len(batch)
         means = sums / len(pairs)
         breakdown = LossBreakdown(

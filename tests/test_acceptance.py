@@ -16,10 +16,10 @@ from gesturegen.autodiff import Tensor
 from gesturegen.baselines import bleu_score, manual_baseline, nn_baseline, random_baseline
 from gesturegen.checkpoint import load_checkpoint, save_checkpoint
 from gesturegen.cli import main
+from gesturegen.config import Config
 from gesturegen.corpus import corpus_vocabulary, synth_corpus
 from gesturegen.kinematics import ANGLE_NAMES, compute_joint_angles, forward_kinematics
 from gesturegen.lifting import (
-    LiftTrainConfig,
     batch_norm_graph,
     depth_targets,
     init_lift_params,
@@ -41,7 +41,7 @@ from gesturegen.pose import (
 )
 from gesturegen.synthesis import DEFAULT_FPS, TimedPoseTrack, align_track, generate_gesture, plan_chunks, save_track_csv
 from gesturegen.text import EmbeddingTable
-from gesturegen.training import Hyperparams, compute_loss_graph, make_training_pairs, train_model
+from gesturegen.training import compute_loss_graph, make_training_pairs, train_model
 
 from test_baselines import oracle_bleu
 from test_model import attend, cell_step
@@ -73,7 +73,7 @@ def test_criterion_1_gradient_check():
     emb = rng.normal(size=(1, 2, 7))
     seeds = rng.normal(size=(1, 2, 10)) * 0.3
     target = rng.normal(size=(1, 3, 10)) * 0.3
-    h = Hyperparams()  # the full loss: mse + 0.01 continuity + 1.0 variance
+    h = Config()  # the full loss: mse + 0.01 continuity + 1.0 variance
 
     def loss_value():
         out = forward_graph(model, emb, seeds, record=False)
@@ -114,7 +114,7 @@ def test_criterion_1_gradient_check():
 
 
 def test_criterion_2_loss_identities():
-    h = Hyperparams()
+    h = Config()
     seq = np.tile(np.linspace(-1, 1, GESTURE_DIM), (4, 1))
     zero = compute_loss(seq, seq.copy(), h)
     exact_zero = (zero.mse, zero.continuity, zero.variance) == (0.0, 0.0, 0.0)
@@ -144,7 +144,8 @@ def test_criterion_2_loss_identities():
 def test_criterion_3_planning_arithmetic():
     tokens = [f"w{i}" for i in range(25)]
     plan = plan_chunks(tokens, 15.0, n=10, m=20)
-    model = init_model(ModelConfig(word_dim=8, hidden=6, att_dim=6), seed=0)
+    cfg = ModelConfig(word_dim=8, hidden=6, att_dim=6, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+    model = init_model(cfg, seed=0)
     table = EmbeddingTable(dim=8, entries={})  # unknown words embed to zero
     track, _ = generate_gesture(model, plan, table)
     aligned = align_track(track, 15.0)
@@ -206,7 +207,7 @@ def test_criterion_4_pose_basis():
 
 def test_criterion_5_attention_gru_invariants():
     rng = np.random.default_rng(3)
-    cfg = ModelConfig(word_dim=5, hidden=6, att_dim=4, n_seed_poses=2, n_output_poses=3)
+    cfg = ModelConfig(word_dim=5, hidden=6, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
 
     worst_sum = 0.0
     model = init_model(cfg, seed=4)
@@ -263,7 +264,7 @@ def toy_system():
     pairs = make_training_pairs(train_recs, pca, 10, 20)
     cfg = ModelConfig(word_dim=300, hidden=64, att_dim=64, n_seed_poses=10, n_output_poses=20, dropout=0.1)
     model = init_model(cfg, seed=0)
-    h = Hyperparams(alpha=0.01, beta=0.1, lr=1e-3, batch_size=64, dropout=0.1, epochs=TOY_EPOCHS, seed=0)
+    h = Config(alpha=0.01, beta=0.1, lr=1e-3, batch_size=64, dropout=0.1, epochs=TOY_EPOCHS, seed=0)
     started = time.perf_counter()
     train_model(pairs, h, model, table)
     train_seconds = time.perf_counter() - started
@@ -432,7 +433,7 @@ def test_criterion_9_lift_network():
     # learnability on the synthetic 3D corpus
     train_set = synth_pose3d_corpus(seed=15, size=50)
     held_out = synth_pose3d_corpus(seed=16, size=50)
-    lift = train_lift(train_set, LiftTrainConfig(steps=2000, seed=0))
+    lift = train_lift(train_set, Config(lift_steps=2000, seed=0))
     baseline = float(np.mean(depth_targets(held_out) ** 2))
     model_mse = lift_mse(lift, held_out)
     lift_ratio = model_mse / baseline

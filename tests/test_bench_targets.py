@@ -28,6 +28,18 @@ def test_every_traced_target_resolves(workloads):
     assert missing == []
 
 
+def test_bench_record_names_bind_config(workloads):
+    """The benchmark still builds its training and lift settings under the
+    record names that Config replaced; both names now build a Config."""
+    from gesturegen import lifting, training
+    from gesturegen.config import Config
+
+    assert isinstance(training.Hyperparams(epochs=1, **workloads.TOY_HYPER), Config)
+    lift = lifting.LiftTrainConfig(seed=3)
+    assert isinstance(lift, Config)
+    assert lift.lift_steps == 2000
+
+
 def test_retarget_reaches_each_traced_layer_once(workloads, monkeypatch):
     """The retarget per-layer metrics read the spans of the layers bound in
     ``lifting``; one retarget_track call must enter each of them once, or

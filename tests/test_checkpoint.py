@@ -18,7 +18,8 @@ def _full_checkpoint():
     rng = np.random.default_rng(0)
     poses = rng.normal(size=(30, 8, 2))
     pca = fit_pca(poses)
-    model = init_model(ModelConfig(word_dim=6, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3), seed=1)
+    cfg = ModelConfig(word_dim=6, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+    model = init_model(cfg, seed=1)
     lift = init_lift_params(seed=2)
     lift.running["mean1"][...] = rng.normal(size=30)
     lift.running["var1"][...] = rng.uniform(0.5, 2.0, size=30)

@@ -220,6 +220,14 @@ def test_schedule_output(capsys):
     assert payload["chunk_count"] == 7
 
 
+def test_schedule_tiny_duration_is_one_chunk(capsys):
+    # the words-per-chunk quotient overflows to infinity before its clamp
+    rc = main(["schedule", "--text", "hi there", "--duration", "1e-308"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chunks"] == [["hi", "there"]]
+
+
 def test_baselines_and_eval(workspace):
     root, _ = workspace
     rc = main(
@@ -551,6 +559,19 @@ def test_eval_width_mismatch_is_single_line(workspace, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err == "eval: 12 generated vs 10 reference columns"
+
+
+def test_eval_overflowing_metric_is_single_line(tmp_path, capsys):
+    from gesturegen.synthesis import TimedPoseTrack, save_track_csv
+
+    frames = np.zeros((5, 3))
+    save_track_csv(TimedPoseTrack(frames), tmp_path / "reference.csv")
+    frames[2, 1] = 1e200  # finite, but its square is not
+    save_track_csv(TimedPoseTrack(frames), tmp_path / "generated.csv")
+    args = ["--generated", str(tmp_path / "generated.csv"), "--reference", str(tmp_path / "reference.csv")]
+    assert main(["eval", *args, "--out", str(tmp_path / "metrics.json")]) == 1
+    assert capsys.readouterr() == ("", "eval: mse is not finite: the track values are too large\n")
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_non_finite_record_train_is_single_line(workspace, tmp_path, capsys):

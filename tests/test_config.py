@@ -1,5 +1,6 @@
-"""Config is the one flat record of every tunable: the training, model and
-lift records and the CLI flag overrides are derived from its fields."""
+"""Config is the one flat record of every tunable and the one home of
+every default: training and lift training read it directly, the model
+record is built from it, and the CLI flag overrides set its fields."""
 
 import argparse
 from dataclasses import fields
@@ -8,45 +9,19 @@ import pytest
 
 from gesturegen.cli import _apply_overrides, build_parser, main
 from gesturegen.config import _BOUNDS, Config
-from gesturegen.lifting import LiftTrainConfig
 from gesturegen.model import ModelConfig
-from gesturegen.training import Hyperparams
 
-NON_DEFAULT = dict(
-    alpha=0.5,
-    beta=0.2,
-    lr=0.003,
-    batch_size=7,
-    dropout=0.3,
-    epochs=11,
-    seed=5,
-    word_dim=9,
-    hidden=11,
-    att_dim=13,
-    n_seed_poses=3,
-    n_output_poses=5,
-    lift_steps=3,
-)
+MODEL_VALUES = dict(word_dim=9, hidden=11, att_dim=13, n_seed_poses=3, n_output_poses=5, dropout=0.3)
 
 
-@pytest.mark.parametrize(
-    "method, record, renamed",
-    [
-        ("hyperparams", Hyperparams, {}),
-        ("model_config", ModelConfig, {}),
-        ("lift_config", LiftTrainConfig, {"steps": "lift_steps"}),
-    ],
-)
-def test_every_record_field_comes_from_config(method, record, renamed):
+def test_every_record_field_comes_from_config():
     # the model's gesture dimension is the fitted basis size, passed in
-    given = {"gesture_dim": 4} if record is ModelConfig else {}
-    out = getattr(Config(**NON_DEFAULT), method)(**given)
-    source = {**NON_DEFAULT, **given}
-    defaults = record()
-    for f in fields(record):
-        value = source[renamed.get(f.name, f.name)]
-        assert getattr(defaults, f.name) != value, f.name
-        assert getattr(out, f.name) == value, f.name
+    out = Config(**MODEL_VALUES).model_config(4)
+    assert out.gesture_dim == 4
+    assert {f.name for f in fields(ModelConfig)} == {*MODEL_VALUES, "gesture_dim"}
+    for name, value in MODEL_VALUES.items():
+        assert getattr(Config(), name) != value, name
+        assert getattr(out, name) == value, name
 
 
 # Config field -> command line that sets it to a non-default value

@@ -1,9 +1,11 @@
 """Every module imports on its own: none relies on another module having
-been imported first."""
+been imported first. config sits below the modules that read a Config."""
 
+import ast
 import importlib
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,15 @@ def test_module_imports_first(name):
         for key in _package_modules():
             del sys.modules[key]
         sys.modules.update(loaded)
+
+
+def test_config_imports_only_lower_modules():
+    tree = ast.parse(Path(gesturegen.__file__).with_name("config.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gesturegen")):
+            module = (node.module or "").removeprefix("gesturegen").lstrip(".")
+            imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gesturegen.")}
+    assert imported <= {"errors", "model", "pose"}

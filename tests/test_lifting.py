@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gesturegen import autodiff as ad
+from gesturegen import lifting
 from gesturegen.autodiff import Tensor
+from gesturegen.config import Config
 from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.lifting import (
-    LiftTrainConfig,
     assemble_pose3d,
     augment_3d,
     depth_targets,
@@ -76,7 +77,7 @@ class TestLiftForward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 14))
         full = lift_forward(params, x)
-        singles = np.stack([lift_forward(params, x[i]) for i in range(6)])
+        singles = np.concatenate([lift_forward(params, x[i : i + 1]) for i in range(6)])
         assert np.allclose(full, singles, atol=1e-12)
 
     def test_finite_difference_gradients(self):
@@ -197,12 +198,12 @@ def _augment_one(sample, rng, noise_sigma, rot_range=np.deg2rad(30.0)):
 class TestAugment:
     def test_identity_with_zero_params(self):
         pose = synth_pose3d_corpus(seed=6, size=1)[0]
-        out = augment_3d(pose, np.random.default_rng(0), rot_range=0.0, noise_sigma=0.0)
+        out = augment_3d(pose[None], np.random.default_rng(0), rot_range=0.0, noise_sigma=0.0)[0]
         assert np.max(np.abs(out - pose)) < 1e-12
 
     def test_rotation_preserves_distances(self):
         pose = synth_pose3d_corpus(seed=7, size=1)[0]
-        out = augment_3d(pose, np.random.default_rng(1), rot_range=np.deg2rad(30), noise_sigma=0.0)
+        out = augment_3d(pose[None], np.random.default_rng(1), rot_range=np.deg2rad(30), noise_sigma=0.0)[0]
         for a in range(8):
             for b in range(a + 1, 8):
                 d0 = np.linalg.norm(pose[a] - pose[b])
@@ -211,13 +212,13 @@ class TestAugment:
 
     def test_deterministic(self):
         pose = synth_pose3d_corpus(seed=8, size=1)[0]
-        a = augment_3d(pose, np.random.default_rng(9), noise_sigma=0.05)
-        b = augment_3d(pose, np.random.default_rng(9), noise_sigma=0.05)
+        a = augment_3d(pose[None], np.random.default_rng(9), noise_sigma=0.05)
+        b = augment_3d(pose[None], np.random.default_rng(9), noise_sigma=0.05)
         assert np.array_equal(a, b)
 
     def test_renormalized(self):
         pose = synth_pose3d_corpus(seed=10, size=1)[0]
-        out = augment_3d(pose, np.random.default_rng(2), noise_sigma=0.1)
+        out = augment_3d(pose[None], np.random.default_rng(2), noise_sigma=0.1)[0]
         assert np.allclose(out[NECK], 0.0)
         assert abs(shoulder_scale(out) - 1.0) < 1e-9
 
@@ -226,7 +227,7 @@ class TestAugment:
         poses = synth_pose3d_corpus(seed=11, size=16)
         rngs = [np.random.default_rng(5) for _ in range(3)]
         batch = augment_3d(poses, rngs[0], noise_sigma=noise_sigma)
-        singles = np.stack([augment_3d(p, rngs[1], noise_sigma=noise_sigma) for p in poses])
+        singles = np.concatenate([augment_3d(poses[i : i + 1], rngs[1], noise_sigma=noise_sigma) for i in range(16)])
         reference = np.stack([_augment_one(p, rngs[2], noise_sigma) for p in poses])
         assert batch.shape == (16, 8, 3)
         assert np.array_equal(batch, singles)
@@ -270,7 +271,7 @@ class TestProjectionBridge:
 class TestTrainLift:
     def test_empty_dataset(self):
         with pytest.raises(InvalidConfig, match="no 3D poses to train on"):
-            train_lift([], LiftTrainConfig(steps=1))
+            train_lift([], Config(lift_steps=1))
 
     @pytest.mark.parametrize(
         "data, reason",
@@ -284,34 +285,40 @@ class TestTrainLift:
     )
     def test_bad_shape_refused(self, data, reason):
         with pytest.raises(InvalidConfig, match=f"^{reason}"):
-            train_lift(data, LiftTrainConfig(steps=1))
+            train_lift(data, Config(lift_steps=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_refused(self, bad):
         data = synth_pose3d_corpus(seed=18, size=4)
         data[2, 3, 1] = bad
         with pytest.raises(InvalidConfig, match="^3D poses hold non-finite values$"):
-            train_lift(data, LiftTrainConfig(steps=1))
+            train_lift(data, Config(lift_steps=1))
 
     def test_list_of_poses_trains_as_array(self):
         data = synth_pose3d_corpus(seed=18, size=6)
-        a = train_lift(list(data), LiftTrainConfig(steps=5, seed=2))
-        b = train_lift(data, LiftTrainConfig(steps=5, seed=2))
+        a = train_lift(list(data), Config(lift_steps=5, seed=2))
+        b = train_lift(data, Config(lift_steps=5, seed=2))
         for name, p in a.store.items():
             assert np.array_equal(p.value, b.store[name].value), name
+
+    def test_runs_lift_steps_adam_steps(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(lifting, "adam_step", lambda store, state, lr: steps.append(lr))
+        train_lift(synth_pose3d_corpus(seed=3, size=4), Config(lift_steps=3))
+        assert steps == [lifting.LIFT_LR] * 3
 
     def test_learnability_beats_zero_predictor(self):
         train_set = synth_pose3d_corpus(seed=15, size=50)
         held_out = synth_pose3d_corpus(seed=16, size=50)
-        params = train_lift(train_set, LiftTrainConfig(steps=2000, seed=0))
+        params = train_lift(train_set, Config(lift_steps=2000, seed=0))
         baseline = float(np.mean(depth_targets(held_out) ** 2))
         model_mse = lift_mse(params, held_out)
         assert model_mse < 0.25 * baseline, (model_mse, baseline)
 
     def test_eval_deterministic_after_training(self):
         train_set = synth_pose3d_corpus(seed=17, size=20)
-        params = train_lift(train_set, LiftTrainConfig(steps=50, seed=1))
-        x = pose2d_to_lift_input(project_to_image(train_set[0]))
+        params = train_lift(train_set, Config(lift_steps=50, seed=1))
+        x = pose2d_to_lift_input(project_to_image(train_set[:1]))
         assert np.array_equal(lift_forward(params, x), lift_forward(params, x))
 
 
@@ -374,7 +381,7 @@ class TestRetarget:
             dtype=float,
         )
         pca = fit_pca([normalize_pose(base + rng.normal(0, 6.0, (8, 2))) for _ in range(40)])
-        lift = train_lift(synth_pose3d_corpus(seed=41, size=30), LiftTrainConfig(steps=50, seed=42))
+        lift = train_lift(synth_pose3d_corpus(seed=41, size=30), Config(lift_steps=50, seed=42))
         track = TimedPoseTrack(frames=rng.normal(0, 0.6, size=(48, 10)))
         limits = {
             "head_pitch": (-0.5, 0.5),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
+from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
@@ -18,7 +19,7 @@ from gesturegen.model import (
     forward_graph,
     init_model,
 )
-from gesturegen.training import Hyperparams, compute_loss_graph
+from gesturegen.training import compute_loss_graph
 
 TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
 
@@ -81,7 +82,8 @@ class TestInit:
         assert any(not np.array_equal(pa.value, b.store[name].value) for name, pa in a.store.items())
 
     def test_shapes(self):
-        model = init_model(ModelConfig(), seed=0)
+        cfg = ModelConfig(word_dim=300, hidden=200, att_dim=200, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+        model = init_model(cfg, seed=0)
         assert gate(model.store["enc.l0.fwd.w"], 0).shape == (200, 300)
         assert gate(model.store["enc.l1.bwd.u"], 2).shape == (200, 200)
         assert model.store["att.u_ann"].value.shape == (200, 400)
@@ -118,7 +120,7 @@ class TestGruCell:
 
     def test_hidden_stays_bounded(self):
         rng = np.random.default_rng(17)
-        cfg = ModelConfig(word_dim=5, hidden=6, att_dim=4, n_seed_poses=2, n_output_poses=3)
+        cfg = ModelConfig(word_dim=5, hidden=6, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
         for trial in range(1000):
             model = init_model(cfg, seed=trial % 13)
             cell = model.encoder[0][0]
@@ -168,7 +170,8 @@ class TestEncoder:
         # make the layer-2 input blocks (forward half, backward half) equal,
         # so reversing the words must reverse the annotations and swap their
         # forward/backward halves.
-        model = init_model(ModelConfig(word_dim=5, hidden=3, att_dim=3, n_seed_poses=2, n_output_poses=2), seed=9)
+        cfg = ModelConfig(word_dim=5, hidden=3, att_dim=3, n_seed_poses=2, n_output_poses=2, dropout=0.1)
+        model = init_model(cfg, seed=9)
         for layer in range(2):
             fwd, bwd = model.encoder[layer]
             for pb, pf in zip(bwd, fwd):
@@ -268,7 +271,7 @@ class TestBackward:
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
         rollout = forward_graph(tiny, emb, seeds)
         target = rollout.poses.data.copy()  # pred == target, alpha = beta = 0
-        h = Hyperparams(alpha=0.0, beta=0.0)
+        h = Config(alpha=0.0, beta=0.0)
         _, total = compute_loss_graph(rollout.poses, target, h)
         tiny.store.zero_grads()
         backward(total)
@@ -279,7 +282,7 @@ class TestBackward:
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
         target = rng.normal(size=(1, 3, 10))
         rollout = forward_graph(tiny, emb, seeds)
-        _, total = compute_loss_graph(rollout.poses, target, Hyperparams())
+        _, total = compute_loss_graph(rollout.poses, target, Config())
         tiny.store.zero_grads()
         backward(total)
         singles = {name: p.grad.copy() for name, p in tiny.store.items()}
@@ -298,7 +301,7 @@ class TestBackward:
         emb = rng.normal(size=(1, 2, 7))
         seeds = rng.normal(size=(1, 2, 10)) * 0.3
         target = rng.normal(size=(1, 3, 10)) * 0.3
-        h = Hyperparams()
+        h = Config()
 
         def loss_value():
             out = forward_graph(tiny, emb, seeds, record=False)
@@ -341,7 +344,7 @@ class TestPaddedBatch:
         lengths = np.array([3, 1, 4, 3, 2, 4, 1])
         emb, seeds = _padded_batch(rng, lengths, 4)
         targets = rng.normal(size=(len(lengths), 3, 10)) * 0.3
-        h = Hyperparams()
+        h = Config()
 
         rollout = forward_graph(model, emb, seeds, train=True, lengths=lengths, dropout=0.0)
         padded, total = compute_loss_graph(rollout.poses, targets, h)

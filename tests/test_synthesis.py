@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig, MalformedFile, write_rows
 from gesturegen.kinematics import ANGLE_NAMES, save_angles_csv
 from gesturegen.model import ModelConfig, init_model
@@ -26,17 +27,17 @@ from gesturegen.text import EmbeddingTable, load_embedding_table
 
 class TestEstimateDuration:
     def test_default_rate(self):
-        assert estimate_speech_duration(["w"] * 160) == 60.0
+        assert estimate_speech_duration(["w"] * 160, Config().words_per_minute) == 60.0
 
     def test_custom_rate(self):
         assert estimate_speech_duration(["w"] * 25, words_per_minute=100) == 15.0
 
     def test_single_word(self):
-        assert estimate_speech_duration(["w"]) == 0.375
+        assert estimate_speech_duration(["w"], 160.0) == 0.375
 
     def test_empty(self):
         with pytest.raises(InvalidConfig, match="cannot estimate duration of empty text"):
-            estimate_speech_duration([])
+            estimate_speech_duration([], 160.0)
 
 
 class TestPlanChunks:
@@ -56,6 +57,12 @@ class TestPlanChunks:
         plan = plan_chunks([f"w{i}" for i in range(10)], 1000.0, n=10, m=20)
         assert plan.words_per_chunk == 1
         assert len(plan.chunks) == 10
+
+    def test_tiny_duration_is_one_chunk(self):
+        # S * (m + n) / DEFAULT_FPS / 1e-308 overflows to infinity
+        plan = plan_chunks(["a", "b", "c"], 1e-308, n=10, m=20)
+        assert plan.words_per_chunk == 3
+        assert plan.chunks == (("a", "b", "c"),)
 
     def test_chunks_partition_tokens(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import pytest
 
 from gesturegen import training
 from gesturegen.autodiff import Tensor
+from gesturegen.config import Config
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import ModelConfig, backward, init_model
@@ -10,7 +11,6 @@ from gesturegen.pose import fit_pca
 from gesturegen.text import EmbeddingTable
 from gesturegen.training import (
     AdamState,
-    Hyperparams,
     TrainingPair,
     adam_step,
     clip_gradients,
@@ -22,7 +22,7 @@ from gesturegen.training import (
 
 class TestHyperparams:
     def test_paper_defaults(self):
-        h = Hyperparams()
+        h = Config()
         assert (h.alpha, h.beta, h.lr, h.batch_size) == (0.01, 1.0, 0.0001, 64)
         assert (h.dropout, h.epochs) == (0.1, 560)
 
@@ -35,7 +35,7 @@ def compute_loss(pred, target, h):
 class TestComputeLoss:
     def test_constant_equal_sequences(self):
         seq = np.tile(np.arange(10.0), (4, 1))
-        out = compute_loss(seq, seq.copy(), Hyperparams())
+        out = compute_loss(seq, seq.copy(), Config())
         assert (out.mse, out.continuity, out.variance, out.total) == (0.0, 0.0, 0.0, 0.0)
 
     def test_hand_continuity(self):
@@ -43,14 +43,14 @@ class TestComputeLoss:
         pred = np.zeros((3, 10))
         pred[1, 0] = 1.0
         pred[2, 0] = 1.0
-        out = compute_loss(pred, pred.copy(), Hyperparams())
+        out = compute_loss(pred, pred.copy(), Config())
         assert abs(out.continuity - 0.5) < 1e-12
 
     def test_hand_variance_and_total(self):
         # m=2, dim-1 values (0, 2): population variance 1 in that dimension
         pred = np.zeros((2, 10))
         pred[1, 0] = 2.0
-        h = Hyperparams(alpha=0.01, beta=1.0)
+        h = Config(alpha=0.01, beta=1.0)
         out = compute_loss(pred, pred.copy(), h)
         assert abs(out.variance - (-0.1)) < 1e-12
         assert abs(out.continuity - 2.0) < 1e-12
@@ -60,7 +60,7 @@ class TestComputeLoss:
     def test_identity_on_random_data(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            h = Hyperparams(alpha=rng.uniform(0, 2), beta=rng.uniform(0, 2))
+            h = Config(alpha=rng.uniform(0, 2), beta=rng.uniform(0, 2))
             pred = rng.normal(size=(6, 10))
             target = rng.normal(size=(6, 10))
             out = compute_loss(pred, target, h)
@@ -72,7 +72,7 @@ class TestComputeLoss:
         pred = rng.normal(size=(5, 10))
         target = rng.normal(size=(5, 10))
         shift = rng.normal(size=10)
-        h = Hyperparams()
+        h = Config()
         a = compute_loss(pred, target, h)
         b = compute_loss(pred + shift, target, h)
         assert abs(a.continuity - b.continuity) < 1e-12
@@ -80,7 +80,7 @@ class TestComputeLoss:
         assert abs(a.mse - b.mse) > 1e-6  # mse is not shift invariant
 
     def test_errors(self):
-        h = Hyperparams()
+        h = Config()
         with pytest.raises(InvalidConfig, match=r"prediction \(1, 3, 10\) vs target \(1, 4, 10\)"):
             compute_loss(np.zeros((3, 10)), np.zeros((4, 10)), h)
         with pytest.raises(InvalidConfig, match="need at least 2 poses per sequence"):
@@ -91,7 +91,7 @@ class TestComputeLoss:
         rng = np.random.default_rng(2)
         pred = rng.normal(size=(7, 10))
         target = rng.normal(size=(7, 10))
-        h = Hyperparams(alpha=0.3, beta=0.7)
+        h = Config(alpha=0.3, beta=0.7)
         mse = np.mean((pred - target) ** 2)
         continuity = np.mean(np.linalg.norm(np.diff(pred, axis=0), axis=1))
         variance = -np.mean(np.var(pred, axis=0))
@@ -104,7 +104,7 @@ class TestComputeLoss:
         rng = np.random.default_rng(3)
         pred = rng.normal(size=(3, 5, 10))
         target = rng.normal(size=(3, 5, 10))
-        h = Hyperparams(alpha=0.3, beta=0.7)
+        h = Config(alpha=0.3, beta=0.7)
         batch, _ = compute_loss_graph(Tensor(pred), target, h)
         singles = [compute_loss(pred[i], target[i], h) for i in range(3)]
         for term in ("mse", "continuity", "variance", "total"):
@@ -113,7 +113,8 @@ class TestComputeLoss:
 
 class TestClipAndAdam:
     def _store(self):
-        model = init_model(ModelConfig(word_dim=3, hidden=2, att_dim=2, n_seed_poses=1, n_output_poses=2), 0)
+        cfg = ModelConfig(word_dim=3, hidden=2, att_dim=2, n_seed_poses=1, n_output_poses=2, dropout=0.1)
+        model = init_model(cfg, 0)
         return model.store
 
     def test_clip_cases(self):
@@ -258,15 +259,16 @@ def _template_pairs(count, n, m, rng):
 
 class TestTrainModel:
     def test_empty_dataset(self):
-        model = init_model(ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3), 0)
+        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+        model = init_model(cfg, 0)
         with pytest.raises(InvalidConfig, match="no training pairs"):
-            train_model([], Hyperparams(epochs=1), model, _toy_table())
+            train_model([], Config(epochs=1), model, _toy_table())
 
     def test_deterministic_history(self):
         rng = np.random.default_rng(5)
         cfg = ModelConfig(word_dim=6, hidden=5, att_dim=5, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         pairs = _template_pairs(6, 2, 4, rng)
-        h = Hyperparams(epochs=3, lr=1e-3, batch_size=4, seed=7)
+        h = Config(epochs=3, lr=1e-3, batch_size=4, seed=7)
         r1 = train_model(pairs, h, init_model(cfg, seed=1), _toy_table())
         r2 = train_model(pairs, h, init_model(cfg, seed=1), _toy_table())
         assert [b.total for b in r1.history] == [b.total for b in r2.history]
@@ -277,7 +279,7 @@ class TestTrainModel:
         rng = np.random.default_rng(6)
         cfg = ModelConfig(word_dim=6, hidden=5, att_dim=5, n_seed_poses=2, n_output_poses=4, dropout=0.0)
         pairs = _template_pairs(5, 2, 4, rng)
-        h = Hyperparams(alpha=0.0, beta=0.0, epochs=3, lr=1e-3, batch_size=8, dropout=0.0, seed=1)
+        h = Config(alpha=0.0, beta=0.0, epochs=3, lr=1e-3, batch_size=8, dropout=0.0, seed=1)
         result = train_model(pairs, h, init_model(cfg, seed=2), _toy_table())
         for b in result.history:
             assert b.total == b.mse
@@ -289,7 +291,7 @@ class TestTrainModel:
         n, m = 3, 6
         cfg = ModelConfig(word_dim=6, hidden=16, att_dim=16, n_seed_poses=n, n_output_poses=m, dropout=0.0)
         pairs = _template_pairs(10, n, m, rng)
-        h = Hyperparams(alpha=0.0, beta=0.0, epochs=300, lr=3e-3, batch_size=10, dropout=0.0, seed=3)
+        h = Config(alpha=0.0, beta=0.0, epochs=300, lr=3e-3, batch_size=10, dropout=0.0, seed=3)
         result = train_model(pairs, h, init_model(cfg, seed=3), _toy_table())
         assert result.history[-1].mse < 0.05 * result.history[0].mse
 
@@ -300,7 +302,7 @@ class TestTrainModel:
         seen = []
         train_model(
             pairs,
-            Hyperparams(epochs=2, lr=1e-3, batch_size=4, seed=0),
+            Config(epochs=2, lr=1e-3, batch_size=4, seed=0),
             init_model(cfg, seed=0),
             _toy_table(),
             on_epoch=lambda e, model, b: seen.append(e),
@@ -312,7 +314,7 @@ class TestTrainModel:
         cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         pairs = _template_pairs(4, 2, 4, rng)
         model = init_model(cfg, seed=0)
-        h = Hyperparams(epochs=1, lr=1e-3, batch_size=4, dropout=0.3, seed=0)
+        h = Config(epochs=1, lr=1e-3, batch_size=4, dropout=0.3, seed=0)
         train_model(pairs, h, model, _toy_table())
         assert model.cfg == ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
 
@@ -322,7 +324,7 @@ class TestTrainModel:
         model = init_model(cfg, seed=0)
         model.post_b.value[0] = np.inf
         with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 0, batch 0: non-finite loss$"):
-            train_model(_template_pairs(4, 2, 4, rng), Hyperparams(epochs=1, batch_size=2), model, _toy_table())
+            train_model(_template_pairs(4, 2, 4, rng), Config(epochs=1, batch_size=2), model, _toy_table())
 
     def test_non_finite_gradient_is_named(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -338,10 +340,10 @@ class TestTrainModel:
 
         monkeypatch.setattr(training, "backward", poisoned)
         with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 1, batch 1: non-finite gradient$"):
-            train_model(_template_pairs(4, 2, 4, rng), Hyperparams(epochs=2, batch_size=2), model, _toy_table())
+            train_model(_template_pairs(4, 2, 4, rng), Config(epochs=2, batch_size=2), model, _toy_table())
 
     def test_embedding_width_mismatch(self):
         rng = np.random.default_rng(12)
-        cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4)
+        cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
-            train_model(_template_pairs(2, 2, 4, rng), Hyperparams(epochs=1), init_model(cfg, seed=0), _toy_table())
+            train_model(_template_pairs(2, 2, 4, rng), Config(epochs=1), init_model(cfg, seed=0), _toy_table())
