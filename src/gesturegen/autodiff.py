@@ -73,11 +73,6 @@ class Tensor:
                 node._backprop(node.grad)
         return order
 
-    # -- indexing -----------------------------------------------------------
-
-    def __getitem__(self, index):
-        return take(self, index)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -260,6 +255,46 @@ def batch_norm(x, scale, shift, eps: float):
     return _wrap(out_val, (x, scale, shift), backprop), mu, var
 
 
+def gesture_loss(pred, target, alpha: float, beta: float):
+    """The training loss of a (B, m, d) prediction against a (B, m, d)
+    target array, one fused graph node (formula in the ``training`` module
+    docstring). Returns (total, mse, continuity, variance): the total as a
+    tensor, the terms as floats. The forward and the hand-written backward
+    round as the same loss composed of add / mul / tsum / slice / sqrt
+    nodes does, so both give the same bits; a zero-length step has
+    subgradient 0.
+    """
+    pred = as_tensor(pred)
+    b, m, d = pred.shape
+    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / pred.data.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
+    diff = pred.data + -target
+    mse = (diff * diff).sum() * inv_n
+    steps = pred.data[:, 1:] + pred.data[:, :-1] * -1.0
+    norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
+    continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
+    centered = pred.data + pred.data.sum(axis=1, keepdims=True) * inv_m * -1.0
+    variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
+    total = (mse + continuity * alpha) + variance * beta
+
+    def backprop(g):
+        # pred's five contributions in the composed graph's order: mse,
+        # pred[:, 1:] and pred[:, :-1] of the steps, centered, mean
+        g_diff = g * inv_n * diff
+        g_pred = g_diff + g_diff
+        local = np.where(norms > 0.0, 0.5 / np.where(norms > 0.0, norms, 1.0), 0.0)
+        g_steps = ((g * alpha * inv_b * inv_steps) * local)[:, :, None] * steps
+        g_steps = g_steps + g_steps
+        g_pred[:, 1:] += g_steps
+        g_pred[:, :-1] -= g_steps
+        g_centered = (g * beta * -1.0 * inv_bd * inv_m) * centered
+        g_centered = g_centered + g_centered
+        g_pred += g_centered
+        g_pred += g_centered.sum(axis=1, keepdims=True) * -1.0 * inv_m
+        _accumulate(pred, g_pred)
+
+    return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
+
+
 # -- nonlinearities -----------------------------------------------------------
 
 
@@ -279,31 +314,6 @@ def relu(x) -> Tensor:
 
     def backprop(g):
         _accumulate(x, g * (x.data > 0.0))
-
-    return _wrap(y, (x,), backprop)
-
-
-def sqrt(x) -> Tensor:
-    """Elementwise square root with subgradient 0 at exactly 0, so norms of
-    identical consecutive poses do not produce NaNs."""
-    x = as_tensor(x)
-    y = np.sqrt(x.data)
-
-    def backprop(g):
-        with np.errstate(divide="ignore"):
-            local = np.where(y > 0.0, 0.5 / np.where(y > 0.0, y, 1.0), 0.0)
-        _accumulate(x, g * local)
-
-    return _wrap(y, (x,), backprop)
-
-
-def power(x, exponent: float) -> Tensor:
-    """Elementwise x**exponent for a constant exponent."""
-    x = as_tensor(x)
-    y = np.power(x.data, exponent)
-
-    def backprop(g):
-        _accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
 
     return _wrap(y, (x,), backprop)
 
@@ -380,19 +390,6 @@ def stack(tensors, axis=0) -> Tensor:
             _accumulate(t, np.take(g, i, axis=axis))
 
     return _wrap(y, tuple(tensors), backprop)
-
-
-def take(x, index) -> Tensor:
-    """Basic (non-fanned) indexing: each output element maps to one input."""
-    x = as_tensor(x)
-    y = x.data[index]
-
-    def backprop(g):
-        buf = np.zeros_like(x.data)
-        buf[index] = g
-        _accumulate(x, buf)
-
-    return _wrap(y, (x,), backprop)
 
 
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:

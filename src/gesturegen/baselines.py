@@ -67,7 +67,7 @@ def _crossfade(segments) -> np.ndarray:
     return out
 
 
-def nn_baseline(query_tokens, records, pca, chunk_len: int = 6) -> TimedPoseTrack:
+def nn_baseline(query_tokens, records, pca, chunk_len: int) -> TimedPoseTrack:
     """Chunked text matching: split the query into chunk_len-word pieces,
     pick the training word window with the highest BLEU for each, and
     cross-fade the winners' pose spans together.

@@ -64,7 +64,7 @@ def _check_duration(speech_duration: float):
         raise InvalidConfig(f"speech duration must be at most {MAX_SPEECH_SECONDS:g} s, got {speech_duration}")
 
 
-def plan_chunks(tokens, speech_duration: float, n: int = 10, m: int = 20) -> ChunkPlan:
+def plan_chunks(tokens, speech_duration: float, n: int, m: int) -> ChunkPlan:
     """Words per chunk: floor(S * (m + n) / DEFAULT_FPS / duration),
     clamped into [1, S] (the upper clamp comes first, so a tiny duration
     gives one chunk of all S words); the text splits into consecutive

@@ -69,19 +69,8 @@ def compute_loss_graph(pred: Tensor, target: np.ndarray, cfg: Config):
         raise InvalidConfig("need at least 2 poses per sequence")
     if pred.shape != target.shape:
         raise InvalidConfig(f"prediction {pred.shape} vs target {target.shape}")
-    m = pred.shape[1]
-    diff = ad.add(pred, -target)
-    mse = ad.tmean(ad.mul(diff, diff))
-    steps = ad.add(pred[:, 1:, :], ad.mul(pred[:, :-1, :], -1.0))
-    norms = ad.sqrt(ad.tsum(ad.mul(steps, steps), axis=2))  # (B, m-1)
-    continuity = ad.tmean(ad.mul(ad.tsum(norms, axis=1), 1.0 / (m - 1)))
-    centered = ad.add(pred, ad.mul(ad.tmean(pred, axis=1, keepdims=True), -1.0))
-    per_dim_var = ad.tmean(ad.mul(centered, centered), axis=1)  # (B, d) population variance
-    variance = ad.mul(ad.tmean(per_dim_var), -1.0)
-    total = ad.add(ad.add(mse, ad.mul(continuity, cfg.alpha)), ad.mul(variance, cfg.beta))
-    breakdown = LossBreakdown(
-        mse=float(mse.data), continuity=float(continuity.data), variance=float(variance.data), total=float(total.data)
-    )
+    total, mse, continuity, variance = ad.gesture_loss(pred, target, cfg.alpha, cfg.beta)
+    breakdown = LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(total.data))
     return breakdown, total
 
 

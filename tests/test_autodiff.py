@@ -55,17 +55,18 @@ def test_tanh_sigmoid_relu():
     _fd_check(lambda a: ad.tsum(ad.relu(ad.add(a, 0.1))), [(5,)])
 
 
-def test_sqrt_and_power():
-    _fd_check(lambda a: ad.tsum(ad.sqrt(ad.add(ad.mul(a, a), 0.5))), [(6,)])
-    _fd_check(lambda a: ad.tsum(ad.power(ad.add(ad.mul(a, a), 0.5), -0.5)), [(6,)])
+def test_gesture_loss_matches_finite_differences():
+    target = np.random.default_rng(1).normal(size=(2, 4, 3))
+    _fd_check(lambda p: ad.gesture_loss(p, target, 0.7, 0.3)[0], [(2, 4, 3)])
 
 
-def test_sqrt_subgradient_at_zero():
-    x = Tensor(np.zeros(3), requires_grad=True)
-    out = ad.tsum(ad.sqrt(ad.mul(x, 1.0)))
-    out.backward()
+def test_gesture_loss_subgradient_at_zero_steps():
+    x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    total, mse, continuity, variance = ad.gesture_loss(x, np.zeros((2, 3, 4)), 0.7, 0.3)
+    total.backward()
+    assert (mse, continuity, variance, float(total.data)) == (0.0, 0.0, 0.0, 0.0)
     assert np.all(np.isfinite(x.grad))
-    assert np.array_equal(x.grad, np.zeros(3))
+    assert np.array_equal(x.grad, np.zeros((2, 3, 4)))
 
 
 def test_softmax():
@@ -78,10 +79,9 @@ def test_reductions():
     _fd_check(lambda a: ad.tsum(ad.mul(ad.tmean(a, axis=0, keepdims=True), a)), [(3, 4)])
 
 
-def test_concat_stack_take_reshape_transpose():
+def test_concat_stack_reshape_transpose():
     _fd_check(lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], axis=1), 1.5)), [(2, 3), (2, 2)])
     _fd_check(lambda a, b: ad.tsum(ad.mul(ad.stack([a, b], axis=1), np.ones((2, 2, 3)) * 0.5)), [(2, 3), (2, 3)])
-    _fd_check(lambda a: ad.tsum(ad.mul(a[:, 1:], a[:, :-1])), [(2, 4)])
     _fd_check(lambda a: ad.tsum(ad.mul(ad.reshape(a, (6,)), np.arange(6.0))), [(2, 3)])
     _fd_check(lambda a: ad.tsum(ad.mul(ad.transpose(a), np.ones((3, 2)))), [(2, 3)])
 

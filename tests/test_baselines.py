@@ -130,14 +130,14 @@ class TestNnBaseline:
     def test_deterministic(self, corpus_and_pca):
         records, pca = corpus_and_pca
         query = ["we", "hold", "a", "big", "idea", "now"]
-        t1 = nn_baseline(query, records, pca)
-        t2 = nn_baseline(query, records, pca)
+        t1 = nn_baseline(query, records, pca, chunk_len=6)
+        t2 = nn_baseline(query, records, pca, chunk_len=6)
         assert np.array_equal(t1.frames, t2.frames)
 
     def test_empty_training_set(self, corpus_and_pca):
         _, pca = corpus_and_pca
         with pytest.raises(InvalidConfig, match="no training records"):
-            nn_baseline(["hi"], [], pca)
+            nn_baseline(["hi"], [], pca, chunk_len=6)
 
 
 class TestRandomBaseline:

@@ -1,5 +1,6 @@
 """Every module imports on its own: none relies on another module having
-been imported first. config sits below the modules that read a Config."""
+been imported first. config sits below the modules that read a Config,
+and every public function and class has a caller outside the tests."""
 
 import ast
 import importlib
@@ -39,3 +40,31 @@ def test_config_imports_only_lower_modules():
         elif isinstance(node, ast.Import):
             imported |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gesturegen.")}
     assert imported <= {"errors", "model", "pose"}
+
+
+_FOREIGN_MODULES = {"np", "math", "os", "json"}  # np.power is no use of a package power
+
+
+def test_every_public_name_has_a_caller():
+    # Test-only API is dead weight: every public top-level function and class
+    # of the package must be named by package or bench code outside tests.
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "gesturegen"
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        if path.name.startswith("test_") or path.name == "conftest.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == package:
+            defined += [
+                (path.stem, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if not (isinstance(node.value, ast.Name) and node.value.id in _FOREIGN_MODULES):
+                    used.add(node.attr)
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []

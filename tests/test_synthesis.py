@@ -69,7 +69,7 @@ class TestPlanChunks:
         for _ in range(50):
             count = int(rng.integers(1, 40))
             tokens = [f"w{i}" for i in range(count)]
-            plan = plan_chunks(tokens, float(rng.uniform(0.5, 30.0)))
+            plan = plan_chunks(tokens, float(rng.uniform(0.5, 30.0)), n=10, m=20)
             rebuilt = [w for chunk in plan.chunks for w in chunk]
             assert rebuilt == tokens
             assert len(plan.chunks) == math.ceil(count / plan.words_per_chunk)
@@ -90,12 +90,12 @@ class TestPlanChunks:
 
     def test_errors(self):
         with pytest.raises(InvalidConfig, match="cannot plan chunks for empty text"):
-            plan_chunks([], 5.0)
+            plan_chunks([], 5.0, n=10, m=20)
         with pytest.raises(InvalidConfig, match="speech duration must be positive"):
-            plan_chunks(["a"], 0.0)
+            plan_chunks(["a"], 0.0, n=10, m=20)
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InvalidConfig, match="speech duration must be finite"):
-                plan_chunks(["a"], bad)
+                plan_chunks(["a"], bad, n=10, m=20)
 
 
 def _tiny_model_and_table():
