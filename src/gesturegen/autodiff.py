@@ -295,17 +295,47 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
 
 
-# -- nonlinearities -----------------------------------------------------------
+def attention(state, w_query_t, projected, v, annotations, mask=None):
+    """Additive attention (Bahdanau et al. 2015) over s annotations, one
+    fused graph node:
 
+        t = tanh(state w_query_t + projected);  scores = t v + mask
+        weights = softmax(scores);  context = weights annotations
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.tanh(x.data)
+    state is the (B, H) query, w_query_t the transposed query weight (H, A),
+    projected the precomputed (B, s, A) annotation projection, v the (A,)
+    score vector and annotations (B, s, C). The optional (B, s) mask is added
+    to the scores: -inf gives a position weight exactly 0. Returns (context
+    tensor (B, C), weights array (B, s)); the weights carry no graph. The
+    forward and the hand-written backward round as the composed matmul /
+    add / tanh / softmax / reshape graph does, so both give the same values
+    (outer products keep a zero's sign where a k=1 matmul gives +0).
+    """
+    state, w_query_t, projected, v, annotations = map(as_tensor, (state, w_query_t, projected, v, annotations))
+    batch, s, att = projected.shape
+    t = np.tanh((state.data @ w_query_t.data).reshape(batch, 1, att) + projected.data)
+    scores = (t.reshape(-1, att) @ v.data.reshape(att, 1)).reshape(batch, s)
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    context = np.matmul(weights.reshape(batch, 1, s), annotations.data).reshape(batch, -1)
 
     def backprop(g):
-        _accumulate(x, g * (1.0 - y * y))
+        _accumulate(annotations, weights[:, :, None] * g[:, None, :])
+        g_w = np.matmul(annotations.data, g[:, :, None]).reshape(batch, s)
+        d_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        _accumulate(v, (t.reshape(-1, att).T @ d_scores.reshape(-1, 1)).reshape(att))
+        d_pre = d_scores[..., None] * v.data * (1.0 - t * t)
+        _accumulate(projected, d_pre)
+        d_q = d_pre.sum(axis=1)
+        _accumulate(state, d_q @ w_query_t.data.T)
+        _accumulate(w_query_t, state.data.T @ d_q)
 
-    return _wrap(y, (x,), backprop)
+    return _wrap(context, (state, w_query_t, projected, v, annotations), backprop), weights
+
+
+# -- nonlinearities -----------------------------------------------------------
 
 
 def relu(x) -> Tensor:
@@ -314,19 +344,6 @@ def relu(x) -> Tensor:
 
     def backprop(g):
         _accumulate(x, g * (x.data > 0.0))
-
-    return _wrap(y, (x,), backprop)
-
-
-def softmax(x, axis=-1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backprop(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
 
     return _wrap(y, (x,), backprop)
 
@@ -356,16 +373,6 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
     else:
         count = x.data.shape[axis]
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    y = x.data.reshape(shape)
-
-    def backprop(g):
-        _accumulate(x, g.reshape(x.data.shape))
-
-    return _wrap(y, (x,), backprop)
 
 
 def concat(tensors, axis=-1) -> Tensor:

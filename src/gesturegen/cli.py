@@ -170,10 +170,19 @@ def cmd_train(cfg: Config, args) -> int:
     table, ref = _load_table(cfg, ck)
     model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
 
-    def on_epoch(epoch, current, breakdown):
+    epoch_start = time.perf_counter()
+
+    def on_epoch(epoch, current, b):
+        nonlocal epoch_start
+        print(
+            f"epoch {epoch + 1}/{cfg.epochs}: mse {b.mse:.6f} continuity {b.continuity:.6f} variance "
+            f"{b.variance:.6f} total {b.total:.6f} ({time.perf_counter() - epoch_start:.2f} s)",
+            flush=True,
+        )
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             path = _output(cfg, None, f"checkpoint_epoch{epoch + 1:05d}.ggck")
             _save(cfg, ck, path, model=current, embedding_ref=ref)
+        epoch_start = time.perf_counter()
 
     result = train_model(pairs, cfg, model, table, on_epoch=on_epoch)
     out_ck = _output(cfg, args.out or cfg.checkpoint)

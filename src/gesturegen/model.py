@@ -16,10 +16,12 @@ candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
 `b (3H,)`. A cell step is one graph node (`autodiff.gru_step`, hand-written
 backward) fed the transposed weights directly; the encoder projects all
 timesteps' inputs with one matmul per layer and direction before the
-recurrence. A batch of word sequences of different lengths runs as one
-zero-padded rollout: padded steps carry the encoder state in both
-directions and get attention weight exactly 0, so every row equals its own
-unpadded rollout.
+recurrence. A decoder step's attention is one graph node too
+(`autodiff.attention`), fed the transposed query weight and the annotation
+projection made once per pass. A batch of word sequences of different
+lengths runs as one zero-padded rollout: padded steps carry the encoder
+state in both directions and get attention weight exactly 0, so every row
+equals its own unpadded rollout.
 """
 
 from __future__ import annotations
@@ -213,34 +215,26 @@ def _encode_graph(model, bag, inputs: Tensor, lengths=None, train=False, rng=Non
 
 
 class _Attention:
-    """Additive scorer with the annotation projection precomputed once.
-    ``mask`` is a (B, s) array added to the scores: 0 on words, -inf on
-    padding, so padded positions get weight exactly 0."""
+    """Additive scorer with the annotation projection precomputed once; a
+    step is one `autodiff.attention` node. ``mask`` is a (B, s) array added
+    to the scores: 0 on words, -inf on padding, so padded positions get
+    weight exactly 0."""
 
     def __init__(self, model, bag, annotations: Tensor, mask=None):
-        self.bag = bag
-        self.model = model
         self.annotations = annotations  # (B, s, 2H)
         self.mask = mask
         self.projected = ad.matmul(annotations, bag.T(model.att_ann))  # (B, s, A)
-        self.score_col = ad.reshape(bag(model.att_score), (model.cfg.att_dim, 1))
+        self.w_query_t = bag.T(model.att_query)
+        self.v = bag(model.att_score)
 
     def __call__(self, state: Tensor):
-        batch, s, _ = self.annotations.shape
-        query = ad.matmul(state, self.bag.T(self.model.att_query))  # (B, A)
-        query = ad.reshape(query, (batch, 1, self.model.cfg.att_dim))
-        scores = ad.matmul(ad.tanh(ad.add(query, self.projected)), self.score_col)  # (B, s, 1)
-        scores = ad.reshape(scores, (batch, s))
-        if self.mask is not None:
-            scores = ad.add(scores, self.mask)
-        weights = ad.softmax(scores, axis=-1)
-        context = ad.matmul(ad.reshape(weights, (batch, 1, s)), self.annotations)
-        return weights, ad.reshape(context, (batch, self.annotations.shape[-1]))
+        """(context tensor (B, 2H), weights array (B, s)) for a (B, H) query."""
+        return ad.attention(state, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
 
 
 def _decode_step_graph(model, bag, attention, prev_pose, h1, h2, train=False, rng=None, dropout=0.0):
     pre = ad.add(ad.matmul(prev_pose, bag.T(model.pre_w)), bag(model.pre_b))
-    weights, context = attention(h2)  # query with the top layer's previous state
+    context, weights = attention(h2)  # query with the top layer's previous state
     x = ad.concat([pre, context], axis=-1)
     if train:
         x = ad.dropout(x, dropout, rng)
@@ -252,11 +246,11 @@ def _decode_step_graph(model, bag, attention, prev_pose, h1, h2, train=False, rn
 
 @dataclass
 class RolloutGraph:
-    """Recorded forward pass: emitted poses (B, m, 10) and attention rows
-    (B, m, s), both as graph tensors."""
+    """Recorded forward pass: emitted poses (B, m, 10) as a graph tensor and
+    attention rows (B, m, s) as a plain array (the loss never reads them)."""
 
     poses: Tensor
-    attn: Tensor
+    attn: np.ndarray
 
 
 def forward_graph(
@@ -320,7 +314,7 @@ def forward_graph(
         prev, h1, h2, weights = _decode_step_graph(model, bag, attention, prev, h1, h2, train, rng, dropout)
         poses.append(prev)
         rows.append(weights)
-    return RolloutGraph(poses=ad.stack(poses, axis=1), attn=ad.stack(rows, axis=1))
+    return RolloutGraph(poses=ad.stack(poses, axis=1), attn=np.stack(rows, axis=1))
 
 
 def forward(model, embedded_words, seed_poses):
@@ -334,7 +328,7 @@ def forward(model, embedded_words, seed_poses):
         raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
     seeds = np.asarray(seed_poses, dtype=np.float64)
     out = forward_graph(model, embedded[None], seeds[None], record=False)
-    return out.poses.data[0], out.attn.data[0]
+    return out.poses.data[0], out.attn[0]
 
 
 def backward(loss: Tensor):

@@ -217,12 +217,18 @@ def test_criterion_5_attention_gru_invariants():
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
         assert np.all(weights >= 0)
 
+    # shift invariance on the model's attention path: a finite (1, s) mask
+    # against the same mask plus a constant
     worst_shift = 0.0
+    fixed = np.random.default_rng(5)
+    state, ann = fixed.normal(size=(1, 6)), fixed.normal(size=(1, 8, 12))
+    query_t, v = model.att_query.value.T, model.att_score.value
     for _ in range(1000):
-        scores = rng.normal(size=(1, int(rng.integers(2, 9))))
-        shifted = scores + rng.normal()
-        a = ad.softmax(Tensor(scores), axis=-1).data
-        b = ad.softmax(Tensor(shifted), axis=-1).data
+        mask = rng.normal(size=(1, int(rng.integers(2, 9))))
+        words = ann[:, : mask.shape[1]]
+        inputs = (state, query_t, words @ model.att_ann.value.T, v, words)
+        a = ad.attention(*inputs, mask=mask)[1]
+        b = ad.attention(*inputs, mask=mask + rng.normal())[1]
         worst_shift = max(worst_shift, float(np.max(np.abs(a - b))))
 
     bounded = True

@@ -615,6 +615,21 @@ def test_diverging_train_is_single_line(workspace, tmp_path, capsys):
     assert not (tmp_path / "ck.ggck").exists()
 
 
+def test_train_prints_one_line_per_epoch(workspace, tmp_path, capsys):
+    root, train_args = workspace
+    args = list(train_args)
+    args[args.index("--epochs") + 1] = "3"
+    args[args.index("--out-dir") + 1] = str(tmp_path / "out")
+    args[args.index("--history") + 1] = str(tmp_path / "history.csv")
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "ck.ggck")]) == 0
+    number = r"-?\d+\.\d{6}"
+    pattern = rf"epoch (\d)/3: mse {number} continuity {number} variance {number} total {number} \(\d+\.\d\d s\)"
+    epochs = [m.group(1) for m in map(re.compile(pattern).fullmatch, capsys.readouterr().out.splitlines()) if m]
+    assert epochs == ["1", "2", "3"]
+    assert len((tmp_path / "history.csv").read_text().splitlines()) == 4
+
+
 def test_non_finite_checkpoint_generate_is_single_line(workspace, tmp_path, capsys):
     from test_checkpoint import patch_array_value
 

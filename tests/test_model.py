@@ -49,8 +49,8 @@ def encode(model, words):
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
     attention = _Attention(model, _Bag(False), Tensor(np.asarray(annotations)[None]))
-    weights, context = attention(Tensor(np.asarray(state)[None]))
-    return weights.data[0], context.data[0]
+    context, weights = attention(Tensor(np.asarray(state)[None]))
+    return weights[0], context.data[0]
 
 
 def decode(model, prev_pose, hidden, annotations):
@@ -61,7 +61,7 @@ def decode(model, prev_pose, hidden, annotations):
     pose, h1, h2, weights = _decode_step_graph(
         model, bag, attention, Tensor(np.asarray(prev_pose)[None]), h1, h2, train=False, rng=None
     )
-    return pose.data[0], (h1.data[0], h2.data[0]), weights.data[0]
+    return pose.data[0], (h1.data[0], h2.data[0]), weights[0]
 
 
 @pytest.fixture(scope="module")
@@ -383,9 +383,28 @@ class TestPaddedBatch:
         for row, length in enumerate(lengths):
             poses, attn = forward(model, emb[row, :length], seeds[row])
             assert np.max(np.abs(out.poses.data[row] - poses)) <= 1e-12
-            assert np.max(np.abs(out.attn.data[row, :, :length] - attn)) <= 1e-12
-            assert np.all(out.attn.data[row, :, length:] == 0.0)
-        assert np.max(np.abs(out.attn.data.sum(axis=-1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(out.attn[row, :, :length] - attn)) <= 1e-12
+            assert np.all(out.attn[row, :, length:] == 0.0)
+        assert np.max(np.abs(out.attn.sum(axis=-1) - 1.0)) <= 1e-12
+
+    def test_train_step_graph_size(self):
+        """One train step on a padded batch of s = 4 words, n = 2 seed and
+        m = 3 output poses records 123 nodes: 25 parameter leaves, 16
+        transposed weights, the encoder's 4s + 10 (per layer and direction an
+        input matmul, s gru_step nodes and a stack; per layer a concat), the
+        annotation projection, 11 per decoder step (pre-linear matmul and
+        add, attention, concat, dropout, two cell input matmuls and
+        gru_step nodes, post-linear matmul and add) less the post-linear pair
+        of the n - 1 seed steps no later step reads, the pose stack and the
+        loss. Attention composed of matmul, reshape, add, tanh and softmax
+        nodes recorded 10 more per step and one more per pass."""
+        model = init_model(PADDED, seed=3)
+        rng = np.random.default_rng(3)
+        lengths = np.array([4, 2, 3])
+        emb, seeds = _padded_batch(rng, lengths, 4)
+        rollout = forward_graph(model, emb, seeds, train=True, rng=rng, lengths=lengths, dropout=0.1)
+        _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
+        assert len(total.backward()) == 25 + 16 + (4 * 4 + 10) + 1 + 11 * (2 + 3) - 2 * (2 - 1) + 2
 
     def test_bad_lengths(self, tiny):
         with pytest.raises(InvalidConfig, match=r"lengths must be 2 word counts in \[1, 3\]"):
