@@ -57,6 +57,11 @@ def test_tanh_sigmoid_relu():
     _fd_check(lambda a: ad.tsum(ad.relu(ad.add(a, 0.1))), [(5,)])
 
 
+def test_gesture_loss_matches_finite_differences():
+    target = np.random.default_rng(1).normal(size=(2, 4, 3))
+    _fd_check(lambda p: ad.gesture_loss(p, target, 0.7, 0.3)[0], [(2, 4, 3)])
+
+
 def test_gesture_loss_subgradient_at_zero_steps():
     x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
     total, mse, continuity, variance = ad.gesture_loss(x, np.zeros((2, 3, 4)), 0.7, 0.3)

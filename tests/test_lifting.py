@@ -158,6 +158,28 @@ class TestBatchNormNode:
         for name, a, b in zip(("x", "scale", "shift"), fused[3], composed[3]):
             assert np.array_equal(a, b), name
 
+    def test_train_mode_finite_differences(self):
+        x, scale, shift, weights = _bn_inputs(3)
+        _, _, _, grads = _bn_grads(ad.batch_norm, x, scale, shift, weights)
+        values = [x, scale, shift]
+
+        def loss_value():
+            return float(np.sum(ad.batch_norm(*values, 1e-5)[0].data * weights))
+
+        step = 1e-5
+        rng = np.random.default_rng(3)
+        for name, value, grad in zip(("x", "scale", "shift"), values, grads):
+            flat, gflat = value.reshape(-1), grad.reshape(-1)
+            for i in rng.choice(flat.size, size=6, replace=False):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = loss_value()
+                flat[i] = orig - step
+                lo = loss_value()
+                flat[i] = orig
+                fd = (hi - lo) / (2 * step)
+                assert abs(gflat[i] - fd) / max(1e-6, abs(gflat[i]), abs(fd)) < 1e-5, (name, i, gflat[i], fd)
+
     def test_train_step_graph_size(self):
         # One train-mode lift step's reverse pass: 3 linear layers (matmul,
         # transposed weight, bias add and the two leaves each), 2 fused
