@@ -103,10 +103,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _wrap(value, parents, backprop):
-    req = any(p.requires_grad for p in parents)
-    if not req:
-        return Tensor(value)
-    return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
+    return Tensor(value)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -351,37 +351,26 @@ def relu(x) -> Tensor:
 # -- reductions and reshaping -------------------------------------------------
 
 
-def tsum(x, axis=None, keepdims=False) -> Tensor:
+def tsum(x) -> Tensor:
     x = as_tensor(x)
-    y = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backprop(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, x.data.shape))
 
-    return _wrap(y, (x,), backprop)
+    return _wrap(x.data.sum(), (x,), backprop)
 
 
-def tmean(x, axis=None, keepdims=False) -> Tensor:
+def tmean(x) -> Tensor:
     x = as_tensor(x)
-    if axis is None:
-        count = x.data.size
-    else:
-        count = x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(x), 1.0 / x.data.size)
 
 
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     y = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backprop(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accumulate(t, piece)
 

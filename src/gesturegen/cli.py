@@ -204,21 +204,27 @@ def cmd_generate(cfg: Config, args) -> int:
     ck = _checkpoint(cfg, "model")
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
-    plan = plan_chunks(tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
+    seconds = {}
+
+    def timed(stage, fn, *fn_args):
+        start = time.perf_counter()
+        result = fn(*fn_args)
+        seconds[stage] = time.perf_counter() - start
+        return result
+
+    plan = timed("plan", plan_chunks, tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
     table, _ = _load_table(cfg, ck)
-    start = time.perf_counter()
-    track, maps = generate_gesture(ck.model, plan, table)
-    elapsed = time.perf_counter() - start
-    aligned = align_track(track, duration)
+    track, maps = timed("inference", generate_gesture, ck.model, plan, table)
+    aligned = timed("align", align_track, track, duration)
     out = _output(cfg, args.out, "track.csv")
-    save_track_csv(aligned, out)
+    timed("track write", save_track_csv, aligned, out)
     attn_path = _output(cfg, args.attention, "attention.csv")
-    export_attention(maps, plan.chunks, attn_path)
+    timed("attention write", export_attention, maps, plan.chunks, attn_path)
     print(
         f"{plan.word_count} words, {len(plan.chunks)} chunks of {plan.words_per_chunk}; "
-        f"{len(track)} raw frames -> {len(aligned)} aligned frames ({duration:.2f} s); "
-        f"inference {elapsed:.3f} s -> {out}"
+        f"{len(track)} raw frames -> {len(aligned)} aligned frames ({duration:.2f} s) -> {out}"
     )
+    print("stage seconds: " + ", ".join(f"{stage} {s:.4f}" for stage, s in seconds.items()))
     return 0
 
 

@@ -2,9 +2,10 @@
 
 A two-layer bidirectional GRU encoder reads embedded words; an additive
 attention scorer and a two-layer GRU decoder with pre/post linear layers
-emit gesture vectors autoregressively. The decoder is warmed on seed poses
-(their outputs are not emitted), then generates a fixed number of poses,
-each feeding the next step.
+emit gesture vectors autoregressively. The decoder is warmed on seed poses,
+then generates a fixed number of poses, each feeding the next step. Of the
+warm-up steps only the last runs the post-linear layer: its pose feeds the
+first generated step, and no step reads the others'.
 
 Every pass runs through one set of autodiff graph builders: `forward_graph`
 records the graph for training, `forward` runs the same builders without
@@ -18,10 +19,11 @@ backward) fed the transposed weights directly; the encoder projects all
 timesteps' inputs with one matmul per layer and direction before the
 recurrence. A decoder step's attention is one graph node too
 (`autodiff.attention`), fed the transposed query weight and the annotation
-projection made once per pass. A batch of word sequences of different
-lengths runs as one zero-padded rollout: padded steps carry the encoder
-state in both directions and get attention weight exactly 0, so every row
-equals its own unpadded rollout.
+projection made once per pass; `_Decoder` binds the decoder's transposed
+weights and biases once per pass as well. A batch of word sequences of
+different lengths runs as one zero-padded rollout: padded steps carry the
+encoder state in both directions and get attention weight exactly 0, so
+every row equals its own unpadded rollout.
 """
 
 from __future__ import annotations
@@ -172,13 +174,6 @@ class _Bag:
         return t
 
 
-def _cell_step(bag: _Bag, cell: tuple, x: Tensor, h: Tensor) -> Tensor:
-    """One GRU update of a (B, input) step input: the input projection, then
-    the fused gate step (`autodiff.gru_step`)."""
-    w, u, b = cell
-    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b))
-
-
 def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
     """(B, s, in) inputs -> (B, s, H) states. One input matmul for every
     step, then the fused recurrence; keep[t] (None: every row) masks the
@@ -232,16 +227,29 @@ class _Attention:
         return ad.attention(state, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
 
 
-def _decode_step_graph(model, bag, attention, prev_pose, h1, h2, train=False, rng=None, dropout=0.0):
-    pre = ad.add(ad.matmul(prev_pose, bag.T(model.pre_w)), bag(model.pre_b))
-    context, weights = attention(h2)  # query with the top layer's previous state
-    x = ad.concat([pre, context], axis=-1)
-    if train:
-        x = ad.dropout(x, dropout, rng)
-    h1 = _cell_step(bag, model.decoder[0], x, h1)
-    h2 = _cell_step(bag, model.decoder[1], h1, h2)
-    pose = ad.add(ad.matmul(h2, bag.T(model.post_w)), bag(model.post_b))
-    return pose, h1, h2, weights
+class _Decoder:
+    """The decoder with its weights bound once per pass; a call is one step:
+    pre-linear, attention queried with the top layer's previous state, the
+    two GRU cells and, when ``emit``, the post-linear."""
+
+    def __init__(self, model, bag, attention, train=False, rng=None, dropout=0.0):
+        self.attention, self.train, self.rng, self.dropout = attention, train, rng, dropout
+        self.pre_w, self.pre_b = bag.T(model.pre_w), bag(model.pre_b)
+        self.cells = [(bag.T(w), bag.T(u), bag(b)) for w, u, b in model.decoder]
+        self.post_w, self.post_b = bag.T(model.post_w), bag(model.post_b)
+
+    def __call__(self, prev_pose, h1, h2, emit=True):
+        """(pose (None unless emit), h1', h2', attention weights (B, s))."""
+        pre = ad.add(ad.matmul(prev_pose, self.pre_w), self.pre_b)
+        context, weights = self.attention(h2)
+        x = ad.concat([pre, context], axis=-1)
+        if self.train:
+            x = ad.dropout(x, self.dropout, self.rng)
+        (w1, u1, b1), (w2, u2, b2) = self.cells
+        h1 = ad.gru_step(ad.matmul(x, w1), h1, u1, b1)
+        h2 = ad.gru_step(ad.matmul(h1, w2), h2, u2, b2)
+        pose = ad.add(ad.matmul(h2, self.post_w), self.post_b) if emit else None
+        return pose, h1, h2, weights
 
 
 @dataclass
@@ -265,8 +273,8 @@ def forward_graph(
 ) -> RolloutGraph:
     """Batched rollout. embedded: (B, s, word_dim); seed_poses: (B, n, 10).
 
-    Warms the decoder on the n seed poses (outputs unused except that the
-    last one feeds the first emitted step), then emits m poses feeding each
+    Warms the decoder on the n seed poses (only the last step computes a
+    pose: it feeds the first emitted step), then emits m poses feeding each
     into the next step. ``lengths`` (B,) gives each row's word count when
     rows are zero-padded to s (None: every row has s words); each row's
     result equals its own unpadded rollout. Dropout (first GRU layer inputs
@@ -300,18 +308,16 @@ def forward_graph(
 
     bag = _Bag(record)
     annotations = _encode_graph(model, bag, Tensor(embedded), lengths, train, rng, dropout)
-    attention = _Attention(model, bag, annotations, mask)
+    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, mask), train, rng, dropout)
 
     h1 = Tensor(np.zeros((batch, model.cfg.hidden)))
     h2 = Tensor(np.zeros((batch, model.cfg.hidden)))
-    prev = None
-    for t in range(model.cfg.n_seed_poses):
-        prev, h1, h2, _ = _decode_step_graph(
-            model, bag, attention, Tensor(seed_poses[:, t]), h1, h2, train, rng, dropout
-        )
+    n = model.cfg.n_seed_poses
+    for t in range(n):
+        prev, h1, h2, _ = decoder(Tensor(seed_poses[:, t]), h1, h2, emit=t == n - 1)
     poses, rows = [], []
     for _ in range(model.cfg.n_output_poses):
-        prev, h1, h2, weights = _decode_step_graph(model, bag, attention, prev, h1, h2, train, rng, dropout)
+        prev, h1, h2, weights = decoder(prev, h1, h2)
         poses.append(prev)
         rows.append(weights)
     return RolloutGraph(poses=ad.stack(poses, axis=1), attn=np.stack(rows, axis=1))

@@ -71,10 +71,19 @@ def test_gesture_loss_subgradient_at_zero_steps():
     assert np.array_equal(x.grad, np.zeros((2, 3, 4)))
 
 
+def _sum_axis(x, axis, keepdims=False):
+    # A sum over one axis as a graph node: the engine's tsum and tmean reduce
+    # whole tensors, and only reference graphs in the tests need an axis.
+    def backprop(g):
+        ad._accumulate(x, np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.shape))
+
+    return ad._wrap(x.data.sum(axis=axis, keepdims=keepdims), (x,), backprop)
+
+
 def test_reductions():
-    _fd_check(lambda a: ad.tsum(ad.mul(ad.tsum(a, axis=1), ad.tsum(a, axis=1))), [(3, 4)])
+    _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 1), _sum_axis(a, 1))), [(3, 4)])
     _fd_check(lambda a: ad.tmean(ad.mul(a, a)), [(3, 4)])
-    _fd_check(lambda a: ad.tsum(ad.mul(ad.tmean(a, axis=0, keepdims=True), a)), [(3, 4)])
+    _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 0, keepdims=True), a)), [(3, 4)])
 
 
 def test_concat_stack_reshape_transpose():

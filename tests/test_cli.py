@@ -138,6 +138,19 @@ def test_generate_25_words_15_seconds(workspace):
     assert np.allclose(values.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_generate_reports_stage_seconds(workspace, tmp_path, capsys):
+    root, _ = workspace
+    args = ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", TEXT_25, "--duration", "15.0"]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "track.csv"), "--attention", str(tmp_path / "attn.csv")]) == 0
+    *_, summary, stages = capsys.readouterr().out.splitlines()  # after the embedding load line
+    assert summary.endswith(f"(15.00 s) -> {tmp_path / 'track.csv'}")
+    pattern = r"stage seconds: plan \d+\.\d{4}, inference \d+\.\d{4}, align \d+\.\d{4}, "
+    assert re.fullmatch(pattern + r"track write \d+\.\d{4}, attention write \d+\.\d{4}", stages), stages
+    for name in ("track.csv", "attn.csv"):  # the same bytes as the fixture's run
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
+
+
 def test_retarget_and_render(workspace):
     root, _ = workspace
     assert (root / "track.csv").exists()

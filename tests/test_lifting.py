@@ -25,6 +25,8 @@ from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
+from test_autodiff import _sum_axis
+
 
 class TestLiftForward:
     def test_zero_weights_zero_depths(self):
@@ -126,9 +128,10 @@ def _power(x, exponent):
 def _composed_batch_norm(x, scale, shift, eps):
     # The train-mode graph batch_norm_graph recorded before autodiff.batch_norm
     # fused it into one node, kept as the reference.
-    mu = ad.tmean(x, axis=0, keepdims=True)
+    inv_n = 1.0 / x.shape[0]
+    mu = ad.mul(_sum_axis(x, 0, keepdims=True), inv_n)
     centered = ad.add(x, ad.mul(mu, -1.0))
-    var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
+    var = ad.mul(_sum_axis(ad.mul(centered, centered), 0, keepdims=True), inv_n)
     inv_std = _power(ad.add(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(centered, inv_std), scale), shift), mu.data, var.data
 

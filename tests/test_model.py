@@ -11,8 +11,7 @@ from gesturegen.model import (
     ModelConfig,
     _Attention,
     _Bag,
-    _cell_step,
-    _decode_step_graph,
+    _Decoder,
     _encode_graph,
     backward,
     forward,
@@ -30,7 +29,9 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    return _cell_step(_Bag(False), cell, Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])).data[0]
+    bag, (w, u, b) = _Bag(False), cell
+    x, h = Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])
+    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b)).data[0]
 
 
 def gate(p, k):
@@ -56,11 +57,9 @@ def attend(model, state, annotations):
 def decode(model, prev_pose, hidden, annotations):
     """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
     bag = _Bag(False)
-    attention = _Attention(model, bag, Tensor(np.asarray(annotations)[None]))
+    decoder = _Decoder(model, bag, _Attention(model, bag, Tensor(np.asarray(annotations)[None])))
     h1, h2 = (Tensor(np.asarray(h)[None]) for h in hidden)
-    pose, h1, h2, weights = _decode_step_graph(
-        model, bag, attention, Tensor(np.asarray(prev_pose)[None]), h1, h2, train=False, rng=None
-    )
+    pose, h1, h2, weights = decoder(Tensor(np.asarray(prev_pose)[None]), h1, h2)
     return pose.data[0], (h1.data[0], h2.data[0]), weights[0]
 
 
@@ -257,6 +256,39 @@ class TestForward:
         with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
             forward(tiny, np.zeros((0, 7)), np.zeros((2, 10)))
 
+    def test_equals_recorded_rollout(self, tiny):
+        rng = np.random.default_rng(11)
+        emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
+        poses, attn = forward(tiny, emb, seeds)
+        recorded = forward_graph(tiny, emb[None], seeds[None], record=True)
+        assert recorded.poses.requires_grad
+        assert np.array_equal(poses, recorded.poses.data[0])
+        assert np.array_equal(attn, recorded.attn[0])
+
+    def test_eval_rollout_op_counts(self, monkeypatch):
+        """An eval rollout with n = 3 seed poses, m = 5 output poses and
+        s = 4 words runs 35 matmuls and 14 adds. The matmuls are 4 encoder
+        input projections (one per layer and direction), 1 annotation
+        projection, 3 per decoder step (the pre-linear and the two cell
+        input projections) and a post-linear for the m output steps and the
+        last seed step, which feeds the first output step. The adds are the
+        pre-linear bias of every step and the post-linear bias of those
+        m + 1 steps. The n - 1 earlier seed steps emit no pose."""
+        cfg = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=3, n_output_poses=5, dropout=0.1)
+        model = init_model(cfg, seed=4)
+        calls = {"matmul": 0, "add": 0}
+        for name in calls:
+            op = getattr(ad, name)
+
+            def counted(*args, op=op, name=name):
+                calls[name] += 1
+                return op(*args)
+
+            monkeypatch.setattr(ad, name, counted)
+        rng = np.random.default_rng(12)
+        forward(model, rng.normal(size=(4, 7)), rng.normal(size=(3, 10)))
+        assert calls == {"matmul": 35, "add": 14}
+
     def test_train_mode_dropout_changes_output(self, tiny):
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
@@ -395,9 +427,10 @@ class TestPaddedBatch:
         annotation projection, 11 per decoder step (pre-linear matmul and
         add, attention, concat, dropout, two cell input matmuls and
         gru_step nodes, post-linear matmul and add) less the post-linear pair
-        of the n - 1 seed steps no later step reads, the pose stack and the
-        loss. Attention composed of matmul, reshape, add, tanh and softmax
-        nodes recorded 10 more per step and one more per pass."""
+        of the n - 1 seed steps, which the rollout does not compute, the
+        pose stack and the loss. Attention composed of matmul, reshape, add,
+        tanh and softmax nodes recorded 10 more per step and one more per
+        pass."""
         model = init_model(PADDED, seed=3)
         rng = np.random.default_rng(3)
         lengths = np.array([4, 2, 3])
