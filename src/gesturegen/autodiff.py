@@ -2,8 +2,10 @@
 
 Every operation records its inputs and a local backward rule on the output
 tensor, so calling ``backward()`` on a scalar result propagates gradients to
-all reachable leaves. Graph recording is skipped entirely when no operand
-requires gradients, which keeps evaluation-mode passes cheap.
+all reachable leaves. When no operand requires gradients an op builds no
+backward at all: it returns its value in a bare result tensor (`_const`)
+before it defines its backward rule, which keeps evaluation-mode passes
+cheap.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -102,11 +104,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _const(value) -> Tensor:
+    """An op result that records nothing, without Tensor.__init__'s array
+    conversion: ``value`` is already the op's float64 result."""
+    t = object.__new__(Tensor)
+    t.data, t.grad, t.requires_grad, t._parents, t._backprop, t._param = value, None, False, (), None, None
+    return t
+
+
 def _wrap(value, parents, backprop):
     for p in parents:
         if p.requires_grad:
             return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
-    return Tensor(value)
+    return _const(value)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -115,6 +125,8 @@ def _wrap(value, parents, backprop):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_val = a.data + b.data
+    if not (a.requires_grad or b.requires_grad):
+        return _const(out_val)
 
     def backprop(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -126,6 +138,8 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_val = a.data * b.data
+    if not (a.requires_grad or b.requires_grad):
+        return _const(out_val)
 
     def backprop(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
@@ -140,20 +154,24 @@ def matmul(a, b) -> Tensor:
     An N-d input times a 2-d weight runs as one 2-d GEMM over the flattened
     leading dims, forward and backward."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
+    a_dim, b_dim = a.data.ndim, b.data.ndim
+    if a_dim < 2 or b_dim < 2:
         raise InvalidConfig("matmul operands must have ndim >= 2")
-    flat = a.ndim > 2 and b.ndim == 2
+    flat = a_dim > 2 and b_dim == 2
     if flat:
-        out_val = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+        a_shape = a.data.shape
+        out_val = (a.data.reshape(-1, a_shape[-1]) @ b.data).reshape(a_shape[:-1] + b.data.shape[-1:])
     else:
         out_val = np.matmul(a.data, b.data)
+    if not (a.requires_grad or b.requires_grad):
+        return _const(out_val)
 
     def backprop(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
             if flat:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = a.data.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
             _accumulate(b, gb)
@@ -174,7 +192,7 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
     graph node with a hand-written backward.
     """
     gx, h, u, b = as_tensor(gx), as_tensor(h), as_tensor(u), as_tensor(b)
-    hidden = h.shape[-1]
+    hidden = h.data.shape[-1]
     two = 2 * hidden
     gxt = gx.data if t is None else gx.data[:, t]
     hd, ud, bd = h.data, u.data, b.data
@@ -187,6 +205,8 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
     if keep is not None:
         keep = keep[:, None]
         out_val = np.where(keep, out_val, hd)
+    if not (gx.requires_grad or h.requires_grad or u.requires_grad or b.requires_grad):
+        return _const(out_val)
 
     def backprop(g):
         g_carry = None
@@ -242,6 +262,8 @@ def batch_norm(x, scale, shift, eps: float):
     inv_std = np.power(var_eps, -0.5)
     normalized = centered * inv_std
     out_val = normalized * scale.data + shift.data
+    if not (x.requires_grad or scale.requires_grad or shift.requires_grad):
+        return _const(out_val), mu, var
 
     def backprop(g):
         _accumulate(shift, _unbroadcast(g, shift.data.shape))
@@ -275,6 +297,8 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     centered = pred.data + pred.data.sum(axis=1, keepdims=True) * inv_m * -1.0
     variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
     total = (mse + continuity * alpha) + variance * beta
+    if not pred.requires_grad:
+        return _const(total), float(mse), float(continuity), float(variance)
 
     def backprop(g):
         # pred's five contributions in the composed graph's order: mse,
@@ -320,6 +344,8 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     context = np.matmul(weights.reshape(batch, 1, s), annotations.data).reshape(batch, -1)
+    if not any(x.requires_grad for x in (state, w_query_t, projected, v, annotations)):
+        return _const(context), weights
 
     def backprop(g):
         _accumulate(annotations, weights[:, :, None] * g[:, None, :])
@@ -341,6 +367,8 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
 def relu(x) -> Tensor:
     x = as_tensor(x)
     y = np.maximum(x.data, 0.0)
+    if not x.requires_grad:
+        return _const(y)
 
     def backprop(g):
         _accumulate(x, g * (x.data > 0.0))
@@ -353,11 +381,14 @@ def relu(x) -> Tensor:
 
 def tsum(x) -> Tensor:
     x = as_tensor(x)
+    total = x.data.sum()
+    if not x.requires_grad:
+        return _const(total)
 
     def backprop(g):
         _accumulate(x, np.broadcast_to(g, x.data.shape))
 
-    return _wrap(x.data.sum(), (x,), backprop)
+    return _wrap(total, (x,), backprop)
 
 
 def tmean(x) -> Tensor:
@@ -368,6 +399,8 @@ def tmean(x) -> Tensor:
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     y = np.concatenate([t.data for t in tensors], axis=axis)
+    if not any(t.requires_grad for t in tensors):
+        return _const(y)
 
     def backprop(g):
         splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
@@ -380,6 +413,8 @@ def concat(tensors, axis=-1) -> Tensor:
 def stack(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     y = np.stack([t.data for t in tensors], axis=axis)
+    if not any(t.requires_grad for t in tensors):
+        return _const(y)
 
     def backprop(g):
         for i, t in enumerate(tensors):
@@ -401,6 +436,8 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 def transpose(x) -> Tensor:
     x = as_tensor(x)
     y = np.swapaxes(x.data, -1, -2)
+    if not x.requires_grad:
+        return _const(y)
 
     def backprop(g):
         _accumulate(x, np.swapaxes(g, -1, -2))

@@ -114,12 +114,55 @@ def test_no_recorded_graph():
         Tensor(np.ones(3), requires_grad=True).backward()
 
 
+_KEEP = np.array([True, False, True])
+_MASK = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
+
+# case -> (engine op, call, input shapes); a call returns the op's result,
+# a tuple when the op returns plain arrays beside its tensor
+_OP_CASES = {
+    "add": (ad.add, ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, ad.mul, [(2, 3, 4), (3, 4)]),
+    "matmul": (ad.matmul, ad.matmul, [(3, 4), (4, 2)]),
+    "matmul_flat": (ad.matmul, ad.matmul, [(2, 3, 4), (4, 2)]),
+    "matmul_batched": (ad.matmul, ad.matmul, [(2, 3, 4), (2, 4, 2)]),
+    "gru_step": (ad.gru_step, ad.gru_step, [(3, 6), (3, 2), (2, 6), (6,)]),
+    "gru_step_time_keep": (
+        ad.gru_step,
+        lambda gx, h, u, b: ad.gru_step(gx, h, u, b, t=1, keep=_KEEP),
+        [(3, 4, 6), (3, 2), (2, 6), (6,)],
+    ),
+    "batch_norm": (ad.batch_norm, lambda *x: ad.batch_norm(*x, 1e-5), [(4, 3), (3,), (3,)]),
+    "gesture_loss": (ad.gesture_loss, lambda p: ad.gesture_loss(p, np.ones((2, 4, 3)), 0.7, 0.3), [(2, 4, 3)]),
+    "attention": (ad.attention, ad.attention, [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]),
+    "attention_masked": (ad.attention, lambda *x: ad.attention(*x, _MASK), [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]),
+    "relu": (ad.relu, ad.relu, [(5,)]),
+    "tsum": (ad.tsum, ad.tsum, [(3, 4)]),
+    "tmean": (ad.tmean, ad.tmean, [(3, 4)]),
+    "concat": (ad.concat, lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "stack": (ad.stack, lambda a, b: ad.stack([a, b], axis=1), [(2, 3), (2, 3)]),
+    "dropout": (ad.dropout, lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)), [(4, 5)]),
+    "transpose": (ad.transpose, ad.transpose, [(2, 3)]),
+}
+
+
 def test_eval_mode_records_nothing():
-    a = Tensor(np.ones((2, 2)))
-    b = Tensor(np.ones((2, 2)))
-    out = ad.matmul(a, b)
-    assert not out.requires_grad
-    assert out._parents == ()
+    """Every engine op on operands that need no gradient returns a result
+    with no parents and no backward rule, with the same bits as the
+    recording path's result."""
+    ops = {name for name, f in vars(ad).items() if callable(f) and getattr(f, "__module__", "") == ad.__name__}
+    assert {op.__name__ for op, *_ in _OP_CASES.values()} == {n for n in ops if n[0].islower()} - {"as_tensor"}
+    rng = np.random.default_rng(0)
+    for case, (_, call, shapes) in _OP_CASES.items():
+        values = [rng.normal(size=shape) for shape in shapes]
+        results = []
+        for record in (False, True):
+            out = call(*[Tensor(v, requires_grad=record) for v in values])
+            tensor, *arrays = out if isinstance(out, tuple) else (out,)
+            assert tensor.requires_grad == record, case
+            assert (tensor._parents == () and tensor._backprop is None) != record, case
+            results.append([tensor.data, *arrays])
+        for value, recorded in zip(*results):
+            assert np.array_equal(value, recorded), case
 
 
 def test_dropout_train_scaling():
