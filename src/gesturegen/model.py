@@ -9,8 +9,11 @@ first generated step, and no step reads the others'.
 
 Every pass runs through one set of autodiff graph builders: `forward_graph`
 records the graph for training, `forward` runs the same builders without
-recording and returns plain arrays, and `backward` harvests parameter
-gradients from a recorded loss.
+recording (their ops build no backward) and returns plain arrays, and
+`backward` harvests parameter gradients from a recorded loss. `forward`
+rolls out a whole utterance: it encodes all its word chunks once, as one
+zero-padded batch, then decodes chunk by chunk, each chunk seeded with the
+last poses of the chunk before it.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -210,15 +213,14 @@ def _encode_graph(model, bag, inputs: Tensor, lengths=None, train=False, rng=Non
 
 
 class _Attention:
-    """Additive scorer with the annotation projection precomputed once; a
-    step is one `autodiff.attention` node. ``mask`` is a (B, s) array added
-    to the scores: 0 on words, -inf on padding, so padded positions get
-    weight exactly 0."""
+    """Additive scorer over (B, s, 2H) annotations and their precomputed
+    (B, s, A) projection by the annotation weight; a step is one
+    `autodiff.attention` node. ``mask`` is a (B, s) array added to the
+    scores: 0 on words, -inf on padding, so padded positions get weight
+    exactly 0."""
 
-    def __init__(self, model, bag, annotations: Tensor, mask=None):
-        self.annotations = annotations  # (B, s, 2H)
-        self.mask = mask
-        self.projected = ad.matmul(annotations, bag.T(model.att_ann))  # (B, s, A)
+    def __init__(self, model, bag, annotations: Tensor, projected: Tensor, mask=None):
+        self.annotations, self.projected, self.mask = annotations, projected, mask
         self.w_query_t = bag.T(model.att_query)
         self.v = bag(model.att_score)
 
@@ -261,6 +263,35 @@ class RolloutGraph:
     attn: np.ndarray
 
 
+def _rollout(model, decoder, seed_poses: np.ndarray) -> RolloutGraph:
+    """Warm the decoder on the (B, n, 10) seed poses (only the last step
+    computes a pose: it feeds the first emitted step), then emit m poses,
+    each feeding the next step."""
+    h1 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
+    h2 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
+    n = model.cfg.n_seed_poses
+    for t in range(n):
+        prev, h1, h2, _ = decoder(Tensor(seed_poses[:, t]), h1, h2, emit=t == n - 1)
+    poses, rows = [], []
+    for _ in range(model.cfg.n_output_poses):
+        prev, h1, h2, weights = decoder(prev, h1, h2)
+        poses.append(prev)
+        rows.append(weights)
+    return RolloutGraph(poses=ad.stack(poses, axis=1), attn=np.stack(rows, axis=1))
+
+
+def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
+    """Refuse a (B, s, word_dim) word batch or (B, n, 10) seed batch of the wrong shape."""
+    if embedded.ndim != 3 or embedded.shape[1] < 1:
+        raise InvalidConfig("need at least one embedded word")
+    if embedded.shape[2] != model.cfg.word_dim:
+        raise InvalidConfig(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
+    if seed_poses.ndim != 3 or seed_poses.shape[1] != model.cfg.n_seed_poses:
+        raise InvalidConfig(
+            f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
+        )
+
+
 def forward_graph(
     model: Seq2SeqModel,
     embedded: np.ndarray,
@@ -283,14 +314,7 @@ def forward_graph(
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
-    if embedded.ndim != 3 or embedded.shape[1] < 1:
-        raise InvalidConfig("need at least one embedded word")
-    if embedded.shape[2] != model.cfg.word_dim:
-        raise InvalidConfig(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
-    if seed_poses.ndim != 3 or seed_poses.shape[1] != model.cfg.n_seed_poses:
-        raise InvalidConfig(
-            f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
-        )
+    _check_inputs(model, embedded, seed_poses)
     batch, s, _ = embedded.shape
     mask = None
     if lengths is not None:
@@ -308,33 +332,43 @@ def forward_graph(
 
     bag = _Bag(record)
     annotations = _encode_graph(model, bag, Tensor(embedded), lengths, train, rng, dropout)
-    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, mask), train, rng, dropout)
-
-    h1 = Tensor(np.zeros((batch, model.cfg.hidden)))
-    h2 = Tensor(np.zeros((batch, model.cfg.hidden)))
-    n = model.cfg.n_seed_poses
-    for t in range(n):
-        prev, h1, h2, _ = decoder(Tensor(seed_poses[:, t]), h1, h2, emit=t == n - 1)
-    poses, rows = [], []
-    for _ in range(model.cfg.n_output_poses):
-        prev, h1, h2, weights = decoder(prev, h1, h2)
-        poses.append(prev)
-        rows.append(weights)
-    return RolloutGraph(poses=ad.stack(poses, axis=1), attn=np.stack(rows, axis=1))
+    projected = ad.matmul(annotations, bag.T(model.att_ann))
+    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), train, rng, dropout)
+    return _rollout(model, decoder, seed_poses)
 
 
-def forward(model, embedded_words, seed_poses):
-    """Single-sequence eval-mode rollout. embedded_words: (s, word_dim);
-    seed_poses: (n, 10). Returns (poses (m, 10), attention (m, s)) as plain
-    arrays."""
-    embedded = np.asarray(embedded_words, dtype=np.float64)
-    if embedded.size == 0:
+def forward(model, chunks, seed_poses):
+    """Eval-mode rollout of one utterance's word chunks, in order. chunks: a
+    list of (s_i, word_dim) embedded words; seed_poses: the first chunk's
+    (n, 10) seeds. Every chunk is encoded in one zero-padded batch and its
+    annotations projected with one matmul; the decoder then runs chunk by
+    chunk on that chunk's own s_i annotations, unmasked, each chunk after
+    the first seeded with the last n poses before it. Returns one
+    (poses (m, 10), attention (m, s_i)) pair of plain arrays per chunk."""
+    chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
+    if not chunks or any(c.size == 0 for c in chunks):
         raise InvalidConfig("cannot run on an empty word sequence")
-    if embedded.ndim != 2:
+    if any(c.ndim != 2 for c in chunks):
         raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
-    seeds = np.asarray(seed_poses, dtype=np.float64)
-    out = forward_graph(model, embedded[None], seeds[None], record=False)
-    return out.poses.data[0], out.attn[0]
+    seeds = np.asarray(seed_poses, dtype=np.float64)[None]
+    lengths = np.array([len(c) for c in chunks])
+    embedded = np.zeros((len(chunks), lengths.max(), model.cfg.word_dim))
+    for row, c in enumerate(chunks):
+        _check_inputs(model, c[None], seeds)
+        embedded[row, : len(c)] = c
+
+    bag = _Bag(False)
+    annotations = _encode_graph(model, bag, Tensor(embedded), lengths)
+    projected = ad.matmul(annotations, bag.T(model.att_ann)).data
+    rollouts = []
+    for row, length in enumerate(lengths):
+        attention = _Attention(
+            model, bag, Tensor(annotations.data[row : row + 1, :length]), Tensor(projected[row : row + 1, :length])
+        )
+        out = _rollout(model, _Decoder(model, bag, attention), seeds)
+        rollouts.append((out.poses.data[0], out.attn[0]))
+        seeds = np.concatenate([seeds, out.poses.data], axis=1)[:, -model.cfg.n_seed_poses :]
+    return rollouts
 
 
 def backward(loss: Tensor):

@@ -2,9 +2,10 @@
 
 The network emits a fixed number of poses per inference, so long text is
 split into word chunks sized from the speech duration at 12 frames per
-second. Each chunk's generation is seeded with the previous chunk's last
-poses so the concatenated track stays continuous, and the final track is
-uniformly resampled to the exact speech duration.
+second. One model pass encodes every chunk of an utterance; each chunk's
+decoding is seeded with the previous chunk's last poses so the concatenated
+track stays continuous, and the final track is uniformly resampled to the
+exact speech duration.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def plan_chunks(tokens, speech_duration: float, n: int, m: int) -> ChunkPlan:
 
 
 def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
-    """Run one inference per chunk and concatenate.
+    """Roll out every chunk of the plan with one `model.forward` call, which
+    encodes the utterance's chunks once, as one batch.
 
     The first chunk is seeded with the mean pose (zero vectors); every later
     chunk is seeded with the previous chunk's last n generated poses.
@@ -90,20 +92,9 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     """
     if model is None:
         raise InvalidConfig("no model provided")
-    n = model.cfg.n_seed_poses
-    dim = model.cfg.gesture_dim
-    seeds = np.zeros((n, dim))
-    all_frames = []
-    maps = []
-    for chunk in plan.chunks:
-        embedded = np.stack([table.lookup(w) for w in chunk])
-        poses, attn = forward(model, embedded, seeds)
-        all_frames.append(poses)
-        maps.append(attn)
-        tail = np.concatenate([seeds, poses])[-n:]
-        seeds = tail
-    track = TimedPoseTrack(frames=np.concatenate(all_frames))
-    return track, maps
+    seeds = np.zeros((model.cfg.n_seed_poses, model.cfg.gesture_dim))
+    rollouts = forward(model, [np.stack([table.lookup(w) for w in chunk]) for chunk in plan.chunks], seeds)
+    return TimedPoseTrack(frames=np.concatenate([poses for poses, _ in rollouts])), [attn for _, attn in rollouts]
 
 
 def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack:

@@ -47,17 +47,22 @@ def encode(model, words):
     return list(annotations.data[0])
 
 
+def attention_over(model, bag, annotations):
+    """The scorer over (s, 2H) annotations, with their projection."""
+    annotations = Tensor(np.asarray(annotations)[None])
+    return _Attention(model, bag, annotations, ad.matmul(annotations, bag.T(model.att_ann)))
+
+
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
-    attention = _Attention(model, _Bag(False), Tensor(np.asarray(annotations)[None]))
-    context, weights = attention(Tensor(np.asarray(state)[None]))
+    context, weights = attention_over(model, _Bag(False), annotations)(Tensor(np.asarray(state)[None]))
     return weights[0], context.data[0]
 
 
 def decode(model, prev_pose, hidden, annotations):
     """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
     bag = _Bag(False)
-    decoder = _Decoder(model, bag, _Attention(model, bag, Tensor(np.asarray(annotations)[None])))
+    decoder = _Decoder(model, bag, attention_over(model, bag, annotations))
     h1, h2 = (Tensor(np.asarray(h)[None]) for h in hidden)
     pose, h1, h2, weights = decoder(Tensor(np.asarray(prev_pose)[None]), h1, h2)
     return pose.data[0], (h1.data[0], h2.data[0]), weights[0]
@@ -142,7 +147,7 @@ class TestGruCell:
 
     def test_shape_mismatch(self, tiny):
         with pytest.raises(InvalidConfig, match="word dim 6 != "):
-            forward(tiny, np.zeros((3, 6)), np.zeros((2, 10)))
+            forward(tiny, [np.zeros((3, 6))], np.zeros((2, 10)))
 
 
 class TestEncoder:
@@ -235,7 +240,7 @@ class TestDecodeStep:
 class TestForward:
     def test_shapes_and_row_sums(self, tiny):
         rng = np.random.default_rng(6)
-        poses, attn = forward(tiny, rng.normal(size=(5, 7)), rng.normal(size=(2, 10)))
+        [(poses, attn)] = forward(tiny, [rng.normal(size=(5, 7))], rng.normal(size=(2, 10)))
         assert poses.shape == (3, 10)
         assert attn.shape == (3, 5)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
@@ -243,23 +248,25 @@ class TestForward:
     def test_eval_bitwise_deterministic(self, tiny):
         rng = np.random.default_rng(7)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        p1, a1 = forward(tiny, emb, seeds)
-        p2, a2 = forward(tiny, emb, seeds)
+        [(p1, a1)] = forward(tiny, [emb], seeds)
+        [(p2, a2)] = forward(tiny, [emb], seeds)
         assert np.array_equal(p1, p2) and np.array_equal(a1, a2)
 
     def test_seed_length_mismatch(self, tiny):
         rng = np.random.default_rng(8)
         with pytest.raises(InvalidConfig, match="seed poses, got 5"):
-            forward(tiny, rng.normal(size=(4, 7)), rng.normal(size=(5, 10)))
+            forward(tiny, [rng.normal(size=(4, 7))], rng.normal(size=(5, 10)))
 
     def test_empty_words(self, tiny):
         with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
-            forward(tiny, np.zeros((0, 7)), np.zeros((2, 10)))
+            forward(tiny, [np.zeros((0, 7))], np.zeros((2, 10)))
+        with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
+            forward(tiny, [], np.zeros((2, 10)))
 
     def test_equals_recorded_rollout(self, tiny):
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        poses, attn = forward(tiny, emb, seeds)
+        [(poses, attn)] = forward(tiny, [emb], seeds)
         recorded = forward_graph(tiny, emb[None], seeds[None], record=True)
         assert recorded.poses.requires_grad
         assert np.array_equal(poses, recorded.poses.data[0])
@@ -286,13 +293,13 @@ class TestForward:
 
             monkeypatch.setattr(ad, name, counted)
         rng = np.random.default_rng(12)
-        forward(model, rng.normal(size=(4, 7)), rng.normal(size=(3, 10)))
+        forward(model, [rng.normal(size=(4, 7))], rng.normal(size=(3, 10)))
         assert calls == {"matmul": 35, "add": 14}
 
     def test_train_mode_dropout_changes_output(self, tiny):
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        p_eval, _ = forward(tiny, emb, seeds)
+        [(p_eval, _)] = forward(tiny, [emb], seeds)
         p_train = forward_graph(tiny, emb[None], seeds[None], train=True, rng=np.random.default_rng(0)).poses.data[0]
         assert not np.array_equal(p_eval, p_train)
 
@@ -413,7 +420,7 @@ class TestPaddedBatch:
         emb, seeds = _padded_batch(rng, lengths, s)
         out = forward_graph(model, emb, seeds, lengths=lengths, record=False)
         for row, length in enumerate(lengths):
-            poses, attn = forward(model, emb[row, :length], seeds[row])
+            [(poses, attn)] = forward(model, [emb[row, :length]], seeds[row])
             assert np.max(np.abs(out.poses.data[row] - poses)) <= 1e-12
             assert np.max(np.abs(out.attn[row, :, :length] - attn)) <= 1e-12
             assert np.all(out.attn[row, :, length:] == 0.0)

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig, MalformedFile, write_rows
 from gesturegen.kinematics import ANGLE_NAMES, save_angles_csv
-from gesturegen.model import ModelConfig, init_model
+from gesturegen import model as seq2seq
+from gesturegen.model import ModelConfig, forward, init_model
 from gesturegen.synthesis import (
     DEFAULT_FPS,
     TimedPoseTrack,
@@ -142,6 +143,41 @@ class TestGenerateGesture:
         track_a, _ = generate_gesture(model, plan_a, table)
         track_b, _ = generate_gesture(model, plan_b, table)
         assert not np.allclose(track_a.frames[5:10], track_b.frames[5:10])
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        words=st.integers(1, 12),
+        duration=st.floats(0.1, 20.0),
+        n=st.integers(1, 4),
+        m=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(words=7, duration=1.5, n=3, m=5, seed=0)  # chunks of 3, 3 and 1 words
+    @example(words=5, duration=20.0, n=3, m=5, seed=1)  # five 1-word chunks
+    @example(words=6, duration=20.0, n=4, m=2, seed=2)  # m < n: seeds carry older poses
+    def test_equals_chained_single_chunk_rollouts(self, words, duration, n, m, seed):
+        """One batched encoder pass per utterance gives each chunk's frames
+        and attention of its own one-chunk rollout, seeded with the last n
+        poses before it."""
+        cfg = ModelConfig(word_dim=5, hidden=6, att_dim=6, n_seed_poses=n, n_output_poses=m, dropout=0.1)
+        model = init_model(cfg, seed=seed % 5)
+        _, table = _tiny_model_and_table()
+        rng = np.random.default_rng(seed)
+        plan = plan_chunks([f"w{i}" for i in rng.integers(0, 30, size=words)], duration, n=n, m=m)
+        encodes = []
+        encode = seq2seq._encode_graph
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seq2seq, "_encode_graph", lambda *args: encodes.append(args) or encode(*args))
+            track, maps = generate_gesture(model, plan, table)
+        assert len(encodes) == 1
+        seeds, frames = np.zeros((n, 10)), []
+        for chunk, attn in zip(plan.chunks, maps, strict=True):
+            [(poses, single)] = forward(model, [np.stack([table.lookup(w) for w in chunk])], seeds)
+            assert np.max(np.abs(attn - single)) <= 1e-12
+            frames.append(poses)
+            seeds = np.concatenate([seeds, poses])[-n:]
+        assert np.max(np.abs(track.frames - np.concatenate(frames))) <= 1e-12
 
 
 class TestAlignTrack:
