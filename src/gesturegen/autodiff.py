@@ -2,10 +2,8 @@
 
 Every operation records its inputs and a local backward rule on the output
 tensor, so calling ``backward()`` on a scalar result propagates gradients to
-all reachable leaves. When no operand requires gradients an op builds no
-backward at all: it returns its value in a bare result tensor (`_const`)
-before it defines its backward rule, which keeps evaluation-mode passes
-cheap.
+all reachable leaves. An op whose operands need no gradient builds no
+backward rule at all, which keeps evaluation-mode passes cheap.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -19,7 +17,7 @@ from .errors import InvalidConfig
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_param")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_param", "_owns_grad")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backprop=None, _param=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -81,14 +79,18 @@ def as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient. A first gradient is stored as given, though it
+    may be a view or another node's gradient, so the second one adds out of
+    place; later ones add into that sum, which t owns. No array stored as
+    given is ever written through."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # Copy: g may be a view or an upstream grad buffer shared with
-        # another operand of the same node.
-        t.grad = np.array(g)
-    else:
+        t.grad, t._owns_grad = g, False
+    elif t._owns_grad:
         t.grad += g
+    else:
+        t.grad, t._owns_grad = t.grad + g, True
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -154,13 +156,11 @@ def matmul(a, b) -> Tensor:
     An N-d input times a 2-d weight runs as one 2-d GEMM over the flattened
     leading dims, forward and backward."""
     a, b = as_tensor(a), as_tensor(b)
-    a_dim, b_dim = a.data.ndim, b.data.ndim
-    if a_dim < 2 or b_dim < 2:
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise InvalidConfig("matmul operands must have ndim >= 2")
-    flat = a_dim > 2 and b_dim == 2
+    flat = a.data.ndim > 2 and b.data.ndim == 2
     if flat:
-        a_shape = a.data.shape
-        out_val = (a.data.reshape(-1, a_shape[-1]) @ b.data).reshape(a_shape[:-1] + b.data.shape[-1:])
+        out_val = (a.data.reshape(-1, a.data.shape[-1]) @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
     else:
         out_val = np.matmul(a.data, b.data)
     if not (a.requires_grad or b.requires_grad):
@@ -171,7 +171,7 @@ def matmul(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
             if flat:
-                gb = a.data.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
             _accumulate(b, gb)
@@ -222,9 +222,11 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
         if gx.requires_grad:
             if t is None:
                 _accumulate(gx, d_pre)
-            else:
+            else:  # slice adds go into a gradient array that gx owns
                 if gx.grad is None:
-                    gx.grad = np.zeros_like(gx.data)
+                    gx.grad, gx._owns_grad = np.zeros_like(gx.data), True
+                elif not gx._owns_grad:
+                    gx.grad, gx._owns_grad = np.array(gx.grad), True
                 gx.grad[:, t] += d_pre
         if h.requires_grad:
             d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T

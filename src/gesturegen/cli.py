@@ -96,6 +96,14 @@ def _report(payload, path, what: str):
     print(text)
 
 
+def _timed(seconds: dict, stage: str, fn, *fn_args):
+    """fn(*fn_args), with its wall time stored as ``seconds[stage]``."""
+    start = time.perf_counter()
+    result = fn(*fn_args)
+    seconds[stage] = time.perf_counter() - start
+    return result
+
+
 def _output(cfg: Config, path, default_name: str = "") -> str:
     """``path``, or ``default_name`` in the output directory when no path is
     given, with its parent directory created."""
@@ -205,21 +213,14 @@ def cmd_generate(cfg: Config, args) -> int:
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     seconds = {}
-
-    def timed(stage, fn, *fn_args):
-        start = time.perf_counter()
-        result = fn(*fn_args)
-        seconds[stage] = time.perf_counter() - start
-        return result
-
-    plan = timed("plan", plan_chunks, tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
+    plan = _timed(seconds, "plan", plan_chunks, tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
     table, _ = _load_table(cfg, ck)
-    track, maps = timed("inference", generate_gesture, ck.model, plan, table)
-    aligned = timed("align", align_track, track, duration)
+    track, maps = _timed(seconds, "inference", generate_gesture, ck.model, plan, table)
+    aligned = _timed(seconds, "align", align_track, track, duration)
     out = _output(cfg, args.out, "track.csv")
-    timed("track write", save_track_csv, aligned, out)
+    _timed(seconds, "track write", save_track_csv, aligned, out)
     attn_path = _output(cfg, args.attention, "attention.csv")
-    timed("attention write", export_attention, maps, plan.chunks, attn_path)
+    _timed(seconds, "attention write", export_attention, maps, plan.chunks, attn_path)
     print(
         f"{plan.word_count} words, {len(plan.chunks)} chunks of {plan.words_per_chunk}; "
         f"{len(track)} raw frames -> {len(aligned)} aligned frames ({duration:.2f} s) -> {out}"
@@ -263,17 +264,19 @@ def cmd_lift_train(cfg: Config, args) -> int:
 
 def cmd_retarget(cfg: Config, args) -> int:
     ck = _checkpoint(cfg, "pca", "lift")
-    track = load_track_csv(args.track)
+    seconds = {}
+    track = _timed(seconds, "read", load_track_csv, args.track)
     limits = None
     if args.limits:
         try:
             limits = {k: tuple(v) for k, v in json.loads(Path(args.limits).read_text(encoding="utf-8")).items()}
         except (OSError, ValueError, AttributeError, TypeError) as exc:
             raise MalformedFile(f"cannot read joint limits {args.limits}: {exc}") from exc
-    angles = retarget_track(track, ck.pca, ck.lift, limits)
+    angles = _timed(seconds, "retarget", retarget_track, track, ck.pca, ck.lift, limits)
     out = _output(cfg, args.out, "trajectory.csv")
-    save_angles_csv(angles, out)
+    _timed(seconds, "write", save_angles_csv, angles, out)
     print(f"retargeted {len(angles)} frames at {DEFAULT_FPS:g} fps -> {out}")
+    print("stage seconds: " + ", ".join(f"{stage} {s:.4f}" for stage, s in seconds.items()))
     return 0
 
 

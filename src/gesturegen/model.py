@@ -11,9 +11,8 @@ Every pass runs through one set of autodiff graph builders: `forward_graph`
 records the graph for training, `forward` runs the same builders without
 recording (their ops build no backward) and returns plain arrays, and
 `backward` harvests parameter gradients from a recorded loss. `forward`
-rolls out a whole utterance: it encodes all its word chunks once, as one
-zero-padded batch, then decodes chunk by chunk, each chunk seeded with the
-last poses of the chunk before it.
+encodes all word chunks of an utterance in one batch, then decodes them in
+order, each seeded with the last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -213,11 +212,10 @@ def _encode_graph(model, bag, inputs: Tensor, lengths=None, train=False, rng=Non
 
 
 class _Attention:
-    """Additive scorer over (B, s, 2H) annotations and their precomputed
-    (B, s, A) projection by the annotation weight; a step is one
-    `autodiff.attention` node. ``mask`` is a (B, s) array added to the
-    scores: 0 on words, -inf on padding, so padded positions get weight
-    exactly 0."""
+    """Additive scorer over (B, s, 2H) annotations and their (B, s, A)
+    projection, made once per pass; a step is one `autodiff.attention` node.
+    ``mask`` is a (B, s) array added to the scores: 0 on words, -inf on
+    padding, so padded positions get weight exactly 0."""
 
     def __init__(self, model, bag, annotations: Tensor, projected: Tensor, mask=None):
         self.annotations, self.projected, self.mask = annotations, projected, mask
@@ -256,8 +254,9 @@ class _Decoder:
 
 @dataclass
 class RolloutGraph:
-    """Recorded forward pass: emitted poses (B, m, 10) as a graph tensor and
-    attention rows (B, m, s) as a plain array (the loss never reads them)."""
+    """A rollout's emitted poses (B, m, 10) as a tensor, recorded in
+    training, and attention rows (B, m, s) as a plain array (the loss never
+    reads them)."""
 
     poses: Tensor
     attn: np.ndarray
@@ -267,8 +266,7 @@ def _rollout(model, decoder, seed_poses: np.ndarray) -> RolloutGraph:
     """Warm the decoder on the (B, n, 10) seed poses (only the last step
     computes a pose: it feeds the first emitted step), then emit m poses,
     each feeding the next step."""
-    h1 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
-    h2 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
+    h1 = h2 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
     n = model.cfg.n_seed_poses
     for t in range(n):
         prev, h1, h2, _ = decoder(Tensor(seed_poses[:, t]), h1, h2, emit=t == n - 1)
@@ -304,13 +302,11 @@ def forward_graph(
 ) -> RolloutGraph:
     """Batched rollout. embedded: (B, s, word_dim); seed_poses: (B, n, 10).
 
-    Warms the decoder on the n seed poses (only the last step computes a
-    pose: it feeds the first emitted step), then emits m poses feeding each
-    into the next step. ``lengths`` (B,) gives each row's word count when
-    rows are zero-padded to s (None: every row has s words); each row's
-    result equals its own unpadded rollout. Dropout (first GRU layer inputs
-    of both encoder and decoder) at rate ``dropout`` (None: the model's
-    configured rate) is active only when train=True.
+    ``lengths`` (B,) gives each row's word count when rows are zero-padded
+    to s (None: every row has s words); each row's result equals its own
+    unpadded rollout. Dropout (first GRU layer inputs of both encoder and
+    decoder) at rate ``dropout`` (None: the model's configured rate) is
+    active only when train=True.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
@@ -338,18 +334,15 @@ def forward_graph(
 
 
 def forward(model, chunks, seed_poses):
-    """Eval-mode rollout of one utterance's word chunks, in order. chunks: a
-    list of (s_i, word_dim) embedded words; seed_poses: the first chunk's
-    (n, 10) seeds. Every chunk is encoded in one zero-padded batch and its
-    annotations projected with one matmul; the decoder then runs chunk by
-    chunk on that chunk's own s_i annotations, unmasked, each chunk after
-    the first seeded with the last n poses before it. Returns one
+    """Eval-mode rollout of an utterance: chunks is the list of its (s_i,
+    word_dim) embedded word chunks, seed_poses the first chunk's (n, 10)
+    seeds. Every chunk is encoded in one zero-padded batch; the decoder then
+    runs chunk by chunk on that chunk's own s_i annotations, each chunk
+    after the first seeded with the last n poses before it. Returns one
     (poses (m, 10), attention (m, s_i)) pair of plain arrays per chunk."""
     chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
-    if not chunks or any(c.size == 0 for c in chunks):
-        raise InvalidConfig("cannot run on an empty word sequence")
-    if any(c.ndim != 2 for c in chunks):
-        raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
+    if not chunks:
+        raise InvalidConfig("need at least one embedded word")
     seeds = np.asarray(seed_poses, dtype=np.float64)[None]
     lengths = np.array([len(c) for c in chunks])
     embedded = np.zeros((len(chunks), lengths.max(), model.cfg.word_dim))
@@ -361,11 +354,9 @@ def forward(model, chunks, seed_poses):
     annotations = _encode_graph(model, bag, Tensor(embedded), lengths)
     projected = ad.matmul(annotations, bag.T(model.att_ann)).data
     rollouts = []
-    for row, length in enumerate(lengths):
-        attention = _Attention(
-            model, bag, Tensor(annotations.data[row : row + 1, :length]), Tensor(projected[row : row + 1, :length])
-        )
-        out = _rollout(model, _Decoder(model, bag, attention), seeds)
+    for row, s in enumerate(lengths):
+        own = (Tensor(annotations.data[row : row + 1, :s]), Tensor(projected[row : row + 1, :s]))
+        out = _rollout(model, _Decoder(model, bag, _Attention(model, bag, *own)), seeds)
         rollouts.append((out.poses.data[0], out.attn[0]))
         seeds = np.concatenate([seeds, out.poses.data], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts

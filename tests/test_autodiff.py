@@ -100,6 +100,33 @@ def test_shared_subexpression_gradient():
     assert np.allclose(x.grad, 2 * x.data + 1)
 
 
+def test_stored_gradients_are_never_written_through():
+    # add hands its upstream gradient array to both operands as is: x's
+    # later contributions must not write into the array y keeps
+    x, y = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    s = ad.add(x, y)
+    ad.tsum(ad.mul(ad.add(ad.add(s, x), x), np.array([1.0, 2.0, 3.0]))).backward()
+    assert np.array_equal(y.grad, [1.0, 2.0, 3.0])
+    assert np.array_equal(x.grad, [3.0, 6.0, 9.0])
+
+
+@pytest.mark.parametrize("gru_first", [False, True])
+def test_gru_step_time_index_keeps_other_gradients(gru_first):
+    # gx feeds a time-indexed gru_step and an add that hands it z's gradient
+    # array: the slice add must leave z's gradient as it was
+    rng = np.random.default_rng(6)
+    gx_value, h, u, b = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 2)), rng.normal(size=(2, 6)), rng.normal(size=6)
+    v, w = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 2))
+    gx = Tensor(gx_value, requires_grad=True)
+    z = ad.add(gx, 0.0)
+    terms = [ad.tsum(ad.mul(ad.gru_step(gx, h, u, b, t=1), w)), ad.tsum(ad.mul(z, v))]
+    ad.add(*(terms[::-1] if gru_first else terms)).backward()
+    alone = Tensor(gx_value, requires_grad=True)
+    ad.tsum(ad.mul(ad.gru_step(alone, h, u, b, t=1), w)).backward()
+    assert np.array_equal(z.grad, v)
+    assert np.allclose(gx.grad, alone.grad + v, rtol=0, atol=1e-15)
+
+
 def test_backward_recomputes_not_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
     out = ad.tsum(ad.mul(x, x))
@@ -116,6 +143,7 @@ def test_no_recorded_graph():
 
 _KEEP = np.array([True, False, True])
 _MASK = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
+_ATTENTION_SHAPES = [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]
 
 # case -> (engine op, call, input shapes); a call returns the op's result,
 # a tuple when the op returns plain arrays beside its tensor
@@ -133,8 +161,8 @@ _OP_CASES = {
     ),
     "batch_norm": (ad.batch_norm, lambda *x: ad.batch_norm(*x, 1e-5), [(4, 3), (3,), (3,)]),
     "gesture_loss": (ad.gesture_loss, lambda p: ad.gesture_loss(p, np.ones((2, 4, 3)), 0.7, 0.3), [(2, 4, 3)]),
-    "attention": (ad.attention, ad.attention, [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]),
-    "attention_masked": (ad.attention, lambda *x: ad.attention(*x, _MASK), [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]),
+    "attention": (ad.attention, ad.attention, _ATTENTION_SHAPES),
+    "attention_masked": (ad.attention, lambda *x: ad.attention(*x, _MASK), _ATTENTION_SHAPES),
     "relu": (ad.relu, ad.relu, [(5,)]),
     "tsum": (ad.tsum, ad.tsum, [(3, 4)]),
     "tmean": (ad.tmean, ad.tmean, [(3, 4)]),
@@ -270,32 +298,27 @@ def _padding_mask(rng, batch, s):
     return np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
 
 
-@pytest.mark.parametrize("batch", [1, 4])
-@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "padding_mask"])
-def test_attention_bit_equal_to_composed_graph(batch, masked):
-    rng = np.random.default_rng(batch + 10 * masked)
-    hidden, att, s = 5, 4, 6
-    values = [
-        rng.normal(size=(batch, hidden)),
-        rng.normal(size=(att, hidden)),  # the query weight, fed transposed as the model does
-        rng.normal(size=(batch, s, att)),
-        rng.normal(size=att),
-        rng.normal(size=(batch, s, 2 * hidden)),
-    ]
-    mask = _padding_mask(rng, batch, s) if masked else None
-    g = rng.normal(size=(batch, 2 * hidden))
-    results = []
-    for node in (ad.attention, _composed_attention):
-        leaves = [Tensor(v, requires_grad=True) for v in values]
-        state, w_query, *rest = leaves
-        context, weights = node(state, ad.transpose(w_query), *rest, mask)
-        ad.tsum(ad.mul(context, g)).backward()
-        results.append([context.data, weights] + [leaf.grad for leaf in leaves])
-    names = ["context", "weights", "state", "w_query", "projected", "v", "annotations"]
-    for name, fused, composed in zip(names, *results):
-        assert np.array_equal(fused, composed), name
-    if masked:
-        assert np.all(results[0][1][mask == -np.inf] == 0.0)
+def _power(x, exponent):
+    # Elementwise x**exponent for a constant exponent as a graph node: only
+    # the batch-norm reference graph below needs it, so the engine has no
+    # power op.
+    x = ad.as_tensor(x)
+
+    def backprop(g):
+        ad._accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
+
+    return ad._wrap(np.power(x.data, exponent), (x,), backprop)
+
+
+def _composed_batch_norm(x, scale, shift, eps):
+    # The train-mode graph the lift net recorded before autodiff.batch_norm
+    # fused it into one node, kept as the reference.
+    inv_n = 1.0 / x.shape[0]
+    mu = ad.mul(_sum_axis(x, 0, keepdims=True), inv_n)
+    centered = ad.add(x, ad.mul(mu, -1.0))
+    var = ad.mul(_sum_axis(ad.mul(centered, centered), 0, keepdims=True), inv_n)
+    inv_std = _power(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv_std), scale), shift), mu.data, var.data
 
 
 # -- one property over every fused node ----------------------------------------
@@ -304,35 +327,37 @@ def test_attention_bit_equal_to_composed_graph(batch, masked):
 def _gru_step_case(rng, batch, hidden, steps, *_):
     t = int(rng.integers(steps)) if rng.random() < 0.5 else None
     keep = rng.random(batch) < 0.5 if rng.random() < 0.5 else None
-    w = rng.normal(size=(batch, hidden))
+    node = lambda gx, h, u, b: (ad.gru_step(gx, h, u, b, t=t, keep=keep),)
     gx_shape = (batch, 3 * hidden) if t is None else (batch, steps, 3 * hidden)
-    build = lambda gx, h, u, b: ad.tsum(ad.mul(ad.gru_step(gx, h, u, b, t=t, keep=keep), w))
-    return build, [gx_shape, (batch, hidden), (hidden, 3 * hidden), (3 * hidden,)]
+    return node, None, [gx_shape, (batch, hidden), (hidden, 3 * hidden), (3 * hidden,)], (batch, hidden)
 
 
 def _batch_norm_case(rng, batch, features, *_):
-    w = rng.normal(size=(batch, features))
-    build = lambda x, scale, shift: ad.tsum(ad.mul(ad.batch_norm(x, scale, shift, 1e-5)[0], w))
-    return build, [(batch, features), (features,), (features,)]
+    node = lambda x, scale, shift: ad.batch_norm(x, scale, shift, 1e-5)
+    composed = lambda x, scale, shift: _composed_batch_norm(x, scale, shift, 1e-5)
+    return node, composed, [(batch, features), (features,), (features,)], (batch, features)
 
 
 def _gesture_loss_case(rng, batch, steps, dim, *_):
     target = rng.normal(size=(batch, steps + 1, dim))
     alpha, beta = rng.uniform(0.0, 1.0, size=2)
-    return lambda pred: ad.gesture_loss(pred, target, alpha, beta)[0], [target.shape]
+    return lambda pred: ad.gesture_loss(pred, target, alpha, beta), None, [target.shape], ()
 
 
 def _attention_case(masked):
     def case(rng, batch, hidden, att, s, width):
         mask = _padding_mask(rng, batch, s) if masked else None
-        w = rng.normal(size=(batch, width))
-        build = lambda *inputs: ad.tsum(ad.mul(ad.attention(*inputs, mask)[0], w))
-        return build, [(batch, hidden), (hidden, att), (batch, s, att), (att,), (batch, s, width)]
+        node = lambda *inputs: ad.attention(*inputs, mask)
+        composed = lambda *inputs: _composed_attention(*inputs, mask)
+        shapes = [(batch, hidden), (hidden, att), (batch, s, att), (att,), (batch, s, width)]
+        return node, composed, shapes, (batch, width)
 
     return case
 
 
-# node -> (rng, batch, four widths) -> (build, input shapes) for _fd_check
+# node -> (rng, batch, four widths) -> (node, its composed reference graph or
+# None, input shapes, output shape); node and reference return the output
+# tensor first, then any plain arrays
 _FUSED_NODES = {
     "gru_step": _gru_step_case,
     "batch_norm": _batch_norm_case,
@@ -340,6 +365,21 @@ _FUSED_NODES = {
     "attention": _attention_case(masked=False),
     "attention_masked": _attention_case(masked=True),
 }
+
+
+def _assert_bit_equal(node, composed, shapes, weights, seed):
+    """The node and its composed reference give the same output bits and
+    the same bits of every input's gradient."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=s) * 0.7 + 0.3 for s in shapes]
+    results = []
+    for build in (node, composed):
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        out, *arrays = build(*leaves)
+        ad.tsum(ad.mul(out, weights)).backward()
+        results.append([out.data, *arrays, *(leaf.grad for leaf in leaves)])
+    for i, (fused, reference) in enumerate(zip(*results, strict=True)):
+        assert np.array_equal(fused, reference), i
 
 
 @settings(max_examples=100, deadline=None)
@@ -353,7 +393,13 @@ _FUSED_NODES = {
 @example(node="attention", batch=4, widths=[3, 4, 5, 6], seed=1)
 @example(node="attention_masked", batch=1, widths=[3, 4, 5, 6], seed=2)
 @example(node="attention_masked", batch=4, widths=[3, 4, 5, 6], seed=3)
+@example(node="batch_norm", batch=16, widths=[30, 1, 1, 1], seed=4)
 def test_fused_node_gradients_match_finite_differences(node, batch, widths, seed):
+    """Every input's gradient matches central differences; a node with a
+    composed reference graph also matches its output and gradient bits."""
     rng = np.random.default_rng(seed)
-    build, shapes = _FUSED_NODES[node](rng, batch, *widths)
-    _fd_check(build, shapes, seed=seed)
+    fused, composed, shapes, out_shape = _FUSED_NODES[node](rng, batch, *widths)
+    weights = rng.normal(size=out_shape)
+    _fd_check(lambda *inputs: ad.tsum(ad.mul(fused(*inputs)[0], weights)), shapes, seed=seed)
+    if composed is not None:
+        _assert_bit_equal(fused, composed, shapes, weights, seed)

@@ -151,6 +151,24 @@ def test_generate_reports_stage_seconds(workspace, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
 
 
+def test_retarget_reports_stage_seconds(workspace, tmp_path, capsys):
+    from gesturegen.checkpoint import load_checkpoint
+    from gesturegen.kinematics import save_angles_csv
+    from gesturegen.lifting import retarget_track
+    from gesturegen.synthesis import load_track_csv
+
+    root, _ = workspace
+    args = ["retarget", "--checkpoint", str(root / "ck.ggck"), "--track", str(root / "track.csv")]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "traj.csv")]) == 0
+    summary, stages = capsys.readouterr().out.splitlines()
+    assert summary == f"retargeted 180 frames at 12 fps -> {tmp_path / 'traj.csv'}"
+    assert re.fullmatch(r"stage seconds: read \d+\.\d{4}, retarget \d+\.\d{4}, write \d+\.\d{4}", stages), stages
+    ck = load_checkpoint(root / "ck.ggck")  # the same bytes as the library calls write
+    save_angles_csv(retarget_track(load_track_csv(root / "track.csv"), ck.pca, ck.lift), tmp_path / "ref.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_retarget_and_render(workspace):
     root, _ = workspace
     assert (root / "track.csv").exists()

@@ -25,8 +25,6 @@ from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
-from test_autodiff import _sum_axis
-
 
 class TestLiftForward:
     def test_zero_weights_zero_depths(self):
@@ -114,28 +112,6 @@ class TestLiftForward:
                 assert rel < 1e-4, (name, i, grad[i], fd)
 
 
-def _power(x, exponent):
-    # Elementwise x**exponent for a constant exponent as a graph node: only
-    # the reference graph below needs it, so the engine has no power op.
-    x = ad.as_tensor(x)
-
-    def backprop(g):
-        ad._accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
-
-    return ad._wrap(np.power(x.data, exponent), (x,), backprop)
-
-
-def _composed_batch_norm(x, scale, shift, eps):
-    # The train-mode graph batch_norm_graph recorded before autodiff.batch_norm
-    # fused it into one node, kept as the reference.
-    inv_n = 1.0 / x.shape[0]
-    mu = ad.mul(_sum_axis(x, 0, keepdims=True), inv_n)
-    centered = ad.add(x, ad.mul(mu, -1.0))
-    var = ad.mul(_sum_axis(ad.mul(centered, centered), 0, keepdims=True), inv_n)
-    inv_std = _power(ad.add(var, eps), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv_std), scale), shift), mu.data, var.data
-
-
 def _bn_inputs(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(1.5, 3.0, size=(16, 30))
@@ -151,16 +127,6 @@ def _bn_grads(node, x, scale, shift, weights):
 
 
 class TestBatchNormNode:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_equal_to_composed_graph(self, seed):
-        inputs = _bn_inputs(seed)
-        fused = _bn_grads(ad.batch_norm, *inputs)
-        composed = _bn_grads(_composed_batch_norm, *inputs)
-        for a, b in zip(fused[:3], composed[:3]):
-            assert np.array_equal(a, b)
-        for name, a, b in zip(("x", "scale", "shift"), fused[3], composed[3]):
-            assert np.array_equal(a, b), name
-
     def test_train_mode_finite_differences(self):
         x, scale, shift, weights = _bn_inputs(3)
         _, _, _, grads = _bn_grads(ad.batch_norm, x, scale, shift, weights)

@@ -258,10 +258,9 @@ class TestForward:
             forward(tiny, [rng.normal(size=(4, 7))], rng.normal(size=(5, 10)))
 
     def test_empty_words(self, tiny):
-        with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
-            forward(tiny, [np.zeros((0, 7))], np.zeros((2, 10)))
-        with pytest.raises(InvalidConfig, match="cannot run on an empty word sequence"):
-            forward(tiny, [], np.zeros((2, 10)))
+        for chunks in ([np.zeros((0, 7))], [np.zeros((2, 7)), np.zeros((0, 7))], []):
+            with pytest.raises(InvalidConfig, match="need at least one embedded word"):
+                forward(tiny, chunks, np.zeros((2, 10)))
 
     def test_equals_recorded_rollout(self, tiny):
         rng = np.random.default_rng(11)
