@@ -298,6 +298,34 @@ def _padding_mask(rng, batch, s):
     return np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
 
 
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "padding_mask"])
+def test_attention_bit_equal_to_composed_graph(batch, masked):
+    rng = np.random.default_rng(batch + 10 * masked)
+    hidden, att, s = 5, 4, 6
+    values = [
+        rng.normal(size=(batch, hidden)),
+        rng.normal(size=(att, hidden)),  # the query weight, fed transposed as the model does
+        rng.normal(size=(batch, s, att)),
+        rng.normal(size=att),
+        rng.normal(size=(batch, s, 2 * hidden)),
+    ]
+    mask = _padding_mask(rng, batch, s) if masked else None
+    g = rng.normal(size=(batch, 2 * hidden))
+    results = []
+    for node in (ad.attention, _composed_attention):
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        state, w_query, *rest = leaves
+        context, weights = node(state, ad.transpose(w_query), *rest, mask)
+        ad.tsum(ad.mul(context, g)).backward()
+        results.append([context.data, weights] + [leaf.grad for leaf in leaves])
+    names = ["context", "weights", "state", "w_query", "projected", "v", "annotations"]
+    for name, fused, composed in zip(names, *results):
+        assert np.array_equal(fused, composed), name
+    if masked:
+        assert np.all(results[0][1][mask == -np.inf] == 0.0)
+
+
 def _power(x, exponent):
     # Elementwise x**exponent for a constant exponent as a graph node: only
     # the batch-norm reference graph below needs it, so the engine has no

@@ -25,6 +25,8 @@ from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
+from test_autodiff import _composed_batch_norm
+
 
 class TestLiftForward:
     def test_zero_weights_zero_depths(self):
@@ -127,6 +129,16 @@ def _bn_grads(node, x, scale, shift, weights):
 
 
 class TestBatchNormNode:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_composed_graph(self, seed):
+        inputs = _bn_inputs(seed)
+        fused = _bn_grads(ad.batch_norm, *inputs)
+        composed = _bn_grads(_composed_batch_norm, *inputs)
+        for a, b in zip(fused[:3], composed[:3]):
+            assert np.array_equal(a, b)
+        for name, a, b in zip(("x", "scale", "shift"), fused[3], composed[3]):
+            assert np.array_equal(a, b), name
+
     def test_train_mode_finite_differences(self):
         x, scale, shift, weights = _bn_inputs(3)
         _, _, _, grads = _bn_grads(ad.batch_norm, x, scale, shift, weights)
