@@ -17,7 +17,7 @@ from .errors import InvalidConfig
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_param", "_owns_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_param")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backprop=None, _param=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -79,18 +79,14 @@ def as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    """Add g to t's gradient. A first gradient is stored as given, though it
-    may be a view or another node's gradient, so the second one adds out of
-    place; later ones add into that sum, which t owns. No array stored as
-    given is ever written through."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad, t._owns_grad = g, False
-    elif t._owns_grad:
-        t.grad += g
+        # Copy: g may be a view or an upstream grad buffer shared with
+        # another operand of the same node.
+        t.grad = np.array(g)
     else:
-        t.grad, t._owns_grad = t.grad + g, True
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -115,10 +111,8 @@ def _const(value) -> Tensor:
 
 
 def _wrap(value, parents, backprop):
-    for p in parents:
-        if p.requires_grad:
-            return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
-    return _const(value)
+    """A recorded op result; an op calls it only once an operand needs a gradient."""
+    return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -222,11 +216,9 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
         if gx.requires_grad:
             if t is None:
                 _accumulate(gx, d_pre)
-            else:  # slice adds go into a gradient array that gx owns
+            else:
                 if gx.grad is None:
-                    gx.grad, gx._owns_grad = np.zeros_like(gx.data), True
-                elif not gx._owns_grad:
-                    gx.grad, gx._owns_grad = np.array(gx.grad), True
+                    gx.grad = np.zeros_like(gx.data)
                 gx.grad[:, t] += d_pre
         if h.requires_grad:
             d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T
