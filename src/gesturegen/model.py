@@ -296,7 +296,6 @@ def forward_graph(
     seed_poses: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    record: bool = True,
     lengths=None,
     dropout: float | None = None,
 ) -> RolloutGraph:
@@ -326,7 +325,7 @@ def forward_graph(
     if train and rng is None and dropout > 0.0:
         raise InvalidConfig("train-mode forward needs an rng for dropout")
 
-    bag = _Bag(record)
+    bag = _Bag(True)
     annotations = _encode_graph(model, bag, Tensor(embedded), lengths, train, rng, dropout)
     projected = ad.matmul(annotations, bag.T(model.att_ann))
     decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), train, rng, dropout)
@@ -341,13 +340,16 @@ def forward(model, chunks, seed_poses):
     after the first seeded with the last n poses before it. Returns one
     (poses (m, 10), attention (m, s_i)) pair of plain arrays per chunk."""
     chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
+    seeds = np.asarray(seed_poses, dtype=np.float64)[None]
     if not chunks:
         raise InvalidConfig("need at least one embedded word")
-    seeds = np.asarray(seed_poses, dtype=np.float64)[None]
+    for c in chunks:
+        if c.ndim != 2:
+            raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
+        _check_inputs(model, c[None], seeds)
     lengths = np.array([len(c) for c in chunks])
     embedded = np.zeros((len(chunks), lengths.max(), model.cfg.word_dim))
     for row, c in enumerate(chunks):
-        _check_inputs(model, c[None], seeds)
         embedded[row, : len(c)] = c
 
     bag = _Bag(False)

@@ -28,7 +28,7 @@ from gesturegen.lifting import (
     synth_pose3d_corpus,
     train_lift,
 )
-from gesturegen.model import ModelConfig, backward, forward_graph, init_model
+from gesturegen.model import ModelConfig, backward, forward, forward_graph, init_model
 from gesturegen.pose import (
     GESTURE_DIM,
     L_WRIST,
@@ -76,8 +76,8 @@ def test_criterion_1_gradient_check():
     h = Config()  # the full loss: mse + 0.01 continuity + 1.0 variance
 
     def loss_value():
-        out = forward_graph(model, emb, seeds, record=False)
-        return compute_loss_graph(out.poses, target, h)[0].total
+        [(poses, _)] = forward(model, [emb[0]], seeds[0])
+        return compute_loss(poses, target[0], h).total
 
     rollout = forward_graph(model, emb, seeds)
     _, total = compute_loss_graph(rollout.poses, target, h)
@@ -300,7 +300,7 @@ def test_criterion_6_toy_learnability(toy_system):
     se_model = se_base = count = 0.0
     for p in test_pairs:
         emb = np.stack([table.lookup(w) for w in p.words])
-        pred = forward_graph(model, emb[None], p.target_poses[None, :10], record=False).poses.data[0]
+        [(pred, _)] = forward(model, [emb], p.target_poses[:10])
         target = p.target_poses[10:]
         se_model += float(np.sum((pred - target) ** 2))
         se_base += float(np.sum(target**2))  # the mean pose is the zero vector

@@ -262,11 +262,16 @@ class TestForward:
             with pytest.raises(InvalidConfig, match="need at least one embedded word"):
                 forward(tiny, chunks, np.zeros((2, 10)))
 
+    def test_chunk_not_a_word_matrix(self, tiny):
+        for chunks in ([np.zeros(7)], [np.zeros((2, 7)), np.float64(1.0)], [np.zeros((1, 2, 7))]):
+            with pytest.raises(InvalidConfig, match=r"embedded words must be \(s, 7\)"):
+                forward(tiny, chunks, np.zeros((2, 10)))
+
     def test_equals_recorded_rollout(self, tiny):
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(poses, attn)] = forward(tiny, [emb], seeds)
-        recorded = forward_graph(tiny, emb[None], seeds[None], record=True)
+        recorded = forward_graph(tiny, emb[None], seeds[None])
         assert recorded.poses.requires_grad
         assert np.array_equal(poses, recorded.poses.data[0])
         assert np.array_equal(attn, recorded.attn[0])
@@ -342,8 +347,8 @@ class TestBackward:
         h = Config()
 
         def loss_value():
-            out = forward_graph(tiny, emb, seeds, record=False)
-            return compute_loss_graph(out.poses, target, h)[0].total
+            [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
+            return compute_loss_graph(Tensor(poses[None]), target, h)[0].total
 
         rollout = forward_graph(tiny, emb, seeds)
         _, total = compute_loss_graph(rollout.poses, target, h)
@@ -417,7 +422,7 @@ class TestPaddedBatch:
         rng = np.random.default_rng(seed)
         s = max(lengths) + extra
         emb, seeds = _padded_batch(rng, lengths, s)
-        out = forward_graph(model, emb, seeds, lengths=lengths, record=False)
+        out = forward_graph(model, emb, seeds, lengths=lengths)
         for row, length in enumerate(lengths):
             [(poses, attn)] = forward(model, [emb[row, :length]], seeds[row])
             assert np.max(np.abs(out.poses.data[row] - poses)) <= 1e-12
