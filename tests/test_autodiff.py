@@ -100,33 +100,6 @@ def test_shared_subexpression_gradient():
     assert np.allclose(x.grad, 2 * x.data + 1)
 
 
-def test_stored_gradients_are_never_written_through():
-    # add hands its upstream gradient array to both operands as is: x's
-    # later contributions must not write into the array y keeps
-    x, y = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
-    s = ad.add(x, y)
-    ad.tsum(ad.mul(ad.add(ad.add(s, x), x), np.array([1.0, 2.0, 3.0]))).backward()
-    assert np.array_equal(y.grad, [1.0, 2.0, 3.0])
-    assert np.array_equal(x.grad, [3.0, 6.0, 9.0])
-
-
-@pytest.mark.parametrize("gru_first", [False, True])
-def test_gru_step_time_index_keeps_other_gradients(gru_first):
-    # gx feeds a time-indexed gru_step and an add that hands it z's gradient
-    # array: the slice add must leave z's gradient as it was
-    rng = np.random.default_rng(6)
-    gx_value, h, u, b = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 2)), rng.normal(size=(2, 6)), rng.normal(size=6)
-    v, w = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 2))
-    gx = Tensor(gx_value, requires_grad=True)
-    z = ad.add(gx, 0.0)
-    terms = [ad.tsum(ad.mul(ad.gru_step(gx, h, u, b, t=1), w)), ad.tsum(ad.mul(z, v))]
-    ad.add(*(terms[::-1] if gru_first else terms)).backward()
-    alone = Tensor(gx_value, requires_grad=True)
-    ad.tsum(ad.mul(ad.gru_step(alone, h, u, b, t=1), w)).backward()
-    assert np.array_equal(z.grad, v)
-    assert np.allclose(gx.grad, alone.grad + v, rtol=0, atol=1e-15)
-
-
 def test_backward_recomputes_not_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
     out = ad.tsum(ad.mul(x, x))
