@@ -338,7 +338,8 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     context = np.matmul(weights.reshape(batch, 1, s), annotations.data).reshape(batch, -1)
-    if not any(x.requires_grad for x in (state, w_query_t, projected, v, annotations)):
+    recording = state.requires_grad or w_query_t.requires_grad or projected.requires_grad or v.requires_grad
+    if not (recording or annotations.requires_grad):
         return _const(context), weights
 
     def backprop(g):

@@ -66,6 +66,7 @@ def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e
         store.register(f"lift.bn{i}.shift", np.zeros(width))
         running[f"mean{i}"] = np.zeros(width)
         running[f"var{i}"] = np.ones(width)
+    store.pack()
     return LiftNetParams(store=store, bn_momentum=bn_momentum, bn_eps=bn_eps, running=running)
 
 

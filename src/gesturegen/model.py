@@ -48,11 +48,12 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
 
 
 class ParamStore:
-    """Ordered collection of uniquely named parameters."""
+    """Uniquely named parameters. `pack`, run once after the last `register`,
+    copies each value into the flat float64 buffer ``values``; each value and
+    grad is then a view of ``values`` or ``grads`` at the same offsets."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
@@ -60,9 +61,16 @@ class ParamStore:
     def register(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._params:
             raise InvalidConfig(f"duplicate parameter name: {name}")
-        p = Parameter(name, value)
-        self._params[name] = p
+        p = self._params[name] = Parameter(name, value)
         return p
+
+    def pack(self):
+        self.values = np.concatenate([p.value.ravel() for p in self._params.values()])
+        self.grads = np.zeros(self.values.size)  # calloc: pages stay unmapped until a gradient is written
+        end = 0
+        for p in self._params.values():
+            start, end = end, end + p.value.size
+            p.value, p.grad = (flat[start:end].reshape(p.value.shape) for flat in (self.values, self.grads))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -71,8 +79,7 @@ class ParamStore:
         return self._params.items()
 
     def zero_grads(self):
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grads[...] = 0.0
 
 
 @dataclass
@@ -149,6 +156,7 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     model.decoder.append(_register_cell(store, rng, "dec.l1", cfg.hidden, cfg.hidden))
     model.post_w = store.register("dec.post.w", _xavier(rng, cfg.gesture_dim, cfg.hidden))
     model.post_b = store.register("dec.post.b", np.zeros(cfg.gesture_dim))
+    store.pack()
     return model
 
 

@@ -26,6 +26,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP = 5.0  # bound on every gradient entry before the Adam step
+_ADAM_BLOCK = 32768  # values per adam_step pass: 256 KB an array, so its temporaries stay in L2
 
 Hyperparams = Config  # bench/workloads.py is its only user; the next benchmark change drops it
 
@@ -52,12 +53,12 @@ class TrainingPair:
 
 
 class AdamState:
-    """Per-parameter moment accumulators for bias-corrected Adam."""
+    """Bias-corrected Adam moments: two flat arrays laid out like the store's ``values``."""
 
     def __init__(self, store: ParamStore):
         self.step_count = 0
-        self.first = {name: np.zeros_like(p.value) for name, p in store.items()}
-        self.second = {name: np.zeros_like(p.value) for name, p in store.items()}
+        self.first = np.zeros_like(store.values)
+        self.second = np.zeros_like(store.values)
 
 
 def compute_loss_graph(pred: Tensor, target: np.ndarray, cfg: Config):
@@ -76,27 +77,26 @@ def compute_loss_graph(pred: Tensor, target: np.ndarray, cfg: Config):
 
 def clip_gradients(store: ParamStore):
     """Clamp every gradient entry into [-GRAD_CLIP, GRAD_CLIP], in place. Idempotent."""
-    for _, p in store.items():
-        np.clip(p.grad, -GRAD_CLIP, GRAD_CLIP, out=p.grad)
+    np.clip(store.grads, -GRAD_CLIP, GRAD_CLIP, out=store.grads)
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float):
-    """Standard bias-corrected Adam update. Gradients are left untouched;
-    the caller decides when to clear them."""
+    """Standard bias-corrected Adam update, one _ADAM_BLOCK slice of the flat buffers at a time.
+    Gradients are left untouched; the caller decides when to clear them."""
+    if state.first.shape != store.values.shape:
+        raise InvalidConfig("Adam state does not match the parameter store")
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, p in store.items():
-        m = state.first.get(name)
-        v = state.second.get(name)
-        if m is None or m.shape != p.value.shape:
-            raise InvalidConfig(f"Adam state does not match parameter {name}")
+    for lo in range(0, store.values.size, _ADAM_BLOCK):
+        block = slice(lo, lo + _ADAM_BLOCK)
+        g, m, v = store.grads[block], state.first[block], state.second[block]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * p.grad
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
-        p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        store.values[block] -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
@@ -139,7 +139,7 @@ class TrainResult:
 def _check_finite(store: ParamStore, loss: float, epoch: int, batch: int):
     if not np.isfinite(loss):
         what = "loss"
-    elif not all(np.isfinite(p.grad).all() for _, p in store.items()):
+    elif not np.isfinite(store.grads).all():
         what = "gradient"
     else:
         return

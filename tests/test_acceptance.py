@@ -6,6 +6,7 @@ The expensive toy-scale training is a session fixture shared by the
 learnability and continuity criteria; everything else runs from scratch.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -579,10 +580,12 @@ def test_criterion_12_latency_report(toy_system):
     tokens = [vocab[i] for i in rng.integers(0, len(vocab), size=25)]
     plan = plan_chunks(tokens, 15.0, 10, 20)
     generate_gesture(model, plan, table)  # warm caches
-    started = time.perf_counter()
-    generate_gesture(model, plan, table)
-    elapsed = time.perf_counter() - started
+    times = []
+    for _ in range(5):  # one call reports host drift more than the code
+        started = time.perf_counter()
+        generate_gesture(model, plan, table)
+        times.append(time.perf_counter() - started)
     scoreboard(
-        f"[acceptance 12] INFO — 25-word sentence, {len(plan.chunks)} inferences: {elapsed:.3f} s on one CPU core "
-        f"(reference report: 0.14 s); not gated"
+        f"[acceptance 12] INFO — 25-word sentence, {len(plan.chunks)} inferences: median {statistics.median(times):.3f} s "
+        f"of 5 calls ({min(times):.3f}-{max(times):.3f} s) on one CPU core (reference report: 0.14 s); not gated"
     )

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gesturegen import training
 from gesturegen.autodiff import Tensor
+from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gesturegen.config import Config
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import InvalidConfig
+from gesturegen.lifting import init_lift_params, synth_pose3d_corpus, train_lift
 from gesturegen.model import ModelConfig, backward, init_model
 from gesturegen.pose import fit_pca
 from gesturegen.text import EmbeddingTable
@@ -169,6 +173,77 @@ class TestClipAndAdam:
         p.grad[...] = 2.0
         adam_step(store, state, 1e-3)
         assert np.all(p.grad == 2.0)
+
+
+def _reference_zero_grads(store):
+    for _, p in store.items():
+        p.grad[...] = 0.0
+
+
+def _reference_clip_gradients(store):
+    for _, p in store.items():
+        np.clip(p.grad, -training.GRAD_CLIP, training.GRAD_CLIP, out=p.grad)
+
+
+def _reference_adam_step(store, state, lr):
+    """The per-parameter Adam update that ran before the store kept flat
+    buffers; ``state`` holds the step count and one moment array per name."""
+    state["t"] += 1
+    t = state["t"]
+    bias1 = 1.0 - training.ADAM_BETA1**t
+    bias2 = 1.0 - training.ADAM_BETA2**t
+    for name, p in store.items():
+        m = state["first"][name]
+        v = state["second"][name]
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * p.grad
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * (p.grad * p.grad)
+        p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + training.ADAM_EPS)
+
+
+def _bits(store, attr):
+    return b"".join(getattr(p, attr).tobytes() for _, p in store.items())
+
+
+def _same_random_grads(rng, a, b, scale):
+    for (_, p), (_, q) in zip(a.items(), b.items()):
+        p.grad[...] = q.grad[...] = rng.normal(0.0, scale, p.grad.shape)
+
+
+# 80,306 values: two whole Adam blocks and a partial third
+BLOCKS_CFG = ModelConfig(word_dim=40, hidden=40, att_dim=16, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+
+
+class TestFlatBuffersMatchPerParameterReference:
+    @pytest.mark.parametrize("kind", ["seq2seq", "lift"])
+    def test_three_steps_bit_equal(self, kind):
+        make = (lambda: init_model(BLOCKS_CFG, seed=5).store) if kind == "seq2seq" else (lambda: init_lift_params(5).store)
+        flat, ref = make(), make()
+        if kind == "seq2seq":
+            assert 2 * training._ADAM_BLOCK < flat.values.size < 3 * training._ADAM_BLOCK
+        state = AdamState(flat)
+        ref_state = {
+            "t": 0,
+            "first": {name: np.zeros_like(p.value) for name, p in ref.items()},
+            "second": {name: np.zeros_like(p.value) for name, p in ref.items()},
+        }
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            _same_random_grads(rng, flat, ref, 1.0)
+            flat.zero_grads()
+            _reference_zero_grads(ref)
+            assert _bits(flat, "grad") == _bits(ref, "grad")
+            _same_random_grads(rng, flat, ref, 4.0)  # about a fifth of the entries beyond the clip bound
+            clip_gradients(flat)
+            _reference_clip_gradients(ref)
+            assert _bits(flat, "grad") == _bits(ref, "grad")
+            adam_step(flat, state, 1e-2)
+            _reference_adam_step(ref, ref_state, 1e-2)
+            assert _bits(flat, "value") == _bits(ref, "value")
+            for moments, ref_moments in ((state.first, ref_state["first"]), (state.second, ref_state["second"])):
+                assert moments.tobytes() == b"".join(m.tobytes() for m in ref_moments.values())
+        assert state.step_count == ref_state["t"] == 3
 
 
 def _record(n_frames, words):
@@ -347,3 +422,57 @@ class TestTrainModel:
         cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
             train_model(_template_pairs(2, 2, 4, rng), Config(epochs=1), init_model(cfg, seed=0), _toy_table())
+
+
+def _assert_packed(store):
+    """Each value and grad is a view of ``store.values`` or ``store.grads``
+    at consecutive offsets in registration order, and the buffers hold
+    nothing else."""
+    offset = 0
+    for name, p in store.items():
+        assert p.grad.shape == p.value.shape, name
+        for view, flat in ((p.value, store.values), (p.grad, store.grads)):
+            assert np.shares_memory(view, flat) and view.flags.c_contiguous, name
+            assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        offset += p.value.size
+    assert store.values.shape == store.grads.shape == (offset,)
+    assert store.values.dtype == store.grads.dtype == np.float64
+
+
+class TestParamStoreLayout:
+    def test_init_packs_both_stores(self):
+        _assert_packed(init_model(BLOCKS_CFG, seed=1).store)
+        _assert_packed(init_lift_params(seed=1).store)
+
+    def test_load_checkpoint_packs_both_stores(self, tmp_path):
+        ck = Checkpoint(config={"seed": 1}, model=init_model(BLOCKS_CFG, seed=1), lift=init_lift_params(seed=2))
+        save_checkpoint(ck, tmp_path / "model.ggck")
+        loaded = load_checkpoint(tmp_path / "model.ggck")
+        for store, saved in ((loaded.model.store, ck.model.store), (loaded.lift.store, ck.lift.store)):
+            _assert_packed(store)
+            assert store.values.tobytes() == saved.values.tobytes()
+
+    def test_training_keeps_the_views(self):
+        cfg = ModelConfig(word_dim=6, hidden=5, att_dim=5, n_seed_poses=2, n_output_poses=4, dropout=0.1)
+        model = init_model(cfg, seed=1)
+        start = model.store.values.copy()
+        h = Config(epochs=2, lr=1e-3, batch_size=4, seed=7)
+        train_model(_template_pairs(6, 2, 4, np.random.default_rng(5)), h, model, _toy_table())
+        _assert_packed(model.store)
+        assert not np.array_equal(model.store.values, start)
+        _assert_packed(train_lift(synth_pose3d_corpus(seed=3, size=8), Config(lift_steps=3)).store)
+
+    def test_init_memory_is_buffers_plus_one_copy(self):
+        """Building a store holds at most the drawn values, the values buffer
+        and the grads buffer: one transient copy of each value."""
+        cfg = ModelConfig(word_dim=300, hidden=128, att_dim=128, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+        init_model(BLOCKS_CFG)  # finish lazy imports before tracing
+        tracemalloc.start()
+        try:
+            model = init_model(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.store.values.size > 900_000
+        assert peak <= 3 * model.store.values.nbytes + 64 * 1024
+
