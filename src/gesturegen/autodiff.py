@@ -2,8 +2,10 @@
 
 Every operation records its inputs and a local backward rule on the output
 tensor, so calling ``backward()`` on a scalar result propagates gradients to
-all reachable leaves. An op whose operands need no gradient builds no
-backward rule at all, which keeps evaluation-mode passes cheap.
+all reachable leaves. An operand is a recording ``Tensor`` (requires_grad)
+or a plain value that acts as a constant. An op none of whose operands
+records returns its plain result, an ndarray or a scalar, so evaluation-mode
+passes run on plain arrays and build no graph object.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -31,10 +33,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     # -- graph traversal ----------------------------------------------------
 
     def _toposort(self):
@@ -51,7 +49,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen and parent.requires_grad:
+                if id(parent) not in seen and isinstance(parent, Tensor) and parent.requires_grad:
                     stack.append((parent, False))
         return order
 
@@ -74,13 +72,25 @@ class Tensor:
         return order
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _data(x):
+    """An operand's value: a tensor's data, or the plain value itself."""
+    return x.data if isinstance(x, Tensor) else x
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _records(*operands) -> bool:
+    """Whether any operand is a recording tensor."""
+    for x in operands:
+        if isinstance(x, Tensor) and x.requires_grad:
+            return True
+    return False
+
+
+def _accumulate(t, g: np.ndarray):
+    """Add g, summed back down to t's shape, into t's gradient; an operand
+    that does not record takes none."""
+    if not _records(t):
         return
+    g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         # Copy: g may be a view or an upstream grad buffer shared with
         # another operand of the same node.
@@ -102,14 +112,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _const(value) -> Tensor:
-    """An op result that records nothing, without Tensor.__init__'s array
-    conversion: ``value`` is already the op's float64 result."""
-    t = object.__new__(Tensor)
-    t.data, t.grad, t.requires_grad, t._parents, t._backprop, t._param = value, None, False, (), None, None
-    return t
-
-
 def _wrap(value, parents, backprop):
     """A recorded op result; an op calls it only once an operand needs a gradient."""
     return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
@@ -118,62 +120,61 @@ def _wrap(value, parents, backprop):
 # -- arithmetic ---------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_val = a.data + b.data
-    if not (a.requires_grad or b.requires_grad):
-        return _const(out_val)
+def add(a, b):
+    out_val = _data(a) + _data(b)
+    if not _records(a, b):
+        return out_val
 
     def backprop(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _wrap(out_val, (a, b), backprop)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_val = a.data * b.data
-    if not (a.requires_grad or b.requires_grad):
-        return _const(out_val)
+def mul(a, b):
+    av, bv = _data(a), _data(b)
+    out_val = av * bv
+    if not _records(a, b):
+        return out_val
 
     def backprop(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, g * bv)
+        _accumulate(b, g * av)
 
     return _wrap(out_val, (a, b), backprop)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b):
     """np.matmul semantics for operands of ndim >= 2, broadcasting batch dims.
 
     An N-d input times a 2-d weight runs as one 2-d GEMM over the flattened
     leading dims, forward and backward."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    av, bv = _data(a), _data(b)
+    if av.ndim < 2 or bv.ndim < 2:
         raise InvalidConfig("matmul operands must have ndim >= 2")
-    flat = a.data.ndim > 2 and b.data.ndim == 2
+    flat = av.ndim > 2 and bv.ndim == 2
     if flat:
-        out_val = (a.data.reshape(-1, a.data.shape[-1]) @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+        out_val = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
     else:
-        out_val = np.matmul(a.data, b.data)
-    if not (a.requires_grad or b.requires_grad):
-        return _const(out_val)
+        out_val = np.matmul(av, bv)
+    if not _records(a, b):
+        return out_val
 
     def backprop(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
+        if _records(a):
+            _accumulate(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
+        if _records(b):
             if flat:
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+                gb = np.matmul(np.swapaxes(av, -1, -2), g)
             _accumulate(b, gb)
 
     return _wrap(out_val, (a, b), backprop)
 
 
-def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
+def gru_step(gx, h, u, b, t=None, keep=None):
     """One fused GRU update, gates ordered update (z), reset (r), candidate:
 
         z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
@@ -185,11 +186,10 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
     ``keep`` is False carry h unchanged (padded steps). The whole cell is one
     graph node with a hand-written backward.
     """
-    gx, h, u, b = as_tensor(gx), as_tensor(h), as_tensor(u), as_tensor(b)
-    hidden = h.data.shape[-1]
+    gxt = _data(gx) if t is None else _data(gx)[:, t]
+    hd, ud, bd = _data(h), _data(u), _data(b)
+    hidden = hd.shape[-1]
     two = 2 * hidden
-    gxt = gx.data if t is None else gx.data[:, t]
-    hd, ud, bd = h.data, u.data, b.data
     u_zr, u_c = ud[:, :two], ud[:, two:]
     zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + hd @ u_zr) + bd[:two])) + 1.0)  # overflow-free logistic
     z, r = zr[:, :hidden], zr[:, hidden:]
@@ -199,8 +199,8 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
     if keep is not None:
         keep = keep[:, None]
         out_val = np.where(keep, out_val, hd)
-    if not (gx.requires_grad or h.requires_grad or u.requires_grad or b.requires_grad):
-        return _const(out_val)
+    if not _records(gx, h, u, b):
+        return out_val
 
     def backprop(g):
         g_carry = None
@@ -213,24 +213,24 @@ def gru_step(gx, h, u, b, t=None, keep=None) -> Tensor:
         d_rh = d_pre[:, two:] @ u_c.T
         d_pre[:, :hidden] = g * (c - hd) * z * (1.0 - z)
         d_pre[:, hidden:two] = d_rh * hd * r * (1.0 - r)
-        if gx.requires_grad:
+        if _records(gx):
             if t is None:
                 _accumulate(gx, d_pre)
             else:
                 if gx.grad is None:
                     gx.grad = np.zeros_like(gx.data)
                 gx.grad[:, t] += d_pre
-        if h.requires_grad:
+        if _records(h):
             d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T
             if g_carry is not None:
                 d_h += g_carry
             _accumulate(h, d_h)
-        if u.requires_grad:
+        if _records(u):
             d_u = np.empty_like(ud)
             d_u[:, :two] = hd.T @ d_pre[:, :two]
             d_u[:, two:] = rh.T @ d_pre[:, two:]
             _accumulate(u, d_u)
-        if b.requires_grad:
+        if _records(b):
             _accumulate(b, d_pre.sum(axis=0))
 
     return _wrap(out_val, (gx, h, u, b), backprop)
@@ -247,22 +247,22 @@ def batch_norm(x, scale, shift, eps: float):
     the hand-written backward round as the composed mean / add / mul /
     power graph does, so both give the same bits.
     """
-    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
-    inv_n = 1.0 / x.shape[0]
-    mu = x.data.sum(axis=0, keepdims=True) * inv_n
-    centered = x.data + mu * -1.0
+    xv, scale_v = _data(x), _data(scale)
+    inv_n = 1.0 / xv.shape[0]
+    mu = xv.sum(axis=0, keepdims=True) * inv_n
+    centered = xv + mu * -1.0
     var = (centered * centered).sum(axis=0, keepdims=True) * inv_n
     var_eps = var + eps
     inv_std = np.power(var_eps, -0.5)
     normalized = centered * inv_std
-    out_val = normalized * scale.data + shift.data
-    if not (x.requires_grad or scale.requires_grad or shift.requires_grad):
-        return _const(out_val), mu, var
+    out_val = normalized * scale_v + _data(shift)
+    if not _records(x, scale, shift):
+        return out_val, mu, var
 
     def backprop(g):
-        _accumulate(shift, _unbroadcast(g, shift.data.shape))
-        _accumulate(scale, _unbroadcast(g * normalized, scale.data.shape))
-        g_norm = g * scale.data
+        _accumulate(shift, g)
+        _accumulate(scale, g * normalized)
+        g_norm = g * scale_v
         g_var = (g_norm * centered).sum(axis=0, keepdims=True) * -0.5 * np.power(var_eps, -1.5)
         g_sq_c = g_var * inv_n * centered
         g_centered = (g_norm * inv_std + g_sq_c) + g_sq_c
@@ -275,24 +275,24 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     """The training loss of a (B, m, d) prediction against a (B, m, d)
     target array, one fused graph node (formula in the ``training`` module
     docstring). Returns (total, mse, continuity, variance): the total as a
-    tensor, the terms as floats. The forward and the hand-written backward
-    round as the same loss composed of add / mul / tsum / slice / sqrt
-    nodes does, so both give the same bits; a zero-length step has
-    subgradient 0.
+    tensor when pred records, else a scalar, the terms as floats. The
+    forward and the hand-written backward round as the same loss composed
+    of add / mul / tsum / slice / sqrt nodes does, so both give the same
+    bits; a zero-length step has subgradient 0.
     """
-    pred = as_tensor(pred)
-    b, m, d = pred.shape
-    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / pred.data.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
-    diff = pred.data + -target
+    p = _data(pred)
+    b, m, d = p.shape
+    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
+    diff = p + -target
     mse = (diff * diff).sum() * inv_n
-    steps = pred.data[:, 1:] + pred.data[:, :-1] * -1.0
+    steps = p[:, 1:] + p[:, :-1] * -1.0
     norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
     continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
-    centered = pred.data + pred.data.sum(axis=1, keepdims=True) * inv_m * -1.0
+    centered = p + p.sum(axis=1, keepdims=True) * inv_m * -1.0
     variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
     total = (mse + continuity * alpha) + variance * beta
-    if not pred.requires_grad:
-        return _const(total), float(mse), float(continuity), float(variance)
+    if not _records(pred):
+        return total, float(mse), float(continuity), float(variance)
 
     def backprop(g):
         # pred's five contributions in the composed graph's order: mse,
@@ -324,34 +324,34 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
     projected the precomputed (B, s, A) annotation projection, v the (A,)
     score vector and annotations (B, s, C). The optional (B, s) mask is added
     to the scores: -inf gives a position weight exactly 0. Returns (context
-    tensor (B, C), weights array (B, s)); the weights carry no graph. The
-    forward and the hand-written backward round as the composed matmul /
-    add / tanh / softmax / reshape graph does, so both give the same values
-    (outer products keep a zero's sign where a k=1 matmul gives +0).
+    (B, C), a tensor when an operand records, weights array (B, s)); the
+    weights carry no graph. The forward and the hand-written backward round
+    as the composed matmul / add / tanh / softmax / reshape graph does, so
+    both give the same values (outer products keep a zero's sign where a
+    k=1 matmul gives +0).
     """
-    state, w_query_t, projected, v, annotations = map(as_tensor, (state, w_query_t, projected, v, annotations))
-    batch, s, att = projected.shape
-    t = np.tanh((state.data @ w_query_t.data).reshape(batch, 1, att) + projected.data)
-    scores = (t.reshape(-1, att) @ v.data.reshape(att, 1)).reshape(batch, s)
+    state_v, w_query_v, proj_v, v_v, ann_v = map(_data, (state, w_query_t, projected, v, annotations))
+    batch, s, att = proj_v.shape
+    t = np.tanh((state_v @ w_query_v).reshape(batch, 1, att) + proj_v)
+    scores = (t.reshape(-1, att) @ v_v.reshape(att, 1)).reshape(batch, s)
     if mask is not None:
         scores = scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    context = np.matmul(weights.reshape(batch, 1, s), annotations.data).reshape(batch, -1)
-    recording = state.requires_grad or w_query_t.requires_grad or projected.requires_grad or v.requires_grad
-    if not (recording or annotations.requires_grad):
-        return _const(context), weights
+    context = np.matmul(weights.reshape(batch, 1, s), ann_v).reshape(batch, -1)
+    if not _records(state, w_query_t, projected, v, annotations):
+        return context, weights
 
     def backprop(g):
         _accumulate(annotations, weights[:, :, None] * g[:, None, :])
-        g_w = np.matmul(annotations.data, g[:, :, None]).reshape(batch, s)
+        g_w = np.matmul(ann_v, g[:, :, None]).reshape(batch, s)
         d_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
         _accumulate(v, (t.reshape(-1, att).T @ d_scores.reshape(-1, 1)).reshape(att))
-        d_pre = d_scores[..., None] * v.data * (1.0 - t * t)
+        d_pre = d_scores[..., None] * v_v * (1.0 - t * t)
         _accumulate(projected, d_pre)
         d_q = d_pre.sum(axis=1)
-        _accumulate(state, d_q @ w_query_t.data.T)
-        _accumulate(w_query_t, state.data.T @ d_q)
+        _accumulate(state, d_q @ w_query_v.T)
+        _accumulate(w_query_t, state_v.T @ d_q)
 
     return _wrap(context, (state, w_query_t, projected, v, annotations), backprop), weights
 
@@ -359,14 +359,14 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
 # -- nonlinearities -----------------------------------------------------------
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.maximum(x.data, 0.0)
-    if not x.requires_grad:
-        return _const(y)
+def relu(x):
+    xv = _data(x)
+    y = np.maximum(xv, 0.0)
+    if not _records(x):
+        return y
 
     def backprop(g):
-        _accumulate(x, g * (x.data > 0.0))
+        _accumulate(x, g * (xv > 0.0))
 
     return _wrap(y, (x,), backprop)
 
@@ -374,11 +374,10 @@ def relu(x) -> Tensor:
 # -- reductions and reshaping -------------------------------------------------
 
 
-def tsum(x) -> Tensor:
-    x = as_tensor(x)
-    total = x.data.sum()
-    if not x.requires_grad:
-        return _const(total)
+def tsum(x):
+    total = _data(x).sum()
+    if not _records(x):
+        return total
 
     def backprop(g):
         _accumulate(x, np.broadcast_to(g, x.data.shape))
@@ -386,53 +385,49 @@ def tsum(x) -> Tensor:
     return _wrap(total, (x,), backprop)
 
 
-def tmean(x) -> Tensor:
-    x = as_tensor(x)
-    return mul(tsum(x), 1.0 / x.data.size)
+def tmean(x):
+    return mul(tsum(x), 1.0 / _data(x).size)
 
 
-def concat(tensors, axis=-1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    y = np.concatenate([t.data for t in tensors], axis=axis)
-    if not any(t.requires_grad for t in tensors):
-        return _const(y)
+def concat(tensors, axis=-1):
+    values = [_data(t) for t in tensors]
+    y = np.concatenate(values, axis=axis)
+    if not _records(*tensors):
+        return y
 
     def backprop(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        splits = np.cumsum([v.shape[axis] for v in values])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accumulate(t, piece)
 
-    return _wrap(y, tuple(tensors), backprop)
+    return _wrap(y, tensors, backprop)
 
 
-def stack(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    y = np.stack([t.data for t in tensors], axis=axis)
-    if not any(t.requires_grad for t in tensors):
-        return _const(y)
+def stack(tensors, axis=0):
+    y = np.stack([_data(t) for t in tensors], axis=axis)
+    if not _records(*tensors):
+        return y
 
     def backprop(g):
         for i, t in enumerate(tensors):
             _accumulate(t, np.take(g, i, axis=axis))
 
-    return _wrap(y, tuple(tensors), backprop)
+    return _wrap(y, tensors, backprop)
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout: scaling happens at train time so evaluation passes
     need no correction."""
-    x = as_tensor(x)
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep = (rng.random(_data(x).shape) >= rate).astype(np.float64) / (1.0 - rate)
     return mul(x, keep)
 
 
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.swapaxes(x.data, -1, -2)
-    if not x.requires_grad:
-        return _const(y)
+def transpose(x):
+    y = np.swapaxes(_data(x), -1, -2)
+    if not _records(x):
+        return y
 
     def backprop(g):
         _accumulate(x, np.swapaxes(g, -1, -2))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .config import Config
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, clamp_angles, compute_joint_angles, forward_kinematics
@@ -70,7 +69,7 @@ def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e
     return LiftNetParams(store=store, bn_momentum=bn_momentum, bn_eps=bn_eps, running=running)
 
 
-def batch_norm_graph(x: Tensor, scale: Tensor, shift: Tensor, run_mean, run_var, train, momentum, eps):
+def batch_norm_graph(x, scale, shift, run_mean, run_var, train, momentum, eps):
     """Normalize per feature. Train mode uses batch statistics (population
     variance, one fused graph node) and updates the running buffers in
     place; eval mode uses the running statistics as constants."""
@@ -86,8 +85,9 @@ def batch_norm_graph(x: Tensor, scale: Tensor, shift: Tensor, run_mean, run_var,
     return ad.add(ad.mul(normalized, scale), shift)
 
 
-def lift_forward_graph(params: LiftNetParams, x: Tensor, train: bool, record: bool = True) -> Tensor:
-    """x: (B, 14) -> depths (B, 7)."""
+def lift_forward_graph(params: LiftNetParams, x: np.ndarray, train: bool, record: bool = True):
+    """x: (B, 14) -> depths (B, 7), a recorded tensor when ``record``, else
+    a plain array."""
     bag = _Bag(record)
     h = x
     for i in (1, 2):
@@ -149,7 +149,7 @@ def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
     Eval mode: batch normalization uses the running statistics, so each
     row's depths are independent of the batch size.
     """
-    return lift_forward_graph(params, Tensor(np.asarray(poses, dtype=np.float64)), train=False, record=False).data
+    return lift_forward_graph(params, np.asarray(poses, dtype=np.float64), train=False, record=False)
 
 
 def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
@@ -225,7 +225,7 @@ def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.lift_steps):
         batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
-        out = lift_forward_graph(params, Tensor(pose2d_to_lift_input(project_to_image(batch))), train=True)
+        out = lift_forward_graph(params, pose2d_to_lift_input(project_to_image(batch)), train=True)
         diff = ad.add(out, -depth_targets(batch))
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()

@@ -8,11 +8,11 @@ warm-up steps only the last runs the post-linear layer: its pose feeds the
 first generated step, and no step reads the others'.
 
 Every pass runs through one set of autodiff graph builders: `forward_graph`
-records the graph for training, `forward` runs the same builders without
-recording (their ops build no backward) and returns plain arrays, and
-`backward` harvests parameter gradients from a recorded loss. `forward`
-encodes all word chunks of an utterance in one batch, then decodes them in
-order, each seeded with the last poses of the one before.
+records the graph for training, `forward` runs the same builders on the
+plain parameter values, so no op records and every result is a plain
+array, and `backward` harvests parameter gradients from a recorded loss.
+`forward` encodes all word chunks of an utterance in one batch, then
+decodes them in order, each seeded with the last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -161,22 +161,23 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
 
 
 class _Bag:
-    """Per-pass cache mapping parameters to graph tensors, plain and
-    transposed, so each parameter enters a pass's graph once."""
+    """Per-pass cache mapping parameters to their operands, plain and
+    transposed, so each parameter enters a pass's graph once. A recording
+    bag hands out recording tensors, an eval bag the values themselves."""
 
     def __init__(self, record: bool):
         self.record = record
-        self._plain: dict[str, Tensor] = {}
-        self._transposed: dict[str, Tensor] = {}
+        self._plain = {}
+        self._transposed = {}
 
-    def __call__(self, p: Parameter) -> Tensor:
+    def __call__(self, p: Parameter):
         t = self._plain.get(p.name)
         if t is None:
-            t = Tensor(p.value, requires_grad=self.record, _param=p if self.record else None)
+            t = Tensor(p.value, requires_grad=True, _param=p) if self.record else p.value
             self._plain[p.name] = t
         return t
 
-    def T(self, p: Parameter) -> Tensor:
+    def T(self, p: Parameter):
         t = self._transposed.get(p.name)
         if t is None:
             t = ad.transpose(self(p))
@@ -184,7 +185,7 @@ class _Bag:
         return t
 
 
-def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
+def _run_direction(bag, cell, inputs, keep, reverse: bool):
     """(B, s, in) inputs -> (B, s, H) states. One input matmul for every
     step, then the fused recurrence; keep[t] (None: every row) masks the
     rows whose sequence has ended, which carry their state."""
@@ -192,7 +193,7 @@ def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
     gx = ad.matmul(inputs, bag.T(w))
     u, b = bag.T(u), bag(b)
     batch, s, _ = inputs.shape
-    h = Tensor(np.zeros((batch, u.shape[0])))
+    h = np.zeros((batch, u.shape[0]))
     states = [None] * s
     for t in range(s - 1, -1, -1) if reverse else range(s):
         h = ad.gru_step(gx, h, u, b, t=t, keep=keep[t])
@@ -200,7 +201,7 @@ def _run_direction(bag, cell, inputs: Tensor, keep, reverse: bool) -> Tensor:
     return ad.stack(states, axis=1)
 
 
-def _encode_graph(model, bag, inputs: Tensor, lengths=None, train=False, rng=None, dropout=0.0):
+def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, train=False, rng=None, dropout=0.0):
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H). Row i has
     lengths[i] words followed by padding (None: no padding); padded steps
     carry the state in both directions, so the backward direction starts
@@ -225,13 +226,13 @@ class _Attention:
     ``mask`` is a (B, s) array added to the scores: 0 on words, -inf on
     padding, so padded positions get weight exactly 0."""
 
-    def __init__(self, model, bag, annotations: Tensor, projected: Tensor, mask=None):
+    def __init__(self, model, bag, annotations, projected, mask=None):
         self.annotations, self.projected, self.mask = annotations, projected, mask
         self.w_query_t = bag.T(model.att_query)
         self.v = bag(model.att_score)
 
-    def __call__(self, state: Tensor):
-        """(context tensor (B, 2H), weights array (B, s)) for a (B, H) query."""
+    def __call__(self, state):
+        """(context (B, 2H), weights array (B, s)) for a (B, H) query."""
         return ad.attention(state, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
 
 
@@ -262,11 +263,11 @@ class _Decoder:
 
 @dataclass
 class RolloutGraph:
-    """A rollout's emitted poses (B, m, 10) as a tensor, recorded in
-    training, and attention rows (B, m, s) as a plain array (the loss never
-    reads them)."""
+    """A rollout's emitted poses (B, m, 10), a recorded tensor in training
+    and a plain array in eval, and attention rows (B, m, s) as a plain array
+    (the loss never reads them)."""
 
-    poses: Tensor
+    poses: Tensor | np.ndarray
     attn: np.ndarray
 
 
@@ -274,10 +275,10 @@ def _rollout(model, decoder, seed_poses: np.ndarray) -> RolloutGraph:
     """Warm the decoder on the (B, n, 10) seed poses (only the last step
     computes a pose: it feeds the first emitted step), then emit m poses,
     each feeding the next step."""
-    h1 = h2 = Tensor(np.zeros((seed_poses.shape[0], model.cfg.hidden)))
+    h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
     n = model.cfg.n_seed_poses
     for t in range(n):
-        prev, h1, h2, _ = decoder(Tensor(seed_poses[:, t]), h1, h2, emit=t == n - 1)
+        prev, h1, h2, _ = decoder(seed_poses[:, t], h1, h2, emit=t == n - 1)
     poses, rows = [], []
     for _ in range(model.cfg.n_output_poses):
         prev, h1, h2, weights = decoder(prev, h1, h2)
@@ -334,7 +335,7 @@ def forward_graph(
         raise InvalidConfig("train-mode forward needs an rng for dropout")
 
     bag = _Bag(True)
-    annotations = _encode_graph(model, bag, Tensor(embedded), lengths, train, rng, dropout)
+    annotations = _encode_graph(model, bag, embedded, lengths, train, rng, dropout)
     projected = ad.matmul(annotations, bag.T(model.att_ann))
     decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), train, rng, dropout)
     return _rollout(model, decoder, seed_poses)
@@ -361,14 +362,14 @@ def forward(model, chunks, seed_poses):
         embedded[row, : len(c)] = c
 
     bag = _Bag(False)
-    annotations = _encode_graph(model, bag, Tensor(embedded), lengths)
-    projected = ad.matmul(annotations, bag.T(model.att_ann)).data
+    annotations = _encode_graph(model, bag, embedded, lengths)
+    projected = ad.matmul(annotations, bag.T(model.att_ann))
     rollouts = []
     for row, s in enumerate(lengths):
-        own = (Tensor(annotations.data[row : row + 1, :s]), Tensor(projected[row : row + 1, :s]))
+        own = (annotations[row : row + 1, :s], projected[row : row + 1, :s])
         out = _rollout(model, _Decoder(model, bag, _Attention(model, bag, *own)), seeds)
-        rollouts.append((out.poses.data[0], out.attn[0]))
-        seeds = np.concatenate([seeds, out.poses.data], axis=1)[:, -model.cfg.n_seed_poses :]
+        rollouts.append((out.poses[0], out.attn[0]))
+        seeds = np.concatenate([seeds, out.poses], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts
 
 

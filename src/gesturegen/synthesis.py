@@ -93,7 +93,9 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     if model is None:
         raise InvalidConfig("no model provided")
     seeds = np.zeros((model.cfg.n_seed_poses, model.cfg.gesture_dim))
-    rollouts = forward(model, [np.stack([table.lookup(w) for w in chunk]) for chunk in plan.chunks], seeds)
+    chunks = [np.stack([table.lookup(w) for w in chunk]) for chunk in plan.chunks]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # save_track_csv and export_attention report these
+        rollouts = forward(model, chunks, seeds)
     return TimedPoseTrack(frames=np.concatenate([poses for poses, _ in rollouts])), [attn for _, attn in rollouts]
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .config import Config
 from .errors import InvalidConfig, write_rows
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph
@@ -61,17 +60,18 @@ class AdamState:
         self.second = np.zeros_like(store.values)
 
 
-def compute_loss_graph(pred: Tensor, target: np.ndarray, cfg: Config):
-    """Differentiable loss for a (B, m, d) prediction tensor, averaged over
-    the batch, with the weights ``cfg.alpha`` and ``cfg.beta``. Returns
-    (LossBreakdown, total tensor)."""
+def compute_loss_graph(pred, target: np.ndarray, cfg: Config):
+    """Differentiable loss for a (B, m, d) prediction, averaged over the
+    batch, with the weights ``cfg.alpha`` and ``cfg.beta``. Returns
+    (LossBreakdown, total): the total is a tensor when pred records, else
+    a scalar."""
     target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
     if pred.shape != target.shape:
         raise InvalidConfig(f"prediction {pred.shape} vs target {target.shape}")
     total, mse, continuity, variance = ad.gesture_loss(pred, target, cfg.alpha, cfg.beta)
-    breakdown = LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(total.data))
+    breakdown = LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(ad._data(total)))
     return breakdown, total
 
 

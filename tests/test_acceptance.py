@@ -402,10 +402,10 @@ def test_criterion_9_lift_network():
     pre = x @ w.value.T + b.value
     scale, shift = params.norm(1)
     normalized = batch_norm_graph(
-        Tensor(pre), Tensor(scale.value), Tensor(shift.value),
+        pre, scale.value, shift.value,
         params.running["mean1"].copy(), params.running["var1"].copy(),
         train=True, momentum=0.1, eps=1e-5,
-    ).data
+    )
     bn_mean = float(np.max(np.abs(normalized.mean(axis=0))))
     bn_var = float(np.max(np.abs(normalized.var(axis=0) - 1.0)))
 
@@ -415,8 +415,8 @@ def test_criterion_9_lift_network():
     target = rng.normal(size=(4, 7))
 
     def loss_value():
-        out = lift_forward_graph(fd_params, Tensor(xs), train=False, record=False)
-        return float(np.mean((out.data - target) ** 2))
+        out = lift_forward_graph(fd_params, xs, train=False, record=False)
+        return float(np.mean((out - target) ** 2))
 
     out = lift_forward_graph(fd_params, Tensor(xs), train=False)
     diff = ad.add(out, -target)

@@ -13,7 +13,8 @@ from gesturegen.errors import InvalidConfig
 
 
 def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
-    """build(tensors) -> scalar Tensor; checks grads of every input."""
+    """build(tensors) -> scalar Tensor; checks grads of every input against
+    central differences of build on plain arrays."""
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=s) * 0.7 + 0.3 for s in shapes]
     tensors = [Tensor(v.copy(), requires_grad=True) for v in values]
@@ -25,9 +26,9 @@ def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = float(build(*[Tensor(x) for x in values]).data)
+            hi = float(build(*values))
             flat[i] = orig - step
-            lo = float(build(*[Tensor(x) for x in values]).data)
+            lo = float(build(*values))
             flat[i] = orig
             fd = (hi - lo) / (2 * step)
             assert abs(grad[i] - fd) <= tol * max(1.0, abs(fd)), (grad[i], fd)
@@ -72,12 +73,17 @@ def test_gesture_loss_subgradient_at_zero_steps():
 
 
 def _sum_axis(x, axis, keepdims=False):
-    # A sum over one axis as a graph node: the engine's tsum and tmean reduce
-    # whole tensors, and only reference graphs in the tests need an axis.
+    # A sum over one axis as a graph node, plain on plain operands like the
+    # engine's ops: tsum and tmean reduce whole tensors, and only reference
+    # graphs in the tests need an axis.
+    y = ad._data(x).sum(axis=axis, keepdims=keepdims)
+    if not ad._records(x):
+        return y
+
     def backprop(g):
         ad._accumulate(x, np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.shape))
 
-    return ad._wrap(x.data.sum(axis=axis, keepdims=keepdims), (x,), backprop)
+    return ad._wrap(y, (x,), backprop)
 
 
 def test_reductions():
@@ -119,7 +125,7 @@ _MASK = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
 _ATTENTION_SHAPES = [(2, 3), (3, 4), (2, 3, 4), (4,), (2, 3, 5)]
 
 # case -> (engine op, call, input shapes); a call returns the op's result,
-# a tuple when the op returns plain arrays beside its tensor
+# a tuple when the op returns plain arrays beside it
 _OP_CASES = {
     "add": (ad.add, ad.add, [(3, 4), (4,)]),
     "mul": (ad.mul, ad.mul, [(2, 3, 4), (3, 4)]),
@@ -147,23 +153,32 @@ _OP_CASES = {
 
 
 def test_eval_mode_records_nothing():
-    """Every engine op on operands that need no gradient returns a result
-    with no parents and no backward rule, with the same bits as the
-    recording path's result."""
+    """Every engine op on plain arrays returns a plain float64 result, no
+    Tensor, with the same bits as the recording path. With a recording
+    tensor as its first operand and plain arrays for the rest, it records
+    the same bits, and backward reaches that tensor and no other leaf."""
     ops = {name for name, f in vars(ad).items() if callable(f) and getattr(f, "__module__", "") == ad.__name__}
-    assert {op.__name__ for op, *_ in _OP_CASES.values()} == {n for n in ops if n[0].islower()} - {"as_tensor"}
+    assert {op.__name__ for op, *_ in _OP_CASES.values()} == {n for n in ops if n[0].islower()}
     rng = np.random.default_rng(0)
     for case, (_, call, shapes) in _OP_CASES.items():
         values = [rng.normal(size=shape) for shape in shapes]
         results = []
-        for record in (False, True):
-            out = call(*[Tensor(v, requires_grad=record) for v in values])
-            tensor, *arrays = out if isinstance(out, tuple) else (out,)
-            assert tensor.requires_grad == record, case
-            assert (tensor._parents == () and tensor._backprop is None) != record, case
-            results.append([tensor.data, *arrays])
-        for value, recorded in zip(*results):
-            assert np.array_equal(value, recorded), case
+        for n_recording in (0, 1, len(values)):  # plain, mixed, all recording
+            leaves = [Tensor(v, requires_grad=True) for v in values[:n_recording]]
+            out = call(*leaves, *values[n_recording:])
+            first, *arrays = out if isinstance(out, tuple) else (out,)
+            assert not any(isinstance(a, Tensor) for a in arrays), case
+            if not leaves:
+                assert not isinstance(first, Tensor) and np.result_type(first) == np.float64, case
+                results.append([first, *arrays])
+                continue
+            assert first.requires_grad, case
+            results.append([first.data, *arrays])
+            order = ad.tsum(first).backward()
+            assert {id(node) for node in order if not node._parents} == set(map(id, leaves)), case
+            assert all(leaf.grad.shape == leaf.shape for leaf in leaves), case
+        for plain, *recorded in zip(*results):
+            assert all(np.array_equal(plain, r) for r in recorded), case
 
 
 def test_dropout_train_scaling():
@@ -199,9 +214,9 @@ def test_gru_step_matches_gate_formula_and_carries_masked_rows():
     r = sig(gx[:, 2:4] + h @ u[:, 2:4] + b[2:4])
     c = np.tanh(gx[:, 4:] + (r * h) @ u[:, 4:] + b[4:])
     expected = (1.0 - z) * h + z * c
-    assert np.allclose(ad.gru_step(gx, h, u, b).data, expected, rtol=0, atol=1e-14)
+    assert np.allclose(ad.gru_step(gx, h, u, b), expected, rtol=0, atol=1e-14)
     keep = np.array([True, False, True])
-    out = ad.gru_step(gx, h, u, b, keep=keep).data
+    out = ad.gru_step(gx, h, u, b, keep=keep)
     assert np.array_equal(out[1], h[1])
     assert np.allclose(out[keep], expected[keep], rtol=0, atol=1e-14)
 
@@ -303,8 +318,6 @@ def _power(x, exponent):
     # Elementwise x**exponent for a constant exponent as a graph node: only
     # the batch-norm reference graph below needs it, so the engine has no
     # power op.
-    x = ad.as_tensor(x)
-
     def backprop(g):
         ad._accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
 

@@ -151,6 +151,27 @@ def test_generate_reports_stage_seconds(workspace, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
 
 
+def test_generate_overflowing_embedding_is_silent(workspace, tmp_path, capsys):
+    # A finite but huge embedding row overflows inside the model; the track
+    # and attention writers refuse non-finite values, so no numpy warning
+    # may leak (a RuntimeWarning is an error under the pytest config).
+    from gesturegen.synthesis import load_track_csv
+
+    root, _ = workspace
+    rows = (root / "emb.txt").read_text().splitlines()
+    dim = len(rows[0].split()) - 1
+    rows = [row for row in rows if row.split()[0] != "a"] + ["a " + " ".join(["1e308"] * dim)]
+    (tmp_path / "emb.txt").write_text("\n".join(rows) + "\n")
+    args = ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", "a a hello"]
+    args += ["--embeddings", str(tmp_path / "emb.txt")]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "track.csv"), "--attention", str(tmp_path / "attn.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(load_track_csv(tmp_path / "track.csv").frames).all()
+    attn = (tmp_path / "attn.csv").read_text().strip().splitlines()[1:]
+    assert attn and np.isfinite([[float(v) for v in line.split(",")] for line in attn]).all()
+
+
 def test_retarget_reports_stage_seconds(workspace, tmp_path, capsys):
     from gesturegen.checkpoint import load_checkpoint
     from gesturegen.kinematics import save_angles_csv

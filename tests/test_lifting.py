@@ -53,15 +53,15 @@ class TestLiftForward:
 
         scale, shift = params.norm(1)
         normalized = batch_norm_graph(
-            Tensor(pre),
-            Tensor(scale.value),
-            Tensor(shift.value),
+            pre,
+            scale.value,
+            shift.value,
             params.running["mean1"].copy(),
             params.running["var1"].copy(),
             train=True,
             momentum=0.1,
             eps=1e-5,
-        ).data
+        )
         assert np.max(np.abs(normalized.mean(axis=0))) < 1e-6
         assert np.max(np.abs(normalized.var(axis=0) - 1.0)) < 1e-6
 
@@ -89,8 +89,8 @@ class TestLiftForward:
         target = rng.normal(size=(4, 7))
 
         def loss_value():
-            out = lift_forward_graph(params, Tensor(x), train=False, record=False)
-            diff = out.data - target
+            out = lift_forward_graph(params, x, train=False, record=False)
+            diff = out - target
             return float(np.mean(diff * diff))
 
         out = lift_forward_graph(params, Tensor(x), train=False)
@@ -145,7 +145,7 @@ class TestBatchNormNode:
         values = [x, scale, shift]
 
         def loss_value():
-            return float(np.sum(ad.batch_norm(*values, 1e-5)[0].data * weights))
+            return float(np.sum(ad.batch_norm(*values, 1e-5)[0] * weights))
 
         step = 1e-5
         rng = np.random.default_rng(3)

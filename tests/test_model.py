@@ -30,8 +30,8 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
     bag, (w, u, b) = _Bag(False), cell
-    x, h = Tensor(np.asarray(x)[None]), Tensor(np.asarray(h)[None])
-    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b)).data[0]
+    x, h = np.asarray(x)[None], np.asarray(h)[None]
+    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b))[0]
 
 
 def gate(p, k):
@@ -43,29 +43,29 @@ def gate(p, k):
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    annotations = _encode_graph(model, _Bag(False), Tensor(np.stack(words)[None]))
-    return list(annotations.data[0])
+    annotations = _encode_graph(model, _Bag(False), np.stack(words)[None])
+    return list(annotations[0])
 
 
 def attention_over(model, bag, annotations):
     """The scorer over (s, 2H) annotations, with their projection."""
-    annotations = Tensor(np.asarray(annotations)[None])
+    annotations = np.asarray(annotations)[None]
     return _Attention(model, bag, annotations, ad.matmul(annotations, bag.T(model.att_ann)))
 
 
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
-    context, weights = attention_over(model, _Bag(False), annotations)(Tensor(np.asarray(state)[None]))
-    return weights[0], context.data[0]
+    context, weights = attention_over(model, _Bag(False), annotations)(np.asarray(state)[None])
+    return weights[0], context[0]
 
 
 def decode(model, prev_pose, hidden, annotations):
     """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
     bag = _Bag(False)
     decoder = _Decoder(model, bag, attention_over(model, bag, annotations))
-    h1, h2 = (Tensor(np.asarray(h)[None]) for h in hidden)
-    pose, h1, h2, weights = decoder(Tensor(np.asarray(prev_pose)[None]), h1, h2)
-    return pose.data[0], (h1.data[0], h2.data[0]), weights[0]
+    h1, h2 = (np.asarray(h)[None] for h in hidden)
+    pose, h1, h2, weights = decoder(np.asarray(prev_pose)[None], h1, h2)
+    return pose[0], (h1[0], h2[0]), weights[0]
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +266,20 @@ class TestForward:
         for chunks in ([np.zeros(7)], [np.zeros((2, 7)), np.float64(1.0)], [np.zeros((1, 2, 7))]):
             with pytest.raises(InvalidConfig, match=r"embedded words must be \(s, 7\)"):
                 forward(tiny, chunks, np.zeros((2, 10)))
+
+    def test_eval_builds_no_graph_objects(self, tiny, monkeypatch):
+        from gesturegen.lifting import init_lift_params, lift_forward
+
+        rng = np.random.default_rng(12)
+        chunks, seeds = [rng.normal(size=(s, 7)) for s in (3, 1, 2)], rng.normal(size=(2, 10))
+        lift, poses = init_lift_params(seed=0), rng.normal(size=(5, 14))
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        assert len(forward(tiny, chunks, seeds)) == 3 and len(built) == 0
+        assert lift_forward(lift, poses).shape == (5, 7) and len(built) == 0
+        forward_graph(tiny, chunks[0][None], seeds[None])  # the counter sees a recorded pass
+        assert len(built) > 0
 
     def test_equals_recorded_rollout(self, tiny):
         rng = np.random.default_rng(11)
