@@ -88,7 +88,7 @@ def _records(*operands) -> bool:
 def _accumulate(t, g: np.ndarray):
     """Add g, summed back down to t's shape, into t's gradient; an operand
     that does not record takes none."""
-    if not _records(t):
+    if not (isinstance(t, Tensor) and t.requires_grad):
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:

@@ -5,6 +5,8 @@ length, a JSON header (sorted keys), then the concatenated raw float64
 bytes of every array in header order. Writing is fully deterministic given
 the content, and numeric payloads round-trip bit-exactly. Every array is
 finite both ways: saving refuses a non-finite value and loading rejects one.
+Loading builds the zeroed parameter layouts, drawing no weights, and copies
+each array from the file bytes into its view; the pose basis gets copies.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .config import check_setting
 from .errors import InvalidConfig, IoFailure, MalformedFile
-from .lifting import LiftNetParams, init_lift_params
-from .model import ModelConfig, Seq2SeqModel, init_model
+from .lifting import LiftNetParams, build_lift_params
+from .model import ModelConfig, Seq2SeqModel, build_model
 from .pose import POSE_DIM, PcaModel
 
 MAGIC = b"GGCK"
@@ -55,7 +57,7 @@ def _format1_arrays(ck: Checkpoint) -> list:
             cell = cell_of.get(id(p))
             if cell is None:
                 arrays.append((f"seq2seq.{name}", p.value))
-            elif p is cell[0]:  # a cell registers w, u, b together
+            elif p is cell[0]:  # a cell lays out w, u, b together
                 hidden = cell[2].value.shape[0] // 3
                 arrays += [
                     (f"seq2seq.{name.removesuffix('.w')}.{kind}_{gate}", q.value[k * hidden : (k + 1) * hidden])
@@ -156,10 +158,10 @@ def load_checkpoint(path) -> Checkpoint:
     expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != expected:
         raise MalformedFile(f"checkpoint is {len(raw)} bytes, its header implies {expected}")
-    values = {}
+    values = {}  # read-only views of raw
     for name, shape in shapes:
         count = math.prod(shape)
-        values[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        values[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
 
     def take(name):
@@ -169,7 +171,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     pca = None
     if header.get("has_pca"):
-        pca = PcaModel(**{key: take(f"pca.{key}") for key in _PCA_FIELDS})
+        pca = PcaModel(**{key: take(f"pca.{key}").copy() for key in _PCA_FIELDS})
         _check_basis(pca)
 
     model_cfg = _header_config(header, "model_cfg", {f.name: f.type for f in fields(ModelConfig)})
@@ -180,18 +182,12 @@ def load_checkpoint(path) -> Checkpoint:
     ):
         raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
     try:
-        model = None if model_cfg is None else init_model(ModelConfig(**model_cfg), seed=0)
-        lift = None if lift_cfg is None else init_lift_params(seed=0, **lift_cfg)
+        model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
+        lift = None if lift_cfg is None else build_lift_params(**lift_cfg)
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
 
-    ck = Checkpoint(
-        config=header.get("config", {}),
-        pca=pca,
-        model=model,
-        lift=lift,
-        embedding_ref=ref,
-    )
+    ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
     for name, target in _format1_arrays(ck):
         stored = take(name)
         if stored.shape != target.shape:

@@ -209,12 +209,12 @@ def cmd_train(cfg: Config, args) -> int:
 
 
 def cmd_generate(cfg: Config, args) -> int:
-    ck = _checkpoint(cfg, "model")
+    seconds = dict.fromkeys(("checkpoint load", "table load"))  # report order: the table loads after the plan's checks
+    ck = _timed(seconds, "checkpoint load", _checkpoint, cfg, "model")
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
-    seconds = {}
     plan = _timed(seconds, "plan", plan_chunks, tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
-    table, _ = _load_table(cfg, ck)
+    table, _ = _timed(seconds, "table load", _load_table, cfg, ck)
     track, maps = _timed(seconds, "inference", generate_gesture, ck.model, plan, table)
     aligned = _timed(seconds, "align", align_track, track, duration)
     out = _output(cfg, args.out, "track.csv")
@@ -263,8 +263,8 @@ def cmd_lift_train(cfg: Config, args) -> int:
 
 
 def cmd_retarget(cfg: Config, args) -> int:
-    ck = _checkpoint(cfg, "pca", "lift")
     seconds = {}
+    ck = _timed(seconds, "checkpoint load", _checkpoint, cfg, "pca", "lift")
     track = _timed(seconds, "read", load_track_csv, args.track)
     limits = None
     if args.limits:

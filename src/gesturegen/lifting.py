@@ -52,21 +52,26 @@ class LiftNetParams:
         return self.store[f"lift.bn{i}.scale"], self.store[f"lift.bn{i}.shift"]
 
 
-def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
+def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
+    """The lift net's parameter layout with zero weights and shifts, unit
+    scales and fresh running statistics: `init_lift_params` draws the
+    weights into it and `load_checkpoint` fills it from a file."""
     sizes = (LIFT_INPUT_DIM,) + LIFT_WIDTHS
-    for i in range(3):
-        store.register(f"lift.fc{i + 1}.w", _xavier(rng, sizes[i + 1], sizes[i]))
-        store.register(f"lift.fc{i + 1}.b", np.zeros(sizes[i + 1]))
-    running = {}
-    for i, width in enumerate(LIFT_WIDTHS[:2], start=1):
-        store.register(f"lift.bn{i}.scale", np.ones(width))
-        store.register(f"lift.bn{i}.shift", np.zeros(width))
-        running[f"mean{i}"] = np.zeros(width)
-        running[f"var{i}"] = np.ones(width)
-    store.pack()
-    return LiftNetParams(store=store, bn_momentum=bn_momentum, bn_eps=bn_eps, running=running)
+    layout = [e for i in (1, 2, 3) for e in ((f"lift.fc{i}.w", (sizes[i], sizes[i - 1])), (f"lift.fc{i}.b", (sizes[i],)))]
+    layout += [(f"lift.bn{i}.{kind}", (sizes[i],)) for i in (1, 2) for kind in ("scale", "shift")]
+    params = LiftNetParams(store=ParamStore(layout), bn_momentum=bn_momentum, bn_eps=bn_eps)
+    for i in (1, 2):
+        params.norm(i)[0].value[...] = 1.0
+        params.running.update({f"mean{i}": np.zeros(sizes[i]), f"var{i}": np.ones(sizes[i])})
+    return params
+
+
+def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
+    params = build_lift_params(bn_momentum, bn_eps)
+    rng = np.random.default_rng(seed)
+    for i in (1, 2, 3):
+        _xavier(rng, params.layer(i)[0].value)
+    return params
 
 
 def batch_norm_graph(x, scale, shift, run_mean, run_var, train, momentum, eps):

@@ -26,11 +26,16 @@ weights and biases once per pass as well. A batch of word sequences of
 different lengths runs as one zero-padded rollout: padded steps carry the
 encoder state in both directions and get attention weight exactly 0, so
 every row equals its own unpadded rollout.
+
+`build_model` lays a model's parameters out once, in one `ParamStore`:
+`init_model` writes each Xavier draw into its view of that layout, and
+`checkpoint.load_checkpoint` fills the same layout from the file, drawing nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,32 +50,26 @@ class Parameter:
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray):
-        self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
+        self.name, self.value, self.grad = name, value, grad
 
 
 class ParamStore:
-    """Uniquely named parameters. `pack`, run once after the last `register`,
-    copies each value into the flat float64 buffer ``values``; each value and
-    grad is then a view of ``values`` or ``grads`` at the same offsets."""
+    """Uniquely named parameters laid out once from a (name, shape) list:
+    two flat float64 buffers ``values`` and ``grads``, allocated zeroed, and
+    per parameter a value and a grad view of them at the same offsets, in
+    layout order. A build fills the value views in place; nothing rebinds them."""
 
-    def __init__(self):
+    def __init__(self, layout):
+        ends = np.cumsum([0] + [math.prod(shape) for _, shape in layout])
+        self.values = np.zeros(ends[-1])
+        self.grads = np.zeros(ends[-1])  # calloc: pages stay unmapped until a gradient is written
         self._params: dict[str, Parameter] = {}
-
-    def register(self, name: str, value: np.ndarray) -> Parameter:
-        if name in self._params:
-            raise InvalidConfig(f"duplicate parameter name: {name}")
-        p = self._params[name] = Parameter(name, value)
-        return p
-
-    def pack(self):
-        self.values = np.concatenate([p.value.ravel() for p in self._params.values()])
-        self.grads = np.zeros(self.values.size)  # calloc: pages stay unmapped until a gradient is written
-        end = 0
-        for p in self._params.values():
-            start, end = end, end + p.value.size
-            p.value, p.grad = (flat[start:end].reshape(p.value.shape) for flat in (self.values, self.grads))
+        for (name, shape), start, end in zip(layout, ends, ends[1:]):
+            if name in self._params:
+                raise InvalidConfig(f"duplicate parameter name: {name}")
+            views = (flat[start:end].reshape(shape) for flat in (self.values, self.grads))
+            self._params[name] = Parameter(name, *views)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -99,64 +98,64 @@ class ModelConfig:
 class Seq2SeqModel:
     cfg: ModelConfig
     store: ParamStore
-    encoder: list = field(default_factory=list)  # [layer][direction] -> cell (w, u, b)
-    decoder: list = field(default_factory=list)  # [layer] -> cell (w, u, b)
-    att_query: Parameter = None
-    att_ann: Parameter = None
-    att_score: Parameter = None
-    pre_w: Parameter = None
-    pre_b: Parameter = None
-    post_w: Parameter = None
-    post_b: Parameter = None
+    encoder: list  # [layer][direction] -> cell (w, u, b)
+    decoder: list  # [layer] -> cell (w, u, b)
+    att_query: Parameter
+    att_ann: Parameter
+    att_score: Parameter
+    pre_w: Parameter
+    pre_b: Parameter
+    post_w: Parameter
+    post_b: Parameter
 
 
-def _xavier(rng, out_dim, in_dim):
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+def _xavier(rng, view: np.ndarray):
+    """Fill an (out, in) view with Xavier-uniform draws."""
+    limit = np.sqrt(6.0 / sum(view.shape))
+    view[...] = rng.uniform(-limit, limit, size=view.shape)
 
 
-def _register_cell(store, rng, prefix, input_size, hidden) -> tuple:
-    """(w (3H, in), u (3H, H), b (3H,)) with the z, r, h gates stacked along
-    rows; the Xavier draws run gate by gate, w before u."""
-    draws = [(_xavier(rng, hidden, input_size), _xavier(rng, hidden, hidden)) for _ in "zrh"]
-    w, u = (np.concatenate(blocks) for blocks in zip(*draws))
-    return (
-        store.register(f"{prefix}.w", w),
-        store.register(f"{prefix}.u", u),
-        store.register(f"{prefix}.b", np.zeros(3 * hidden)),
+def build_model(cfg: ModelConfig) -> Seq2SeqModel:
+    """The model's parameter layout, every value zero: `init_model` draws
+    the weights into it and `load_checkpoint` fills it from a file."""
+    hidden, ann_dim = cfg.hidden, 2 * cfg.hidden
+    enc = [(f"enc.l{layer}.fwd", f"enc.l{layer}.bwd") for layer in range(2)]
+
+    def gates(prefix, in_size):
+        return [(f"{prefix}.w", (3 * hidden, in_size)), (f"{prefix}.u", (3 * hidden, hidden)), (f"{prefix}.b", (3 * hidden,))]
+
+    # the decoder's first cell reads the pre-linear output concatenated with the context
+    store = ParamStore(
+        [e for layer, pair in enumerate(enc) for c in pair for e in gates(c, (cfg.word_dim, ann_dim)[layer])]
+        + [("att.w_query", (cfg.att_dim, hidden)), ("att.u_ann", (cfg.att_dim, ann_dim)), ("att.v_score", (cfg.att_dim,))]
+        + [("dec.pre.w", (hidden, cfg.gesture_dim)), ("dec.pre.b", (hidden,)), *gates("dec.l0", hidden + ann_dim)]
+        + [*gates("dec.l1", hidden), ("dec.post.w", (cfg.gesture_dim, hidden)), ("dec.post.b", (cfg.gesture_dim,))]
     )
+
+    def cell(prefix):
+        return tuple(store[f"{prefix}.{kind}"] for kind in "wub")
+
+    heads = ("att.w_query", "att.u_ann", "att.v_score", "dec.pre.w", "dec.pre.b", "dec.post.w", "dec.post.b")
+    encoder, decoder = [[cell(c) for c in pair] for pair in enc], [cell("dec.l0"), cell("dec.l1")]
+    return Seq2SeqModel(cfg, store, encoder, decoder, *(store[name] for name in heads))  # in field order
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     """Build a model with Xavier-uniform weights and zero biases.
 
-    Parameter registration order is fixed, so equal seeds give bit-identical
+    The draws run in layout order, so equal seeds give bit-identical
     models.
     """
+    model, hidden = build_model(cfg), cfg.hidden
+
+    def gate_rows(cell):  # a cell draws gate by gate, w before u
+        return [p.value[k * hidden : (k + 1) * hidden] for k in range(3) for p in cell[:2]]
+
+    heads = (model.att_query, model.att_ann, model.att_score, model.pre_w)  # v_score draws as one (1, A) row
+    views = [v for pair in model.encoder for c in pair for v in gate_rows(c)] + [np.atleast_2d(p.value) for p in heads]
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    model = Seq2SeqModel(cfg=cfg, store=store)
-
-    ann_dim = 2 * cfg.hidden
-    for layer in range(2):
-        in_size = cfg.word_dim if layer == 0 else ann_dim
-        both = []
-        for direction in ("fwd", "bwd"):
-            both.append(_register_cell(store, rng, f"enc.l{layer}.{direction}", in_size, cfg.hidden))
-        model.encoder.append(both)
-
-    model.att_query = store.register("att.w_query", _xavier(rng, cfg.att_dim, cfg.hidden))
-    model.att_ann = store.register("att.u_ann", _xavier(rng, cfg.att_dim, ann_dim))
-    model.att_score = store.register("att.v_score", _xavier(rng, 1, cfg.att_dim)[0])
-
-    model.pre_w = store.register("dec.pre.w", _xavier(rng, cfg.hidden, cfg.gesture_dim))
-    model.pre_b = store.register("dec.pre.b", np.zeros(cfg.hidden))
-    dec_in = cfg.hidden + ann_dim  # pre-linear output concatenated with context
-    model.decoder.append(_register_cell(store, rng, "dec.l0", dec_in, cfg.hidden))
-    model.decoder.append(_register_cell(store, rng, "dec.l1", cfg.hidden, cfg.hidden))
-    model.post_w = store.register("dec.post.w", _xavier(rng, cfg.gesture_dim, cfg.hidden))
-    model.post_b = store.register("dec.post.b", np.zeros(cfg.gesture_dim))
-    store.pack()
+    for view in views + gate_rows(model.decoder[0]) + gate_rows(model.decoder[1]) + [model.post_w.value]:
+        _xavier(rng, view)
     return model
 
 

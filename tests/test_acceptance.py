@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from gesturegen import autodiff as ad
-from gesturegen.autodiff import Tensor
 from gesturegen.baselines import bleu_score, manual_baseline, nn_baseline, random_baseline
 from gesturegen.checkpoint import load_checkpoint, save_checkpoint
 from gesturegen.cli import main
@@ -418,7 +417,7 @@ def test_criterion_9_lift_network():
         out = lift_forward_graph(fd_params, xs, train=False, record=False)
         return float(np.mean((out - target) ** 2))
 
-    out = lift_forward_graph(fd_params, Tensor(xs), train=False)
+    out = lift_forward_graph(fd_params, xs, train=False)
     diff = ad.add(out, -target)
     loss = ad.tmean(ad.mul(diff, diff))
     fd_params.store.zero_grads()

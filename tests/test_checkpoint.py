@@ -143,7 +143,7 @@ class TestVersioning:
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
         edit_header(path, edit)
-        monkeypatch.setattr(checkpoint, "init_model", None)  # refused before any model is built
+        monkeypatch.setattr(checkpoint, "build_model", None)  # refused before any model is built
         with pytest.raises(MalformedFile, match=f"corrupt checkpoint header: {reason}"):
             load_checkpoint(path)
 

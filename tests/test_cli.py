@@ -145,7 +145,8 @@ def test_generate_reports_stage_seconds(workspace, tmp_path, capsys):
     assert main([*args, "--out", str(tmp_path / "track.csv"), "--attention", str(tmp_path / "attn.csv")]) == 0
     *_, summary, stages = capsys.readouterr().out.splitlines()  # after the embedding load line
     assert summary.endswith(f"(15.00 s) -> {tmp_path / 'track.csv'}")
-    pattern = r"stage seconds: plan \d+\.\d{4}, inference \d+\.\d{4}, align \d+\.\d{4}, "
+    pattern = r"stage seconds: checkpoint load \d+\.\d{4}, table load \d+\.\d{4}, plan \d+\.\d{4}, "
+    pattern += r"inference \d+\.\d{4}, align \d+\.\d{4}, "
     assert re.fullmatch(pattern + r"track write \d+\.\d{4}, attention write \d+\.\d{4}", stages), stages
     for name in ("track.csv", "attn.csv"):  # the same bytes as the fixture's run
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
@@ -184,7 +185,8 @@ def test_retarget_reports_stage_seconds(workspace, tmp_path, capsys):
     assert main([*args, "--out", str(tmp_path / "traj.csv")]) == 0
     summary, stages = capsys.readouterr().out.splitlines()
     assert summary == f"retargeted 180 frames at 12 fps -> {tmp_path / 'traj.csv'}"
-    assert re.fullmatch(r"stage seconds: read \d+\.\d{4}, retarget \d+\.\d{4}, write \d+\.\d{4}", stages), stages
+    pattern = r"stage seconds: checkpoint load \d+\.\d{4}, read \d+\.\d{4}, retarget \d+\.\d{4}, write \d+\.\d{4}"
+    assert re.fullmatch(pattern, stages), stages
     ck = load_checkpoint(root / "ck.ggck")  # the same bytes as the library calls write
     save_angles_csv(retarget_track(load_track_csv(root / "track.csv"), ck.pca, ck.lift), tmp_path / "ref.csv")
     assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

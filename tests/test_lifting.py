@@ -37,7 +37,7 @@ class TestLiftForward:
         rng = np.random.default_rng(0)
         out = lift_forward(params, rng.normal(size=(5, 14)))
         assert np.array_equal(out, np.zeros((5, 7)))
-        out_train = lift_forward_graph(params, Tensor(rng.normal(size=(5, 14))), train=True).data
+        out_train = lift_forward_graph(params, rng.normal(size=(5, 14)), train=True).data
         assert np.allclose(out_train, 0.0)
 
     def test_batchnorm_unit_statistics(self):
@@ -71,7 +71,7 @@ class TestLiftForward:
         rng = np.random.default_rng(3)
         lift_forward(params, rng.normal(size=(8, 14)))
         assert np.array_equal(params.running["mean1"], before)
-        lift_forward_graph(params, Tensor(rng.normal(size=(8, 14)) + 2.0), train=True)
+        lift_forward_graph(params, rng.normal(size=(8, 14)) + 2.0, train=True)
         assert not np.array_equal(params.running["mean1"], before)
 
     def test_eval_batch_size_independent(self):
@@ -93,7 +93,7 @@ class TestLiftForward:
             diff = out - target
             return float(np.mean(diff * diff))
 
-        out = lift_forward_graph(params, Tensor(x), train=False)
+        out = lift_forward_graph(params, x, train=False)
         diff = ad.add(out, -target)
         loss = ad.tmean(ad.mul(diff, diff))
         params.store.zero_grads()
@@ -169,7 +169,7 @@ class TestBatchNormNode:
         # and power nodes records 11 more nodes per layer.
         params = init_lift_params(seed=6)
         rng = np.random.default_rng(6)
-        out = lift_forward_graph(params, Tensor(rng.normal(size=(16, 14))), train=True)
+        out = lift_forward_graph(params, rng.normal(size=(16, 14)), train=True)
         diff = ad.add(out, -rng.normal(size=(16, 7)))
         order = ad.tmean(ad.mul(diff, diff)).backward()
         assert len(order) <= 27

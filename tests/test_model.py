@@ -362,7 +362,7 @@ class TestBackward:
 
         def loss_value():
             [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
-            return compute_loss_graph(Tensor(poses[None]), target, h)[0].total
+            return compute_loss_graph(poses[None], target, h)[0].total
 
         rollout = forward_graph(tiny, emb, seeds)
         _, total = compute_loss_graph(rollout.poses, target, h)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gesturegen import training
-from gesturegen.autodiff import Tensor
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gesturegen.config import Config
 from gesturegen.corpus import DatasetRecord, WordSpan
@@ -33,7 +32,7 @@ class TestHyperparams:
 
 def compute_loss(pred, target, h):
     """Loss breakdown of one (m, d) prediction against its targets."""
-    return compute_loss_graph(Tensor(np.asarray(pred)[None]), np.asarray(target)[None], h)[0]
+    return compute_loss_graph(np.asarray(pred)[None], np.asarray(target)[None], h)[0]
 
 
 class TestComputeLoss:
@@ -100,7 +99,7 @@ class TestComputeLoss:
         continuity = np.mean(np.linalg.norm(np.diff(pred, axis=0), axis=1))
         variance = -np.mean(np.var(pred, axis=0))
         numeric_total = mse + h.alpha * continuity + h.beta * variance
-        breakdown, _ = compute_loss_graph(Tensor(pred[None]), target[None], h)
+        breakdown, _ = compute_loss_graph(pred[None], target[None], h)
         assert abs(numeric_total - breakdown.total) < 1e-12
         assert abs(mse - breakdown.mse) < 1e-12
 
@@ -109,7 +108,7 @@ class TestComputeLoss:
         pred = rng.normal(size=(3, 5, 10))
         target = rng.normal(size=(3, 5, 10))
         h = Config(alpha=0.3, beta=0.7)
-        batch, _ = compute_loss_graph(Tensor(pred), target, h)
+        batch, _ = compute_loss_graph(pred, target, h)
         singles = [compute_loss(pred[i], target[i], h) for i in range(3)]
         for term in ("mse", "continuity", "variance", "total"):
             assert abs(getattr(batch, term) - np.mean([getattr(s, term) for s in singles])) < 1e-12
@@ -426,7 +425,7 @@ class TestTrainModel:
 
 def _assert_packed(store):
     """Each value and grad is a view of ``store.values`` or ``store.grads``
-    at consecutive offsets in registration order, and the buffers hold
+    at consecutive offsets in layout order, and the buffers hold
     nothing else."""
     offset = 0
     for name, p in store.items():
@@ -462,9 +461,9 @@ class TestParamStoreLayout:
         assert not np.array_equal(model.store.values, start)
         _assert_packed(train_lift(synth_pose3d_corpus(seed=3, size=8), Config(lift_steps=3)).store)
 
-    def test_init_memory_is_buffers_plus_one_copy(self):
-        """Building a store holds at most the drawn values, the values buffer
-        and the grads buffer: one transient copy of each value."""
+    def test_init_memory_is_buffers_plus_one_draw(self):
+        """Building a store holds at most the values buffer, the grads
+        buffer and one Xavier draw: each draw lands in its view in place."""
         cfg = ModelConfig(word_dim=300, hidden=128, att_dim=128, n_seed_poses=10, n_output_poses=20, dropout=0.1)
         init_model(BLOCKS_CFG)  # finish lazy imports before tracing
         tracemalloc.start()
@@ -474,5 +473,35 @@ class TestParamStoreLayout:
         finally:
             tracemalloc.stop()
         assert model.store.values.size > 900_000
-        assert peak <= 3 * model.store.values.nbytes + 64 * 1024
+        largest_draw = model.store["dec.l0.w"].value.nbytes // 3  # one gate block of the widest cell
+        assert peak <= 2 * model.store.values.nbytes + largest_draw + 64 * 1024
 
+    def test_load_checkpoint_draws_no_weights(self, tmp_path, monkeypatch):
+        ck = Checkpoint(config={"seed": 1}, model=init_model(BLOCKS_CFG, seed=1), lift=init_lift_params(seed=2))
+        save_checkpoint(ck, tmp_path / "model.ggck")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_checkpoint(tmp_path / "model.ggck")
+        assert loaded.model.store.values.tobytes() == ck.model.store.values.tobytes()
+        assert loaded.lift.store.values.tobytes() == ck.lift.store.values.tobytes()
+
+    def test_load_memory_is_file_plus_buffers(self, tmp_path):
+        """A load holds the file's bytes and the two stores' buffers; every
+        array goes from the file bytes straight into its view."""
+        cfg = ModelConfig(word_dim=300, hidden=64, att_dim=64, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+        ck = Checkpoint(config={"seed": 1}, model=init_model(cfg, seed=1), lift=init_lift_params(seed=2))
+        path = tmp_path / "model.ggck"
+        save_checkpoint(ck, path)
+        load_checkpoint(path)  # finish lazy imports before tracing
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.model.store.values.size == 302_090  # the toy model
+        buffers = sum(store.values.nbytes + store.grads.nbytes for store in (loaded.model.store, loaded.lift.store))
+        assert peak <= path.stat().st_size + buffers + 256 * 1024
