@@ -11,17 +11,15 @@ each array from the file bytes into its view; the pose basis gets copies.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .config import check_setting
-from .errors import InvalidConfig, IoFailure, MalformedFile
+from .errors import InvalidConfig, MalformedFile, open_for_write
 from .lifting import LiftNetParams, build_lift_params
 from .model import ModelConfig, Seq2SeqModel, build_model
 from .pose import POSE_DIM, PcaModel
@@ -71,8 +69,8 @@ def _format1_arrays(ck: Checkpoint) -> list:
 
 
 def save_checkpoint(ck: Checkpoint, path):
-    """Write ck atomically; a non-finite array is refused before any file
-    is opened, so an existing checkpoint at path keeps its bytes."""
+    """Write ck through open_for_write; a non-finite array is refused before
+    any file is opened, so an existing checkpoint at path keeps its bytes."""
     arrays = _format1_arrays(ck)
     for name, a in arrays:
         if not np.isfinite(a).all():
@@ -90,24 +88,13 @@ def save_checkpoint(ck: Checkpoint, path):
     if ck.lift is not None:
         header["lift_cfg"] = {"bn_momentum": ck.lift.bn_momentum, "bn_eps": ck.lift.bn_eps}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # Write beside the target and rename over it, so a failed write never
-    # leaves a half-written checkpoint where the old one was.
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write checkpoint: {exc}") from exc
-        raise
+    with open_for_write(path, "checkpoint", "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def _header_config(header, key, types):

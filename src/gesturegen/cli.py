@@ -87,13 +87,13 @@ def _load_table(cfg: Config, ck: Checkpoint):
     return table, ref
 
 
-def _report(payload, path, what: str):
-    """Print ``payload`` as JSON, and write it to ``path`` too when given."""
+def _write_json(cfg: Config, payload, path, what: str) -> str:
+    """``payload`` as JSON text, written to ``path`` too when given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        with open_for_write(path, what) as fh:
+        with open_for_write(_output(cfg, path), what) as fh:
             fh.write(text + "\n")
-    print(text)
+    return text
 
 
 def _timed(seconds: dict, stage: str, fn, *fn_args):
@@ -134,8 +134,7 @@ def cmd_curate(cfg: Config, args) -> int:
     save_records_jsonl(kept, out)
     if args.report:
         report = [{"id": rid, "kept": ok, "rule": rule} for rid, ok, rule in entries]
-        with open_for_write(args.report, "curation report") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg, report, args.report, "curation report")
     print(f"kept {len(kept)} of {len(records)} records -> {out}")
     return 0
 
@@ -242,7 +241,7 @@ def cmd_schedule(cfg: Config, args) -> int:
         "frame_duration": 1.0 / DEFAULT_FPS,
         "generated_frames": len(plan.chunks) * cfg.n_output_poses,
     }
-    _report(payload, args.out, "plan file")
+    print(_write_json(cfg, payload, args.out, "plan file"))
     return 0
 
 
@@ -313,7 +312,7 @@ def cmd_eval(cfg: Config, args) -> int:
         "mean_displacement": metrics.mean_displacement,
         "temporal_variance": list(metrics.temporal_variance),
     }
-    _report(payload, args.out, "metrics file")
+    print(_write_json(cfg, payload, args.out, "metrics file"))
     return 0
 
 

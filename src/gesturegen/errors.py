@@ -4,6 +4,9 @@ Everything derives from GestureGenError so the CLI can catch one base class
 and report the failing stage with a single-line diagnostic. The subclasses
 are the cases a caller can act on differently.
 
+open_for_write is the one file writer: every output but render's SVG frames
+goes through it, so every output is replaced whole or not at all.
+
 Every float table passed between stages (embedding table, track, attention,
 joint trajectory, loss history) is one text codec, written by write_rows and
 read by read_rows: an optional header line, then per row an optional label
@@ -12,6 +15,7 @@ and its values as repr(float), so values read back bit-exact.
 
 import array
 import contextlib
+import os
 
 import numpy as np
 
@@ -33,14 +37,29 @@ class IoFailure(GestureGenError):
 
 
 @contextlib.contextmanager
-def open_for_write(path, what: str):
-    """Open a text file for writing; an OSError from opening or writing it
-    becomes IoFailure("cannot write <what>: ...")."""
+def open_for_write(path, what: str, mode: str = "w"):
+    """Open ``path`` for writing, as UTF-8 text or, with mode "wb", bytes.
+
+    The file is written as ``<realpath>.<pid>.tmp`` beside the resolved
+    target and renamed over it on success; on any exception the temporary
+    file is removed, so the target keeps its old bytes. An existing target
+    that is not a regular file (a FIFO, /dev/stdout, a directory) is opened
+    in place. An OSError becomes IoFailure("cannot write <what>: ...")."""
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
-    except OSError as exc:
-        raise IoFailure(f"cannot write {what}: {exc}") from exc
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {what}: {exc}") from exc
+        raise
 
 
 class DegeneratePose(GestureGenError):

@@ -200,7 +200,7 @@ def _run_direction(bag, cell, inputs, keep, reverse: bool):
     return ad.stack(states, axis=1)
 
 
-def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, train=False, rng=None, dropout=0.0):
+def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H). Row i has
     lengths[i] words followed by padding (None: no padding); padded steps
     carry the state in both directions, so the backward direction starts
@@ -210,8 +210,7 @@ def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, train=False, rng
         keep = [None] * s
     else:
         keep = [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
-    if train:
-        inputs = ad.dropout(inputs, dropout, rng)
+    inputs = ad.dropout(inputs, dropout, rng)
     for fwd_cell, bwd_cell in model.encoder:
         fwd = _run_direction(bag, fwd_cell, inputs, keep, reverse=False)
         bwd = _run_direction(bag, bwd_cell, inputs, keep, reverse=True)
@@ -240,8 +239,8 @@ class _Decoder:
     pre-linear, attention queried with the top layer's previous state, the
     two GRU cells and, when ``emit``, the post-linear."""
 
-    def __init__(self, model, bag, attention, train=False, rng=None, dropout=0.0):
-        self.attention, self.train, self.rng, self.dropout = attention, train, rng, dropout
+    def __init__(self, model, bag, attention, rng=None, dropout=0.0):
+        self.attention, self.rng, self.dropout = attention, rng, dropout
         self.pre_w, self.pre_b = bag.T(model.pre_w), bag(model.pre_b)
         self.cells = [(bag.T(w), bag.T(u), bag(b)) for w, u, b in model.decoder]
         self.post_w, self.post_b = bag.T(model.post_w), bag(model.post_b)
@@ -251,8 +250,7 @@ class _Decoder:
         pre = ad.add(ad.matmul(prev_pose, self.pre_w), self.pre_b)
         context, weights = self.attention(h2)
         x = ad.concat([pre, context], axis=-1)
-        if self.train:
-            x = ad.dropout(x, self.dropout, self.rng)
+        x = ad.dropout(x, self.dropout, self.rng)
         (w1, u1, b1), (w2, u2, b2) = self.cells
         h1 = ad.gru_step(ad.matmul(x, w1), h1, u1, b1)
         h2 = ad.gru_step(ad.matmul(h1, w2), h2, u2, b2)
@@ -302,18 +300,16 @@ def forward_graph(
     model: Seq2SeqModel,
     embedded: np.ndarray,
     seed_poses: np.ndarray,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     lengths=None,
-    dropout: float | None = None,
+    dropout: float = 0.0,
 ) -> RolloutGraph:
     """Batched rollout. embedded: (B, s, word_dim); seed_poses: (B, n, 10).
 
     ``lengths`` (B,) gives each row's word count when rows are zero-padded
     to s (None: every row has s words); each row's result equals its own
-    unpadded rollout. Dropout (first GRU layer inputs of both encoder and
-    decoder) at rate ``dropout`` (None: the model's configured rate) is
-    active only when train=True.
+    unpadded rollout. Dropout at rate ``dropout`` drops the first GRU
+    layer inputs of both encoder and decoder, drawing its masks from ``rng``.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
@@ -328,15 +324,13 @@ def forward_graph(
             mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
         else:
             lengths = None
-    if dropout is None:
-        dropout = model.cfg.dropout
-    if train and rng is None and dropout > 0.0:
-        raise InvalidConfig("train-mode forward needs an rng for dropout")
+    if rng is None and dropout > 0.0:
+        raise InvalidConfig("dropout needs an rng")
 
     bag = _Bag(True)
-    annotations = _encode_graph(model, bag, embedded, lengths, train, rng, dropout)
+    annotations = _encode_graph(model, bag, embedded, lengths, rng, dropout)
     projected = ad.matmul(annotations, bag.T(model.att_ann))
-    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), train, rng, dropout)
+    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), rng, dropout)
     return _rollout(model, decoder, seed_poses)
 
 

@@ -185,7 +185,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
             targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-                rollout = forward_graph(model, emb, seeds, train=True, rng=rng, lengths=words, dropout=cfg.dropout)
+                rollout = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
                 breakdown, total = compute_loss_graph(rollout.poses, targets, cfg)
                 backward(total)
             _check_finite(model.store, breakdown.total, epoch, bstart // cfg.batch_size)

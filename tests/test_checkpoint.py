@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
-from gesturegen import checkpoint
+from gesturegen import checkpoint, errors
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from gesturegen.errors import InvalidConfig, IoFailure, MalformedFile
+from gesturegen.corpus import save_records_jsonl, synth_corpus
+from gesturegen.errors import InvalidConfig, IoFailure, MalformedFile, write_rows
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.pose import PcaModel, fit_pca
@@ -164,12 +168,11 @@ class TestVersioning:
             load_checkpoint(tmp_path / "p.ggck")
 
 
-class _FailAfterHeader:
-    """A binary file whose writes fail once magic, version, header length and
-    header have gone through."""
+class _FailingFile:
+    """A file whose writes fail once ``allowed`` writes have gone through."""
 
-    def __init__(self, fh, error):
-        self.fh, self.error, self.writes = fh, error, 0
+    def __init__(self, fh, error, allowed):
+        self.fh, self.error, self.allowed, self.writes = fh, error, allowed, 0
 
     def __enter__(self):
         return self
@@ -179,26 +182,46 @@ class _FailAfterHeader:
 
     def write(self, data):
         self.writes += 1
-        if self.writes > 4:
+        if self.writes > self.allowed:
             raise self.error
         return self.fh.write(data)
 
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+_ERRORS = [(OSError(28, "No space left on device"), IoFailure), (RuntimeError("interrupted"), RuntimeError)]
+
+
+def _fail_writes(monkeypatch, error, allowed):
+    """Make every file open_for_write opens fail after ``allowed`` writes;
+    returns the list of opened files."""
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(_FailingFile(open(*args, **kwargs), error, allowed))
+        return opened[-1]
+
+    monkeypatch.setattr(errors, "open", failing_open, raising=False)
+    return opened
+
+
+def _write_table(path, version):
+    write_rows(path, "table", np.full((2, 2), float(version)), header="a,b")
+
+
+def _write_records(path, version):
+    save_records_jsonl(synth_corpus(version, 3), path)
+
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize(
-        "error, raised", [(OSError(28, "No space left on device"), IoFailure), (RuntimeError("interrupted"), RuntimeError)]
-    )
+    @pytest.mark.parametrize("error, raised", _ERRORS)
     def test_failed_write_keeps_old_bytes(self, tmp_path, monkeypatch, error, raised):
         path = tmp_path / "m.ggck"
         save_checkpoint(_full_checkpoint(), path)
         before = path.read_bytes()
-        opened = []
-
-        def failing_open(*args, **kwargs):
-            opened.append(_FailAfterHeader(open(*args, **kwargs), error))
-            return opened[-1]
-
-        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        opened = _fail_writes(monkeypatch, error, 4)  # magic, version, header length and header go through
         ck = _full_checkpoint()
         ck.embedding_ref = None  # new content, unlike the file it would replace
         with pytest.raises(raised, match=str(error.args[-1])):
@@ -206,6 +229,40 @@ class TestAtomicWrite:
         assert opened and opened[0].writes == 5  # the header went out before the failure
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
+
+    @pytest.mark.parametrize("error, raised", _ERRORS)
+    @pytest.mark.parametrize("writer, allowed", [(_write_table, 2), (_write_records, 1)], ids=["table", "records"])
+    def test_failed_text_write_keeps_old_bytes(self, tmp_path, monkeypatch, writer, allowed, error, raised):
+        path = tmp_path / "out.txt"
+        writer(path, 1)
+        before = path.read_bytes()
+        opened = _fail_writes(monkeypatch, error, allowed)  # the header, if any, and the first row go through
+        with pytest.raises(raised, match=str(error.args[-1])):
+            writer(path, 2)
+        assert opened and opened[0].writes == allowed + 1
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        _write_table(fifo, 1)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [b"a,b\n1.0,1.0\n1.0,1.0\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        (tmp_path / "real.csv").write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        _write_table(link, 1)
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert (tmp_path / "real.csv").read_text() == "a,b\n1.0,1.0\n1.0,1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
 
 def edit_header(path, edit):

@@ -124,6 +124,17 @@ def test_curation_report_format(workspace):
     assert all(e["kept"] for e in entries)
 
 
+def test_reports_create_missing_directories(workspace, tmp_path, capsys):
+    root, _ = workspace
+    args = ["curate", "--dataset", str(root / "corpus.jsonl"), "--out", str(tmp_path / "k" / "k.jsonl")]
+    assert main([*args, "--report", str(tmp_path / "new" / "r.json"), "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "k" / "k.jsonl").read_bytes() == (root / "kept.jsonl").read_bytes()
+    assert (tmp_path / "new" / "r.json").read_bytes() == (root / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["schedule", "--text", "we hold a big idea", "--out", str(tmp_path / "plan" / "p.json")]) == 0
+    assert (tmp_path / "plan" / "p.json").read_text() == capsys.readouterr().out
+
+
 def test_generate_25_words_15_seconds(workspace):
     root, _ = workspace  # the fixture generates TEXT_25 over 15 s
     words = TEXT_25.split()

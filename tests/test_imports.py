@@ -80,3 +80,45 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
                 used.add(node.attr)
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+
+
+def _file_writes(tree):
+    """(call, line) of every call in ``tree`` that writes or renames a file:
+    ``open`` with a mode other than a constant read mode, ``os.replace``,
+    ``os.rename``, and ``write_text`` or ``write_bytes`` on a path."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            writes = not (mode is None or isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+        else:
+            writes = (on_os and name in ("replace", "rename")) or name in ("write_text", "write_bytes")
+        if writes:
+            found.append((name, node.lineno))
+    return found
+
+
+def test_one_file_writer():
+    # errors.open_for_write is the one writer: it writes beside the target
+    # and renames over it, so a failed write keeps the old bytes. render's
+    # per-frame SVGs and manifest are the one exception.
+    package = Path(gesturegen.__file__).parent
+    writes = {
+        (path.name, name)
+        for path in package.glob("*.py")
+        for name, _ in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writes == {("errors.py", "open"), ("errors.py", "replace"), ("render.py", "write_text")}
+
+
+def test_file_writes_finds_every_kind():
+    tree = ast.parse(
+        'open(p, "w")\nopen(p, mode="ab")\nopen(p, m)\nos.replace(a, b)\nos.rename(a, b)\np.write_bytes(b)\n'
+        'open(p)\nopen(p, "rb")\nreplace(cfg, seed=1)\ns.replace("a", "b")\n'
+    )
+    assert [line for _, line in _file_writes(tree)] == [1, 2, 3, 4, 5, 6]

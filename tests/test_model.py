@@ -318,7 +318,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(p_eval, _)] = forward(tiny, [emb], seeds)
-        p_train = forward_graph(tiny, emb[None], seeds[None], train=True, rng=np.random.default_rng(0)).poses.data[0]
+        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout).poses.data[0]
         assert not np.array_equal(p_eval, p_train)
 
 
@@ -403,7 +403,7 @@ class TestPaddedBatch:
         targets = rng.normal(size=(len(lengths), 3, 10)) * 0.3
         h = Config()
 
-        rollout = forward_graph(model, emb, seeds, train=True, lengths=lengths, dropout=0.0)
+        rollout = forward_graph(model, emb, seeds, lengths=lengths)
         padded, total = compute_loss_graph(rollout.poses, targets, h)
         model.store.zero_grads()
         backward(total)
@@ -460,7 +460,7 @@ class TestPaddedBatch:
         rng = np.random.default_rng(3)
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(rng, lengths, 4)
-        rollout = forward_graph(model, emb, seeds, train=True, rng=rng, lengths=lengths, dropout=0.1)
+        rollout = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
         _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
         assert len(total.backward()) == 25 + 16 + (4 * 4 + 10) + 1 + 11 * (2 + 3) - 2 * (2 - 1) + 2
 
