@@ -24,17 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, MalformedFile, open_for_write
-from .pose import (
-    HEAD,
-    L_ELBOW,
-    L_SHOULDER,
-    L_WRIST,
-    NECK,
-    R_ELBOW,
-    R_SHOULDER,
-    R_WRIST,
-    rowdot,
-)
+from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST, rowdot
 from .synthesis import DEFAULT_FPS
 
 
@@ -227,20 +217,8 @@ def _build_sentence(rng):
     def pick(pool):
         return pool[rng.integers(0, len(pool))]
 
-    words = [
-        pick(STARTERS),
-        pick(SUBJECTS),
-        pick(FILLERS),
-        pick(VERBS),
-        pick(DETERMINERS),
-        pick(SPREAD_KEYWORDS),
-        pick(NOUNS),
-        pick(CONNECTORS),
-        pick(SUBJECTS),
-        pick(VERBS),
-        pick(DETERMINERS),
-        pick(NOUNS),
-    ]
+    words = [pick(pool) for pool in (STARTERS, SUBJECTS, FILLERS, VERBS, DETERMINERS, SPREAD_KEYWORDS, NOUNS)]
+    words += [pick(pool) for pool in (CONNECTORS, SUBJECTS, VERBS, DETERMINERS, NOUNS)]
     if rng.random() < 0.5:
         words.append(pick(FILLERS))
     if rng.random() < 0.5:

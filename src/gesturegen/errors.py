@@ -5,7 +5,8 @@ and report the failing stage with a single-line diagnostic. The subclasses
 are the cases a caller can act on differently.
 
 open_for_write is the one file writer: every output but render's SVG frames
-goes through it, so every output is replaced whole or not at all.
+goes through it, so every regular file is replaced whole or not at all;
+pipes, FIFOs and open descriptors such as /dev/stdout are written in place.
 
 Every float table passed between stages (embedding table, track, attention,
 joint trajectory, loss history) is one text codec, written by write_rows and
@@ -16,6 +17,7 @@ and its values as repr(float), so values read back bit-exact.
 import array
 import contextlib
 import os
+import stat
 
 import numpy as np
 
@@ -36,22 +38,41 @@ class IoFailure(GestureGenError):
     """An output file could not be written."""
 
 
+def _names_descriptor(path) -> bool:
+    """Whether ``path`` leads, through its symlinks, to an entry of a
+    /proc/<pid>/fd directory, as /dev/stdout and /dev/fd/N do."""
+    for _ in range(40):
+        parent = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        if parent.startswith("/proc/") and parent.endswith("/fd"):
+            return True
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(os.path.dirname(os.path.abspath(path)), os.readlink(path))
+    return False
+
+
 @contextlib.contextmanager
 def open_for_write(path, what: str, mode: str = "w"):
     """Open ``path`` for writing, as UTF-8 text or, with mode "wb", bytes.
 
-    The file is written as ``<realpath>.<pid>.tmp`` beside the resolved
-    target and renamed over it on success; on any exception the temporary
-    file is removed, so the target keeps its old bytes. An existing target
-    that is not a regular file (a FIFO, /dev/stdout, a directory) is opened
-    in place. An OSError becomes IoFailure("cannot write <what>: ...")."""
+    A regular or new file is written as ``<realpath>.<pid>.tmp`` beside the
+    resolved target, given the target's mode and renamed over it on success;
+    on any exception the temporary file is removed, so the target keeps its
+    old bytes. A target that is not a regular file (a FIFO, a directory) or
+    names an open descriptor (/dev/stdout, /dev/fd/N) is opened in place.
+    An OSError becomes IoFailure("cannot write <what>: ...")."""
+    st = None
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+    in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or _names_descriptor(path)
     target = os.path.realpath(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         if not in_place:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, target)
     except BaseException as exc:
         if not in_place:

@@ -264,6 +264,45 @@ class TestAtomicWrite:
         assert (tmp_path / "real.csv").read_text() == "a,b\n1.0,1.0\n1.0,1.0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
+    def test_pipe_descriptor_is_written_in_place(self, tmp_path):
+        # The way `--out /dev/stdout | consumer` reaches the writer, without touching stdout.
+        read_end, write_end = os.pipe()
+        try:
+            link = tmp_path / "out.csv"
+            link.symlink_to(f"/proc/self/fd/{write_end}")
+            _write_table(link, 1)
+            os.close(write_end)
+            write_end = None
+            assert os.read(read_end, 4096) == b"a,b\n1.0,1.0\n1.0,1.0\n"
+            assert link.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+        finally:
+            os.close(read_end)
+            if write_end is not None:
+                os.close(write_end)
+
+    def test_file_descriptor_is_written_in_place(self, tmp_path):
+        # As `--out /dev/stdout > file`: the open file is written, never renamed over.
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        fd = os.open(real, os.O_WRONLY)
+        try:
+            link = tmp_path / "out.csv"
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            _write_table(link, 1)
+            assert os.fstat(fd).st_ino == os.stat(real).st_ino and os.fstat(fd).st_nlink == 1
+        finally:
+            os.close(fd)
+        assert real.read_text() == "a,b\n1.0,1.0\n1.0,1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "real.csv"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, 1)
+        path.chmod(0o600)
+        _write_table(path, 2)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert path.read_text() == "a,b\n2.0,2.0\n2.0,2.0\n"
+
 
 def edit_header(path, edit):
     """Rewrite the JSON header of a saved checkpoint through ``edit(header)``,
