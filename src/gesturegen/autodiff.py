@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Every operation records its inputs and a local backward rule on the output
-tensor, so calling ``backward()`` on a scalar result propagates gradients to
-all reachable leaves. An operand is a recording ``Tensor`` (requires_grad)
+tensor, so calling ``backward()`` on a scalar result adds gradients into
+all reachable leaves, across calls, and frees each op node's gradient once
+its rule has run. An operand is a recording ``Tensor`` (requires_grad)
 or a plain value that acts as a constant. An op none of whose operands
 records returns its plain result, an ndarray or a scalar, so evaluation-mode
 passes run on plain arrays and build no graph object.
@@ -19,15 +20,14 @@ from .errors import InvalidConfig
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_param")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backprop=None, _param=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backprop=None, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad = grad
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backprop = _backprop
-        self._param = _param
 
     @property
     def shape(self):
@@ -54,21 +54,21 @@ class Tensor:
         return order
 
     def backward(self):
-        """Propagate d(self)/d(leaf) through the recorded graph.
+        """Add d(self)/d(leaf) into each reachable leaf's ``grad``: the
+        array the leaf was built with, else a copy of its first gradient.
 
-        Returns the topologically sorted node list so callers can harvest
-        leaf gradients. Node gradients are reset first, so repeated calls
-        recompute the same values instead of accumulating.
+        Each op node's gradient goes to its backward rule and is dropped, so
+        a second call adds the same gradients into the leaves again. Returns
+        the topologically sorted node list.
         """
         if not self._parents:
             raise InvalidConfig("tensor has no recorded computation to differentiate")
         order = self._toposort()
-        for node in order:
-            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backprop is not None and node.grad is not None:
-                node._backprop(node.grad)
+                g, node.grad = node.grad, None
+                node._backprop(g)
         return order
 
 

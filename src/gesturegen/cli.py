@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -412,8 +413,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        return args.func(cfg, args)
-    except GestureGenError as exc:
+        code = args.func(cfg, args)
+        sys.stdout.flush()
+        return code
+    except (GestureGenError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader has gone; devnull takes the exit-time flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = f"cannot write stdout: {exc.strerror}"
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

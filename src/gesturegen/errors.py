@@ -18,6 +18,7 @@ import array
 import contextlib
 import os
 import stat
+import sys
 
 import numpy as np
 
@@ -38,17 +39,17 @@ class IoFailure(GestureGenError):
     """An output file could not be written."""
 
 
-def _names_descriptor(path) -> bool:
-    """Whether ``path`` leads, through its symlinks, to an entry of a
-    /proc/<pid>/fd directory, as /dev/stdout and /dev/fd/N do."""
+def _descriptor(path):
+    """``(directory, name)`` of the /proc/<pid>/fd entry that ``path`` leads
+    to through its symlinks, as /dev/stdout and /dev/fd/N do, else None."""
     for _ in range(40):
         parent = os.path.realpath(os.path.dirname(os.path.abspath(path)))
         if parent.startswith("/proc/") and parent.endswith("/fd"):
-            return True
+            return parent, os.path.basename(path)
         if not os.path.islink(path):
-            return False
+            return None
         path = os.path.join(os.path.dirname(os.path.abspath(path)), os.readlink(path))
-    return False
+    return None
 
 
 @contextlib.contextmanager
@@ -59,16 +60,22 @@ def open_for_write(path, what: str, mode: str = "w"):
     resolved target, given the target's mode and renamed over it on success;
     on any exception the temporary file is removed, so the target keeps its
     old bytes. A target that is not a regular file (a FIFO, a directory) or
-    names an open descriptor (/dev/stdout, /dev/fd/N) is opened in place.
-    An OSError becomes IoFailure("cannot write <what>: ...")."""
+    names an open descriptor (/dev/stdout, /dev/fd/N) is opened in place,
+    one of this process's through a duplicate once stdout is flushed, so the
+    bytes land at its offset. An OSError becomes IoFailure("cannot write
+    <what>: ...")."""
     st = None
     with contextlib.suppress(OSError):
         st = os.stat(path)
-    in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or _names_descriptor(path)
+    entry = _descriptor(path)
+    in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or entry is not None
+    own = entry is not None and entry[0] == f"/proc/{os.getpid()}/fd" and entry[1].isdigit()
     target = os.path.realpath(path)
     tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
+    if own:
+        sys.stdout.flush()
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(os.dup(int(entry[1])) if own else tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         if not in_place:
             if st is not None:

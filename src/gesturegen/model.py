@@ -10,7 +10,7 @@ first generated step, and no step reads the others'.
 Every pass runs through one set of autodiff graph builders: `forward_graph`
 records the graph for training, `forward` runs the same builders on the
 plain parameter values, so no op records and every result is a plain
-array, and `backward` harvests parameter gradients from a recorded loss.
+array, and `backward` adds a recorded loss's gradients into the store.
 `forward` encodes all word chunks of an utterance in one batch, then
 decodes them in order, each seeded with the last poses of the one before.
 
@@ -20,9 +20,9 @@ candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
 backward) fed the transposed weights directly; the encoder projects all
 timesteps' inputs with one matmul per layer and direction before the
 recurrence. A decoder step's attention is one graph node too
-(`autodiff.attention`), fed the transposed query weight and the annotation
-projection made once per pass; `_Decoder` binds the decoder's transposed
-weights and biases once per pass as well. A batch of word sequences of
+(`autodiff.attention`), fed the annotation projection made once per pass;
+`_Decoder` binds the attention weights and the decoder's transposed
+weights and biases once per pass. A batch of word sequences of
 different lengths runs as one zero-padded rollout: padded steps carry the
 encoder state in both directions and get attention weight exactly 0, so
 every row equals its own unpadded rollout.
@@ -162,7 +162,7 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
 class _Bag:
     """Per-pass cache mapping parameters to their operands, plain and
     transposed, so each parameter enters a pass's graph once. A recording
-    bag hands out recording tensors, an eval bag the values themselves."""
+    bag hands out leaves summing into the store, an eval bag the values."""
 
     def __init__(self, record: bool):
         self.record = record
@@ -172,7 +172,7 @@ class _Bag:
     def __call__(self, p: Parameter):
         t = self._plain.get(p.name)
         if t is None:
-            t = Tensor(p.value, requires_grad=True, _param=p) if self.record else p.value
+            t = Tensor(p.value, requires_grad=True, grad=p.grad) if self.record else p.value
             self._plain[p.name] = t
         return t
 
@@ -218,29 +218,17 @@ def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, rng=None, dropou
     return inputs
 
 
-class _Attention:
-    """Additive scorer over (B, s, 2H) annotations and their (B, s, A)
-    projection, made once per pass; a step is one `autodiff.attention` node.
-    ``mask`` is a (B, s) array added to the scores: 0 on words, -inf on
-    padding, so padded positions get weight exactly 0."""
-
-    def __init__(self, model, bag, annotations, projected, mask=None):
-        self.annotations, self.projected, self.mask = annotations, projected, mask
-        self.w_query_t = bag.T(model.att_query)
-        self.v = bag(model.att_score)
-
-    def __call__(self, state):
-        """(context (B, 2H), weights array (B, s)) for a (B, H) query."""
-        return ad.attention(state, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
-
-
 class _Decoder:
     """The decoder with its weights bound once per pass; a call is one step:
     pre-linear, attention queried with the top layer's previous state, the
-    two GRU cells and, when ``emit``, the post-linear."""
+    two GRU cells and, when ``emit``, the post-linear. Attention scores the
+    (B, s, 2H) annotations through their (B, s, A) projection, made once per
+    pass; ``mask`` is a (B, s) array added to the scores: 0 on words, -inf
+    on padding, so padded positions get weight exactly 0."""
 
-    def __init__(self, model, bag, attention, rng=None, dropout=0.0):
-        self.attention, self.rng, self.dropout = attention, rng, dropout
+    def __init__(self, model, bag, annotations, projected, mask=None, rng=None, dropout=0.0):
+        self.annotations, self.projected, self.mask, self.rng, self.dropout = annotations, projected, mask, rng, dropout
+        self.w_query_t, self.v = bag.T(model.att_query), bag(model.att_score)
         self.pre_w, self.pre_b = bag.T(model.pre_w), bag(model.pre_b)
         self.cells = [(bag.T(w), bag.T(u), bag(b)) for w, u, b in model.decoder]
         self.post_w, self.post_b = bag.T(model.post_w), bag(model.post_b)
@@ -248,7 +236,7 @@ class _Decoder:
     def __call__(self, prev_pose, h1, h2, emit=True):
         """(pose (None unless emit), h1', h2', attention weights (B, s))."""
         pre = ad.add(ad.matmul(prev_pose, self.pre_w), self.pre_b)
-        context, weights = self.attention(h2)
+        context, weights = ad.attention(h2, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
         x = ad.concat([pre, context], axis=-1)
         x = ad.dropout(x, self.dropout, self.rng)
         (w1, u1, b1), (w2, u2, b2) = self.cells
@@ -330,7 +318,7 @@ def forward_graph(
     bag = _Bag(True)
     annotations = _encode_graph(model, bag, embedded, lengths, rng, dropout)
     projected = ad.matmul(annotations, bag.T(model.att_ann))
-    decoder = _Decoder(model, bag, _Attention(model, bag, annotations, projected, mask), rng, dropout)
+    decoder = _Decoder(model, bag, annotations, projected, mask, rng, dropout)
     return _rollout(model, decoder, seed_poses)
 
 
@@ -360,7 +348,7 @@ def forward(model, chunks, seed_poses):
     rollouts = []
     for row, s in enumerate(lengths):
         own = (annotations[row : row + 1, :s], projected[row : row + 1, :s])
-        out = _rollout(model, _Decoder(model, bag, _Attention(model, bag, *own)), seeds)
+        out = _rollout(model, _Decoder(model, bag, *own), seeds)
         rollouts.append((out.poses[0], out.attn[0]))
         seeds = np.concatenate([seeds, out.poses], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts
@@ -374,7 +362,4 @@ def backward(loss: Tensor):
     """
     if not isinstance(loss, Tensor) or not loss._parents:
         raise InvalidConfig("loss is not the result of a recorded forward pass")
-    order = loss.backward()
-    for node in order:
-        if node._param is not None and node.grad is not None:
-            node._param.grad += node.grad
+    loss.backward()

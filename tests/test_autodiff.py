@@ -106,13 +106,23 @@ def test_shared_subexpression_gradient():
     assert np.allclose(x.grad, 2 * x.data + 1)
 
 
-def test_backward_recomputes_not_accumulates():
+def test_backward_accumulates_into_leaves():
     x = Tensor(np.array([2.0]), requires_grad=True)
     out = ad.tsum(ad.mul(x, x))
     out.backward()
     first = x.grad.copy()
     out.backward()
-    assert np.array_equal(x.grad, first)
+    assert np.array_equal(x.grad, 2.0 * first)
+
+
+def test_backward_frees_op_gradients():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    acc = np.full(2, 0.5)
+    w = Tensor(np.array([3.0, 4.0]), requires_grad=True, grad=acc)
+    order = ad.tsum(ad.add(ad.mul(x, w), ad.relu(w))).backward()
+    assert [node for node in order if node._backprop is not None and node.grad is not None] == []
+    assert w.grad is acc and np.array_equal(acc, [0.5 + 1.0 + 1.0, 0.5 - 2.0 + 1.0])
+    assert np.array_equal(x.grad, [3.0, 4.0])
 
 
 def test_no_recorded_graph():

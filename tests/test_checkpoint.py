@@ -295,6 +295,21 @@ class TestAtomicWrite:
         assert real.read_text() == "a,b\n1.0,1.0\n1.0,1.0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "real.csv"]
 
+    def test_descriptor_is_written_at_its_offset(self, tmp_path):
+        # As `generate --out /dev/stdout > file`: lines printed before and
+        # after the table keep their bytes, in order.
+        real = tmp_path / "real.csv"
+        fd = os.open(real, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        try:
+            os.write(fd, b"head\n")
+            link = tmp_path / "out.csv"
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            _write_table(link, 1)
+            os.write(fd, b"tail\n")
+        finally:
+            os.close(fd)
+        assert real.read_bytes() == b"head\na,b\n1.0,1.0\n1.0,1.0\ntail\n"
+
     def test_replaced_file_keeps_its_mode(self, tmp_path):
         path = tmp_path / "t.csv"
         _write_table(path, 1)

@@ -2,14 +2,17 @@
 of output bytes, and error reporting."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gesturegen
 from gesturegen.cli import main
 
 TEXT_25 = (
@@ -370,6 +373,30 @@ def test_unknown_subcommand_usage():
     )
     assert proc.returncode != 0
     assert "usage" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("command", ["schedule", "eval"])
+def test_closed_stdout_is_one_line(command, workspace, tmp_path):
+    # As `gesturegen schedule ... | true`: the reader has gone before the summary is written.
+    root, _ = workspace
+    track = str(root / "track.csv")
+    args = {"schedule": ["--text", TEXT_25, "--duration", "15"], "eval": ["--generated", track, "--reference", track]}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = {**os.environ, "PYTHONPATH": str(Path(gesturegen.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gesturegen.cli", command, *args[command]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{command}: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_error_is_single_line(capsys):

@@ -84,8 +84,9 @@ def test_every_public_name_has_a_caller():
 
 def _file_writes(tree):
     """(call, line) of every call in ``tree`` that writes or renames a file:
-    ``open`` with a mode other than a constant read mode, ``os.replace``,
-    ``os.rename``, and ``write_text`` or ``write_bytes`` on a path."""
+    ``open`` of anything but ``os.devnull`` with a mode other than a constant
+    read mode, ``os.replace``, ``os.rename``, and ``write_text`` or
+    ``write_bytes`` on a path."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -96,6 +97,7 @@ def _file_writes(tree):
         if name == "open":
             mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
             writes = not (mode is None or isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+            writes = writes and not (node.args and ast.unparse(node.args[0]) == "os.devnull")
         else:
             writes = (on_os and name in ("replace", "rename")) or name in ("write_text", "write_bytes")
         if writes:
@@ -119,6 +121,7 @@ def test_one_file_writer():
 def test_file_writes_finds_every_kind():
     tree = ast.parse(
         'open(p, "w")\nopen(p, mode="ab")\nopen(p, m)\nos.replace(a, b)\nos.rename(a, b)\np.write_bytes(b)\n'
-        'open(p)\nopen(p, "rb")\nreplace(cfg, seed=1)\ns.replace("a", "b")\n'
+        'os.open(p, os.O_WRONLY)\nopen(p)\nopen(p, "rb")\nreplace(cfg, seed=1)\ns.replace("a", "b")\n'
+        "os.open(os.devnull, os.O_WRONLY)\n"
     )
-    assert [line for _, line in _file_writes(tree)] == [1, 2, 3, 4, 5, 6]
+    assert [line for _, line in _file_writes(tree)] == [1, 2, 3, 4, 5, 6, 7]

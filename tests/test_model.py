@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
-    _Attention,
     _Bag,
     _Decoder,
     _encode_graph,
@@ -47,22 +48,25 @@ def encode(model, words):
     return list(annotations[0])
 
 
-def attention_over(model, bag, annotations):
-    """The scorer over (s, 2H) annotations, with their projection."""
+def project(model, bag, annotations):
+    """(s, 2H) annotations as a batch of one, with its (1, s, A) projection."""
     annotations = np.asarray(annotations)[None]
-    return _Attention(model, bag, annotations, ad.matmul(annotations, bag.T(model.att_ann)))
+    return annotations, ad.matmul(annotations, bag.T(model.att_ann))
 
 
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
-    context, weights = attention_over(model, _Bag(False), annotations)(np.asarray(state)[None])
+    bag = _Bag(False)
+    annotations, projected = project(model, bag, annotations)
+    w_query_t, v = bag.T(model.att_query), bag(model.att_score)
+    context, weights = ad.attention(np.asarray(state)[None], w_query_t, projected, v, annotations)
     return weights[0], context[0]
 
 
 def decode(model, prev_pose, hidden, annotations):
     """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
     bag = _Bag(False)
-    decoder = _Decoder(model, bag, attention_over(model, bag, annotations))
+    decoder = _Decoder(model, bag, *project(model, bag, annotations))
     h1, h2 = (np.asarray(h)[None] for h in hidden)
     pose, h1, h2, weights = decoder(np.asarray(prev_pose)[None], h1, h2)
     return pose[0], (h1[0], h2[0]), weights[0]
@@ -347,6 +351,10 @@ class TestBackward:
         for name, p in tiny.store.items():
             assert np.allclose(p.grad, 2.0 * singles[name], atol=1e-15), name
 
+    def test_recording_leaf_accumulates_into_store(self, tiny):
+        p = tiny.store["dec.pre.b"]
+        assert _Bag(True)(p).grad is p.grad
+
     def test_no_recorded_graph(self, tiny):
         with pytest.raises(InvalidConfig, match="loss is not the result of a recorded forward pass"):
             backward(Tensor(np.array(1.0), requires_grad=True))
@@ -463,6 +471,19 @@ class TestPaddedBatch:
         rollout = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
         _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
         assert len(total.backward()) == 25 + 16 + (4 * 4 + 10) + 1 + 11 * (2 + 3) - 2 * (2 - 1) + 2
+
+    def test_gradients_pinned(self):
+        # The bits of one train step's gradients on the padded dropout batch
+        # above; a change to how gradients are summed must keep them.
+        model = init_model(PADDED, seed=3)
+        rng = np.random.default_rng(3)
+        lengths = np.array([4, 2, 3])
+        emb, seeds = _padded_batch(rng, lengths, 4)
+        rollout = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
+        model.store.zero_grads()
+        backward(total)
+        assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "0ffd1f335552437bcb313b340201d3c73496c73724e931b50730cf3eb8328c01"
 
     def test_bad_lengths(self, tiny):
         with pytest.raises(InvalidConfig, match=r"lengths must be 2 word counts in \[1, 3\]"):
