@@ -6,7 +6,9 @@ all reachable leaves, across calls, and frees each op node's gradient once
 its rule has run. An operand is a recording ``Tensor`` (requires_grad)
 or a plain value that acts as a constant. An op none of whose operands
 records returns its plain result, an ndarray or a scalar, so evaluation-mode
-passes run on plain arrays and build no graph object.
+passes run on plain arrays and build no graph object. The ops are the
+ones the seq2seq model records; the lift net trains on plain arrays with
+its own backward (lifting._train_step) and records nothing.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -236,41 +238,6 @@ def gru_step(gx, h, u, b, t=None, keep=None):
     return _wrap(out_val, (gx, h, u, b), backprop)
 
 
-def batch_norm(x, scale, shift, eps: float):
-    """Train-mode batch normalization of (B, F) rows, one fused graph node:
-
-        mu = mean(x);  c = x - mu;  var = mean(c * c)
-        y = (c * (var + eps) ** -0.5) * scale + shift
-
-    Statistics are per feature over the batch (population variance).
-    Returns (y, mu, var) with mu and var as (1, F) arrays. The forward and
-    the hand-written backward round as the composed mean / add / mul /
-    power graph does, so both give the same bits.
-    """
-    xv, scale_v = _data(x), _data(scale)
-    inv_n = 1.0 / xv.shape[0]
-    mu = xv.sum(axis=0, keepdims=True) * inv_n
-    centered = xv + mu * -1.0
-    var = (centered * centered).sum(axis=0, keepdims=True) * inv_n
-    var_eps = var + eps
-    inv_std = np.power(var_eps, -0.5)
-    normalized = centered * inv_std
-    out_val = normalized * scale_v + _data(shift)
-    if not _records(x, scale, shift):
-        return out_val, mu, var
-
-    def backprop(g):
-        _accumulate(shift, g)
-        _accumulate(scale, g * normalized)
-        g_norm = g * scale_v
-        g_var = (g_norm * centered).sum(axis=0, keepdims=True) * -0.5 * np.power(var_eps, -1.5)
-        g_sq_c = g_var * inv_n * centered
-        g_centered = (g_norm * inv_std + g_sq_c) + g_sq_c
-        _accumulate(x, g_centered + g_centered.sum(axis=0, keepdims=True) * -1.0 * inv_n)
-
-    return _wrap(out_val, (x, scale, shift), backprop), mu, var
-
-
 def gesture_loss(pred, target, alpha: float, beta: float):
     """The training loss of a (B, m, d) prediction against a (B, m, d)
     target array, one fused graph node (formula in the ``training`` module
@@ -354,21 +321,6 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
         _accumulate(w_query_t, state_v.T @ d_q)
 
     return _wrap(context, (state, w_query_t, projected, v, annotations), backprop), weights
-
-
-# -- nonlinearities -----------------------------------------------------------
-
-
-def relu(x):
-    xv = _data(x)
-    y = np.maximum(xv, 0.0)
-    if not _records(x):
-        return y
-
-    def backprop(g):
-        _accumulate(x, g * (xv > 0.0))
-
-    return _wrap(y, (x,), backprop)
 
 
 # -- reductions and reshaping -------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line surface. Every command reads an optional JSON config plus
-flag overrides, writes machine-readable files, and prints a short summary.
-Exit code 0 on success; failures print one `command: reason` line."""
+flag overrides, writes machine-readable files, and prints a short summary:
+on stdout, or on stderr when an output file is stdout itself. Exit code 0
+on success; failures print one `command: reason` line."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +21,7 @@ from .baselines import eval_tracks, manual_baseline, nn_baseline, random_baselin
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, load_config
 from .corpus import corpus_vocabulary, curate_shots, load_records_jsonl, save_records_jsonl, synth_corpus
-from .errors import GestureGenError, InvalidConfig, IoFailure, MalformedFile, open_for_write
+from .errors import GestureGenError, InvalidConfig, IoFailure, MalformedFile, _descriptor, open_for_write
 from .kinematics import save_angles_csv
 from .lifting import lift_mse, retarget_track, synth_pose3d_corpus, train_lift
 from .model import init_model
@@ -328,6 +330,9 @@ def cmd_render(cfg: Config, args) -> int:
     return 0
 
 
+# Flags that name an output file; the checkpoint path is one too for some commands
+_OUTPUT_FLAGS = ("out", "attention", "report", "history", "embeddings_out")
+
 # Config fields every command takes as a flag
 _COMMON = ("seed", "out_dir", "checkpoint", "dataset", "embeddings")
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
@@ -413,7 +418,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        code = args.func(cfg, args)
+        # An output named /dev/stdout, /dev/fd/1 or /proc/self/fd/1 is this process's
+        # stdout: the summary goes to stderr then, so stdout carries the data alone.
+        outputs = [getattr(args, flag, None) for flag in _OUTPUT_FLAGS] + [cfg.checkpoint]
+        to_stdout = any(path and _descriptor(path) == (f"/proc/{os.getpid()}/fd", "1") for path in outputs)
+        with contextlib.redirect_stdout(sys.stderr if to_stdout else sys.stdout):
+            code = args.func(cfg, args)
         sys.stdout.flush()
         return code
     except (GestureGenError, BrokenPipeError) as exc:

@@ -2,10 +2,13 @@
 
 A small fully connected network (14 -> 30 -> 20 -> 7, batch normalization
 after the first two layers) predicts a depth for each non-neck joint of a
-normalized 2D pose; the neck anchors the torso frame at depth 0. Training
-draws 16-pose batches, augments each batch with one augment_3d call and
-records each train-mode batch normalization as one fused graph node
-(autodiff.batch_norm).
+normalized 2D pose; the neck anchors the torso frame at depth 0. One pass
+over plain arrays (`lift_pass`) serves both modes: `lift_forward` runs it
+in eval mode on the running statistics, and each training step runs it in
+train mode on the batch statistics, then adds a hand-written backward's
+gradients into the parameter store, so lift training records no autodiff
+graph. Training draws 16-pose batches and augments each batch with one
+augment_3d call.
 
 Axis bridge: 2D poses use image convention (y down), the 3D torso frame
 has Y up. Projection of a 3D pose to a 2D training input is (X, -Y); the
@@ -23,10 +26,10 @@ from . import autodiff as ad
 from .config import Config
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, clamp_angles, compute_joint_angles, forward_kinematics
-from .model import ParamStore, _Bag, _xavier, backward
+from .model import ParamStore, _xavier
 from .pose import NECK, decode_pose, shoulder_scale
 from .synthesis import TimedPoseTrack
-from .training import AdamState, adam_step
+from .training import AdamState, _check_finite, adam_step
 
 LIFT_INPUT_DIM = 14  # 7 non-neck joints x (x, y)
 LIFT_WIDTHS = (30, 20, 7)
@@ -74,44 +77,71 @@ def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e
     return params
 
 
-def batch_norm_graph(x, scale, shift, run_mean, run_var, train, momentum, eps):
-    """Normalize per feature. Train mode uses batch statistics (population
-    variance, one fused graph node) and updates the running buffers in
-    place; eval mode uses the running statistics as constants."""
-    if train:
-        out, mu, var = ad.batch_norm(x, scale, shift, eps)
-        run_mean *= 1.0 - momentum
-        run_mean += momentum * mu[0]
-        run_var *= 1.0 - momentum
-        run_var += momentum * var[0]
-        return out
-    inv = 1.0 / np.sqrt(run_var + eps)
-    normalized = ad.mul(ad.add(x, -run_mean), inv)
-    return ad.add(ad.mul(normalized, scale), shift)
+def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
+    """One pass of the net over a (B, 14) array: (depths (B, 7), the three
+    linear layers' inputs, per normalization (centered, var + eps, inverse
+    std, normalized)); the training step's backward reads the last two.
 
-
-def lift_forward_graph(params: LiftNetParams, x: np.ndarray, train: bool, record: bool = True):
-    """x: (B, 14) -> depths (B, 7), a recorded tensor when ``record``, else
-    a plain array."""
-    bag = _Bag(record)
-    h = x
+    Train mode normalizes with the batch statistics (population variance)
+    and updates the running buffers in place; eval mode uses the running
+    statistics, so each row's depths are independent of the batch."""
+    inputs, norms = [x], []
     for i in (1, 2):
         w, b = params.layer(i)
-        h = ad.add(ad.matmul(h, bag.T(w)), bag(b))
         scale, shift = params.norm(i)
-        h = batch_norm_graph(
-            h,
-            bag(scale),
-            bag(shift),
-            params.running[f"mean{i}"],
-            params.running[f"var{i}"],
-            train,
-            params.bn_momentum,
-            params.bn_eps,
-        )
-        h = ad.relu(h)
+        run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
+        pre = inputs[-1] @ w.value.T + b.value
+        var_eps = None
+        if train:
+            inv_n = 1.0 / len(pre)
+            mu = pre.sum(axis=0) * inv_n
+            centered = pre + mu * -1.0
+            var = (centered * centered).sum(axis=0) * inv_n
+            var_eps = var + params.bn_eps
+            inv_std = np.power(var_eps, -0.5)
+            for buf, stat in ((run_mean, mu), (run_var, var)):
+                buf *= 1.0 - params.bn_momentum
+                buf += params.bn_momentum * stat
+        else:
+            centered = pre + -run_mean
+            inv_std = 1.0 / np.sqrt(run_var + params.bn_eps)
+        normalized = centered * inv_std
+        norms.append((centered, var_eps, inv_std, normalized))
+        inputs.append(np.maximum(normalized * scale.value + shift.value, 0.0))
     w, b = params.layer(3)
-    return ad.add(ad.matmul(h, bag.T(w)), bag(b))
+    return inputs[-1] @ w.value.T + b.value, inputs, norms
+
+
+def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
+    """A train-mode pass on a (B, 14) batch against (B, 7) target depths
+    that adds the mean squared error's gradients into ``params.store.grads``
+    and returns the loss.
+
+    The backward is written by hand in the op order of the same net
+    composed of autodiff graph nodes (the tests' reference), so its
+    gradients and running buffers are bit-equal to that graph's."""
+    out, inputs, norms = lift_pass(params, x, train=True)
+    diff = out + -targets
+    loss = ad.tmean(ad.mul(diff, diff))
+    g = diff * (1.0 / diff.size)
+    g = g + g
+    for i in (3, 2, 1):
+        w, b = params.layer(i)
+        b.grad += g.sum(axis=0)
+        w.grad += (inputs[i - 1].T @ g).T
+        if i == 1:
+            return loss
+        g = (g @ w.value) * (inputs[i - 1] > 0.0)  # through the relu
+        centered, var_eps, inv_std, normalized = norms[i - 2]
+        scale, shift = params.norm(i - 1)
+        shift.grad += g.sum(axis=0)
+        scale.grad += (g * normalized).sum(axis=0)
+        inv_n = 1.0 / len(g)
+        g_norm = g * scale.value
+        g_var = (g_norm * centered).sum(axis=0) * -0.5 * np.power(var_eps, -1.5)
+        g_sq_c = g_var * inv_n * centered
+        g = (g_norm * inv_std + g_sq_c) + g_sq_c
+        g = g + g.sum(axis=0) * -1.0 * inv_n
 
 
 def pose2d_to_lift_input(pose2d) -> np.ndarray:
@@ -149,12 +179,8 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
 
 
 def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
-    """Depths (B, 7) for a (B, 14) batch of lift inputs.
-
-    Eval mode: batch normalization uses the running statistics, so each
-    row's depths are independent of the batch size.
-    """
-    return lift_forward_graph(params, np.asarray(poses, dtype=np.float64), train=False, record=False)
+    """Eval-mode depths (B, 7) for a (B, 14) batch of lift inputs."""
+    return lift_pass(params, np.asarray(poses, dtype=np.float64), train=False)[0]
 
 
 def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
@@ -228,14 +254,13 @@ def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.lift_steps):
-        batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
-        out = lift_forward_graph(params, pose2d_to_lift_input(project_to_image(batch)), train=True)
-        diff = ad.add(out, -depth_targets(batch))
-        loss = ad.tmean(ad.mul(diff, diff))
-        params.store.zero_grads()
-        backward(loss)
-        adam_step(params.store, state, LIFT_LR)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
+        for step in range(cfg.lift_steps):
+            batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
+            params.store.zero_grads()
+            loss = _train_step(params, pose2d_to_lift_input(project_to_image(batch)), depth_targets(batch))
+            _check_finite(params.store, loss, f"step {step}")
+            adam_step(params.store, state, LIFT_LR)
     return params
 
 

@@ -136,14 +136,15 @@ class TrainResult:
     history: list = field(default_factory=list)  # per-epoch LossBreakdown
 
 
-def _check_finite(store: ParamStore, loss: float, epoch: int, batch: int):
+def _check_finite(store: ParamStore, loss: float, where: str):
+    """Refuse a non-finite loss or gradient after the training step ``where``."""
     if not np.isfinite(loss):
         what = "loss"
     elif not np.isfinite(store.grads).all():
         what = "gradient"
     else:
         return
-    raise InvalidConfig(f"training diverged at epoch {epoch}, batch {batch}: non-finite {what}")
+    raise InvalidConfig(f"training diverged at {where}: non-finite {what}")
 
 
 def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, on_epoch=None) -> TrainResult:
@@ -188,7 +189,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
                 rollout = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
                 breakdown, total = compute_loss_graph(rollout.poses, targets, cfg)
                 backward(total)
-            _check_finite(model.store, breakdown.total, epoch, bstart // cfg.batch_size)
+            _check_finite(model.store, breakdown.total, f"epoch {epoch}, batch {bstart // cfg.batch_size}")
             clip_gradients(model.store)
             adam_step(model.store, state, cfg.lr)
             sums += np.array([breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]) * len(batch)

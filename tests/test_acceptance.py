@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gesturegen import autodiff as ad
+from gesturegen import lifting
 from gesturegen.baselines import bleu_score, manual_baseline, nn_baseline, random_baseline
 from gesturegen.checkpoint import load_checkpoint, save_checkpoint
 from gesturegen.cli import main
@@ -20,11 +21,10 @@ from gesturegen.config import Config
 from gesturegen.corpus import corpus_vocabulary, synth_corpus
 from gesturegen.kinematics import ANGLE_NAMES, compute_joint_angles, forward_kinematics
 from gesturegen.lifting import (
-    batch_norm_graph,
     depth_targets,
     init_lift_params,
-    lift_forward_graph,
     lift_mse,
+    lift_pass,
     synth_pose3d_corpus,
     train_lift,
 )
@@ -397,31 +397,26 @@ def test_criterion_9_lift_network():
     params = init_lift_params(seed=2)
     rng = np.random.default_rng(2)
     x = rng.normal(0, 20.0, size=(64, 14)) + 1.5
-    w, b = params.layer(1)
-    pre = x @ w.value.T + b.value
-    scale, shift = params.norm(1)
-    normalized = batch_norm_graph(
-        pre, scale.value, shift.value,
-        params.running["mean1"].copy(), params.running["var1"].copy(),
-        train=True, momentum=0.1, eps=1e-5,
-    )
+    _, _, norms = lift_pass(params, x, train=True)
+    normalized = norms[0][3]  # the first layer's, before scale and shift
     bn_mean = float(np.max(np.abs(normalized.mean(axis=0))))
     bn_var = float(np.max(np.abs(normalized.var(axis=0) - 1.0)))
 
-    # finite differences against analytic gradients (eval-mode batchnorm)
+    # finite differences against the training step's analytic gradients
+    # (train-mode batchnorm, running buffers restored before each loss)
     fd_params = init_lift_params(seed=5)
     xs = rng.normal(size=(4, 14))
     target = rng.normal(size=(4, 7))
+    running = {name: buf.copy() for name, buf in fd_params.running.items()}
 
     def loss_value():
-        out = lift_forward_graph(fd_params, xs, train=False, record=False)
+        for name, buf in running.items():
+            fd_params.running[name][...] = buf
+        out = lift_pass(fd_params, xs, train=True)[0]
         return float(np.mean((out - target) ** 2))
 
-    out = lift_forward_graph(fd_params, xs, train=False)
-    diff = ad.add(out, -target)
-    loss = ad.tmean(ad.mul(diff, diff))
     fd_params.store.zero_grads()
-    backward(loss)
+    lifting._train_step(fd_params, xs, target)
     worst_grad = 0.0
     step = 1e-5
     for name, p in fd_params.store.items():

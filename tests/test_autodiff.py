@@ -54,8 +54,22 @@ def test_matmul_broadcast_batch():
     _fd_check(lambda a, b: ad.tsum(ad.matmul(a, b)), [(2, 3, 4), (4, 2)])
 
 
+def _relu(x):
+    # relu as a graph node, plain on plain operands: only the lift net's
+    # reference graph in the tests needs it, so the engine has none.
+    xv = ad._data(x)
+    y = np.maximum(xv, 0.0)
+    if not ad._records(x):
+        return y
+
+    def backprop(g):
+        ad._accumulate(x, g * (xv > 0.0))
+
+    return ad._wrap(y, (x,), backprop)
+
+
 def test_tanh_sigmoid_relu():
-    _fd_check(lambda a: ad.tsum(ad.relu(ad.add(a, 0.1))), [(5,)])
+    _fd_check(lambda a: ad.tsum(_relu(ad.add(a, 0.1))), [(5,)])
 
 
 def test_gesture_loss_matches_finite_differences():
@@ -119,7 +133,7 @@ def test_backward_frees_op_gradients():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     acc = np.full(2, 0.5)
     w = Tensor(np.array([3.0, 4.0]), requires_grad=True, grad=acc)
-    order = ad.tsum(ad.add(ad.mul(x, w), ad.relu(w))).backward()
+    order = ad.tsum(ad.add(ad.mul(x, w), _relu(w))).backward()
     assert [node for node in order if node._backprop is not None and node.grad is not None] == []
     assert w.grad is acc and np.array_equal(acc, [0.5 + 1.0 + 1.0, 0.5 - 2.0 + 1.0])
     assert np.array_equal(x.grad, [3.0, 4.0])
@@ -148,11 +162,9 @@ _OP_CASES = {
         lambda gx, h, u, b: ad.gru_step(gx, h, u, b, t=1, keep=_KEEP),
         [(3, 4, 6), (3, 2), (2, 6), (6,)],
     ),
-    "batch_norm": (ad.batch_norm, lambda *x: ad.batch_norm(*x, 1e-5), [(4, 3), (3,), (3,)]),
     "gesture_loss": (ad.gesture_loss, lambda p: ad.gesture_loss(p, np.ones((2, 4, 3)), 0.7, 0.3), [(2, 4, 3)]),
     "attention": (ad.attention, ad.attention, _ATTENTION_SHAPES),
     "attention_masked": (ad.attention, lambda *x: ad.attention(*x, _MASK), _ATTENTION_SHAPES),
-    "relu": (ad.relu, ad.relu, [(5,)]),
     "tsum": (ad.tsum, ad.tsum, [(3, 4)]),
     "tmean": (ad.tmean, ad.tmean, [(3, 4)]),
     "concat": (ad.concat, lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
@@ -335,8 +347,9 @@ def _power(x, exponent):
 
 
 def _composed_batch_norm(x, scale, shift, eps):
-    # The train-mode graph the lift net recorded before autodiff.batch_norm
-    # fused it into one node, kept as the reference.
+    # The train-mode batch normalization the lift net recorded as graph
+    # nodes before its training step got a hand-written backward, kept as
+    # the reference.
     inv_n = 1.0 / x.shape[0]
     mu = ad.mul(_sum_axis(x, 0, keepdims=True), inv_n)
     centered = ad.add(x, ad.mul(mu, -1.0))
@@ -354,12 +367,6 @@ def _gru_step_case(rng, batch, hidden, steps, *_):
     node = lambda gx, h, u, b: (ad.gru_step(gx, h, u, b, t=t, keep=keep),)
     gx_shape = (batch, 3 * hidden) if t is None else (batch, steps, 3 * hidden)
     return node, None, [gx_shape, (batch, hidden), (hidden, 3 * hidden), (3 * hidden,)], (batch, hidden)
-
-
-def _batch_norm_case(rng, batch, features, *_):
-    node = lambda x, scale, shift: ad.batch_norm(x, scale, shift, 1e-5)
-    composed = lambda x, scale, shift: _composed_batch_norm(x, scale, shift, 1e-5)
-    return node, composed, [(batch, features), (features,), (features,)], (batch, features)
 
 
 def _gesture_loss_case(rng, batch, steps, dim, *_):
@@ -384,7 +391,6 @@ def _attention_case(masked):
 # tensor first, then any plain arrays
 _FUSED_NODES = {
     "gru_step": _gru_step_case,
-    "batch_norm": _batch_norm_case,
     "gesture_loss": _gesture_loss_case,
     "attention": _attention_case(masked=False),
     "attention_masked": _attention_case(masked=True),
@@ -417,7 +423,6 @@ def _assert_bit_equal(node, composed, shapes, weights, seed):
 @example(node="attention", batch=4, widths=[3, 4, 5, 6], seed=1)
 @example(node="attention_masked", batch=1, widths=[3, 4, 5, 6], seed=2)
 @example(node="attention_masked", batch=4, widths=[3, 4, 5, 6], seed=3)
-@example(node="batch_norm", batch=16, widths=[30, 1, 1, 1], seed=4)
 def test_fused_node_gradients_match_finite_differences(node, batch, widths, seed):
     """Every input's gradient matches central differences; a node with a
     composed reference graph also matches its output and gradient bits."""

@@ -707,6 +707,52 @@ def test_diverging_train_is_single_line(workspace, tmp_path, capsys):
     assert not (tmp_path / "ck.ggck").exists()
 
 
+def test_diverging_lift_train_is_single_line(tmp_path, capsys, monkeypatch):
+    from gesturegen import lifting
+    from gesturegen.checkpoint import Checkpoint, save_checkpoint
+
+    ck = tmp_path / "ck.ggck"
+    save_checkpoint(Checkpoint(config={}), ck)
+    monkeypatch.setattr(lifting, "augment_3d", lambda samples, rng: np.full(samples.shape, np.nan))
+    args = ["lift-train", "--checkpoint", str(ck), "--lift-steps", "3", "--lift-corpus-size", "10"]
+    assert main([*args, "--out", str(tmp_path / "lift.ggck"), "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "lift-train: training diverged at step 0: non-finite loss\n"
+    assert captured.out == ""
+    assert not (tmp_path / "lift.ggck").exists()
+
+
+@pytest.mark.parametrize(
+    "command, stdout_path",
+    [("curate", "/dev/stdout"), ("curate", "/proc/self/fd/1"), ("generate", "/dev/stdout")],
+)
+def test_summary_on_stderr_when_output_is_stdout(workspace, tmp_path, command, stdout_path):
+    # As `gesturegen curate --out /dev/stdout > f`: f holds the data alone,
+    # byte-equal to a file output, and the summary goes to stderr.
+    root, _ = workspace
+    args = {
+        "curate": ["--dataset", str(root / "corpus.jsonl"), "--report", str(tmp_path / "report.json")],
+        "generate": ["--checkpoint", str(root / "ck.ggck"), "--text", TEXT_25, "--duration", "15.0"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(gesturegen.__file__).parents[1])}
+
+    def run(out, stdout):
+        cli = [sys.executable, "-m", "gesturegen.cli", command, *args, "--out-dir", str(tmp_path / "o"), "--out", out]
+        return subprocess.run(cli, stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
+
+    to_file = run(str(tmp_path / "g"), subprocess.PIPE)
+    with open(tmp_path / "f", "w") as fh:
+        to_stdout = run(stdout_path, fh)
+    assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+    assert to_file.stderr == ""
+    assert (tmp_path / "f").read_bytes() == (tmp_path / "g").read_bytes()
+
+    def untimed(text):
+        return re.sub(r"\d+\.\d{4}", "#", text)
+
+    assert untimed(to_stdout.stderr) == untimed(to_file.stdout.replace(str(tmp_path / "g"), stdout_path))
+
+
 def test_train_prints_one_line_per_epoch(workspace, tmp_path, capsys):
     root, train_args = workspace
     args = list(train_args)
