@@ -77,6 +77,35 @@ def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e
     return params
 
 
+def _batch_norm_train(pre: np.ndarray, eps: float):
+    """Train-mode batch normalization of (B, n) pre-activations with the
+    batch statistics: ((mean, population variance), (centered, var + eps,
+    inverse std, normalized)); _batch_norm_backward reads the second."""
+    inv_n = 1.0 / len(pre)
+    mu = pre.sum(axis=0) * inv_n
+    centered = pre + mu * -1.0
+    var = (centered * centered).sum(axis=0) * inv_n
+    var_eps = var + eps
+    inv_std = np.power(var_eps, -0.5)
+    return (mu, var), (centered, var_eps, inv_std, centered * inv_std)
+
+
+def _batch_norm_backward(g: np.ndarray, scale: np.ndarray, norm):
+    """Gradients (input, scale, shift) of train-mode batch normalization
+    followed by ``* scale + shift``, from the output gradient g and the
+    intermediates _batch_norm_train returned, in the op order of the same
+    normalization composed of autodiff graph nodes."""
+    centered, var_eps, inv_std, normalized = norm
+    g_shift = g.sum(axis=0)
+    g_scale = (g * normalized).sum(axis=0)
+    inv_n = 1.0 / len(g)
+    g_norm = g * scale
+    g_var = (g_norm * centered).sum(axis=0) * -0.5 * np.power(var_eps, -1.5)
+    g_sq_c = g_var * inv_n * centered
+    g = (g_norm * inv_std + g_sq_c) + g_sq_c
+    return g + g.sum(axis=0) * -1.0 * inv_n, g_scale, g_shift
+
+
 def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
     """One pass of the net over a (B, 14) array: (depths (B, 7), the three
     linear layers' inputs, per normalization (centered, var + eps, inverse
@@ -91,23 +120,17 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
         scale, shift = params.norm(i)
         run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
         pre = inputs[-1] @ w.value.T + b.value
-        var_eps = None
         if train:
-            inv_n = 1.0 / len(pre)
-            mu = pre.sum(axis=0) * inv_n
-            centered = pre + mu * -1.0
-            var = (centered * centered).sum(axis=0) * inv_n
-            var_eps = var + params.bn_eps
-            inv_std = np.power(var_eps, -0.5)
-            for buf, stat in ((run_mean, mu), (run_var, var)):
+            stats, norm = _batch_norm_train(pre, params.bn_eps)
+            for buf, stat in zip((run_mean, run_var), stats):
                 buf *= 1.0 - params.bn_momentum
                 buf += params.bn_momentum * stat
         else:
             centered = pre + -run_mean
             inv_std = 1.0 / np.sqrt(run_var + params.bn_eps)
-        normalized = centered * inv_std
-        norms.append((centered, var_eps, inv_std, normalized))
-        inputs.append(np.maximum(normalized * scale.value + shift.value, 0.0))
+            norm = (centered, None, inv_std, centered * inv_std)
+        norms.append(norm)
+        inputs.append(np.maximum(norm[3] * scale.value + shift.value, 0.0))
     w, b = params.layer(3)
     return inputs[-1] @ w.value.T + b.value, inputs, norms
 
@@ -132,16 +155,10 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
         if i == 1:
             return loss
         g = (g @ w.value) * (inputs[i - 1] > 0.0)  # through the relu
-        centered, var_eps, inv_std, normalized = norms[i - 2]
         scale, shift = params.norm(i - 1)
-        shift.grad += g.sum(axis=0)
-        scale.grad += (g * normalized).sum(axis=0)
-        inv_n = 1.0 / len(g)
-        g_norm = g * scale.value
-        g_var = (g_norm * centered).sum(axis=0) * -0.5 * np.power(var_eps, -1.5)
-        g_sq_c = g_var * inv_n * centered
-        g = (g_norm * inv_std + g_sq_c) + g_sq_c
-        g = g + g.sum(axis=0) * -1.0 * inv_n
+        g, g_scale, g_shift = _batch_norm_backward(g, scale.value, norms[i - 2])
+        shift.grad += g_shift
+        scale.grad += g_scale
 
 
 def pose2d_to_lift_input(pose2d) -> np.ndarray:

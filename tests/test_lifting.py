@@ -185,6 +185,59 @@ class TestTrainStep:
         lift_forward(params, np.zeros((2, 14)))
 
 
+def _bn_inputs(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(1.5, 3.0, size=(16, 30))
+    scale, shift, weights = rng.normal(size=30), rng.normal(size=30), rng.normal(size=(16, 30))
+    return x, scale, shift, weights
+
+
+def _bn_plain(x, scale, shift, weights):
+    # Train-mode batch normalization as the lift step runs it, then the
+    # backward of sum(out * weights): (out, mean, variance, [x, scale,
+    # shift gradients]).
+    stats, norm = lifting._batch_norm_train(x, 1e-5)
+    grads = lifting._batch_norm_backward(weights, scale, norm)
+    return norm[3] * scale + shift, stats[0], stats[1], list(grads)
+
+
+class TestBatchNormNode:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_composed_graph(self, seed):
+        x, scale, shift, weights = _bn_inputs(seed)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, scale, shift)]
+        out, mu, var = _composed_batch_norm(*leaves, 1e-5)
+        ad.tsum(ad.mul(out, weights)).backward()
+        composed = (out.data, mu[0], var[0], [leaf.grad for leaf in leaves])
+        plain = _bn_plain(x, scale, shift, weights)
+        for a, b in zip(plain[:3], composed[:3]):
+            assert np.array_equal(a, b)
+        for name, a, b in zip(("x", "scale", "shift"), plain[3], composed[3]):
+            assert np.array_equal(a, b), name
+
+    def test_train_mode_finite_differences(self):
+        x, scale, shift, weights = _bn_inputs(3)
+        _, _, _, grads = _bn_plain(x, scale, shift, weights)
+        values = [x, scale, shift]
+
+        def loss_value():
+            return float(np.sum(_bn_plain(*values, weights)[0] * weights))
+
+        step = 1e-5
+        rng = np.random.default_rng(3)
+        for name, value, grad in zip(("x", "scale", "shift"), values, grads):
+            flat, gflat = value.reshape(-1), grad.reshape(-1)
+            for i in rng.choice(flat.size, size=6, replace=False):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = loss_value()
+                flat[i] = orig - step
+                lo = loss_value()
+                flat[i] = orig
+                fd = (hi - lo) / (2 * step)
+                assert abs(gflat[i] - fd) / max(1e-6, abs(gflat[i]), abs(fd)) < 1e-5, (name, i, gflat[i], fd)
+
+
 def _augment_one(sample, rng, noise_sigma, rot_range=np.deg2rad(30.0)):
     # The one-pose augmentation train_lift ran per sample before augment_3d
     # took whole batches, kept as the reference.
