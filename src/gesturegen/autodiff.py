@@ -7,8 +7,11 @@ its rule has run. An operand is a recording ``Tensor`` (requires_grad)
 or a plain value that acts as a constant. An op none of whose operands
 records returns its plain result, an ndarray or a scalar, so evaluation-mode
 passes run on plain arrays and build no graph object. The ops are the
-ones the seq2seq model records; the lift net trains on plain arrays with
-its own backward (lifting._train_step) and records nothing.
+ones the seq2seq model records; each weight enters as stored, an (out, in)
+array that ``linear``, ``gru_step`` and ``attention`` read through its
+transpose, so no op undoes the storage layout. The lift net trains on
+plain arrays with its own backward (lifting._train_step) and records
+nothing.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -88,30 +91,15 @@ def _records(*operands) -> bool:
 
 
 def _accumulate(t, g: np.ndarray):
-    """Add g, summed back down to t's shape, into t's gradient; an operand
-    that does not record takes none."""
+    """Add g into t's gradient; an operand that does not record takes none."""
     if not (isinstance(t, Tensor) and t.requires_grad):
         return
-    g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         # Copy: g may be a view or an upstream grad buffer shared with
         # another operand of the same node.
         t.grad = np.array(g)
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def _wrap(value, parents, backprop):
@@ -122,58 +110,48 @@ def _wrap(value, parents, backprop):
 # -- arithmetic ---------------------------------------------------------------
 
 
-def add(a, b):
-    out_val = _data(a) + _data(b)
-    if not _records(a, b):
-        return out_val
-
-    def backprop(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _wrap(out_val, (a, b), backprop)
-
-
 def mul(a, b):
+    """Elementwise product with numpy broadcasting; an operand's gradient is
+    summed over the axes it was broadcast along."""
     av, bv = _data(a), _data(b)
     out_val = av * bv
     if not _records(a, b):
         return out_val
 
     def backprop(g):
-        _accumulate(a, g * bv)
-        _accumulate(b, g * av)
+        for t, other in ((a, bv), (b, av)):
+            if _records(t):
+                local, shape = g * other, t.data.shape
+                lead = local.ndim - len(shape)
+                axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n < local.shape[lead + i])
+                _accumulate(t, local.sum(axis=axes, keepdims=True).reshape(shape) if axes else local)
 
     return _wrap(out_val, (a, b), backprop)
 
 
-def matmul(a, b):
-    """np.matmul semantics for operands of ndim >= 2, broadcasting batch dims.
-
-    An N-d input times a 2-d weight runs as one 2-d GEMM over the flattened
-    leading dims, forward and backward."""
-    av, bv = _data(a), _data(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise InvalidConfig("matmul operands must have ndim >= 2")
-    flat = av.ndim > 2 and bv.ndim == 2
-    if flat:
-        out_val = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
-    else:
-        out_val = np.matmul(av, bv)
-    if not _records(a, b):
+def linear(x, w, b=None):
+    """x w^T (+ b) for a weight w in its stored (out, in) layout and an
+    optional (out,) bias: one GEMM for a (B, in) x, and one GEMM over the
+    flattened leading dims for a (B, s, in) x, forward and backward."""
+    xv, wv = _data(x), _data(w)
+    x2 = xv if xv.ndim == 2 else xv.reshape(-1, xv.shape[-1])
+    out_val = x2 @ wv.T
+    if xv.ndim != 2:
+        out_val = out_val.reshape(xv.shape[:-1] + wv.shape[:1])
+    if b is not None:
+        out_val = out_val + _data(b)
+    if not _records(x, w, b):
         return out_val
 
     def backprop(g):
-        if _records(a):
-            _accumulate(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
+        if _records(x):
+            _accumulate(x, g @ wv)
+        if _records(w):
+            _accumulate(w, (x2.T @ (g if g.ndim == 2 else g.reshape(-1, g.shape[-1]))).T)
         if _records(b):
-            if flat:
-                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            _accumulate(b, gb)
+            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _wrap(out_val, (a, b), backprop)
+    return _wrap(out_val, (x, w, b), backprop)
 
 
 def gru_step(gx, h, u, b, t=None, keep=None):
@@ -182,14 +160,15 @@ def gru_step(gx, h, u, b, t=None, keep=None):
         z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
         c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
 
-    gx is the hoisted input projection x W, (B, 3H), or (B, s, 3H) read at
-    time index t; h is (B, H); u is the gate-concatenated recurrent weight
-    (H, 3H) and b the bias (3H,). Rows where the optional (B,) bool mask
-    ``keep`` is False carry h unchanged (padded steps). The whole cell is one
-    graph node with a hand-written backward.
+    gx is the hoisted input projection x W^T, (B, 3H), or (B, s, 3H) read at
+    time index t; h is (B, H); u is the gate-stacked recurrent weight as
+    stored, (3H, H), read through its transpose U, and b the bias (3H,).
+    Rows where the optional (B,) bool mask ``keep`` is False carry h
+    unchanged (padded steps). The whole cell is one graph node with a
+    hand-written backward.
     """
     gxt = _data(gx) if t is None else _data(gx)[:, t]
-    hd, ud, bd = _data(h), _data(u), _data(b)
+    hd, ud, bd = _data(h), _data(u).T, _data(b)
     hidden = hd.shape[-1]
     two = 2 * hidden
     u_zr, u_c = ud[:, :two], ud[:, two:]
@@ -231,7 +210,7 @@ def gru_step(gx, h, u, b, t=None, keep=None):
             d_u = np.empty_like(ud)
             d_u[:, :two] = hd.T @ d_pre[:, :two]
             d_u[:, two:] = rh.T @ d_pre[:, two:]
-            _accumulate(u, d_u)
+            _accumulate(u, d_u.T)
         if _records(b):
             _accumulate(b, d_pre.sum(axis=0))
 
@@ -280,24 +259,25 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
 
 
-def attention(state, w_query_t, projected, v, annotations, mask=None):
+def attention(state, w_query, projected, v, annotations, mask=None):
     """Additive attention (Bahdanau et al. 2015) over s annotations, one
     fused graph node:
 
-        t = tanh(state w_query_t + projected);  scores = t v + mask
+        t = tanh(state w_query^T + projected);  scores = t v + mask
         weights = softmax(scores);  context = weights annotations
 
-    state is the (B, H) query, w_query_t the transposed query weight (H, A),
+    state is the (B, H) query, w_query the query weight as stored, (A, H),
     projected the precomputed (B, s, A) annotation projection, v the (A,)
     score vector and annotations (B, s, C). The optional (B, s) mask is added
     to the scores: -inf gives a position weight exactly 0. Returns (context
     (B, C), a tensor when an operand records, weights array (B, s)); the
     weights carry no graph. The forward and the hand-written backward round
-    as the composed matmul / add / tanh / softmax / reshape graph does, so
-    both give the same values (outer products keep a zero's sign where a
-    k=1 matmul gives +0).
+    as the composed transpose / matmul / add / tanh / softmax / reshape
+    graph does, so both give the same values (outer products keep a zero's
+    sign where a k=1 matmul gives +0).
     """
-    state_v, w_query_v, proj_v, v_v, ann_v = map(_data, (state, w_query_t, projected, v, annotations))
+    state_v, proj_v, v_v, ann_v = map(_data, (state, projected, v, annotations))
+    w_query_v = _data(w_query).T
     batch, s, att = proj_v.shape
     t = np.tanh((state_v @ w_query_v).reshape(batch, 1, att) + proj_v)
     scores = (t.reshape(-1, att) @ v_v.reshape(att, 1)).reshape(batch, s)
@@ -306,7 +286,7 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     context = np.matmul(weights.reshape(batch, 1, s), ann_v).reshape(batch, -1)
-    if not _records(state, w_query_t, projected, v, annotations):
+    if not _records(state, w_query, projected, v, annotations):
         return context, weights
 
     def backprop(g):
@@ -318,9 +298,9 @@ def attention(state, w_query_t, projected, v, annotations, mask=None):
         _accumulate(projected, d_pre)
         d_q = d_pre.sum(axis=1)
         _accumulate(state, d_q @ w_query_v.T)
-        _accumulate(w_query_t, state_v.T @ d_q)
+        _accumulate(w_query, (state_v.T @ d_q).T)
 
-    return _wrap(context, (state, w_query_t, projected, v, annotations), backprop), weights
+    return _wrap(context, (state, w_query, projected, v, annotations), backprop), weights
 
 
 # -- reductions and reshaping -------------------------------------------------
@@ -374,14 +354,3 @@ def dropout(x, rate: float, rng: np.random.Generator):
         return x
     keep = (rng.random(_data(x).shape) >= rate).astype(np.float64) / (1.0 - rate)
     return mul(x, keep)
-
-
-def transpose(x):
-    y = np.swapaxes(_data(x), -1, -2)
-    if not _records(x):
-        return y
-
-    def backprop(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
-
-    return _wrap(y, (x,), backprop)

@@ -43,16 +43,12 @@ LiftTrainConfig = Config  # bench/workloads.py is its only user; the next benchm
 @dataclass
 class LiftNetParams:
     store: ParamStore
+    layers: tuple  # (w, b) of the linear layers fc1, fc2, fc3
+    norms: tuple  # (scale, shift) of the normalizations bn1, bn2
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
     # running statistics are state, not parameters: no gradients
     running: dict = field(default_factory=dict)
-
-    def layer(self, i):
-        return self.store[f"lift.fc{i}.w"], self.store[f"lift.fc{i}.b"]
-
-    def norm(self, i):
-        return self.store[f"lift.bn{i}.scale"], self.store[f"lift.bn{i}.shift"]
 
 
 def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
@@ -62,9 +58,12 @@ def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNet
     sizes = (LIFT_INPUT_DIM,) + LIFT_WIDTHS
     layout = [e for i in (1, 2, 3) for e in ((f"lift.fc{i}.w", (sizes[i], sizes[i - 1])), (f"lift.fc{i}.b", (sizes[i],)))]
     layout += [(f"lift.bn{i}.{kind}", (sizes[i],)) for i in (1, 2) for kind in ("scale", "shift")]
-    params = LiftNetParams(store=ParamStore(layout), bn_momentum=bn_momentum, bn_eps=bn_eps)
-    for i in (1, 2):
-        params.norm(i)[0].value[...] = 1.0
+    store = ParamStore(layout)
+    layers = tuple((store[f"lift.fc{i}.w"], store[f"lift.fc{i}.b"]) for i in (1, 2, 3))
+    norms = tuple((store[f"lift.bn{i}.scale"], store[f"lift.bn{i}.shift"]) for i in (1, 2))
+    params = LiftNetParams(store, layers, norms, bn_momentum=bn_momentum, bn_eps=bn_eps)
+    for i, (scale, _) in enumerate(norms, 1):
+        scale.value[...] = 1.0
         params.running.update({f"mean{i}": np.zeros(sizes[i]), f"var{i}": np.ones(sizes[i])})
     return params
 
@@ -72,8 +71,8 @@ def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNet
 def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
     params = build_lift_params(bn_momentum, bn_eps)
     rng = np.random.default_rng(seed)
-    for i in (1, 2, 3):
-        _xavier(rng, params.layer(i)[0].value)
+    for w, _ in params.layers:
+        _xavier(rng, w.value)
     return params
 
 
@@ -115,9 +114,7 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
     and updates the running buffers in place; eval mode uses the running
     statistics, so each row's depths are independent of the batch."""
     inputs, norms = [x], []
-    for i in (1, 2):
-        w, b = params.layer(i)
-        scale, shift = params.norm(i)
+    for i, ((w, b), (scale, shift)) in enumerate(zip(params.layers, params.norms), 1):
         run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
         pre = inputs[-1] @ w.value.T + b.value
         if train:
@@ -131,7 +128,7 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
             norm = (centered, None, inv_std, centered * inv_std)
         norms.append(norm)
         inputs.append(np.maximum(norm[3] * scale.value + shift.value, 0.0))
-    w, b = params.layer(3)
+    w, b = params.layers[2]
     return inputs[-1] @ w.value.T + b.value, inputs, norms
 
 
@@ -149,13 +146,13 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
     g = diff * (1.0 / diff.size)
     g = g + g
     for i in (3, 2, 1):
-        w, b = params.layer(i)
+        w, b = params.layers[i - 1]
         b.grad += g.sum(axis=0)
         w.grad += (inputs[i - 1].T @ g).T
         if i == 1:
             return loss
         g = (g @ w.value) * (inputs[i - 1] > 0.0)  # through the relu
-        scale, shift = params.norm(i - 1)
+        scale, shift = params.norms[i - 2]
         g, g_scale, g_shift = _batch_norm_backward(g, scale.value, norms[i - 2])
         shift.grad += g_shift
         scale.grad += g_scale

@@ -16,12 +16,13 @@ decodes them in order, each seeded with the last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
-`b (3H,)`. A cell step is one graph node (`autodiff.gru_step`, hand-written
-backward) fed the transposed weights directly; the encoder projects all
-timesteps' inputs with one matmul per layer and direction before the
-recurrence. A decoder step's attention is one graph node too
-(`autodiff.attention`), fed the annotation projection made once per pass;
-`_Decoder` binds the attention weights and the decoder's transposed
+`b (3H,)`. Every weight enters a pass as stored: each linear map is one
+`autodiff.linear` node (x W^T + b), and a cell step is one graph node
+(`autodiff.gru_step`, hand-written backward) fed `u` as stored; the encoder
+projects all timesteps' inputs with one `linear` per layer and direction
+before the recurrence. A decoder step's attention is one graph node too
+(`autodiff.attention`), fed the query weight as stored and the annotation
+projection made once per pass; `_Decoder` binds the attention and decoder
 weights and biases once per pass. A batch of word sequences of
 different lengths runs as one zero-padded rollout: padded steps carry the
 encoder state in both directions and get attention weight exactly 0, so
@@ -159,40 +160,20 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     return model
 
 
-class _Bag:
-    """Per-pass cache mapping parameters to their operands, plain and
-    transposed, so each parameter enters a pass's graph once. A recording
-    bag hands out leaves summing into the store, an eval bag the values."""
-
-    def __init__(self, record: bool):
-        self.record = record
-        self._plain = {}
-        self._transposed = {}
-
-    def __call__(self, p: Parameter):
-        t = self._plain.get(p.name)
-        if t is None:
-            t = Tensor(p.value, requires_grad=True, grad=p.grad) if self.record else p.value
-            self._plain[p.name] = t
-        return t
-
-    def T(self, p: Parameter):
-        t = self._transposed.get(p.name)
-        if t is None:
-            t = ad.transpose(self(p))
-            self._transposed[p.name] = t
-        return t
+def _operand(p: Parameter, record: bool):
+    """A parameter as an op operand: when recording, a leaf that adds into
+    its store gradient, else its value."""
+    return Tensor(p.value, requires_grad=True, grad=p.grad) if record else p.value
 
 
-def _run_direction(bag, cell, inputs, keep, reverse: bool):
-    """(B, s, in) inputs -> (B, s, H) states. One input matmul for every
+def _run_direction(record, cell, inputs, keep, reverse: bool):
+    """(B, s, in) inputs -> (B, s, H) states. One input projection for every
     step, then the fused recurrence; keep[t] (None: every row) masks the
     rows whose sequence has ended, which carry their state."""
-    w, u, b = cell
-    gx = ad.matmul(inputs, bag.T(w))
-    u, b = bag.T(u), bag(b)
+    w, u, b = (_operand(p, record) for p in cell)
+    gx = ad.linear(inputs, w)
     batch, s, _ = inputs.shape
-    h = np.zeros((batch, u.shape[0]))
+    h = np.zeros((batch, u.shape[1]))
     states = [None] * s
     for t in range(s - 1, -1, -1) if reverse else range(s):
         h = ad.gru_step(gx, h, u, b, t=t, keep=keep[t])
@@ -200,7 +181,7 @@ def _run_direction(bag, cell, inputs, keep, reverse: bool):
     return ad.stack(states, axis=1)
 
 
-def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
+def _encode_graph(model, record, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H). Row i has
     lengths[i] words followed by padding (None: no padding); padded steps
     carry the state in both directions, so the backward direction starts
@@ -212,8 +193,8 @@ def _encode_graph(model, bag, inputs: np.ndarray, lengths=None, rng=None, dropou
         keep = [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
     inputs = ad.dropout(inputs, dropout, rng)
     for fwd_cell, bwd_cell in model.encoder:
-        fwd = _run_direction(bag, fwd_cell, inputs, keep, reverse=False)
-        bwd = _run_direction(bag, bwd_cell, inputs, keep, reverse=True)
+        fwd = _run_direction(record, fwd_cell, inputs, keep, reverse=False)
+        bwd = _run_direction(record, bwd_cell, inputs, keep, reverse=True)
         inputs = ad.concat([fwd, bwd], axis=-1)
     return inputs
 
@@ -226,40 +207,31 @@ class _Decoder:
     pass; ``mask`` is a (B, s) array added to the scores: 0 on words, -inf
     on padding, so padded positions get weight exactly 0."""
 
-    def __init__(self, model, bag, annotations, projected, mask=None, rng=None, dropout=0.0):
+    def __init__(self, model, record, annotations, projected, mask=None, rng=None, dropout=0.0):
         self.annotations, self.projected, self.mask, self.rng, self.dropout = annotations, projected, mask, rng, dropout
-        self.w_query_t, self.v = bag.T(model.att_query), bag(model.att_score)
-        self.pre_w, self.pre_b = bag.T(model.pre_w), bag(model.pre_b)
-        self.cells = [(bag.T(w), bag.T(u), bag(b)) for w, u, b in model.decoder]
-        self.post_w, self.post_b = bag.T(model.post_w), bag(model.post_b)
+        heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
+        self.w_query, self.v, self.pre_w, self.pre_b, self.post_w, self.post_b = (_operand(p, record) for p in heads)
+        self.cells = [tuple(_operand(p, record) for p in cell) for cell in model.decoder]
 
     def __call__(self, prev_pose, h1, h2, emit=True):
         """(pose (None unless emit), h1', h2', attention weights (B, s))."""
-        pre = ad.add(ad.matmul(prev_pose, self.pre_w), self.pre_b)
-        context, weights = ad.attention(h2, self.w_query_t, self.projected, self.v, self.annotations, self.mask)
+        pre = ad.linear(prev_pose, self.pre_w, self.pre_b)
+        context, weights = ad.attention(h2, self.w_query, self.projected, self.v, self.annotations, self.mask)
         x = ad.concat([pre, context], axis=-1)
         x = ad.dropout(x, self.dropout, self.rng)
         (w1, u1, b1), (w2, u2, b2) = self.cells
-        h1 = ad.gru_step(ad.matmul(x, w1), h1, u1, b1)
-        h2 = ad.gru_step(ad.matmul(h1, w2), h2, u2, b2)
-        pose = ad.add(ad.matmul(h2, self.post_w), self.post_b) if emit else None
+        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
+        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
+        pose = ad.linear(h2, self.post_w, self.post_b) if emit else None
         return pose, h1, h2, weights
 
 
-@dataclass
-class RolloutGraph:
-    """A rollout's emitted poses (B, m, 10), a recorded tensor in training
-    and a plain array in eval, and attention rows (B, m, s) as a plain array
-    (the loss never reads them)."""
-
-    poses: Tensor | np.ndarray
-    attn: np.ndarray
-
-
-def _rollout(model, decoder, seed_poses: np.ndarray) -> RolloutGraph:
+def _rollout(model, decoder, seed_poses: np.ndarray):
     """Warm the decoder on the (B, n, 10) seed poses (only the last step
     computes a pose: it feeds the first emitted step), then emit m poses,
-    each feeding the next step."""
+    each feeding the next step. Returns the (B, m, 10) poses, a recorded
+    tensor in training and a plain array in eval, and the (B, m, s)
+    attention rows as a plain array (the loss never reads them)."""
     h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
     n = model.cfg.n_seed_poses
     for t in range(n):
@@ -269,7 +241,17 @@ def _rollout(model, decoder, seed_poses: np.ndarray) -> RolloutGraph:
         prev, h1, h2, weights = decoder(prev, h1, h2)
         poses.append(prev)
         rows.append(weights)
-    return RolloutGraph(poses=ad.stack(poses, axis=1), attn=np.stack(rows, axis=1))
+    return ad.stack(poses, axis=1), np.stack(rows, axis=1)
+
+
+def pad_words(chunks):
+    """Zero-pad (s_i, word_dim) word sequences into one (B, max s_i,
+    word_dim) batch; returns it and the (B,) word counts."""
+    lengths = np.array([len(c) for c in chunks])
+    batch = np.zeros((len(chunks), lengths.max(), chunks[0].shape[1]))
+    for row, c in enumerate(chunks):
+        batch[row, : len(c)] = c
+    return batch, lengths
 
 
 def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
@@ -291,8 +273,10 @@ def forward_graph(
     rng: np.random.Generator | None = None,
     lengths=None,
     dropout: float = 0.0,
-) -> RolloutGraph:
-    """Batched rollout. embedded: (B, s, word_dim); seed_poses: (B, n, 10).
+):
+    """Batched train-mode rollout: (poses, attention) as `_rollout` returns
+    them, poses a recorded tensor. embedded: (B, s, word_dim); seed_poses:
+    (B, n, 10).
 
     ``lengths`` (B,) gives each row's word count when rows are zero-padded
     to s (None: every row has s words); each row's result equals its own
@@ -315,10 +299,9 @@ def forward_graph(
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
-    bag = _Bag(True)
-    annotations = _encode_graph(model, bag, embedded, lengths, rng, dropout)
-    projected = ad.matmul(annotations, bag.T(model.att_ann))
-    decoder = _Decoder(model, bag, annotations, projected, mask, rng, dropout)
+    annotations = _encode_graph(model, True, embedded, lengths, rng, dropout)
+    projected = ad.linear(annotations, _operand(model.att_ann, True))
+    decoder = _Decoder(model, True, annotations, projected, mask, rng, dropout)
     return _rollout(model, decoder, seed_poses)
 
 
@@ -337,20 +320,15 @@ def forward(model, chunks, seed_poses):
         if c.ndim != 2:
             raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
         _check_inputs(model, c[None], seeds)
-    lengths = np.array([len(c) for c in chunks])
-    embedded = np.zeros((len(chunks), lengths.max(), model.cfg.word_dim))
-    for row, c in enumerate(chunks):
-        embedded[row, : len(c)] = c
-
-    bag = _Bag(False)
-    annotations = _encode_graph(model, bag, embedded, lengths)
-    projected = ad.matmul(annotations, bag.T(model.att_ann))
+    embedded, lengths = pad_words(chunks)
+    annotations = _encode_graph(model, False, embedded, lengths)
+    projected = ad.linear(annotations, model.att_ann.value)
     rollouts = []
     for row, s in enumerate(lengths):
         own = (annotations[row : row + 1, :s], projected[row : row + 1, :s])
-        out = _rollout(model, _Decoder(model, bag, *own), seeds)
-        rollouts.append((out.poses[0], out.attn[0]))
-        seeds = np.concatenate([seeds, out.poses], axis=1)[:, -model.cfg.n_seed_poses :]
+        poses, attn = _rollout(model, _Decoder(model, False, *own), seeds)
+        rollouts.append((poses[0], attn[0]))
+        seeds = np.concatenate([seeds, poses], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoFailure
+from .errors import InvalidConfig, IoFailure, open_for_write
 from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST
 
 SEGMENTS = (
@@ -60,15 +60,12 @@ def render(poses, out_dir, prefix: str = "frame") -> list:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        names = []
-        for i, pose in enumerate(poses):
-            name = f"{prefix}_{i:05d}.svg"
-            (out / name).write_text(pose_svg(pose), encoding="utf-8")
-            names.append(name)
-        manifest = {"count": len(names), "frames": names}
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
     except OSError as exc:
         raise IoFailure(f"cannot write render output: {exc}") from exc
+    names = [f"{prefix}_{i:05d}.svg" for i in range(len(poses))]
+    for name, pose in zip(names, poses):
+        with open_for_write(out / name, "render output") as fh:
+            fh.write(pose_svg(pose))
+    with open_for_write(out / "manifest.json", "render output") as fh:
+        fh.write(json.dumps({"count": len(names), "frames": names}, sort_keys=True, indent=2) + "\n")
     return names

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import Config
 from .errors import InvalidConfig, write_rows
-from .model import ParamStore, Seq2SeqModel, backward, forward_graph
+from .model import ParamStore, Seq2SeqModel, backward, forward_graph, pad_words
 from .pose import encode_pose, normalize_pose
 
 # Adam's decay rates and denominator guard: the defaults of Kingma & Ba 2015
@@ -168,7 +168,6 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
             raise InvalidConfig(f"pair has {p.target_poses.shape[0]} poses, expected {n + m}")
 
     embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
-    lengths = np.array([e.shape[0] for e in embedded])
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     history = []
@@ -178,16 +177,13 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         sums = np.zeros(4)
         for bstart in range(0, len(perm), cfg.batch_size):
             batch = perm[bstart : bstart + cfg.batch_size]
-            words = lengths[batch]
-            emb = np.zeros((len(batch), words.max(), embedded[0].shape[1]))
-            for row, i in enumerate(batch):
-                emb[row, : words[row]] = embedded[i]
+            emb, words = pad_words([embedded[i] for i in batch])
             seeds = np.stack([pairs[i].target_poses[:n] for i in batch])
             targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-                rollout = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
-                breakdown, total = compute_loss_graph(rollout.poses, targets, cfg)
+                poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
+                breakdown, total = compute_loss_graph(poses, targets, cfg)
                 backward(total)
             _check_finite(model.store, breakdown.total, f"epoch {epoch}, batch {bstart // cfg.batch_size}")
             clip_gradients(model.store)

@@ -79,8 +79,8 @@ def test_criterion_1_gradient_check():
         [(poses, _)] = forward(model, [emb[0]], seeds[0])
         return compute_loss(poses, target[0], h).total
 
-    rollout = forward_graph(model, emb, seeds)
-    _, total = compute_loss_graph(rollout.poses, target, h)
+    pred, _ = forward_graph(model, emb, seeds)
+    _, total = compute_loss_graph(pred, target, h)
     model.store.zero_grads()
     backward(total)
 
@@ -222,11 +222,11 @@ def test_criterion_5_attention_gru_invariants():
     worst_shift = 0.0
     fixed = np.random.default_rng(5)
     state, ann = fixed.normal(size=(1, 6)), fixed.normal(size=(1, 8, 12))
-    query_t, v = model.att_query.value.T, model.att_score.value
+    query, v = model.att_query.value, model.att_score.value
     for _ in range(1000):
         mask = rng.normal(size=(1, int(rng.integers(2, 9))))
         words = ann[:, : mask.shape[1]]
-        inputs = (state, query_t, words @ model.att_ann.value.T, v, words)
+        inputs = (state, query, words @ model.att_ann.value.T, v, words)
         a = ad.attention(*inputs, mask=mask)[1]
         b = ad.attention(*inputs, mask=mask + rng.normal())[1]
         worst_shift = max(worst_shift, float(np.max(np.abs(a - b))))

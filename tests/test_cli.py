@@ -206,6 +206,37 @@ def test_retarget_reports_stage_seconds(workspace, tmp_path, capsys):
     assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_reruns_independent_of_blas_threads(workspace, tmp_path):
+    """train, lift-train, generate and retarget write the same bytes with
+    BLAS pools of one and of two threads. Both runs save the checkpoint
+    under the same name: its header records the path."""
+    root, _ = workspace
+    ck = tmp_path / "ck.ggck"
+    assert main(["fit-pca", "--dataset", str(root / "kept.jsonl"), "--checkpoint", str(ck), "--out-dir", str(tmp_path / "o")]) == 0
+    fitted = ck.read_bytes()
+    commands = [
+        ["train", "--dataset", str(root / "kept.jsonl"), "--embeddings", str(root / "emb.txt"), "--epochs", "2"],
+        ["lift-train", "--lift-steps", "40", "--lift-corpus-size", "30"],
+        ["generate", "--text", TEXT_25, "--duration", "15.0", "--out", "track.csv", "--attention", "attn.csv"],
+        ["retarget", "--track", "track.csv", "--out", "traj.csv"],
+    ]
+    commands[0] += ["--hidden", "16", "--att-dim", "16", "--seed", "7", "--history", "history.csv"]
+    commands[1] += ["--seed", "7"]
+    outputs = {}
+    for threads in ("1", "2"):
+        ck.write_bytes(fitted)
+        env = {**os.environ, "PYTHONPATH": str(Path(gesturegen.__file__).parents[1])}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        written = outputs[threads] = {}
+        for args in commands:
+            cli = [sys.executable, "-m", "gesturegen.cli", *args, "--checkpoint", str(ck), "--out-dir", str(tmp_path / "o")]
+            proc = subprocess.run(cli, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            written[f"{args[0]} checkpoint"] = ck.read_bytes()
+        written.update({name: (tmp_path / name).read_bytes() for name in ("history.csv", "track.csv", "attn.csv", "traj.csv")})
+    assert [name for name, data in outputs["1"].items() if outputs["2"][name] != data] == []
+
+
 def test_retarget_and_render(workspace):
     root, _ = workspace
     assert (root / "track.csv").exists()

@@ -107,15 +107,14 @@ def _file_writes(tree):
 
 def test_one_file_writer():
     # errors.open_for_write is the one writer: it writes beside the target
-    # and renames over it, so a failed write keeps the old bytes. render's
-    # per-frame SVGs and manifest are the one exception.
+    # and renames over it, so a failed write keeps the old bytes.
     package = Path(gesturegen.__file__).parent
     writes = {
         (path.name, name)
         for path in package.glob("*.py")
         for name, _ in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert writes == {("errors.py", "open"), ("errors.py", "replace"), ("render.py", "write_text")}
+    assert writes == {("errors.py", "open"), ("errors.py", "replace")}
 
 
 def test_file_writes_finds_every_kind():

@@ -29,7 +29,7 @@ from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
-from test_autodiff import _composed_batch_norm, _relu
+from test_autodiff import _add, _composed_batch_norm, _matmul, _relu, _transpose
 
 
 def _lift_case(seed, batch):
@@ -60,15 +60,15 @@ def _recorded_step(params, x, targets):
     leaves = {name: Tensor(p.value, requires_grad=True, grad=p.grad) for name, p in params.store.items()}
     h = x
     for i in (1, 2):
-        h = ad.add(ad.matmul(h, ad.transpose(leaves[f"lift.fc{i}.w"])), leaves[f"lift.fc{i}.b"])
+        h = _add(_matmul(h, _transpose(leaves[f"lift.fc{i}.w"])), leaves[f"lift.fc{i}.b"])
         scale, shift = leaves[f"lift.bn{i}.scale"], leaves[f"lift.bn{i}.shift"]
         h, mu, var = _composed_batch_norm(h, scale, shift, params.bn_eps)
         for stat, value in ((f"mean{i}", mu), (f"var{i}", var)):
             params.running[stat] *= 1.0 - params.bn_momentum
             params.running[stat] += params.bn_momentum * value[0]
         h = _relu(h)
-    out = ad.add(ad.matmul(h, ad.transpose(leaves["lift.fc3.w"])), leaves["lift.fc3.b"])
-    diff = ad.add(out, -targets)
+    out = _add(_matmul(h, _transpose(leaves["lift.fc3.w"])), leaves["lift.fc3.b"])
+    diff = _add(out, -targets)
     loss = ad.tmean(ad.mul(diff, diff))
     loss.backward()
     return loss.data

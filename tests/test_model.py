@@ -11,9 +11,9 @@ from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
-    _Bag,
     _Decoder,
     _encode_graph,
+    _operand,
     backward,
     forward,
     forward_graph,
@@ -30,9 +30,9 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    bag, (w, u, b) = _Bag(False), cell
+    w, u, b = (p.value for p in cell)
     x, h = np.asarray(x)[None], np.asarray(h)[None]
-    return ad.gru_step(ad.matmul(x, bag.T(w)), h, bag.T(u), bag(b))[0]
+    return ad.gru_step(ad.linear(x, w), h, u, b)[0]
 
 
 def gate(p, k):
@@ -44,29 +44,27 @@ def gate(p, k):
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    annotations = _encode_graph(model, _Bag(False), np.stack(words)[None])
+    annotations = _encode_graph(model, False, np.stack(words)[None])
     return list(annotations[0])
 
 
-def project(model, bag, annotations):
+def project(model, annotations):
     """(s, 2H) annotations as a batch of one, with its (1, s, A) projection."""
     annotations = np.asarray(annotations)[None]
-    return annotations, ad.matmul(annotations, bag.T(model.att_ann))
+    return annotations, ad.linear(annotations, model.att_ann.value)
 
 
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
-    bag = _Bag(False)
-    annotations, projected = project(model, bag, annotations)
-    w_query_t, v = bag.T(model.att_query), bag(model.att_score)
-    context, weights = ad.attention(np.asarray(state)[None], w_query_t, projected, v, annotations)
+    annotations, projected = project(model, annotations)
+    w_query, v = model.att_query.value, model.att_score.value
+    context, weights = ad.attention(np.asarray(state)[None], w_query, projected, v, annotations)
     return weights[0], context[0]
 
 
 def decode(model, prev_pose, hidden, annotations):
     """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
-    bag = _Bag(False)
-    decoder = _Decoder(model, bag, *project(model, bag, annotations))
+    decoder = _Decoder(model, False, *project(model, annotations))
     h1, h2 = (np.asarray(h)[None] for h in hidden)
     pose, h1, h2, weights = decoder(np.asarray(prev_pose)[None], h1, h2)
     return pose[0], (h1[0], h2[0]), weights[0]
@@ -289,40 +287,33 @@ class TestForward:
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(poses, attn)] = forward(tiny, [emb], seeds)
-        recorded = forward_graph(tiny, emb[None], seeds[None])
-        assert recorded.poses.requires_grad
-        assert np.array_equal(poses, recorded.poses.data[0])
-        assert np.array_equal(attn, recorded.attn[0])
+        recorded_poses, recorded_attn = forward_graph(tiny, emb[None], seeds[None])
+        assert recorded_poses.requires_grad
+        assert np.array_equal(poses, recorded_poses.data[0])
+        assert np.array_equal(attn, recorded_attn[0])
 
     def test_eval_rollout_op_counts(self, monkeypatch):
         """An eval rollout with n = 3 seed poses, m = 5 output poses and
-        s = 4 words runs 35 matmuls and 14 adds. The matmuls are 4 encoder
-        input projections (one per layer and direction), 1 annotation
-        projection, 3 per decoder step (the pre-linear and the two cell
-        input projections) and a post-linear for the m output steps and the
-        last seed step, which feeds the first output step. The adds are the
-        pre-linear bias of every step and the post-linear bias of those
-        m + 1 steps. The n - 1 earlier seed steps emit no pose."""
+        s = 4 words runs 35 linear maps: 4 encoder input projections (one
+        per layer and direction), 1 annotation projection, 3 per decoder
+        step (the pre-linear and the two cell input projections) and a
+        post-linear for the m output steps and the last seed step, which
+        feeds the first output step. The n - 1 earlier seed steps emit no
+        pose."""
         cfg = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=3, n_output_poses=5, dropout=0.1)
         model = init_model(cfg, seed=4)
-        calls = {"matmul": 0, "add": 0}
-        for name in calls:
-            op = getattr(ad, name)
-
-            def counted(*args, op=op, name=name):
-                calls[name] += 1
-                return op(*args)
-
-            monkeypatch.setattr(ad, name, counted)
+        calls = []
+        linear = ad.linear
+        monkeypatch.setattr(ad, "linear", lambda *args: calls.append(1) or linear(*args))
         rng = np.random.default_rng(12)
         forward(model, [rng.normal(size=(4, 7))], rng.normal(size=(3, 10)))
-        assert calls == {"matmul": 35, "add": 14}
+        assert len(calls) == 35
 
     def test_train_mode_dropout_changes_output(self, tiny):
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(p_eval, _)] = forward(tiny, [emb], seeds)
-        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout).poses.data[0]
+        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout)[0].data[0]
         assert not np.array_equal(p_eval, p_train)
 
 
@@ -330,10 +321,10 @@ class TestBackward:
     def test_zero_loss_zero_gradients(self, tiny):
         rng = np.random.default_rng(10)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
-        rollout = forward_graph(tiny, emb, seeds)
-        target = rollout.poses.data.copy()  # pred == target, alpha = beta = 0
+        poses, _ = forward_graph(tiny, emb, seeds)
+        target = poses.data.copy()  # pred == target, alpha = beta = 0
         h = Config(alpha=0.0, beta=0.0)
-        _, total = compute_loss_graph(rollout.poses, target, h)
+        _, total = compute_loss_graph(poses, target, h)
         tiny.store.zero_grads()
         backward(total)
         assert all(np.array_equal(p.grad, np.zeros_like(p.grad)) for _, p in tiny.store.items())
@@ -342,8 +333,8 @@ class TestBackward:
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
         target = rng.normal(size=(1, 3, 10))
-        rollout = forward_graph(tiny, emb, seeds)
-        _, total = compute_loss_graph(rollout.poses, target, Config())
+        poses, _ = forward_graph(tiny, emb, seeds)
+        _, total = compute_loss_graph(poses, target, Config())
         tiny.store.zero_grads()
         backward(total)
         singles = {name: p.grad.copy() for name, p in tiny.store.items()}
@@ -353,7 +344,7 @@ class TestBackward:
 
     def test_recording_leaf_accumulates_into_store(self, tiny):
         p = tiny.store["dec.pre.b"]
-        assert _Bag(True)(p).grad is p.grad
+        assert _operand(p, True).grad is p.grad
 
     def test_no_recorded_graph(self, tiny):
         with pytest.raises(InvalidConfig, match="loss is not the result of a recorded forward pass"):
@@ -372,8 +363,8 @@ class TestBackward:
             [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
             return compute_loss_graph(poses[None], target, h)[0].total
 
-        rollout = forward_graph(tiny, emb, seeds)
-        _, total = compute_loss_graph(rollout.poses, target, h)
+        poses, _ = forward_graph(tiny, emb, seeds)
+        _, total = compute_loss_graph(poses, target, h)
         tiny.store.zero_grads()
         backward(total)
         step = 1e-5
@@ -411,8 +402,8 @@ class TestPaddedBatch:
         targets = rng.normal(size=(len(lengths), 3, 10)) * 0.3
         h = Config()
 
-        rollout = forward_graph(model, emb, seeds, lengths=lengths)
-        padded, total = compute_loss_graph(rollout.poses, targets, h)
+        poses, _ = forward_graph(model, emb, seeds, lengths=lengths)
+        padded, total = compute_loss_graph(poses, targets, h)
         model.store.zero_grads()
         backward(total)
         padded_grads = {name: p.grad.copy() for name, p in model.store.items()}
@@ -422,8 +413,8 @@ class TestPaddedBatch:
         grouped = 0.0
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
-            out = forward_graph(model, emb[rows, :length], seeds[rows])
-            breakdown, group_total = compute_loss_graph(out.poses, targets[rows], h)
+            poses, _ = forward_graph(model, emb[rows, :length], seeds[rows])
+            breakdown, group_total = compute_loss_graph(poses, targets[rows], h)
             weight = len(rows) / len(lengths)
             backward(ad.mul(group_total, weight))
             grouped += weight * breakdown.total
@@ -444,33 +435,32 @@ class TestPaddedBatch:
         rng = np.random.default_rng(seed)
         s = max(lengths) + extra
         emb, seeds = _padded_batch(rng, lengths, s)
-        out = forward_graph(model, emb, seeds, lengths=lengths)
+        out_poses, out_attn = forward_graph(model, emb, seeds, lengths=lengths)
         for row, length in enumerate(lengths):
             [(poses, attn)] = forward(model, [emb[row, :length]], seeds[row])
-            assert np.max(np.abs(out.poses.data[row] - poses)) <= 1e-12
-            assert np.max(np.abs(out.attn[row, :, :length] - attn)) <= 1e-12
-            assert np.all(out.attn[row, :, length:] == 0.0)
-        assert np.max(np.abs(out.attn.sum(axis=-1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(out_poses.data[row] - poses)) <= 1e-12
+            assert np.max(np.abs(out_attn[row, :, :length] - attn)) <= 1e-12
+            assert np.all(out_attn[row, :, length:] == 0.0)
+        assert np.max(np.abs(out_attn.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_train_step_graph_size(self):
         """One train step on a padded batch of s = 4 words, n = 2 seed and
-        m = 3 output poses records 123 nodes: 25 parameter leaves, 16
-        transposed weights, the encoder's 4s + 10 (per layer and direction an
-        input matmul, s gru_step nodes and a stack; per layer a concat), the
-        annotation projection, 11 per decoder step (pre-linear matmul and
-        add, attention, concat, dropout, two cell input matmuls and
-        gru_step nodes, post-linear matmul and add) less the post-linear pair
-        of the n - 1 seed steps, which the rollout does not compute, the
-        pose stack and the loss. Attention composed of matmul, reshape, add,
-        tanh and softmax nodes recorded 10 more per step and one more per
-        pass."""
+        m = 3 output poses records 98 nodes: 25 parameter leaves, the
+        encoder's 4s + 10 (per layer and direction an input linear, s
+        gru_step nodes and a stack; per layer a concat), the annotation
+        projection, 9 per decoder step (pre-linear, attention, concat,
+        dropout, two cell input linears and gru_step nodes, post-linear)
+        less the post-linear of the n - 1 seed steps, which the rollout does
+        not compute, the pose stack and the loss. Attention composed of
+        matmul, reshape, add, tanh and softmax nodes recorded 10 more per
+        step and one more per pass."""
         model = init_model(PADDED, seed=3)
         rng = np.random.default_rng(3)
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(rng, lengths, 4)
-        rollout = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
-        _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
-        assert len(total.backward()) == 25 + 16 + (4 * 4 + 10) + 1 + 11 * (2 + 3) - 2 * (2 - 1) + 2
+        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, total = compute_loss_graph(poses, rng.normal(size=(3, 3, 10)), Config())
+        assert len(total.backward()) == 25 + (4 * 4 + 10) + 1 + 9 * (2 + 3) - (2 - 1) + 2
 
     def test_gradients_pinned(self):
         # The bits of one train step's gradients on the padded dropout batch
@@ -479,8 +469,8 @@ class TestPaddedBatch:
         rng = np.random.default_rng(3)
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(rng, lengths, 4)
-        rollout = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
-        _, total = compute_loss_graph(rollout.poses, rng.normal(size=(3, 3, 10)), Config())
+        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, total = compute_loss_graph(poses, rng.normal(size=(3, 3, 10)), Config())
         model.store.zero_grads()
         backward(total)
         assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "0ffd1f335552437bcb313b340201d3c73496c73724e931b50730cf3eb8328c01"
