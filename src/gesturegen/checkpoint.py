@@ -7,6 +7,7 @@ the content, and numeric payloads round-trip bit-exactly. Every array is
 finite both ways: saving refuses a non-finite value and loading rejects one.
 Loading builds the zeroed parameter layouts, drawing no weights, and copies
 each array from the file bytes into its view; the pose basis gets copies.
+The model's arrays and their order are `model.stored_arrays`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .config import check_setting
 from .errors import InvalidConfig, MalformedFile, open_for_write
 from .lifting import LiftNetParams, build_lift_params
-from .model import ModelConfig, Seq2SeqModel, build_model
+from .model import ModelConfig, Seq2SeqModel, build_model, stored_arrays
 from .pose import POSE_DIM, PcaModel
 
 MAGIC = b"GGCK"
@@ -39,29 +40,14 @@ class Checkpoint:
 
 
 def _format1_arrays(ck: Checkpoint) -> list:
-    """(format-1 name, array view) of every stored array, in file order.
-
-    Format 1 stores a GRU cell gate by gate: the cell's gate-stacked w, u
-    and b expand here into the row views w_z, u_z, b_z, w_r, ..., b_h at the
-    cell's position. Saving writes these views and loading fills them.
-    """
+    """(format-1 name, array view) of every stored array, in file order; the
+    model's come from `model.stored_arrays`, each GRU cell gate by gate.
+    Saving writes these views and loading fills them."""
     arrays = []
     if ck.pca is not None:
         arrays += [(f"pca.{key}", getattr(ck.pca, key)) for key in _PCA_FIELDS]
     if ck.model is not None:
-        cells = [*(cell for layer in ck.model.encoder for cell in layer), *ck.model.decoder]
-        cell_of = {id(p): cell for cell in cells for p in cell}
-        for name, p in ck.model.store.items():
-            cell = cell_of.get(id(p))
-            if cell is None:
-                arrays.append((f"seq2seq.{name}", p.value))
-            elif p is cell[0]:  # a cell lays out w, u, b together
-                hidden = cell[2].value.shape[0] // 3
-                arrays += [
-                    (f"seq2seq.{name.removesuffix('.w')}.{kind}_{gate}", q.value[k * hidden : (k + 1) * hidden])
-                    for k, gate in enumerate("zrh")
-                    for kind, q in zip("wub", cell)
-                ]
+        arrays += [(f"seq2seq.{name}", view) for name, view in stored_arrays(ck.model)]
     if ck.lift is not None:
         arrays += [(f"lift.{name}", p.value) for name, p in ck.lift.store.items()]
         arrays += [(f"lift.running.{key}", ck.lift.running[key]) for key in sorted(ck.lift.running)]

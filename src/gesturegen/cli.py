@@ -196,7 +196,7 @@ def cmd_train(cfg: Config, args) -> int:
 
     result = train_model(pairs, cfg, model, table, on_epoch=on_epoch)
     out_ck = _output(cfg, args.out or cfg.checkpoint)
-    _save(cfg, ck, out_ck, model=result.model, embedding_ref=ref)
+    _save(cfg, ck, out_ck, model=model, embedding_ref=ref)
     history_path = _output(cfg, args.history, "history.csv")
     write_history_csv(result.history, history_path)
     last = result.history[-1] if result.history else None
@@ -224,7 +224,7 @@ def cmd_generate(cfg: Config, args) -> int:
     attn_path = _output(cfg, args.attention, "attention.csv")
     _timed(seconds, "attention write", export_attention, maps, plan.chunks, attn_path)
     print(
-        f"{plan.word_count} words, {len(plan.chunks)} chunks of {plan.words_per_chunk}; "
+        f"{len(tokens)} words, {len(plan.chunks)} chunks of {plan.words_per_chunk}; "
         f"{len(track)} raw frames -> {len(aligned)} aligned frames ({duration:.2f} s) -> {out}"
     )
     print("stage seconds: " + ", ".join(f"{stage} {s:.4f}" for stage, s in seconds.items()))
@@ -236,11 +236,11 @@ def cmd_schedule(cfg: Config, args) -> int:
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = plan_chunks(tokens, duration, cfg.n_seed_poses, cfg.n_output_poses)
     payload = {
-        "word_count": plan.word_count,
+        "word_count": len(tokens),
         "words_per_chunk": plan.words_per_chunk,
         "chunk_count": len(plan.chunks),
         "chunks": [list(c) for c in plan.chunks],
-        "speech_duration": plan.speech_duration,
+        "speech_duration": float(duration),
         "frame_duration": 1.0 / DEFAULT_FPS,
         "generated_frames": len(plan.chunks) * cfg.n_output_poses,
     }

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import Config
 from .errors import DegeneratePose, InvalidConfig
-from .kinematics import ANGLE_NAMES, clamp_angles, compute_joint_angles, forward_kinematics
+from .kinematics import ANGLE_NAMES, _rot, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _xavier
 from .pose import NECK, decode_pose, shoulder_scale
 from .synthesis import TimedPoseTrack
@@ -210,13 +210,7 @@ def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: f
         angles[i] = rng.uniform(-rot_range, rot_range)
         if noise_sigma > 0:
             noise[i] = rng.normal(0.0, noise_sigma, size=(8, 3))
-    c, s = np.cos(angles), np.sin(angles)
-    rot = np.zeros((len(samples), 3, 3))
-    rot[:, 0, 0] = rot[:, 2, 2] = c
-    rot[:, 0, 2] = s
-    rot[:, 2, 0] = -s
-    rot[:, 1, 1] = 1.0
-    joints = samples @ np.swapaxes(rot, -1, -2)
+    joints = samples @ np.swapaxes(_rot(1, angles), -1, -2)
     if noise_sigma > 0:
         joints = joints + noise
     joints = joints - joints[:, NECK : NECK + 1]

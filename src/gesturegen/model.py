@@ -22,15 +22,15 @@ candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
 projects all timesteps' inputs with one `linear` per layer and direction
 before the recurrence. A decoder step's attention is one graph node too
 (`autodiff.attention`), fed the query weight as stored and the annotation
-projection made once per pass; `_Decoder` binds the attention and decoder
-weights and biases once per pass. A batch of word sequences of
+projection made once per pass; `_rollout` binds the attention and decoder
+weights and biases once per rollout. A batch of word sequences of
 different lengths runs as one zero-padded rollout: padded steps carry the
 encoder state in both directions and get attention weight exactly 0, so
 every row equals its own unpadded rollout.
 
-`build_model` lays a model's parameters out once, in one `ParamStore`:
-`init_model` writes each Xavier draw into its view of that layout, and
-`checkpoint.load_checkpoint` fills the same layout from the file, drawing nothing.
+`build_model` lays a model's parameters out once, in one `ParamStore`;
+`stored_arrays` views that layout in checkpoint order, into which
+`init_model` draws and from which a checkpoint saves and loads, drawing nothing.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from .pose import GESTURE_DIM
 
 
 class Parameter:
-    """A named weight array with a same-shaped gradient accumulator."""
+    """A weight array with a same-shaped gradient accumulator."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
-        self.name, self.value, self.grad = name, value, grad
+    def __init__(self, value: np.ndarray, grad: np.ndarray):
+        self.value, self.grad = value, grad
 
 
 class ParamStore:
@@ -70,7 +70,7 @@ class ParamStore:
             if name in self._params:
                 raise InvalidConfig(f"duplicate parameter name: {name}")
             views = (flat[start:end].reshape(shape) for flat in (self.values, self.grads))
-            self._params[name] = Parameter(name, *views)
+            self._params[name] = Parameter(*views)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -141,22 +141,34 @@ def build_model(cfg: ModelConfig) -> Seq2SeqModel:
     return Seq2SeqModel(cfg, store, encoder, decoder, *(store[name] for name in heads))  # in field order
 
 
+def stored_arrays(model: Seq2SeqModel) -> list:
+    """(name, view) of every parameter array in checkpoint order: layout
+    order, with each GRU cell's gate-stacked w, u and b expanded into the
+    row views w_z, u_z, b_z, w_r, ..., b_h at the cell's position."""
+    hidden = model.cfg.hidden
+    cells = {name.removesuffix(".u") for name, _ in model.store.items() if name.endswith(".u")}
+    arrays = []
+    for name, p in model.store.items():
+        cell, kind = name.rsplit(".", 1)
+        if cell not in cells:
+            arrays.append((name, p.value))
+        elif kind == "w":  # a cell lays out w, u, b together
+            rows = [(q, model.store[f"{cell}.{q}"].value) for q in "wub"]
+            arrays += [(f"{cell}.{q}_{gate}", v[k * hidden : (k + 1) * hidden]) for k, gate in enumerate("zrh") for q, v in rows]
+    return arrays
+
+
 def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     """Build a model with Xavier-uniform weights and zero biases.
 
-    The draws run in layout order, so equal seeds give bit-identical
-    models.
+    The draws run in `stored_arrays` order, one per weight view, so equal
+    seeds give bit-identical models.
     """
-    model, hidden = build_model(cfg), cfg.hidden
-
-    def gate_rows(cell):  # a cell draws gate by gate, w before u
-        return [p.value[k * hidden : (k + 1) * hidden] for k in range(3) for p in cell[:2]]
-
-    heads = (model.att_query, model.att_ann, model.att_score, model.pre_w)  # v_score draws as one (1, A) row
-    views = [v for pair in model.encoder for c in pair for v in gate_rows(c)] + [np.atleast_2d(p.value) for p in heads]
+    model = build_model(cfg)
     rng = np.random.default_rng(seed)
-    for view in views + gate_rows(model.decoder[0]) + gate_rows(model.decoder[1]) + [model.post_w.value]:
-        _xavier(rng, view)
+    for name, view in stored_arrays(model):
+        if name.rsplit(".", 1)[1] not in ("b", "b_z", "b_r", "b_h"):
+            _xavier(rng, np.atleast_2d(view))  # v_score draws as one (1, A) row
     return model
 
 
@@ -199,46 +211,35 @@ def _encode_graph(model, record, inputs: np.ndarray, lengths=None, rng=None, dro
     return inputs
 
 
-class _Decoder:
-    """The decoder with its weights bound once per pass; a call is one step:
-    pre-linear, attention queried with the top layer's previous state, the
-    two GRU cells and, when ``emit``, the post-linear. Attention scores the
-    (B, s, 2H) annotations through their (B, s, A) projection, made once per
-    pass; ``mask`` is a (B, s) array added to the scores: 0 on words, -inf
-    on padding, so padded positions get weight exactly 0."""
-
-    def __init__(self, model, record, annotations, projected, mask=None, rng=None, dropout=0.0):
-        self.annotations, self.projected, self.mask, self.rng, self.dropout = annotations, projected, mask, rng, dropout
-        heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
-        self.w_query, self.v, self.pre_w, self.pre_b, self.post_w, self.post_b = (_operand(p, record) for p in heads)
-        self.cells = [tuple(_operand(p, record) for p in cell) for cell in model.decoder]
-
-    def __call__(self, prev_pose, h1, h2, emit=True):
-        """(pose (None unless emit), h1', h2', attention weights (B, s))."""
-        pre = ad.linear(prev_pose, self.pre_w, self.pre_b)
-        context, weights = ad.attention(h2, self.w_query, self.projected, self.v, self.annotations, self.mask)
-        x = ad.concat([pre, context], axis=-1)
-        x = ad.dropout(x, self.dropout, self.rng)
-        (w1, u1, b1), (w2, u2, b2) = self.cells
-        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
-        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
-        pose = ad.linear(h2, self.post_w, self.post_b) if emit else None
-        return pose, h1, h2, weights
-
-
-def _rollout(model, decoder, seed_poses: np.ndarray):
+def _rollout(model, record, seed_poses: np.ndarray, annotations, projected, mask=None, rng=None, dropout=0.0):
     """Warm the decoder on the (B, n, 10) seed poses (only the last step
     computes a pose: it feeds the first emitted step), then emit m poses,
-    each feeding the next step. Returns the (B, m, 10) poses, a recorded
-    tensor in training and a plain array in eval, and the (B, m, s)
-    attention rows as a plain array (the loss never reads them)."""
+    each feeding the next. A step, its weights bound once per rollout, is
+    the pre-linear, attention of the top layer's previous state over the
+    (B, s, 2H) annotations (scored through their (B, s, A) projection plus
+    ``mask``: 0 on words, -inf on padding), the two GRU cells and, when it
+    emits, the post-linear. Returns the (B, m, 10) poses, a recorded tensor
+    in training and a plain array in eval, and the (B, m, s) attention rows
+    as a plain array (the loss never reads them)."""
+    heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
+    w_query, v, pre_w, pre_b, post_w, post_b = (_operand(p, record) for p in heads)
+    (w1, u1, b1), (w2, u2, b2) = [[_operand(p, record) for p in cell] for cell in model.decoder]
+
+    def step(prev_pose, h1, h2, emit=True):
+        pre = ad.linear(prev_pose, pre_w, pre_b)
+        context, weights = ad.attention(h2, w_query, projected, v, annotations, mask)
+        x = ad.dropout(ad.concat([pre, context], axis=-1), dropout, rng)
+        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
+        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
+        return ad.linear(h2, post_w, post_b) if emit else None, h1, h2, weights
+
     h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
     n = model.cfg.n_seed_poses
     for t in range(n):
-        prev, h1, h2, _ = decoder(seed_poses[:, t], h1, h2, emit=t == n - 1)
+        prev, h1, h2, _ = step(seed_poses[:, t], h1, h2, emit=t == n - 1)
     poses, rows = [], []
     for _ in range(model.cfg.n_output_poses):
-        prev, h1, h2, weights = decoder(prev, h1, h2)
+        prev, h1, h2, weights = step(prev, h1, h2)
         poses.append(prev)
         rows.append(weights)
     return ad.stack(poses, axis=1), np.stack(rows, axis=1)
@@ -294,15 +295,12 @@ def forward_graph(
             raise InvalidConfig(f"lengths must be {batch} word counts in [1, {s}]")
         if np.any(lengths < s):
             mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
-        else:
-            lengths = None
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
     annotations = _encode_graph(model, True, embedded, lengths, rng, dropout)
     projected = ad.linear(annotations, _operand(model.att_ann, True))
-    decoder = _Decoder(model, True, annotations, projected, mask, rng, dropout)
-    return _rollout(model, decoder, seed_poses)
+    return _rollout(model, True, seed_poses, annotations, projected, mask, rng, dropout)
 
 
 def forward(model, chunks, seed_poses):
@@ -325,8 +323,7 @@ def forward(model, chunks, seed_poses):
     projected = ad.linear(annotations, model.att_ann.value)
     rollouts = []
     for row, s in enumerate(lengths):
-        own = (annotations[row : row + 1, :s], projected[row : row + 1, :s])
-        poses, attn = _rollout(model, _Decoder(model, False, *own), seeds)
+        poses, attn = _rollout(model, False, seeds, annotations[row : row + 1, :s], projected[row : row + 1, :s])
         rollouts.append((poses[0], attn[0]))
         seeds = np.concatenate([seeds, poses], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts

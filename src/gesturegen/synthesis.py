@@ -24,10 +24,8 @@ MAX_SPEECH_SECONDS = 86400.0  # one day; align_track allocates frames per second
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    word_count: int
     words_per_chunk: int
     chunks: tuple  # tuple of token tuples, in order, partitioning the text
-    speech_duration: float
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,7 @@ def plan_chunks(tokens, speech_duration: float, n: int, m: int) -> ChunkPlan:
     total = len(tokens)
     size = max(1, math.floor(min(total, total * (m + n) * (1.0 / DEFAULT_FPS) / speech_duration)))
     chunks = tuple(tuple(tokens[i : i + size]) for i in range(0, total, size))
-    return ChunkPlan(
-        word_count=total, words_per_chunk=size, chunks=chunks, speech_duration=float(speech_duration)
-    )
+    return ChunkPlan(words_per_chunk=size, chunks=chunks)
 
 
 def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):

@@ -19,6 +19,7 @@ from .config import Config
 from .errors import InvalidConfig, write_rows
 from .model import ParamStore, Seq2SeqModel, backward, forward_graph, pad_words
 from .pose import encode_pose, normalize_pose
+from .synthesis import plan_chunks
 
 # Adam's decay rates and denominator guard: the defaults of Kingma & Ba 2015
 ADAM_BETA1 = 0.9
@@ -48,7 +49,7 @@ class TrainingPair:
     def __post_init__(self):
         if not self.words:
             raise InvalidConfig("training pair needs at least one word")
-        object.__setattr__(self, "target_poses", np.asarray(self.target_poses, dtype=np.float64))
+        self.target_poses = np.asarray(self.target_poses, dtype=np.float64)
 
 
 class AdamState:
@@ -109,8 +110,6 @@ def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
     mean pose (zero vectors), the same cold start generation uses. Records
     shorter than n + m frames yield nothing.
     """
-    from .synthesis import plan_chunks
-
     pairs = []
     for rec in records:
         if not rec.words or len(rec.frames) < n + m:
@@ -132,7 +131,6 @@ def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
 
 @dataclass
 class TrainResult:
-    model: Seq2SeqModel
     history: list = field(default_factory=list)  # per-epoch LossBreakdown
 
 
@@ -196,7 +194,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         history.append(breakdown)
         if on_epoch is not None:
             on_epoch(epoch, model, breakdown)
-    return TrainResult(model=model, history=history)
+    return TrainResult(history=history)
 
 
 def write_history_csv(history, path):

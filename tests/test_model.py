@@ -11,9 +11,9 @@ from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
-    _Decoder,
     _encode_graph,
     _operand,
+    _rollout,
     backward,
     forward,
     forward_graph,
@@ -60,14 +60,6 @@ def attend(model, state, annotations):
     w_query, v = model.att_query.value, model.att_score.value
     context, weights = ad.attention(np.asarray(state)[None], w_query, projected, v, annotations)
     return weights[0], context[0]
-
-
-def decode(model, prev_pose, hidden, annotations):
-    """(pose, (h1', h2'), weights) of one decoder step from an (h1, h2) pair."""
-    decoder = _Decoder(model, False, *project(model, annotations))
-    h1, h2 = (np.asarray(h)[None] for h in hidden)
-    pose, h1, h2, weights = decoder(np.asarray(prev_pose)[None], h1, h2)
-    return pose[0], (h1[0], h2[0]), weights[0]
 
 
 @pytest.fixture(scope="module")
@@ -223,20 +215,16 @@ class TestDecodeStep:
             p.value[...] = 0.0
         model.post_b.value[...] = np.arange(10.0) * 0.1
         ann = np.random.default_rng(0).normal(size=(3, 8))
-        pose, hidden, weights = decode(model, np.zeros(10), (np.zeros(4), np.zeros(4)), ann)
-        assert np.allclose(pose, np.arange(10.0) * 0.1, atol=1e-15)
+        poses, _ = _rollout(model, False, np.zeros((1, 2, 10)), *project(model, ann))
+        assert np.allclose(poses[0], np.tile(np.arange(10.0) * 0.1, (3, 1)), atol=1e-15)
 
     def test_deterministic_and_shapes(self, tiny):
         rng = np.random.default_rng(5)
-        ann = rng.normal(size=(4, 8))
-        prev = rng.normal(size=10)
-        hidden = (rng.normal(size=4), rng.normal(size=4))
-        a = decode(tiny, prev, hidden, ann)
-        b = decode(tiny, prev, hidden, ann)
-        assert a[0].shape == (10,)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[2], b[2])
-        assert a[1][0].shape == (4,) and a[1][1].shape == (4,)
+        own = project(tiny, rng.normal(size=(4, 8)))
+        seeds = rng.normal(size=(1, 2, 10))
+        (pa, aa), (pb, ab) = (_rollout(tiny, False, seeds, *own) for _ in range(2))
+        assert pa[0].shape == (3, 10) and aa[0].shape == (3, 4)
+        assert np.array_equal(pa, pb) and np.array_equal(aa, ab)
 
 
 class TestForward:
@@ -384,6 +372,7 @@ class TestBackward:
 
 
 PADDED = ModelConfig(word_dim=7, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.0)
+TOY = ModelConfig(word_dim=300, hidden=64, att_dim=64, n_seed_poses=10, n_output_poses=20, dropout=0.1)
 
 
 def _padded_batch(rng, lengths, s):
@@ -474,6 +463,24 @@ class TestPaddedBatch:
         model.store.zero_grads()
         backward(total)
         assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "0ffd1f335552437bcb313b340201d3c73496c73724e931b50730cf3eb8328c01"
+
+    def test_toy_gradients_pinned(self):
+        # test_gradients_pinned at the toy training shape (criterion 6, the
+        # train benchmark), where some changes to how a product is summed
+        # move the gradient bits that the hidden-5 batch above keeps:
+        # linear's weight gradient as g.T @ x instead of (x.T @ g).T, for one.
+        model = init_model(TOY, seed=0)
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(1, 7, size=64)
+        emb = np.zeros((64, lengths.max(), 300))
+        for row, length in enumerate(lengths):
+            emb[row, :length] = rng.normal(0.0, 0.4, size=(length, 300))
+        seeds = rng.normal(size=(64, 10, 10)) * 0.3
+        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, total = compute_loss_graph(poses, rng.normal(size=(64, 20, 10)) * 0.3, Config(alpha=0.01, beta=0.1))
+        model.store.zero_grads()
+        backward(total)
+        assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "cfcada2b8cd607a21d8b5a31f26e3914df9c71fbfe7927cffb67cf97475c8fe3"
 
     def test_bad_lengths(self, tiny):
         with pytest.raises(InvalidConfig, match=r"lengths must be 2 word counts in \[1, 3\]"):

@@ -343,11 +343,12 @@ class TestTrainModel:
         cfg = ModelConfig(word_dim=6, hidden=5, att_dim=5, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         pairs = _template_pairs(6, 2, 4, rng)
         h = Config(epochs=3, lr=1e-3, batch_size=4, seed=7)
-        r1 = train_model(pairs, h, init_model(cfg, seed=1), _toy_table())
-        r2 = train_model(pairs, h, init_model(cfg, seed=1), _toy_table())
+        m1, m2 = init_model(cfg, seed=1), init_model(cfg, seed=1)
+        r1 = train_model(pairs, h, m1, _toy_table())
+        r2 = train_model(pairs, h, m2, _toy_table())
         assert [b.total for b in r1.history] == [b.total for b in r2.history]
-        for name, p in r1.model.store.items():
-            assert np.array_equal(p.value, r2.model.store[name].value)
+        for name, p in m1.store.items():
+            assert np.array_equal(p.value, m2.store[name].value)
 
     def test_alpha_beta_zero_total_equals_mse(self):
         rng = np.random.default_rng(6)
