@@ -4,14 +4,17 @@ Every operation records its inputs and a local backward rule on the output
 tensor, so calling ``backward()`` on a scalar result adds gradients into
 all reachable leaves, across calls, and frees each op node's gradient once
 its rule has run. An operand is a recording ``Tensor`` (requires_grad)
-or a plain value that acts as a constant. An op none of whose operands
-records returns its plain result, an ndarray or a scalar, so evaluation-mode
-passes run on plain arrays and build no graph object. The ops are the
-ones the seq2seq model records; each weight enters as stored, an (out, in)
-array that ``linear``, ``gru_step`` and ``attention`` read through its
-transpose, so no op undoes the storage layout. The lift net trains on
-plain arrays with its own backward (lifting._train_step) and records
-nothing.
+or a plain value that acts as a constant; an op none of whose operands
+records returns its plain result, an ndarray or a scalar, and builds no
+graph object. The ops are the ones the seq2seq model records in training;
+each weight enters as stored, an (out, in) array that ``linear``,
+``gru_step`` and ``attention`` read through its transpose, so no op undoes
+the storage layout. Their forward arithmetic lives in three plain kernels,
+``_affine``, ``_gru_cell`` and ``_attend``, whose returns the backward
+rules read; the model's evaluation pass calls the kernels directly, with
+its weights bound once per pass, and never enters the tape. The lift net
+trains on plain arrays with its own backward (lifting._train_step) and
+records nothing.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -129,17 +132,22 @@ def mul(a, b):
     return _wrap(out_val, (a, b), backprop)
 
 
+def _affine(x, w_t, b=None):
+    """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
+    the flattened leading dims for a (B, s, in) x."""
+    x2 = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    out = x2 @ w_t
+    if x.ndim != 2:
+        out = out.reshape(x.shape[:-1] + w_t.shape[1:])
+    return out if b is None else out + b
+
+
 def linear(x, w, b=None):
     """x w^T (+ b) for a weight w in its stored (out, in) layout and an
-    optional (out,) bias: one GEMM for a (B, in) x, and one GEMM over the
-    flattened leading dims for a (B, s, in) x, forward and backward."""
+    optional (out,) bias, through ``_affine``: one GEMM forward and one per
+    operand backward."""
     xv, wv = _data(x), _data(w)
-    x2 = xv if xv.ndim == 2 else xv.reshape(-1, xv.shape[-1])
-    out_val = x2 @ wv.T
-    if xv.ndim != 2:
-        out_val = out_val.reshape(xv.shape[:-1] + wv.shape[:1])
-    if b is not None:
-        out_val = out_val + _data(b)
+    out_val = _affine(xv, wv.T, None if b is None else _data(b))
     if not _records(x, w, b):
         return out_val
 
@@ -147,11 +155,33 @@ def linear(x, w, b=None):
         if _records(x):
             _accumulate(x, g @ wv)
         if _records(w):
+            x2 = xv if xv.ndim == 2 else xv.reshape(-1, xv.shape[-1])
             _accumulate(w, (x2.T @ (g if g.ndim == 2 else g.reshape(-1, g.shape[-1]))).T)
         if _records(b):
             _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))))
 
     return _wrap(out_val, (x, w, b), backprop)
+
+
+def _gru_blocks(u_t, b):
+    """The (H, 2H) update-and-reset and (H, H) candidate blocks of U = u^T,
+    and the bias b split the same way: ``_gru_cell``'s weight operands."""
+    two = 2 * u_t.shape[0]
+    return u_t[:, :two], u_t[:, two:], b[:two], b[two:]
+
+
+def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
+    """One GRU update on plain arrays (formula in ``gru_step``) from the
+    step's (B, 3H) input projection, the (B, H) state and the
+    ``_gru_blocks`` of U and b. Returns (h', z, r, r*h, c); the backward
+    reads the last four."""
+    hidden = h.shape[-1]
+    two = 2 * hidden
+    zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + h @ u_zr) + b_zr)) + 1.0)  # overflow-free logistic
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    rh = r * h
+    c = np.tanh((gxt[:, two:] + rh @ u_c) + b_c)
+    return h + z * (c - h), z, r, rh, c
 
 
 def gru_step(gx, h, u, b, t=None, keep=None):
@@ -171,12 +201,8 @@ def gru_step(gx, h, u, b, t=None, keep=None):
     hd, ud, bd = _data(h), _data(u).T, _data(b)
     hidden = hd.shape[-1]
     two = 2 * hidden
-    u_zr, u_c = ud[:, :two], ud[:, two:]
-    zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + hd @ u_zr) + bd[:two])) + 1.0)  # overflow-free logistic
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    rh = r * hd
-    c = np.tanh((gxt[:, two:] + rh @ u_c) + bd[two:])
-    out_val = hd + z * (c - hd)
+    u_zr, u_c, b_zr, b_c = _gru_blocks(ud, bd)
+    out_val, z, r, rh, c = _gru_cell(gxt, hd, u_zr, u_c, b_zr, b_c)
     if keep is not None:
         keep = keep[:, None]
         out_val = np.where(keep, out_val, hd)
@@ -259,6 +285,23 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
 
 
+def _attend(query, projected, v_col, annotations, mask):
+    """Additive attention on plain arrays (formula in ``attention``) from
+    the (B, A) query projection, the (B, s, A) annotation projection, the
+    (A, 1) score column, the (B, s, C) annotations and an optional (B, s)
+    score mask. Returns (context (B, C), weights (B, s), t (B, s, A)); the
+    backward reads the last two."""
+    batch, s, att = projected.shape
+    t = np.tanh(query.reshape(batch, 1, att) + projected)
+    scores = (t.reshape(-1, att) @ v_col).reshape(batch, s)
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    context = np.matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1)
+    return context, weights, t
+
+
 def attention(state, w_query, projected, v, annotations, mask=None):
     """Additive attention (Bahdanau et al. 2015) over s annotations, one
     fused graph node:
@@ -279,13 +322,7 @@ def attention(state, w_query, projected, v, annotations, mask=None):
     state_v, proj_v, v_v, ann_v = map(_data, (state, projected, v, annotations))
     w_query_v = _data(w_query).T
     batch, s, att = proj_v.shape
-    t = np.tanh((state_v @ w_query_v).reshape(batch, 1, att) + proj_v)
-    scores = (t.reshape(-1, att) @ v_v.reshape(att, 1)).reshape(batch, s)
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    context = np.matmul(weights.reshape(batch, 1, s), ann_v).reshape(batch, -1)
+    context, weights, t = _attend(state_v @ w_query_v, proj_v, v_v.reshape(att, 1), ann_v, mask)
     if not _records(state, w_query, projected, v, annotations):
         return context, weights
 

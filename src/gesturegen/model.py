@@ -7,12 +7,15 @@ then generates a fixed number of poses, each feeding the next step. Of the
 warm-up steps only the last runs the post-linear layer: its pose feeds the
 first generated step, and no step reads the others'.
 
-Every pass runs through one set of autodiff graph builders: `forward_graph`
-records the graph for training, `forward` runs the same builders on the
-plain parameter values, so no op records and every result is a plain
-array, and `backward` adds a recorded loss's gradients into the store.
-`forward` encodes all word chunks of an utterance in one batch, then
-decodes them in order, each seeded with the last poses of the one before.
+`forward_graph` records the graph for training through the autodiff ops,
+and `backward` adds a recorded loss's gradients into the store. `forward`
+(eval) records nothing: it binds each weight's transpose, gate blocks and
+bias slices once per pass and runs the same steps in the same order on
+plain arrays through the kernels the ops are built on (`autodiff._affine`,
+`_gru_cell`, `_attend`), so its results equal the recorded pass's values
+bit for bit. `forward` encodes all word chunks of an utterance in one
+batch, then decodes them in order, each seeded with the last poses of the
+one before; `_unroll` holds the decoder's seed-then-emit schedule for both.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -23,10 +26,10 @@ projects all timesteps' inputs with one `linear` per layer and direction
 before the recurrence. A decoder step's attention is one graph node too
 (`autodiff.attention`), fed the query weight as stored and the annotation
 projection made once per pass; `_rollout` binds the attention and decoder
-weights and biases once per rollout. A batch of word sequences of
-different lengths runs as one zero-padded rollout: padded steps carry the
-encoder state in both directions and get attention weight exactly 0, so
-every row equals its own unpadded rollout.
+weights and biases once per rollout, `_decoder` once per eval pass. A
+batch of word sequences of different lengths runs as one zero-padded
+rollout: padded steps carry the encoder state in both directions and get
+attention weight exactly 0, so every row equals its own unpadded rollout.
 
 `build_model` lays a model's parameters out once, in one `ParamStore`;
 `stored_arrays` views that layout in checkpoint order, into which
@@ -172,17 +175,31 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     return model
 
 
-def _operand(p: Parameter, record: bool):
-    """A parameter as an op operand: when recording, a leaf that adds into
-    its store gradient, else its value."""
-    return Tensor(p.value, requires_grad=True, grad=p.grad) if record else p.value
+def _operand(p: Parameter):
+    """A parameter as a recording leaf that adds into its store gradient."""
+    return Tensor(p.value, requires_grad=True, grad=p.grad)
 
 
-def _run_direction(record, cell, inputs, keep, reverse: bool):
-    """(B, s, in) inputs -> (B, s, H) states. One input projection for every
-    step, then the fused recurrence; keep[t] (None: every row) masks the
-    rows whose sequence has ended, which carry their state."""
-    w, u, b = (_operand(p, record) for p in cell)
+def _cell_weights(cell):
+    """A GRU cell's plain operands, bound once per eval pass: w^T, then the
+    `autodiff._gru_cell` weight operands."""
+    w, u, b = (p.value for p in cell)
+    return (w.T, *ad._gru_blocks(u.T, b))
+
+
+def _keep_masks(lengths, s: int) -> list:
+    """Per step t, the (B,) rows whose sequence still runs at t, or None
+    when every row does (lengths None: no padding)."""
+    if lengths is None:
+        return [None] * s
+    return [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
+
+
+def _run_direction(cell, inputs, keep, reverse: bool):
+    """(B, s, in) inputs -> (B, s, H) states, recorded. One input projection
+    for every step, then the fused recurrence; keep[t] (None: every row)
+    masks the rows whose sequence has ended, which carry their state."""
+    w, u, b = (_operand(p) for p in cell)
     gx = ad.linear(inputs, w)
     batch, s, _ = inputs.shape
     h = np.zeros((batch, u.shape[1]))
@@ -193,46 +210,47 @@ def _run_direction(record, cell, inputs, keep, reverse: bool):
     return ad.stack(states, axis=1)
 
 
-def _encode_graph(model, record, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
-    """(B, s, word_dim) embedded words -> annotations (B, s, 2H). Row i has
-    lengths[i] words followed by padding (None: no padding); padded steps
-    carry the state in both directions, so the backward direction starts
-    from zero at each row's last word."""
-    s = inputs.shape[1]
-    if lengths is None:
-        keep = [None] * s
-    else:
-        keep = [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
+def _encode_graph(model, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
+    """(B, s, word_dim) embedded words -> annotations (B, s, 2H), recorded.
+    Row i has lengths[i] words followed by padding (None: no padding);
+    padded steps carry the state in both directions, so the backward
+    direction starts from zero at each row's last word."""
+    keep = _keep_masks(lengths, inputs.shape[1])
     inputs = ad.dropout(inputs, dropout, rng)
     for fwd_cell, bwd_cell in model.encoder:
-        fwd = _run_direction(record, fwd_cell, inputs, keep, reverse=False)
-        bwd = _run_direction(record, bwd_cell, inputs, keep, reverse=True)
+        fwd = _run_direction(fwd_cell, inputs, keep, reverse=False)
+        bwd = _run_direction(bwd_cell, inputs, keep, reverse=True)
         inputs = ad.concat([fwd, bwd], axis=-1)
     return inputs
 
 
-def _rollout(model, record, seed_poses: np.ndarray, annotations, projected, mask=None, rng=None, dropout=0.0):
-    """Warm the decoder on the (B, n, 10) seed poses (only the last step
-    computes a pose: it feeds the first emitted step), then emit m poses,
-    each feeding the next. A step, its weights bound once per rollout, is
-    the pre-linear, attention of the top layer's previous state over the
-    (B, s, 2H) annotations (scored through their (B, s, A) projection plus
-    ``mask``: 0 on words, -inf on padding), the two GRU cells and, when it
-    emits, the post-linear. Returns the (B, m, 10) poses, a recorded tensor
-    in training and a plain array in eval, and the (B, m, s) attention rows
-    as a plain array (the loss never reads them)."""
-    heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
-    w_query, v, pre_w, pre_b, post_w, post_b = (_operand(p, record) for p in heads)
-    (w1, u1, b1), (w2, u2, b2) = [[_operand(p, record) for p in cell] for cell in model.decoder]
+def _encode(model, inputs: np.ndarray, lengths=None) -> np.ndarray:
+    """`_encode_graph` in eval, on `autodiff._gru_cell`: the same steps in
+    the same order on plain arrays, each cell's weights bound once."""
+    batch, s, _ = inputs.shape
+    keep = _keep_masks(lengths, s)
+    for layer in model.encoder:
+        directions = []
+        for cell, reverse in zip(layer, (False, True)):
+            w_t, *kernel = _cell_weights(cell)
+            gx = ad._affine(inputs, w_t)
+            h = np.zeros((batch, model.cfg.hidden))
+            states = [None] * s
+            for t in range(s - 1, -1, -1) if reverse else range(s):
+                out = ad._gru_cell(gx[:, t], h, *kernel)[0]
+                h = out if keep[t] is None else np.where(keep[t][:, None], out, h)
+                states[t] = h
+            directions.append(np.stack(states, axis=1))
+        inputs = np.concatenate(directions, axis=-1)
+    return inputs
 
-    def step(prev_pose, h1, h2, emit=True):
-        pre = ad.linear(prev_pose, pre_w, pre_b)
-        context, weights = ad.attention(h2, w_query, projected, v, annotations, mask)
-        x = ad.dropout(ad.concat([pre, context], axis=-1), dropout, rng)
-        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
-        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
-        return ad.linear(h2, post_w, post_b) if emit else None, h1, h2, weights
 
+def _unroll(model, step, seed_poses: np.ndarray):
+    """The decoder schedule: warm on the (B, n, 10) seed poses (only the
+    last step computes a pose: it feeds the first emitted step), then emit
+    m poses, each feeding the next. ``step(prev_pose, h1, h2, emit)``
+    returns (pose or None, h1, h2, attention weights). Returns the m poses
+    and the m attention rows as lists."""
     h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
     n = model.cfg.n_seed_poses
     for t in range(n):
@@ -242,7 +260,55 @@ def _rollout(model, record, seed_poses: np.ndarray, annotations, projected, mask
         prev, h1, h2, weights = step(prev, h1, h2)
         poses.append(prev)
         rows.append(weights)
+    return poses, rows
+
+
+def _rollout(model, seed_poses: np.ndarray, annotations, projected, mask=None, rng=None, dropout=0.0):
+    """The recorded decoder on the `_unroll` schedule. A step, its weights
+    bound once per rollout, is the pre-linear, attention of the top layer's
+    previous state over the (B, s, 2H) annotations (scored through their
+    (B, s, A) projection plus ``mask``: 0 on words, -inf on padding), the
+    two GRU cells and, when it emits, the post-linear. Returns the (B, m,
+    10) poses, a recorded tensor, and the (B, m, s) attention rows as a
+    plain array (the loss never reads them)."""
+    heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
+    w_query, v, pre_w, pre_b, post_w, post_b = (_operand(p) for p in heads)
+    (w1, u1, b1), (w2, u2, b2) = [[_operand(p) for p in cell] for cell in model.decoder]
+
+    def step(prev_pose, h1, h2, emit=True):
+        pre = ad.linear(prev_pose, pre_w, pre_b)
+        context, weights = ad.attention(h2, w_query, projected, v, annotations, mask)
+        x = ad.dropout(ad.concat([pre, context], axis=-1), dropout, rng)
+        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
+        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
+        return ad.linear(h2, post_w, post_b) if emit else None, h1, h2, weights
+
+    poses, rows = _unroll(model, step, seed_poses)
     return ad.stack(poses, axis=1), np.stack(rows, axis=1)
+
+
+def _decoder(model):
+    """The eval rollout: `_rollout`'s step on `autodiff._attend` and
+    `autodiff._gru_cell`, with every decoder weight bound once per pass.
+    Returns rollout(seed_poses, annotations, projected) -> ((B, m, 10)
+    poses, (B, m, s) attention), both plain arrays."""
+    w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
+    pre_t, pre_b, post_t, post_b = model.pre_w.value.T, model.pre_b.value, model.post_w.value.T, model.post_b.value
+    (w1_t, *cell1), (w2_t, *cell2) = (_cell_weights(cell) for cell in model.decoder)
+
+    def rollout(seed_poses, annotations, projected):
+        def step(prev_pose, h1, h2, emit=True):
+            pre = ad._affine(prev_pose, pre_t, pre_b)
+            context, weights, _ = ad._attend(h2 @ w_query_t, projected, v_col, annotations, None)
+            x = np.concatenate([pre, context], axis=-1)
+            h1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)[0]
+            h2 = ad._gru_cell(ad._affine(h1, w2_t), h2, *cell2)[0]
+            return ad._affine(h2, post_t, post_b) if emit else None, h1, h2, weights
+
+        poses, rows = _unroll(model, step, seed_poses)
+        return np.stack(poses, axis=1), np.stack(rows, axis=1)
+
+    return rollout
 
 
 def pad_words(chunks):
@@ -256,7 +322,7 @@ def pad_words(chunks):
 
 
 def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
-    """Refuse a (B, s, word_dim) word batch or (B, n, 10) seed batch of the wrong shape."""
+    """Refuse a (B, s, word_dim) word batch or (B, n, gesture_dim) seed batch of the wrong shape."""
     if embedded.ndim != 3 or embedded.shape[1] < 1:
         raise InvalidConfig("need at least one embedded word")
     if embedded.shape[2] != model.cfg.word_dim:
@@ -265,6 +331,8 @@ def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
         raise InvalidConfig(
             f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
         )
+    if seed_poses.shape[2] != model.cfg.gesture_dim:
+        raise InvalidConfig(f"seed pose width {seed_poses.shape[2]} != {model.cfg.gesture_dim}")
 
 
 def forward_graph(
@@ -298,9 +366,9 @@ def forward_graph(
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
-    annotations = _encode_graph(model, True, embedded, lengths, rng, dropout)
-    projected = ad.linear(annotations, _operand(model.att_ann, True))
-    return _rollout(model, True, seed_poses, annotations, projected, mask, rng, dropout)
+    annotations = _encode_graph(model, embedded, lengths, rng, dropout)
+    projected = ad.linear(annotations, _operand(model.att_ann))
+    return _rollout(model, seed_poses, annotations, projected, mask, rng, dropout)
 
 
 def forward(model, chunks, seed_poses):
@@ -319,11 +387,12 @@ def forward(model, chunks, seed_poses):
             raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
         _check_inputs(model, c[None], seeds)
     embedded, lengths = pad_words(chunks)
-    annotations = _encode_graph(model, False, embedded, lengths)
-    projected = ad.linear(annotations, model.att_ann.value)
+    annotations = _encode(model, embedded, lengths)
+    projected = ad._affine(annotations, model.att_ann.value.T)
+    rollout = _decoder(model)
     rollouts = []
     for row, s in enumerate(lengths):
-        poses, attn = _rollout(model, False, seeds, annotations[row : row + 1, :s], projected[row : row + 1, :s])
+        poses, attn = rollout(seeds, annotations[row : row + 1, :s], projected[row : row + 1, :s])
         rollouts.append((poses[0], attn[0]))
         seeds = np.concatenate([seeds, poses], axis=1)[:, -model.cfg.n_seed_poses :]
     return rollouts

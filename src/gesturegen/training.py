@@ -161,9 +161,10 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         raise InvalidConfig("no training pairs")
     n = model.cfg.n_seed_poses
     m = model.cfg.n_output_poses
+    shape = (n + m, model.cfg.gesture_dim)
     for p in pairs:
-        if p.target_poses.shape[0] != n + m:
-            raise InvalidConfig(f"pair has {p.target_poses.shape[0]} poses, expected {n + m}")
+        if p.target_poses.shape != shape:
+            raise InvalidConfig(f"pair poses have shape {p.target_poses.shape}, expected {shape}")
 
     embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
     rng = np.random.default_rng(cfg.seed)

@@ -82,6 +82,17 @@ def test_train_setup_digest_pinned(workloads, tmp_path):
     assert digest == "a2a0fdce1a34c070d8ee65e4e721b40ddf4dbfc264997167d5bb5b0acdebaf8a"
 
 
+def test_generate_digests_pinned(workloads, tmp_path):
+    """The generate set-up (embedding file and seed-1 checkpoint) and the
+    criterion-12 track and attention files hash to the values the
+    benchmark printed before generation ran on the plain kernels."""
+    state, digest = workloads.setup_generate(1, tmp_path)
+    assert digest == "2e818f2171aad2a74ae6d698513a65d4f501b4513c2c87fc796f3d902fa2f7e6"
+    assert workloads.fingerprint_generate(state) == (
+        "d297be64b16e871af066b7858aa955aeba8c94ee8c2cdbf86686bddeb4a7dc28"
+    )
+
+
 def test_synth_corpus_bytes_pinned(tmp_path):
     """The criterion-11 corpus file, as written before records became arrays."""
     from gesturegen.cli import main

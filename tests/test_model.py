@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gesturegen import autodiff as ad
@@ -11,6 +11,9 @@ from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
+    _cell_weights,
+    _decoder,
+    _encode,
     _encode_graph,
     _operand,
     _rollout,
@@ -18,21 +21,21 @@ from gesturegen.model import (
     forward,
     forward_graph,
     init_model,
+    pad_words,
 )
 from gesturegen.training import compute_loss_graph
 
 TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
 
 
-# Single-sequence runs of the graph builders that forward_graph is made of,
-# without recording: one vector in, one vector out.
+# Single-sequence runs of the plain kernels that forward is made of: one
+# vector in, one vector out.
 
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    w, u, b = (p.value for p in cell)
-    x, h = np.asarray(x)[None], np.asarray(h)[None]
-    return ad.gru_step(ad.linear(x, w), h, u, b)[0]
+    w_t, *kernel = _cell_weights(cell)
+    return ad._gru_cell(ad._affine(np.asarray(x)[None], w_t), np.asarray(h)[None], *kernel)[0][0]
 
 
 def gate(p, k):
@@ -44,21 +47,20 @@ def gate(p, k):
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    annotations = _encode_graph(model, False, np.stack(words)[None])
-    return list(annotations[0])
+    return list(_encode(model, np.stack(words)[None])[0])
 
 
 def project(model, annotations):
     """(s, 2H) annotations as a batch of one, with its (1, s, A) projection."""
     annotations = np.asarray(annotations)[None]
-    return annotations, ad.linear(annotations, model.att_ann.value)
+    return annotations, ad._affine(annotations, model.att_ann.value.T)
 
 
 def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
     annotations, projected = project(model, annotations)
-    w_query, v = model.att_query.value, model.att_score.value
-    context, weights = ad.attention(np.asarray(state)[None], w_query, projected, v, annotations)
+    query = np.asarray(state)[None] @ model.att_query.value.T
+    context, weights, _ = ad._attend(query, projected, model.att_score.value.reshape(-1, 1), annotations, None)
     return weights[0], context[0]
 
 
@@ -215,14 +217,14 @@ class TestDecodeStep:
             p.value[...] = 0.0
         model.post_b.value[...] = np.arange(10.0) * 0.1
         ann = np.random.default_rng(0).normal(size=(3, 8))
-        poses, _ = _rollout(model, False, np.zeros((1, 2, 10)), *project(model, ann))
+        poses, _ = _decoder(model)(np.zeros((1, 2, 10)), *project(model, ann))
         assert np.allclose(poses[0], np.tile(np.arange(10.0) * 0.1, (3, 1)), atol=1e-15)
 
     def test_deterministic_and_shapes(self, tiny):
         rng = np.random.default_rng(5)
         own = project(tiny, rng.normal(size=(4, 8)))
         seeds = rng.normal(size=(1, 2, 10))
-        (pa, aa), (pb, ab) = (_rollout(tiny, False, seeds, *own) for _ in range(2))
+        (pa, aa), (pb, ab) = (_decoder(tiny)(seeds, *own) for _ in range(2))
         assert pa[0].shape == (3, 10) and aa[0].shape == (3, 4)
         assert np.array_equal(pa, pb) and np.array_equal(aa, ab)
 
@@ -246,6 +248,13 @@ class TestForward:
         rng = np.random.default_rng(8)
         with pytest.raises(InvalidConfig, match="seed poses, got 5"):
             forward(tiny, [rng.normal(size=(4, 7))], rng.normal(size=(5, 10)))
+
+    def test_seed_width_mismatch(self, tiny):
+        rng = np.random.default_rng(8)
+        with pytest.raises(InvalidConfig, match="seed pose width 9 != 10"):
+            forward(tiny, [rng.normal(size=(4, 7))], rng.normal(size=(2, 9)))
+        with pytest.raises(InvalidConfig, match="seed pose width 9 != 10"):
+            forward_graph(tiny, rng.normal(size=(3, 4, 7)), rng.normal(size=(3, 2, 9)))
 
     def test_empty_words(self, tiny):
         for chunks in ([np.zeros((0, 7))], [np.zeros((2, 7)), np.zeros((0, 7))], []):
@@ -271,14 +280,44 @@ class TestForward:
         forward_graph(tiny, chunks[0][None], seeds[None])  # the counter sees a recorded pass
         assert len(built) > 0
 
-    def test_equals_recorded_rollout(self, tiny):
-        rng = np.random.default_rng(11)
-        emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        [(poses, attn)] = forward(tiny, [emb], seeds)
-        recorded_poses, recorded_attn = forward_graph(tiny, emb[None], seeds[None])
-        assert recorded_poses.requires_grad
-        assert np.array_equal(poses, recorded_poses.data[0])
-        assert np.array_equal(attn, recorded_attn[0])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        words=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        dims=st.sampled_from([(7, 4, 4), (5, 6, 3)]),
+        n=st.integers(1, 4),
+        m=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(words=[4], dims=(7, 4, 4), n=2, m=3, seed=11)
+    @example(words=[5], dims=(300, 64, 64), n=10, m=20, seed=2)  # the toy generate shape
+    @example(words=[4, 3, 4], dims=(300, 64, 64), n=10, m=20, seed=1)
+    def test_equals_recorded_rollout(self, words, dims, n, m, seed):
+        """Eval rows are bit-equal to the recorded pass run at eval's
+        shapes: the recorded encoder on the zero-padded chunk batch, then a
+        batch-1 recorded rollout per chunk, seeded as eval seeds it. A
+        one-chunk utterance is exactly the batch-1 forward_graph. (A GEMM
+        row rounds differently in a batch of B and a batch of 1, so a
+        several-chunk utterance is compared at its own batch shapes.)"""
+        word_dim, hidden, att_dim = dims
+        model = init_model(ModelConfig(word_dim, hidden, att_dim, n, m, dropout=0.1), seed=seed % 5)
+        rng = np.random.default_rng(seed)
+        chunks = [rng.normal(size=(s, word_dim)) for s in words]
+        seeds = rng.normal(size=(n, 10))
+        rollouts = forward(model, chunks, seeds)
+        if len(chunks) == 1:
+            recorded_poses, recorded_attn = forward_graph(model, chunks[0][None], seeds[None])
+            assert np.array_equal(rollouts[0][0], recorded_poses.data[0])
+            assert np.array_equal(rollouts[0][1], recorded_attn[0])
+        embedded, lengths = pad_words(chunks)
+        annotations = _encode_graph(model, embedded, lengths)
+        projected = ad.linear(annotations, _operand(model.att_ann))
+        for row, (s, (poses, attn)) in enumerate(zip(lengths, rollouts, strict=True)):
+            own = annotations.data[row : row + 1, :s], projected.data[row : row + 1, :s]
+            recorded_poses, recorded_attn = _rollout(model, seeds[None], *own)
+            assert recorded_poses.requires_grad
+            assert np.array_equal(poses, recorded_poses.data[0])
+            assert np.array_equal(attn, recorded_attn[0])
+            seeds = np.concatenate([seeds, poses])[-n:]
 
     def test_eval_rollout_op_counts(self, monkeypatch):
         """An eval rollout with n = 3 seed poses, m = 5 output poses and
@@ -291,8 +330,8 @@ class TestForward:
         cfg = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=3, n_output_poses=5, dropout=0.1)
         model = init_model(cfg, seed=4)
         calls = []
-        linear = ad.linear
-        monkeypatch.setattr(ad, "linear", lambda *args: calls.append(1) or linear(*args))
+        affine = ad._affine
+        monkeypatch.setattr(ad, "_affine", lambda *args: calls.append(1) or affine(*args))
         rng = np.random.default_rng(12)
         forward(model, [rng.normal(size=(4, 7))], rng.normal(size=(3, 10)))
         assert len(calls) == 35
@@ -332,7 +371,7 @@ class TestBackward:
 
     def test_recording_leaf_accumulates_into_store(self, tiny):
         p = tiny.store["dec.pre.b"]
-        assert _operand(p, True).grad is p.grad
+        assert _operand(p).grad is p.grad
 
     def test_no_recorded_graph(self, tiny):
         with pytest.raises(InvalidConfig, match="loss is not the result of a recorded forward pass"):

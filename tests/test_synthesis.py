@@ -166,9 +166,9 @@ class TestGenerateGesture:
         rng = np.random.default_rng(seed)
         plan = plan_chunks([f"w{i}" for i in rng.integers(0, 30, size=words)], duration, n=n, m=m)
         encodes = []
-        encode = seq2seq._encode_graph
+        encode = seq2seq._encode
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(seq2seq, "_encode_graph", lambda *args: encodes.append(args) or encode(*args))
+            mp.setattr(seq2seq, "_encode", lambda *args: encodes.append(args) or encode(*args))
             track, maps = generate_gesture(model, plan, table)
         assert len(encodes) == 1
         seeds, frames = np.zeros((n, 10)), []

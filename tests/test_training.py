@@ -423,6 +423,17 @@ class TestTrainModel:
         with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
             train_model(_template_pairs(2, 2, 4, rng), Config(epochs=1), init_model(cfg, seed=0), _toy_table())
 
+    def test_pose_shape_mismatch(self):
+        rng = np.random.default_rng(13)
+        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
+        pairs = _template_pairs(3, 2, 4, rng)
+        pairs[1] = TrainingPair(words=["wave"], target_poses=pairs[1].target_poses[:, :9])
+        with pytest.raises(InvalidConfig, match=r"pair poses have shape \(6, 9\), expected \(6, 10\)"):
+            train_model(pairs, Config(epochs=1), init_model(cfg, seed=0), _toy_table())
+        pairs[1] = TrainingPair(words=["wave"], target_poses=pairs[0].target_poses[:5])
+        with pytest.raises(InvalidConfig, match=r"pair poses have shape \(5, 10\), expected \(6, 10\)"):
+            train_model(pairs, Config(epochs=1), init_model(cfg, seed=0), _toy_table())
+
 
 def _assert_packed(store):
     """Each value and grad is a view of ``store.values`` or ``store.grads``
