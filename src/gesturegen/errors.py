@@ -11,7 +11,12 @@ pipes, FIFOs and open descriptors such as /dev/stdout are written in place.
 Every float table passed between stages (embedding table, track, attention,
 joint trajectory, loss history) is one text codec, written by write_rows and
 read by read_rows: an optional header line, then per row an optional label
-and its values as repr(float), so values read back bit-exact.
+and its values as repr(float), so values read back bit-exact. Both work a
+block of about _BLOCK values at a time: the writer formats a block of rows
+and writes it in one call, and refuses a label count other than the row
+count; the reader converts a block's fields in one np.array call, which
+accepts the strings float() accepts and gives the same values, and still
+reports the first bad line. The reader skips a leading UTF-8 byte-order mark.
 """
 
 import array
@@ -94,31 +99,68 @@ class DegeneratePose(GestureGenError):
     """The geometry of a pose leaves a joint or angle undefined."""
 
 
+_BLOCK = 512  # values per conversion and per write call of the row codec
+
+
 def write_rows(path, what: str, rows, *, header=None, labels=None, sep=","):
     """Write the (N, D) array ``rows``: ``header`` if given, then per row its
-    label if ``labels`` is given and its values, joined by ``sep``. A row
-    with a non-finite value is refused before the file is opened."""
+    label if ``labels`` (one per row) is given and its values, joined by
+    ``sep``. A row with a non-finite value or a label count other than N is
+    refused before the file is opened. Rows are formatted and written a block
+    of about _BLOCK values at a time."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise InvalidConfig(f"{what} row {int(np.argmin(finite))} has non-finite values")
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != len(rows):
+            raise InvalidConfig(f"{what} has {len(labels)} labels for {len(rows)} rows")
+    step = max(1, _BLOCK // max(1, rows.shape[1]))
     with open_for_write(path, what) as fh:
         if header is not None:
             fh.write(header + "\n")
-        lines = (sep.join(map(repr, row.tolist())) for row in rows)
-        if labels is not None:
-            lines = (label + sep + line for label, line in zip(labels, lines))
-        fh.writelines(line + "\n" for line in lines)
+        for start in range(0, len(rows), step):
+            lines = [sep.join(map(repr, row)) for row in rows[start : start + step].tolist()]
+            if labels is not None:
+                lines = [label + sep + line for label, line in zip(labels[start : start + step], lines)]
+            fh.write("\n".join(lines) + "\n")
+
+
+def _first_non_float(fields):
+    """Index of the first field float() refuses, or None."""
+    for i, field in enumerate(fields):
+        try:
+            float(field)
+        except ValueError:
+            return i
+    return None
 
 
 def read_rows(path, what: str, *, header=None, labels=False, sep=","):
     """``(labels, rows)`` of a write_rows file: the first field of each line
     (if ``labels``) and an (N, D) float array. ``sep`` None splits on any
-    whitespace; blank lines are skipped. MalformedFile names the line of a
-    missing header, non-numeric or non-finite value, line without values or
-    width other than the first row's, or says the file is empty or unreadable."""
+    whitespace; blank lines and a leading byte-order mark are skipped. Lines
+    are split and width-checked one by one and their values converted a block
+    of about _BLOCK at a time. MalformedFile names the first line of a missing
+    header, non-numeric value, line without values or width other than the
+    first row's, else the first line with a non-finite value, or says the file
+    is empty or unreadable."""
     names, flat, line_nos, width = [], array.array("d"), [], None
+    pending = []  # value fields of the last len(pending) // width rows of line_nos
+
+    def bad(line_no, reason):
+        return MalformedFile(f"{path}: line {line_no}: {reason}")
+
+    def parse():
+        try:
+            flat.frombytes(np.array(pending, dtype=np.float64).tobytes())
+        except ValueError:
+            row = len(line_nos) - len(pending) // width + _first_non_float(pending) // width
+            raise bad(line_nos[row], "non-numeric value") from None
+        pending.clear()
+
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if header is not None and not fh.readline().startswith(header):
                 raise MalformedFile(f"{path}: line 1 does not start with {header!r}")
             for line_no, line in enumerate(fh, start=1 if header is None else 2):
@@ -129,21 +171,26 @@ def read_rows(path, what: str, *, header=None, labels=False, sep=","):
                 if labels:
                     names.append(fields.pop(0))
                 if not fields:
-                    raise MalformedFile(f"{path}: line {line_no}: no values")
-                try:
-                    flat.extend(map(float, fields))
-                except ValueError:
-                    raise MalformedFile(f"{path}: line {line_no}: non-numeric value") from None
+                    parse()
+                    raise bad(line_no, "no values")
                 width = width or len(fields)
                 if len(fields) != width:
-                    raise MalformedFile(f"{path}: line {line_no}: expected {width} values, got {len(fields)}")
+                    parse()
+                    if _first_non_float(fields) is not None:
+                        raise bad(line_no, "non-numeric value")
+                    raise bad(line_no, f"expected {width} values, got {len(fields)}")
+                pending += fields
                 line_nos.append(line_no)
+                if len(pending) >= _BLOCK:
+                    parse()
     except (OSError, UnicodeDecodeError) as exc:
+        parse()
         raise MalformedFile(f"cannot read {what}: {exc}") from exc
     if not line_nos:
         raise MalformedFile(f"{path}: no rows")
+    parse()
     table = np.frombuffer(flat).reshape(-1, width)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise MalformedFile(f"{path}: line {line_nos[int(np.argmin(finite))]}: non-finite value")
+        raise bad(line_nos[int(np.argmin(finite))], "non-finite value")
     return names, table

@@ -93,6 +93,19 @@ def test_generate_digests_pinned(workloads, tmp_path):
     )
 
 
+def test_retarget_digests_pinned(workloads, tmp_path):
+    """The retarget set-up (lift checkpoint and 24 seed-1 track files, all
+    written by the row codec) and one track read, retargeted and written as
+    joint angles hash to the values the benchmark printed before the codec
+    read and wrote a block of rows per call."""
+    state, digest = workloads.setup_retarget(1, tmp_path)
+    assert len(state.tracks) == 24
+    assert digest == "d3306a205024c5e342cc107f821ee68ed84aeac3d029c4297decb57330ce5698"
+    assert workloads.fingerprint_retarget(state) == (
+        "24b7801fd963a317f850531f4c029c470cfb487fb2b28b4ce156313c53a676fd"
+    )
+
+
 def test_synth_corpus_bytes_pinned(tmp_path):
     """The criterion-11 corpus file, as written before records became arrays."""
     from gesturegen.cli import main

@@ -207,8 +207,13 @@ def _fail_writes(monkeypatch, error, allowed):
     return opened
 
 
-def _write_table(path, version):
-    write_rows(path, "table", np.full((2, 2), float(version)), header="a,b")
+def _write_table(path, version, rows=2):
+    write_rows(path, "table", np.full((rows, 2), float(version)), header="a,b")
+
+
+def _write_long_table(path, version):
+    """A table of several write blocks, so a write can fail partway through it."""
+    _write_table(path, version, rows=3 * errors._BLOCK)
 
 
 def _write_records(path, version):
@@ -231,12 +236,12 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
 
     @pytest.mark.parametrize("error, raised", _ERRORS)
-    @pytest.mark.parametrize("writer, allowed", [(_write_table, 2), (_write_records, 1)], ids=["table", "records"])
+    @pytest.mark.parametrize("writer, allowed", [(_write_long_table, 2), (_write_records, 1)], ids=["table", "records"])
     def test_failed_text_write_keeps_old_bytes(self, tmp_path, monkeypatch, writer, allowed, error, raised):
         path = tmp_path / "out.txt"
         writer(path, 1)
         before = path.read_bytes()
-        opened = _fail_writes(monkeypatch, error, allowed)  # the header, if any, and the first row go through
+        opened = _fail_writes(monkeypatch, error, allowed)  # the header, if any, and the first row or block go through
         with pytest.raises(raised, match=str(error.args[-1])):
             writer(path, 2)
         assert opened and opened[0].writes == allowed + 1

@@ -1,10 +1,14 @@
+import array
 import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gesturegen.errors import MalformedFile
+from gesturegen import errors
+from gesturegen.errors import InvalidConfig, MalformedFile, read_rows, write_rows
 from gesturegen.text import (
     EmbeddingTable,
     load_embedding_table,
@@ -145,3 +149,172 @@ def test_text_writer_bytes_pinned(tmp_path, kind, sha256):
     path = tmp_path / "out.txt"
     _write_pinned(kind, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    """A table saved by an editor that writes a UTF-8 byte-order mark keys its
+    first token without it, and a track's header still reads as t_s."""
+    from gesturegen.synthesis import load_track_csv
+
+    emb = tmp_path / "emb.txt"
+    emb.write_text("\ufeffhello 1.0 2.0\nworld 3.0 4.0\n", encoding="utf-8")
+    table = load_embedding_table(emb)
+    assert sorted(table.entries) == ["hello", "world"]
+    assert np.array_equal(table.lookup("hello"), [1.0, 2.0])
+    track = tmp_path / "track.csv"
+    track.write_text("\ufefft_s,c1,c2\n0.0,0.5,1.5\n", encoding="utf-8")
+    assert np.array_equal(load_track_csv(track).frames, [[0.5, 1.5]])
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_label_count_must_match_rows(tmp_path, count):
+    path = tmp_path / "t.csv"
+    labels = [str(i) for i in range(count)]
+    with pytest.raises(InvalidConfig, match=f"^track file has {count} labels for 3 rows$"):
+        write_rows(path, "track file", np.zeros((3, 2)), labels=labels)
+    assert not path.exists()
+
+
+def _line_by_line_read_rows(path, what, *, header=None, labels=False, sep=","):
+    """The reader as it was before block parsing, kept as the reference:
+    every line converted with float() as it is read."""
+    names, flat, line_nos, width = [], array.array("d"), [], None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if header is not None and not fh.readline().startswith(header):
+                raise MalformedFile(f"{path}: line 1 does not start with {header!r}")
+            for line_no, line in enumerate(fh, start=1 if header is None else 2):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(sep)
+                if labels:
+                    names.append(fields.pop(0))
+                if not fields:
+                    raise MalformedFile(f"{path}: line {line_no}: no values")
+                try:
+                    flat.extend(map(float, fields))
+                except ValueError:
+                    raise MalformedFile(f"{path}: line {line_no}: non-numeric value") from None
+                width = width or len(fields)
+                if len(fields) != width:
+                    raise MalformedFile(f"{path}: line {line_no}: expected {width} values, got {len(fields)}")
+                line_nos.append(line_no)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read {what}: {exc}") from exc
+    if not line_nos:
+        raise MalformedFile(f"{path}: no rows")
+    table = np.frombuffer(flat).reshape(-1, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise MalformedFile(f"{path}: line {line_nos[int(np.argmin(finite))]}: non-finite value")
+    return names, table
+
+
+def _outcome(reader, path, **kwargs):
+    try:
+        names, table = reader(path, "table", **kwargs)
+    except MalformedFile as exc:
+        return str(exc)
+    return names, table.shape, table.tobytes()
+
+
+# Spellings float() accepts besides repr, and field mutations that make a
+# file malformed: a non-numeric field, a non-finite one, a width change and
+# a line holding only its label.
+_ODD_SPELLINGS = ["1_000", "\u0661\u0662", "+1e-400", "5e-324", "-0", "1E3", "-.5"]
+_MUTATIONS = [["x", "", "1.2.3", "0x1"], ["nan", "-inf", "1e999"], ["drop", "extra"], ["label-only"]]
+
+
+@st.composite
+def _table_files(draw):
+    """(lines, read_rows keyword arguments, block size): a random table of at
+    least two blocks in either separator, with or without labels and a
+    header, blank lines between rows and up to four mutated lines."""
+    width = draw(st.integers(1, 5))
+    rows = draw(st.integers(2, 16))
+    block = draw(st.integers(1, rows * width // 2))
+    labels = draw(st.booleans())
+    sep = draw(st.sampled_from([",", None]))
+    joins = [","] if sep == "," else [" ", "\t", "  "]
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    values = draw(st.lists(finite | st.sampled_from(_ODD_SPELLINGS), min_size=rows * width, max_size=rows * width))
+    lines = [[f"w{r}"] * labels + values[r * width : (r + 1) * width] for r in range(rows)]
+    first = draw(st.integers(0, rows - 1))  # mutated lines cluster, so two errors often share a block
+    for _ in range(draw(st.integers(0, 4))):
+        fields = lines[min(rows - 1, first + draw(st.integers(0, 4)))]
+        mutation = draw(st.sampled_from(draw(st.sampled_from(_MUTATIONS))))
+        if mutation == "drop":
+            del fields[-1:]
+        elif mutation == "extra":
+            fields.append("0.5")
+        elif mutation == "label-only":
+            fields[:] = fields[:1] if labels else ["tok"]
+        elif len(fields) > labels:
+            fields[draw(st.integers(int(labels), len(fields) - 1))] = mutation
+    text = [draw(st.sampled_from(joins)).join(fields) for fields in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", "  ", "\t"])))
+    kwargs = {"labels": labels, "sep": sep}
+    if draw(st.booleans()):
+        text.insert(0, "h,cols")
+        kwargs["header"] = "h,"
+    return text, kwargs, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_table_files())
+def test_block_reader_matches_line_by_line_reader(tmp_path_factory, case):
+    """The block reader gives the line-by-line reader's labels and value
+    bits, or its MalformedFile message, with blocks as small as one value."""
+    text, kwargs, block = case
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "_BLOCK", block)
+        assert _outcome(read_rows, path, **kwargs) == _outcome(_line_by_line_read_rows, path, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "mutated", [(), ((0, 0),), ((1, -1),), ((1, 0),), ((3, 5),), ((27, 11),), ((0, 3), (0, 9)), ((1, -2), (1, 1))]
+)
+@pytest.mark.parametrize("mutation", ["x", "nan", "drop", "label-only"])
+def test_block_reader_matches_at_full_block_size(tmp_path, mutated, mutation):
+    """A 1200-row track spans many blocks of the real size; an error on
+    either side of a block boundary, alone or after a non-numeric value
+    earlier in its block, is reported as the line-by-line reader reports
+    it. A mutated row is given as (block, offset from its first row)."""
+    per = -(-errors._BLOCK // 12)  # rows per block
+    rows = np.random.default_rng(2).normal(size=(1200, 12))
+    path = tmp_path / "t.csv"
+    write_rows(path, "track file", rows, header="t_s,c", labels=[repr(i / 12) for i in range(1200)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for (block, offset), kind in zip(mutated, ["x", mutation][-len(mutated) :]):
+        row = min(1199, block * per + offset)
+        fields = lines[1 + row].split(",")
+        fields = {"drop": fields[:-1], "label-only": fields[:1]}.get(kind, [*fields[:5], kind, *fields[6:]])
+        lines[1 + row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kwargs = {"header": "t_s,", "labels": True}
+    expected = _outcome(_line_by_line_read_rows, path, **kwargs)
+    assert _outcome(read_rows, path, **kwargs) == expected
+    assert isinstance(expected, str) == bool(mutated)
+
+
+def test_block_reader_reports_a_bad_value_before_an_undecodable_byte(tmp_path, monkeypatch):
+    """A non-numeric value still pending in a block is reported before a
+    byte further on that is not UTF-8, as the line-by-line reader does. The
+    block spans the whole table, so the bad byte is decoded first."""
+    monkeypatch.setattr(errors, "_BLOCK", 4096)
+    rows = np.random.default_rng(3).normal(size=(300, 12))
+    path = tmp_path / "t.csv"
+    write_rows(path, "track file", rows, header="t_s,c", labels=[repr(i / 12) for i in range(300)])
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[2].split(b",")
+    lines[2] = b",".join([fields[0], b"x", *fields[2:]])
+    lines[200] = b"\xff" + lines[200]
+    path.write_bytes(b"\n".join(lines))
+    kwargs = {"header": "t_s,", "labels": True}
+    expected = _outcome(_line_by_line_read_rows, path, **kwargs)
+    assert expected == f"{path}: line 3: non-numeric value"
+    assert _outcome(read_rows, path, **kwargs) == expected
