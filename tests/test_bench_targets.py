@@ -75,6 +75,53 @@ def test_retarget_reaches_each_traced_layer_once(workloads, monkeypatch):
     assert calls == dict.fromkeys(layers, 1)
 
 
+def test_train_reaches_each_traced_layer_once(workloads, monkeypatch):
+    """The train per-layer metrics read the spans of the layers bound in
+    ``training``; one train_model batch must enter each of them once, or
+    its metric silently reads 0."""
+    import numpy as np
+
+    from gesturegen import training
+    from gesturegen.config import Config
+    from gesturegen.model import ModelConfig, init_model
+    from gesturegen.text import EmbeddingTable
+
+    layers = [
+        t.attr
+        for t in workloads.WORKLOADS["train"].targets
+        if t.owner is training and t.attr != "train_model"
+    ]
+    assert sorted(layers) == ["adam_step", "backward", "clip_gradients", "compute_loss_graph", "forward_graph"]
+    calls = dict.fromkeys(layers, 0)
+    for name in layers:
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(dim=6, entries={w: rng.normal(size=6) for w in ("a", "b", "c")})
+    pairs = [training.TrainingPair(words=["a", "b", "c"][: 1 + i], target_poses=rng.normal(size=(5, 10))) for i in range(3)]
+    model = init_model(ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1), seed=0)
+    history = training.train_model(pairs, Config(epochs=1, batch_size=3), model, table).history
+    assert len(history) == 1
+    assert calls == dict.fromkeys(layers, 1)
+
+
+def test_train_digests_pinned(workloads, tmp_path):
+    """The seed-1 train set-up (corpus, pose basis, training pairs) and one
+    epoch of two batches from a fresh model (losses and weights) hash to the
+    values the benchmark printed while training ran on the autodiff tape."""
+    state, digest = workloads.setup_train(1, tmp_path)
+    assert digest == "f22f84ead7d8e72531805de5d1bb10dc5affe74389c2e0cae658328ff97d3c42"
+    assert workloads.fingerprint_train(state) == (
+        "6ec39a71610904f252548990ef58da460a66506ef3dfc0df5bb9d24633b6b10b"
+    )
+
+
 def test_train_setup_digest_pinned(workloads, tmp_path):
     """The train set-up (corpus, pose basis, training pairs) hashes to the
     value the benchmark printed for seed 0 before records became arrays."""
