@@ -1,20 +1,24 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""The seq2seq model's plain-array kernels with their hand-written backward
+rules, and a minimal reverse-mode tape.
 
-Every operation records its inputs and a local backward rule on the output
-tensor, so calling ``backward()`` on a scalar result adds gradients into
-all reachable leaves, across calls, and frees each op node's gradient once
-its rule has run. An operand is a recording ``Tensor`` (requires_grad)
-or a plain value that acts as a constant; an op none of whose operands
-records returns its plain result, an ndarray or a scalar, and builds no
-graph object. The ops are the ones the seq2seq model records in training;
-each weight enters as stored, an (out, in) array that ``linear``,
-``gru_step`` and ``attention`` read through its transpose, so no op undoes
-the storage layout. Their forward arithmetic lives in three plain kernels,
-``_affine``, ``_gru_cell`` and ``_attend``, whose returns the backward
-rules read; the model's evaluation pass calls the kernels directly, with
-its weights bound once per pass, and never enters the tape. The lift net
-trains on plain arrays with its own backward (lifting._train_step) and
-records nothing.
+The model's forward arithmetic lives in three kernels, `_affine` (x W^T + b
+for a weight stored (out, in), read through its transpose), `_gru_cell` and
+`_attend`, which return the intermediates their backward rules read.
+`_affine_backward`, `_gru_backward` and `_attend_backward` turn an output
+gradient into input gradients and add each weight's gradient into the
+accumulator they are given, and `_gesture_loss` returns the training loss
+with its gradient. Each rule is the one the fused tape node of that op had,
+with the same operations in the same order, so `model.backward`, which
+chains them, gives the recorded graph's bits. Nothing in training or
+evaluation records a graph.
+
+The tape, which only the benchmark still names, is `Tensor` with the ops
+`mul` and `tsum`: every op records its inputs and a local backward rule on
+the output tensor, so calling ``backward()`` on a scalar result adds
+gradients into all reachable leaves, across calls, and frees each op
+node's gradient once its rule has run. An operand is a recording ``Tensor`` (requires_grad) or a plain value
+that acts as a constant; an op none of whose operands records returns its
+plain result and builds no graph object.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -63,7 +67,7 @@ class Tensor:
 
     def backward(self):
         """Add d(self)/d(leaf) into each reachable leaf's ``grad``: the
-        array the leaf was built with, else a copy of its first gradient.
+        array the leaf was built with, else its first gradient.
 
         Each op node's gradient goes to its backward rule and is dropped, so
         a second call adds the same gradients into the leaves again. Returns
@@ -94,13 +98,12 @@ def _records(*operands) -> bool:
 
 
 def _accumulate(t, g: np.ndarray):
-    """Add g into t's gradient; an operand that does not record takes none."""
+    """Add g into t's gradient; an operand that does not record takes none.
+    A first gradient is kept as handed: each op hands a fresh array."""
     if not (isinstance(t, Tensor) and t.requires_grad):
         return
     if t.grad is None:
-        # Copy: g may be a view or an upstream grad buffer shared with
-        # another operand of the same node.
-        t.grad = np.array(g)
+        t.grad = g
     else:
         t.grad += g
 
@@ -108,9 +111,6 @@ def _accumulate(t, g: np.ndarray):
 def _wrap(value, parents, backprop):
     """A recorded op result; an op calls it only once an operand needs a gradient."""
     return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
-
-
-# -- arithmetic ---------------------------------------------------------------
 
 
 def mul(a, b):
@@ -132,6 +132,20 @@ def mul(a, b):
     return _wrap(out_val, (a, b), backprop)
 
 
+def tsum(x):
+    total = _data(x).sum()
+    if not _records(x):
+        return total
+
+    def backprop(g):
+        _accumulate(x, np.full(x.data.shape, g))
+
+    return _wrap(total, (x,), backprop)
+
+
+# -- the model's kernels and their backward rules --------------------------------
+
+
 def _affine(x, w_t, b=None):
     """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
     the flattened leading dims for a (B, s, in) x."""
@@ -142,25 +156,17 @@ def _affine(x, w_t, b=None):
     return out if b is None else out + b
 
 
-def linear(x, w, b=None):
-    """x w^T (+ b) for a weight w in its stored (out, in) layout and an
-    optional (out,) bias, through ``_affine``: one GEMM forward and one per
-    operand backward."""
-    xv, wv = _data(x), _data(w)
-    out_val = _affine(xv, wv.T, None if b is None else _data(b))
-    if not _records(x, w, b):
-        return out_val
-
-    def backprop(g):
-        if _records(x):
-            _accumulate(x, g @ wv)
-        if _records(w):
-            x2 = xv if xv.ndim == 2 else xv.reshape(-1, xv.shape[-1])
-            _accumulate(w, (x2.T @ (g if g.ndim == 2 else g.reshape(-1, g.shape[-1]))).T)
-        if _records(b):
-            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))))
-
-    return _wrap(out_val, (x, w, b), backprop)
+def _affine_backward(g, x, w, dw, db=None, with_dx=True):
+    """The rule of ``_affine(x, w.T, b)`` for a weight w stored (out, in):
+    adds the weight gradient into dw and the bias gradient into db (None:
+    no bias), one GEMM each over the flattened leading dims of the (..., out)
+    output gradient g. Returns the input gradient g w, or None when not
+    ``with_dx`` (an input that takes none)."""
+    x2 = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    dw += (x2.T @ (g if g.ndim == 2 else g.reshape(-1, g.shape[-1]))).T
+    if db is not None:
+        db += g.sum(axis=tuple(range(g.ndim - 1)))
+    return g @ w if with_dx else None
 
 
 def _gru_blocks(u_t, b):
@@ -171,10 +177,14 @@ def _gru_blocks(u_t, b):
 
 
 def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
-    """One GRU update on plain arrays (formula in ``gru_step``) from the
-    step's (B, 3H) input projection, the (B, H) state and the
-    ``_gru_blocks`` of U and b. Returns (h', z, r, r*h, c); the backward
-    reads the last four."""
+    """One GRU update, gates ordered update (z), reset (r), candidate:
+
+        z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
+        c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
+
+    from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
+    and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
+    Returns (h', z, r, r*h, c); ``_gru_backward`` reads the last four."""
     hidden = h.shape[-1]
     two = 2 * hidden
     zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + h @ u_zr) + b_zr)) + 1.0)  # overflow-free logistic
@@ -184,113 +194,49 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
     return h + z * (c - h), z, r, rh, c
 
 
-def gru_step(gx, h, u, b, t=None, keep=None):
-    """One fused GRU update, gates ordered update (z), reset (r), candidate:
-
-        z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
-        c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
-
-    gx is the hoisted input projection x W^T, (B, 3H), or (B, s, 3H) read at
-    time index t; h is (B, H); u is the gate-stacked recurrent weight as
-    stored, (3H, H), read through its transpose U, and b the bias (3H,).
-    Rows where the optional (B,) bool mask ``keep`` is False carry h
-    unchanged (padded steps). The whole cell is one graph node with a
-    hand-written backward.
-    """
-    gxt = _data(gx) if t is None else _data(gx)[:, t]
-    hd, ud, bd = _data(h), _data(u).T, _data(b)
-    hidden = hd.shape[-1]
+def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
+    """The rule of one ``_gru_cell`` step from state h with gates (z, r, r*h,
+    c), for the gradient g of its (B, H) output; rows where the (B,) bool
+    mask ``keep`` is False carried h unchanged (padded steps). Adds the
+    recurrent weight's gradient into du, stored (3H, H), and the bias's into
+    db. Returns (the (B, 3H) input-projection gradient, the state gradient or
+    None when not ``with_dh``)."""
+    z, r, rh, c = gates
+    hidden = h.shape[-1]
     two = 2 * hidden
-    u_zr, u_c, b_zr, b_c = _gru_blocks(ud, bd)
-    out_val, z, r, rh, c = _gru_cell(gxt, hd, u_zr, u_c, b_zr, b_c)
+    g_carry = None
     if keep is not None:
         keep = keep[:, None]
-        out_val = np.where(keep, out_val, hd)
-    if not _records(gx, h, u, b):
-        return out_val
-
-    def backprop(g):
-        g_carry = None
-        if keep is not None:
-            g_carry = np.where(keep, 0.0, g)
-            g = np.where(keep, g, 0.0)
-        d_pre = np.empty_like(gxt)
-        d_c = g * z
-        d_pre[:, two:] = d_c * (1.0 - c * c)
-        d_rh = d_pre[:, two:] @ u_c.T
-        d_pre[:, :hidden] = g * (c - hd) * z * (1.0 - z)
-        d_pre[:, hidden:two] = d_rh * hd * r * (1.0 - r)
-        if _records(gx):
-            if t is None:
-                _accumulate(gx, d_pre)
-            else:
-                if gx.grad is None:
-                    gx.grad = np.zeros_like(gx.data)
-                gx.grad[:, t] += d_pre
-        if _records(h):
-            d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T
-            if g_carry is not None:
-                d_h += g_carry
-            _accumulate(h, d_h)
-        if _records(u):
-            d_u = np.empty_like(ud)
-            d_u[:, :two] = hd.T @ d_pre[:, :two]
-            d_u[:, two:] = rh.T @ d_pre[:, two:]
-            _accumulate(u, d_u.T)
-        if _records(b):
-            _accumulate(b, d_pre.sum(axis=0))
-
-    return _wrap(out_val, (gx, h, u, b), backprop)
-
-
-def gesture_loss(pred, target, alpha: float, beta: float):
-    """The training loss of a (B, m, d) prediction against a (B, m, d)
-    target array, one fused graph node (formula in the ``training`` module
-    docstring). Returns (total, mse, continuity, variance): the total as a
-    tensor when pred records, else a scalar, the terms as floats. The
-    forward and the hand-written backward round as the same loss composed
-    of add / mul / tsum / slice / sqrt nodes does, so both give the same
-    bits; a zero-length step has subgradient 0.
-    """
-    p = _data(pred)
-    b, m, d = p.shape
-    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
-    diff = p + -target
-    mse = (diff * diff).sum() * inv_n
-    steps = p[:, 1:] + p[:, :-1] * -1.0
-    norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
-    continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
-    centered = p + p.sum(axis=1, keepdims=True) * inv_m * -1.0
-    variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
-    total = (mse + continuity * alpha) + variance * beta
-    if not _records(pred):
-        return total, float(mse), float(continuity), float(variance)
-
-    def backprop(g):
-        # pred's five contributions in the composed graph's order: mse,
-        # pred[:, 1:] and pred[:, :-1] of the steps, centered, mean
-        g_diff = g * inv_n * diff
-        g_pred = g_diff + g_diff
-        local = np.where(norms > 0.0, 0.5 / np.where(norms > 0.0, norms, 1.0), 0.0)
-        g_steps = ((g * alpha * inv_b * inv_steps) * local)[:, :, None] * steps
-        g_steps = g_steps + g_steps
-        g_pred[:, 1:] += g_steps
-        g_pred[:, :-1] -= g_steps
-        g_centered = (g * beta * -1.0 * inv_bd * inv_m) * centered
-        g_centered = g_centered + g_centered
-        g_pred += g_centered
-        g_pred += g_centered.sum(axis=1, keepdims=True) * -1.0 * inv_m
-        _accumulate(pred, g_pred)
-
-    return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
+        g_carry = np.where(keep, 0.0, g)
+        g = np.where(keep, g, 0.0)
+    d_pre = np.empty((len(h), 3 * hidden))
+    d_c = g * z
+    d_pre[:, two:] = d_c * (1.0 - c * c)
+    d_rh = d_pre[:, two:] @ u_c.T
+    d_pre[:, :hidden] = g * (c - h) * z * (1.0 - z)
+    d_pre[:, hidden:two] = d_rh * h * r * (1.0 - r)
+    d_h = None
+    if with_dh:
+        d_h = g - g * z + d_rh * r + d_pre[:, :two] @ u_zr.T
+        if g_carry is not None:
+            d_h += g_carry
+    du[:two] += (h.T @ d_pre[:, :two]).T
+    du[two:] += (rh.T @ d_pre[:, two:]).T
+    db += d_pre.sum(axis=0)
+    return d_pre, d_h
 
 
 def _attend(query, projected, v_col, annotations, mask):
-    """Additive attention on plain arrays (formula in ``attention``) from
-    the (B, A) query projection, the (B, s, A) annotation projection, the
-    (A, 1) score column, the (B, s, C) annotations and an optional (B, s)
-    score mask. Returns (context (B, C), weights (B, s), t (B, s, A)); the
-    backward reads the last two."""
+    """Additive attention (Bahdanau et al. 2015) over s annotations:
+
+        t = tanh(query + projected);  scores = t v + mask
+        weights = softmax(scores);  context = weights annotations
+
+    from the (B, A) query projection state w_query^T, the (B, s, A)
+    annotation projection, the (A, 1) score column v, the (B, s, C)
+    annotations and an optional (B, s) score mask (-inf gives a position
+    weight exactly 0). Returns (context (B, C), weights (B, s), t (B, s,
+    A)); ``_attend_backward`` reads the last two."""
     batch, s, att = projected.shape
     t = np.tanh(query.reshape(batch, 1, att) + projected)
     scores = (t.reshape(-1, att) @ v_col).reshape(batch, s)
@@ -302,92 +248,51 @@ def _attend(query, projected, v_col, annotations, mask):
     return context, weights, t
 
 
-def attention(state, w_query, projected, v, annotations, mask=None):
-    """Additive attention (Bahdanau et al. 2015) over s annotations, one
-    fused graph node:
-
-        t = tanh(state w_query^T + projected);  scores = t v + mask
-        weights = softmax(scores);  context = weights annotations
-
-    state is the (B, H) query, w_query the query weight as stored, (A, H),
-    projected the precomputed (B, s, A) annotation projection, v the (A,)
-    score vector and annotations (B, s, C). The optional (B, s) mask is added
-    to the scores: -inf gives a position weight exactly 0. Returns (context
-    (B, C), a tensor when an operand records, weights array (B, s)); the
-    weights carry no graph. The forward and the hand-written backward round
-    as the composed transpose / matmul / add / tanh / softmax / reshape
-    graph does, so both give the same values (outer products keep a zero's
-    sign where a k=1 matmul gives +0).
-    """
-    state_v, proj_v, v_v, ann_v = map(_data, (state, projected, v, annotations))
-    w_query_v = _data(w_query).T
-    batch, s, att = proj_v.shape
-    context, weights, t = _attend(state_v @ w_query_v, proj_v, v_v.reshape(att, 1), ann_v, mask)
-    if not _records(state, w_query, projected, v, annotations):
-        return context, weights
-
-    def backprop(g):
-        _accumulate(annotations, weights[:, :, None] * g[:, None, :])
-        g_w = np.matmul(ann_v, g[:, :, None]).reshape(batch, s)
-        d_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
-        _accumulate(v, (t.reshape(-1, att).T @ d_scores.reshape(-1, 1)).reshape(att))
-        d_pre = d_scores[..., None] * v_v * (1.0 - t * t)
-        _accumulate(projected, d_pre)
-        d_q = d_pre.sum(axis=1)
-        _accumulate(state, d_q @ w_query_v.T)
-        _accumulate(w_query, (state_v.T @ d_q).T)
-
-    return _wrap(context, (state, w_query, projected, v, annotations), backprop), weights
+def _attend_backward(g, state, w_query_t, v, annotations, weights, t, dv, dw_query, with_dstate=True):
+    """The rule of one ``_attend`` call on query state w_query_t, with the
+    (A,) score vector v, for the gradient g of its (B, C) context. Adds the
+    score vector's gradient into dv and the stored (A, H) query weight's
+    into dw_query. Returns (the annotations' gradient, the projection's
+    gradient, the state gradient or None when not ``with_dstate``)."""
+    batch, s, att = t.shape
+    d_annotations = weights[:, :, None] * g[:, None, :]
+    g_w = np.matmul(annotations, g[:, :, None]).reshape(batch, s)
+    d_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+    dv += (t.reshape(-1, att).T @ d_scores.reshape(-1, 1)).reshape(att)
+    d_pre = d_scores[..., None] * v * (1.0 - t * t)
+    d_q = d_pre.sum(axis=1)
+    d_state = d_q @ w_query_t.T if with_dstate else None
+    dw_query += (state.T @ d_q).T
+    return d_annotations, d_pre, d_state
 
 
-# -- reductions and reshaping -------------------------------------------------
-
-
-def tsum(x):
-    total = _data(x).sum()
-    if not _records(x):
-        return total
-
-    def backprop(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
-
-    return _wrap(total, (x,), backprop)
-
-
-def tmean(x):
-    return mul(tsum(x), 1.0 / _data(x).size)
-
-
-def concat(tensors, axis=-1):
-    values = [_data(t) for t in tensors]
-    y = np.concatenate(values, axis=axis)
-    if not _records(*tensors):
-        return y
-
-    def backprop(g):
-        splits = np.cumsum([v.shape[axis] for v in values])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _wrap(y, tensors, backprop)
-
-
-def stack(tensors, axis=0):
-    y = np.stack([_data(t) for t in tensors], axis=axis)
-    if not _records(*tensors):
-        return y
-
-    def backprop(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, np.take(g, i, axis=axis))
-
-    return _wrap(y, tensors, backprop)
-
-
-def dropout(x, rate: float, rng: np.random.Generator):
-    """Inverted dropout: scaling happens at train time so evaluation passes
-    need no correction."""
-    if rate <= 0.0:
-        return x
-    keep = (rng.random(_data(x).shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return mul(x, keep)
+def _gesture_loss(p, target, alpha: float, beta: float):
+    """The training loss of a (B, m, d) prediction against a (B, m, d)
+    target array (formula in the ``training`` module docstring). Returns
+    (total, mse, continuity, variance, d total / d p). Both round as the same
+    loss composed of add / mul / sum / slice / sqrt ops does; a zero-length
+    step has subgradient 0."""
+    b, m, d = p.shape
+    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
+    diff = p + -target
+    mse = (diff * diff).sum() * inv_n
+    steps = p[:, 1:] + p[:, :-1] * -1.0
+    norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
+    continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
+    centered = p + p.sum(axis=1, keepdims=True) * inv_m * -1.0
+    variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
+    total = (mse + continuity * alpha) + variance * beta
+    # p's five contributions in the composed graph's order: mse, p[:, 1:]
+    # and p[:, :-1] of the steps, centered, mean
+    g_diff = inv_n * diff
+    g_p = g_diff + g_diff
+    local = np.where(norms > 0.0, 0.5 / np.where(norms > 0.0, norms, 1.0), 0.0)
+    g_steps = ((alpha * inv_b * inv_steps) * local)[:, :, None] * steps
+    g_steps = g_steps + g_steps
+    g_p[:, 1:] += g_steps
+    g_p[:, :-1] -= g_steps
+    g_centered = (beta * -1.0 * inv_bd * inv_m) * centered
+    g_centered = g_centered + g_centered
+    g_p += g_centered
+    g_p += g_centered.sum(axis=1, keepdims=True) * -1.0 * inv_m
+    return total, float(mse), float(continuity), float(variance), g_p

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import Config
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, _rot, clamp_angles, compute_joint_angles, forward_kinematics
@@ -142,7 +141,7 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
     gradients and running buffers are bit-equal to that graph's."""
     out, inputs, norms = lift_pass(params, x, train=True)
     diff = out + -targets
-    loss = ad.tmean(ad.mul(diff, diff))
+    loss = (diff * diff).sum() * (1.0 / diff.size)
     g = diff * (1.0 / diff.size)
     g = g + g
     for i in (3, 2, 1):

@@ -7,29 +7,25 @@ then generates a fixed number of poses, each feeding the next step. Of the
 warm-up steps only the last runs the post-linear layer: its pose feeds the
 first generated step, and no step reads the others'.
 
-`forward_graph` records the graph for training through the autodiff ops,
-and `backward` adds a recorded loss's gradients into the store. `forward`
-(eval) records nothing: it binds each weight's transpose, gate blocks and
-bias slices once per pass and runs the same steps in the same order on
-plain arrays through the kernels the ops are built on (`autodiff._affine`,
-`_gru_cell`, `_attend`), so its results equal the recorded pass's values
-bit for bit. `forward` encodes all word chunks of an utterance in one
-batch, then decodes them in order, each seeded with the last poses of the
-one before; `_unroll` holds the decoder's seed-then-emit schedule for both.
+One plain-array pass serves both modes: `_encode` and `_decoder` bind each
+weight's transpose, GRU gate blocks and bias slices once per pass and run
+the steps on the kernels `autodiff._affine`, `_gru_cell` and `_attend`.
+`forward_graph` (train mode) adds dropout masks and keeps each step's
+intermediates in a `TrainPass`, and `backward` walks that record in
+reverse through the kernels' backward rules into the store's gradients;
+nothing records a graph. `forward` (eval) keeps nothing: it encodes all
+word chunks of an utterance in one batch, then decodes them in order, each
+seeded with the last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
-`b (3H,)`. Every weight enters a pass as stored: each linear map is one
-`autodiff.linear` node (x W^T + b), and a cell step is one graph node
-(`autodiff.gru_step`, hand-written backward) fed `u` as stored; the encoder
-projects all timesteps' inputs with one `linear` per layer and direction
-before the recurrence. A decoder step's attention is one graph node too
-(`autodiff.attention`), fed the query weight as stored and the annotation
-projection made once per pass; `_rollout` binds the attention and decoder
-weights and biases once per rollout, `_decoder` once per eval pass. A
-batch of word sequences of different lengths runs as one zero-padded
-rollout: padded steps carry the encoder state in both directions and get
-attention weight exactly 0, so every row equals its own unpadded rollout.
+`b (3H,)`. Every weight enters a pass as stored, read through its
+transpose; the encoder projects all timesteps' inputs with one GEMM per
+layer and direction before the recurrence, and a decoder step's attention
+scores the annotation projection made once per pass. A batch of word
+sequences of different lengths runs as one zero-padded rollout: padded
+steps carry the encoder state in both directions and get attention weight
+exactly 0, so every row equals its own unpadded rollout.
 
 `build_model` lays a model's parameters out once, in one `ParamStore`;
 `stored_arrays` views that layout in checkpoint order, into which
@@ -44,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import InvalidConfig
 from .pose import GESTURE_DIM
 
@@ -175,13 +170,8 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
     return model
 
 
-def _operand(p: Parameter):
-    """A parameter as a recording leaf that adds into its store gradient."""
-    return Tensor(p.value, requires_grad=True, grad=p.grad)
-
-
 def _cell_weights(cell):
-    """A GRU cell's plain operands, bound once per eval pass: w^T, then the
+    """A GRU cell's plain operands, bound once per pass: w^T, then the
     `autodiff._gru_cell` weight operands."""
     w, u, b = (p.value for p in cell)
     return (w.T, *ad._gru_blocks(u.T, b))
@@ -195,117 +185,82 @@ def _keep_masks(lengths, s: int) -> list:
     return [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
 
 
-def _run_direction(cell, inputs, keep, reverse: bool):
-    """(B, s, in) inputs -> (B, s, H) states, recorded. One input projection
-    for every step, then the fused recurrence; keep[t] (None: every row)
-    masks the rows whose sequence has ended, which carry their state."""
-    w, u, b = (_operand(p) for p in cell)
-    gx = ad.linear(inputs, w)
-    batch, s, _ = inputs.shape
-    h = np.zeros((batch, u.shape[1]))
-    states = [None] * s
-    for t in range(s - 1, -1, -1) if reverse else range(s):
-        h = ad.gru_step(gx, h, u, b, t=t, keep=keep[t])
-        states[t] = h
-    return ad.stack(states, axis=1)
+def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
+    """Inverted dropout's multiplier: 0 on dropped entries, 1 / (1 - rate)
+    elsewhere, so evaluation passes need no correction."""
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
-def _encode_graph(model, inputs: np.ndarray, lengths=None, rng=None, dropout=0.0):
-    """(B, s, word_dim) embedded words -> annotations (B, s, 2H), recorded.
-    Row i has lengths[i] words followed by padding (None: no padding);
-    padded steps carry the state in both directions, so the backward
-    direction starts from zero at each row's last word."""
-    keep = _keep_masks(lengths, inputs.shape[1])
-    inputs = ad.dropout(inputs, dropout, rng)
-    for fwd_cell, bwd_cell in model.encoder:
-        fwd = _run_direction(fwd_cell, inputs, keep, reverse=False)
-        bwd = _run_direction(bwd_cell, inputs, keep, reverse=True)
-        inputs = ad.concat([fwd, bwd], axis=-1)
-    return inputs
-
-
-def _encode(model, inputs: np.ndarray, lengths=None) -> np.ndarray:
-    """`_encode_graph` in eval, on `autodiff._gru_cell`: the same steps in
-    the same order on plain arrays, each cell's weights bound once."""
+def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
+    """(B, s, word_dim) embedded words -> annotations (B, s, 2H): per layer
+    and direction one input projection for every step, then the recurrence,
+    each cell's weights bound once. Row i has lengths[i] words followed by
+    padding (None: no padding); padded steps carry the state in both
+    directions, so the backward direction starts from zero at each row's
+    last word. In train mode each layer appends (its input, per direction
+    each step's (h, z, r, r*h, c)) to the ``record`` list."""
     batch, s, _ = inputs.shape
     keep = _keep_masks(lengths, s)
     for layer in model.encoder:
-        directions = []
+        directions, kept = [], []
         for cell, reverse in zip(layer, (False, True)):
             w_t, *kernel = _cell_weights(cell)
             gx = ad._affine(inputs, w_t)
             h = np.zeros((batch, model.cfg.hidden))
-            states = [None] * s
+            states, steps = [None] * s, [None] * s
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out = ad._gru_cell(gx[:, t], h, *kernel)[0]
+                out, *gates = ad._gru_cell(gx[:, t], h, *kernel)
+                if record is not None:
+                    steps[t] = (h, gates)
                 h = out if keep[t] is None else np.where(keep[t][:, None], out, h)
                 states[t] = h
             directions.append(np.stack(states, axis=1))
+            kept.append(steps)
+        if record is not None:
+            record.append((inputs, kept))
         inputs = np.concatenate(directions, axis=-1)
     return inputs
 
 
-def _unroll(model, step, seed_poses: np.ndarray):
-    """The decoder schedule: warm on the (B, n, 10) seed poses (only the
-    last step computes a pose: it feeds the first emitted step), then emit
-    m poses, each feeding the next. ``step(prev_pose, h1, h2, emit)``
-    returns (pose or None, h1, h2, attention weights). Returns the m poses
-    and the m attention rows as lists."""
-    h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
-    n = model.cfg.n_seed_poses
-    for t in range(n):
-        prev, h1, h2, _ = step(seed_poses[:, t], h1, h2, emit=t == n - 1)
-    poses, rows = [], []
-    for _ in range(model.cfg.n_output_poses):
-        prev, h1, h2, weights = step(prev, h1, h2)
-        poses.append(prev)
-        rows.append(weights)
-    return poses, rows
-
-
-def _rollout(model, seed_poses: np.ndarray, annotations, projected, mask=None, rng=None, dropout=0.0):
-    """The recorded decoder on the `_unroll` schedule. A step, its weights
-    bound once per rollout, is the pre-linear, attention of the top layer's
-    previous state over the (B, s, 2H) annotations (scored through their
-    (B, s, A) projection plus ``mask``: 0 on words, -inf on padding), the
-    two GRU cells and, when it emits, the post-linear. Returns the (B, m,
-    10) poses, a recorded tensor, and the (B, m, s) attention rows as a
-    plain array (the loss never reads them)."""
-    heads = (model.att_query, model.att_score, model.pre_w, model.pre_b, model.post_w, model.post_b)
-    w_query, v, pre_w, pre_b, post_w, post_b = (_operand(p) for p in heads)
-    (w1, u1, b1), (w2, u2, b2) = [[_operand(p) for p in cell] for cell in model.decoder]
-
-    def step(prev_pose, h1, h2, emit=True):
-        pre = ad.linear(prev_pose, pre_w, pre_b)
-        context, weights = ad.attention(h2, w_query, projected, v, annotations, mask)
-        x = ad.dropout(ad.concat([pre, context], axis=-1), dropout, rng)
-        h1 = ad.gru_step(ad.linear(x, w1), h1, u1, b1)
-        h2 = ad.gru_step(ad.linear(h1, w2), h2, u2, b2)
-        return ad.linear(h2, post_w, post_b) if emit else None, h1, h2, weights
-
-    poses, rows = _unroll(model, step, seed_poses)
-    return ad.stack(poses, axis=1), np.stack(rows, axis=1)
-
-
-def _decoder(model):
-    """The eval rollout: `_rollout`'s step on `autodiff._attend` and
-    `autodiff._gru_cell`, with every decoder weight bound once per pass.
-    Returns rollout(seed_poses, annotations, projected) -> ((B, m, 10)
-    poses, (B, m, s) attention), both plain arrays."""
+def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
+    """The decoder, every weight bound once per pass. A step is the
+    pre-linear, attention of the top layer's previous state over the (B, s,
+    2H) annotations (scored through their (B, s, A) projection plus
+    ``mask``: 0 on words, -inf on padding), dropout at rate ``dropout`` on
+    the first cell's input (masks drawn from ``rng``), the two GRU cells
+    and, when it emits, the post-linear. The decoder warms on the (B, n, 10)
+    seed poses, where only the last step emits (its pose feeds the first
+    output step), then emits m poses, each feeding the next. In train mode
+    each step appends its intermediates to the ``record`` list. Returns
+    rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
+    m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
     pre_t, pre_b, post_t, post_b = model.pre_w.value.T, model.pre_b.value, model.post_w.value.T, model.post_b.value
     (w1_t, *cell1), (w2_t, *cell2) = (_cell_weights(cell) for cell in model.decoder)
+    n = model.cfg.n_seed_poses
 
     def rollout(seed_poses, annotations, projected):
-        def step(prev_pose, h1, h2, emit=True):
-            pre = ad._affine(prev_pose, pre_t, pre_b)
-            context, weights, _ = ad._attend(h2 @ w_query_t, projected, v_col, annotations, None)
+        h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
+        poses, rows = [], []
+        for k in range(n + model.cfg.n_output_poses):
+            prev = seed_poses[:, k] if k < n else pose
+            pre = ad._affine(prev, pre_t, pre_b)
+            context, weights, t = ad._attend(h2 @ w_query_t, projected, v_col, annotations, mask)
             x = np.concatenate([pre, context], axis=-1)
-            h1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)[0]
-            h2 = ad._gru_cell(ad._affine(h1, w2_t), h2, *cell2)[0]
-            return ad._affine(h2, post_t, post_b) if emit else None, h1, h2, weights
-
-        poses, rows = _unroll(model, step, seed_poses)
+            keep = None
+            if dropout > 0.0:
+                keep = _dropout_mask(rng, x.shape, dropout)
+                x = x * keep
+            h1_next, *gates1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
+            h2_next, *gates2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
+            if record is not None:
+                record.append((prev, x, keep, weights, t, h1, gates1, h1_next, h2, gates2, h2_next))
+            h1, h2 = h1_next, h2_next
+            if k >= n - 1:
+                pose = ad._affine(h2, post_t, post_b)
+            if k >= n:
+                poses.append(pose)
+                rows.append(weights)
         return np.stack(poses, axis=1), np.stack(rows, axis=1)
 
     return rollout
@@ -335,6 +290,19 @@ def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
         raise InvalidConfig(f"seed pose width {seed_poses.shape[2]} != {model.cfg.gesture_dim}")
 
 
+@dataclass
+class TrainPass:
+    """What `backward` reads of one `forward_graph` pass: the encoder's
+    keep masks and per-layer record (see `_encode`), the annotations and
+    each decoder step's intermediates (see `_decoder`)."""
+
+    model: Seq2SeqModel
+    keep: list
+    encoder: list
+    annotations: np.ndarray
+    decoder: list
+
+
 def forward_graph(
     model: Seq2SeqModel,
     embedded: np.ndarray,
@@ -343,14 +311,15 @@ def forward_graph(
     lengths=None,
     dropout: float = 0.0,
 ):
-    """Batched train-mode rollout: (poses, attention) as `_rollout` returns
-    them, poses a recorded tensor. embedded: (B, s, word_dim); seed_poses:
-    (B, n, 10).
+    """Batched train-mode rollout: ((B, m, 10) poses, (B, m, s) attention,
+    the `TrainPass` that `backward` reads). embedded: (B, s, word_dim);
+    seed_poses: (B, n, 10).
 
     ``lengths`` (B,) gives each row's word count when rows are zero-padded
     to s (None: every row has s words); each row's result equals its own
     unpadded rollout. Dropout at rate ``dropout`` drops the first GRU
-    layer inputs of both encoder and decoder, drawing its masks from ``rng``.
+    layer inputs of both encoder and decoder, drawing its masks from ``rng``
+    (the encoder's first, then one per decoder step).
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
@@ -366,9 +335,13 @@ def forward_graph(
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
-    annotations = _encode_graph(model, embedded, lengths, rng, dropout)
-    projected = ad.linear(annotations, _operand(model.att_ann))
-    return _rollout(model, seed_poses, annotations, projected, mask, rng, dropout)
+    if dropout > 0.0:
+        embedded = embedded * _dropout_mask(rng, embedded.shape, dropout)
+    encoder, decoder = [], []
+    annotations = _encode(model, embedded, lengths, encoder)
+    projected = ad._affine(annotations, model.att_ann.value.T)
+    poses, attention = _decoder(model, mask, rng, dropout, decoder)(seed_poses, annotations, projected)
+    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, decoder)
 
 
 def forward(model, chunks, seed_poses):
@@ -398,12 +371,73 @@ def forward(model, chunks, seed_poses):
     return rollouts
 
 
-def backward(loss: Tensor):
-    """Reverse-mode pass: add d(loss)/d(parameter) into the store
-    accumulator of every parameter the loss reaches.
+def _u_blocks(u: Parameter, b: Parameter):
+    """The blocks of u^T that a GRU cell's backward rule reads."""
+    return ad._gru_blocks(u.value.T, b.value)[:2]
 
-    Gradients add up across calls until the caller clears them.
+
+def _sum(*terms):
+    """The terms that are not None added left to right (None if none is)."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
+    return total
+
+
+def backward(run: TrainPass, g_poses: np.ndarray):
+    """Reverse pass of a train-mode pass: given d(loss)/d(poses) for its
+    (B, m, 10) poses, add d(loss)/d(parameter) into every parameter's store
+    gradient. Gradients add up across calls until the caller clears them.
+
+    Walks the decoder steps in reverse, then each encoder layer's two
+    directions, each step's ops in reverse, through the backward rules in
+    `autodiff`. Every weight, the annotations and their projection take
+    their terms in reverse order of the forward ops that made them, and a
+    top-layer decoder state that emits a pose sums (its next step's cell
+    carry + its post-linear) + its next step's attention query: the order
+    the recorded graph summed in, so the gradients are its bits.
     """
-    if not isinstance(loss, Tensor) or not loss._parents:
-        raise InvalidConfig("loss is not the result of a recorded forward pass")
-    loss.backward()
+    model = run.model
+    n, hidden = model.cfg.n_seed_poses, model.cfg.hidden
+    (w1, u1, b1), (w2, u2, b2) = model.decoder
+    blocks1, blocks2 = _u_blocks(u1, b1), _u_blocks(u2, b2)
+    w_query_t, v = model.att_query.value.T, model.att_score.value
+    d_ann = d_proj = d_pose = d_h1 = d_h2 = d_query = None  # what step k + 1 sent back to step k
+    for k in range(len(run.decoder) - 1, -1, -1):
+        prev, x, keep, weights, t, h1, gates1, h1_next, h2, gates2, h2_next = run.decoder[k]
+        d_post = None
+        if k >= n - 1:
+            g = d_pose if k < n else _sum(g_poses[:, k - n], d_pose)
+            d_post = ad._affine_backward(g, h2_next, model.post_w.value, model.post_w.grad, model.post_b.grad)
+        d_h2 = _sum(d_h2, d_post, d_query)
+        d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, gates2, u2.grad, b2.grad, with_dh=k > 0)
+        d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1_next, w2.value, w2.grad))
+        d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, gates1, u1.grad, b1.grad, with_dh=k > 0)
+        d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)
+        if keep is not None:
+            d_x = d_x * keep
+        d_ann_k, d_proj_k, d_query = ad._attend_backward(
+            d_x[:, hidden:], h2, w_query_t, v, run.annotations, weights, t, model.att_score.grad, model.att_query.grad, k > 0
+        )
+        if d_ann is None:
+            d_ann, d_proj = d_ann_k, d_proj_k
+        else:
+            d_ann += d_ann_k
+            d_proj += d_proj_k
+        d_pose = ad._affine_backward(d_x[:, :hidden], prev, model.pre_w.value, model.pre_w.grad, model.pre_b.grad, k >= n)
+    d_out = d_ann
+    d_out += ad._affine_backward(d_proj, run.annotations, model.att_ann.value, model.att_ann.grad)  # made first, added last
+
+    s, halves = run.annotations.shape[1], (slice(hidden), slice(hidden, None))
+    for depth, (inputs, directions) in reversed(list(enumerate(run.encoder))):
+        d_in = None
+        for (w, u, b), steps, half, reverse in zip(model.encoder[depth], directions, halves, (False, True)):
+            blocks, d_gx, d_h = _u_blocks(u, b), np.zeros(inputs.shape[:2] + (3 * hidden,)), None
+            for i, step in enumerate(range(s) if reverse else range(s - 1, -1, -1)):  # the forward steps in reverse
+                h, gates = steps[step]
+                g = _sum(d_out[:, step, half], d_h)
+                d_pre, d_h = ad._gru_backward(g, h, *blocks, gates, u.grad, b.grad, run.keep[step], i < s - 1)
+                d_gx[:, step] += d_pre  # added onto zeros, as the reference graph does
+            d_in = _sum(d_in, ad._affine_backward(d_gx, inputs, w.value, w.grad, with_dx=depth > 0))
+        d_out = d_in

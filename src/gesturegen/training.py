@@ -62,18 +62,16 @@ class AdamState:
 
 
 def compute_loss_graph(pred, target: np.ndarray, cfg: Config):
-    """Differentiable loss for a (B, m, d) prediction, averaged over the
-    batch, with the weights ``cfg.alpha`` and ``cfg.beta``. Returns
-    (LossBreakdown, total): the total is a tensor when pred records, else
-    a scalar."""
+    """The loss of a (B, m, d) prediction array, averaged over the batch,
+    with the weights ``cfg.alpha`` and ``cfg.beta``. Returns (LossBreakdown,
+    d total / d pred), the gradient that `model.backward` takes."""
     target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
     if pred.shape != target.shape:
         raise InvalidConfig(f"prediction {pred.shape} vs target {target.shape}")
-    total, mse, continuity, variance = ad.gesture_loss(pred, target, cfg.alpha, cfg.beta)
-    breakdown = LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(ad._data(total)))
-    return breakdown, total
+    total, mse, continuity, variance, g_pred = ad._gesture_loss(pred, target, cfg.alpha, cfg.beta)
+    return LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(total)), g_pred
 
 
 def clip_gradients(store: ParamStore):
@@ -181,9 +179,9 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
             targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-                poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
-                breakdown, total = compute_loss_graph(poses, targets, cfg)
-                backward(total)
+                poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
+                breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
+                backward(run, g_poses)
             _check_finite(model.store, breakdown.total, f"epoch {epoch}, batch {bstart // cfg.batch_size}")
             clip_gradients(model.store)
             adam_step(model.store, state, cfg.lr)

@@ -79,10 +79,10 @@ def test_criterion_1_gradient_check():
         [(poses, _)] = forward(model, [emb[0]], seeds[0])
         return compute_loss(poses, target[0], h).total
 
-    pred, _ = forward_graph(model, emb, seeds)
-    _, total = compute_loss_graph(pred, target, h)
+    pred, _, run = forward_graph(model, emb, seeds)
+    _, g_pred = compute_loss_graph(pred, target, h)
     model.store.zero_grads()
-    backward(total)
+    backward(run, g_pred)
 
     step = 1e-5
     worst = 0.0
@@ -226,9 +226,9 @@ def test_criterion_5_attention_gru_invariants():
     for _ in range(1000):
         mask = rng.normal(size=(1, int(rng.integers(2, 9))))
         words = ann[:, : mask.shape[1]]
-        inputs = (state, query, words @ model.att_ann.value.T, v, words)
-        a = ad.attention(*inputs, mask=mask)[1]
-        b = ad.attention(*inputs, mask=mask + rng.normal())[1]
+        inputs = (state @ query.T, words @ model.att_ann.value.T, v.reshape(-1, 1), words)
+        a = ad._attend(*inputs, mask)[1]
+        b = ad._attend(*inputs, mask + rng.normal())[1]
         worst_shift = max(worst_shift, float(np.max(np.abs(a - b))))
 
     bounded = True

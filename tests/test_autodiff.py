@@ -1,17 +1,19 @@
-"""Finite-difference checks for every autodiff primitive and the test-local
-reference nodes, a property of `linear` against the add / matmul /
-transpose graph it replaced, one property over the fused nodes'
-hand-written backwards, plus graph semantics (re-running backward, no
-recorded graph)."""
+"""Finite-difference checks for the tape's ops, the test-local reference
+nodes and every backward rule of the model's kernels, a property of the
+affine rule against the add / matmul / transpose graph it replaced, one
+property over the rules against the fused tape nodes they were written
+from, plus graph semantics (re-running backward, no recorded graph)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tape_oracle as tape
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
 from gesturegen.errors import InvalidConfig
+from gesturegen.model import _dropout_mask
 
 
 def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
@@ -36,68 +38,136 @@ def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
             assert abs(grad[i] - fd) <= tol * max(1.0, abs(fd)), (grad[i], fd)
 
 
+def _fd_check_rule(rule, shapes, out_shape, seed=0, step=1e-6, tol=1e-6):
+    """rule(g, *values) -> (output, [d sum(output * g) / d value for each
+    value]) for a (B, ...) output gradient g (1.0 for a scalar output);
+    checks each gradient against central differences."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=s) * 0.7 + 0.3 for s in shapes]
+    g = rng.normal(size=out_shape) if out_shape else 1.0
+    _, grads = rule(g, *values)
+    for v, grad in zip(values, grads, strict=True):
+        flat, grad = v.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float((rule(g, *values)[0] * g).sum())
+            flat[i] = orig - step
+            lo = float((rule(g, *values)[0] * g).sum())
+            flat[i] = orig
+            fd = (hi - lo) / (2 * step)
+            assert abs(grad[i] - fd) <= tol * max(1.0, abs(fd)), (grad[i], fd)
+
+
+# -- the backward rules, as rule(g, *inputs) -> (output, input gradients) ----------
+
+
+def _linear_rule(g, x, w, b=None):
+    dw, db = np.zeros_like(w), None if b is None else np.zeros_like(b)
+    dx = ad._affine_backward(g, x, w, dw, db)
+    return ad._affine(x, w.T, b), [dx, dw] + ([] if b is None else [db])
+
+
+def _gru_rule(t=None, keep=None):
+    """A GRU step on gx read at time index t (None: gx is (B, 3H)), with
+    the rows where keep is False carried, as the model's encoder runs it."""
+
+    def rule(g, gx, h, u, b):
+        u_zr, u_c, b_zr, b_c = ad._gru_blocks(u.T, b)
+        out, *gates = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
+        if keep is not None:
+            out = np.where(keep[:, None], out, h)
+        du, db = np.zeros_like(u), np.zeros_like(b)
+        d_pre, dh = ad._gru_backward(g, h, u_zr, u_c, gates, du, db, keep)
+        d_gx = d_pre
+        if t is not None:
+            d_gx = np.zeros_like(gx)
+            d_gx[:, t] += d_pre
+        return out, [d_gx, dh, du, db]
+
+    return rule
+
+
+def _attention_rule(mask=None):
+    def rule(g, state, w_query, projected, v, annotations):
+        context, weights, t = ad._attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)
+        dw_query, dv = np.zeros_like(w_query), np.zeros_like(v)
+        d_ann, d_proj, d_state = ad._attend_backward(g, state, w_query.T, v, annotations, weights, t, dv, dw_query)
+        return context, [d_state, dw_query, d_proj, dv, d_ann]
+
+    return rule
+
+
+def _loss_rule(target, alpha, beta):
+    def rule(g, p):
+        total, *_, g_p = ad._gesture_loss(p, target, alpha, beta)
+        return total, [g * g_p]
+
+    return rule
+
+
 # -- reference nodes ------------------------------------------------------------
-# Graph nodes the engine no longer has, plain on plain operands like its ops.
-# The reference graphs below are composed of them: the add, matmul and
-# transpose nodes the model recorded before autodiff.linear fused them, the
-# attention before autodiff.attention and the lift net's step before its
-# hand-written backward.
+# Graph nodes the engine no longer has, plain on plain operands like its ops,
+# built on the tape oracle's recording helpers. The reference graphs below are
+# composed of them: the add, matmul and transpose nodes the model recorded
+# before the fused linear node, the attention before the fused attention node
+# and the lift net's step before its hand-written backward.
 
 
 def _add(a, b):
     # a + b with numpy broadcasting; each operand's gradient is summed over
     # the axes it was broadcast along.
-    av, bv = ad._data(a), ad._data(b)
+    av, bv = tape._data(a), tape._data(b)
     y = av + bv
-    if not ad._records(a, b):
+    if not tape._records(a, b):
         return y
 
     def backprop(g):
         for t in (a, b):
-            if ad._records(t):
+            if tape._records(t):
                 shape = t.data.shape
                 lead = g.ndim - len(shape)
                 axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n < g.shape[lead + i])
-                ad._accumulate(t, g.sum(axis=axes, keepdims=True).reshape(shape) if axes else g)
+                tape._accumulate(t, g.sum(axis=axes, keepdims=True).reshape(shape) if axes else g)
 
-    return ad._wrap(y, (a, b), backprop)
+    return tape._wrap(y, (a, b), backprop)
 
 
 def _matmul(a, b):
     # np.matmul semantics for operands of ndim >= 2, broadcasting batch dims;
     # an N-d input times a 2-d weight runs as one 2-d GEMM over the
     # flattened leading dims, forward and backward.
-    av, bv = ad._data(a), ad._data(b)
+    av, bv = tape._data(a), tape._data(b)
     flat = av.ndim > 2 and bv.ndim == 2
     if flat:
         y = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
     else:
         y = np.matmul(av, bv)
-    if not ad._records(a, b):
+    if not tape._records(a, b):
         return y
 
     def backprop(g):
-        if ad._records(a):
-            ad._accumulate(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
-        if ad._records(b):
+        if tape._records(a):
+            tape._accumulate(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
+        if tape._records(b):
             if flat:
                 gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            ad._accumulate(b, gb)
+            tape._accumulate(b, gb)
 
-    return ad._wrap(y, (a, b), backprop)
+    return tape._wrap(y, (a, b), backprop)
 
 
 def _transpose(x):
-    y = np.swapaxes(ad._data(x), -1, -2)
-    if not ad._records(x):
+    y = np.swapaxes(tape._data(x), -1, -2)
+    if not tape._records(x):
         return y
 
     def backprop(g):
-        ad._accumulate(x, np.swapaxes(g, -1, -2))
+        tape._accumulate(x, np.swapaxes(g, -1, -2))
 
-    return ad._wrap(y, (x,), backprop)
+    return tape._wrap(y, (x,), backprop)
 
 
 def test_add_broadcast():
@@ -125,21 +195,21 @@ def test_matmul_broadcast_batch():
 @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
 def test_linear(x_shape, bias):
     shapes = [x_shape, (2, 4)] + [(2,)] * bias
-    _fd_check(lambda *operands: ad.tsum(ad.linear(*operands)), shapes)
+    _fd_check_rule(_linear_rule, shapes, x_shape[:-1] + (2,))
 
 
 def _relu(x):
     # relu as a graph node, plain on plain operands: only the lift net's
     # reference graph in the tests needs it, so the engine has none.
-    xv = ad._data(x)
+    xv = tape._data(x)
     y = np.maximum(xv, 0.0)
-    if not ad._records(x):
+    if not tape._records(x):
         return y
 
     def backprop(g):
-        ad._accumulate(x, g * (xv > 0.0))
+        tape._accumulate(x, g * (xv > 0.0))
 
-    return ad._wrap(y, (x,), backprop)
+    return tape._wrap(y, (x,), backprop)
 
 
 def test_tanh_sigmoid_relu():
@@ -148,41 +218,39 @@ def test_tanh_sigmoid_relu():
 
 def test_gesture_loss_matches_finite_differences():
     target = np.random.default_rng(1).normal(size=(2, 4, 3))
-    _fd_check(lambda p: ad.gesture_loss(p, target, 0.7, 0.3)[0], [(2, 4, 3)])
+    _fd_check_rule(_loss_rule(target, 0.7, 0.3), [(2, 4, 3)], ())
 
 
 def test_gesture_loss_subgradient_at_zero_steps():
-    x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
-    total, mse, continuity, variance = ad.gesture_loss(x, np.zeros((2, 3, 4)), 0.7, 0.3)
-    total.backward()
-    assert (mse, continuity, variance, float(total.data)) == (0.0, 0.0, 0.0, 0.0)
-    assert np.all(np.isfinite(x.grad))
-    assert np.array_equal(x.grad, np.zeros((2, 3, 4)))
+    total, mse, continuity, variance, grad = ad._gesture_loss(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), 0.7, 0.3)
+    assert (mse, continuity, variance, float(total)) == (0.0, 0.0, 0.0, 0.0)
+    assert np.all(np.isfinite(grad))
+    assert np.array_equal(grad, np.zeros((2, 3, 4)))
 
 
 def _sum_axis(x, axis, keepdims=False):
     # A sum over one axis as a graph node, plain on plain operands like the
-    # engine's ops: tsum and tmean reduce whole tensors, and only reference
+    # engine's ops: tsum reduces whole tensors, and only reference
     # graphs in the tests need an axis.
-    y = ad._data(x).sum(axis=axis, keepdims=keepdims)
-    if not ad._records(x):
+    y = tape._data(x).sum(axis=axis, keepdims=keepdims)
+    if not tape._records(x):
         return y
 
     def backprop(g):
-        ad._accumulate(x, np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.shape))
+        tape._accumulate(x, np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.shape))
 
-    return ad._wrap(y, (x,), backprop)
+    return tape._wrap(y, (x,), backprop)
 
 
 def test_reductions():
     _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 1), _sum_axis(a, 1))), [(3, 4)])
-    _fd_check(lambda a: ad.tmean(ad.mul(a, a)), [(3, 4)])
+    _fd_check(lambda a: tape.tmean(ad.mul(a, a)), [(3, 4)])
     _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 0, keepdims=True), a)), [(3, 4)])
 
 
 def test_concat_stack_reshape_transpose():
-    _fd_check(lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], axis=1), 1.5)), [(2, 3), (2, 2)])
-    _fd_check(lambda a, b: ad.tsum(ad.mul(ad.stack([a, b], axis=1), np.ones((2, 2, 3)) * 0.5)), [(2, 3), (2, 3)])
+    _fd_check(lambda a, b: ad.tsum(ad.mul(tape.concat([a, b], axis=1), 1.5)), [(2, 3), (2, 2)])
+    _fd_check(lambda a, b: ad.tsum(ad.mul(tape.stack([a, b], axis=1), np.ones((2, 2, 3)) * 0.5)), [(2, 3), (2, 3)])
     _fd_check(lambda a: ad.tsum(ad.mul(_transpose(a), np.ones((3, 2)))), [(2, 3)])
 
 
@@ -222,27 +290,10 @@ _KEEP = np.array([True, False, True])
 _MASK = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
 _ATTENTION_SHAPES = [(2, 3), (4, 3), (2, 3, 4), (4,), (2, 3, 5)]
 
-# case -> (engine op, call, input shapes); a call returns the op's result,
-# a tuple when the op returns plain arrays beside it
+# case -> (engine op, call, input shapes)
 _OP_CASES = {
-    "linear": (ad.linear, ad.linear, [(3, 4), (2, 4), (2,)]),
-    "linear_no_bias": (ad.linear, ad.linear, [(3, 4), (2, 4)]),
-    "linear_flat": (ad.linear, ad.linear, [(2, 3, 4), (2, 4), (2,)]),
     "mul": (ad.mul, ad.mul, [(2, 3, 4), (3, 4)]),
-    "gru_step": (ad.gru_step, ad.gru_step, [(3, 6), (3, 2), (6, 2), (6,)]),
-    "gru_step_time_keep": (
-        ad.gru_step,
-        lambda gx, h, u, b: ad.gru_step(gx, h, u, b, t=1, keep=_KEEP),
-        [(3, 4, 6), (3, 2), (6, 2), (6,)],
-    ),
-    "gesture_loss": (ad.gesture_loss, lambda p: ad.gesture_loss(p, np.ones((2, 4, 3)), 0.7, 0.3), [(2, 4, 3)]),
-    "attention": (ad.attention, ad.attention, _ATTENTION_SHAPES),
-    "attention_masked": (ad.attention, lambda *x: ad.attention(*x, _MASK), _ATTENTION_SHAPES),
     "tsum": (ad.tsum, ad.tsum, [(3, 4)]),
-    "tmean": (ad.tmean, ad.tmean, [(3, 4)]),
-    "concat": (ad.concat, lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
-    "stack": (ad.stack, lambda a, b: ad.stack([a, b], axis=1), [(2, 3), (2, 3)]),
-    "dropout": (ad.dropout, lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)), [(4, 5)]),
 }
 
 
@@ -276,13 +327,10 @@ def test_eval_mode_records_nothing():
 
 
 def test_dropout_train_scaling():
-    rng = np.random.default_rng(0)
-    x = Tensor(np.ones((200, 50)), requires_grad=True)
-    y = ad.dropout(x, 0.1, rng)
-    kept = y.data[y.data > 0]
+    keep = _dropout_mask(np.random.default_rng(0), (200, 50), 0.1)
+    kept = keep[keep > 0]
     assert np.allclose(kept, 1.0 / 0.9)
-    assert abs(y.data.mean() - 1.0) < 0.02
-    assert ad.dropout(x, 0.0, rng) is x
+    assert abs(keep.mean() - 1.0) < 0.02
 
 
 @pytest.mark.parametrize(
@@ -292,12 +340,8 @@ def test_dropout_train_scaling():
 )
 def test_gru_step(t, keep):
     # gx, h, u (3H, H) as stored and b (3H,) for H = 2, a batch of 3, 4 timesteps
-    weights = np.arange(6.0).reshape(3, 2) * 0.3 - 0.7
     gx_shape = (3, 6) if t is None else (3, 4, 6)
-    _fd_check(
-        lambda gx, h, u, b: ad.tsum(ad.mul(ad.gru_step(gx, h, u, b, t=t, keep=keep), weights)),
-        [gx_shape, (3, 2), (6, 2), (6,)],
-    )
+    _fd_check_rule(_gru_rule(t, keep), [gx_shape, (3, 2), (6, 2), (6,)], (3, 2))
 
 
 def test_gru_step_matches_gate_formula_and_carries_masked_rows():
@@ -308,9 +352,9 @@ def test_gru_step_matches_gate_formula_and_carries_masked_rows():
     r = sig(gx[:, 2:4] + h @ u[2:4].T + b[2:4])
     c = np.tanh(gx[:, 4:] + (r * h) @ u[4:].T + b[4:])
     expected = (1.0 - z) * h + z * c
-    assert np.allclose(ad.gru_step(gx, h, u, b), expected, rtol=0, atol=1e-14)
+    assert np.allclose(_gru_rule()(np.zeros_like(h), gx, h, u, b)[0], expected, rtol=0, atol=1e-14)
     keep = np.array([True, False, True])
-    out = ad.gru_step(gx, h, u, b, keep=keep)
+    out = _gru_rule(keep=keep)(np.zeros_like(h), gx, h, u, b)[0]
     assert np.array_equal(out[1], h[1])
     assert np.allclose(out[keep], expected[keep], rtol=0, atol=1e-14)
 
@@ -337,9 +381,9 @@ def _tanh(x):
     y = np.tanh(x.data)
 
     def backprop(g):
-        ad._accumulate(x, g * (1.0 - y * y))
+        tape._accumulate(x, g * (1.0 - y * y))
 
-    return ad._wrap(y, (x,), backprop)
+    return tape._wrap(y, (x,), backprop)
 
 
 def _softmax(x):
@@ -347,16 +391,16 @@ def _softmax(x):
     y = e / e.sum(axis=-1, keepdims=True)
 
     def backprop(g):
-        ad._accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        tape._accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return ad._wrap(y, (x,), backprop)
+    return tape._wrap(y, (x,), backprop)
 
 
 def _reshape(x, shape):
     def backprop(g):
-        ad._accumulate(x, g.reshape(x.shape))
+        tape._accumulate(x, g.reshape(x.shape))
 
-    return ad._wrap(x.data.reshape(shape), (x,), backprop)
+    return tape._wrap(x.data.reshape(shape), (x,), backprop)
 
 
 def _composed_attention(state, w_query, projected, v, annotations, mask=None):
@@ -394,12 +438,14 @@ def test_attention_bit_equal_to_composed_graph(batch, masked):
     ]
     mask = _padding_mask(rng, batch, s) if masked else None
     g = rng.normal(size=(batch, 2 * hidden))
-    results = []
-    for node in (ad.attention, _composed_attention):
-        leaves = [Tensor(v, requires_grad=True) for v in values]
-        context, weights = node(*leaves, mask)
-        ad.tsum(ad.mul(context, g)).backward()
-        results.append([context.data, weights] + [leaf.grad for leaf in leaves])
+    state, w_query, projected, v, annotations = values
+    weights = ad._attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)[1]
+    context, grads = _attention_rule(mask)(g, *values)
+    results = [[context, weights] + grads]
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    context, weights = _composed_attention(*leaves, mask)
+    ad.tsum(ad.mul(context, g)).backward()
+    results.append([context.data, weights] + [leaf.grad for leaf in leaves])
     names = ["context", "weights", "state", "w_query", "projected", "v", "annotations"]
     for name, fused, composed in zip(names, *results):
         assert np.array_equal(fused, composed), name
@@ -412,9 +458,9 @@ def _power(x, exponent):
     # the batch-norm reference graph below needs it, so the engine has no
     # power op.
     def backprop(g):
-        ad._accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
+        tape._accumulate(x, g * exponent * np.power(x.data, exponent - 1.0))
 
-    return ad._wrap(np.power(x.data, exponent), (x,), backprop)
+    return tape._wrap(np.power(x.data, exponent), (x,), backprop)
 
 
 def _composed_batch_norm(x, scale, shift, eps):
@@ -442,64 +488,61 @@ def _composed_linear(x, w, b=None):
     lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
     widths=st.lists(st.integers(1, 6), min_size=2, max_size=2),
     bias=st.booleans(),
-    recording=st.lists(st.booleans(), min_size=3, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 # the toy encoder's first input projection: at this size x^T g and (g^T x)^T
 # differ in bits, so only the product the reference forms matches it
-@example(lead=[4, 16], widths=[300, 192], bias=False, recording=[False, True, False], seed=0)
-def test_linear_bit_equal_to_composed_graph(lead, widths, bias, recording, seed):
-    """ad.linear on a 2-d or 3-d input, with or without a bias and with any
-    subset of its operands recording, gives the bits of the composed graph
-    _add(_matmul(x, _transpose(w)), b), in its value and every gradient."""
+@example(lead=[4, 16], widths=[300, 192], bias=False, seed=0)
+def test_linear_bit_equal_to_composed_graph(lead, widths, bias, seed):
+    """The affine kernel and its backward rule on a 2-d or 3-d input, with
+    or without a bias, give the bits of the composed graph
+    _add(_matmul(x, _transpose(w)), b), in the value and every gradient."""
     rng = np.random.default_rng(seed)
     (n_in, n_out), batch = widths, tuple(lead)
     values = [rng.normal(size=batch + (n_in,)), rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)][: 2 + bias]
     g = rng.normal(size=batch + (n_out,))
-    results = []
-    for build in (ad.linear, _composed_linear):
-        operands = [Tensor(v, requires_grad=True) if r else v for v, r in zip(values, recording)]
-        out = build(*operands)
-        leaves = [t for t in operands if isinstance(t, Tensor)]
-        if leaves:
-            ad.tsum(ad.mul(out, g)).backward()
-        results.append([ad._data(out)] + [leaf.grad for leaf in leaves])
-    for i, (fused, composed) in enumerate(zip(*results, strict=True)):
-        assert np.array_equal(fused, composed), i
+    out, grads = _linear_rule(g, *values)
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    composed = _composed_linear(*leaves)
+    ad.tsum(ad.mul(composed, g)).backward()
+    for i, (rule, graph) in enumerate(zip([out, *grads], [composed.data] + [leaf.grad for leaf in leaves], strict=True)):
+        assert np.array_equal(rule, graph), i
 
 
-# -- one property over every fused node ----------------------------------------
+# -- one property over every backward rule ---------------------------------------
 
 
 def _gru_step_case(rng, batch, hidden, steps, *_):
     t = int(rng.integers(steps)) if rng.random() < 0.5 else None
     keep = rng.random(batch) < 0.5 if rng.random() < 0.5 else None
-    node = lambda gx, h, u, b: (ad.gru_step(gx, h, u, b, t=t, keep=keep),)
+    node = lambda gx, h, u, b: (tape.gru_step(gx, h, u, b, t=t, keep=keep),)
     gx_shape = (batch, 3 * hidden) if t is None else (batch, steps, 3 * hidden)
-    return node, None, [gx_shape, (batch, hidden), (3 * hidden, hidden), (3 * hidden,)], (batch, hidden)
+    shapes = [gx_shape, (batch, hidden), (3 * hidden, hidden), (3 * hidden,)]
+    return _gru_rule(t, keep), [node], shapes, (batch, hidden)
 
 
 def _gesture_loss_case(rng, batch, steps, dim, *_):
     target = rng.normal(size=(batch, steps + 1, dim))
     alpha, beta = rng.uniform(0.0, 1.0, size=2)
-    return lambda pred: ad.gesture_loss(pred, target, alpha, beta), None, [target.shape], ()
+    node = lambda pred: tape.gesture_loss(pred, target, alpha, beta)
+    return _loss_rule(target, alpha, beta), [node], [target.shape], ()
 
 
 def _attention_case(masked):
     def case(rng, batch, hidden, att, s, width):
         mask = _padding_mask(rng, batch, s) if masked else None
-        node = lambda *inputs: ad.attention(*inputs, mask)
+        node = lambda *inputs: tape.attention(*inputs, mask)
         composed = lambda *inputs: _composed_attention(*inputs, mask)
         shapes = [(batch, hidden), (att, hidden), (batch, s, att), (att,), (batch, s, width)]
-        return node, composed, shapes, (batch, width)
+        return _attention_rule(mask), [node, composed], shapes, (batch, width)
 
     return case
 
 
-# node -> (rng, batch, four widths) -> (node, its composed reference graph or
-# None, input shapes, output shape); node and reference return the output
-# tensor first, then any plain arrays
-_FUSED_NODES = {
+# rule -> (rng, batch, four widths) -> (rule, reference graphs: the fused tape
+# node the rule was written from and any composed graph before it, input
+# shapes, output shape); a reference returns its output tensor first
+_RULES = {
     "gru_step": _gru_step_case,
     "gesture_loss": _gesture_loss_case,
     "attention": _attention_case(masked=False),
@@ -507,24 +550,24 @@ _FUSED_NODES = {
 }
 
 
-def _assert_bit_equal(node, composed, shapes, weights, seed):
-    """The node and its composed reference give the same output bits and
-    the same bits of every input's gradient."""
+def _assert_bit_equal(rule, references, shapes, out_shape, seed):
+    """The rule and each reference graph give the same output bits and the
+    same bits of every input's gradient."""
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=s) * 0.7 + 0.3 for s in shapes]
-    results = []
-    for build in (node, composed):
+    g = rng.normal(size=out_shape) if out_shape else 1.0
+    out, grads = rule(g, *values)
+    for build in references:
         leaves = [Tensor(v, requires_grad=True) for v in values]
-        out, *arrays = build(*leaves)
-        ad.tsum(ad.mul(out, weights)).backward()
-        results.append([out.data, *arrays, *(leaf.grad for leaf in leaves)])
-    for i, (fused, reference) in enumerate(zip(*results, strict=True)):
-        assert np.array_equal(fused, reference), i
+        ref = build(*leaves)[0]
+        tape.tsum(tape.mul(ref, g)).backward() if out_shape else ref.backward()
+        for i, (plain, graph) in enumerate(zip([out, *grads], [ref.data] + [leaf.grad for leaf in leaves], strict=True)):
+            assert np.array_equal(plain, graph), i
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    node=st.sampled_from(sorted(_FUSED_NODES)),
+    node=st.sampled_from(sorted(_RULES)),
     batch=st.integers(1, 5),
     widths=st.lists(st.integers(1, 6), min_size=4, max_size=4),
     seed=st.integers(0, 2**32 - 1),
@@ -534,11 +577,11 @@ def _assert_bit_equal(node, composed, shapes, weights, seed):
 @example(node="attention_masked", batch=1, widths=[3, 4, 5, 6], seed=2)
 @example(node="attention_masked", batch=4, widths=[3, 4, 5, 6], seed=3)
 def test_fused_node_gradients_match_finite_differences(node, batch, widths, seed):
-    """Every input's gradient matches central differences; a node with a
-    composed reference graph also matches its output and gradient bits."""
+    """Every input's gradient by a backward rule matches central
+    differences, and the rule gives the output and gradient bits of the
+    fused tape node it was written from (and of the composed graph before
+    that node, where there was one)."""
     rng = np.random.default_rng(seed)
-    fused, composed, shapes, out_shape = _FUSED_NODES[node](rng, batch, *widths)
-    weights = rng.normal(size=out_shape)
-    _fd_check(lambda *inputs: ad.tsum(ad.mul(fused(*inputs)[0], weights)), shapes, seed=seed)
-    if composed is not None:
-        _assert_bit_equal(fused, composed, shapes, weights, seed)
+    rule, references, shapes, out_shape = _RULES[node](rng, batch, *widths)
+    _fd_check_rule(rule, shapes, out_shape, seed=seed)
+    _assert_bit_equal(rule, references, shapes, out_shape, seed)

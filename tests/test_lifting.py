@@ -29,6 +29,7 @@ from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
 
+import tape_oracle as tape
 from test_autodiff import _add, _composed_batch_norm, _matmul, _relu, _transpose
 
 
@@ -69,7 +70,7 @@ def _recorded_step(params, x, targets):
         h = _relu(h)
     out = _add(_matmul(h, _transpose(leaves["lift.fc3.w"])), leaves["lift.fc3.b"])
     diff = _add(out, -targets)
-    loss = ad.tmean(ad.mul(diff, diff))
+    loss = tape.tmean(ad.mul(diff, diff))
     loss.backward()
     return loss.data
 

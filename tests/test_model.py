@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tape_oracle as tape
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
 from gesturegen.config import Config
@@ -14,9 +15,6 @@ from gesturegen.model import (
     _cell_weights,
     _decoder,
     _encode,
-    _encode_graph,
-    _operand,
-    _rollout,
     backward,
     forward,
     forward_graph,
@@ -267,6 +265,8 @@ class TestForward:
                 forward(tiny, chunks, np.zeros((2, 10)))
 
     def test_eval_builds_no_graph_objects(self, tiny, monkeypatch):
+        """Neither mode builds a Tensor: eval, a train step's pass, loss and
+        backward, and the lift net."""
         from gesturegen.lifting import init_lift_params, lift_forward
 
         rng = np.random.default_rng(12)
@@ -277,7 +277,10 @@ class TestForward:
         monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
         assert len(forward(tiny, chunks, seeds)) == 3 and len(built) == 0
         assert lift_forward(lift, poses).shape == (5, 7) and len(built) == 0
-        forward_graph(tiny, chunks[0][None], seeds[None])  # the counter sees a recorded pass
+        train, _, run = forward_graph(tiny, chunks[0][None], seeds[None], rng=rng, dropout=0.1)
+        backward(run, compute_loss_graph(train, rng.normal(size=train.shape), Config())[1])
+        assert len(built) == 0
+        tape.forward_graph(tiny, chunks[0][None], seeds[None])  # the counter sees a recorded pass
         assert len(built) > 0
 
     @settings(max_examples=25, deadline=None)
@@ -292,12 +295,13 @@ class TestForward:
     @example(words=[5], dims=(300, 64, 64), n=10, m=20, seed=2)  # the toy generate shape
     @example(words=[4, 3, 4], dims=(300, 64, 64), n=10, m=20, seed=1)
     def test_equals_recorded_rollout(self, words, dims, n, m, seed):
-        """Eval rows are bit-equal to the recorded pass run at eval's
-        shapes: the recorded encoder on the zero-padded chunk batch, then a
-        batch-1 recorded rollout per chunk, seeded as eval seeds it. A
-        one-chunk utterance is exactly the batch-1 forward_graph. (A GEMM
-        row rounds differently in a batch of B and a batch of 1, so a
-        several-chunk utterance is compared at its own batch shapes.)"""
+        """Eval rows are bit-equal to the tape's recorded pass (the oracle)
+        run at eval's shapes: the recorded encoder on the zero-padded chunk
+        batch, then a batch-1 recorded rollout per chunk, seeded as eval
+        seeds it. A one-chunk utterance is exactly the batch-1 train-mode
+        pass, on the plain arrays and on the tape. (A GEMM row rounds
+        differently in a batch of B and a batch of 1, so a several-chunk
+        utterance is compared at its own batch shapes.)"""
         word_dim, hidden, att_dim = dims
         model = init_model(ModelConfig(word_dim, hidden, att_dim, n, m, dropout=0.1), seed=seed % 5)
         rng = np.random.default_rng(seed)
@@ -305,15 +309,18 @@ class TestForward:
         seeds = rng.normal(size=(n, 10))
         rollouts = forward(model, chunks, seeds)
         if len(chunks) == 1:
-            recorded_poses, recorded_attn = forward_graph(model, chunks[0][None], seeds[None])
-            assert np.array_equal(rollouts[0][0], recorded_poses.data[0])
-            assert np.array_equal(rollouts[0][1], recorded_attn[0])
+            train_poses, train_attn, _ = forward_graph(model, chunks[0][None], seeds[None])
+            recorded_poses, recorded_attn = tape.forward_graph(model, chunks[0][None], seeds[None])
+            for plain in (train_poses[0], recorded_poses.data[0]):
+                assert np.array_equal(rollouts[0][0], plain)
+            for plain in (train_attn[0], recorded_attn[0]):
+                assert np.array_equal(rollouts[0][1], plain)
         embedded, lengths = pad_words(chunks)
-        annotations = _encode_graph(model, embedded, lengths)
-        projected = ad.linear(annotations, _operand(model.att_ann))
+        annotations = tape.encode_graph(model, embedded, lengths)
+        projected = tape.linear(annotations, tape._operand(model.att_ann))
         for row, (s, (poses, attn)) in enumerate(zip(lengths, rollouts, strict=True)):
             own = annotations.data[row : row + 1, :s], projected.data[row : row + 1, :s]
-            recorded_poses, recorded_attn = _rollout(model, seeds[None], *own)
+            recorded_poses, recorded_attn = tape.rollout(model, seeds[None], *own)
             assert recorded_poses.requires_grad
             assert np.array_equal(poses, recorded_poses.data[0])
             assert np.array_equal(attn, recorded_attn[0])
@@ -340,7 +347,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(p_eval, _)] = forward(tiny, [emb], seeds)
-        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout)[0].data[0]
+        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout)[0][0]
         assert not np.array_equal(p_eval, p_train)
 
 
@@ -348,34 +355,26 @@ class TestBackward:
     def test_zero_loss_zero_gradients(self, tiny):
         rng = np.random.default_rng(10)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
-        poses, _ = forward_graph(tiny, emb, seeds)
-        target = poses.data.copy()  # pred == target, alpha = beta = 0
+        poses, _, run = forward_graph(tiny, emb, seeds)
+        target = poses.copy()  # pred == target, alpha = beta = 0
         h = Config(alpha=0.0, beta=0.0)
-        _, total = compute_loss_graph(poses, target, h)
+        _, g_poses = compute_loss_graph(poses, target, h)
         tiny.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         assert all(np.array_equal(p.grad, np.zeros_like(p.grad)) for _, p in tiny.store.items())
 
     def test_two_backward_passes_double(self, tiny):
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
         target = rng.normal(size=(1, 3, 10))
-        poses, _ = forward_graph(tiny, emb, seeds)
-        _, total = compute_loss_graph(poses, target, Config())
+        poses, _, run = forward_graph(tiny, emb, seeds)
+        _, g_poses = compute_loss_graph(poses, target, Config())
         tiny.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         singles = {name: p.grad.copy() for name, p in tiny.store.items()}
-        backward(total)
+        backward(run, g_poses)
         for name, p in tiny.store.items():
             assert np.allclose(p.grad, 2.0 * singles[name], atol=1e-15), name
-
-    def test_recording_leaf_accumulates_into_store(self, tiny):
-        p = tiny.store["dec.pre.b"]
-        assert _operand(p).grad is p.grad
-
-    def test_no_recorded_graph(self, tiny):
-        with pytest.raises(InvalidConfig, match="loss is not the result of a recorded forward pass"):
-            backward(Tensor(np.array(1.0), requires_grad=True))
 
     def test_finite_difference_subset(self, tiny):
         """Spot-check analytic gradients of the full loss on a few entries
@@ -390,10 +389,10 @@ class TestBackward:
             [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
             return compute_loss_graph(poses[None], target, h)[0].total
 
-        poses, _ = forward_graph(tiny, emb, seeds)
-        _, total = compute_loss_graph(poses, target, h)
+        poses, _, run = forward_graph(tiny, emb, seeds)
+        _, g_poses = compute_loss_graph(poses, target, h)
         tiny.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         step = 1e-5
         for name, p in tiny.store.items():
             flat = p.value.reshape(-1)
@@ -430,10 +429,10 @@ class TestPaddedBatch:
         targets = rng.normal(size=(len(lengths), 3, 10)) * 0.3
         h = Config()
 
-        poses, _ = forward_graph(model, emb, seeds, lengths=lengths)
-        padded, total = compute_loss_graph(poses, targets, h)
+        poses, _, run = forward_graph(model, emb, seeds, lengths=lengths)
+        padded, g_poses = compute_loss_graph(poses, targets, h)
         model.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         padded_grads = {name: p.grad.copy() for name, p in model.store.items()}
 
         # one unpadded rollout per word count, weighted by its share of the batch
@@ -441,10 +440,10 @@ class TestPaddedBatch:
         grouped = 0.0
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
-            poses, _ = forward_graph(model, emb[rows, :length], seeds[rows])
-            breakdown, group_total = compute_loss_graph(poses, targets[rows], h)
+            poses, _, run = forward_graph(model, emb[rows, :length], seeds[rows])
+            breakdown, g_poses = compute_loss_graph(poses, targets[rows], h)
             weight = len(rows) / len(lengths)
-            backward(ad.mul(group_total, weight))
+            backward(run, g_poses * weight)
             grouped += weight * breakdown.total
         assert abs(padded.total - grouped) <= 1e-12 * abs(grouped)
         for name, p in model.store.items():
@@ -463,32 +462,13 @@ class TestPaddedBatch:
         rng = np.random.default_rng(seed)
         s = max(lengths) + extra
         emb, seeds = _padded_batch(rng, lengths, s)
-        out_poses, out_attn = forward_graph(model, emb, seeds, lengths=lengths)
+        out_poses, out_attn, _ = forward_graph(model, emb, seeds, lengths=lengths)
         for row, length in enumerate(lengths):
             [(poses, attn)] = forward(model, [emb[row, :length]], seeds[row])
-            assert np.max(np.abs(out_poses.data[row] - poses)) <= 1e-12
+            assert np.max(np.abs(out_poses[row] - poses)) <= 1e-12
             assert np.max(np.abs(out_attn[row, :, :length] - attn)) <= 1e-12
             assert np.all(out_attn[row, :, length:] == 0.0)
         assert np.max(np.abs(out_attn.sum(axis=-1) - 1.0)) <= 1e-12
-
-    def test_train_step_graph_size(self):
-        """One train step on a padded batch of s = 4 words, n = 2 seed and
-        m = 3 output poses records 98 nodes: 25 parameter leaves, the
-        encoder's 4s + 10 (per layer and direction an input linear, s
-        gru_step nodes and a stack; per layer a concat), the annotation
-        projection, 9 per decoder step (pre-linear, attention, concat,
-        dropout, two cell input linears and gru_step nodes, post-linear)
-        less the post-linear of the n - 1 seed steps, which the rollout does
-        not compute, the pose stack and the loss. Attention composed of
-        matmul, reshape, add, tanh and softmax nodes recorded 10 more per
-        step and one more per pass."""
-        model = init_model(PADDED, seed=3)
-        rng = np.random.default_rng(3)
-        lengths = np.array([4, 2, 3])
-        emb, seeds = _padded_batch(rng, lengths, 4)
-        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
-        _, total = compute_loss_graph(poses, rng.normal(size=(3, 3, 10)), Config())
-        assert len(total.backward()) == 25 + (4 * 4 + 10) + 1 + 9 * (2 + 3) - (2 - 1) + 2
 
     def test_gradients_pinned(self):
         # The bits of one train step's gradients on the padded dropout batch
@@ -497,10 +477,10 @@ class TestPaddedBatch:
         rng = np.random.default_rng(3)
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(rng, lengths, 4)
-        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
-        _, total = compute_loss_graph(poses, rng.normal(size=(3, 3, 10)), Config())
+        poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, g_poses = compute_loss_graph(poses, rng.normal(size=(3, 3, 10)), Config())
         model.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "0ffd1f335552437bcb313b340201d3c73496c73724e931b50730cf3eb8328c01"
 
     def test_toy_gradients_pinned(self):
@@ -515,11 +495,58 @@ class TestPaddedBatch:
         for row, length in enumerate(lengths):
             emb[row, :length] = rng.normal(0.0, 0.4, size=(length, 300))
         seeds = rng.normal(size=(64, 10, 10)) * 0.3
-        poses, _ = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
-        _, total = compute_loss_graph(poses, rng.normal(size=(64, 20, 10)) * 0.3, Config(alpha=0.01, beta=0.1))
+        poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, g_poses = compute_loss_graph(poses, rng.normal(size=(64, 20, 10)) * 0.3, Config(alpha=0.01, beta=0.1))
         model.store.zero_grads()
-        backward(total)
+        backward(run, g_poses)
         assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "cfcada2b8cd607a21d8b5a31f26e3914df9c71fbfe7927cffb67cf97475c8fe3"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        batch=st.integers(1, 5),
+        max_words=st.integers(1, 6),
+        padded=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.1]),
+        dims=st.sampled_from([(7, 5, 4), (6, 3, 5)]),
+        n=st.integers(1, 3),
+        m=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=3, max_words=4, padded=True, dropout=0.1, dims=(7, 5, 4), n=2, m=3, seed=3)
+    # the toy training shape (criterion 6, the train benchmark)
+    @example(batch=64, max_words=6, padded=True, dropout=0.1, dims=(300, 64, 64), n=10, m=20, seed=0)
+    def test_train_step_equals_tape_oracle(self, batch, max_words, padded, dropout, dims, n, m, seed):
+        """One train step (forward_graph, compute_loss_graph, backward) is
+        bit-equal to the same step recorded on the tape (the oracle): poses,
+        attention, loss terms, every byte of the store's gradients and the
+        dropout rng's state afterwards."""
+        word_dim, hidden, att_dim = dims
+        model = init_model(ModelConfig(word_dim, hidden, att_dim, n, m, dropout=dropout), seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, max_words + 1, size=batch) if padded else np.full(batch, max_words)
+        emb = np.zeros((batch, int(lengths.max()), word_dim))
+        for row, length in enumerate(lengths):
+            emb[row, :length] = rng.normal(0.0, 0.4, size=(length, word_dim))
+        seeds, targets = rng.normal(size=(batch, n, 10)) * 0.3, rng.normal(size=(batch, m, 10)) * 0.3
+        cfg = Config(alpha=0.01, beta=0.1)
+
+        results = []
+        for recorded in (False, True):
+            step_rng = np.random.default_rng(seed + 1)
+            model.store.zero_grads()
+            if recorded:
+                poses, attn = tape.forward_graph(model, emb, seeds, step_rng, lengths if padded else None, dropout)
+                total, *terms = tape.gesture_loss(poses, targets, cfg.alpha, cfg.beta)
+                total.backward()
+                poses, terms = poses.data, terms + [float(total.data)]
+            else:
+                poses, attn, run = forward_graph(model, emb, seeds, step_rng, lengths if padded else None, dropout)
+                breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
+                backward(run, g_poses)
+                terms = [breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]
+            arrays = (poses, attn, model.store.grads)
+            results.append(([a.tobytes() for a in arrays], terms, step_rng.bit_generator.state))
+        assert results[0] == results[1]
 
     def test_bad_lengths(self, tiny):
         with pytest.raises(InvalidConfig, match=r"lengths must be 2 word counts in \[1, 3\]"):

@@ -407,8 +407,8 @@ class TestTrainModel:
         model = init_model(cfg, seed=0)
         calls = []
 
-        def poisoned(loss):
-            backward(loss)
+        def poisoned(run, g_poses):
+            backward(run, g_poses)
             calls.append(1)
             if len(calls) == 4:  # epoch 1, batch 1 of two 2-pair batches
                 model.store["enc.l0.fwd.u"].grad[2 * cfg.hidden, 0] = np.nan  # u_h[0, 0]
