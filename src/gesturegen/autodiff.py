@@ -1,5 +1,5 @@
-"""The seq2seq model's plain-array kernels with their hand-written backward
-rules, and a minimal reverse-mode tape.
+"""The plain-array kernels of the seq2seq model and the lift net with their
+hand-written backward rules, and a minimal reverse-mode tape.
 
 The model's forward arithmetic lives in three kernels, `_affine` (x W^T + b
 for a weight stored (out, in), read through its transpose), `_gru_cell` and
@@ -7,10 +7,11 @@ for a weight stored (out, in), read through its transpose), `_gru_cell` and
 `_affine_backward`, `_gru_backward` and `_attend_backward` turn an output
 gradient into input gradients and add each weight's gradient into the
 accumulator they are given, and `_gesture_loss` returns the training loss
-with its gradient. Each rule is the one the fused tape node of that op had,
-with the same operations in the same order, so `model.backward`, which
-chains them, gives the recorded graph's bits. Nothing in training or
-evaluation records a graph.
+with its gradient. The lift net's dense layers run on `_affine` and
+`_affine_backward` as well. Each rule is the one the fused tape node of
+that op had, with the same operations in the same order, so
+`model.backward`, which chains them, gives the recorded graph's bits.
+Nothing in training or evaluation records a graph.
 
 The tape, which only the benchmark still names, is `Tensor` with the ops
 `mul` and `tsum`: every op records its inputs and a local backward rule on
@@ -184,7 +185,8 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
 
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
     and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
-    Returns (h', z, r, r*h, c); ``_gru_backward`` reads the last four."""
+    Returns (h', z, r, r*h, c); ``_gru_backward`` reads z, r and c, and
+    rebuilds r*h from r and h."""
     hidden = h.shape[-1]
     two = 2 * hidden
     zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + h @ u_zr) + b_zr)) + 1.0)  # overflow-free logistic
@@ -195,13 +197,14 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
 
 
 def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
-    """The rule of one ``_gru_cell`` step from state h with gates (z, r, r*h,
-    c), for the gradient g of its (B, H) output; rows where the (B,) bool
-    mask ``keep`` is False carried h unchanged (padded steps). Adds the
-    recurrent weight's gradient into du, stored (3H, H), and the bias's into
-    db. Returns (the (B, 3H) input-projection gradient, the state gradient or
-    None when not ``with_dh``)."""
-    z, r, rh, c = gates
+    """The rule of one ``_gru_cell`` step from state h with gates (z, r, c),
+    for the gradient g of its (B, H) output; rows where the (B,) bool mask
+    ``keep`` is False carried h unchanged (padded steps). The cell's r*h is
+    recomputed here as the same one multiply, so a caller keeps three gates,
+    not four. Adds the recurrent weight's gradient into du, stored (3H, H),
+    and the bias's into db. Returns (the (B, 3H) input-projection gradient,
+    the state gradient or None when not ``with_dh``)."""
+    z, r, c = gates
     hidden = h.shape[-1]
     two = 2 * hidden
     g_carry = None
@@ -221,7 +224,7 @@ def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
         if g_carry is not None:
             d_h += g_carry
     du[:two] += (h.T @ d_pre[:, :two]).T
-    du[two:] += (rh.T @ d_pre[:, two:]).T
+    du[two:] += ((r * h).T @ d_pre[:, two:]).T
     db += d_pre.sum(axis=0)
     return d_pre, d_h
 

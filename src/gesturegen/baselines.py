@@ -72,7 +72,8 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int) -> TimedPoseTrack:
     pick the training word window with the highest BLEU for each, and
     cross-fade the winners' pose spans together.
 
-    Ties break toward the lowest record id, then the earliest window.
+    Ties break toward the lowest record id, then the input order, then the
+    earliest window.
     """
     query_tokens = list(query_tokens)
     if not records:
@@ -81,20 +82,21 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int) -> TimedPoseTrack:
         raise InvalidConfig("empty query text")
 
     ordered = sorted(records, key=lambda r: r.id)
-    tracks = {rec.id: encode_pose(pca, normalize_pose(rec.frames)) for rec in ordered}
+    tracks = [encode_pose(pca, normalize_pose(rec.frames)) for rec in ordered]  # by position: ids may repeat
 
     segments = []
     for start in range(0, len(query_tokens), chunk_len):
         chunk = query_tokens[start : start + chunk_len]
         best = None
-        for rec in ordered:
+        for index, rec in enumerate(ordered):
             surfaces = [w.surface for w in rec.words]
             window = min(chunk_len, len(surfaces))
             for w0 in range(0, len(surfaces) - window + 1):
                 score = bleu_score(surfaces[w0 : w0 + window], chunk)
                 if best is None or score > best[0]:
-                    best = (score, rec, w0, window)
-        score, rec, w0, window = best
+                    best = (score, index, w0, window)
+        score, index, w0, window = best
+        rec = ordered[index]
         # Boundary windows extend to the shot boundary so a full-text match
         # returns the record's pose track verbatim.
         if w0 == 0:
@@ -107,7 +109,7 @@ def nn_baseline(query_tokens, records, pca, chunk_len: int) -> TimedPoseTrack:
             f1 = min(len(rec.frames), int(math.ceil(rec.words[w0 + window - 1].t_end * DEFAULT_FPS)))
         if f1 <= f0:
             f0, f1 = 0, len(rec.frames)
-        segments.append(tracks[rec.id][f0:f1])
+        segments.append(tracks[index][f0:f1])
     return TimedPoseTrack(frames=_crossfade(segments))
 
 

@@ -126,6 +126,12 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
+    for name, shape in shapes:  # before any size arithmetic reads them
+        if not isinstance(name, str) or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise MalformedFile(
+                f"corrupt checkpoint header: array {name!r} needs a string name and non-negative int dimensions, "
+                f"got shape {list(shape)}"
+            )
 
     offset = 16 + header_len
     expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)

@@ -49,6 +49,8 @@ class DatasetRecord:
     frames: np.ndarray  # (T, 8, 2) pixels, NaN rows for undetected joints
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidConfig(f"record id must be a non-empty string, got {self.id!r}")
         if not (math.isfinite(self.frame_height) and self.frame_height > 0):
             raise InvalidConfig("frame height must be finite and positive")
         self.frames = np.asarray(self.frames, dtype=np.float64)

@@ -7,7 +7,8 @@ over plain arrays (`lift_pass`) serves both modes: `lift_forward` runs it
 in eval mode on the running statistics, and each training step runs it in
 train mode on the batch statistics, then adds a hand-written backward's
 gradients into the parameter store, so lift training records no autodiff
-graph. Training draws 16-pose batches and augments each batch with one
+graph. Its dense layers are the kernels `autodiff._affine` and
+`_affine_backward` that the seq2seq model runs on. Training draws 16-pose batches and augments each batch with one
 augment_3d call.
 
 Axis bridge: 2D poses use image convention (y down), the 3D torso frame
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import Config
 from .errors import DegeneratePose, InvalidConfig
 from .kinematics import ANGLE_NAMES, _rot, clamp_angles, compute_joint_angles, forward_kinematics
@@ -115,7 +117,7 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
     inputs, norms = [x], []
     for i, ((w, b), (scale, shift)) in enumerate(zip(params.layers, params.norms), 1):
         run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
-        pre = inputs[-1] @ w.value.T + b.value
+        pre = ad._affine(inputs[-1], w.value.T, b.value)
         if train:
             stats, norm = _batch_norm_train(pre, params.bn_eps)
             for buf, stat in zip((run_mean, run_var), stats):
@@ -128,7 +130,7 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
         norms.append(norm)
         inputs.append(np.maximum(norm[3] * scale.value + shift.value, 0.0))
     w, b = params.layers[2]
-    return inputs[-1] @ w.value.T + b.value, inputs, norms
+    return ad._affine(inputs[-1], w.value.T, b.value), inputs, norms
 
 
 def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
@@ -146,11 +148,10 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
     g = g + g
     for i in (3, 2, 1):
         w, b = params.layers[i - 1]
-        b.grad += g.sum(axis=0)
-        w.grad += (inputs[i - 1].T @ g).T
+        g = ad._affine_backward(g, inputs[i - 1], w.value, w.grad, b.grad, with_dx=i > 1)
         if i == 1:
             return loss
-        g = (g @ w.value) * (inputs[i - 1] > 0.0)  # through the relu
+        g = g * (inputs[i - 1] > 0.0)  # through the relu
         scale, shift = params.norms[i - 2]
         g, g_scale, g_shift = _batch_norm_backward(g, scale.value, norms[i - 2])
         shift.grad += g_shift

@@ -185,10 +185,12 @@ def _keep_masks(lengths, s: int) -> list:
     return [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
 
 
-def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    """Inverted dropout's multiplier: 0 on dropped entries, 1 / (1 - rate)
-    elsewhere, so evaluation passes need no correction."""
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+def _dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
+    """Inverted dropout's multiplier from the bool mask ``keep`` (drawn as
+    ``rng.random(shape) >= rate``): 0 on dropped entries, 1 / (1 - rate)
+    elsewhere, so evaluation passes need no correction. The forward pass
+    and `backward` both build it here, so both read the same bits."""
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
@@ -198,7 +200,8 @@ def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
     padding (None: no padding); padded steps carry the state in both
     directions, so the backward direction starts from zero at each row's
     last word. In train mode each layer appends (its input, per direction
-    each step's (h, z, r, r*h, c)) to the ``record`` list."""
+    each step's (h, (z, r, c))) to the ``record`` list; r*h is left out,
+    since `autodiff._gru_backward` rebuilds it from h and r."""
     batch, s, _ = inputs.shape
     keep = _keep_masks(lengths, s)
     for layer in model.encoder:
@@ -209,9 +212,9 @@ def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
             h = np.zeros((batch, model.cfg.hidden))
             states, steps = [None] * s, [None] * s
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, *gates = ad._gru_cell(gx[:, t], h, *kernel)
+                out, z, r, _, c = ad._gru_cell(gx[:, t], h, *kernel)
                 if record is not None:
-                    steps[t] = (h, gates)
+                    steps[t] = (h, (z, r, c))
                 h = out if keep[t] is None else np.where(keep[t][:, None], out, h)
                 states[t] = h
             directions.append(np.stack(states, axis=1))
@@ -231,7 +234,9 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
     and, when it emits, the post-linear. The decoder warms on the (B, n, 10)
     seed poses, where only the last step emits (its pose feeds the first
     output step), then emits m poses, each feeding the next. In train mode
-    each step appends its intermediates to the ``record`` list. Returns
+    each step appends its intermediates to the ``record`` list: its dropout
+    mask as bools (`_dropout_scale` rebuilds the multiplier) and each cell's
+    gates as (z, r, c), without r*h. Returns
     rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
     m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
@@ -249,12 +254,12 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
             x = np.concatenate([pre, context], axis=-1)
             keep = None
             if dropout > 0.0:
-                keep = _dropout_mask(rng, x.shape, dropout)
-                x = x * keep
-            h1_next, *gates1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
-            h2_next, *gates2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
+                keep = rng.random(x.shape) >= dropout
+                x = x * _dropout_scale(keep, dropout)
+            h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
+            h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
             if record is not None:
-                record.append((prev, x, keep, weights, t, h1, gates1, h1_next, h2, gates2, h2_next))
+                record.append((prev, x, keep, weights, t, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
             h1, h2 = h1_next, h2_next
             if k >= n - 1:
                 pose = ad._affine(h2, post_t, post_b)
@@ -293,14 +298,18 @@ def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
 @dataclass
 class TrainPass:
     """What `backward` reads of one `forward_graph` pass: the encoder's
-    keep masks and per-layer record (see `_encode`), the annotations and
-    each decoder step's intermediates (see `_decoder`)."""
+    keep masks and per-layer record (see `_encode`), the annotations, each
+    decoder step's intermediates (see `_decoder`) and the dropout rate that
+    turns the decoder's recorded bool masks back into multipliers. It keeps
+    no float dropout multiplier and no r*h: each is one elementwise op away
+    from what it does keep."""
 
     model: Seq2SeqModel
     keep: list
     encoder: list
     annotations: np.ndarray
     decoder: list
+    dropout: float
 
 
 def forward_graph(
@@ -336,12 +345,12 @@ def forward_graph(
         raise InvalidConfig("dropout needs an rng")
 
     if dropout > 0.0:
-        embedded = embedded * _dropout_mask(rng, embedded.shape, dropout)
+        embedded = embedded * _dropout_scale(rng.random(embedded.shape) >= dropout, dropout)
     encoder, decoder = [], []
     annotations = _encode(model, embedded, lengths, encoder)
     projected = ad._affine(annotations, model.att_ann.value.T)
     poses, attention = _decoder(model, mask, rng, dropout, decoder)(seed_poses, annotations, projected)
-    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, decoder)
+    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, decoder, dropout)
 
 
 def forward(model, chunks, seed_poses):
@@ -416,7 +425,7 @@ def backward(run: TrainPass, g_poses: np.ndarray):
         d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, gates1, u1.grad, b1.grad, with_dh=k > 0)
         d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)
         if keep is not None:
-            d_x = d_x * keep
+            d_x = d_x * _dropout_scale(keep, run.dropout)
         d_ann_k, d_proj_k, d_query = ad._attend_backward(
             d_x[:, hidden:], h2, w_query_t, v, run.annotations, weights, t, model.att_score.grad, model.att_query.grad, k > 0
         )

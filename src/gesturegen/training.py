@@ -151,6 +151,10 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     ``lr``, ``batch_size``, ``dropout``, ``epochs`` and ``seed``;
     ``model.cfg`` is not changed.
 
+    Each batch looks its words up in ``table`` as it is built, so what
+    training holds beyond the pairs and the model follows the batch size,
+    not the number of pairs.
+
     A non-finite loss or gradient raises InvalidConfig naming the
     (0-based) epoch and batch. ``on_epoch(epoch_index, model, breakdown)``
     runs after every epoch, for checkpointing.
@@ -164,7 +168,6 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         if p.target_poses.shape != shape:
             raise InvalidConfig(f"pair poses have shape {p.target_poses.shape}, expected {shape}")
 
-    embedded = [np.stack([table.lookup(w) for w in p.words]) for p in pairs]
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     history = []
@@ -174,7 +177,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         sums = np.zeros(4)
         for bstart in range(0, len(perm), cfg.batch_size):
             batch = perm[bstart : bstart + cfg.batch_size]
-            emb, words = pad_words([embedded[i] for i in batch])
+            emb, words = pad_words([np.stack([table.lookup(w) for w in pairs[i].words]) for i in batch])
             seeds = np.stack([pairs[i].target_poses[:n] for i in batch])
             targets = np.stack([pairs[i].target_poses[n:] for i in batch])
             model.store.zero_grads()

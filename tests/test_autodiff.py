@@ -13,7 +13,7 @@ import tape_oracle as tape
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
 from gesturegen.errors import InvalidConfig
-from gesturegen.model import _dropout_mask
+from gesturegen.model import _dropout_scale
 
 
 def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
@@ -74,11 +74,11 @@ def _gru_rule(t=None, keep=None):
 
     def rule(g, gx, h, u, b):
         u_zr, u_c, b_zr, b_c = ad._gru_blocks(u.T, b)
-        out, *gates = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
+        out, z, r, _, c = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
         if keep is not None:
             out = np.where(keep[:, None], out, h)
         du, db = np.zeros_like(u), np.zeros_like(b)
-        d_pre, dh = ad._gru_backward(g, h, u_zr, u_c, gates, du, db, keep)
+        d_pre, dh = ad._gru_backward(g, h, u_zr, u_c, (z, r, c), du, db, keep)
         d_gx = d_pre
         if t is not None:
             d_gx = np.zeros_like(gx)
@@ -327,7 +327,7 @@ def test_eval_mode_records_nothing():
 
 
 def test_dropout_train_scaling():
-    keep = _dropout_mask(np.random.default_rng(0), (200, 50), 0.1)
+    keep = _dropout_scale(np.random.default_rng(0).random((200, 50)) >= 0.1, 0.1)
     kept = keep[keep > 0]
     assert np.allclose(kept, 1.0 / 0.9)
     assert abs(keep.mean() - 1.0) < 0.02

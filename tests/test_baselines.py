@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ class TestNnBaseline:
         t1 = nn_baseline(query, records, pca, chunk_len=6)
         t2 = nn_baseline(query, records, pca, chunk_len=6)
         assert np.array_equal(t1.frames, t2.frames)
+
+    def test_repeated_id_cuts_the_winning_record(self, corpus_and_pca):
+        """Two records under one id: the window the first one wins is cut
+        from its own poses, not from the other record's."""
+        records, pca = corpus_and_pca
+        first, second = (replace(records[i], id="dup") for i in (3, 5))
+        query = [w.surface for w in first.words]
+        track = nn_baseline(query, [first, second], pca, chunk_len=len(query))
+        assert np.array_equal(track.frames, encode_pose(pca, normalize_pose(first.frames)))
 
     def test_empty_training_set(self, corpus_and_pca):
         _, pca = corpus_and_pca

@@ -122,6 +122,14 @@ def test_train_digests_pinned(workloads, tmp_path):
     )
 
 
+def test_train_step_peak_bounded(workloads, tmp_path):
+    """The seed-1 one-step tracemalloc peak that the benchmark reports as
+    ``autodiff.tape_peak_mb`` stays within 5% of the 27.97 MB it reads with
+    words looked up per batch, bool dropout masks and no r*h in the record."""
+    state, _ = workloads.setup_train(1, tmp_path)
+    assert workloads.tape_peak_mb(state) <= 27.97 * 1.05
+
+
 def test_train_setup_digest_pinned(workloads, tmp_path):
     """The train set-up (corpus, pose basis, training pairs) hashes to the
     value the benchmark printed for seed 0 before records became arrays."""

@@ -152,6 +152,29 @@ class TestVersioning:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "entry, drop",
+        [
+            ({"shape": [-2, 8]}, 32),
+            ({"shape": ["16"]}, 0),
+            ({"shape": [1.5]}, 0),
+            ({"shape": [True]}, 0),
+            ({"name": ["pca.mean"]}, 0),
+        ],
+        ids=["negative", "string", "float", "bool", "list_name"],
+    )
+    def test_bad_array_entry_rejected(self, tmp_path, entry, drop):
+        """The first array entry of a pose-basis checkpoint edited; the
+        payload loses ``drop`` values so that its size matches what the
+        header implies ([-2, 8] counts -16 values where the mean had 16)."""
+        path = tmp_path / "p.ggck"
+        save_checkpoint(Checkpoint(config={}, pca=_full_checkpoint().pca), path)
+        edit_header(path, lambda h: h["arrays"][0].update(entry))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size - 8 * drop])
+        reason = "needs a string name and non-negative int dimensions, got shape "
+        with pytest.raises(MalformedFile, match=f"^corrupt checkpoint header: array .* {reason}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "mean, components, ratio, reason",
         [
             ((3,), (2, 5), (2,), r"have shapes \(3,\), \(2, 5\), \(2,\), expected \(16,\), \(k, 16\), \(k,\)"),

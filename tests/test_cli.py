@@ -853,6 +853,33 @@ def test_bad_embedding_ref_generate_is_single_line(workspace, tmp_path, capsys):
     assert not (tmp_path / "track.csv").exists()
 
 
+def test_bad_array_shape_pca_sweep_is_single_line(workspace, tmp_path, capsys):
+    from test_checkpoint import edit_header
+
+    root, _ = workspace
+    path = tmp_path / "ck.ggck"
+    shutil.copyfile(root / "ck.ggck", path)
+    edit_header(path, lambda h: h["arrays"][0].update(shape=["16"]))
+    capsys.readouterr()
+    assert main(["pca-sweep", "--checkpoint", str(path), "--out-dir", str(tmp_path / "svg")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("pca-sweep: corrupt checkpoint header: array 'pca.mean' ") and "\n" not in err
+
+
+def test_non_string_record_id_baseline_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    lines = (root / "kept.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "id": 5})
+    path = tmp_path / "kept.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = ["baseline", "nn", "--checkpoint", str(root / "ck.ggck"), "--dataset", str(path), "--text", "we hold"]
+    assert main([*args, "--out", str(tmp_path / "nn.csv"), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"baseline: {path}: bad record on line 2: record id must be a non-empty string, got 5"]
+    assert not (tmp_path / "nn.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, reason",
     [

@@ -59,6 +59,11 @@ class TestRecordValidation:
         with pytest.raises(InvalidConfig):
             DatasetRecord(id="x", frame_height=400, words=[], frames=frames)
 
+    @pytest.mark.parametrize("record_id", [5, "", None, ["a"]])
+    def test_id_is_a_non_empty_string(self, record_id):
+        with pytest.raises(InvalidConfig, match="record id must be a non-empty string"):
+            DatasetRecord(id=record_id, frame_height=400, words=[], frames=_passing_record().frames)
+
     def test_frame_shape(self):
         with pytest.raises(InvalidConfig):
             DatasetRecord(id="x", frame_height=400, words=[], frames=np.zeros((3, 7, 2)))
@@ -171,8 +176,8 @@ class TestSynthCorpus:
 
 @st.composite
 def _records(draw):
-    """A valid record: any finite frame height, sorted word starts, and
-    (T, 8, 2) frames in which some joints are absent (NaN rows)."""
+    """A valid record: a non-empty id, any finite frame height, sorted word
+    starts, and (T, 8, 2) frames in which some joints are absent (NaN rows)."""
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     times = st.floats(-1e6, 1e6)
     starts = sorted(draw(st.lists(times, max_size=4)))
@@ -180,7 +185,7 @@ def _records(draw):
     count = draw(st.integers(1, 6))
     frames = draw(hnp.arrays(np.float64, (count, 8, 2), elements=st.floats(allow_nan=False, allow_infinity=False)))
     frames[draw(hnp.arrays(bool, (count, 8)))] = np.nan
-    return DatasetRecord(draw(st.text(max_size=6)), draw(positive), words, frames)
+    return DatasetRecord(draw(st.text(min_size=1, max_size=6)), draw(positive), words, frames)
 
 
 class TestJsonl:
@@ -237,6 +242,13 @@ class TestJsonl:
         lines[1] = json.dumps(obj).replace('"PLACEHOLDER"', raw)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile, match="bad record on line 2: "):
+            load_records_jsonl(path)
+
+    def test_non_string_id_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl([_passing_record(f"r{i}") for i in range(3)], path)
+        path.write_text(path.read_text().replace('"id":"r1"', '"id":5'))
+        with pytest.raises(MalformedFile, match="^.*: bad record on line 2: record id must be a non-empty string, got 5$"):
             load_records_jsonl(path)
 
     @pytest.mark.parametrize("fps", ["24.0", "0", "-12"])

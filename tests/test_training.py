@@ -417,6 +417,29 @@ class TestTrainModel:
         with pytest.raises(InvalidConfig, match=r"^training diverged at epoch 1, batch 1: non-finite gradient$"):
             train_model(_template_pairs(4, 2, 4, rng), Config(epochs=2, batch_size=2), model, _toy_table())
 
+    def test_memory_follows_the_batch(self):
+        """An epoch of 4 batches peaks less than one batch's word vectors (8
+        pairs x 5 words x 300 x 8 B = 96,000 B) above an epoch of 1: each
+        batch looks its words up as it is built."""
+        rng = np.random.default_rng(14)
+        vocab = [f"w{i}" for i in range(20)]
+        table = EmbeddingTable(dim=300, entries={w: rng.normal(size=300) for w in vocab})
+        words = [[vocab[i] for i in rng.integers(0, len(vocab), 5)] for _ in range(32)]
+        pairs = [TrainingPair(words=w, target_poses=rng.normal(size=(5, 10))) for w in words]
+        cfg = ModelConfig(word_dim=300, hidden=8, att_dim=8, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+
+        def peak(count):
+            model = init_model(cfg, seed=0)
+            tracemalloc.start()
+            try:
+                train_model(pairs[:count], Config(epochs=1, batch_size=8), model, table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # finish lazy imports before tracing
+        assert peak(32) - peak(8) < 8 * 5 * 300 * 8
+
     def test_embedding_width_mismatch(self):
         rng = np.random.default_rng(12)
         cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
