@@ -150,11 +150,13 @@ def tsum(x):
 def _affine(x, w_t, b=None):
     """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
     the flattened leading dims for a (B, s, in) x."""
-    x2 = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
-    out = x2 @ w_t
-    if x.ndim != 2:
-        out = out.reshape(x.shape[:-1] + w_t.shape[1:])
-    return out if b is None else out + b
+    if x.ndim == 2:
+        out = x @ w_t
+    else:
+        out = (x.reshape(-1, x.shape[-1]) @ w_t).reshape(x.shape[:-1] + w_t.shape[1:])
+    if b is not None:
+        out += b  # the product is fresh: add the bias in place
+    return out
 
 
 def _affine_backward(g, x, w, dw, db=None, with_dx=True):
@@ -177,6 +179,10 @@ def _gru_blocks(u_t, b):
     return u_t[:, :two], u_t[:, two:], b[:two], b[two:]
 
 
+# 0-d operands: a Python float is converted to an array on every ufunc call
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+
+
 def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
     """One GRU update, gates ordered update (z), reset (r), candidate:
 
@@ -186,14 +192,27 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
     and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
     Returns (h', z, r, r*h, c); ``_gru_backward`` reads z, r and c, and
-    rebuilds r*h from r and h."""
+    rebuilds r*h from r and h. Each chain runs in place on the fresh product
+    that starts it, in the order above; h' is a fresh array, so c is kept."""
     hidden = h.shape[-1]
     two = 2 * hidden
-    zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + h @ u_zr) + b_zr)) + 1.0)  # overflow-free logistic
+    zr = h @ u_zr
+    np.add(gxt[:, :two], zr, zr)
+    zr += b_zr
+    np.multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
+    np.tanh(zr, zr)
+    np.add(zr, _ONE, zr)
+    np.multiply(zr, _HALF, zr)
     z, r = zr[:, :hidden], zr[:, hidden:]
     rh = r * h
-    c = np.tanh((gxt[:, two:] + rh @ u_c) + b_c)
-    return h + z * (c - h), z, r, rh, c
+    c = rh @ u_c
+    np.add(gxt[:, two:], c, c)
+    c += b_c
+    np.tanh(c, c)
+    out = c - h
+    out *= z
+    out += h
+    return out, z, r, rh, c
 
 
 def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
@@ -239,14 +258,17 @@ def _attend(query, projected, v_col, annotations, mask):
     annotation projection, the (A, 1) score column v, the (B, s, C)
     annotations and an optional (B, s) score mask (-inf gives a position
     weight exactly 0). Returns (context (B, C), weights (B, s), t (B, s,
-    A)); ``_attend_backward`` reads the last two."""
+    A)); ``_attend_backward`` reads the last two. The tanh and the softmax
+    run in place on the fresh sum and scores."""
     batch, s, att = projected.shape
-    t = np.tanh(query.reshape(batch, 1, att) + projected)
-    scores = (t.reshape(-1, att) @ v_col).reshape(batch, s)
+    t = query.reshape(batch, 1, att) + projected
+    np.tanh(t, t)
+    weights = (t.reshape(-1, att) @ v_col).reshape(batch, s)
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     context = np.matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1)
     return context, weights, t
 

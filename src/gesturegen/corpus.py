@@ -35,6 +35,8 @@ class WordSpan:
     t_end: float
 
     def __post_init__(self):
+        if not isinstance(self.surface, str) or not self.surface:
+            raise InvalidConfig(f"word surface must be a non-empty string, got {self.surface!r}")
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise InvalidConfig(f"word {self.surface!r} needs finite times")
         if self.t_end < self.t_start:

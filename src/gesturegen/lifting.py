@@ -203,16 +203,20 @@ def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: f
     mean shoulder distance 1).
 
     Draws are per pose in batch order (its angle, then its noise), so a
-    batch consumes ``rng`` exactly as one call per one-pose slice would."""
+    batch consumes ``rng`` exactly as one call per one-pose slice would. An
+    angle is drawn as ``uniform(-r, r)`` computes it, ``-r + (r - -r) * u``,
+    and the noise as ``normal(0, sigma)`` does, ``0.0 + sigma * z``, scaled
+    once for the batch: the same stream and the same bits."""
+    low, span = -rot_range, rot_range - -rot_range
     angles = np.empty(len(samples))
-    noise = np.empty(samples.shape)
+    z = np.empty(samples.shape)
     for i in range(len(samples)):
-        angles[i] = rng.uniform(-rot_range, rot_range)
+        angles[i] = low + span * rng.random()
         if noise_sigma > 0:
-            noise[i] = rng.normal(0.0, noise_sigma, size=(8, 3))
+            rng.standard_normal(out=z[i])
     joints = samples @ np.swapaxes(_rot(1, angles), -1, -2)
     if noise_sigma > 0:
-        joints = joints + noise
+        joints = joints + (0.0 + noise_sigma * z)
     joints = joints - joints[:, NECK : NECK + 1]
     return joints / shoulder_scale(joints)[:, None, None]
 

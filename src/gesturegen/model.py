@@ -203,25 +203,25 @@ def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
     each step's (h, (z, r, c))) to the ``record`` list; r*h is left out,
     since `autodiff._gru_backward` rebuilds it from h and r."""
     batch, s, _ = inputs.shape
+    hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
     for layer in model.encoder:
-        directions, kept = [], []
-        for cell, reverse in zip(layer, (False, True)):
+        states, kept = np.empty((batch, s, 2 * hidden)), []  # the layer's output, filled step by step
+        for cell, reverse, half in zip(layer, (False, True), (slice(hidden), slice(hidden, None))):
             w_t, *kernel = _cell_weights(cell)
             gx = ad._affine(inputs, w_t)
-            h = np.zeros((batch, model.cfg.hidden))
-            states, steps = [None] * s, [None] * s
+            h = np.zeros((batch, hidden))
+            steps = [None] * s
             for t in range(s - 1, -1, -1) if reverse else range(s):
                 out, z, r, _, c = ad._gru_cell(gx[:, t], h, *kernel)
                 if record is not None:
                     steps[t] = (h, (z, r, c))
                 h = out if keep[t] is None else np.where(keep[t][:, None], out, h)
-                states[t] = h
-            directions.append(np.stack(states, axis=1))
+                states[:, t, half] = h
             kept.append(steps)
         if record is not None:
             record.append((inputs, kept))
-        inputs = np.concatenate(directions, axis=-1)
+        inputs = states
     return inputs
 
 
@@ -245,9 +245,10 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
     n = model.cfg.n_seed_poses
 
     def rollout(seed_poses, annotations, projected):
-        h1 = h2 = np.zeros((seed_poses.shape[0], model.cfg.hidden))
-        poses, rows = [], []
-        for k in range(n + model.cfg.n_output_poses):
+        batch, m = seed_poses.shape[0], model.cfg.n_output_poses
+        h1 = h2 = np.zeros((batch, model.cfg.hidden))
+        poses, rows = np.empty((batch, m, post_b.shape[0])), np.empty((batch, m, projected.shape[1]))
+        for k in range(n + m):
             prev = seed_poses[:, k] if k < n else pose
             pre = ad._affine(prev, pre_t, pre_b)
             context, weights, t = ad._attend(h2 @ w_query_t, projected, v_col, annotations, mask)
@@ -255,7 +256,7 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
             keep = None
             if dropout > 0.0:
                 keep = rng.random(x.shape) >= dropout
-                x = x * _dropout_scale(keep, dropout)
+                x *= _dropout_scale(keep, dropout)
             h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
             h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
             if record is not None:
@@ -264,9 +265,9 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
             if k >= n - 1:
                 pose = ad._affine(h2, post_t, post_b)
             if k >= n:
-                poses.append(pose)
-                rows.append(weights)
-        return np.stack(poses, axis=1), np.stack(rows, axis=1)
+                poses[:, k - n] = pose
+                rows[:, k - n] = weights
+        return poses, rows
 
     return rollout
 

@@ -52,11 +52,12 @@ def rowdot(a, b):
 
 
 def shoulder_scale(joints):
-    """Mean of the two neck-to-shoulder distances of (..., 8, D) joints."""
-    neck = joints[..., NECK, :]
-    left = joints[..., L_SHOULDER, :] - neck
-    right = joints[..., R_SHOULDER, :] - neck
-    return 0.5 * (np.sqrt(rowdot(left, left)) + np.sqrt(rowdot(right, right)))
+    """Mean of the two neck-to-shoulder distances of (..., 8, D) joints
+    centred on the neck (the neck row is 0): one `rowdot` of the rows-2-and-5
+    slice gives both squared shoulder lengths."""
+    shoulders = joints[..., L_SHOULDER : R_SHOULDER + 1 : R_SHOULDER - L_SHOULDER, :]
+    lengths = np.sqrt(rowdot(shoulders, shoulders))
+    return 0.5 * (lengths[..., 0] + lengths[..., 1])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, read_rows, write_rows
+from .errors import InvalidConfig, open_for_write, read_rows, write_rows
 from .model import Seq2SeqModel, forward
 
 DEFAULT_FPS = 12.0  # the one frame rate of records, tracks and the decoder
@@ -123,7 +123,7 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
 def assemble_attention(maps, chunks) -> np.ndarray:
     """Block-diagonal attention over the whole utterance: rows are generated
     frames in order, columns are words in order; entries outside a chunk's
-    word span are zero."""
+    word span are zero. Every chunk has at least one word."""
     if len(maps) != len(chunks):
         raise InvalidConfig("one attention map per chunk required")
     total_rows = sum(m.shape[0] for m in maps)
@@ -132,6 +132,8 @@ def assemble_attention(maps, chunks) -> np.ndarray:
     r = c = 0
     for attn, chunk in zip(maps, chunks):
         rows, cols = attn.shape
+        if not len(chunk):
+            raise InvalidConfig("attention chunk has no words")
         if cols != len(chunk):
             raise InvalidConfig(f"attention has {cols} columns for a {len(chunk)}-word chunk")
         out[r : r + rows, c : c + cols] = attn
@@ -141,11 +143,28 @@ def assemble_attention(maps, chunks) -> np.ndarray:
 
 
 def export_attention(maps, chunks, path) -> np.ndarray:
-    """Write the assembled attention matrix as CSV with word-surface column
-    headers. Returns the matrix. A non-finite entry is refused before the
-    file is opened."""
+    """Write the `assemble_attention` matrix as CSV: a header of word
+    surfaces, then one row per generated frame. A chunk's rows are written
+    as its own weights between runs of "0.0" for the words before and after
+    it, the bytes `write_rows` gives for the dense matrix, so no zero outside
+    a chunk is formatted. A non-finite weight is refused, naming its row,
+    before the file is opened. Returns the dense matrix, which the benchmark
+    checks."""
     matrix = assemble_attention(maps, chunks)
-    write_rows(path, "attention file", matrix, header=",".join(w for chunk in chunks for w in chunk))
+    first = 0
+    for attn in maps:
+        finite = np.isfinite(attn).all(axis=1)
+        if not finite.all():
+            raise InvalidConfig(f"attention file row {first + int(np.argmin(finite))} has non-finite values")
+        first += len(attn)
+    before, after = 0, matrix.shape[1]
+    with open_for_write(path, "attention file") as fh:
+        fh.write(",".join(w for chunk in chunks for w in chunk) + "\n")
+        for attn, chunk in zip(maps, chunks):
+            after -= len(chunk)
+            prefix, suffix = "0.0," * before, ",0.0" * after
+            fh.write("".join([prefix + ",".join(map(repr, row)) + suffix + "\n" for row in attn.tolist()]))
+            before += len(chunk)
     return matrix
 
 

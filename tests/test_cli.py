@@ -880,6 +880,31 @@ def test_non_string_record_id_baseline_is_single_line(workspace, tmp_path, capsy
     assert not (tmp_path / "nn.csv").exists()
 
 
+@pytest.mark.parametrize("raw, shown", [(5, "5"), (None, "None"), ("", "''")], ids=["number", "null", "empty"])
+@pytest.mark.parametrize("command", ["train", "curate"])
+def test_bad_word_surface_is_single_line(workspace, tmp_path, capsys, command, raw, shown):
+    root, train_args = workspace
+    lines = (root / "kept.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["words"][0][0] = raw
+    lines[1] = json.dumps(record)
+    path = tmp_path / "kept.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out = ["--dataset", str(path), "--out-dir", str(tmp_path / "out")]
+    args = {
+        "train": [*train_args, "--history", str(tmp_path / "history.csv"), *out],
+        "curate": ["curate", "--out", str(tmp_path / "k.jsonl"), "--report", str(tmp_path / "r.json"), *out],
+    }[command]
+    checkpoint = (root / "ck.ggck").read_bytes()
+    capsys.readouterr()
+    assert main(args) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"{command}: {path}: bad record on line 2: word surface must be a non-empty string, got {shown}"]
+    assert (root / "ck.ggck").read_bytes() == checkpoint
+    assert not (tmp_path / "k.jsonl").exists() and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, reason",
     [

@@ -72,6 +72,11 @@ class TestRecordValidation:
         with pytest.raises(InvalidConfig):
             WordSpan("a", 1.0, 0.5)
 
+    @pytest.mark.parametrize("surface", [5, None, ""])
+    def test_word_surface_is_a_non_empty_string(self, surface):
+        with pytest.raises(InvalidConfig, match=f"^word surface must be a non-empty string, got {surface!r}$"):
+            WordSpan(surface, 0.3, 0.8)
+
 
 class TestCurateShots:
     def test_passing_record_kept(self):
@@ -181,7 +186,7 @@ def _records(draw):
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     times = st.floats(-1e6, 1e6)
     starts = sorted(draw(st.lists(times, max_size=4)))
-    words = [WordSpan(draw(st.text(max_size=4)), t, t + draw(st.floats(0.0, 1e6))) for t in starts]
+    words = [WordSpan(draw(st.text(min_size=1, max_size=4)), t, t + draw(st.floats(0.0, 1e6))) for t in starts]
     count = draw(st.integers(1, 6))
     frames = draw(hnp.arrays(np.float64, (count, 8, 2), elements=st.floats(allow_nan=False, allow_infinity=False)))
     frames[draw(hnp.arrays(bool, (count, 8)))] = np.nan
@@ -242,6 +247,18 @@ class TestJsonl:
         lines[1] = json.dumps(obj).replace('"PLACEHOLDER"', raw)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile, match="bad record on line 2: "):
+            load_records_jsonl(path)
+
+    @pytest.mark.parametrize("raw, shown", [("5", "5"), ("null", "None"), ('""', "''")])
+    def test_bad_word_surface_rejected_with_line_number(self, tmp_path, raw, shown):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl([_passing_record(f"r{i}") for i in range(3)], path)
+        lines = path.read_text().splitlines()
+        assert '"words":[["hello",' in lines[1]
+        lines[1] = lines[1].replace('"words":[["hello",', f'"words":[[{raw},')
+        path.write_text("\n".join(lines) + "\n")
+        message = f"^.*: bad record on line 2: word surface must be a non-empty string, got {shown}$"
+        with pytest.raises(MalformedFile, match=message):
             load_records_jsonl(path)
 
     def test_non_string_id_rejected_with_line_number(self, tmp_path):

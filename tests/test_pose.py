@@ -19,6 +19,7 @@ from gesturegen.pose import (
     fit_pca,
     normalize_pose,
     project_pose,
+    rowdot,
     shoulder_scale,
 )
 
@@ -100,7 +101,36 @@ _JITTER = arrays(
 )
 
 
+def _normalize_reference(joints):
+    """normalize_pose's arithmetic before the shoulders were read as one
+    slice: each shoulder minus the centred neck, one rowdot per shoulder.
+    None where a scale is below 1e-12, which normalize_pose refuses."""
+    centered = joints - joints[..., NECK : NECK + 1, :]
+    neck = centered[..., NECK, :]
+    left = centered[..., L_SHOULDER, :] - neck
+    right = centered[..., R_SHOULDER, :] - neck
+    scale = 0.5 * (np.sqrt(rowdot(left, left)) + np.sqrt(rowdot(right, right)))
+    return None if (scale < 1e-12).any() else centered / scale[..., None, None]
+
+
+_POSE_SHAPES = st.one_of(st.just((8, 2)), st.tuples(st.integers(1, 6), st.just(8), st.just(2)))
+
+
 class TestBatchedPose:
+    @settings(max_examples=80, deadline=None)
+    @given(poses=arrays(np.float64, _POSE_SHAPES, elements=st.floats(-1e6, 1e6)))
+    def test_bytes_equal_reference(self, poses):
+        """Single poses and (T, 8, 2) stacks of any finite coordinates
+        normalize to the reference's bytes, and are refused where its
+        scale is degenerate."""
+        want = _normalize_reference(poses)
+        if want is None:
+            with pytest.raises(DegeneratePose, match="^both shoulders coincide with the neck$"):
+                normalize_pose(poses)
+        else:
+            got = normalize_pose(poses)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(jitter=_JITTER)
     def test_batch_equals_stacked_frames(self, fitted, jitter):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -249,6 +250,20 @@ class TestAlignTrack:
             align_track(TimedPoseTrack(frames=np.zeros((0, 10))), 1.0)
 
 
+# one output file per example, rewritten in place
+_codec_settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _attention_maps(draw):
+    """1 to 14 chunks of 1 to 5 words, each with a map of 1 to 4 rows of any
+    finite weights (signed zeros and subnormals included)."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=14))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    maps = [draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), w), elements=values)) for w in widths]
+    return maps, [tuple(f"w{i}_{j}" for j in range(w)) for i, w in enumerate(widths)]
+
+
 class TestAttentionExport:
     def test_single_chunk_dense(self, tmp_path):
         model, table = _tiny_model_and_table()
@@ -276,16 +291,71 @@ class TestAttentionExport:
         assert np.all(matrix[4:, :2] == 0)
         assert np.allclose(matrix.sum(axis=1), 1.0)
 
+    def test_empty_chunk_refused(self):
+        with pytest.raises(InvalidConfig, match="^attention chunk has no words$"):
+            assemble_attention([np.full((2, 1), 1.0), np.zeros((2, 0))], [("a",), ()])
+
+    @_codec_settings
+    @given(case=_attention_maps())
+    @example(case=([np.array([[1.0], [-0.0]])], [("w0_0",)]))  # a single 1-word chunk
+    @example(case=([np.full((2, 1 + i % 3), 0.25 * i) for i in range(12)], [("w",) * (1 + i % 3) for i in range(12)]))
+    def test_chunk_writer_bytes_equal_dense_writer(self, tmp_path, case):
+        """The chunked writer's bytes are `write_rows` over the dense matrix."""
+        maps, chunks = case
+        matrix = export_attention(maps, chunks, tmp_path / "chunked.csv")
+        assert np.array_equal(matrix, assemble_attention(maps, chunks))
+        header = ",".join(w for chunk in chunks for w in chunk)
+        write_rows(tmp_path / "dense.csv", "attention file", matrix, header=header)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    @_codec_settings
+    @given(case=_attention_maps(), data=st.data())
+    def test_non_finite_weight_refused_as_dense_writer(self, tmp_path, case, data):
+        """A non-finite weight gives the dense writer's message, row number
+        included, and no file."""
+        maps, chunks = case
+        for _ in range(data.draw(st.integers(1, 3))):
+            attn = maps[data.draw(st.integers(0, len(maps) - 1))]
+            row, col = data.draw(st.integers(0, len(attn) - 1)), data.draw(st.integers(0, attn.shape[1] - 1))
+            attn[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        header = ",".join(w for chunk in chunks for w in chunk)
+        with pytest.raises(InvalidConfig) as dense:
+            write_rows(tmp_path / "dense.csv", "attention file", assemble_attention(maps, chunks), header=header)
+        path = tmp_path / "chunked.csv"
+        path.unlink(missing_ok=True)
+        with pytest.raises(InvalidConfig) as chunked:
+            export_attention(maps, chunks, path)
+        assert str(chunked.value) == str(dense.value)
+        assert not path.exists()
+
+
+def test_long_utterance_files_pinned(tmp_path):
+    """One seeded 300-word utterance in 50 six-word chunks, 1000 generated
+    frames over 300 words: the sha256 of its track and attention files,
+    recorded with the dense attention writer and the out-of-place kernels."""
+    cfg = ModelConfig(word_dim=8, hidden=12, att_dim=10, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+    model = init_model(cfg, seed=33)
+    rng = np.random.default_rng(33)
+    table = EmbeddingTable(dim=8, entries={f"v{i}": rng.normal(size=8) for i in range(40)})
+    words = [f"v{i}" for i in rng.integers(0, 40, size=300)]
+    duration = 300 * 60.0 / 160.0
+    plan = plan_chunks(words, duration, cfg.n_seed_poses, cfg.n_output_poses)
+    assert len(plan.chunks) == 50
+    track, maps = generate_gesture(model, plan, table)
+    save_track_csv(align_track(track, duration), tmp_path / "track.csv")
+    export_attention(maps, plan.chunks, tmp_path / "attn.csv")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("track.csv", "attn.csv")]
+    assert digests == [
+        "82330370130d43c3ce75d5fb25fd1f184f2217462028d6ca94cead7890960e0f",
+        "d3f7ee6e4ec8d8166ebdfd9866af12c447d7f86c921f375b6be6fc4b29d80476",
+    ]
+
 
 def _finite_frames(width):
     """(T, width) float64 frames of any finite values, T in [1, 20]."""
     rows = st.integers(min_value=1, max_value=20)
     values = st.floats(allow_nan=False, allow_infinity=False)
     return hnp.arrays(np.float64, st.tuples(rows, st.just(width)), elements=values)
-
-
-# one track file per example, rewritten in place
-_codec_settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestTrackCsv:
