@@ -28,6 +28,12 @@ from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER,
 from .synthesis import DEFAULT_FPS
 
 
+def _finite(value) -> bool:
+    """True for a finite number that is not a bool: JSON true and false
+    load as bools, and a bool is an int."""
+    return not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class WordSpan:
     surface: str
@@ -37,8 +43,8 @@ class WordSpan:
     def __post_init__(self):
         if not isinstance(self.surface, str) or not self.surface:
             raise InvalidConfig(f"word surface must be a non-empty string, got {self.surface!r}")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise InvalidConfig(f"word {self.surface!r} needs finite times")
+        if not (_finite(self.t_start) and _finite(self.t_end)):
+            raise InvalidConfig(f"word {self.surface!r} needs finite times, got {self.t_start!r} to {self.t_end!r}")
         if self.t_end < self.t_start:
             raise InvalidConfig(f"word {self.surface!r} ends before it starts")
 
@@ -53,8 +59,8 @@ class DatasetRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidConfig(f"record id must be a non-empty string, got {self.id!r}")
-        if not (math.isfinite(self.frame_height) and self.frame_height > 0):
-            raise InvalidConfig("frame height must be finite and positive")
+        if not (_finite(self.frame_height) and self.frame_height > 0):
+            raise InvalidConfig(f"frame height must be a finite positive number, got {self.frame_height!r}")
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.shape[1:] != (8, 2) or len(self.frames) == 0:
             raise InvalidConfig(f"record needs (T >= 1, 8, 2) frames, got {self.frames.shape}")

@@ -153,9 +153,12 @@ def compute_joint_angles(joints) -> np.ndarray:
 
 
 def _is_range(bounds) -> bool:
-    """True for a pair of finite numbers (lo, hi) with lo <= hi."""
+    """True for a pair of finite numbers (lo, hi) with lo <= hi; a bool
+    (JSON true or false) is not a number here."""
     try:
         lo, hi = bounds
+        if isinstance(lo, bool) or isinstance(hi, bool):
+            return False
         return -math.inf < lo <= hi < math.inf  # False for NaN, TypeError for non-numbers
     except (TypeError, ValueError):
         return False

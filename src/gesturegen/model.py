@@ -13,7 +13,11 @@ the steps on the kernels `autodiff._affine`, `_gru_cell` and `_attend`.
 `forward_graph` (train mode) adds dropout masks and keeps each step's
 intermediates in a `TrainPass`, and `backward` walks that record in
 reverse through the kernels' backward rules into the store's gradients;
-nothing records a graph. `forward` (eval) keeps nothing: it encodes all
+nothing records a graph. The record leaves out what one step's backward
+can rebuild cheaply, the decoder's attention (its tanh, weights and
+context) and first-cell input; `backward` rebuilds each through the call
+the forward step made it with (`autodiff._attend`, `_input_row`), so the
+gradients keep their bits. `forward` (eval) keeps nothing: it encodes all
 word chunks of an utterance in one batch, then decodes them in order, each
 seeded with the last poses of the one before.
 
@@ -193,6 +197,17 @@ def _dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+def _input_row(pre, context, scale):
+    """The decoder's first-cell input x: the (B, H) pre-linear output next
+    to the (B, 2H) attention context, times the dropout multiplier
+    ``scale`` (None: no dropout), as a (B, 3H) row. The rollout builds it
+    here and `backward` rebuilds it here, so both read the same bits."""
+    x = np.concatenate([pre, context], axis=-1)
+    if scale is not None:
+        x *= scale
+    return x
+
+
 def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H): per layer
     and direction one input projection for every step, then the recurrence,
@@ -234,9 +249,12 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
     and, when it emits, the post-linear. The decoder warms on the (B, n, 10)
     seed poses, where only the last step emits (its pose feeds the first
     output step), then emits m poses, each feeding the next. In train mode
-    each step appends its intermediates to the ``record`` list: its dropout
-    mask as bools (`_dropout_scale` rebuilds the multiplier) and each cell's
-    gates as (z, r, c), without r*h. Returns
+    each step appends to the ``record`` list its previous poses, its
+    dropout mask as bools and each cell's input state, gates as (z, r, c)
+    and output state; it keeps no r*h, no attention tanh, weights or
+    context and no first-cell input x, which `backward` rebuilds from these
+    through `autodiff._gru_backward`, `autodiff._attend` and `_input_row`.
+    Returns
     rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
     m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
@@ -252,15 +270,15 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
             prev = seed_poses[:, k] if k < n else pose
             pre = ad._affine(prev, pre_t, pre_b)
             context, weights, t = ad._attend(h2 @ w_query_t, projected, v_col, annotations, mask)
-            x = np.concatenate([pre, context], axis=-1)
-            keep = None
+            keep = scale = None
             if dropout > 0.0:
-                keep = rng.random(x.shape) >= dropout
-                x *= _dropout_scale(keep, dropout)
+                keep = rng.random((batch, w1_t.shape[0])) >= dropout  # one draw per entry of x
+                scale = _dropout_scale(keep, dropout)
+            x = _input_row(pre, context, scale)
             h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
             h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
             if record is not None:
-                record.append((prev, x, keep, weights, t, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
+                record.append((prev, keep, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
             h1, h2 = h1_next, h2_next
             if k >= n - 1:
                 pose = ad._affine(h2, post_t, post_b)
@@ -299,16 +317,22 @@ def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
 @dataclass
 class TrainPass:
     """What `backward` reads of one `forward_graph` pass: the encoder's
-    keep masks and per-layer record (see `_encode`), the annotations, each
-    decoder step's intermediates (see `_decoder`) and the dropout rate that
-    turns the decoder's recorded bool masks back into multipliers. It keeps
-    no float dropout multiplier and no r*h: each is one elementwise op away
-    from what it does keep."""
+    keep masks and per-layer record (see `_encode`), the annotations with
+    their (B, s, A) attention projection and score mask (None: no
+    padding), each decoder step's intermediates (see `_decoder`) and the
+    dropout rate that turns the decoder's recorded bool masks back into
+    multipliers. It keeps no float dropout multiplier, no r*h, and per
+    decoder step no (B, s, A) attention tanh, no attention weights or
+    context and no (B, 3H) first-cell input: `backward` rebuilds each from
+    what the record keeps, one step at a time, through the call the
+    forward step made it with."""
 
     model: Seq2SeqModel
     keep: list
     encoder: list
     annotations: np.ndarray
+    projected: np.ndarray
+    mask: np.ndarray | None
     decoder: list
     dropout: float
 
@@ -351,7 +375,7 @@ def forward_graph(
     annotations = _encode(model, embedded, lengths, encoder)
     projected = ad._affine(annotations, model.att_ann.value.T)
     poses, attention = _decoder(model, mask, rng, dropout, decoder)(seed_poses, annotations, projected)
-    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, decoder, dropout)
+    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, projected, mask, decoder, dropout)
 
 
 def forward(model, chunks, seed_poses):
@@ -406,16 +430,19 @@ def backward(run: TrainPass, g_poses: np.ndarray):
     their terms in reverse order of the forward ops that made them, and a
     top-layer decoder state that emits a pose sums (its next step's cell
     carry + its post-linear) + its next step's attention query: the order
-    the recorded graph summed in, so the gradients are its bits.
+    the recorded graph summed in, so the gradients are its bits. A decoder
+    step's dropout multiplier is built once, for its rebuilt input and that
+    input's gradient.
     """
     model = run.model
     n, hidden = model.cfg.n_seed_poses, model.cfg.hidden
     (w1, u1, b1), (w2, u2, b2) = model.decoder
     blocks1, blocks2 = _u_blocks(u1, b1), _u_blocks(u2, b2)
     w_query_t, v = model.att_query.value.T, model.att_score.value
+    v_col, pre_t, pre_b = v.reshape(-1, 1), model.pre_w.value.T, model.pre_b.value
     d_ann = d_proj = d_pose = d_h1 = d_h2 = d_query = None  # what step k + 1 sent back to step k
     for k in range(len(run.decoder) - 1, -1, -1):
-        prev, x, keep, weights, t, h1, gates1, h1_next, h2, gates2, h2_next = run.decoder[k]
+        prev, keep, h1, gates1, h1_next, h2, gates2, h2_next = run.decoder[k]
         d_post = None
         if k >= n - 1:
             g = d_pose if k < n else _sum(g_poses[:, k - n], d_pose)
@@ -424,9 +451,12 @@ def backward(run: TrainPass, g_poses: np.ndarray):
         d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, gates2, u2.grad, b2.grad, with_dh=k > 0)
         d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1_next, w2.value, w2.grad))
         d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, gates1, u1.grad, b1.grad, with_dh=k > 0)
+        context, weights, t = ad._attend(h2 @ w_query_t, run.projected, v_col, run.annotations, run.mask)
+        scale = None if keep is None else _dropout_scale(keep, run.dropout)
+        x = _input_row(ad._affine(prev, pre_t, pre_b), context, scale)
         d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)
-        if keep is not None:
-            d_x = d_x * _dropout_scale(keep, run.dropout)
+        if scale is not None:
+            d_x *= scale  # a fresh product
         d_ann_k, d_proj_k, d_query = ad._attend_backward(
             d_x[:, hidden:], h2, w_query_t, v, run.annotations, weights, t, model.att_score.grad, model.att_query.grad, k > 0
         )

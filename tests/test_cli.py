@@ -597,7 +597,8 @@ def test_non_utf8_embedding_file_is_single_line(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "limits", [None, "{not json", '{"head_yaw": [1.0]}', '{"head_yaw": ["a", "b"]}', '{"head_yaw": [1.0, -1.0]}']
+    "limits",
+    [None, "{not json", '{"head_yaw": [1.0]}', '{"head_yaw": ["a", "b"]}', '{"head_yaw": [1.0, -1.0]}', '{"head_yaw": [false, true]}'],
 )
 def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
     root, _ = workspace
@@ -618,7 +619,11 @@ def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
         ]
     )
     assert rc == 1
-    _single_line_error(capsys, "retarget")
+    if limits == '{"head_yaw": [false, true]}':  # JSON booleans would clamp as (0, 1)
+        bounds_message = "limits for head_yaw must be two finite numbers lo <= hi, got (False, True)"
+        assert capsys.readouterr().err.splitlines() == [f"retarget: {bounds_message}"]
+    else:
+        _single_line_error(capsys, "retarget")
 
 
 def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
@@ -903,6 +908,33 @@ def test_bad_word_surface_is_single_line(workspace, tmp_path, capsys, command, r
     assert err.splitlines() == [f"{command}: {path}: bad record on line 2: word surface must be a non-empty string, got {shown}"]
     assert (root / "ck.ggck").read_bytes() == checkpoint
     assert not (tmp_path / "k.jsonl").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda r: r.update(frame_height=True), "frame height must be a finite positive number, got True"),
+        (lambda r: r["words"][0].__setitem__(1, False), "needs finite times, got False to "),
+    ],
+    ids=["frame_height", "word_start"],
+)
+def test_bool_number_curate_is_single_line(workspace, tmp_path, capsys, edit, reason):
+    """JSON true and false are no numbers: a record that curate kept with a
+    frame height of true (1 px against the 0.5 px size rule) is refused."""
+    root, _ = workspace
+    lines = (root / "corpus.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "k.jsonl"
+    assert main(["curate", "--dataset", str(path), "--out", str(out), "--report", str(tmp_path / "r.json")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"curate: {path}: bad record on line 2: ") and reason in err
+    assert not out.exists() and not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

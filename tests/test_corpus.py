@@ -77,6 +77,13 @@ class TestRecordValidation:
         with pytest.raises(InvalidConfig, match=f"^word surface must be a non-empty string, got {surface!r}$"):
             WordSpan(surface, 0.3, 0.8)
 
+    def test_bool_is_no_number(self):
+        # JSON true loads as True == 1, which curation's size rule would compare
+        with pytest.raises(InvalidConfig, match=r"^frame height must be a finite positive number, got True$"):
+            DatasetRecord(id="x", frame_height=True, words=[], frames=_passing_record().frames)
+        with pytest.raises(InvalidConfig, match=r"^word 'a' needs finite times, got False to 0.8$"):
+            WordSpan("a", False, 0.8)
+
 
 class TestCurateShots:
     def test_passing_record_kept(self):
@@ -233,6 +240,8 @@ class TestJsonl:
             (("words", 1, 1), "1e999"),
             (("frames", 5, 3, 0), "NaN"),
             (("frames", 5, 3, 1), "1e999"),
+            (("frame_height",), "true"),  # a JSON boolean is no number
+            (("words", 0, 1), "false"),
         ],
     )
     def test_non_finite_field_rejected_with_line_number(self, tmp_path, where, raw):

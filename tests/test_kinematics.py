@@ -201,7 +201,10 @@ class TestClamp:
         assert clamped[_col("l_sh_roll")] == 0.5
         assert clamped[_col("r_sh_pitch")] == -0.1
 
-    @pytest.mark.parametrize("bounds", [(1.0,), ("a", "b"), (0.5, -0.5), (0.0, float("nan")), (-float("inf"), 0.0)])
+    # a bool is no angle: JSON [false, true] would clip as (0, 1)
+    @pytest.mark.parametrize(
+        "bounds", [(1.0,), ("a", "b"), (0.5, -0.5), (0.0, float("nan")), (-float("inf"), 0.0), (False, True), (0.0, True)]
+    )
     def test_bad_range_rejected(self, bounds):
         with pytest.raises(InvalidConfig, match="limits for l_sh_roll must be two finite numbers lo <= hi"):
             clamp_angles(_angles(), {"l_sh_roll": bounds})

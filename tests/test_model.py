@@ -483,6 +483,24 @@ class TestPaddedBatch:
         backward(run, g_poses)
         assert hashlib.sha256(model.store.grads.tobytes()).hexdigest() == "0ffd1f335552437bcb313b340201d3c73496c73724e931b50730cf3eb8328c01"
 
+    def test_backward_leaves_its_record_intact(self):
+        # backward rebuilds each decoder step's attention and first-cell
+        # input from the record, partly in place: a second backward of the
+        # same pass must read the record the first one did.
+        model = init_model(PADDED, seed=5)
+        rng = np.random.default_rng(5)
+        lengths = np.array([4, 1, 3, 2])
+        emb, seeds = _padded_batch(rng, lengths, 4)
+        poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=lengths, dropout=0.1)
+        _, g_poses = compute_loss_graph(poses, rng.normal(size=(4, 3, 10)), Config())
+        model.store.zero_grads()
+        backward(run, g_poses)
+        first = model.store.grads.copy()
+        model.store.zero_grads()
+        backward(run, g_poses)
+        assert np.any(first != 0.0)
+        assert first.tobytes() == model.store.grads.tobytes()
+
     def test_toy_gradients_pinned(self):
         # test_gradients_pinned at the toy training shape (criterion 6, the
         # train benchmark), where some changes to how a product is summed
