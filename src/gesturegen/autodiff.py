@@ -147,10 +147,13 @@ def tsum(x):
 # -- the model's kernels and their backward rules --------------------------------
 
 
-def _affine(x, w_t, b=None):
+def _affine(x, w_t, b=None, out=None):
     """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
-    the flattened leading dims for a (B, s, in) x."""
-    if x.ndim == 2:
+    the flattened leading dims for a (B, s, in) x, into a fresh array or
+    the C-contiguous buffer ``out``, with the same bits either way."""
+    if out is not None:
+        np.matmul(x.reshape(-1, x.shape[-1]), w_t, out=out.reshape(-1, out.shape[-1]))
+    elif x.ndim == 2:
         out = x @ w_t
     else:
         out = (x.reshape(-1, x.shape[-1]) @ w_t).reshape(x.shape[:-1] + w_t.shape[1:])
@@ -183,7 +186,7 @@ def _gru_blocks(u_t, b):
 _HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
-def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
+def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, out=None):
     """One GRU update, gates ordered update (z), reset (r), candidate:
 
         z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
@@ -192,11 +195,18 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
     and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
     Returns (h', z, r, r*h, c); ``_gru_backward`` reads z, r and c, and
-    rebuilds r*h from r and h. Each chain runs in place on the fresh product
-    that starts it, in the order above; h' is a fresh array, so c is kept."""
+    rebuilds r*h from r and h. Each chain runs in place on the product
+    that starts it, in the order above, and h' is its own array, so c is
+    kept. ``out`` is None (fresh arrays) or the C-contiguous (B, H), (B, 2H)
+    and (B, H) buffers that h', the stacked z and r, and c are written
+    into: the same operations either way, so the same bits."""
     hidden = h.shape[-1]
     two = 2 * hidden
-    zr = h @ u_zr
+    if out is None:
+        zr = h @ u_zr
+    else:
+        h_next, zr, c = out
+        np.matmul(h, u_zr, out=zr)
     np.add(gxt[:, :two], zr, zr)
     zr += b_zr
     np.multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
@@ -205,14 +215,14 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c):
     np.multiply(zr, _HALF, zr)
     z, r = zr[:, :hidden], zr[:, hidden:]
     rh = r * h
-    c = rh @ u_c
+    c = rh @ u_c if out is None else np.matmul(rh, u_c, out=c)
     np.add(gxt[:, two:], c, c)
     c += b_c
     np.tanh(c, c)
-    out = c - h
-    out *= z
-    out += h
-    return out, z, r, rh, c
+    h_next = c - h if out is None else np.subtract(c, h, out=h_next)
+    h_next *= z
+    h_next += h
+    return h_next, z, r, rh, c
 
 
 def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):

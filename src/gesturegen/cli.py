@@ -177,6 +177,7 @@ def cmd_train(cfg: Config, args) -> int:
     ck = _checkpoint(cfg, "pca")
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
     pairs = make_training_pairs(records, ck.pca, cfg.n_seed_poses, cfg.n_output_poses)
+    del records  # training holds the pairs, not every record's frames
     table, ref = _load_table(cfg, ck)
     model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
 

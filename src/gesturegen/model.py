@@ -17,9 +17,13 @@ nothing records a graph. The record leaves out what one step's backward
 can rebuild cheaply, the decoder's attention (its tanh, weights and
 context) and first-cell input; `backward` rebuilds each through the call
 the forward step made it with (`autodiff._attend`, `_input_row`), so the
-gradients keep their bits. `forward` (eval) keeps nothing: it encodes all
-word chunks of an utterance in one batch, then decodes them in order, each
-seeded with the last poses of the one before.
+gradients keep their bits. What it keeps lives in a `Workspace` that
+each pass overwrites with the same operations: `train_model` makes one
+per run and owns it, `forward_graph` called without one makes its own,
+and a `TrainPass` stays valid until the next pass on its workspace.
+`forward` (eval) keeps nothing: it encodes all word chunks of an
+utterance in one batch, then decodes them in order, each seeded with the
+last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -181,6 +185,70 @@ def _cell_weights(cell):
     return (w.T, *ad._gru_blocks(u.T, b))
 
 
+def _record_size(cfg: ModelConfig, batch: int, words: int):
+    """The (float64, bool) entries that a train-mode pass of ``batch`` rows
+    of ``words`` words takes from its `Workspace`: the dropped-out words;
+    per encoder layer its output and per direction a zero start state and
+    each step's state and gates; the annotation projection; the decoder's
+    zero start state, each step's two cells' states and gates, the poses of
+    the m + 1 emitting steps and each step's dropout mask."""
+    hidden, steps = cfg.hidden, cfg.n_seed_poses + cfg.n_output_poses
+    encoder = words * cfg.word_dim + 2 * (2 * words * hidden + 2 * (4 * words + 1) * hidden)
+    decoder = (8 * steps + 1) * hidden + (cfg.n_output_poses + 1) * cfg.gesture_dim
+    return batch * (encoder + words * cfg.att_dim + decoder), batch * steps * 3 * hidden
+
+
+class Workspace:
+    """Where train-mode passes keep their record: a float64 and a bool
+    arena, allocated once for up to ``batch`` rows of up to ``words``
+    words, and the ``encoder`` and ``decoder`` step lists. `forward_graph`
+    rewinds it and carves a C-contiguous view, in order, for every array
+    its `TrainPass` keeps, so that pass stays valid until the next
+    `forward_graph` on the workspace. Whoever makes one owns it:
+    `train_model` one per run, `forward_graph` without one its own."""
+
+    def __init__(self, cfg: ModelConfig, batch: int, words: int):
+        floats, flags = _record_size(cfg, batch, words)
+        self._arenas = {np.dtype(np.float64): np.empty(floats), np.dtype(bool): np.empty(flags, dtype=bool)}
+        self.rewind()
+
+    def rewind(self):
+        """Start the next pass at the front of both arenas, with empty step lists."""
+        self._used = dict.fromkeys(self._arenas, 0)
+        self.encoder, self.decoder = [], []
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """The next ``shape`` entries of the ``dtype`` arena, uninitialised."""
+        dtype = np.dtype(dtype)
+        start, arena = self._used[dtype], self._arenas[dtype]
+        end = start + math.prod(shape)
+        if end > arena.size:
+            raise InvalidConfig("the batch does not fit the training workspace")
+        self._used[dtype] = end
+        return arena[start:end].reshape(shape)
+
+
+def _empty(ws, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array: a view of the `Workspace` ``ws``, or fresh without one."""
+    return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
+
+
+def _zeros(ws, shape) -> np.ndarray:
+    """Zeros: a view of the `Workspace` ``ws``, or fresh without one."""
+    out = _empty(ws, shape)
+    out[...] = 0.0
+    return out
+
+
+def _cell_buffers(ws, shape):
+    """The (h', zr, c) buffers in ``ws`` of one `autodiff._gru_cell` step
+    from a ``shape`` (B, H) state (None without ``ws``: fresh arrays)."""
+    if ws is None:
+        return None
+    batch, hidden = shape
+    return ws.take(shape), ws.take((batch, 2 * hidden)), ws.take(shape)
+
+
 def _keep_masks(lengths, s: int) -> list:
     """Per step t, the (B,) rows whose sequence still runs at t, or None
     when every row does (lengths None: no padding)."""
@@ -208,39 +276,43 @@ def _input_row(pre, context, scale):
     return x
 
 
-def _encode(model, inputs: np.ndarray, lengths=None, record=None) -> np.ndarray:
+def _encode(model, inputs: np.ndarray, lengths=None, ws=None) -> np.ndarray:
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H): per layer
     and direction one input projection for every step, then the recurrence,
     each cell's weights bound once. Row i has lengths[i] words followed by
     padding (None: no padding); padded steps carry the state in both
     directions, so the backward direction starts from zero at each row's
-    last word. In train mode each layer appends (its input, per direction
-    each step's (h, (z, r, c))) to the ``record`` list; r*h is left out,
-    since `autodiff._gru_backward` rebuilds it from h and r."""
+    last word. In train mode (``ws`` a `Workspace`) each layer's output
+    and each step's input state and gates go into views of ``ws``, and
+    each layer appends (its input, per direction each step's (h, (z, r,
+    c))) to ``ws.encoder``; r*h is left out, since `autodiff._gru_backward`
+    rebuilds it from h and r."""
     batch, s, _ = inputs.shape
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
     for layer in model.encoder:
-        states, kept = np.empty((batch, s, 2 * hidden)), []  # the layer's output, filled step by step
+        states, kept = _empty(ws, (batch, s, 2 * hidden)), []  # the layer's output, filled step by step
         for cell, reverse, half in zip(layer, (False, True), (slice(hidden), slice(hidden, None))):
             w_t, *kernel = _cell_weights(cell)
             gx = ad._affine(inputs, w_t)
-            h = np.zeros((batch, hidden))
+            h = _zeros(ws, (batch, hidden))
             steps = [None] * s
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, z, r, _, c = ad._gru_cell(gx[:, t], h, *kernel)
-                if record is not None:
+                out, z, r, _, c = ad._gru_cell(gx[:, t], h, *kernel, _cell_buffers(ws, h.shape))
+                if ws is not None:
                     steps[t] = (h, (z, r, c))
-                h = out if keep[t] is None else np.where(keep[t][:, None], out, h)
+                if keep[t] is not None:
+                    np.copyto(out, h, where=~keep[t][:, None])  # padded rows carry h
+                h = out
                 states[:, t, half] = h
             kept.append(steps)
-        if record is not None:
-            record.append((inputs, kept))
+        if ws is not None:
+            ws.encoder.append((inputs, kept))
         inputs = states
     return inputs
 
 
-def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
+def _decoder(model, mask=None, rng=None, dropout=0.0, ws=None):
     """The decoder, every weight bound once per pass. A step is the
     pre-linear, attention of the top layer's previous state over the (B, s,
     2H) annotations (scored through their (B, s, A) projection plus
@@ -249,12 +321,13 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
     and, when it emits, the post-linear. The decoder warms on the (B, n, 10)
     seed poses, where only the last step emits (its pose feeds the first
     output step), then emits m poses, each feeding the next. In train mode
-    each step appends to the ``record`` list its previous poses, its
-    dropout mask as bools and each cell's input state, gates as (z, r, c)
-    and output state; it keeps no r*h, no attention tanh, weights or
-    context and no first-cell input x, which `backward` rebuilds from these
-    through `autodiff._gru_backward`, `autodiff._attend` and `_input_row`.
-    Returns
+    (``ws`` a `Workspace`) each step writes its dropout mask as bools, each
+    cell's gates as (z, r, c) and output state and its emitted pose into
+    views of ``ws``, and appends to ``ws.decoder`` its previous poses, its
+    mask and each cell's input state, gates and output state; it keeps no
+    r*h, no attention tanh, weights or context and no first-cell input x,
+    which `backward` rebuilds from these through `autodiff._gru_backward`,
+    `autodiff._attend` and `_input_row`. Returns
     rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
     m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
@@ -263,8 +336,8 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
     n = model.cfg.n_seed_poses
 
     def rollout(seed_poses, annotations, projected):
-        batch, m = seed_poses.shape[0], model.cfg.n_output_poses
-        h1 = h2 = np.zeros((batch, model.cfg.hidden))
+        batch, m, hidden = seed_poses.shape[0], model.cfg.n_output_poses, model.cfg.hidden
+        h1 = h2 = _zeros(ws, (batch, hidden))
         poses, rows = np.empty((batch, m, post_b.shape[0])), np.empty((batch, m, projected.shape[1]))
         for k in range(n + m):
             prev = seed_poses[:, k] if k < n else pose
@@ -272,16 +345,20 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, record=None):
             context, weights, t = ad._attend(h2 @ w_query_t, projected, v_col, annotations, mask)
             keep = scale = None
             if dropout > 0.0:
-                keep = rng.random((batch, w1_t.shape[0])) >= dropout  # one draw per entry of x
+                keep = _empty(ws, (batch, w1_t.shape[0]), bool)
+                np.greater_equal(rng.random(keep.shape), dropout, out=keep)  # one draw per entry of x
                 scale = _dropout_scale(keep, dropout)
             x = _input_row(pre, context, scale)
-            h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1)
-            h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2)
-            if record is not None:
-                record.append((prev, keep, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
+            out1 = out2 = None
+            if ws is not None:
+                out1, out2 = _cell_buffers(ws, h1.shape), _cell_buffers(ws, h2.shape)
+            h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, out1)
+            h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, out2)
+            if ws is not None:
+                ws.decoder.append((prev, keep, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
             h1, h2 = h1_next, h2_next
             if k >= n - 1:
-                pose = ad._affine(h2, post_t, post_b)
+                pose = ad._affine(h2, post_t, post_b, None if ws is None else ws.take((batch, post_b.shape[0])))
             if k >= n:
                 poses[:, k - n] = pose
                 rows[:, k - n] = weights
@@ -325,7 +402,11 @@ class TrainPass:
     decoder step no (B, s, A) attention tanh, no attention weights or
     context and no (B, 3H) first-cell input: `backward` rebuilds each from
     what the record keeps, one step at a time, through the call the
-    forward step made it with."""
+    forward step made it with.
+
+    Its arrays, bar the caller's word and seed batches and the small keep
+    and score masks, are views of the pass's `Workspace`: the pass stays
+    valid until the next `forward_graph` on that workspace."""
 
     model: Seq2SeqModel
     keep: list
@@ -344,6 +425,7 @@ def forward_graph(
     rng: np.random.Generator | None = None,
     lengths=None,
     dropout: float = 0.0,
+    workspace: Workspace | None = None,
 ):
     """Batched train-mode rollout: ((B, m, 10) poses, (B, m, s) attention,
     the `TrainPass` that `backward` reads). embedded: (B, s, word_dim);
@@ -354,6 +436,9 @@ def forward_graph(
     unpadded rollout. Dropout at rate ``dropout`` drops the first GRU
     layer inputs of both encoder and decoder, drawing its masks from ``rng``
     (the encoder's first, then one per decoder step).
+
+    The record goes into ``workspace``, ending the pass made on it before;
+    without one the pass makes its own. Poses and attention are fresh.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
@@ -369,13 +454,16 @@ def forward_graph(
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
+    ws = Workspace(model.cfg, batch, s) if workspace is None else workspace
+    ws.rewind()
     if dropout > 0.0:
-        embedded = embedded * _dropout_scale(rng.random(embedded.shape) >= dropout, dropout)
-    encoder, decoder = [], []
-    annotations = _encode(model, embedded, lengths, encoder)
-    projected = ad._affine(annotations, model.att_ann.value.T)
-    poses, attention = _decoder(model, mask, rng, dropout, decoder)(seed_poses, annotations, projected)
-    return poses, attention, TrainPass(model, _keep_masks(lengths, s), encoder, annotations, projected, mask, decoder, dropout)
+        scale = _dropout_scale(rng.random(embedded.shape) >= dropout, dropout)
+        embedded = np.multiply(embedded, scale, out=ws.take(embedded.shape))
+    annotations = _encode(model, embedded, lengths, ws)
+    projected = ad._affine(annotations, model.att_ann.value.T, out=ws.take((batch, s, model.cfg.att_dim)))
+    poses, attention = _decoder(model, mask, rng, dropout, ws)(seed_poses, annotations, projected)
+    run = TrainPass(model, _keep_masks(lengths, s), ws.encoder, annotations, projected, mask, ws.decoder, dropout)
+    return poses, attention, run
 
 
 def forward(model, chunks, seed_poses):

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import Config
 from .errors import InvalidConfig, write_rows
-from .model import ParamStore, Seq2SeqModel, backward, forward_graph, pad_words
+from .model import ParamStore, Seq2SeqModel, Workspace, backward, forward_graph, pad_words
 from .pose import encode_pose, normalize_pose
 from .synthesis import plan_chunks
 
@@ -143,6 +143,25 @@ def _check_finite(store: ParamStore, loss: float, where: str):
     raise InvalidConfig(f"training diverged at {where}: non-finite {what}")
 
 
+def _train_step(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, rng, ws: Workspace):
+    """One batch's word lookup, forward pass (its record in ``ws``), loss and
+    backward into the store's cleared gradients; returns its LossBreakdown.
+    What the step makes outside ``ws`` (the word batch, poses, the loss
+    gradient, the record's views) is gone when it returns, before the next
+    batch is built."""
+    n = model.cfg.n_seed_poses
+    emb, words = pad_words([np.stack([table.lookup(w) for w in p.words]) for p in pairs])
+    seeds = np.stack([p.target_poses[:n] for p in pairs])
+    targets = np.stack([p.target_poses[n:] for p in pairs])
+    model.store.zero_grads()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
+        poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout, workspace=ws)
+        del emb  # with dropout the record keeps its own dropped-out copy: the word batch goes before backward
+        breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
+        backward(run, g_poses)
+    return breakdown
+
+
 def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, on_epoch=None) -> TrainResult:
     """Seeded shuffle, fixed-size batches (last partial batch kept), one
     zero-padded train-mode rollout per batch with ground-truth seed poses,
@@ -151,9 +170,13 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     ``lr``, ``batch_size``, ``dropout``, ``epochs`` and ``seed``;
     ``model.cfg`` is not changed.
 
-    Each batch looks its words up in ``table`` as it is built, so what
-    training holds beyond the pairs and the model follows the batch size,
-    not the number of pairs.
+    Each batch looks its words up in ``table`` as it is built, and every
+    pass keeps its record in one `model.Workspace` that the run makes once
+    (up to ``batch_size`` rows of the pairs' longest word count) and owns:
+    each step's forward pass overwrites the last step's record, which is
+    never freed between steps. So what training holds beyond the pairs and
+    the model is one step deep and follows the batch size, not the number
+    of pairs.
 
     A non-finite loss or gradient raises InvalidConfig naming the
     (0-based) epoch and batch. ``on_epoch(epoch_index, model, breakdown)``
@@ -170,6 +193,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
 
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
+    ws = Workspace(model.cfg, min(cfg.batch_size, len(pairs)), max(len(p.words) for p in pairs))
     history = []
 
     for epoch in range(cfg.epochs):
@@ -177,14 +201,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
         sums = np.zeros(4)
         for bstart in range(0, len(perm), cfg.batch_size):
             batch = perm[bstart : bstart + cfg.batch_size]
-            emb, words = pad_words([np.stack([table.lookup(w) for w in pairs[i].words]) for i in batch])
-            seeds = np.stack([pairs[i].target_poses[:n] for i in batch])
-            targets = np.stack([pairs[i].target_poses[n:] for i in batch])
-            model.store.zero_grads()
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-                poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout)
-                breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
-                backward(run, g_poses)
+            breakdown = _train_step([pairs[i] for i in batch], cfg, model, table, rng, ws)
             _check_finite(model.store, breakdown.total, f"epoch {epoch}, batch {bstart // cfg.batch_size}")
             clip_gradients(model.store)
             adam_step(model.store, state, cfg.lr)

@@ -132,6 +132,31 @@ def test_train_step_peak_bounded(workloads, tmp_path):
     assert workloads.tape_peak_mb(state) <= 20.97 * 1.05
 
 
+def test_two_batch_peak_matches_one(workloads, tmp_path):
+    """Two seed-1 batches (the ``fingerprint_train`` shape) peak within 5%
+    of one: a step's record is gone, or overwritten in place, before the
+    next step's forward pass ends, so training memory is one step deep."""
+    import tracemalloc
+
+    from gesturegen import model as seq2seq
+    from gesturegen import training
+
+    state, _ = workloads.setup_train(1, tmp_path)
+
+    def peak(count):
+        pairs, h = workloads._first_batches(state, count)
+        net = seq2seq.init_model(seq2seq.ModelConfig(**workloads.TOY_MODEL), seed=state.seed)
+        tracemalloc.start()
+        try:
+            training.train_model(pairs, h, net, state.table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    assert peak(2) <= one * 1.05
+
+
 def test_train_setup_digest_pinned(workloads, tmp_path):
     """The train set-up (corpus, pose basis, training pairs) hashes to the
     value the benchmark printed for seed 0 before records became arrays."""

@@ -804,6 +804,37 @@ def test_train_prints_one_line_per_epoch(workspace, tmp_path, capsys):
     assert len((tmp_path / "history.csv").read_text().splitlines()) == 4
 
 
+def test_train_holds_no_dataset_record(workspace, tmp_path, monkeypatch):
+    """Once the pairs are built, training keeps none of the records it
+    loaded alive (other tests may hold records of their own)."""
+    import gc
+    import weakref
+
+    from gesturegen import cli
+
+    root, train_args = workspace
+    loaded, live = [], []
+
+    def load_records_jsonl(path):
+        records = load(path)
+        loaded.extend(map(weakref.ref, records))
+        return records
+
+    def train_model(*args, **kwargs):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in loaded))
+        return train(*args, **kwargs)
+
+    load, train = cli.load_records_jsonl, cli.train_model
+    monkeypatch.setattr(cli, "load_records_jsonl", load_records_jsonl)
+    monkeypatch.setattr(cli, "train_model", train_model)
+    args = list(train_args)
+    args[args.index("--out-dir") + 1] = str(tmp_path / "out")
+    args[args.index("--history") + 1] = str(tmp_path / "history.csv")
+    assert main([*args, "--out", str(tmp_path / "ck.ggck")]) == 0
+    assert len(loaded) > 0 and live == [0]
+
+
 def test_non_finite_checkpoint_generate_is_single_line(workspace, tmp_path, capsys):
     from test_checkpoint import patch_array_value
 

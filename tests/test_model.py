@@ -12,6 +12,7 @@ from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
+    Workspace,
     _cell_weights,
     _decoder,
     _encode,
@@ -500,6 +501,19 @@ class TestPaddedBatch:
         backward(run, g_poses)
         assert np.any(first != 0.0)
         assert first.tobytes() == model.store.grads.tobytes()
+
+    def test_workspace_fits_a_full_pass_exactly(self):
+        # a dropout pass at the shape a workspace was made for takes every
+        # entry of both arenas, and a bigger batch does not fit
+        lengths = np.array([4, 2, 3])
+        emb, seeds = _padded_batch(np.random.default_rng(6), lengths, 4)
+        ws = Workspace(PADDED, 3, 4)
+        forward_graph(init_model(PADDED, seed=6), emb, seeds, np.random.default_rng(6), lengths, 0.1, ws)
+        for dtype in (np.float64, bool):
+            with pytest.raises(InvalidConfig, match="does not fit"):
+                ws.take((1,), dtype)
+        with pytest.raises(InvalidConfig, match="does not fit"):
+            forward_graph(init_model(PADDED, seed=6), emb[:, :3], seeds, workspace=Workspace(PADDED, 3, 2))
 
     def test_toy_gradients_pinned(self):
         # test_gradients_pinned at the toy training shape (criterion 6, the

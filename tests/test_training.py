@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from gesturegen.config import Config
 from gesturegen.corpus import DatasetRecord, WordSpan
 from gesturegen.errors import InvalidConfig
 from gesturegen.lifting import init_lift_params, synth_pose3d_corpus, train_lift
-from gesturegen.model import ModelConfig, backward, init_model
+from gesturegen.model import ModelConfig, backward, forward_graph, init_model
 from gesturegen.pose import fit_pca
 from gesturegen.text import EmbeddingTable
 from gesturegen.training import (
@@ -439,6 +440,55 @@ class TestTrainModel:
 
         peak(8)  # finish lazy imports before tracing
         assert peak(32) - peak(8) < 8 * 5 * 300 * 8
+
+    def test_passes_without_a_workspace_share_nothing(self):
+        """Two passes made without a workspace each make their own: the
+        second leaves the first's record as it was, so backward on the first
+        gives the gradient bytes of a pass made alone."""
+        cfg = ModelConfig(word_dim=6, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
+        model = init_model(cfg, seed=2)
+        rng = np.random.default_rng(2)
+        lengths = np.array([3, 1, 2])
+        emb, seeds, other = rng.normal(size=(3, 3, 6)), rng.normal(size=(3, 2, 10)), rng.normal(size=(3, 3, 6))
+        target = rng.normal(size=(3, 3, 10))
+
+        def gradients(*passes):
+            model.store.zero_grads()
+            step_rng = np.random.default_rng(8)
+            runs = [forward_graph(model, e, seeds, rng=step_rng, lengths=lengths, dropout=0.1) for e in passes]
+            poses, _, run = runs[0]
+            backward(run, compute_loss_graph(poses, target, Config())[1])
+            return model.store.grads.tobytes()
+
+        alone = gradients(emb)
+        assert np.any(model.store.grads != 0.0)
+        assert gradients(emb, other) == alone
+
+    def test_epoch_reuses_one_workspace(self, monkeypatch):
+        """An epoch of batches of 4, 3 and 2 words that ends in a partial
+        batch runs every pass on one workspace, and trains to the history
+        and weight bytes that training gave when every pass allocated its
+        own record."""
+        rng = np.random.default_rng(15)
+        vocab = [f"w{i}" for i in range(12)]
+        table = EmbeddingTable(dim=6, entries={w: rng.normal(size=6) for w in vocab})
+        pairs = [
+            TrainingPair(words=[vocab[i] for i in rng.integers(0, 12, size=count)], target_poses=rng.normal(size=(6, 10)))
+            for count in rng.integers(1, 6, size=11)
+        ]
+        model = init_model(ModelConfig(word_dim=6, hidden=5, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1), 4)
+        calls = []
+
+        def spy(model, embedded, *args, workspace=None, **kwargs):
+            calls.append((embedded.shape[:2], workspace))
+            return forward_graph(model, embedded, *args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(training, "forward_graph", spy)
+        result = train_model(pairs, Config(epochs=2, batch_size=4, dropout=0.1, seed=2), model, table)
+        assert [shape for shape, _ in calls] == [(4, 4), (4, 3), (3, 2), (4, 3), (4, 4), (3, 4)]
+        assert calls[0][1] is not None and all(ws is calls[0][1] for _, ws in calls)
+        digest = hashlib.sha256(repr(result.history).encode() + model.store.values.tobytes()).hexdigest()
+        assert digest == "44e89533a2f6b9cd8e555ec1ea4b89410dd6d75cf4b84fab2007b309ca912d29"
 
     def test_embedding_width_mismatch(self):
         rng = np.random.default_rng(12)
