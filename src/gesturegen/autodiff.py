@@ -13,6 +13,16 @@ that op had, with the same operations in the same order, so
 `model.backward`, which chains them, gives the recorded graph's bits.
 Nothing in training or evaluation records a graph.
 
+The forward kernels are written for a batch-1 decoder step, whose cost is
+numpy's per-call dispatch more than its arithmetic (about 60 calls on 64-
+to 192-wide rows). They take every 2-D product through ``ndarray.dot`` or
+``np.dot(..., out)``, not ``@``/``np.matmul``, a gufunc that dispatches
+about 0.5 us slower per call at batch 1 and makes the same BLAS call, so
+the same bits; they call ufuncs through module-level bindings and reduce
+with ``ufunc.reduce``, since ``ndarray.max`` and ``.sum`` go through
+numpy's Python-level wrappers. The backward rules run at batch 64, where
+dispatch is a negligible share of their cost, and keep the plain forms.
+
 The tape, which only the benchmark still names, is `Tensor` with the ops
 `mul` and `tsum`: every op records its inputs and a local backward rule on
 the output tensor, so calling ``backward()`` on a scalar result adds
@@ -146,19 +156,28 @@ def tsum(x):
 
 # -- the model's kernels and their backward rules --------------------------------
 
+# What the forward kernels call, bound once (see the module docstring)
+_dot, _matmul = np.dot, np.matmul
+_add, _subtract, _multiply, _divide, _tanh, _exp = np.add, np.subtract, np.multiply, np.divide, np.tanh, np.exp
+_max_reduce, _sum_reduce = np.maximum.reduce, np.add.reduce
+# 0-d operands: a Python float is converted to an array on every ufunc call
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+
 
 def _affine(x, w_t, b=None, out=None):
     """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
     the flattened leading dims for a (B, s, in) x, into a fresh array or
-    the C-contiguous buffer ``out``, with the same bits either way."""
+    the C-contiguous buffer ``out``, with the same bits either way. The
+    product is ``np.dot``, not the ``np.matmul`` gufunc, and the bias add a
+    bound ufunc: at batch 1 each call's dispatch is most of its cost."""
     if out is not None:
-        np.matmul(x.reshape(-1, x.shape[-1]), w_t, out=out.reshape(-1, out.shape[-1]))
+        _dot(x.reshape(-1, x.shape[-1]), w_t, out.reshape(-1, out.shape[-1]))
     elif x.ndim == 2:
-        out = x @ w_t
+        out = x.dot(w_t)
     else:
-        out = (x.reshape(-1, x.shape[-1]) @ w_t).reshape(x.shape[:-1] + w_t.shape[1:])
+        out = x.reshape(-1, x.shape[-1]).dot(w_t).reshape(x.shape[:-1] + w_t.shape[1:])
     if b is not None:
-        out += b  # the product is fresh: add the bias in place
+        _add(out, b, out)  # the product is fresh: add the bias in place
     return out
 
 
@@ -182,10 +201,6 @@ def _gru_blocks(u_t, b):
     return u_t[:, :two], u_t[:, two:], b[:two], b[two:]
 
 
-# 0-d operands: a Python float is converted to an array on every ufunc call
-_HALF, _ONE = np.array(0.5), np.array(1.0)
-
-
 def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, out=None):
     """One GRU update, gates ordered update (z), reset (r), candidate:
 
@@ -194,35 +209,35 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, out=None):
 
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
     and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
-    Returns (h', z, r, r*h, c); ``_gru_backward`` reads z, r and c, and
-    rebuilds r*h from r and h. Each chain runs in place on the product
-    that starts it, in the order above, and h' is its own array, so c is
-    kept. ``out`` is None (fresh arrays) or the C-contiguous (B, H), (B, 2H)
-    and (B, H) buffers that h', the stacked z and r, and c are written
-    into: the same operations either way, so the same bits."""
+    Returns (h', z, r, c), what ``_gru_backward`` reads; it rebuilds r*h
+    from r and h. Each chain runs in place on the product that starts it,
+    in the order above, and h' is its own array, so c is kept. ``out`` is
+    None (fresh arrays) or the C-contiguous (B, H), (B, 2H) and (B, H)
+    buffers that h', the stacked z and r, and c are written into: the same
+    operations either way, so the same bits."""
     hidden = h.shape[-1]
     two = 2 * hidden
     if out is None:
-        zr = h @ u_zr
+        zr = h.dot(u_zr)
     else:
         h_next, zr, c = out
-        np.matmul(h, u_zr, out=zr)
-    np.add(gxt[:, :two], zr, zr)
-    zr += b_zr
-    np.multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
-    np.tanh(zr, zr)
-    np.add(zr, _ONE, zr)
-    np.multiply(zr, _HALF, zr)
+        _dot(h, u_zr, zr)
+    _add(gxt[:, :two], zr, zr)
+    _add(zr, b_zr, zr)
+    _multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
+    _tanh(zr, zr)
+    _add(zr, _ONE, zr)
+    _multiply(zr, _HALF, zr)
     z, r = zr[:, :hidden], zr[:, hidden:]
-    rh = r * h
-    c = rh @ u_c if out is None else np.matmul(rh, u_c, out=c)
-    np.add(gxt[:, two:], c, c)
-    c += b_c
-    np.tanh(c, c)
-    h_next = c - h if out is None else np.subtract(c, h, out=h_next)
-    h_next *= z
-    h_next += h
-    return h_next, z, r, rh, c
+    rh = _multiply(r, h)
+    c = rh.dot(u_c) if out is None else _dot(rh, u_c, c)
+    _add(gxt[:, two:], c, c)
+    _add(c, b_c, c)
+    _tanh(c, c)
+    h_next = _subtract(c, h) if out is None else _subtract(c, h, h_next)
+    _multiply(h_next, z, h_next)
+    _add(h_next, h, h_next)
+    return h_next, z, r, c
 
 
 def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
@@ -271,15 +286,15 @@ def _attend(query, projected, v_col, annotations, mask):
     A)); ``_attend_backward`` reads the last two. The tanh and the softmax
     run in place on the fresh sum and scores."""
     batch, s, att = projected.shape
-    t = query.reshape(batch, 1, att) + projected
-    np.tanh(t, t)
-    weights = (t.reshape(-1, att) @ v_col).reshape(batch, s)
+    t = _add(query.reshape(batch, 1, att), projected)
+    _tanh(t, t)
+    weights = t.reshape(-1, att).dot(v_col).reshape(batch, s)
     if mask is not None:
-        weights += mask
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    context = np.matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1)
+        _add(weights, mask, weights)
+    _subtract(weights, _max_reduce(weights, -1, keepdims=True), weights)
+    _exp(weights, weights)
+    _divide(weights, _sum_reduce(weights, -1, keepdims=True), weights)
+    context = _matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1)
     return context, weights, t
 
 

@@ -78,14 +78,15 @@ def _save(cfg: Config, ck: Checkpoint, path, **parts):
 
 def _load_table(cfg: Config, ck: Checkpoint):
     """The embedding table and its ``{"path", "sha256"}`` reference: the
-    configured file, else the checkpoint's, which must match its hash."""
+    configured file, else the checkpoint's, which must match its hash
+    before it is parsed."""
     path = cfg.embeddings or (ck.embedding_ref or {}).get("path")
     if not path:
         raise InvalidConfig("no embedding table: pass --embeddings or set it in the config")
-    table = load_embedding_table(path)
     ref = {"path": path, "sha256": file_sha256(path)}
     if not cfg.embeddings and ref["sha256"] != ck.embedding_ref["sha256"]:
         raise MalformedFile(f"embedding file {path} does not match the checkpoint reference hash")
+    table = load_embedding_table(path)
     print(f"loaded {len(table)} embeddings (dim {table.dim})")
     return table, ref
 

@@ -285,8 +285,7 @@ def _encode(model, inputs: np.ndarray, lengths=None, ws=None) -> np.ndarray:
     last word. In train mode (``ws`` a `Workspace`) each layer's output
     and each step's input state and gates go into views of ``ws``, and
     each layer appends (its input, per direction each step's (h, (z, r,
-    c))) to ``ws.encoder``; r*h is left out, since `autodiff._gru_backward`
-    rebuilds it from h and r."""
+    c))) to ``ws.encoder``."""
     batch, s, _ = inputs.shape
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
@@ -298,7 +297,7 @@ def _encode(model, inputs: np.ndarray, lengths=None, ws=None) -> np.ndarray:
             h = _zeros(ws, (batch, hidden))
             steps = [None] * s
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, z, r, _, c = ad._gru_cell(gx[:, t], h, *kernel, _cell_buffers(ws, h.shape))
+                out, z, r, c = ad._gru_cell(gx[:, t], h, *kernel, _cell_buffers(ws, h.shape))
                 if ws is not None:
                     steps[t] = (h, (z, r, c))
                 if keep[t] is not None:
@@ -325,9 +324,9 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, ws=None):
     cell's gates as (z, r, c) and output state and its emitted pose into
     views of ``ws``, and appends to ``ws.decoder`` its previous poses, its
     mask and each cell's input state, gates and output state; it keeps no
-    r*h, no attention tanh, weights or context and no first-cell input x,
-    which `backward` rebuilds from these through `autodiff._gru_backward`,
-    `autodiff._attend` and `_input_row`. Returns
+    attention tanh, weights or context and no first-cell input x, which
+    `backward` rebuilds from these through `autodiff._attend` and
+    `_input_row`. Returns
     rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
     m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
@@ -342,7 +341,7 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, ws=None):
         for k in range(n + m):
             prev = seed_poses[:, k] if k < n else pose
             pre = ad._affine(prev, pre_t, pre_b)
-            context, weights, t = ad._attend(h2 @ w_query_t, projected, v_col, annotations, mask)
+            context, weights, t = ad._attend(h2.dot(w_query_t), projected, v_col, annotations, mask)
             keep = scale = None
             if dropout > 0.0:
                 keep = _empty(ws, (batch, w1_t.shape[0]), bool)
@@ -352,8 +351,8 @@ def _decoder(model, mask=None, rng=None, dropout=0.0, ws=None):
             out1 = out2 = None
             if ws is not None:
                 out1, out2 = _cell_buffers(ws, h1.shape), _cell_buffers(ws, h2.shape)
-            h1_next, z1, r1, _, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, out1)
-            h2_next, z2, r2, _, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, out2)
+            h1_next, z1, r1, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, out1)
+            h2_next, z2, r2, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, out2)
             if ws is not None:
                 ws.decoder.append((prev, keep, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
             h1, h2 = h1_next, h2_next
@@ -398,7 +397,7 @@ class TrainPass:
     their (B, s, A) attention projection and score mask (None: no
     padding), each decoder step's intermediates (see `_decoder`) and the
     dropout rate that turns the decoder's recorded bool masks back into
-    multipliers. It keeps no float dropout multiplier, no r*h, and per
+    multipliers. It keeps no float dropout multiplier, and per
     decoder step no (B, s, A) attention tanh, no attention weights or
     context and no (B, 3H) first-cell input: `backward` rebuilds each from
     what the record keeps, one step at a time, through the call the
@@ -539,7 +538,7 @@ def backward(run: TrainPass, g_poses: np.ndarray):
         d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, gates2, u2.grad, b2.grad, with_dh=k > 0)
         d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1_next, w2.value, w2.grad))
         d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, gates1, u1.grad, b1.grad, with_dh=k > 0)
-        context, weights, t = ad._attend(h2 @ w_query_t, run.projected, v_col, run.annotations, run.mask)
+        context, weights, t = ad._attend(h2.dot(w_query_t), run.projected, v_col, run.annotations, run.mask)
         scale = None if keep is None else _dropout_scale(keep, run.dropout)
         x = _input_row(ad._affine(prev, pre_t, pre_b), context, scale)
         d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)

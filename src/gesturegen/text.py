@@ -75,4 +75,10 @@ def write_synthetic_embeddings(tokens, path, dim: int, seed: int) -> int:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 hex digest of the embedding table at ``path``; a file that
+    cannot be read is refused as the table loader refuses it."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedFile(f"cannot read embedding table: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()

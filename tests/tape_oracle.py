@@ -94,7 +94,8 @@ def gru_step(gx, h, u, b, t=None, keep=None):
     hidden = hd.shape[-1]
     two = 2 * hidden
     u_zr, u_c, b_zr, b_c = _gru_blocks(ud, bd)
-    out_val, z, r, rh, c = _gru_cell(gxt, hd, u_zr, u_c, b_zr, b_c)
+    out_val, z, r, c = _gru_cell(gxt, hd, u_zr, u_c, b_zr, b_c)
+    rh = r * hd  # the cell's r*h: the same one multiply
     if keep is not None:
         keep = keep[:, None]
         out_val = np.where(keep, out_val, hd)

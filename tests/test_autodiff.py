@@ -2,7 +2,8 @@
 nodes and every backward rule of the model's kernels, a property of the
 affine rule against the add / matmul / transpose graph it replaced, one
 property over the rules against the fused tape nodes they were written
-from, plus graph semantics (re-running backward, no recorded graph)."""
+from, one property of the forward kernels against their `@` spelling,
+plus graph semantics (re-running backward, no recorded graph)."""
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def _gru_rule(t=None, keep=None):
 
     def rule(g, gx, h, u, b):
         u_zr, u_c, b_zr, b_c = ad._gru_blocks(u.T, b)
-        out, z, r, _, c = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
+        out, z, r, c = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
         if keep is not None:
             out = np.where(keep[:, None], out, h)
         du, db = np.zeros_like(u), np.zeros_like(b)
@@ -585,3 +586,83 @@ def test_fused_node_gradients_match_finite_differences(node, batch, widths, seed
     rule, references, shapes, out_shape = _RULES[node](rng, batch, *widths)
     _fd_check_rule(rule, shapes, out_shape, seed=seed)
     _assert_bit_equal(rule, references, shapes, out_shape, seed)
+
+
+# -- the forward kernels against their `@` spelling ------------------------------
+# The kernels take 2-D products through np.dot and reduce through bound
+# ufuncs to save per-call dispatch at batch 1; these references spell the
+# same operations with `@` and the ndarray methods, in the same order.
+
+
+def _affine_at(x, w_t, b):
+    out = (x.reshape(-1, x.shape[-1]) @ w_t).reshape(x.shape[:-1] + w_t.shape[1:])
+    return out if b is None else out + b
+
+
+def _gru_cell_at(gxt, h, u_zr, u_c, b_zr, b_c):
+    hidden = h.shape[-1]
+    two = 2 * hidden
+    zr = 0.5 * (np.tanh(0.5 * ((gxt[:, :two] + h @ u_zr) + b_zr)) + 1.0)
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    c = np.tanh((gxt[:, two:] + (r * h) @ u_c) + b_c)
+    return h + z * (c - h), z, r, c
+
+
+def _attend_at(query, projected, v_col, annotations, mask):
+    batch, s, att = projected.shape
+    t = np.tanh(query.reshape(batch, 1, att) + projected)
+    scores = (t.reshape(-1, att) @ v_col).reshape(batch, s)
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return np.matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1), weights, t
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    words=st.integers(1, 5),
+    widths=st.lists(st.integers(1, 48), min_size=2, max_size=2),
+    hidden=st.integers(1, 24),
+    att=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the toy model's batch-1 decode products: the first cell's input projection
+# 1x192.192x192 with its 1x64.64x128 and 1x64.64x64 gate products and the
+# 1x64.64x64 attention query, then the pre-linear 1x10.10x64
+@example(batch=1, words=1, widths=[192, 192], hidden=64, att=64, seed=0)
+@example(batch=1, words=7, widths=[10, 64], hidden=64, att=64, seed=1)
+def test_forward_kernels_bit_equal_to_matmul_spelling(batch, words, widths, hidden, att, seed):
+    """`_affine` (2-d and 3-d input, fresh and into ``out``), `_gru_cell`
+    (fresh and into ``out``, on a time slice of a (B, s, 3H) projection)
+    and `_attend` (with and without a padding mask, on a query formed by
+    ``ndarray.dot``) give the bits of the same operations written with `@`."""
+    rng = np.random.default_rng(seed)
+    n_in, n_out = widths
+    w_t, b = rng.normal(size=(n_out, n_in)).T, rng.normal(size=n_out)
+    for x in (rng.normal(size=(batch, n_in)), rng.normal(size=(batch, words, n_in))):
+        for bias in (None, b):
+            want = _affine_at(x, w_t, bias)
+            out = np.empty(want.shape)
+            _assert_same_bits([ad._affine(x, w_t, bias), ad._affine(x, w_t, bias, out)], [want, want])
+
+    gx, h = rng.normal(size=(batch, words, 3 * hidden)), rng.normal(size=(batch, hidden))
+    kernel = ad._gru_blocks(rng.normal(size=(3 * hidden, hidden)).T, rng.normal(size=3 * hidden))
+    gxt = gx[:, int(rng.integers(words))]
+    want = _gru_cell_at(gxt, h, *kernel)
+    _assert_same_bits(ad._gru_cell(gxt, h, *kernel), want)
+    out = (np.empty((batch, hidden)), np.empty((batch, 2 * hidden)), np.empty((batch, hidden)))
+    _assert_same_bits(ad._gru_cell(gxt, h, *kernel, out), want)
+
+    w_query_t, v_col = rng.normal(size=(att, hidden)).T, rng.normal(size=(att, 1))
+    projected, annotations = rng.normal(size=(batch, words, att)), rng.normal(size=(batch, words, 2 * hidden))
+    for mask in (None, _padding_mask(rng, batch, words)):
+        want = _attend_at(h @ w_query_t, projected, v_col, annotations, mask)
+        _assert_same_bits(ad._attend(h.dot(w_query_t), projected, v_col, annotations, mask), want)

@@ -889,6 +889,30 @@ def test_bad_embedding_ref_generate_is_single_line(workspace, tmp_path, capsys):
     assert not (tmp_path / "track.csv").exists()
 
 
+@pytest.mark.parametrize("edit", ["valid", "malformed"])
+def test_changed_embedding_table_generate_is_single_line(workspace, tmp_path, capsys, edit):
+    # The checkpoint's table is checked against its hash before it is parsed,
+    # so a table edited after training is refused as such even when it would
+    # not parse either.
+    from test_checkpoint import edit_header
+
+    root, _ = workspace
+    table, path = tmp_path / "emb.txt", tmp_path / "ck.ggck"
+    lines = (root / "emb.txt").read_text().splitlines(keepends=True)
+    token, *values = lines[0].split()
+    lines[0] = " ".join([token, *(values[::-1] if edit == "valid" else ["x"] * len(values))]) + "\n"
+    table.write_text("".join(lines))
+    shutil.copyfile(root / "ck.ggck", path)
+    edit_header(path, lambda h: h["embedding_ref"].update(path=str(table)))
+    capsys.readouterr()
+    args = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2.0"]
+    assert main([*args, "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "track.csv")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"generate: embedding file {table} does not match the checkpoint reference hash"]
+    assert not (tmp_path / "track.csv").exists()
+
+
 def test_bad_array_shape_pca_sweep_is_single_line(workspace, tmp_path, capsys):
     from test_checkpoint import edit_header
 

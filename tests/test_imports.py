@@ -132,3 +132,24 @@ def test_file_writes_finds_every_kind():
         "os.open(os.devnull, os.O_WRONLY)\n"
     )
     assert [line for _, line in _file_writes(tree)] == [1, 2, 3, 4, 5, 6, 7]
+
+
+def _matmul_operators(tree):
+    """Lines of every `@` and `@=` in ``tree``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult))
+
+
+def test_decode_kernels_use_no_matmul_operator():
+    # A batch-1 decoder step costs numpy's per-call dispatch more than its
+    # arithmetic, so the kernels it runs take 2-D products through
+    # ndarray.dot / np.dot, not the `@` gufunc (see the autodiff docstring).
+    # _attend's batched context product is an np.matmul call and may stay.
+    assert _matmul_operators(ast.parse("a @ b\na.dot(b)\nnp.matmul(a, b)\na @= b\n")) == [1, 4]
+    package = Path(gesturegen.__file__).parent
+    found = {}
+    for module, names in (("autodiff", {"_affine", "_gru_cell", "_attend"}), ("model", {"_decoder"})):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names}
+        assert set(functions) == names
+        found |= {f"{module}.{name}": _matmul_operators(node) for name, node in functions.items()}
+    assert all(lines == [] for lines in found.values()), found
