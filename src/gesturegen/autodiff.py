@@ -2,8 +2,9 @@
 hand-written backward rules, and a minimal reverse-mode tape.
 
 The model's forward arithmetic lives in three kernels, `_affine` (x W^T + b
-for a weight stored (out, in), read through its transpose), `_gru_cell` and
-`_attend`, which return the intermediates their backward rules read.
+for a weight stored (out, in), read through its transpose), `_gru_cell`, which
+writes what its backward rule reads into buffers its caller hands it, and
+`_attend`, which returns it.
 `_affine_backward`, `_gru_backward` and `_attend_backward` turn an output
 gradient into input gradients and add each weight's gradient into the
 accumulator they are given, and `_gesture_loss` returns the training loss
@@ -170,12 +171,12 @@ def _affine(x, w_t, b=None, out=None):
     the C-contiguous buffer ``out``, with the same bits either way. The
     product is ``np.dot``, not the ``np.matmul`` gufunc, and the bias add a
     bound ufunc: at batch 1 each call's dispatch is most of its cost."""
-    if out is not None:
-        _dot(x.reshape(-1, x.shape[-1]), w_t, out.reshape(-1, out.shape[-1]))
-    elif x.ndim == 2:
-        out = x.dot(w_t)
-    else:
+    if x.ndim == 2:
+        out = x.dot(w_t) if out is None else _dot(x, w_t, out)
+    elif out is None:
         out = x.reshape(-1, x.shape[-1]).dot(w_t).reshape(x.shape[:-1] + w_t.shape[1:])
+    else:
+        _dot(x.reshape(-1, x.shape[-1]), w_t, out.reshape(-1, out.shape[-1]))
     if b is not None:
         _add(out, b, out)  # the product is fresh: add the bias in place
     return out
@@ -201,27 +202,22 @@ def _gru_blocks(u_t, b):
     return u_t[:, :two], u_t[:, two:], b[:two], b[two:]
 
 
-def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, out=None):
+def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, h_next, zr, c):
     """One GRU update, gates ordered update (z), reset (r), candidate:
 
         z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
         c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
 
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
-    and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)).
-    Returns (h', z, r, c), what ``_gru_backward`` reads; it rebuilds r*h
-    from r and h. Each chain runs in place on the product that starts it,
-    in the order above, and h' is its own array, so c is kept. ``out`` is
-    None (fresh arrays) or the C-contiguous (B, H), (B, 2H) and (B, H)
-    buffers that h', the stacked z and r, and c are written into: the same
-    operations either way, so the same bits."""
+    and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)),
+    into the caller's C-contiguous buffers: h' into the (B, H) ``h_next``,
+    z and r stacked into the (B, 2H) ``zr`` and c into the (B, H) ``c``,
+    what ``_gru_backward`` reads; it rebuilds r*h from r and h. Each chain
+    runs in place on the product that starts it, in the order above, and
+    no buffer may be h."""
     hidden = h.shape[-1]
     two = 2 * hidden
-    if out is None:
-        zr = h.dot(u_zr)
-    else:
-        h_next, zr, c = out
-        _dot(h, u_zr, zr)
+    _dot(h, u_zr, zr)
     _add(gxt[:, :two], zr, zr)
     _add(zr, b_zr, zr)
     _multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
@@ -229,28 +225,27 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, out=None):
     _add(zr, _ONE, zr)
     _multiply(zr, _HALF, zr)
     z, r = zr[:, :hidden], zr[:, hidden:]
-    rh = _multiply(r, h)
-    c = rh.dot(u_c) if out is None else _dot(rh, u_c, c)
+    _dot(_multiply(r, h), u_c, c)
     _add(gxt[:, two:], c, c)
     _add(c, b_c, c)
     _tanh(c, c)
-    h_next = _subtract(c, h) if out is None else _subtract(c, h, h_next)
+    _subtract(c, h, h_next)
     _multiply(h_next, z, h_next)
     _add(h_next, h, h_next)
-    return h_next, z, r, c
 
 
-def _gru_backward(g, h, u_zr, u_c, gates, du, db, keep=None, with_dh=True):
-    """The rule of one ``_gru_cell`` step from state h with gates (z, r, c),
-    for the gradient g of its (B, H) output; rows where the (B,) bool mask
-    ``keep`` is False carried h unchanged (padded steps). The cell's r*h is
-    recomputed here as the same one multiply, so a caller keeps three gates,
-    not four. Adds the recurrent weight's gradient into du, stored (3H, H),
-    and the bias's into db. Returns (the (B, 3H) input-projection gradient,
-    the state gradient or None when not ``with_dh``)."""
-    z, r, c = gates
+def _gru_backward(g, h, u_zr, u_c, zr, c, du, db, keep=None, with_dh=True):
+    """The rule of one ``_gru_cell`` step from state h with the stacked
+    (B, 2H) update and reset gates zr and the candidate c it wrote, for the
+    gradient g of its (B, H) output; rows where the (B,) bool mask ``keep``
+    is False carried h unchanged (padded steps). The cell's r*h is
+    recomputed here as the same one multiply. Adds the recurrent weight's
+    gradient into du, stored (3H, H), and the bias's into db. Returns (the
+    (B, 3H) input-projection gradient, the state gradient or None when not
+    ``with_dh``)."""
     hidden = h.shape[-1]
     two = 2 * hidden
+    z, r = zr[:, :hidden], zr[:, hidden:]
     g_carry = None
     if keep is not None:
         keep = keep[:, None]

@@ -5,8 +5,10 @@ length, a JSON header (sorted keys), then the concatenated raw float64
 bytes of every array in header order. Writing is fully deterministic given
 the content, and numeric payloads round-trip bit-exactly. Every array is
 finite both ways: saving refuses a non-finite value and loading rejects one.
-Loading builds the zeroed parameter layouts, drawing no weights, and copies
-each array from the file bytes into its view; the pose basis gets copies.
+Loading checks the whole header first, then builds the zeroed parameter
+layouts, drawing no weights, and reads each array from its file offset
+straight into its view; the pose basis gets fresh arrays. A header that
+lists an array name twice is refused.
 The model's arrays and their order are `model.stored_arrays`.
 """
 
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -110,47 +114,62 @@ def _check_basis(pca: PcaModel):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint: the header's layout first (magic, version, array
+    entries, file size), then each array from its file offset straight into
+    the view it fills; the pose basis goes into fresh arrays."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_checkpoint(fh)
     except OSError as exc:
         raise MalformedFile(f"cannot read checkpoint: {exc}") from exc
-    if len(raw) < 16 or raw[:4] != MAGIC:
+
+
+def _read_checkpoint(fh) -> Checkpoint:
+    head = fh.read(16)
+    if len(head) < 16 or head[:4] != MAGIC:
         raise MalformedFile("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = struct.unpack_from("<I", head, 4)
     if version != FORMAT_VERSION:
         raise MalformedFile(f"unsupported checkpoint format version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    (header_len,) = struct.unpack_from("<Q", head, 8)
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(16)
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(min(header_len, size - 16)).decode("utf-8"))
         shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
-    for name, shape in shapes:  # before any size arithmetic reads them
+    spans, offset = {}, 16 + header_len  # name -> (file offset, shape)
+    for name, shape in shapes:
         if not isinstance(name, str) or not all(type(dim) is int and dim >= 0 for dim in shape):
             raise MalformedFile(
                 f"corrupt checkpoint header: array {name!r} needs a string name and non-negative int dimensions, "
                 f"got shape {list(shape)}"
             )
+        if name in spans:
+            raise MalformedFile(f"corrupt checkpoint header: array {name!r} is listed more than once")
+        spans[name], offset = (offset, shape), offset + 8 * math.prod(shape)
+    if size != offset:
+        raise MalformedFile(f"checkpoint is {size} bytes, its header implies {offset}")
 
-    offset = 16 + header_len
-    expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
-    if len(raw) != expected:
-        raise MalformedFile(f"checkpoint is {len(raw)} bytes, its header implies {expected}")
-    values = {}  # read-only views of raw
-    for name, shape in shapes:
-        count = math.prod(shape)
-        values[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-
-    def take(name):
-        if name not in values:
+    def read(name, into=None):  # into a C-contiguous view, or a fresh array
+        if name not in spans:
             raise MalformedFile(f"checkpoint is missing array {name}")
-        return values[name]
+        start, shape = spans[name]
+        if into is None:
+            into = np.empty(shape)
+        elif into.shape != shape:
+            raise MalformedFile(f"array {name} has shape {shape}, expected {into.shape}")
+        fh.seek(start)
+        if fh.readinto(into) != into.nbytes:
+            raise MalformedFile(f"checkpoint ended inside array {name}")
+        if sys.byteorder != "little":
+            into.byteswap(inplace=True)  # the file is little-endian
+        return into
 
     pca = None
     if header.get("has_pca"):
-        pca = PcaModel(**{key: take(f"pca.{key}").copy() for key in _PCA_FIELDS})
+        pca = PcaModel(**{key: read(f"pca.{key}") for key in _PCA_FIELDS})
         _check_basis(pca)
 
     model_cfg = _header_config(header, "model_cfg", {f.name: f.type for f in fields(ModelConfig)})
@@ -168,10 +187,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
     for name, target in _format1_arrays(ck):
-        stored = take(name)
-        if stored.shape != target.shape:
-            raise MalformedFile(f"array {name} has shape {stored.shape}, expected {target.shape}")
-        if not np.isfinite(stored).all():
+        if not name.startswith("pca."):  # the pose basis is read above
+            read(name, target)
+        if not np.isfinite(target).all():
             raise MalformedFile(f"array {name} has non-finite values")
-        target[...] = stored
     return ck

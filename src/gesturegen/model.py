@@ -7,23 +7,23 @@ then generates a fixed number of poses, each feeding the next step. Of the
 warm-up steps only the last runs the post-linear layer: its pose feeds the
 first generated step, and no step reads the others'.
 
-One plain-array pass serves both modes: `_encode` and `_decoder` bind each
-weight's transpose, GRU gate blocks and bias slices once per pass and run
-the steps on the kernels `autodiff._affine`, `_gru_cell` and `_attend`.
-`forward_graph` (train mode) adds dropout masks and keeps each step's
-intermediates in a `TrainPass`, and `backward` walks that record in
+One plain-array pass serves both modes and writes every step into one
+record: `_record_shapes` names each array a pass keeps, and a `Workspace`
+carves a pass's C-contiguous views of them out of a float64 and a bool
+arena. `_encode` and `_decoder` bind each weight's transpose, gate blocks
+and bias slices once per pass and run the steps on the kernels
+`autodiff._affine`, `_gru_cell` and `_attend`; step t of a cell writes its
+state and gates into the cell's slot t % depth. The modes differ only in
+the table. A train record (`forward_graph`) keeps every step, the
+dropped-out words and the dropout masks, and `backward` walks it in
 reverse through the kernels' backward rules into the store's gradients;
-nothing records a graph. The record leaves out what one step's backward
-can rebuild cheaply, the decoder's attention (its tanh, weights and
-context) and first-cell input; `backward` rebuilds each through the call
-the forward step made it with (`autodiff._attend`, `_input_row`), so the
-gradients keep their bits. What it keeps lives in a `Workspace` that
-each pass overwrites with the same operations: `train_model` makes one
-per run and owns it, `forward_graph` called without one makes its own,
-and a `TrainPass` stays valid until the next pass on its workspace.
-`forward` (eval) keeps nothing: it encodes all word chunks of an
-utterance in one batch, then decodes them in order, each seeded with the
-last poses of the one before.
+nothing records a graph. It leaves out the decoder's attention and
+first-cell input, which `backward` rebuilds through the calls the forward
+step made (`autodiff._attend`, `_input_row`), so the gradients keep their
+bits. An eval record (`forward`) keeps two step slots and one decoder
+row: `forward` encodes all word chunks of an utterance in one batch, then
+decodes them in order on that row, each seeded with the last poses of the
+one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -185,68 +185,68 @@ def _cell_weights(cell):
     return (w.T, *ad._gru_blocks(u.T, b))
 
 
-def _record_size(cfg: ModelConfig, batch: int, words: int):
-    """The (float64, bool) entries that a train-mode pass of ``batch`` rows
-    of ``words`` words takes from its `Workspace`: the dropped-out words;
-    per encoder layer its output and per direction a zero start state and
-    each step's state and gates; the annotation projection; the decoder's
-    zero start state, each step's two cells' states and gates, the poses of
-    the m + 1 emitting steps and each step's dropout mask."""
-    hidden, steps = cfg.hidden, cfg.n_seed_poses + cfg.n_output_poses
-    encoder = words * cfg.word_dim + 2 * (2 * words * hidden + 2 * (4 * words + 1) * hidden)
-    decoder = (8 * steps + 1) * hidden + (cfg.n_output_poses + 1) * cfg.gesture_dim
-    return batch * (encoder + words * cfg.att_dim + decoder), batch * steps * 3 * hidden
+def _record_shapes(cfg: ModelConfig, batch: int, words: int, train: bool) -> dict:
+    """The (shape, dtype) of each array that a pass of ``batch`` rows of
+    ``words`` words keeps, by name, in arena order: the zero start state,
+    the input projection ``gx`` that each encoder layer and direction fills
+    in turn, each encoder layer's output, per cell and step its output state
+    and stacked (z, r) and candidate gates (``enc_*``, ``dec_*``), the
+    annotation projection and the m + 1 emitted poses. A train record keeps
+    every step, the dropped-out words and each decoder step's dropout mask
+    as bools; an eval record keeps two step slots that all encoder cells
+    share and two per decoder cell, in one row that every chunk reuses."""
+    hidden, steps, f64 = cfg.hidden, cfg.n_seed_poses + cfg.n_output_poses, np.dtype(np.float64)
+    if train:
+        enc, dec, rows = (2, 2, words), steps, batch
+    else:
+        enc, dec, rows = (1, 1, 2), 2, 1
+    shapes = {
+        "zero": (batch, hidden),
+        "gx": (batch, words, 3 * hidden),
+        "enc_out": (2, batch, words, 2 * hidden),
+        "enc_h": (*enc, batch, hidden),
+        "enc_zr": (*enc, batch, 2 * hidden),
+        "enc_c": (*enc, batch, hidden),
+        "projected": (batch, words, cfg.att_dim),
+        "dec_h": (2, dec, rows, hidden),
+        "dec_zr": (2, dec, rows, 2 * hidden),
+        "dec_c": (2, dec, rows, hidden),
+        "pose": (cfg.n_output_poses + 1, rows, cfg.gesture_dim),
+    }
+    table = {name: (shape, f64) for name, shape in shapes.items()}
+    if train:
+        table |= {"words": ((batch, words, cfg.word_dim), f64), "keep": ((steps, batch, 3 * hidden), np.dtype(bool))}
+    return table
 
 
 class Workspace:
-    """Where train-mode passes keep their record: a float64 and a bool
-    arena, allocated once for up to ``batch`` rows of up to ``words``
-    words, and the ``encoder`` and ``decoder`` step lists. `forward_graph`
-    rewinds it and carves a C-contiguous view, in order, for every array
-    its `TrainPass` keeps, so that pass stays valid until the next
-    `forward_graph` on the workspace. Whoever makes one owns it:
-    `train_model` one per run, `forward_graph` without one its own."""
+    """Where passes keep their record: a float64 and a bool arena for up to
+    ``batch`` rows of up to ``words`` words of a train (``train``) or eval
+    `_record_shapes` table. Each `carve` starts a pass at the front of both
+    arenas, ending the last one. Whoever makes one owns it: `train_model`
+    one per run, `forward_graph` without one and `forward` their own."""
 
-    def __init__(self, cfg: ModelConfig, batch: int, words: int):
-        floats, flags = _record_size(cfg, batch, words)
-        self._arenas = {np.dtype(np.float64): np.empty(floats), np.dtype(bool): np.empty(flags, dtype=bool)}
-        self.rewind()
+    def __init__(self, cfg: ModelConfig, batch: int, words: int, train: bool = True):
+        self._cfg, self._train = cfg, train
+        sizes = dict.fromkeys((np.dtype(np.float64), np.dtype(bool)), 0)
+        for shape, dtype in _record_shapes(cfg, batch, words, train).values():
+            sizes[dtype] += math.prod(shape)
+        self._arenas = {dtype: np.empty(size, dtype) for dtype, size in sizes.items()}
 
-    def rewind(self):
-        """Start the next pass at the front of both arenas, with empty step lists."""
-        self._used = dict.fromkeys(self._arenas, 0)
-        self.encoder, self.decoder = [], []
-
-    def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """The next ``shape`` entries of the ``dtype`` arena, uninitialised."""
-        dtype = np.dtype(dtype)
-        start, arena = self._used[dtype], self._arenas[dtype]
-        end = start + math.prod(shape)
-        if end > arena.size:
-            raise InvalidConfig("the batch does not fit the training workspace")
-        self._used[dtype] = end
-        return arena[start:end].reshape(shape)
-
-
-def _empty(ws, shape, dtype=np.float64) -> np.ndarray:
-    """An uninitialised array: a view of the `Workspace` ``ws``, or fresh without one."""
-    return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
-
-
-def _zeros(ws, shape) -> np.ndarray:
-    """Zeros: a view of the `Workspace` ``ws``, or fresh without one."""
-    out = _empty(ws, shape)
-    out[...] = 0.0
-    return out
-
-
-def _cell_buffers(ws, shape):
-    """The (h', zr, c) buffers in ``ws`` of one `autodiff._gru_cell` step
-    from a ``shape`` (B, H) state (None without ``ws``: fresh arrays)."""
-    if ws is None:
-        return None
-    batch, hidden = shape
-    return ws.take(shape), ws.take((batch, 2 * hidden)), ws.take(shape)
+    def carve(self, batch: int, words: int) -> dict:
+        """A pass's record for ``batch`` rows of ``words`` words: by name, a
+        C-contiguous view of an arena per `_record_shapes` entry, cut in
+        order from its front; every view is uninitialised but the zero
+        state."""
+        used, record = dict.fromkeys(self._arenas, 0), {}
+        for name, (shape, dtype) in _record_shapes(self._cfg, batch, words, self._train).items():
+            start, arena = used[dtype], self._arenas[dtype]
+            used[dtype] = end = start + math.prod(shape)
+            if end > arena.size:
+                raise InvalidConfig("the batch does not fit the training workspace")
+            record[name] = arena[start:end].reshape(shape)
+        record["zero"][...] = 0.0
+        return record
 
 
 def _keep_masks(lengths, s: int) -> list:
@@ -276,92 +276,78 @@ def _input_row(pre, context, scale):
     return x
 
 
-def _encode(model, inputs: np.ndarray, lengths=None, ws=None) -> np.ndarray:
-    """(B, s, word_dim) embedded words -> annotations (B, s, 2H): per layer
-    and direction one input projection for every step, then the recurrence,
-    each cell's weights bound once. Row i has lengths[i] words followed by
-    padding (None: no padding); padded steps carry the state in both
-    directions, so the backward direction starts from zero at each row's
-    last word. In train mode (``ws`` a `Workspace`) each layer's output
-    and each step's input state and gates go into views of ``ws``, and
-    each layer appends (its input, per direction each step's (h, (z, r,
-    c))) to ``ws.encoder``."""
-    batch, s, _ = inputs.shape
+def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
+    """(B, s, word_dim) embedded words -> annotations (B, s, 2H), the last
+    layer's ``enc_out`` in ``record``: per layer and direction one input
+    projection for every step into ``gx``, then the recurrence, step t
+    writing its state and gates into slot t % depth. Row i has lengths[i]
+    words followed by padding (None: no padding); padded steps carry the
+    state in both directions, so the backward direction starts from zero
+    at each row's last word."""
+    s = inputs.shape[1]
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
-    for layer in model.encoder:
-        states, kept = _empty(ws, (batch, s, 2 * hidden)), []  # the layer's output, filled step by step
-        for cell, reverse, half in zip(layer, (False, True), (slice(hidden), slice(hidden, None))):
+    halves, gx = (slice(hidden), slice(hidden, None)), record["gx"]
+    buffers = [record[k] for k in ("enc_h", "enc_zr", "enc_c")]  # eval: all cells share one set of slots
+    for i, (layer, states) in enumerate(zip(model.encoder, record["enc_out"])):
+        for d, (cell, reverse, half) in enumerate(zip(layer, (False, True), halves)):
             w_t, *kernel = _cell_weights(cell)
-            gx = ad._affine(inputs, w_t)
-            h = _zeros(ws, (batch, hidden))
-            steps = [None] * s
+            ad._affine(inputs, w_t, None, gx)
+            h, slots = record["zero"], list(zip(*(b[i % len(b), d % len(b[0])] for b in buffers)))
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, z, r, c = ad._gru_cell(gx[:, t], h, *kernel, _cell_buffers(ws, h.shape))
-                if ws is not None:
-                    steps[t] = (h, (z, r, c))
+                out, zr, c = slots[t % len(slots)]
+                ad._gru_cell(gx[:, t], h, *kernel, out, zr, c)
                 if keep[t] is not None:
                     np.copyto(out, h, where=~keep[t][:, None])  # padded rows carry h
                 h = out
                 states[:, t, half] = h
-            kept.append(steps)
-        if ws is not None:
-            ws.encoder.append((inputs, kept))
         inputs = states
     return inputs
 
 
-def _decoder(model, mask=None, rng=None, dropout=0.0, ws=None):
+def _decoder(model, record, mask=None, rng=None, dropout=0.0):
     """The decoder, every weight bound once per pass. A step is the
     pre-linear, attention of the top layer's previous state over the (B, s,
     2H) annotations (scored through their (B, s, A) projection plus
     ``mask``: 0 on words, -inf on padding), dropout at rate ``dropout`` on
-    the first cell's input (masks drawn from ``rng``), the two GRU cells
-    and, when it emits, the post-linear. The decoder warms on the (B, n, 10)
-    seed poses, where only the last step emits (its pose feeds the first
-    output step), then emits m poses, each feeding the next. In train mode
-    (``ws`` a `Workspace`) each step writes its dropout mask as bools, each
-    cell's gates as (z, r, c) and output state and its emitted pose into
-    views of ``ws``, and appends to ``ws.decoder`` its previous poses, its
-    mask and each cell's input state, gates and output state; it keeps no
-    attention tanh, weights or context and no first-cell input x, which
-    `backward` rebuilds from these through `autodiff._attend` and
-    `_input_row`. Returns
-    rollout(seed_poses, annotations, projected) -> ((B, m, 10) poses, (B,
-    m, s) attention)."""
+    the first cell's input (masks drawn from ``rng`` into the record's
+    ``keep``), the two GRU cells and, when it emits, the post-linear into
+    the record's ``pose`` rows. The decoder warms on the (B, n, 10) seed
+    poses, where only the last step emits (its pose feeds the first output
+    step), then emits m poses, each feeding the next. Step k writes each
+    cell's state and gates into slot k % depth of ``record``. Returns
+    rollout(seed_poses, annotations, projected) -> (fresh (B, m, 10) poses,
+    fresh (B, m, s) attention)."""
     w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
     pre_t, pre_b, post_t, post_b = model.pre_w.value.T, model.pre_b.value, model.post_w.value.T, model.post_b.value
     (w1_t, *cell1), (w2_t, *cell2) = (_cell_weights(cell) for cell in model.decoder)
+    (h1s, h2s), (zr1s, zr2s), (c1s, c2s) = record["dec_h"], record["dec_zr"], record["dec_c"]
+    steps, emitted = list(zip(h1s, zr1s, c1s, h2s, zr2s, c2s)), list(record["pose"])  # cut once, for every chunk
     n = model.cfg.n_seed_poses
 
     def rollout(seed_poses, annotations, projected):
-        batch, m, hidden = seed_poses.shape[0], model.cfg.n_output_poses, model.cfg.hidden
-        h1 = h2 = _zeros(ws, (batch, hidden))
-        poses, rows = np.empty((batch, m, post_b.shape[0])), np.empty((batch, m, projected.shape[1]))
+        batch, m = seed_poses.shape[0], model.cfg.n_output_poses
+        h1 = h2 = record["zero"][:batch]
+        rows = np.empty((batch, m, projected.shape[1]))
         for k in range(n + m):
+            h1_next, zr1, c1, h2_next, zr2, c2 = steps[k % len(steps)]
             prev = seed_poses[:, k] if k < n else pose
             pre = ad._affine(prev, pre_t, pre_b)
             context, weights, t = ad._attend(h2.dot(w_query_t), projected, v_col, annotations, mask)
-            keep = scale = None
+            scale = None
             if dropout > 0.0:
-                keep = _empty(ws, (batch, w1_t.shape[0]), bool)
+                keep = record["keep"][k]
                 np.greater_equal(rng.random(keep.shape), dropout, out=keep)  # one draw per entry of x
                 scale = _dropout_scale(keep, dropout)
             x = _input_row(pre, context, scale)
-            out1 = out2 = None
-            if ws is not None:
-                out1, out2 = _cell_buffers(ws, h1.shape), _cell_buffers(ws, h2.shape)
-            h1_next, z1, r1, c1 = ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, out1)
-            h2_next, z2, r2, c2 = ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, out2)
-            if ws is not None:
-                ws.decoder.append((prev, keep, h1, (z1, r1, c1), h1_next, h2, (z2, r2, c2), h2_next))
+            ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, h1_next, zr1, c1)
+            ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, h2_next, zr2, c2)
             h1, h2 = h1_next, h2_next
             if k >= n - 1:
-                pose = ad._affine(h2, post_t, post_b, None if ws is None else ws.take((batch, post_b.shape[0])))
+                pose = ad._affine(h2, post_t, post_b, emitted[k - n + 1])
             if k >= n:
-                poses[:, k - n] = pose
                 rows[:, k - n] = weights
-        return poses, rows
+        return record["pose"][1:].swapaxes(0, 1).copy(), rows
 
     return rollout
 
@@ -392,28 +378,19 @@ def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
 
 @dataclass
 class TrainPass:
-    """What `backward` reads of one `forward_graph` pass: the encoder's
-    keep masks and per-layer record (see `_encode`), the annotations with
-    their (B, s, A) attention projection and score mask (None: no
-    padding), each decoder step's intermediates (see `_decoder`) and the
-    dropout rate that turns the decoder's recorded bool masks back into
-    multipliers. It keeps no float dropout multiplier, and per
-    decoder step no (B, s, A) attention tanh, no attention weights or
-    context and no (B, 3H) first-cell input: `backward` rebuilds each from
-    what the record keeps, one step at a time, through the call the
-    forward step made it with.
-
-    Its arrays, bar the caller's word and seed batches and the small keep
-    and score masks, are views of the pass's `Workspace`: the pass stays
-    valid until the next `forward_graph` on that workspace."""
+    """What `backward` reads of one `forward_graph` pass: its train record
+    (see `_record_shapes`), the encoder's first-layer input (the record's
+    dropped-out words, or the caller's words without dropout), the caller's
+    seed poses, the encoder's keep masks, the attention score mask (None: no
+    padding) and the dropout rate. It stays valid until the next
+    `forward_graph` on its `Workspace`."""
 
     model: Seq2SeqModel
+    record: dict
+    inputs: np.ndarray
+    seed_poses: np.ndarray
     keep: list
-    encoder: list
-    annotations: np.ndarray
-    projected: np.ndarray
     mask: np.ndarray | None
-    decoder: list
     dropout: float
 
 
@@ -436,7 +413,7 @@ def forward_graph(
     layer inputs of both encoder and decoder, drawing its masks from ``rng``
     (the encoder's first, then one per decoder step).
 
-    The record goes into ``workspace``, ending the pass made on it before;
+    The record goes into the train ``workspace``, ending its last pass;
     without one the pass makes its own. Poses and attention are fresh.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
@@ -453,16 +430,14 @@ def forward_graph(
     if rng is None and dropout > 0.0:
         raise InvalidConfig("dropout needs an rng")
 
-    ws = Workspace(model.cfg, batch, s) if workspace is None else workspace
-    ws.rewind()
+    record = (Workspace(model.cfg, batch, s) if workspace is None else workspace).carve(batch, s)
     if dropout > 0.0:
         scale = _dropout_scale(rng.random(embedded.shape) >= dropout, dropout)
-        embedded = np.multiply(embedded, scale, out=ws.take(embedded.shape))
-    annotations = _encode(model, embedded, lengths, ws)
-    projected = ad._affine(annotations, model.att_ann.value.T, out=ws.take((batch, s, model.cfg.att_dim)))
-    poses, attention = _decoder(model, mask, rng, dropout, ws)(seed_poses, annotations, projected)
-    run = TrainPass(model, _keep_masks(lengths, s), ws.encoder, annotations, projected, mask, ws.decoder, dropout)
-    return poses, attention, run
+        embedded = np.multiply(embedded, scale, out=record["words"])
+    annotations = _encode(model, embedded, lengths, record)
+    projected = ad._affine(annotations, model.att_ann.value.T, None, record["projected"])
+    poses, attention = _decoder(model, record, mask, rng, dropout)(seed_poses, annotations, projected)
+    return poses, attention, TrainPass(model, record, embedded, seed_poses, _keep_masks(lengths, s), mask, dropout)
 
 
 def forward(model, chunks, seed_poses):
@@ -470,8 +445,9 @@ def forward(model, chunks, seed_poses):
     word_dim) embedded word chunks, seed_poses the first chunk's (n, 10)
     seeds. Every chunk is encoded in one zero-padded batch; the decoder then
     runs chunk by chunk on that chunk's own s_i annotations, each chunk
-    after the first seeded with the last n poses before it. Returns one
-    (poses (m, 10), attention (m, s_i)) pair of plain arrays per chunk."""
+    after the first seeded with the last n poses before it. The record is
+    one eval-mode `Workspace` that the call makes. Returns one (poses (m,
+    10), attention (m, s_i)) pair of fresh arrays per chunk."""
     chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
     seeds = np.asarray(seed_poses, dtype=np.float64)[None]
     if not chunks:
@@ -481,9 +457,11 @@ def forward(model, chunks, seed_poses):
             raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
         _check_inputs(model, c[None], seeds)
     embedded, lengths = pad_words(chunks)
-    annotations = _encode(model, embedded, lengths)
-    projected = ad._affine(annotations, model.att_ann.value.T)
-    rollout = _decoder(model)
+    batch, s = embedded.shape[:2]
+    record = Workspace(model.cfg, batch, s, train=False).carve(batch, s)
+    annotations = _encode(model, embedded, lengths, record)
+    projected = ad._affine(annotations, model.att_ann.value.T, None, record["projected"])
+    rollout = _decoder(model, record)
     rollouts = []
     for row, s in enumerate(lengths):
         poses, attn = rollout(seeds, annotations[row : row + 1, :s], projected[row : row + 1, :s])
@@ -521,31 +499,34 @@ def backward(run: TrainPass, g_poses: np.ndarray):
     step's dropout multiplier is built once, for its rebuilt input and that
     input's gradient.
     """
-    model = run.model
+    model, record = run.model, run.record
     n, hidden = model.cfg.n_seed_poses, model.cfg.hidden
     (w1, u1, b1), (w2, u2, b2) = model.decoder
     blocks1, blocks2 = _u_blocks(u1, b1), _u_blocks(u2, b2)
     w_query_t, v = model.att_query.value.T, model.att_score.value
     v_col, pre_t, pre_b = v.reshape(-1, 1), model.pre_w.value.T, model.pre_b.value
+    annotations, projected, zero = record["enc_out"][1], record["projected"], record["zero"]
+    (h1s, h2s), (zr1s, zr2s), (c1s, c2s), pose_rows = record["dec_h"], record["dec_zr"], record["dec_c"], record["pose"]
     d_ann = d_proj = d_pose = d_h1 = d_h2 = d_query = None  # what step k + 1 sent back to step k
-    for k in range(len(run.decoder) - 1, -1, -1):
-        prev, keep, h1, gates1, h1_next, h2, gates2, h2_next = run.decoder[k]
+    for k in range(len(h1s) - 1, -1, -1):
+        prev = run.seed_poses[:, k] if k < n else pose_rows[k - n]
+        h1, h2 = (h1s[k - 1], h2s[k - 1]) if k > 0 else (zero, zero)
         d_post = None
         if k >= n - 1:
             g = d_pose if k < n else _sum(g_poses[:, k - n], d_pose)
-            d_post = ad._affine_backward(g, h2_next, model.post_w.value, model.post_w.grad, model.post_b.grad)
+            d_post = ad._affine_backward(g, h2s[k], model.post_w.value, model.post_w.grad, model.post_b.grad)
         d_h2 = _sum(d_h2, d_post, d_query)
-        d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, gates2, u2.grad, b2.grad, with_dh=k > 0)
-        d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1_next, w2.value, w2.grad))
-        d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, gates1, u1.grad, b1.grad, with_dh=k > 0)
-        context, weights, t = ad._attend(h2.dot(w_query_t), run.projected, v_col, run.annotations, run.mask)
-        scale = None if keep is None else _dropout_scale(keep, run.dropout)
+        d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, zr2s[k], c2s[k], u2.grad, b2.grad, with_dh=k > 0)
+        d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1s[k], w2.value, w2.grad))
+        d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, zr1s[k], c1s[k], u1.grad, b1.grad, with_dh=k > 0)
+        context, weights, t = ad._attend(h2.dot(w_query_t), projected, v_col, annotations, run.mask)
+        scale = _dropout_scale(record["keep"][k], run.dropout) if run.dropout > 0.0 else None
         x = _input_row(ad._affine(prev, pre_t, pre_b), context, scale)
         d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)
         if scale is not None:
             d_x *= scale  # a fresh product
         d_ann_k, d_proj_k, d_query = ad._attend_backward(
-            d_x[:, hidden:], h2, w_query_t, v, run.annotations, weights, t, model.att_score.grad, model.att_query.grad, k > 0
+            d_x[:, hidden:], h2, w_query_t, v, annotations, weights, t, model.att_score.grad, model.att_query.grad, k > 0
         )
         if d_ann is None:
             d_ann, d_proj = d_ann_k, d_proj_k
@@ -554,17 +535,18 @@ def backward(run: TrainPass, g_poses: np.ndarray):
             d_proj += d_proj_k
         d_pose = ad._affine_backward(d_x[:, :hidden], prev, model.pre_w.value, model.pre_w.grad, model.pre_b.grad, k >= n)
     d_out = d_ann
-    d_out += ad._affine_backward(d_proj, run.annotations, model.att_ann.value, model.att_ann.grad)  # made first, added last
+    d_out += ad._affine_backward(d_proj, annotations, model.att_ann.value, model.att_ann.grad)  # made first, added last
 
-    s, halves = run.annotations.shape[1], (slice(hidden), slice(hidden, None))
-    for depth, (inputs, directions) in reversed(list(enumerate(run.encoder))):
+    s, halves = annotations.shape[1], (slice(hidden), slice(hidden, None))
+    for depth, inputs in ((1, record["enc_out"][0]), (0, run.inputs)):
         d_in = None
-        for (w, u, b), steps, half, reverse in zip(model.encoder[depth], directions, halves, (False, True)):
+        cells = zip(model.encoder[depth], *(record[k][depth] for k in ("enc_h", "enc_zr", "enc_c")), halves, (False, True))
+        for (w, u, b), hs, zrs, cs, half, reverse in cells:
             blocks, d_gx, d_h = _u_blocks(u, b), np.zeros(inputs.shape[:2] + (3 * hidden,)), None
             for i, step in enumerate(range(s) if reverse else range(s - 1, -1, -1)):  # the forward steps in reverse
-                h, gates = steps[step]
+                h = zero if i == s - 1 else hs[step + 1 if reverse else step - 1]  # the state the step started from
                 g = _sum(d_out[:, step, half], d_h)
-                d_pre, d_h = ad._gru_backward(g, h, *blocks, gates, u.grad, b.grad, run.keep[step], i < s - 1)
+                d_pre, d_h = ad._gru_backward(g, h, *blocks, zrs[step], cs[step], u.grad, b.grad, run.keep[step], i < s - 1)
                 d_gx[:, step] += d_pre  # added onto zeros, as the reference graph does
             d_in = _sum(d_in, ad._affine_backward(d_gx, inputs, w.value, w.grad, with_dx=depth > 0))
         d_out = d_in

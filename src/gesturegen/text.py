@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import MalformedFile, read_rows, write_rows
 
+HASH_BLOCK = 1 << 20  # bytes per read of file_sha256
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation except intra-word apostrophes, split on
@@ -75,10 +77,13 @@ def write_synthetic_embeddings(tokens, path, dim: int, seed: int) -> int:
 
 
 def file_sha256(path) -> str:
-    """The sha256 hex digest of the embedding table at ``path``; a file that
-    cannot be read is refused as the table loader refuses it."""
+    """The sha256 hex digest of the embedding table at ``path``, read one
+    HASH_BLOCK at a time; an unreadable file is refused as the loader does."""
+    digest = hashlib.sha256()
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as fh:
+            while block := fh.read(HASH_BLOCK):
+                digest.update(block)
     except OSError as exc:
         raise MalformedFile(f"cannot read embedding table: {exc}") from exc
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()

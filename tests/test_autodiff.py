@@ -75,11 +75,12 @@ def _gru_rule(t=None, keep=None):
 
     def rule(g, gx, h, u, b):
         u_zr, u_c, b_zr, b_c = ad._gru_blocks(u.T, b)
-        out, z, r, c = ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c)
+        out, zr, c = np.empty(h.shape), np.empty((len(h), 2 * h.shape[1])), np.empty(h.shape)
+        ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c, out, zr, c)
         if keep is not None:
             out = np.where(keep[:, None], out, h)
         du, db = np.zeros_like(u), np.zeros_like(b)
-        d_pre, dh = ad._gru_backward(g, h, u_zr, u_c, (z, r, c), du, db, keep)
+        d_pre, dh = ad._gru_backward(g, h, u_zr, u_c, zr, c, du, db, keep)
         d_gx = d_pre
         if t is not None:
             d_gx = np.zeros_like(gx)
@@ -641,7 +642,7 @@ def _assert_same_bits(got, want):
 @example(batch=1, words=7, widths=[10, 64], hidden=64, att=64, seed=1)
 def test_forward_kernels_bit_equal_to_matmul_spelling(batch, words, widths, hidden, att, seed):
     """`_affine` (2-d and 3-d input, fresh and into ``out``), `_gru_cell`
-    (fresh and into ``out``, on a time slice of a (B, s, 3H) projection)
+    (into its output buffers, on a time slice of a (B, s, 3H) projection)
     and `_attend` (with and without a padding mask, on a query formed by
     ``ndarray.dot``) give the bits of the same operations written with `@`."""
     rng = np.random.default_rng(seed)
@@ -656,10 +657,9 @@ def test_forward_kernels_bit_equal_to_matmul_spelling(batch, words, widths, hidd
     gx, h = rng.normal(size=(batch, words, 3 * hidden)), rng.normal(size=(batch, hidden))
     kernel = ad._gru_blocks(rng.normal(size=(3 * hidden, hidden)).T, rng.normal(size=3 * hidden))
     gxt = gx[:, int(rng.integers(words))]
-    want = _gru_cell_at(gxt, h, *kernel)
-    _assert_same_bits(ad._gru_cell(gxt, h, *kernel), want)
-    out = (np.empty((batch, hidden)), np.empty((batch, 2 * hidden)), np.empty((batch, hidden)))
-    _assert_same_bits(ad._gru_cell(gxt, h, *kernel, out), want)
+    h_next, zr, c = np.empty((batch, hidden)), np.empty((batch, 2 * hidden)), np.empty((batch, hidden))
+    ad._gru_cell(gxt, h, *kernel, h_next, zr, c)
+    _assert_same_bits([h_next, zr[:, :hidden], zr[:, hidden:], c], _gru_cell_at(gxt, h, *kernel))
 
     w_query_t, v_col = rng.normal(size=(att, hidden)).T, rng.normal(size=(att, 1))
     projected, annotations = rng.normal(size=(batch, words, att)), rng.normal(size=(batch, words, 2 * hidden))

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ class TestVersioning:
         reason = "needs a string name and non-negative int dimensions, got shape "
         with pytest.raises(MalformedFile, match=f"^corrupt checkpoint header: array .* {reason}"):
             load_checkpoint(path)
+
+    def test_duplicate_array_name_rejected(self, tmp_path):
+        # a second pca.mean entry with a payload of its own: the sizes agree,
+        # and no copy may win silently
+        path = tmp_path / "p.ggck"
+        save_checkpoint(Checkpoint(config={}, pca=_full_checkpoint().pca), path)
+        edit_header(path, lambda h: h["arrays"].append({"name": "pca.mean", "shape": [16]}))
+        path.write_bytes(path.read_bytes() + np.full(16, 7.0).astype("<f8").tobytes())
+        with pytest.raises(MalformedFile, match=r"^corrupt checkpoint header: array 'pca\.mean' is listed more than once$"):
+            load_checkpoint(path)
+
+    def test_zero_size_arrays_take_no_bytes(self, tmp_path):
+        # zero-size entries before and after the basis move no offset, and a
+        # zero-size read still goes through its checks
+        ck = _full_checkpoint()
+        path = tmp_path / "p.ggck"
+        save_checkpoint(Checkpoint(config={}, pca=ck.pca), path)
+        edit_header(path, lambda h: h["arrays"].insert(0, {"name": "extra.empty", "shape": [0, 4]}))
+        edit_header(path, lambda h: h["arrays"].append({"name": "extra.none", "shape": [3, 0]}))
+        loaded = load_checkpoint(path).pca
+        for key in ("mean", "components", "explained_variance_ratio"):
+            assert getattr(loaded, key).tobytes() == getattr(ck.pca, key).tobytes()
 
     @pytest.mark.parametrize(
         "mean, components, ratio, reason",
@@ -404,6 +427,23 @@ class TestFinite:
             save_checkpoint(ck, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ggck"]
+
+
+def test_load_peak_is_the_parameter_store(tmp_path):
+    """Loading reads each array straight into the view it fills: the traced
+    peak of loading a toy-shape model stays within 5% of the values and
+    gradients its store allocates, with no copy of the file's bytes."""
+    cfg = ModelConfig(word_dim=300, hidden=64, att_dim=64, n_seed_poses=10, n_output_poses=20, dropout=0.1)
+    path = tmp_path / "m.ggck"
+    save_checkpoint(Checkpoint(config={}, model=init_model(cfg, seed=0)), path)
+    load_checkpoint(path)  # finish lazy imports before tracing
+    tracemalloc.start()
+    try:
+        store = load_checkpoint(path).model.store
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (store.values.nbytes + store.grads.nbytes)
 
 
 def _pinned_checkpoint():

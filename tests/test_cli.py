@@ -626,6 +626,22 @@ def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
         _single_line_error(capsys, "retarget")
 
 
+def test_duplicate_checkpoint_array_is_single_line(workspace, tmp_path, capsys):
+    root, _ = workspace
+    raw = (root / "ck.ggck").read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    header["arrays"].append({"name": "pca.mean", "shape": [16]})
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = raw[16 + header_len :] + np.full(16, 7.0).astype("<f8").tobytes()
+    (tmp_path / "dup.ggck").write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + payload)
+    args = ["--checkpoint", str(tmp_path / "dup.ggck"), "--track", str(root / "track.csv"), "--out-dir", str(tmp_path)]
+    rc = main(["retarget", *args])
+    assert rc == 1
+    message = "corrupt checkpoint header: array 'pca.mean' is listed more than once"
+    assert capsys.readouterr().err.splitlines() == [f"retarget: {message}"]
+
+
 def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
     root, _ = workspace
     rc = main(["pca-sweep", "--checkpoint", str(root / "ck.ggck"), "--values", "1,x", "--out-dir", str(tmp_path)])

@@ -34,7 +34,15 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
     w_t, *kernel = _cell_weights(cell)
-    return ad._gru_cell(ad._affine(np.asarray(x)[None], w_t), np.asarray(h)[None], *kernel)[0][0]
+    h = np.asarray(h, dtype=np.float64)[None]
+    out, zr, c = np.empty_like(h), np.empty((1, 2 * h.shape[1])), np.empty_like(h)
+    ad._gru_cell(ad._affine(np.asarray(x)[None], w_t), h, *kernel, out, zr, c)
+    return out[0]
+
+
+def eval_record(model, batch, words):
+    """An eval-mode record of its own for `_encode` or `_decoder` run alone."""
+    return Workspace(model.cfg, batch, words, train=False).carve(batch, words)
 
 
 def gate(p, k):
@@ -46,7 +54,7 @@ def gate(p, k):
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    return list(_encode(model, np.stack(words)[None])[0])
+    return list(_encode(model, np.stack(words)[None], None, eval_record(model, 1, len(words)))[0])
 
 
 def project(model, annotations):
@@ -216,14 +224,15 @@ class TestDecodeStep:
             p.value[...] = 0.0
         model.post_b.value[...] = np.arange(10.0) * 0.1
         ann = np.random.default_rng(0).normal(size=(3, 8))
-        poses, _ = _decoder(model)(np.zeros((1, 2, 10)), *project(model, ann))
+        poses, _ = _decoder(model, eval_record(model, 1, 3))(np.zeros((1, 2, 10)), *project(model, ann))
         assert np.allclose(poses[0], np.tile(np.arange(10.0) * 0.1, (3, 1)), atol=1e-15)
 
     def test_deterministic_and_shapes(self, tiny):
         rng = np.random.default_rng(5)
         own = project(tiny, rng.normal(size=(4, 8)))
         seeds = rng.normal(size=(1, 2, 10))
-        (pa, aa), (pb, ab) = (_decoder(tiny)(seeds, *own) for _ in range(2))
+        rollout = _decoder(tiny, eval_record(tiny, 1, 4))  # both runs reuse one record
+        (pa, aa), (pb, ab) = (rollout(seeds, *own) for _ in range(2))
         assert pa[0].shape == (3, 10) and aa[0].shape == (3, 4)
         assert np.array_equal(pa, pb) and np.array_equal(aa, ab)
 
@@ -502,18 +511,47 @@ class TestPaddedBatch:
         assert np.any(first != 0.0)
         assert first.tobytes() == model.store.grads.tobytes()
 
-    def test_workspace_fits_a_full_pass_exactly(self):
-        # a dropout pass at the shape a workspace was made for takes every
-        # entry of both arenas, and a bigger batch does not fit
+    def test_pass_at_the_workspace_shape_fills_both_arenas(self):
+        # a dropout pass at the shape a workspace was made for carves every
+        # entry of both arenas, in views that do not overlap, and a bigger
+        # batch or word count does not fit
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(np.random.default_rng(6), lengths, 4)
         ws = Workspace(PADDED, 3, 4)
-        forward_graph(init_model(PADDED, seed=6), emb, seeds, np.random.default_rng(6), lengths, 0.1, ws)
-        for dtype in (np.float64, bool):
-            with pytest.raises(InvalidConfig, match="does not fit"):
-                ws.take((1,), dtype)
+        *_, run = forward_graph(init_model(PADDED, seed=6), emb, seeds, np.random.default_rng(6), lengths, 0.1, ws)
+        views = list(run.record.values())
+        for dtype, arena in ws._arenas.items():
+            assert sum(v.nbytes for v in views if v.dtype == dtype) == arena.nbytes
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1 :])
+        for batch, words in ((4, 4), (3, 5)):
+            with pytest.raises(InvalidConfig, match="^the batch does not fit the training workspace$"):
+                ws.carve(batch, words)
         with pytest.raises(InvalidConfig, match="does not fit"):
             forward_graph(init_model(PADDED, seed=6), emb[:, :3], seeds, workspace=Workspace(PADDED, 3, 2))
+
+    def test_every_gru_cell_call_gets_its_output_buffers(self, monkeypatch):
+        # both modes write every cell step into their record: each
+        # _gru_cell call is handed three C-contiguous buffers, none of them
+        # the state it reads
+        model = init_model(PADDED, seed=7)
+        rng = np.random.default_rng(7)
+        lengths = np.array([3, 1, 2])
+        emb, seeds = _padded_batch(rng, lengths, 3)
+        calls = []
+        cell = ad._gru_cell
+
+        def spy(gxt, h, *args):
+            calls.append((h, args[4:]))
+            return cell(gxt, h, *args)
+
+        monkeypatch.setattr(ad, "_gru_cell", spy)
+        forward_graph(model, emb, seeds, rng, lengths, 0.1)
+        forward(model, [emb[row, :length] for row, length in enumerate(lengths)], seeds[0])
+        steps = PADDED.n_seed_poses + PADDED.n_output_poses
+        assert len(calls) == (2 * 2 * 3 + 2 * steps) + (2 * 2 * 3 + 3 * 2 * steps)  # train, then eval's 3 chunks
+        for h, buffers in calls:
+            assert len(buffers) == 3
+            assert all(b.flags.c_contiguous and not np.shares_memory(b, h) for b in buffers)
 
     def test_toy_gradients_pinned(self):
         # test_gradients_pinned at the toy training shape (criterion 6, the

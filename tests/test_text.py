@@ -4,13 +4,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gesturegen import errors
 from gesturegen.errors import InvalidConfig, MalformedFile, read_rows, write_rows
 from gesturegen.text import (
+    HASH_BLOCK,
     EmbeddingTable,
+    file_sha256,
     load_embedding_table,
     tokenize,
     write_synthetic_embeddings,
@@ -318,3 +320,24 @@ def test_block_reader_reports_a_bad_value_before_an_undecodable_byte(tmp_path, m
     expected = _outcome(_line_by_line_read_rows, path, **kwargs)
     assert expected == f"{path}: line 3: non-numeric value"
     assert _outcome(read_rows, path, **kwargs) == expected
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    blocks=st.integers(0, 2),
+    offset=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_file_sha256_streams_to_the_whole_file_digest(tmp_path, blocks, offset, seed):
+    """Files of about 0, 1 or 2 hash blocks, a byte or two either side of
+    each boundary, hash to the digest of their whole bytes."""
+    data = np.random.default_rng(seed).bytes(max(0, blocks * HASH_BLOCK + offset))
+    path = tmp_path / "table.txt"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_file_sha256_unreadable_is_one_line(tmp_path):
+    with pytest.raises(MalformedFile, match="^cannot read embedding table: ") as info:
+        file_sha256(tmp_path)  # a directory
+    assert "\n" not in str(info.value)
