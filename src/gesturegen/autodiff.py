@@ -210,11 +210,12 @@ def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, h_next, zr, c):
 
     from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
     and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)),
-    into the caller's C-contiguous buffers: h' into the (B, H) ``h_next``,
-    z and r stacked into the (B, 2H) ``zr`` and c into the (B, H) ``c``,
-    what ``_gru_backward`` reads; it rebuilds r*h from r and h. Each chain
-    runs in place on the product that starts it, in the order above, and
-    no buffer may be h."""
+    into the caller's buffers: z and r stacked into the (B, 2H) ``zr`` and
+    c into the (B, H) ``c``, what ``_gru_backward`` reads (it rebuilds r*h
+    from r and h), both C-contiguous for ``np.dot(..., out)``, and h' into
+    the (B, H) ``h_next``, which only ufuncs write, so it may be a strided
+    view. Each chain runs in place on the product that starts it, in the
+    order above, and no buffer may be h."""
     hidden = h.shape[-1]
     two = 2 * hidden
     _dot(h, u_zr, zr)

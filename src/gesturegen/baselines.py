@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,28 +128,24 @@ def manual_baseline(path, speech_duration: float) -> TimedPoseTrack:
     return align_track(track, speech_duration)
 
 
-@dataclass(frozen=True)
-class TrackMetrics:
-    mse: float  # against the reference, in gesture space
-    mean_displacement: float  # of the generated track
-    temporal_variance: np.ndarray  # per dimension, of the generated track
-
-
-def eval_tracks(generated: TimedPoseTrack, reference: TimedPoseTrack) -> TrackMetrics:
-    """Objective diagnostics; frame counts and widths must already match.
-    A metric that overflows raises InvalidConfig naming it."""
+def eval_tracks(generated: TimedPoseTrack, reference: TimedPoseTrack) -> dict:
+    """Objective diagnostics, as the metrics file's dict: ``mse`` against
+    the reference (in gesture space), and of the generated track its
+    ``mean_displacement`` and per-dimension ``temporal_variance`` (a list).
+    Frame counts and widths must already match. A metric that overflows
+    raises InvalidConfig naming it."""
     if len(generated) != len(reference):
         raise InvalidConfig(f"{len(generated)} generated vs {len(reference)} reference frames")
     gen, ref = generated.frames, reference.frames
     if gen.shape[1] != ref.shape[1]:
         raise InvalidConfig(f"{gen.shape[1]} generated vs {ref.shape[1]} reference columns")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        metrics = TrackMetrics(
-            mse=float(np.mean((gen - ref) ** 2)),
-            mean_displacement=float(np.linalg.norm(np.diff(gen, axis=0), axis=1).mean()) if len(gen) >= 2 else 0.0,
-            temporal_variance=gen.var(axis=0),
-        )
-    for name in ("mse", "mean_displacement", "temporal_variance"):
-        if not np.isfinite(getattr(metrics, name)).all():
+        metrics = {
+            "mse": float(np.mean((gen - ref) ** 2)),
+            "mean_displacement": float(np.linalg.norm(np.diff(gen, axis=0), axis=1).mean()) if len(gen) >= 2 else 0.0,
+            "temporal_variance": gen.var(axis=0).tolist(),
+        }
+    for name, value in metrics.items():
+        if not np.isfinite(value).all():
             raise InvalidConfig(f"{name} is not finite: the track values are too large")
     return metrics

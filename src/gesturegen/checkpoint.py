@@ -25,13 +25,14 @@ import numpy as np
 
 from .config import check_setting
 from .errors import InvalidConfig, MalformedFile, open_for_write
-from .lifting import LiftNetParams, build_lift_params
+from .lifting import BN_EPS, BN_MOMENTUM, LiftNetParams, build_lift_params
 from .model import ModelConfig, Seq2SeqModel, build_model, stored_arrays
 from .pose import POSE_DIM, PcaModel
 
 MAGIC = b"GGCK"
 FORMAT_VERSION = 1
 _PCA_FIELDS = ("mean", "components", "explained_variance_ratio")
+_LIFT_CFG = {"bn_momentum": BN_MOMENTUM, "bn_eps": BN_EPS}  # the header's lift_cfg, the lift net's fixed settings
 
 
 @dataclass
@@ -76,7 +77,7 @@ def save_checkpoint(ck: Checkpoint, path):
     if ck.model is not None:
         header["model_cfg"] = asdict(ck.model.cfg)
     if ck.lift is not None:
-        header["lift_cfg"] = {"bn_momentum": ck.lift.bn_momentum, "bn_eps": ck.lift.bn_eps}
+        header["lift_cfg"] = _LIFT_CFG
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open_for_write(path, "checkpoint", "wb") as fh:
         fh.write(MAGIC)
@@ -173,7 +174,9 @@ def _read_checkpoint(fh) -> Checkpoint:
         _check_basis(pca)
 
     model_cfg = _header_config(header, "model_cfg", {f.name: f.type for f in fields(ModelConfig)})
-    lift_cfg = _header_config(header, "lift_cfg", {"bn_momentum": "float", "bn_eps": "float"})
+    lift_cfg = _header_config(header, "lift_cfg", dict.fromkeys(_LIFT_CFG, "float"))
+    if lift_cfg not in (None, _LIFT_CFG):
+        raise MalformedFile(f"corrupt checkpoint header: lift_cfg must be null or {_LIFT_CFG}, got {lift_cfg}")
     ref = header.get("embedding_ref")
     if ref is not None and not (
         isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
@@ -181,9 +184,9 @@ def _read_checkpoint(fh) -> Checkpoint:
         raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
     try:
         model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
-        lift = None if lift_cfg is None else build_lift_params(**lift_cfg)
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
+    lift = None if lift_cfg is None else build_lift_params()
 
     ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
     for name, target in _format1_arrays(ck):

@@ -311,13 +311,7 @@ def cmd_eval(cfg: Config, args) -> int:
     reference = load_track_csv(args.reference)
     if len(generated) != len(reference):
         generated = align_track(generated, reference.duration)
-    metrics = eval_tracks(generated, reference)
-    payload = {
-        "mse": metrics.mse,
-        "mean_displacement": metrics.mean_displacement,
-        "temporal_variance": list(metrics.temporal_variance),
-    }
-    print(_write_json(cfg, payload, args.out, "metrics file"))
+    print(_write_json(cfg, eval_tracks(generated, reference), args.out, "metrics file"))
     return 0
 
 

@@ -20,20 +20,19 @@ from .pose import POSE_DIM
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _KIND = {"int": "an integer", "float": "a finite number", "str": "a string"}
 _OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-# Every bound of every numeric setting, and the only range checks of Config,
-# ModelConfig and the lift net's settings. Widths stop at 1024: a model with
-# all three at 1024 has 53.5M parameters, about 1.6 GiB to train with
-# gradients and both Adam moments (6.4 GiB at 2048). 120 poses are 10 s.
+# Every bound of every numeric setting, and the only range checks of Config
+# and ModelConfig. Widths stop at 1024: a model with all three at 1024 has
+# 53.5M parameters, about 1.6 GiB to train with gradients and both Adam
+# moments (6.4 GiB at 2048). 120 poses are 10 s.
 _BOUNDS = {
     **dict.fromkeys(("alpha", "beta", "epochs", "seed", "checkpoint_every"), ">= 0"),
-    **dict.fromkeys(("lr", "words_per_minute", "bn_eps"), "> 0"),
+    **dict.fromkeys(("lr", "words_per_minute"), "> 0"),
     **dict.fromkeys(("batch_size", "chunk_len", "lift_steps"), ">= 1"),
     **dict.fromkeys(("hidden", "att_dim", "word_dim"), ">= 1, <= 1024"),
     **dict.fromkeys(("n_seed_poses", "n_output_poses"), ">= 1, <= 120"),
     "gesture_dim": f">= 1, <= {POSE_DIM}",
     "lift_corpus_size": ">= 1, <= 100000",
     "dropout": ">= 0, < 1",
-    "bn_momentum": ">= 0, <= 1",
 }
 
 

@@ -105,8 +105,6 @@ def _first_violation(rec: DatasetRecord):
         return "frontality"
     if rec.duration < MIN_DURATION:
         return "duration"
-    if len(frames) < 2:
-        return "motion"
     disp = _norm(np.diff(frames, axis=0)).mean(axis=1)  # per frame pair
     if disp.mean() <= MIN_MOTION:
         return "motion"

@@ -37,6 +37,7 @@ LIFT_WIDTHS = (30, 20, 7)
 NON_NECK = [i for i in range(8) if i != NECK]
 LIFT_LR = 0.01  # Adam learning rate of lift training
 LIFT_BATCH = 16  # poses per lift training step
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-statistics update rate and variance guard
 
 LiftTrainConfig = Config  # bench/workloads.py is its only user; the next benchmark change drops it
 
@@ -46,13 +47,11 @@ class LiftNetParams:
     store: ParamStore
     layers: tuple  # (w, b) of the linear layers fc1, fc2, fc3
     norms: tuple  # (scale, shift) of the normalizations bn1, bn2
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     # running statistics are state, not parameters: no gradients
     running: dict = field(default_factory=dict)
 
 
-def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
+def build_lift_params() -> LiftNetParams:
     """The lift net's parameter layout with zero weights and shifts, unit
     scales and fresh running statistics: `init_lift_params` draws the
     weights into it and `load_checkpoint` fills it from a file."""
@@ -62,15 +61,15 @@ def build_lift_params(bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNet
     store = ParamStore(layout)
     layers = tuple((store[f"lift.fc{i}.w"], store[f"lift.fc{i}.b"]) for i in (1, 2, 3))
     norms = tuple((store[f"lift.bn{i}.scale"], store[f"lift.bn{i}.shift"]) for i in (1, 2))
-    params = LiftNetParams(store, layers, norms, bn_momentum=bn_momentum, bn_eps=bn_eps)
+    params = LiftNetParams(store, layers, norms)
     for i, (scale, _) in enumerate(norms, 1):
         scale.value[...] = 1.0
         params.running.update({f"mean{i}": np.zeros(sizes[i]), f"var{i}": np.ones(sizes[i])})
     return params
 
 
-def init_lift_params(seed: int = 0, bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> LiftNetParams:
-    params = build_lift_params(bn_momentum, bn_eps)
+def init_lift_params(seed: int = 0) -> LiftNetParams:
+    params = build_lift_params()
     rng = np.random.default_rng(seed)
     for w, _ in params.layers:
         _xavier(rng, w.value)
@@ -119,13 +118,13 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
         run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
         pre = ad._affine(inputs[-1], w.value.T, b.value)
         if train:
-            stats, norm = _batch_norm_train(pre, params.bn_eps)
+            stats, norm = _batch_norm_train(pre, BN_EPS)
             for buf, stat in zip((run_mean, run_var), stats):
-                buf *= 1.0 - params.bn_momentum
-                buf += params.bn_momentum * stat
+                buf *= 1.0 - BN_MOMENTUM
+                buf += BN_MOMENTUM * stat
         else:
             centered = pre + -run_mean
-            inv_std = 1.0 / np.sqrt(run_var + params.bn_eps)
+            inv_std = 1.0 / np.sqrt(run_var + BN_EPS)
             norm = (centered, None, inv_std, centered * inv_std)
         norms.append(norm)
         inputs.append(np.maximum(norm[3] * scale.value + shift.value, 0.0))

@@ -13,14 +13,16 @@ carves a pass's C-contiguous views of them out of a float64 and a bool
 arena. `_encode` and `_decoder` bind each weight's transpose, gate blocks
 and bias slices once per pass and run the steps on the kernels
 `autodiff._affine`, `_gru_cell` and `_attend`; step t of a cell writes its
-state and gates into the cell's slot t % depth. The modes differ only in
-the table. A train record (`forward_graph`) keeps every step, the
-dropped-out words and the dropout masks, and `backward` walks it in
-reverse through the kernels' backward rules into the store's gradients;
-nothing records a graph. It leaves out the decoder's attention and
-first-cell input, which `backward` rebuilds through the calls the forward
-step made (`autodiff._attend`, `_input_row`), so the gradients keep their
-bits. An eval record (`forward`) keeps two step slots and one decoder
+gates into the cell's slot t % depth and its state once: an encoder step
+into its column block of the layer output, a decoder step into the slot.
+The modes differ only in the table. A train record (`forward_graph`)
+keeps every step, the dropped-out words and the dropout masks, and
+`backward` walks it in reverse through the kernels' backward rules into
+the store's gradients; nothing records a graph. It leaves out the
+decoder's attention and first-cell input, which `backward` rebuilds
+through the calls the forward step made (`autodiff._attend`,
+`_input_row`), so the gradients keep their bits. An eval record
+(`forward`) keeps one encoder slot, two decoder slots and one decoder
 row: `forward` encodes all word chunks of an utterance in one batch, then
 decodes them in order on that row, each seeded with the last poses of the
 one before.
@@ -189,22 +191,22 @@ def _record_shapes(cfg: ModelConfig, batch: int, words: int, train: bool) -> dic
     """The (shape, dtype) of each array that a pass of ``batch`` rows of
     ``words`` words keeps, by name, in arena order: the zero start state,
     the input projection ``gx`` that each encoder layer and direction fills
-    in turn, each encoder layer's output, per cell and step its output state
-    and stacked (z, r) and candidate gates (``enc_*``, ``dec_*``), the
-    annotation projection and the m + 1 emitted poses. A train record keeps
-    every step, the dropped-out words and each decoder step's dropout mask
-    as bools; an eval record keeps two step slots that all encoder cells
-    share and two per decoder cell, in one row that every chunk reuses."""
+    in turn, each encoder layer's output (the one copy of its states), per
+    cell and step its stacked (z, r) and candidate gates (``enc_*``,
+    ``dec_*``) and a decoder cell's state, the annotation projection and
+    the m + 1 emitted poses. A train record keeps every step, the
+    dropped-out words and each decoder step's dropout mask as bools; an
+    eval record keeps one step slot that all encoder cells share and two
+    per decoder cell, in one row that every chunk reuses."""
     hidden, steps, f64 = cfg.hidden, cfg.n_seed_poses + cfg.n_output_poses, np.dtype(np.float64)
     if train:
         enc, dec, rows = (2, 2, words), steps, batch
     else:
-        enc, dec, rows = (1, 1, 2), 2, 1
+        enc, dec, rows = (1, 1, 1), 2, 1
     shapes = {
         "zero": (batch, hidden),
         "gx": (batch, words, 3 * hidden),
         "enc_out": (2, batch, words, 2 * hidden),
-        "enc_h": (*enc, batch, hidden),
         "enc_zr": (*enc, batch, 2 * hidden),
         "enc_c": (*enc, batch, hidden),
         "projected": (batch, words, cfg.att_dim),
@@ -280,7 +282,8 @@ def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
     """(B, s, word_dim) embedded words -> annotations (B, s, 2H), the last
     layer's ``enc_out`` in ``record``: per layer and direction one input
     projection for every step into ``gx``, then the recurrence, step t
-    writing its state and gates into slot t % depth. Row i has lengths[i]
+    writing its gates into slot t % depth and its state once, into its
+    column block ``enc_out[layer][:, t, half]``. Row i has lengths[i]
     words followed by padding (None: no padding); padded steps carry the
     state in both directions, so the backward direction starts from zero
     at each row's last word."""
@@ -288,19 +291,18 @@ def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
     halves, gx = (slice(hidden), slice(hidden, None)), record["gx"]
-    buffers = [record[k] for k in ("enc_h", "enc_zr", "enc_c")]  # eval: all cells share one set of slots
+    buffers = [record[k] for k in ("enc_zr", "enc_c")]  # eval: all cells share one slot
     for i, (layer, states) in enumerate(zip(model.encoder, record["enc_out"])):
         for d, (cell, reverse, half) in enumerate(zip(layer, (False, True), halves)):
             w_t, *kernel = _cell_weights(cell)
             ad._affine(inputs, w_t, None, gx)
             h, slots = record["zero"], list(zip(*(b[i % len(b), d % len(b[0])] for b in buffers)))
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, zr, c = slots[t % len(slots)]
+                out, (zr, c) = states[:, t, half], slots[t % len(slots)]
                 ad._gru_cell(gx[:, t], h, *kernel, out, zr, c)
                 if keep[t] is not None:
                     np.copyto(out, h, where=~keep[t][:, None])  # padded rows carry h
                 h = out
-                states[:, t, half] = h
         inputs = states
     return inputs
 
@@ -470,11 +472,6 @@ def forward(model, chunks, seed_poses):
     return rollouts
 
 
-def _u_blocks(u: Parameter, b: Parameter):
-    """The blocks of u^T that a GRU cell's backward rule reads."""
-    return ad._gru_blocks(u.value.T, b.value)[:2]
-
-
 def _sum(*terms):
     """The terms that are not None added left to right (None if none is)."""
     total = None
@@ -502,7 +499,7 @@ def backward(run: TrainPass, g_poses: np.ndarray):
     model, record = run.model, run.record
     n, hidden = model.cfg.n_seed_poses, model.cfg.hidden
     (w1, u1, b1), (w2, u2, b2) = model.decoder
-    blocks1, blocks2 = _u_blocks(u1, b1), _u_blocks(u2, b2)
+    blocks1, blocks2 = (_cell_weights(cell)[1:3] for cell in model.decoder)
     w_query_t, v = model.att_query.value.T, model.att_score.value
     v_col, pre_t, pre_b = v.reshape(-1, 1), model.pre_w.value.T, model.pre_b.value
     annotations, projected, zero = record["enc_out"][1], record["projected"], record["zero"]
@@ -539,12 +536,12 @@ def backward(run: TrainPass, g_poses: np.ndarray):
 
     s, halves = annotations.shape[1], (slice(hidden), slice(hidden, None))
     for depth, inputs in ((1, record["enc_out"][0]), (0, run.inputs)):
-        d_in = None
-        cells = zip(model.encoder[depth], *(record[k][depth] for k in ("enc_h", "enc_zr", "enc_c")), halves, (False, True))
-        for (w, u, b), hs, zrs, cs, half, reverse in cells:
-            blocks, d_gx, d_h = _u_blocks(u, b), np.zeros(inputs.shape[:2] + (3 * hidden,)), None
+        d_in, states = None, record["enc_out"][depth]
+        cells = zip(model.encoder[depth], record["enc_zr"][depth], record["enc_c"][depth], halves, (False, True))
+        for (w, u, b), zrs, cs, half, reverse in cells:
+            blocks, d_gx, d_h = _cell_weights((w, u, b))[1:3], np.zeros(inputs.shape[:2] + (3 * hidden,)), None
             for i, step in enumerate(range(s) if reverse else range(s - 1, -1, -1)):  # the forward steps in reverse
-                h = zero if i == s - 1 else hs[step + 1 if reverse else step - 1]  # the state the step started from
+                h = zero if i == s - 1 else states[:, step + 1 if reverse else step - 1, half]  # the state the step started from
                 g = _sum(d_out[:, step, half], d_h)
                 d_pre, d_h = ad._gru_backward(g, h, *blocks, zrs[step], cs[step], u.grad, b.grad, run.keep[step], i < s - 1)
                 d_gx[:, step] += d_pre  # added onto zeros, as the reference graph does

@@ -86,8 +86,6 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     chunk is seeded with the previous chunk's last n generated poses.
     Returns (TimedPoseTrack, list of per-chunk attention matrices (m, s_i)).
     """
-    if model is None:
-        raise InvalidConfig("no model provided")
     seeds = np.zeros((model.cfg.n_seed_poses, model.cfg.gesture_dim))
     chunks = [np.stack([table.lookup(w) for w in chunk]) for chunk in plan.chunks]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # save_track_csv and export_attention report these

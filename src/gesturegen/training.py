@@ -117,8 +117,6 @@ def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
         total = coeffs.shape[0]
         for start in range(0, total - m + 1, m):
             chunk = chunks[min(start // m, len(chunks) - 1)]
-            if not chunk:
-                continue
             seeds = np.zeros((n, coeffs.shape[1]))
             lo = max(0, start - n)
             if start > 0:

@@ -205,21 +205,21 @@ class TestEvalTracks:
         rng = np.random.default_rng(6)
         track = TimedPoseTrack(frames=rng.normal(size=(8, 10)))
         metrics = eval_tracks(track, track)
-        assert metrics.mse == 0.0
+        assert metrics["mse"] == 0.0
 
     def test_constant_track(self):
         track = TimedPoseTrack(frames=np.ones((5, 10)))
         metrics = eval_tracks(track, track)
-        assert metrics.mean_displacement == 0.0
-        assert np.array_equal(metrics.temporal_variance, np.zeros(10))
+        assert metrics["mean_displacement"] == 0.0
+        assert np.array_equal(metrics["temporal_variance"], np.zeros(10))
 
     def test_hand_two_frame_case(self):
         gen = TimedPoseTrack(frames=np.array([[0.0] * 10, [2.0] + [0.0] * 9]))
         ref = TimedPoseTrack(frames=np.zeros((2, 10)))
         metrics = eval_tracks(gen, ref)
-        assert abs(metrics.mse - (4.0 / 20)) < 1e-12  # one squared error of 4 over 20 entries
-        assert abs(metrics.mean_displacement - 2.0) < 1e-12
-        assert abs(metrics.temporal_variance[0] - 1.0) < 1e-12
+        assert abs(metrics["mse"] - (4.0 / 20)) < 1e-12  # one squared error of 4 over 20 entries
+        assert abs(metrics["mean_displacement"] - 2.0) < 1e-12
+        assert abs(metrics["temporal_variance"][0] - 1.0) < 1e-12
 
     def test_length_mismatch(self):
         a = TimedPoseTrack(frames=np.zeros((3, 10)))

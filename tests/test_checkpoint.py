@@ -11,12 +11,14 @@ import pytest
 
 from gesturegen import checkpoint, errors
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from gesturegen.cli import main
 from gesturegen.corpus import save_records_jsonl, synth_corpus
 from gesturegen.errors import InvalidConfig, IoFailure, MalformedFile, write_rows
 from gesturegen.lifting import init_lift_params, lift_forward
 from gesturegen.model import ModelConfig, init_model
 from gesturegen.pose import PcaModel, fit_pca
 from gesturegen.render import pose_svg, render
+from gesturegen.synthesis import TimedPoseTrack, save_track_csv
 
 
 def _full_checkpoint():
@@ -121,6 +123,25 @@ class TestVersioning:
         with pytest.raises(MalformedFile, match="missing array lift"):
             load_checkpoint(path)
 
+    def test_other_lift_settings_rejected(self, tmp_path, capsys):
+        # the lift net's batch-norm settings are constants: a header that
+        # records others is refused, and retarget says so in one line
+        ck = _full_checkpoint()
+        path, track = tmp_path / "m.ggck", tmp_path / "track.csv"
+        save_checkpoint(ck, path)
+        save_track_csv(TimedPoseTrack(frames=np.zeros((3, len(ck.pca.components)))), track)
+        raw = path.read_bytes()
+        old, new = b'"lift_cfg":{"bn_eps":1e-05,"bn_momentum":0.1}', b'"lift_cfg":{"bn_eps":1e-4,"bn_momentum":0.2}'
+        header_len = int.from_bytes(raw[8:16], "little") + len(new) - len(old)
+        path.write_bytes(raw[:8] + header_len.to_bytes(8, "little") + raw[16:].replace(old, new, 1))
+        message = "corrupt checkpoint header: lift_cfg must be null or "
+        with pytest.raises(MalformedFile, match=message):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["retarget", "--checkpoint", str(path), "--track", str(track), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"retarget: {message}") and "Traceback" not in err, err
+
     @pytest.mark.parametrize(
         "edit, reason",
         [
@@ -129,7 +150,7 @@ class TestVersioning:
             (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must have the keys"),
             (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden must be an integer, got '5'"),
             (lambda h: h["model_cfg"].update(hidden=1025), "model_cfg.hidden must be <= 1024, got 1025"),
-            (lambda h: h["lift_cfg"].update(bn_eps=0.0), "lift_cfg.bn_eps must be > 0, got 0.0"),
+            (lambda h: h["lift_cfg"].update(bn_eps=0.0), "lift_cfg must be null or "),
             (lambda h: h.update(embedding_ref={"sha256": "x"}), "embedding_ref must be null or string path and sha256"),
             (lambda h: h.update(embedding_ref="emb.txt"), "embedding_ref must be null or string path and sha256"),
         ],
@@ -461,7 +482,7 @@ def _pinned_checkpoint():
         config={"epochs": 3, "seed": 1},
         pca=pca,
         model=init_model(cfg, seed=1),
-        lift=init_lift_params(seed=2, bn_momentum=0.2, bn_eps=1e-4),
+        lift=init_lift_params(seed=2),
         embedding_ref={"path": "emb.txt", "sha256": "abc123"},
     )
 
@@ -469,7 +490,7 @@ def _pinned_checkpoint():
 def test_format_1_bytes_pinned(tmp_path):
     save_checkpoint(_pinned_checkpoint(), tmp_path / "pinned.ggck")
     digest = hashlib.sha256((tmp_path / "pinned.ggck").read_bytes()).hexdigest()
-    assert digest == "10a3703ce876a9bed2fce742eaf7912e7d41c78c03133dee0747fd67830f1d81"
+    assert digest == "2815cd0d944233190930ef499bd2b46f67394fd8f2022cb9d14f05ec54e0c3b7"
 
 
 class TestRender:

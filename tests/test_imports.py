@@ -1,6 +1,7 @@
 """Every module imports on its own: none relies on another module having
 been imported first. config sits below the modules that read a Config,
-and every public function and class has a caller outside the tests."""
+every public function and class has a caller outside the tests, and so
+does every defaulted parameter."""
 
 import ast
 import importlib
@@ -88,6 +89,82 @@ def test_every_public_name_has_a_caller():
     names = {f"{module}.{name}" for module, name in defined}
     assert _BENCH_TEST_ONLY <= names
     assert [f"{module}.{name}" for module, name in defined if name not in used and f"{module}.{name}" not in _BENCH_TEST_ONLY] == []
+
+
+def _unpassed_defaults(defined, callers, modules):
+    """(function, parameter) of every defaulted parameter of a module-level
+    function in the ``defined`` trees that no call in the ``callers`` trees
+    passes, by position, by keyword or through ``*`` or ``**``. A call
+    counts as ``f(...)``, or as ``m.f(...)`` on a name bound to one of the
+    package ``modules``."""
+    params, passed = {}, set()
+    for tree in defined:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                named = list(enumerate(positional))[len(positional) - len(args.defaults) :]
+                named += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                params[node.name] = named
+    for tree in callers:
+        bound = _module_names(tree, modules)
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in bound:
+                name = func.attr
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}  # None: a ** spread
+            for index, param in params.get(name, ()):
+                if None in keywords or param in keywords or index is not None and (starred or index < len(node.args)):
+                    passed.add((name, param))
+    return sorted({(name, param) for name, named in params.items() for _, param in named} - passed)
+
+
+# Defaults that no package or bench call passes, each kept for a reason.
+_TEST_ONLY_DEFAULTS = {
+    ("augment_3d", "rot_range"): "tests pin its rotation-only path",
+    ("augment_3d", "noise_sigma"): "tests pin its noise-free path",
+    ("fit_pca", "k"): "tests fit bases of other widths",
+    ("main", "argv"): "None reads the command line; tests pass their own",
+}
+
+
+def test_every_default_has_a_caller():
+    # An option that only its default ever takes is a constant: every
+    # defaulted parameter of a package function must be passed by some
+    # package or bench call, or be named above with its reason.
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "gesturegen"
+    modules = {path.stem for path in package.glob("*.py")}
+    sources = sorted(package.glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sources
+        if not (path.name.startswith("test_") or path.name == "conftest.py")
+    }
+    defined = [tree for path, tree in trees.items() if path.parent == package]
+    unpassed = _unpassed_defaults(defined, trees.values(), modules)
+    assert set(_TEST_ONLY_DEFAULTS) <= set(unpassed)
+    assert [entry for entry in unpassed if entry not in _TEST_ONLY_DEFAULTS] == []
+
+
+def test_unpassed_defaults_finds_every_kind():
+    defined = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e):\n    pass\n"
+        "def g(a=1, b=2):\n    pass\n"
+        "def h(a=1, /, b=2):\n    pass\n"
+        "def k(a=1, b=2, c=3):\n    pass\n"
+        "class C:\n    def m(self, a=1):\n        pass\n"
+    )
+    callers = ast.parse(
+        "f(0, 1, e=5)\nm.f(0, d=4, e=5)\nx.g(1, 2)\ng(*args)\nh(**kw)\nk(0, b=1)\nnp.k(0, 1, 2)\n"
+        "from gesturegen import model as m\n"
+    )
+    assert _unpassed_defaults([defined], [callers], {"model"}) == [("f", "c"), ("k", "c")]
 
 
 def _file_writes(tree):

@@ -46,7 +46,7 @@ def _lift_case(seed, batch):
 
 
 def _copy_params(params):
-    copy = build_lift_params(params.bn_momentum, params.bn_eps)
+    copy = build_lift_params()
     copy.store.values[...] = params.store.values
     copy.running = {name: buf.copy() for name, buf in params.running.items()}
     return copy
@@ -63,10 +63,10 @@ def _recorded_step(params, x, targets):
     for i in (1, 2):
         h = _add(_matmul(h, _transpose(leaves[f"lift.fc{i}.w"])), leaves[f"lift.fc{i}.b"])
         scale, shift = leaves[f"lift.bn{i}.scale"], leaves[f"lift.bn{i}.shift"]
-        h, mu, var = _composed_batch_norm(h, scale, shift, params.bn_eps)
+        h, mu, var = _composed_batch_norm(h, scale, shift, lifting.BN_EPS)
         for stat, value in ((f"mean{i}", mu), (f"var{i}", var)):
-            params.running[stat] *= 1.0 - params.bn_momentum
-            params.running[stat] += params.bn_momentum * value[0]
+            params.running[stat] *= 1.0 - lifting.BN_MOMENTUM
+            params.running[stat] += lifting.BN_MOMENTUM * value[0]
         h = _relu(h)
     out = _add(_matmul(h, _transpose(leaves["lift.fc3.w"])), leaves["lift.fc3.b"])
     diff = _add(out, -targets)

@@ -531,27 +531,37 @@ class TestPaddedBatch:
 
     def test_every_gru_cell_call_gets_its_output_buffers(self, monkeypatch):
         # both modes write every cell step into their record: each
-        # _gru_cell call is handed three C-contiguous buffers, none of them
-        # the state it reads
+        # _gru_cell call is handed C-contiguous zr and c buffers, none of
+        # its three buffers is the state it reads, and an encoder step's h'
+        # is its block of the record's enc_out, the one copy of that state
         model = init_model(PADDED, seed=7)
         rng = np.random.default_rng(7)
         lengths = np.array([3, 1, 2])
         emb, seeds = _padded_batch(rng, lengths, 3)
-        calls = []
-        cell = ad._gru_cell
+        calls, records = [], []
+        cell, carve = ad._gru_cell, Workspace.carve
 
         def spy(gxt, h, *args):
             calls.append((h, args[4:]))
             return cell(gxt, h, *args)
 
+        def spy_carve(ws, batch, words):
+            records.append(carve(ws, batch, words))
+            return records[-1]
+
         monkeypatch.setattr(ad, "_gru_cell", spy)
+        monkeypatch.setattr(Workspace, "carve", spy_carve)
         forward_graph(model, emb, seeds, rng, lengths, 0.1)
         forward(model, [emb[row, :length] for row, length in enumerate(lengths)], seeds[0])
-        steps = PADDED.n_seed_poses + PADDED.n_output_poses
-        assert len(calls) == (2 * 2 * 3 + 2 * steps) + (2 * 2 * 3 + 3 * 2 * steps)  # train, then eval's 3 chunks
-        for h, buffers in calls:
-            assert len(buffers) == 3
-            assert all(b.flags.c_contiguous and not np.shares_memory(b, h) for b in buffers)
+        steps, encoder = PADDED.n_seed_poses + PADDED.n_output_poses, 2 * 2 * 3
+        train = encoder + 2 * steps
+        assert len(calls) == train + (encoder + 3 * 2 * steps)  # train, then eval's 3 chunks
+        for h, (h_next, zr, c) in calls:
+            assert zr.flags.c_contiguous and c.flags.c_contiguous
+            assert not any(np.shares_memory(b, h) for b in (h_next, zr, c))
+        assert len(records) == 2
+        for record, block in zip(records, (calls[:encoder], calls[train : train + encoder])):
+            assert all(np.shares_memory(h_next, record["enc_out"]) for _, (h_next, _, _) in block)
 
     def test_toy_gradients_pinned(self):
         # test_gradients_pinned at the toy training shape (criterion 6, the
