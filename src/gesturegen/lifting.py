@@ -8,8 +8,10 @@ in eval mode on the running statistics, and each training step runs it in
 train mode on the batch statistics, then adds a hand-written backward's
 gradients into the parameter store, so lift training records no autodiff
 graph. Its dense layers are the kernels `autodiff._affine` and
-`_affine_backward` that the seq2seq model runs on. Training draws 16-pose batches and augments each batch with one
-augment_3d call.
+`_affine_backward` that the seq2seq model runs on. Training prepares its
+16-pose batches a block of steps at a time: it makes each step's draws in
+step order (`augment_draws`), then augments and projects the whole block
+in one `augment_3d` pass, and each step trains on its rows of the block.
 
 Axis bridge: 2D poses use image convention (y down), the 3D torso frame
 has Y up. Projection of a 3D pose to a 2D training input is (X, -Y); the
@@ -37,7 +39,11 @@ LIFT_WIDTHS = (30, 20, 7)
 NON_NECK = [i for i in range(8) if i != NECK]
 LIFT_LR = 0.01  # Adam learning rate of lift training
 LIFT_BATCH = 16  # poses per lift training step
+LIFT_ROT_RANGE = np.deg2rad(30.0)  # half-range (rad) of lift training's rotation about the vertical axis
+LIFT_NOISE_SIGMA = 0.02  # standard deviation of lift training's isotropic joint noise
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-statistics update rate and variance guard
+_BN_KEEP = 1.0 - BN_MOMENTUM  # share of a running statistic that an update keeps
+_LIFT_BLOCK = 64  # training steps whose inputs one augment_3d pass prepares: about 0.6 MB of block arrays
 
 LiftTrainConfig = Config  # bench/workloads.py is its only user; the next benchmark change drops it
 
@@ -46,8 +52,9 @@ LiftTrainConfig = Config  # bench/workloads.py is its only user; the next benchm
 class LiftNetParams:
     store: ParamStore
     layers: tuple  # (w, b) of the linear layers fc1, fc2, fc3
-    norms: tuple  # (scale, shift) of the normalizations bn1, bn2
-    # running statistics are state, not parameters: no gradients
+    norms: tuple  # (scale, shift, running mean, running var) of the normalizations bn1, bn2
+    # the running statistics by checkpoint name, the buffers in ``norms``:
+    # state, not parameters, so no gradients
     running: dict = field(default_factory=dict)
 
 
@@ -60,12 +67,14 @@ def build_lift_params() -> LiftNetParams:
     layout += [(f"lift.bn{i}.{kind}", (sizes[i],)) for i in (1, 2) for kind in ("scale", "shift")]
     store = ParamStore(layout)
     layers = tuple((store[f"lift.fc{i}.w"], store[f"lift.fc{i}.b"]) for i in (1, 2, 3))
-    norms = tuple((store[f"lift.bn{i}.scale"], store[f"lift.bn{i}.shift"]) for i in (1, 2))
-    params = LiftNetParams(store, layers, norms)
-    for i, (scale, _) in enumerate(norms, 1):
+    running = {f"{kind}{i}": np.full(sizes[i], fill) for i in (1, 2) for kind, fill in (("mean", 0.0), ("var", 1.0))}
+    norms = tuple(
+        (store[f"lift.bn{i}.scale"], store[f"lift.bn{i}.shift"], running[f"mean{i}"], running[f"var{i}"])
+        for i in (1, 2)
+    )
+    for scale, *_ in norms:
         scale.value[...] = 1.0
-        params.running.update({f"mean{i}": np.zeros(sizes[i]), f"var{i}": np.ones(sizes[i])})
-    return params
+    return LiftNetParams(store, layers, norms, running)
 
 
 def init_lift_params(seed: int = 0) -> LiftNetParams:
@@ -81,9 +90,9 @@ def _batch_norm_train(pre: np.ndarray, eps: float):
     batch statistics: ((mean, population variance), (centered, var + eps,
     inverse std, normalized)); _batch_norm_backward reads the second."""
     inv_n = 1.0 / len(pre)
-    mu = pre.sum(axis=0) * inv_n
+    mu = np.add.reduce(pre, 0) * inv_n
     centered = pre + mu * -1.0
-    var = (centered * centered).sum(axis=0) * inv_n
+    var = np.add.reduce(centered * centered, 0) * inv_n
     var_eps = var + eps
     inv_std = np.power(var_eps, -0.5)
     return (mu, var), (centered, var_eps, inv_std, centered * inv_std)
@@ -95,14 +104,14 @@ def _batch_norm_backward(g: np.ndarray, scale: np.ndarray, norm):
     intermediates _batch_norm_train returned, in the op order of the same
     normalization composed of autodiff graph nodes."""
     centered, var_eps, inv_std, normalized = norm
-    g_shift = g.sum(axis=0)
-    g_scale = (g * normalized).sum(axis=0)
+    g_shift = np.add.reduce(g, 0)
+    g_scale = np.add.reduce(g * normalized, 0)
     inv_n = 1.0 / len(g)
     g_norm = g * scale
-    g_var = (g_norm * centered).sum(axis=0) * -0.5 * np.power(var_eps, -1.5)
+    g_var = np.add.reduce(g_norm * centered, 0) * -0.5 * np.power(var_eps, -1.5)
     g_sq_c = g_var * inv_n * centered
     g = (g_norm * inv_std + g_sq_c) + g_sq_c
-    return g + g.sum(axis=0) * -1.0 * inv_n, g_scale, g_shift
+    return g + np.add.reduce(g, 0) * -1.0 * inv_n, g_scale, g_shift
 
 
 def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
@@ -114,13 +123,12 @@ def lift_pass(params: LiftNetParams, x: np.ndarray, train: bool):
     and updates the running buffers in place; eval mode uses the running
     statistics, so each row's depths are independent of the batch."""
     inputs, norms = [x], []
-    for i, ((w, b), (scale, shift)) in enumerate(zip(params.layers, params.norms), 1):
-        run_mean, run_var = params.running[f"mean{i}"], params.running[f"var{i}"]
+    for (w, b), (scale, shift, run_mean, run_var) in zip(params.layers, params.norms):
         pre = ad._affine(inputs[-1], w.value.T, b.value)
         if train:
             stats, norm = _batch_norm_train(pre, BN_EPS)
             for buf, stat in zip((run_mean, run_var), stats):
-                buf *= 1.0 - BN_MOMENTUM
+                buf *= _BN_KEEP
                 buf += BN_MOMENTUM * stat
         else:
             centered = pre + -run_mean
@@ -142,8 +150,9 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
     gradients and running buffers are bit-equal to that graph's."""
     out, inputs, norms = lift_pass(params, x, train=True)
     diff = out + -targets
-    loss = (diff * diff).sum() * (1.0 / diff.size)
-    g = diff * (1.0 / diff.size)
+    inv_size = 1.0 / diff.size
+    loss = np.add.reduce(diff * diff, None) * inv_size
+    g = diff * inv_size
     g = g + g
     for i in (3, 2, 1):
         w, b = params.layers[i - 1]
@@ -151,7 +160,7 @@ def _train_step(params: LiftNetParams, x: np.ndarray, targets: np.ndarray):
         if i == 1:
             return loss
         g = g * (inputs[i - 1] > 0.0)  # through the relu
-        scale, shift = params.norms[i - 2]
+        scale, shift, _, _ = params.norms[i - 2]
         g, g_scale, g_shift = _batch_norm_backward(g, scale.value, norms[i - 2])
         shift.grad += g_shift
         scale.grad += g_scale
@@ -196,28 +205,31 @@ def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
     return lift_pass(params, np.asarray(poses, dtype=np.float64), train=False)[0]
 
 
-def augment_3d(samples, rng, rot_range: float = np.deg2rad(30.0), noise_sigma: float = 0.02) -> np.ndarray:
-    """Rigid rotation of each pose of a (B, 8, 3) batch about the vertical
-    axis, then isotropic joint noise, then renormalization (neck to origin,
-    mean shoulder distance 1).
-
-    Draws are per pose in batch order (its angle, then its noise), so a
-    batch consumes ``rng`` exactly as one call per one-pose slice would. An
-    angle is drawn as ``uniform(-r, r)`` computes it, ``-r + (r - -r) * u``,
-    and the noise as ``normal(0, sigma)`` does, ``0.0 + sigma * z``, scaled
-    once for the batch: the same stream and the same bits."""
+def augment_draws(rng, angles: np.ndarray, z: np.ndarray | None, rot_range: float):
+    """Fill the (n,) rotation angles and, unless z is None, the (n, 8, 3)
+    standard normal joint noise of n poses, per pose in order: its angle,
+    then its noise, so n poses consume ``rng`` exactly as n one-pose calls
+    would. An angle is drawn as ``uniform(-r, r)`` computes it,
+    ``-r + (r - -r) * u``: the same stream and the same bits."""
     low, span = -rot_range, rot_range - -rot_range
-    angles = np.empty(len(samples))
-    z = np.empty(samples.shape)
-    for i in range(len(samples)):
+    for i in range(len(angles)):
         angles[i] = low + span * rng.random()
-        if noise_sigma > 0:
+        if z is not None:
             rng.standard_normal(out=z[i])
+
+
+def augment_3d(samples, angles, z, noise_sigma: float) -> np.ndarray:
+    """Rigid rotation of (..., 8, 3) poses about the vertical axis by their
+    (...) angles, then isotropic joint noise (none when z is None), then
+    renormalization (neck to origin, mean shoulder distance 1); the angles
+    and standard normals z come from `augment_draws`. The noise is scaled
+    as ``normal(0, sigma)`` does, ``0.0 + sigma * z``. Each pose's result
+    depends on its own inputs alone, so a block gives its slices' bits."""
     joints = samples @ np.swapaxes(_rot(1, angles), -1, -2)
-    if noise_sigma > 0:
+    if z is not None:
         joints = joints + (0.0 + noise_sigma * z)
-    joints = joints - joints[:, NECK : NECK + 1]
-    return joints / shoulder_scale(joints)[:, None, None]
+    joints = joints - joints[..., NECK : NECK + 1, :]
+    return joints / shoulder_scale(joints)[..., None, None]
 
 
 # Sampled joint ranges, in draw order; head pitch and wrist yaws stay 0.
@@ -251,7 +263,13 @@ def synth_pose3d_corpus(seed: int, size: int) -> np.ndarray:
 
 def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     """Minimize mean squared depth error over projected, augmented samples
-    of (N, 8, 3) poses, for ``cfg.lift_steps`` steps from ``cfg.seed``."""
+    of (N, 8, 3) poses, for ``cfg.lift_steps`` steps from ``cfg.seed``.
+
+    Each step draws its 16 pose indices, then each pose's angle and noise.
+    The inputs of up to _LIFT_BLOCK steps are made at once: a pre-pass makes
+    the block's draws in that step order, one `augment_3d` pass augments the
+    block's poses, and each step trains on its rows of the projected block,
+    so every draw and every bit is that of one step at a time."""
     try:
         data = np.asarray(dataset3d, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -265,13 +283,22 @@ def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)
+    index = np.empty((_LIFT_BLOCK, LIFT_BATCH), dtype=np.int64)
+    angles = np.empty((_LIFT_BLOCK, LIFT_BATCH))
+    z = np.empty((_LIFT_BLOCK, LIFT_BATCH, 8, 3))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-        for step in range(cfg.lift_steps):
-            batch = augment_3d(data[rng.integers(0, len(data), size=LIFT_BATCH)], rng)
-            params.store.zero_grads()
-            loss = _train_step(params, pose2d_to_lift_input(project_to_image(batch)), depth_targets(batch))
-            _check_finite(params.store, loss, f"step {step}")
-            adam_step(params.store, state, LIFT_LR)
+        for start in range(0, cfg.lift_steps, _LIFT_BLOCK):
+            steps = min(_LIFT_BLOCK, cfg.lift_steps - start)
+            for s in range(steps):
+                index[s] = rng.integers(0, len(data), size=LIFT_BATCH)
+                augment_draws(rng, angles[s], z[s], LIFT_ROT_RANGE)
+            block = augment_3d(data[index[:steps]], angles[:steps], z[:steps], LIFT_NOISE_SIGMA)
+            inputs, targets = pose2d_to_lift_input(project_to_image(block)), depth_targets(block)
+            for s in range(steps):
+                params.store.zero_grads()
+                loss = _train_step(params, inputs[s], targets[s])
+                _check_finite(params.store, loss, f"step {start + s}")
+                adam_step(params.store, state, LIFT_LR)
     return params
 
 

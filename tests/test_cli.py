@@ -765,7 +765,7 @@ def test_diverging_lift_train_is_single_line(tmp_path, capsys, monkeypatch):
 
     ck = tmp_path / "ck.ggck"
     save_checkpoint(Checkpoint(config={}), ck)
-    monkeypatch.setattr(lifting, "augment_3d", lambda samples, rng: np.full(samples.shape, np.nan))
+    monkeypatch.setattr(lifting, "augment_3d", lambda samples, angles, z, noise_sigma: np.full(samples.shape, np.nan))
     args = ["lift-train", "--checkpoint", str(ck), "--lift-steps", "3", "--lift-corpus-size", "10"]
     assert main([*args, "--out", str(tmp_path / "lift.ggck"), "--out-dir", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()

@@ -126,8 +126,6 @@ def _unpassed_defaults(defined, callers, modules):
 
 # Defaults that no package or bench call passes, each kept for a reason.
 _TEST_ONLY_DEFAULTS = {
-    ("augment_3d", "rot_range"): "tests pin its rotation-only path",
-    ("augment_3d", "noise_sigma"): "tests pin its noise-free path",
     ("fit_pca", "k"): "tests fit bases of other widths",
     ("main", "argv"): "None reads the command line; tests pass their own",
 }

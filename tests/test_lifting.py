@@ -13,6 +13,7 @@ from gesturegen.errors import DegeneratePose, InvalidConfig
 from gesturegen.lifting import (
     assemble_pose3d,
     augment_3d,
+    augment_draws,
     build_lift_params,
     depth_targets,
     init_lift_params,
@@ -28,6 +29,7 @@ from gesturegen.lifting import (
 from gesturegen.pose import NECK, fit_pca, normalize_pose, shoulder_scale
 from gesturegen.kinematics import ANGLE_NAMES
 from gesturegen.synthesis import TimedPoseTrack
+from gesturegen.training import AdamState, _check_finite, adam_step
 
 import tape_oracle as tape
 from test_autodiff import _add, _composed_batch_norm, _matmul, _relu, _transpose
@@ -48,7 +50,8 @@ def _lift_case(seed, batch):
 def _copy_params(params):
     copy = build_lift_params()
     copy.store.values[...] = params.store.values
-    copy.running = {name: buf.copy() for name, buf in params.running.items()}
+    for name, buf in params.running.items():
+        copy.running[name][...] = buf
     return copy
 
 
@@ -239,6 +242,14 @@ class TestBatchNormNode:
                 assert abs(gflat[i] - fd) / max(1e-6, abs(gflat[i]), abs(fd)) < 1e-5, (name, i, gflat[i], fd)
 
 
+def _augment(samples, rng, rot_range=lifting.LIFT_ROT_RANGE, noise_sigma=lifting.LIFT_NOISE_SIGMA):
+    # One batch's draws, then its arithmetic, with the augmentation defaults
+    # of lift training: what augment_3d did in one call before the split.
+    angles, z = np.empty(len(samples)), np.empty(samples.shape) if noise_sigma > 0 else None
+    augment_draws(rng, angles, z, rot_range)
+    return augment_3d(samples, angles, z, noise_sigma)
+
+
 def _augment_one(sample, rng, noise_sigma, rot_range=np.deg2rad(30.0)):
     # The one-pose augmentation train_lift ran per sample before augment_3d
     # took whole batches, kept as the reference.
@@ -254,12 +265,12 @@ def _augment_one(sample, rng, noise_sigma, rot_range=np.deg2rad(30.0)):
 class TestAugment:
     def test_identity_with_zero_params(self):
         pose = synth_pose3d_corpus(seed=6, size=1)[0]
-        out = augment_3d(pose[None], np.random.default_rng(0), rot_range=0.0, noise_sigma=0.0)[0]
+        out = _augment(pose[None], np.random.default_rng(0), rot_range=0.0, noise_sigma=0.0)[0]
         assert np.max(np.abs(out - pose)) < 1e-12
 
     def test_rotation_preserves_distances(self):
         pose = synth_pose3d_corpus(seed=7, size=1)[0]
-        out = augment_3d(pose[None], np.random.default_rng(1), rot_range=np.deg2rad(30), noise_sigma=0.0)[0]
+        out = _augment(pose[None], np.random.default_rng(1), rot_range=np.deg2rad(30), noise_sigma=0.0)[0]
         for a in range(8):
             for b in range(a + 1, 8):
                 d0 = np.linalg.norm(pose[a] - pose[b])
@@ -268,13 +279,13 @@ class TestAugment:
 
     def test_deterministic(self):
         pose = synth_pose3d_corpus(seed=8, size=1)[0]
-        a = augment_3d(pose[None], np.random.default_rng(9), noise_sigma=0.05)
-        b = augment_3d(pose[None], np.random.default_rng(9), noise_sigma=0.05)
+        a = _augment(pose[None], np.random.default_rng(9), noise_sigma=0.05)
+        b = _augment(pose[None], np.random.default_rng(9), noise_sigma=0.05)
         assert np.array_equal(a, b)
 
     def test_renormalized(self):
         pose = synth_pose3d_corpus(seed=10, size=1)[0]
-        out = augment_3d(pose[None], np.random.default_rng(2), noise_sigma=0.1)[0]
+        out = _augment(pose[None], np.random.default_rng(2), noise_sigma=0.1)[0]
         assert np.allclose(out[NECK], 0.0)
         assert abs(shoulder_scale(out) - 1.0) < 1e-9
 
@@ -282,13 +293,39 @@ class TestAugment:
     def test_batch_matches_single_calls(self, noise_sigma):
         poses = synth_pose3d_corpus(seed=11, size=16)
         rngs = [np.random.default_rng(5) for _ in range(3)]
-        batch = augment_3d(poses, rngs[0], noise_sigma=noise_sigma)
-        singles = np.concatenate([augment_3d(poses[i : i + 1], rngs[1], noise_sigma=noise_sigma) for i in range(16)])
+        batch = _augment(poses, rngs[0], noise_sigma=noise_sigma)
+        singles = np.concatenate([_augment(poses[i : i + 1], rngs[1], noise_sigma=noise_sigma) for i in range(16)])
         reference = np.stack([_augment_one(p, rngs[2], noise_sigma) for p in poses])
         assert batch.shape == (16, 8, 3)
         assert np.array_equal(batch, singles)
         assert np.array_equal(batch, reference)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+    @settings(max_examples=20, deadline=None)
+    @given(count=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
+    def test_block_matches_batch_slices(self, count, seed, noisy):
+        """The arithmetic over a block of poses, flat or as rows of 16 as
+        train_lift lays it out, gives the bits of its 16-pose slices."""
+        rng, sigma = np.random.default_rng(seed), lifting.LIFT_NOISE_SIGMA
+        poses = synth_pose3d_corpus(seed=seed % 97, size=count)
+        angles, z = np.empty(count), np.empty(poses.shape) if noisy else None
+        augment_draws(rng, angles, z, lifting.LIFT_ROT_RANGE)
+        block = augment_3d(poses, angles, z, sigma)
+        slices = [
+            augment_3d(poses[i : i + 16], angles[i : i + 16], z if z is None else z[i : i + 16], sigma)
+            for i in range(0, count, 16)
+        ]
+        assert np.array_equal(block, np.concatenate(slices))
+        rows = count // 16
+        if rows:
+            n = 16 * rows
+            blocked = augment_3d(
+                poses[:n].reshape(rows, 16, 8, 3),
+                angles[:n].reshape(rows, 16),
+                z if z is None else z[:n].reshape(rows, 16, 8, 3),
+                sigma,
+            )
+            assert np.array_equal(blocked.reshape(n, 8, 3), block[:n])
 
 
 class TestSynthCorpus3d:
@@ -322,6 +359,26 @@ class TestProjectionBridge:
         vec = pose2d_to_lift_input(project_to_image(pose))
         assert vec.shape == (14,)
         assert vec[2] == pose[2, 0]  # l_shoulder x passes through
+
+
+_B = lifting._LIFT_BLOCK
+
+
+def _train_lift_per_step(data, cfg):
+    # train_lift's loop before it prepared a block of steps' inputs at once,
+    # kept as the reference: each step draws its indices, then each pose's
+    # angle and noise, and augments and projects its own batch.
+    params = init_lift_params(cfg.seed)
+    state = AdamState(params.store)
+    rng = np.random.default_rng(cfg.seed)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.lift_steps):
+            batch = _augment(data[rng.integers(0, len(data), size=lifting.LIFT_BATCH)], rng)
+            params.store.zero_grads()
+            loss = lifting._train_step(params, pose2d_to_lift_input(project_to_image(batch)), depth_targets(batch))
+            _check_finite(params.store, loss, f"step {step}")
+            adam_step(params.store, state, lifting.LIFT_LR)
+    return params
 
 
 class TestTrainLift:
@@ -370,6 +427,36 @@ class TestTrainLift:
         baseline = float(np.mean(depth_targets(held_out) ** 2))
         model_mse = lift_mse(params, held_out)
         assert model_mse < 0.25 * baseline, (model_mse, baseline)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        steps=st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 3]),
+        size=st.integers(1, 40),
+        seed=st.integers(0, 9),
+    )
+    @example(steps=2 * _B + 3, size=40, seed=1)
+    def test_blocks_bit_equal_to_per_step_loop(self, steps, size, seed):
+        """Preparing a block of steps' inputs at once keeps every draw in
+        step order: the values and running buffers are the per-step loop's."""
+        data = synth_pose3d_corpus(seed=seed, size=size)
+        cfg = Config(lift_steps=steps, seed=seed)
+        params, reference = train_lift(data, cfg), _train_lift_per_step(data, cfg)
+        assert np.array_equal(params.store.values, reference.store.values)
+        for name, buf in params.running.items():
+            assert np.array_equal(buf, reference.running[name]), name
+
+    def test_divergence_names_its_global_step(self, monkeypatch):
+        calls, step = [], lifting._train_step
+
+        def nan_at_block_step_2(*args):
+            calls.append(len(calls))
+            loss = step(*args)
+            return np.nan if len(calls) == _B + 3 else loss
+
+        monkeypatch.setattr(lifting, "_train_step", nan_at_block_step_2)
+        with pytest.raises(InvalidConfig, match=f"^training diverged at step {_B + 2}: non-finite loss$"):
+            train_lift(synth_pose3d_corpus(seed=3, size=8), Config(lift_steps=2 * _B + 3))
+        assert len(calls) == _B + 3
 
     def test_eval_deterministic_after_training(self):
         train_set = synth_pose3d_corpus(seed=17, size=20)
