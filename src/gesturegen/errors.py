@@ -13,10 +13,10 @@ joint trajectory, loss history) is one text codec, written by write_rows and
 read by read_rows: an optional header line, then per row an optional label
 and its values as repr(float), so values read back bit-exact. Both work a
 block of about _BLOCK values at a time: the writer formats a block of rows
-and writes it in one call, and refuses a label count other than the row
-count; the reader converts a block's fields in one np.array call, which
-accepts the strings float() accepts and gives the same values, and still
-reports the first bad line. The reader skips a leading UTF-8 byte-order mark.
+and writes it in one call; the reader converts a block's fields in one
+np.array call, which accepts the strings float() accepts and gives the same
+values, and still reports the first bad line. The reader skips a leading
+UTF-8 byte-order mark.
 """
 
 import array
@@ -33,7 +33,9 @@ class GestureGenError(Exception):
 
 
 class InvalidConfig(GestureGenError):
-    """A caller passed a value the function cannot use."""
+    """An input the program cannot use: a flag or config value, an embedding
+    table whose width is not the model's, or a value a stage refuses, such
+    as empty text, bad joint limits, non-finite output or a diverging run."""
 
 
 class MalformedFile(GestureGenError):
@@ -105,16 +107,14 @@ _BLOCK = 512  # values per conversion and per write call of the row codec
 def write_rows(path, what: str, rows, *, header=None, labels=None, sep=","):
     """Write the (N, D) array ``rows``: ``header`` if given, then per row its
     label if ``labels`` (one per row) is given and its values, joined by
-    ``sep``. A row with a non-finite value or a label count other than N is
-    refused before the file is opened. Rows are formatted and written a block
-    of about _BLOCK values at a time."""
+    ``sep``. A row with a non-finite value is refused before the file is
+    opened. Rows are formatted and written a block of about _BLOCK values
+    at a time."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise InvalidConfig(f"{what} row {int(np.argmin(finite))} has non-finite values")
     if labels is not None:
         labels = list(labels)
-        if len(labels) != len(rows):
-            raise InvalidConfig(f"{what} has {len(labels)} labels for {len(rows)} rows")
     step = max(1, _BLOCK // max(1, rows.shape[1]))
     with open_for_write(path, what) as fh:
         if header is not None:

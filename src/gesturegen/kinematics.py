@@ -89,8 +89,6 @@ def _forearm_local(bend, yaw):
 def forward_kinematics(angles) -> np.ndarray:
     """Joint positions (..., 8, 3) in the torso frame for (..., 12) angles."""
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape[-1:] != (len(ANGLE_NAMES),):
-        raise InvalidConfig(f"need {len(ANGLE_NAMES)} angles, got {angles.shape}")
     joints = np.zeros(angles.shape[:-1] + (8, 3))
     joints[..., L_SHOULDER, 0] = 1.0
     joints[..., R_SHOULDER, 0] = -1.0
@@ -131,8 +129,6 @@ def compute_joint_angles(joints) -> np.ndarray:
     straight-arm singularity the elbow yaw carries over from the last frame
     where that arm was bent (0 before any)."""
     joints = np.asarray(joints, dtype=np.float64)
-    if joints.ndim != 3 or joints.shape[1:] != (8, 3):
-        raise InvalidConfig(f"need (T, 8, 3) joints, got {joints.shape}")
     # left upper arm, left forearm, right upper arm, right forearm: the first
     # zero-length segment of the first bad frame, in this order, is reported
     segments = [joints[:, b] - joints[:, a] for s, e, w, _ in _ARMS for a, b in ((s, e), (e, w))]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import Config
-from .errors import DegeneratePose, InvalidConfig
+from .errors import DegeneratePose
 from .kinematics import ANGLE_NAMES, _rot, clamp_angles, compute_joint_angles, forward_kinematics
 from .model import ParamStore, _xavier
 from .pose import NECK, decode_pose, shoulder_scale
@@ -187,8 +187,6 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
     depths into torso-frame (..., 8, 3) poses, rescaled so the mean
     neck-to-shoulder distance is 1."""
     depths = np.asarray(depths, dtype=np.float64)
-    if depths.shape != pose2d.shape[:-2] + (7,):
-        raise InvalidConfig(f"expected {pose2d.shape[:-2] + (7,)} depths, got {depths.shape}")
     joints = np.zeros(pose2d.shape[:-1] + (3,))
     joints[..., 0] = pose2d[..., 0]
     joints[..., 1] = -pose2d[..., 1]
@@ -270,16 +268,7 @@ def train_lift(dataset3d, cfg: Config) -> LiftNetParams:
     the block's draws in that step order, one `augment_3d` pass augments the
     block's poses, and each step trains on its rows of the projected block,
     so every draw and every bit is that of one step at a time."""
-    try:
-        data = np.asarray(dataset3d, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"3D poses must be an (N, 8, 3) array: {exc}") from None
-    if data.size == 0:
-        raise InvalidConfig("no 3D poses to train on")
-    if data.ndim != 3 or data.shape[1:] != (8, 3):
-        raise InvalidConfig(f"3D poses must be an (N, 8, 3) array, got shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise InvalidConfig("3D poses hold non-finite values")
+    data = np.asarray(dataset3d, dtype=np.float64)
     params = init_lift_params(cfg.seed)
     state = AdamState(params.store)
     rng = np.random.default_rng(cfg.seed)

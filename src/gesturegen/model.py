@@ -75,8 +75,6 @@ class ParamStore:
         self.grads = np.zeros(ends[-1])  # calloc: pages stay unmapped until a gradient is written
         self._params: dict[str, Parameter] = {}
         for (name, shape), start, end in zip(layout, ends, ends[1:]):
-            if name in self._params:
-                raise InvalidConfig(f"duplicate parameter name: {name}")
             views = (flat[start:end].reshape(shape) for flat in (self.values, self.grads))
             self._params[name] = Parameter(*views)
 
@@ -244,8 +242,6 @@ class Workspace:
         for name, (shape, dtype) in _record_shapes(self._cfg, batch, words, self._train).items():
             start, arena = used[dtype], self._arenas[dtype]
             used[dtype] = end = start + math.prod(shape)
-            if end > arena.size:
-                raise InvalidConfig("the batch does not fit the training workspace")
             record[name] = arena[start:end].reshape(shape)
         record["zero"][...] = 0.0
         return record
@@ -364,18 +360,11 @@ def pad_words(chunks):
     return batch, lengths
 
 
-def _check_inputs(model, embedded: np.ndarray, seed_poses: np.ndarray):
-    """Refuse a (B, s, word_dim) word batch or (B, n, gesture_dim) seed batch of the wrong shape."""
-    if embedded.ndim != 3 or embedded.shape[1] < 1:
-        raise InvalidConfig("need at least one embedded word")
+def _check_word_dim(model, embedded: np.ndarray):
+    """Refuse a (B, s, D) word batch whose width D is not the model's
+    word_dim: an embedding table of the wrong width."""
     if embedded.shape[2] != model.cfg.word_dim:
         raise InvalidConfig(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
-    if seed_poses.ndim != 3 or seed_poses.shape[1] != model.cfg.n_seed_poses:
-        raise InvalidConfig(
-            f"expected {model.cfg.n_seed_poses} seed poses, got {seed_poses.shape[1] if seed_poses.ndim == 3 else 'malformed'}"
-        )
-    if seed_poses.shape[2] != model.cfg.gesture_dim:
-        raise InvalidConfig(f"seed pose width {seed_poses.shape[2]} != {model.cfg.gesture_dim}")
 
 
 @dataclass
@@ -420,17 +409,13 @@ def forward_graph(
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
-    _check_inputs(model, embedded, seed_poses)
+    _check_word_dim(model, embedded)
     batch, s, _ = embedded.shape
     mask = None
     if lengths is not None:
         lengths = np.asarray(lengths)
-        if lengths.shape != (batch,) or np.any(lengths < 1) or np.any(lengths > s):
-            raise InvalidConfig(f"lengths must be {batch} word counts in [1, {s}]")
         if np.any(lengths < s):
             mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
-    if rng is None and dropout > 0.0:
-        raise InvalidConfig("dropout needs an rng")
 
     record = (Workspace(model.cfg, batch, s) if workspace is None else workspace).carve(batch, s)
     if dropout > 0.0:
@@ -452,13 +437,8 @@ def forward(model, chunks, seed_poses):
     10), attention (m, s_i)) pair of fresh arrays per chunk."""
     chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
     seeds = np.asarray(seed_poses, dtype=np.float64)[None]
-    if not chunks:
-        raise InvalidConfig("need at least one embedded word")
-    for c in chunks:
-        if c.ndim != 2:
-            raise InvalidConfig(f"embedded words must be (s, {model.cfg.word_dim})")
-        _check_inputs(model, c[None], seeds)
     embedded, lengths = pad_words(chunks)
+    _check_word_dim(model, embedded)
     batch, s = embedded.shape[:2]
     record = Workspace(model.cfg, batch, s, train=False).carve(batch, s)
     annotations = _encode(model, embedded, lengths, record)

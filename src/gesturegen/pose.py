@@ -82,8 +82,6 @@ def normalize_pose(joints) -> np.ndarray:
     missing; the error names the missing joints of the first such frame.
     """
     joints = np.asarray(joints, dtype=np.float64)
-    if joints.shape[-2:] != (8, 2):
-        raise InvalidConfig(f"poses need shape (..., 8, 2), got {joints.shape}")
     if not np.isfinite(joints).all():
         bad = ~np.isfinite(joints).reshape(-1, 8, 2).all(axis=2)
         first = bad[np.flatnonzero(bad.any(axis=1))[0]]

@@ -97,8 +97,6 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
     """Uniformly rescale the track in time (linear interpolation) so it has
     ceil(duration * DEFAULT_FPS) frames. First and last poses are preserved
     exactly; a track already at the right length comes back unchanged."""
-    if len(track) == 0:
-        raise InvalidConfig("cannot align an empty track")
     _check_duration(speech_duration)
     target = int(math.ceil(speech_duration * DEFAULT_FPS))
     source = len(track)
@@ -121,19 +119,13 @@ def align_track(track: TimedPoseTrack, speech_duration: float) -> TimedPoseTrack
 def assemble_attention(maps, chunks) -> np.ndarray:
     """Block-diagonal attention over the whole utterance: rows are generated
     frames in order, columns are words in order; entries outside a chunk's
-    word span are zero. Every chunk has at least one word."""
-    if len(maps) != len(chunks):
-        raise InvalidConfig("one attention map per chunk required")
+    word span are zero. ``maps`` holds one (rows, len(chunk)) map per chunk."""
     total_rows = sum(m.shape[0] for m in maps)
     total_cols = sum(len(c) for c in chunks)
     out = np.zeros((total_rows, total_cols))
     r = c = 0
     for attn, chunk in zip(maps, chunks):
         rows, cols = attn.shape
-        if not len(chunk):
-            raise InvalidConfig("attention chunk has no words")
-        if cols != len(chunk):
-            raise InvalidConfig(f"attention has {cols} columns for a {len(chunk)}-word chunk")
         out[r : r + rows, c : c + cols] = attn
         r += rows
         c += cols

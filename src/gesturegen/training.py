@@ -47,8 +47,6 @@ class TrainingPair:
     target_poses: np.ndarray  # (n + m, gesture_dim)
 
     def __post_init__(self):
-        if not self.words:
-            raise InvalidConfig("training pair needs at least one word")
         self.target_poses = np.asarray(self.target_poses, dtype=np.float64)
 
 
@@ -68,8 +66,6 @@ def compute_loss_graph(pred, target: np.ndarray, cfg: Config):
     target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
-    if pred.shape != target.shape:
-        raise InvalidConfig(f"prediction {pred.shape} vs target {target.shape}")
     total, mse, continuity, variance, g_pred = ad._gesture_loss(pred, target, cfg.alpha, cfg.beta)
     return LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(total)), g_pred
 
@@ -82,8 +78,6 @@ def clip_gradients(store: ParamStore):
 def adam_step(store: ParamStore, state: AdamState, lr: float):
     """Standard bias-corrected Adam update, one _ADAM_BLOCK slice of the flat buffers at a time.
     Gradients are left untouched; the caller decides when to clear them."""
-    if state.first.shape != store.values.shape:
-        raise InvalidConfig("Adam state does not match the parameter store")
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - ADAM_BETA1**t
@@ -182,13 +176,6 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     """
     if not pairs:
         raise InvalidConfig("no training pairs")
-    n = model.cfg.n_seed_poses
-    m = model.cfg.n_output_poses
-    shape = (n + m, model.cfg.gesture_dim)
-    for p in pairs:
-        if p.target_poses.shape != shape:
-            raise InvalidConfig(f"pair poses have shape {p.target_poses.shape}, expected {shape}")
-
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     ws = Workspace(model.cfg, min(cfg.batch_size, len(pairs)), max(len(p.words) for p in pairs))

@@ -1125,3 +1125,21 @@ def test_table_without_values_is_single_line(workspace, tmp_path, capsys, comman
     assert stdout == ""
     assert err.splitlines() == [f"{command.split()[0]}: " + reason.format(path=path)]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_table_of_the_wrong_width_is_single_line(workspace, tmp_path, capsys, command):
+    # the fixture's model reads 300-d words: a 50-d table is refused by the
+    # model's one shape check, as one line and before any output is written
+    root, train_args = workspace
+    path = tmp_path / "emb50.txt"
+    path.write_text("".join(f"{word} " + " ".join(["0.25"] * 50) + "\n" for word in ("we", "hold", "idea")))
+    args = {
+        "train": [*train_args, "--word-dim", "300", "--history", str(tmp_path / "history.csv")],
+        "generate": ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", "we hold a big idea"],
+    }[command]
+    capsys.readouterr()
+    out = ["--embeddings", str(path), "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.file")]
+    assert main([*args, *out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{command}: word dim 50 != 300"]
+    assert not (tmp_path / "out.file").exists()

@@ -382,31 +382,6 @@ def _train_lift_per_step(data, cfg):
 
 
 class TestTrainLift:
-    def test_empty_dataset(self):
-        with pytest.raises(InvalidConfig, match="no 3D poses to train on"):
-            train_lift([], Config(lift_steps=1))
-
-    @pytest.mark.parametrize(
-        "data, reason",
-        [
-            (np.zeros((4, 8, 2)), r"3D poses must be an \(N, 8, 3\) array, got shape \(4, 8, 2\)"),
-            (np.zeros((8, 3)), r"3D poses must be an \(N, 8, 3\) array, got shape \(8, 3\)"),
-            ([[[0.0] * 3] * 8, [[0.0] * 3] * 7], r"3D poses must be an \(N, 8, 3\) array: "),
-            ([[["x"] * 3] * 8], r"3D poses must be an \(N, 8, 3\) array: "),
-        ],
-        ids=["2d-joints", "single-pose", "ragged", "non-numeric"],
-    )
-    def test_bad_shape_refused(self, data, reason):
-        with pytest.raises(InvalidConfig, match=f"^{reason}"):
-            train_lift(data, Config(lift_steps=1))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_refused(self, bad):
-        data = synth_pose3d_corpus(seed=18, size=4)
-        data[2, 3, 1] = bad
-        with pytest.raises(InvalidConfig, match="^3D poses hold non-finite values$"):
-            train_lift(data, Config(lift_steps=1))
-
     def test_list_of_poses_trains_as_array(self):
         data = synth_pose3d_corpus(seed=18, size=6)
         a = train_lift(list(data), Config(lift_steps=5, seed=2))

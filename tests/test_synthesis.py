@@ -160,7 +160,8 @@ class TestGenerateGesture:
     def test_equals_chained_single_chunk_rollouts(self, words, duration, n, m, seed):
         """One batched encoder pass per utterance gives each chunk's frames
         and attention of its own one-chunk rollout, seeded with the last n
-        poses before it."""
+        poses before it: one (m, len(chunk)) map per plan chunk and m frames
+        per chunk, what assemble_attention and align_track take."""
         cfg = ModelConfig(word_dim=5, hidden=6, att_dim=6, n_seed_poses=n, n_output_poses=m, dropout=0.1)
         model = init_model(cfg, seed=seed % 5)
         _, table = _tiny_model_and_table()
@@ -172,6 +173,8 @@ class TestGenerateGesture:
             mp.setattr(seq2seq, "_encode", lambda *args: encodes.append(args) or encode(*args))
             track, maps = generate_gesture(model, plan, table)
         assert len(encodes) == 1
+        assert [a.shape for a in maps] == [(m, len(chunk)) for chunk in plan.chunks]
+        assert track.frames.shape == (m * len(plan.chunks), cfg.gesture_dim)
         seeds, frames = np.zeros((n, 10)), []
         for chunk, attn in zip(plan.chunks, maps, strict=True):
             [(poses, single)] = forward(model, [np.stack([table.lookup(w) for w in chunk])], seeds)
@@ -246,8 +249,6 @@ class TestAlignTrack:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvalidConfig, match="speech duration must be finite"):
                 align_track(track, bad)
-        with pytest.raises(InvalidConfig, match="cannot align an empty track"):
-            align_track(TimedPoseTrack(frames=np.zeros((0, 10))), 1.0)
 
 
 # one output file per example, rewritten in place
@@ -290,10 +291,6 @@ class TestAttentionExport:
         assert np.all(matrix[:4, 2:] == 0)
         assert np.all(matrix[4:, :2] == 0)
         assert np.allclose(matrix.sum(axis=1), 1.0)
-
-    def test_empty_chunk_refused(self):
-        with pytest.raises(InvalidConfig, match="^attention chunk has no words$"):
-            assemble_attention([np.full((2, 1), 1.0), np.zeros((2, 0))], [("a",), ()])
 
     @_codec_settings
     @given(case=_attention_maps())

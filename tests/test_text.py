@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gesturegen import errors
-from gesturegen.errors import InvalidConfig, MalformedFile, read_rows, write_rows
+from gesturegen.errors import MalformedFile, read_rows, write_rows
 from gesturegen.text import (
     HASH_BLOCK,
     EmbeddingTable,
@@ -166,15 +166,6 @@ def test_byte_order_mark_is_skipped(tmp_path):
     track = tmp_path / "track.csv"
     track.write_text("\ufefft_s,c1,c2\n0.0,0.5,1.5\n", encoding="utf-8")
     assert np.array_equal(load_track_csv(track).frames, [[0.5, 1.5]])
-
-
-@pytest.mark.parametrize("count", [2, 4])
-def test_label_count_must_match_rows(tmp_path, count):
-    path = tmp_path / "t.csv"
-    labels = [str(i) for i in range(count)]
-    with pytest.raises(InvalidConfig, match=f"^track file has {count} labels for 3 rows$"):
-        write_rows(path, "track file", np.zeros((3, 2)), labels=labels)
-    assert not path.exists()
 
 
 def _line_by_line_read_rows(path, what, *, header=None, labels=False, sep=","):

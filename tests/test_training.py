@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturegen import training
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gesturegen.config import Config
-from gesturegen.corpus import DatasetRecord, WordSpan
+from gesturegen.corpus import DatasetRecord, WordSpan, synth_corpus
 from gesturegen.errors import InvalidConfig
 from gesturegen.lifting import init_lift_params, synth_pose3d_corpus, train_lift
 from gesturegen.model import ModelConfig, backward, forward_graph, init_model
@@ -85,8 +87,6 @@ class TestComputeLoss:
 
     def test_errors(self):
         h = Config()
-        with pytest.raises(InvalidConfig, match=r"prediction \(1, 3, 10\) vs target \(1, 4, 10\)"):
-            compute_loss(np.zeros((3, 10)), np.zeros((4, 10)), h)
         with pytest.raises(InvalidConfig, match="need at least 2 poses per sequence"):
             compute_loss(np.zeros((1, 10)), np.zeros((1, 10)), h)
 
@@ -272,6 +272,16 @@ def small_pca():
 
 
 class TestMakeTrainingPairs:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 20), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_corpus_pairs_have_words_and_n_plus_m_poses(self, small_pca, n, m, seed):
+        # what training takes from its one producer: every pair has a word
+        # and (n + m, k) poses, so train_model, its passes and the loss need
+        # not check them again
+        pairs = make_training_pairs(synth_corpus(seed, 3), small_pca, n=n, m=m)
+        assert all(len(p.words) >= 1 for p in pairs)
+        assert all(p.target_poses.shape == (n + m, small_pca.n_components) for p in pairs)
+
     def test_exact_window_one_pair(self, small_pca):
         rec = _record(30, [WordSpan("hello", 0.5, 1.0)])
         pairs = make_training_pairs([rec], small_pca, n=10, m=20)
@@ -495,17 +505,6 @@ class TestTrainModel:
         cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
         with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
             train_model(_template_pairs(2, 2, 4, rng), Config(epochs=1), init_model(cfg, seed=0), _toy_table())
-
-    def test_pose_shape_mismatch(self):
-        rng = np.random.default_rng(13)
-        cfg = ModelConfig(word_dim=6, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
-        pairs = _template_pairs(3, 2, 4, rng)
-        pairs[1] = TrainingPair(words=["wave"], target_poses=pairs[1].target_poses[:, :9])
-        with pytest.raises(InvalidConfig, match=r"pair poses have shape \(6, 9\), expected \(6, 10\)"):
-            train_model(pairs, Config(epochs=1), init_model(cfg, seed=0), _toy_table())
-        pairs[1] = TrainingPair(words=["wave"], target_poses=pairs[0].target_poses[:5])
-        with pytest.raises(InvalidConfig, match=r"pair poses have shape \(5, 10\), expected \(6, 10\)"):
-            train_model(pairs, Config(epochs=1), init_model(cfg, seed=0), _toy_table())
 
 
 def _assert_packed(store):
