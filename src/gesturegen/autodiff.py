@@ -109,11 +109,9 @@ def _records(*operands) -> bool:
     return False
 
 
-def _accumulate(t, g: np.ndarray):
-    """Add g into t's gradient; an operand that does not record takes none.
-    A first gradient is kept as handed: each op hands a fresh array."""
-    if not (isinstance(t, Tensor) and t.requires_grad):
-        return
+def _accumulate(t: Tensor, g: np.ndarray):
+    """Add g into the recording tensor t's gradient. A first gradient is
+    kept as handed: each op hands a fresh array."""
     if t.grad is None:
         t.grad = g
     else:
@@ -166,15 +164,14 @@ _HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 def _affine(x, w_t, b=None, out=None):
-    """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, and one over
-    the flattened leading dims for a (B, s, in) x, into a fresh array or
-    the C-contiguous buffer ``out``, with the same bits either way. The
-    product is ``np.dot``, not the ``np.matmul`` gufunc, and the bias add a
-    bound ufunc: at batch 1 each call's dispatch is most of its cost."""
+    """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, into a fresh
+    array or the C-contiguous buffer ``out`` with the same bits either way,
+    and one over the flattened leading dims for a (B, s, in) x, into
+    ``out``. The product is ``np.dot``, not the ``np.matmul`` gufunc, and
+    the bias add a bound ufunc: at batch 1 each call's dispatch is most of
+    its cost."""
     if x.ndim == 2:
         out = x.dot(w_t) if out is None else _dot(x, w_t, out)
-    elif out is None:
-        out = x.reshape(-1, x.shape[-1]).dot(w_t).reshape(x.shape[:-1] + w_t.shape[1:])
     else:
         _dot(x.reshape(-1, x.shape[-1]), w_t, out.reshape(-1, out.shape[-1]))
     if b is not None:

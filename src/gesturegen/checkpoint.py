@@ -182,10 +182,7 @@ def _read_checkpoint(fh) -> Checkpoint:
         isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
     ):
         raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
-    try:
-        model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
-    except (TypeError, ValueError) as exc:
-        raise MalformedFile(f"corrupt checkpoint header: {exc}") from exc
+    model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
     lift = None if lift_cfg is None else build_lift_params()
 
     ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)

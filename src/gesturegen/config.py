@@ -102,7 +102,7 @@ def load_config(path=None) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"config is not valid JSON: {exc}") from exc

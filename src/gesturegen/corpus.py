@@ -304,6 +304,6 @@ def load_records_jsonl(path) -> list:
                     )
                 except (KeyError, ValueError, TypeError, InvalidConfig) as exc:
                     raise MalformedFile(f"{path}: bad record on line {line_no}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read dataset: {exc}") from exc
     return records

@@ -203,29 +203,26 @@ def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
     return lift_pass(params, np.asarray(poses, dtype=np.float64), train=False)[0]
 
 
-def augment_draws(rng, angles: np.ndarray, z: np.ndarray | None, rot_range: float):
-    """Fill the (n,) rotation angles and, unless z is None, the (n, 8, 3)
-    standard normal joint noise of n poses, per pose in order: its angle,
-    then its noise, so n poses consume ``rng`` exactly as n one-pose calls
-    would. An angle is drawn as ``uniform(-r, r)`` computes it,
-    ``-r + (r - -r) * u``: the same stream and the same bits."""
+def augment_draws(rng, angles: np.ndarray, z: np.ndarray, rot_range: float):
+    """Fill the (n,) rotation angles and the (n, 8, 3) standard normal
+    joint noise z of n poses, per pose in order: its angle, then its noise,
+    so n poses consume ``rng`` exactly as n one-pose calls would. An angle
+    is drawn as ``uniform(-r, r)`` computes it, ``-r + (r - -r) * u``: the
+    same stream and the same bits."""
     low, span = -rot_range, rot_range - -rot_range
     for i in range(len(angles)):
         angles[i] = low + span * rng.random()
-        if z is not None:
-            rng.standard_normal(out=z[i])
+        rng.standard_normal(out=z[i])
 
 
 def augment_3d(samples, angles, z, noise_sigma: float) -> np.ndarray:
     """Rigid rotation of (..., 8, 3) poses about the vertical axis by their
-    (...) angles, then isotropic joint noise (none when z is None), then
-    renormalization (neck to origin, mean shoulder distance 1); the angles
-    and standard normals z come from `augment_draws`. The noise is scaled
-    as ``normal(0, sigma)`` does, ``0.0 + sigma * z``. Each pose's result
-    depends on its own inputs alone, so a block gives its slices' bits."""
-    joints = samples @ np.swapaxes(_rot(1, angles), -1, -2)
-    if z is not None:
-        joints = joints + (0.0 + noise_sigma * z)
+    (...) angles, then isotropic joint noise, then renormalization (neck to
+    origin, mean shoulder distance 1); the angles and standard normals z
+    come from `augment_draws`. The noise is scaled as ``normal(0, sigma)``
+    does, ``0.0 + sigma * z``. Each pose's result depends on its own inputs
+    alone, so a block gives its slices' bits."""
+    joints = samples @ np.swapaxes(_rot(1, angles), -1, -2) + (0.0 + noise_sigma * z)
     joints = joints - joints[..., NECK : NECK + 1, :]
     return joints / shoulder_scale(joints)[..., None, None]
 

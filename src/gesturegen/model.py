@@ -249,9 +249,7 @@ class Workspace:
 
 def _keep_masks(lengths, s: int) -> list:
     """Per step t, the (B,) rows whose sequence still runs at t, or None
-    when every row does (lengths None: no padding)."""
-    if lengths is None:
-        return [None] * s
+    when every row does."""
     return [None if bool(np.all(lengths > t)) else lengths > t for t in range(s)]
 
 
@@ -280,9 +278,9 @@ def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
     projection for every step into ``gx``, then the recurrence, step t
     writing its gates into slot t % depth and its state once, into its
     column block ``enc_out[layer][:, t, half]``. Row i has lengths[i]
-    words followed by padding (None: no padding); padded steps carry the
-    state in both directions, so the backward direction starts from zero
-    at each row's last word."""
+    words followed by padding; padded steps carry the state in both
+    directions, so the backward direction starts from zero at each row's
+    last word."""
     s = inputs.shape[1]
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
@@ -389,8 +387,8 @@ def forward_graph(
     model: Seq2SeqModel,
     embedded: np.ndarray,
     seed_poses: np.ndarray,
+    lengths,
     rng: np.random.Generator | None = None,
-    lengths=None,
     dropout: float = 0.0,
     workspace: Workspace | None = None,
 ):
@@ -398,11 +396,11 @@ def forward_graph(
     the `TrainPass` that `backward` reads). embedded: (B, s, word_dim);
     seed_poses: (B, n, 10).
 
-    ``lengths`` (B,) gives each row's word count when rows are zero-padded
-    to s (None: every row has s words); each row's result equals its own
-    unpadded rollout. Dropout at rate ``dropout`` drops the first GRU
-    layer inputs of both encoder and decoder, drawing its masks from ``rng``
-    (the encoder's first, then one per decoder step).
+    ``lengths`` (B,) gives each row's word count, its words followed by
+    zero padding to s; each row's result equals its own unpadded rollout.
+    Dropout at rate ``dropout`` drops the first GRU layer inputs of both
+    encoder and decoder, drawing its masks from ``rng`` (the encoder's
+    first, then one per decoder step).
 
     The record goes into the train ``workspace``, ending its last pass;
     without one the pass makes its own. Poses and attention are fresh.
@@ -411,11 +409,9 @@ def forward_graph(
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
     _check_word_dim(model, embedded)
     batch, s, _ = embedded.shape
-    mask = None
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if np.any(lengths < s):
-            mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
+    lengths, mask = np.asarray(lengths), None
+    if np.any(lengths < s):
+        mask = np.where(np.arange(s) < lengths[:, None], 0.0, -np.inf)
 
     record = (Workspace(model.cfg, batch, s) if workspace is None else workspace).carve(batch, s)
     if dropout > 0.0:

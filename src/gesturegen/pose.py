@@ -102,8 +102,6 @@ def fit_pca(poses, k: int = GESTURE_DIM) -> PcaModel:
     entry of each row is positive, which makes refits bit-comparable.
     Rank-deficient data is fine: trailing variance ratios come out as 0.
     """
-    if k < 1 or k > POSE_DIM:
-        raise InvalidConfig(f"component count must be in [1, {POSE_DIM}], got {k}")
     data = np.asarray(poses, dtype=np.float64).reshape(-1, POSE_DIM)
     if data.shape[0] < k + 1:
         raise InvalidConfig(f"need at least {k + 1} poses, got {data.shape[0]}")

@@ -147,7 +147,7 @@ def _train_step(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     targets = np.stack([p.target_poses[n:] for p in pairs])
     model.store.zero_grads()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
-        poses, _, run = forward_graph(model, emb, seeds, rng=rng, lengths=words, dropout=cfg.dropout, workspace=ws)
+        poses, _, run = forward_graph(model, emb, seeds, words, rng=rng, dropout=cfg.dropout, workspace=ws)
         del emb  # with dropout the record keeps its own dropped-out copy: the word batch goes before backward
         breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
         backward(run, g_poses)

@@ -70,7 +70,8 @@ def linear(x, w, b=None):
     optional (out,) bias, through ``_affine``: one GEMM forward and one per
     operand backward."""
     xv, wv = _data(x), _data(w)
-    out_val = _affine(xv, wv.T, None if b is None else _data(b))
+    out = np.empty(xv.shape[:-1] + wv.shape[:1]) if xv.ndim == 3 else None
+    out_val = _affine(xv, wv.T, None if b is None else _data(b), out)
     if not _records(x, w, b):
         return out_val
 

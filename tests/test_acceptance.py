@@ -79,7 +79,7 @@ def test_criterion_1_gradient_check():
         [(poses, _)] = forward(model, [emb[0]], seeds[0])
         return compute_loss(poses, target[0], h).total
 
-    pred, _, run = forward_graph(model, emb, seeds)
+    pred, _, run = forward_graph(model, emb, seeds, [emb.shape[1]])
     _, g_pred = compute_loss_graph(pred, target, h)
     model.store.zero_grads()
     backward(run, g_pred)

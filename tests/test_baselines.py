@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturegen.baselines import bleu_score, eval_tracks, manual_baseline, nn_baseline, random_baseline
-from gesturegen.corpus import synth_corpus
+from gesturegen.corpus import WordSpan, synth_corpus
 from gesturegen.errors import InvalidConfig, MalformedFile
 from gesturegen.pose import encode_pose, fit_pca, normalize_pose
 from gesturegen.synthesis import DEFAULT_FPS, TimedPoseTrack, save_track_csv
@@ -94,10 +94,6 @@ class TestBleu:
             else:
                 assert score < 1.0
 
-    def test_empty_reference(self):
-        with pytest.raises(InvalidConfig, match="reference must be non-empty"):
-            bleu_score(["a"], [])
-
     def test_empty_candidate(self):
         assert bleu_score([], ["a"]) == 0.0
 
@@ -148,6 +144,15 @@ class TestNnBaseline:
         _, pca = corpus_and_pca
         with pytest.raises(InvalidConfig, match="no training records"):
             nn_baseline(["hi"], [], pca, chunk_len=6)
+
+    def test_window_without_frames_takes_the_whole_record(self, corpus_and_pca):
+        """A winning inner window that spans no frame (a zero-length word on
+        a frame boundary) gives the record's whole pose track."""
+        records, pca = corpus_and_pca
+        words = [WordSpan("aa", 0.0, 0.4), WordSpan("zz", 0.5, 0.5), WordSpan("bb", 0.6, 1.0)]
+        record = replace(records[3], words=words)
+        track = nn_baseline(["zz"], [record], pca, chunk_len=1)
+        assert np.array_equal(track.frames, encode_pose(pca, normalize_pose(record.frames)))
 
 
 class TestRandomBaseline:
@@ -220,12 +225,6 @@ class TestEvalTracks:
         assert abs(metrics["mse"] - (4.0 / 20)) < 1e-12  # one squared error of 4 over 20 entries
         assert abs(metrics["mean_displacement"] - 2.0) < 1e-12
         assert abs(metrics["temporal_variance"][0] - 1.0) < 1e-12
-
-    def test_length_mismatch(self):
-        a = TimedPoseTrack(frames=np.zeros((3, 10)))
-        b = TimedPoseTrack(frames=np.zeros((4, 10)))
-        with pytest.raises(InvalidConfig, match="3 generated vs 4 reference frames"):
-            eval_tracks(a, b)
 
     def test_width_mismatch(self):
         a = TimedPoseTrack(frames=np.zeros((3, 12)))

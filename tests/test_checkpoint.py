@@ -336,6 +336,11 @@ class TestAtomicWrite:
         assert (tmp_path / "real.csv").read_text() == "a,b\n1.0,1.0\n1.0,1.0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
+    def test_symlink_loop_names_no_descriptor(self, tmp_path):
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        assert errors._descriptor(tmp_path / "a") is None
+
     def test_pipe_descriptor_is_written_in_place(self, tmp_path):
         # The way `--out /dev/stdout | consumer` reaches the writer, without touching stdout.
         read_end, write_end = os.pipe()

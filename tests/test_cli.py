@@ -598,7 +598,15 @@ def test_non_utf8_embedding_file_is_single_line(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "limits",
-    [None, "{not json", '{"head_yaw": [1.0]}', '{"head_yaw": ["a", "b"]}', '{"head_yaw": [1.0, -1.0]}', '{"head_yaw": [false, true]}'],
+    [
+        None,
+        "{not json",
+        '{"head_yaw": [1.0]}',
+        '{"head_yaw": ["a", "b"]}',
+        '{"head_yaw": [1.0, -1.0]}',
+        '{"head_yaw": [false, true]}',
+        '{"elbow": [0.0, 1.0]}',
+    ],
 )
 def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
     root, _ = workspace
@@ -622,6 +630,8 @@ def test_bad_limits_file_is_single_line(workspace, tmp_path, capsys, limits):
     if limits == '{"head_yaw": [false, true]}':  # JSON booleans would clamp as (0, 1)
         bounds_message = "limits for head_yaw must be two finite numbers lo <= hi, got (False, True)"
         assert capsys.readouterr().err.splitlines() == [f"retarget: {bounds_message}"]
+    elif limits == '{"elbow": [0.0, 1.0]}':
+        assert capsys.readouterr().err.splitlines() == ["retarget: unknown joint name in limits: elbow"]
     else:
         _single_line_error(capsys, "retarget")
 
@@ -663,8 +673,17 @@ def test_non_numeric_sweep_values_is_single_line(workspace, tmp_path, capsys):
         ("generate", ["--out", "afile/t.csv"], "cannot create output directory: "),
         ("generate", ["--out-dir", "afile/sub"], "cannot create output directory: "),
         ("synth-corpus", ["--embeddings-out", "."], "cannot write embedding table: "),
+        ("render", ["--out", "afile"], "cannot write render output: [Errno 17] File exists: "),
     ],
-    ids=["generate", "retarget", "schedule", "generate-out-under-file", "generate-out-dir-under-file", "synth-corpus"],
+    ids=[
+        "generate",
+        "retarget",
+        "schedule",
+        "generate-out-under-file",
+        "generate-out-dir-under-file",
+        "synth-corpus",
+        "render-out-is-file",
+    ],
 )
 def test_output_path_is_directory_is_single_line(workspace, tmp_path, capsys, command, out, reason):
     root, _ = workspace
@@ -675,6 +694,7 @@ def test_output_path_is_directory_is_single_line(workspace, tmp_path, capsys, co
         "retarget": ["--track", str(root / "track.csv")],
         "schedule": ["--text", "we hold a big idea"],
         "synth-corpus": ["--sentences", "1", "--out", str(tmp_path / "c.jsonl")],
+        "render": ["--track", str(root / "track.csv")],
     }[command]
     rc = main([command, *args, *common, out[0], str(tmp_path / out[1])])
     assert rc == 1
@@ -1143,3 +1163,97 @@ def test_table_of_the_wrong_width_is_single_line(workspace, tmp_path, capsys, co
     assert main([*args, *out]) == 1
     assert capsys.readouterr().err.splitlines() == [f"{command}: word dim 50 != 300"]
     assert not (tmp_path / "out.file").exists()
+
+
+def _refusal_args(case, root, tmp):
+    """The command line of a refusal case, with the files it reads written under tmp."""
+    from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+    from test_checkpoint import edit_header
+
+    ck, kept = ["--checkpoint", str(root / "ck.ggck")], str(root / "kept.jsonl")
+    (tmp / "not-utf8").write_bytes(b"\xff{}\n")
+    (tmp / "empty.jsonl").write_text("")
+    (tmp / "narrow.csv").write_text("t_s,c1,c2,c3\n0.0,0.1,0.2,0.3\n")
+    path = tmp / "ck.ggck"
+    if case == "no-embedding-table":  # a basis, and no table reference
+        save_checkpoint(Checkpoint(config={}, pca=load_checkpoint(root / "ck.ggck").pca), path)
+    elif case == "header-not-json":
+        raw = (root / "ck.ggck").read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        path.write_bytes(raw[:16] + b"x" * header_len + raw[16 + header_len :])
+    elif case == "array-shape":  # one array listed flattened: the same bytes, the wrong shape
+        shutil.copyfile(root / "ck.ggck", path)
+        edit_header(path, lambda h: next(e for e in h["arrays"] if e["name"] == "seq2seq.enc.l0.fwd.w_z").update(shape=[4800]))
+    generate = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2"]
+    return {
+        "config-missing": ["schedule", "--text", "hi", "--config", str(tmp / "missing.json")],
+        "config-not-utf8": ["schedule", "--text", "hi", "--config", str(tmp / "not-utf8")],
+        "dataset-not-utf8": ["curate", "--dataset", str(tmp / "not-utf8")],
+        "missing-required": ["curate"],
+        "no-embedding-table": ["train", "--dataset", kept, "--checkpoint", str(path)],
+        "fit-pca-empty-dataset": ["fit-pca", "--dataset", str(tmp / "empty.jsonl"), "--checkpoint", str(path)],
+        "baseline-random-no-duration": ["baseline", "random", *ck, "--dataset", kept],
+        "synth-corpus-no-sentences": ["synth-corpus", "--sentences", "0", "--out", str(tmp / "c.jsonl")],
+        "baseline-nn-no-words": ["baseline", "nn", *ck, "--dataset", kept, "--text", "!!"],
+        "header-not-json": generate,
+        "array-shape": generate,
+        "render-track-width": ["render", *ck, "--track", str(tmp / "narrow.csv")],
+        "retarget-track-width": ["retarget", *ck, "--track", str(tmp / "narrow.csv")],
+    }[case]
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_REFUSALS = [
+    ("config-missing", "cannot read config: [Errno 2] No such file or directory: "),
+    ("config-not-utf8", f"cannot read config: {_NOT_UTF8}"),
+    ("dataset-not-utf8", f"cannot read dataset: {_NOT_UTF8}"),
+    ("missing-required", "missing required dataset path"),
+    ("no-embedding-table", "no embedding table: pass --embeddings or set it in the config"),
+    ("fit-pca-empty-dataset", "dataset has no records"),
+    ("baseline-random-no-duration", "missing required --duration"),
+    ("synth-corpus-no-sentences", "need at least one sentence"),
+    ("baseline-nn-no-words", "empty query text"),
+    ("header-not-json", "corrupt checkpoint header: Expecting value: line 1 column 1 (char 0)"),
+    ("array-shape", "array seq2seq.enc.l0.fwd.w_z has shape (4800,), expected (16, 300)"),
+    ("render-track-width", "expected 10 coefficients, got (3,)"),
+    ("retarget-track-width", "expected 10 coefficients, got (3,)"),
+]
+
+
+@pytest.mark.parametrize("case, reason", _REFUSALS, ids=[case for case, _ in _REFUSALS])
+def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
+    # each refusal a command line can reach: exit 1, one `command: reason`
+    # line on stderr, nothing on stdout, and no output file
+    root, _ = workspace
+    args = _refusal_args(case, root, tmp_path)
+    capsys.readouterr()
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"{args[0]}: {reason}"), line
+    assert [p for p in (tmp_path / "out").glob("**/*") if p.is_file()] == []
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_train_no_epochs(workspace, tmp_path, capsys):
+    # zero epochs train nothing: the checkpoint takes the drawn weights and
+    # the history is its header alone
+    _, train_args = workspace
+    out = ["--epochs", "0", "--out", str(tmp_path / "ck.ggck"), "--history", str(tmp_path / "history.csv")]
+    capsys.readouterr()
+    assert main([*train_args, *out, "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"no epochs run; checkpoint written to {tmp_path / 'ck.ggck'}"
+    assert len((tmp_path / "history.csv").read_text().splitlines()) == 1
+
+
+def test_eval_of_a_one_frame_track(workspace, tmp_path, capsys):
+    # a one-frame track is held for the reference's duration before the
+    # metrics are taken
+    root, _ = workspace
+    (tmp_path / "one.csv").write_text("t_s," + ",".join(f"c{i + 1}" for i in range(10)) + "\n0.0," + ",".join(["0.5"] * 10) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--generated", str(tmp_path / "one.csv"), "--reference", str(root / "track.csv")]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["mean_displacement"] == 0.0 and metrics["temporal_variance"] == [0.0] * 10
+    assert metrics["mse"] > 0.0

@@ -96,6 +96,8 @@ def test_fps_is_not_a_config_key(tmp_path, capsys, value):
         ("lift-train", "{}", ["--lift-corpus-size", "100001"], "config lift_corpus_size must be <= 100000, got 100001"),
         ("schedule", "{}", ["--words-per-minute", "0"], "config words_per_minute must be > 0, got 0.0"),
         ("schedule", '{"n_output_poses": 121}', [], "config n_output_poses must be <= 120, got 121"),
+        ("schedule", "{", [], "config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("schedule", "[1]", [], "config must be a JSON object"),
     ],
 )
 def test_bad_config_value_is_single_line(tmp_path, capsys, command, config, flags, reason):

@@ -16,7 +16,7 @@ from gesturegen.corpus import (
     synth_corpus,
 )
 from gesturegen.errors import InvalidConfig, MalformedFile
-from gesturegen.pose import L_WRIST, R_WRIST
+from gesturegen.pose import L_SHOULDER, L_WRIST, R_SHOULDER, R_WRIST
 
 
 def _passing_record(record_id="ok", n_frames=70):
@@ -115,6 +115,15 @@ class TestCurateShots:
         kept, entries = curate_shots(tiny)
         assert kept == []
         assert entries[0][2] == "size"
+
+    def test_frontality_rule(self):
+        rec = _passing_record("side")
+        frames = rec.frames.copy()
+        frames[:, R_SHOULDER] = frames[:, L_SHOULDER]  # shoulders in line: a side view
+        side = DatasetRecord(id="side", frame_height=rec.frame_height, words=rec.words, frames=frames)
+        kept, entries = curate_shots([side])
+        assert kept == []
+        assert entries[0][2] == "frontality"
 
     def test_still_picture_rule(self):
         rec = _passing_record("still")
@@ -215,6 +224,13 @@ class TestJsonl:
             ]
             assert np.array_equal(np.isnan(a.frames), np.isnan(b.frames))
             assert np.array_equal(a.frames, b.frames, equal_nan=True)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_records_jsonl(synth_corpus(seed=6, n_sentences=2), path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n  \n{second}\n\n")
+        assert [rec.id for rec in load_records_jsonl(path)] == [rec.id for rec in synth_corpus(seed=6, n_sentences=2)]
 
     def test_round_trip(self, tmp_path):
         records = synth_corpus(seed=6, n_sentences=3)

@@ -54,13 +54,14 @@ def gate(p, k):
 
 def encode(model, words):
     """(2H,) annotation per word of a list of (word_dim,) vectors."""
-    return list(_encode(model, np.stack(words)[None], None, eval_record(model, 1, len(words)))[0])
+    return list(_encode(model, np.stack(words)[None], np.array([len(words)]), eval_record(model, 1, len(words)))[0])
 
 
 def project(model, annotations):
     """(s, 2H) annotations as a batch of one, with its (1, s, A) projection."""
     annotations = np.asarray(annotations)[None]
-    return annotations, ad._affine(annotations, model.att_ann.value.T)
+    projected = np.empty(annotations.shape[:2] + (model.cfg.att_dim,))
+    return annotations, ad._affine(annotations, model.att_ann.value.T, None, projected)
 
 
 def attend(model, state, annotations):
@@ -261,7 +262,7 @@ class TestForward:
         monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
         assert len(forward(tiny, chunks, seeds)) == 3 and len(built) == 0
         assert lift_forward(lift, poses).shape == (5, 7) and len(built) == 0
-        train, _, run = forward_graph(tiny, chunks[0][None], seeds[None], rng=rng, dropout=0.1)
+        train, _, run = forward_graph(tiny, chunks[0][None], seeds[None], [len(chunks[0])], rng=rng, dropout=0.1)
         backward(run, compute_loss_graph(train, rng.normal(size=train.shape), Config())[1])
         assert len(built) == 0
         tape.forward_graph(tiny, chunks[0][None], seeds[None])  # the counter sees a recorded pass
@@ -293,7 +294,7 @@ class TestForward:
         seeds = rng.normal(size=(n, 10))
         rollouts = forward(model, chunks, seeds)
         if len(chunks) == 1:
-            train_poses, train_attn, _ = forward_graph(model, chunks[0][None], seeds[None])
+            train_poses, train_attn, _ = forward_graph(model, chunks[0][None], seeds[None], words)
             recorded_poses, recorded_attn = tape.forward_graph(model, chunks[0][None], seeds[None])
             for plain in (train_poses[0], recorded_poses.data[0]):
                 assert np.array_equal(rollouts[0][0], plain)
@@ -331,7 +332,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
         [(p_eval, _)] = forward(tiny, [emb], seeds)
-        p_train = forward_graph(tiny, emb[None], seeds[None], rng=np.random.default_rng(0), dropout=tiny.cfg.dropout)[0][0]
+        rng = np.random.default_rng(0)
+        p_train = forward_graph(tiny, emb[None], seeds[None], [len(emb)], rng=rng, dropout=tiny.cfg.dropout)[0][0]
         assert not np.array_equal(p_eval, p_train)
 
 
@@ -339,7 +341,7 @@ class TestBackward:
     def test_zero_loss_zero_gradients(self, tiny):
         rng = np.random.default_rng(10)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
-        poses, _, run = forward_graph(tiny, emb, seeds)
+        poses, _, run = forward_graph(tiny, emb, seeds, [emb.shape[1]])
         target = poses.copy()  # pred == target, alpha = beta = 0
         h = Config(alpha=0.0, beta=0.0)
         _, g_poses = compute_loss_graph(poses, target, h)
@@ -351,7 +353,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         emb, seeds = rng.normal(size=(1, 3, 7)), rng.normal(size=(1, 2, 10))
         target = rng.normal(size=(1, 3, 10))
-        poses, _, run = forward_graph(tiny, emb, seeds)
+        poses, _, run = forward_graph(tiny, emb, seeds, [emb.shape[1]])
         _, g_poses = compute_loss_graph(poses, target, Config())
         tiny.store.zero_grads()
         backward(run, g_poses)
@@ -373,7 +375,7 @@ class TestBackward:
             [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
             return compute_loss_graph(poses[None], target, h)[0].total
 
-        poses, _, run = forward_graph(tiny, emb, seeds)
+        poses, _, run = forward_graph(tiny, emb, seeds, [emb.shape[1]])
         _, g_poses = compute_loss_graph(poses, target, h)
         tiny.store.zero_grads()
         backward(run, g_poses)
@@ -424,7 +426,7 @@ class TestPaddedBatch:
         grouped = 0.0
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
-            poses, _, run = forward_graph(model, emb[rows, :length], seeds[rows])
+            poses, _, run = forward_graph(model, emb[rows, :length], seeds[rows], np.full(len(rows), length))
             breakdown, g_poses = compute_loss_graph(poses, targets[rows], h)
             weight = len(rows) / len(lengths)
             backward(run, g_poses * weight)
@@ -491,7 +493,7 @@ class TestPaddedBatch:
         lengths = np.array([4, 2, 3])
         emb, seeds = _padded_batch(np.random.default_rng(6), lengths, 4)
         ws = Workspace(PADDED, 3, 4)
-        *_, run = forward_graph(init_model(PADDED, seed=6), emb, seeds, np.random.default_rng(6), lengths, 0.1, ws)
+        *_, run = forward_graph(init_model(PADDED, seed=6), emb, seeds, lengths, np.random.default_rng(6), 0.1, ws)
         views = list(run.record.values())
         for dtype, arena in ws._arenas.items():
             assert sum(v.nbytes for v in views if v.dtype == dtype) == arena.nbytes
@@ -519,7 +521,7 @@ class TestPaddedBatch:
 
         monkeypatch.setattr(ad, "_gru_cell", spy)
         monkeypatch.setattr(Workspace, "carve", spy_carve)
-        forward_graph(model, emb, seeds, rng, lengths, 0.1)
+        forward_graph(model, emb, seeds, lengths, rng, 0.1)
         forward(model, [emb[row, :length] for row, length in enumerate(lengths)], seeds[0])
         steps, encoder = PADDED.n_seed_poses + PADDED.n_output_poses, 2 * 2 * 3
         train = encoder + 2 * steps
@@ -588,7 +590,7 @@ class TestPaddedBatch:
                 total.backward()
                 poses, terms = poses.data, terms + [float(total.data)]
             else:
-                poses, attn, run = forward_graph(model, emb, seeds, step_rng, lengths if padded else None, dropout)
+                poses, attn, run = forward_graph(model, emb, seeds, lengths, step_rng, dropout)
                 breakdown, g_poses = compute_loss_graph(poses, targets, cfg)
                 backward(run, g_poses)
                 terms = [breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]

@@ -465,7 +465,7 @@ class TestTrainModel:
         def gradients(*passes):
             model.store.zero_grads()
             step_rng = np.random.default_rng(8)
-            runs = [forward_graph(model, e, seeds, rng=step_rng, lengths=lengths, dropout=0.1) for e in passes]
+            runs = [forward_graph(model, e, seeds, lengths, rng=step_rng, dropout=0.1) for e in passes]
             poses, _, run = runs[0]
             backward(run, compute_loss_graph(poses, target, Config())[1])
             return model.store.grads.tobytes()
