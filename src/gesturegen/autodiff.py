@@ -24,13 +24,14 @@ with ``ufunc.reduce``, since ``ndarray.max`` and ``.sum`` go through
 numpy's Python-level wrappers. The backward rules run at batch 64, where
 dispatch is a negligible share of their cost, and keep the plain forms.
 
-The tape, which only the benchmark still names, is `Tensor` with the ops
-`mul` and `tsum`: every op records its inputs and a local backward rule on
-the output tensor, so calling ``backward()`` on a scalar result adds
+The tape here is the benchmark's probe: `Tensor` with the two ops `mul`
+and `tsum` on recording tensors, which `bench/` runs through a traced
+``Tensor.backward``. Each op records its inputs and a local backward rule
+on the output tensor, so calling ``backward()`` on a scalar result adds
 gradients into all reachable leaves, across calls, and frees each op
-node's gradient once its rule has run. An operand is a recording ``Tensor`` (requires_grad) or a plain value
-that acts as a constant; an op none of whose operands records returns its
-plain result and builds no graph object.
+node's gradient once its rule has run. The general tape, with plain
+operands, broadcasting and the fused nodes, is the tests' reference,
+``tests/tape_oracle.py``, whose nodes are this `Tensor`.
 
 All data is float64; training and the finite-difference gradient contracts
 rely on double precision.
@@ -96,61 +97,32 @@ class Tensor:
         return order
 
 
-def _data(x):
-    """An operand's value: a tensor's data, or the plain value itself."""
-    return x.data if isinstance(x, Tensor) else x
-
-
-def _records(*operands) -> bool:
-    """Whether any operand is a recording tensor."""
-    for x in operands:
-        if isinstance(x, Tensor) and x.requires_grad:
-            return True
-    return False
-
-
 def _accumulate(t: Tensor, g: np.ndarray):
-    """Add g into the recording tensor t's gradient. A first gradient is
-    kept as handed: each op hands a fresh array."""
+    """Add g into t's gradient. A first gradient is kept as handed: each op
+    hands a fresh array."""
     if t.grad is None:
         t.grad = g
     else:
         t.grad += g
 
 
-def _wrap(value, parents, backprop):
-    """A recorded op result; an op calls it only once an operand needs a gradient."""
-    return Tensor(value, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
-
-
-def mul(a, b):
-    """Elementwise product with numpy broadcasting; an operand's gradient is
-    summed over the axes it was broadcast along."""
-    av, bv = _data(a), _data(b)
-    out_val = av * bv
-    if not _records(a, b):
-        return out_val
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two recording tensors of one shape."""
 
     def backprop(g):
-        for t, other in ((a, bv), (b, av)):
-            if _records(t):
-                local, shape = g * other, t.data.shape
-                lead = local.ndim - len(shape)
-                axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n < local.shape[lead + i])
-                _accumulate(t, local.sum(axis=axes, keepdims=True).reshape(shape) if axes else local)
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
-    return _wrap(out_val, (a, b), backprop)
+    return Tensor(a.data * b.data, requires_grad=True, _parents=(a, b), _backprop=backprop)
 
 
-def tsum(x):
-    total = _data(x).sum()
-    if not _records(x):
-        return total
+def tsum(x: Tensor) -> Tensor:
+    """The sum of a recording tensor's elements."""
 
     def backprop(g):
         _accumulate(x, np.full(x.data.shape, g))
 
-    return _wrap(total, (x,), backprop)
+    return Tensor(x.data.sum(), requires_grad=True, _parents=(x,), _backprop=backprop)
 
 
 # -- the model's kernels and their backward rules --------------------------------

@@ -285,7 +285,6 @@ def cmd_retarget(cfg: Config, args) -> int:
 
 
 def cmd_baseline(cfg: Config, args) -> int:
-    out = _output(cfg, args.out, f"baseline_{args.kind}.csv")
     if args.kind != "nn" and args.duration is None:
         raise InvalidConfig("missing required --duration")
     if args.kind == "manual":
@@ -301,6 +300,7 @@ def cmd_baseline(cfg: Config, args) -> int:
             track = nn_baseline(tokens, records, pca, cfg.chunk_len)
             if args.duration is not None:
                 track = align_track(track, args.duration)
+    out = _output(cfg, args.out, f"baseline_{args.kind}.csv")
     save_track_csv(track, out)
     print(f"{args.kind} baseline: {len(track)} frames ({track.duration:.2f} s) -> {out}")
     return 0

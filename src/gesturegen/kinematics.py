@@ -88,7 +88,6 @@ def _forearm_local(bend, yaw):
 
 def forward_kinematics(angles) -> np.ndarray:
     """Joint positions (..., 8, 3) in the torso frame for (..., 12) angles."""
-    angles = np.asarray(angles, dtype=np.float64)
     joints = np.zeros(angles.shape[:-1] + (8, 3))
     joints[..., L_SHOULDER, 0] = 1.0
     joints[..., R_SHOULDER, 0] = -1.0
@@ -128,7 +127,6 @@ def compute_joint_angles(joints) -> np.ndarray:
     yaw: (T, 8, 3) poses in time order -> (T, 12) angles. At the
     straight-arm singularity the elbow yaw carries over from the last frame
     where that arm was bent (0 before any)."""
-    joints = np.asarray(joints, dtype=np.float64)
     # left upper arm, left forearm, right upper arm, right forearm: the first
     # zero-length segment of the first bad frame, in this order, is reported
     segments = [joints[:, b] - joints[:, a] for s, e, w, _ in _ARMS for a, b in ((s, e), (e, w))]

@@ -186,7 +186,6 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
     """Combine (..., 8, 2) image-convention poses with (..., 7) predicted
     depths into torso-frame (..., 8, 3) poses, rescaled so the mean
     neck-to-shoulder distance is 1."""
-    depths = np.asarray(depths, dtype=np.float64)
     joints = np.zeros(pose2d.shape[:-1] + (3,))
     joints[..., 0] = pose2d[..., 0]
     joints[..., 1] = -pose2d[..., 1]
@@ -200,7 +199,7 @@ def assemble_pose3d(pose2d, depths) -> np.ndarray:
 
 def lift_forward(params: LiftNetParams, poses) -> np.ndarray:
     """Eval-mode depths (B, 7) for a (B, 14) batch of lift inputs."""
-    return lift_pass(params, np.asarray(poses, dtype=np.float64), train=False)[0]
+    return lift_pass(params, poses, train=False)[0]
 
 
 def augment_draws(rng, angles: np.ndarray, z: np.ndarray, rot_range: float):

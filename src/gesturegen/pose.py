@@ -81,7 +81,6 @@ def normalize_pose(joints) -> np.ndarray:
     A joint with a non-finite coordinate (NaN marks an undetected joint) is
     missing; the error names the missing joints of the first such frame.
     """
-    joints = np.asarray(joints, dtype=np.float64)
     if not np.isfinite(joints).all():
         bad = ~np.isfinite(joints).reshape(-1, 8, 2).all(axis=2)
         first = bad[np.flatnonzero(bad.any(axis=1))[0]]
@@ -129,7 +128,6 @@ def project_pose(model: PcaModel, poses) -> np.ndarray:
     """Raw (unclamped) (..., k) coefficients of (..., 8, 2) poses in the
     fitted basis. One stacked (k, 16) @ (16, 1) product per pose, so a batch
     projects bit for bit as its poses do one at a time."""
-    poses = np.asarray(poses, dtype=np.float64)
     flat = poses.reshape(poses.shape[:-2] + (POSE_DIM,)) - model.mean
     return (model.components @ flat[..., :, None])[..., 0]
 
@@ -150,7 +148,6 @@ def decode_pose(model: PcaModel, coeffs) -> np.ndarray:
 
     Accepts any coefficient values; network outputs are unconstrained.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape[-1:] != (model.n_components,):
         raise InvalidConfig(f"expected {model.n_components} coefficients, got {coeffs.shape[-1:]}")
     flat = model.mean + (model.components.T @ coeffs[..., None])[..., 0]

@@ -35,9 +35,6 @@ class TimedPoseTrack:
 
     frames: np.ndarray  # (T, gesture_dim) or (T, 12) joint angles
 
-    def __post_init__(self):
-        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=np.float64))
-
     @property
     def duration(self) -> float:
         return self.frames.shape[0] / DEFAULT_FPS

@@ -46,9 +46,6 @@ class TrainingPair:
     words: list
     target_poses: np.ndarray  # (n + m, gesture_dim)
 
-    def __post_init__(self):
-        self.target_poses = np.asarray(self.target_poses, dtype=np.float64)
-
 
 class AdamState:
     """Bias-corrected Adam moments: two flat arrays laid out like the store's ``values``."""
@@ -63,7 +60,6 @@ def compute_loss_graph(pred, target: np.ndarray, cfg: Config):
     """The loss of a (B, m, d) prediction array, averaged over the batch,
     with the weights ``cfg.alpha`` and ``cfg.beta``. Returns (LossBreakdown,
     d total / d pred), the gradient that `model.backward` takes."""
-    target = np.asarray(target, dtype=np.float64)
     if pred.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
     total, mse, continuity, variance, g_pred = ad._gesture_loss(pred, target, cfg.alpha, cfg.beta)

@@ -3,7 +3,9 @@ nodes and every backward rule of the model's kernels, a property of the
 affine rule against the add / matmul / transpose graph it replaced, one
 property over the rules against the fused tape nodes they were written
 from, one property of the forward kernels against their `@` spelling,
-plus graph semantics (re-running backward, no recorded graph)."""
+plus graph semantics (re-running backward, no recorded graph). The tape
+checks run on the ops of the tape oracle, tests/tape_oracle.py, the
+general tape; the package keeps only the benchmark's probe ops."""
 
 import numpy as np
 import pytest
@@ -110,8 +112,8 @@ def _loss_rule(target, alpha, beta):
 
 
 # -- reference nodes ------------------------------------------------------------
-# Graph nodes the engine no longer has, plain on plain operands like its ops,
-# built on the tape oracle's recording helpers. The reference graphs below are
+# Graph nodes the engine no longer has, plain on plain operands like the tape
+# oracle's ops and built on its recording helpers. The reference graphs below are
 # composed of them: the add, matmul and transpose nodes the model recorded
 # before the fused linear node, the attention before the fused attention node
 # and the lift net's step before its hand-written backward.
@@ -174,24 +176,24 @@ def _transpose(x):
 
 
 def test_add_broadcast():
-    _fd_check(lambda a, b: ad.tsum(_add(a, b)), [(3, 4), (4,)])
+    _fd_check(lambda a, b: tape.tsum(_add(a, b)), [(3, 4), (4,)])
 
 
 def test_mul_broadcast():
-    _fd_check(lambda a, b: ad.tsum(ad.mul(a, b)), [(2, 3, 4), (3, 4)])
-    _fd_check(lambda a, b: ad.tsum(ad.mul(a, b)), [(3, 1), (2, 1, 4)])
+    _fd_check(lambda a, b: tape.tsum(tape.mul(a, b)), [(2, 3, 4), (3, 4)])
+    _fd_check(lambda a, b: tape.tsum(tape.mul(a, b)), [(3, 1), (2, 1, 4)])
 
 
 def test_matmul_2d():
-    _fd_check(lambda a, b: ad.tsum(_matmul(a, b)), [(3, 4), (4, 2)])
+    _fd_check(lambda a, b: tape.tsum(_matmul(a, b)), [(3, 4), (4, 2)])
 
 
 def test_matmul_batched():
-    _fd_check(lambda a, b: ad.tsum(_matmul(a, b)), [(2, 3, 4), (2, 4, 2)])
+    _fd_check(lambda a, b: tape.tsum(_matmul(a, b)), [(2, 3, 4), (2, 4, 2)])
 
 
 def test_matmul_broadcast_batch():
-    _fd_check(lambda a, b: ad.tsum(_matmul(a, b)), [(2, 3, 4), (4, 2)])
+    _fd_check(lambda a, b: tape.tsum(_matmul(a, b)), [(2, 3, 4), (4, 2)])
 
 
 @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
@@ -216,7 +218,7 @@ def _relu(x):
 
 
 def test_tanh_sigmoid_relu():
-    _fd_check(lambda a: ad.tsum(_relu(_add(a, 0.1))), [(5,)])
+    _fd_check(lambda a: tape.tsum(_relu(_add(a, 0.1))), [(5,)])
 
 
 def test_gesture_loss_matches_finite_differences():
@@ -233,7 +235,7 @@ def test_gesture_loss_subgradient_at_zero_steps():
 
 def _sum_axis(x, axis, keepdims=False):
     # A sum over one axis as a graph node, plain on plain operands like the
-    # engine's ops: tsum reduces whole tensors, and only reference
+    # oracle's ops: tsum reduces whole tensors, and only reference
     # graphs in the tests need an axis.
     y = tape._data(x).sum(axis=axis, keepdims=keepdims)
     if not tape._records(x):
@@ -246,28 +248,28 @@ def _sum_axis(x, axis, keepdims=False):
 
 
 def test_reductions():
-    _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 1), _sum_axis(a, 1))), [(3, 4)])
-    _fd_check(lambda a: tape.tmean(ad.mul(a, a)), [(3, 4)])
-    _fd_check(lambda a: ad.tsum(ad.mul(_sum_axis(a, 0, keepdims=True), a)), [(3, 4)])
+    _fd_check(lambda a: tape.tsum(tape.mul(_sum_axis(a, 1), _sum_axis(a, 1))), [(3, 4)])
+    _fd_check(lambda a: tape.tmean(tape.mul(a, a)), [(3, 4)])
+    _fd_check(lambda a: tape.tsum(tape.mul(_sum_axis(a, 0, keepdims=True), a)), [(3, 4)])
 
 
 def test_concat_stack_reshape_transpose():
-    _fd_check(lambda a, b: ad.tsum(ad.mul(tape.concat([a, b], axis=1), 1.5)), [(2, 3), (2, 2)])
-    _fd_check(lambda a, b: ad.tsum(ad.mul(tape.stack([a, b], axis=1), np.ones((2, 2, 3)) * 0.5)), [(2, 3), (2, 3)])
-    _fd_check(lambda a: ad.tsum(ad.mul(_transpose(a), np.ones((3, 2)))), [(2, 3)])
+    _fd_check(lambda a, b: tape.tsum(tape.mul(tape.concat([a, b], axis=1), 1.5)), [(2, 3), (2, 2)])
+    _fd_check(lambda a, b: tape.tsum(tape.mul(tape.stack([a, b], axis=1), np.ones((2, 2, 3)) * 0.5)), [(2, 3), (2, 3)])
+    _fd_check(lambda a: tape.tsum(tape.mul(_transpose(a), np.ones((3, 2)))), [(2, 3)])
 
 
 def test_shared_subexpression_gradient():
     # y = sum(x * x + x): dy/dx = 2x + 1 with x reused by two ops
     x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    out = ad.tsum(_add(ad.mul(x, x), x))
+    out = tape.tsum(_add(tape.mul(x, x), x))
     out.backward()
     assert np.allclose(x.grad, 2 * x.data + 1)
 
 
 def test_backward_accumulates_into_leaves():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    out = ad.tsum(ad.mul(x, x))
+    out = tape.tsum(tape.mul(x, x))
     out.backward()
     first = x.grad.copy()
     out.backward()
@@ -278,7 +280,7 @@ def test_backward_frees_op_gradients():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     acc = np.full(2, 0.5)
     w = Tensor(np.array([3.0, 4.0]), requires_grad=True, grad=acc)
-    order = ad.tsum(_add(ad.mul(x, w), _relu(w))).backward()
+    order = tape.tsum(_add(tape.mul(x, w), _relu(w))).backward()
     assert [node for node in order if node._backprop is not None and node.grad is not None] == []
     assert w.grad is acc and np.array_equal(acc, [0.5 + 1.0 + 1.0, 0.5 - 2.0 + 1.0])
     assert np.array_equal(x.grad, [3.0, 4.0])
@@ -293,22 +295,21 @@ _KEEP = np.array([True, False, True])
 _MASK = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
 _ATTENTION_SHAPES = [(2, 3), (4, 3), (2, 3, 4), (4,), (2, 3, 5)]
 
-# case -> (engine op, call, input shapes)
+# case -> (oracle op, input shapes)
 _OP_CASES = {
-    "mul": (ad.mul, ad.mul, [(2, 3, 4), (3, 4)]),
-    "tsum": (ad.tsum, ad.tsum, [(3, 4)]),
+    "mul": (tape.mul, [(2, 3, 4), (3, 4)]),
+    "tsum": (tape.tsum, [(3, 4)]),
 }
 
 
 def test_eval_mode_records_nothing():
-    """Every engine op on plain arrays returns a plain float64 result, no
-    Tensor, with the same bits as the recording path. With a recording
-    tensor as its first operand and plain arrays for the rest, it records
-    the same bits, and backward reaches that tensor and no other leaf."""
-    ops = {name for name, f in vars(ad).items() if callable(f) and getattr(f, "__module__", "") == ad.__name__}
-    assert {op.__name__ for op, *_ in _OP_CASES.values()} == {n for n in ops if n[0].islower()}
+    """The oracle's mul and tsum on plain arrays return a plain float64
+    result, no Tensor, with the same bits as the recording path. With a
+    recording tensor as the first operand and plain arrays for the rest,
+    each records the same bits, and backward reaches that tensor and no
+    other leaf."""
     rng = np.random.default_rng(0)
-    for case, (_, call, shapes) in _OP_CASES.items():
+    for case, (call, shapes) in _OP_CASES.items():
         values = [rng.normal(size=shape) for shape in shapes]
         results = []
         for n_recording in (0, 1, len(values)):  # plain, mixed, all recording
@@ -322,7 +323,7 @@ def test_eval_mode_records_nothing():
                 continue
             assert first.requires_grad, case
             results.append([first.data, *arrays])
-            order = ad.tsum(first).backward()
+            order = tape.tsum(first).backward()
             assert {id(node) for node in order if not node._parents} == set(map(id, leaves)), case
             assert all(leaf.grad.shape == leaf.shape for leaf in leaves), case
         for plain, *recorded in zip(*results):
@@ -368,11 +369,11 @@ def test_matmul_nd_by_2d_one_operand_requires_grad():
     xt, wt = Tensor(x), Tensor(w, requires_grad=True)
     out = _matmul(xt, wt)
     assert np.allclose(out.data, np.matmul(x, w), rtol=0, atol=1e-14)
-    ad.tsum(ad.mul(out, g)).backward()
+    tape.tsum(tape.mul(out, g)).backward()
     assert xt.grad is None
     assert np.allclose(wt.grad, np.einsum("bsi,bso->io", x, g), rtol=0, atol=1e-13)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w)
-    ad.tsum(ad.mul(_matmul(xt, wt), g)).backward()
+    tape.tsum(tape.mul(_matmul(xt, wt), g)).backward()
     assert wt.grad is None
     assert np.allclose(xt.grad, g @ w.T, rtol=0, atol=1e-13)
 
@@ -447,7 +448,7 @@ def test_attention_bit_equal_to_composed_graph(batch, masked):
     results = [[context, weights] + grads]
     leaves = [Tensor(v, requires_grad=True) for v in values]
     context, weights = _composed_attention(*leaves, mask)
-    ad.tsum(ad.mul(context, g)).backward()
+    tape.tsum(tape.mul(context, g)).backward()
     results.append([context.data, weights] + [leaf.grad for leaf in leaves])
     names = ["context", "weights", "state", "w_query", "projected", "v", "annotations"]
     for name, fused, composed in zip(names, *results):
@@ -471,11 +472,11 @@ def _composed_batch_norm(x, scale, shift, eps):
     # nodes before its training step got a hand-written backward, kept as
     # the reference.
     inv_n = 1.0 / x.shape[0]
-    mu = ad.mul(_sum_axis(x, 0, keepdims=True), inv_n)
-    centered = _add(x, ad.mul(mu, -1.0))
-    var = ad.mul(_sum_axis(ad.mul(centered, centered), 0, keepdims=True), inv_n)
+    mu = tape.mul(_sum_axis(x, 0, keepdims=True), inv_n)
+    centered = _add(x, tape.mul(mu, -1.0))
+    var = tape.mul(_sum_axis(tape.mul(centered, centered), 0, keepdims=True), inv_n)
     inv_std = _power(_add(var, eps), -0.5)
-    return _add(ad.mul(ad.mul(centered, inv_std), scale), shift), mu.data, var.data
+    return _add(tape.mul(tape.mul(centered, inv_std), scale), shift), mu.data, var.data
 
 
 # -- linear against the add, matmul and transpose nodes it replaced -----------
@@ -507,7 +508,7 @@ def test_linear_bit_equal_to_composed_graph(lead, widths, bias, seed):
     out, grads = _linear_rule(g, *values)
     leaves = [Tensor(v, requires_grad=True) for v in values]
     composed = _composed_linear(*leaves)
-    ad.tsum(ad.mul(composed, g)).backward()
+    tape.tsum(tape.mul(composed, g)).backward()
     for i, (rule, graph) in enumerate(zip([out, *grads], [composed.data] + [leaf.grad for leaf in leaves], strict=True)):
         assert np.array_equal(rule, graph), i
 

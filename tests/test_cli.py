@@ -375,6 +375,24 @@ def test_baselines_and_eval(workspace):
     assert rc == 0
 
 
+def test_nn_baseline_crossfades_its_chunks(workspace, tmp_path):
+    # two-word chunks of five words: three winning spans joined by the
+    # crossfade blend, and the track file holds nn_baseline's track
+    from gesturegen.baselines import nn_baseline
+    from gesturegen.checkpoint import load_checkpoint
+    from gesturegen.corpus import load_records_jsonl
+    from gesturegen.synthesis import save_track_csv
+    from gesturegen.text import tokenize
+
+    root, _ = workspace
+    text, kept = "we hold a big idea", root / "kept.jsonl"
+    args = ["baseline", "nn", "--checkpoint", str(root / "ck.ggck"), "--dataset", str(kept), "--chunk-len", "2"]
+    assert main([*args, "--text", text, "--out", str(tmp_path / "nn.csv"), "--out-dir", str(tmp_path / "out")]) == 0
+    track = nn_baseline(tokenize(text), load_records_jsonl(kept), load_checkpoint(root / "ck.ggck").pca, 2)
+    save_track_csv(track, tmp_path / "want.csv")
+    assert (tmp_path / "nn.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_manual_baseline_missing_file_fails(workspace, capsys):
     root, _ = workspace
     rc = main(
@@ -1199,6 +1217,12 @@ def _refusal_args(case, root, tmp):
         "array-shape": generate,
         "render-track-width": ["render", *ck, "--track", str(tmp / "narrow.csv")],
         "retarget-track-width": ["retarget", *ck, "--track", str(tmp / "narrow.csv")],
+        "generate-duration-nan": ["generate", *ck, "--text", "we hold a big idea", "--duration", "nan"],
+        "generate-duration-negative": ["generate", *ck, "--text", "we hold a big idea", "--duration=-1"],
+        "generate-duration-too-long": ["generate", *ck, "--text", "we hold a big idea", "--duration", "1e9"],
+        "generate-no-words": ["generate", *ck, "--text", "!!"],
+        "schedule-no-words": ["schedule", "--text", "!!", "--duration", "2"],
+        "baseline-random-empty-dataset": ["baseline", "random", *ck, "--dataset", str(tmp / "empty.jsonl"), "--duration", "2"],
     }[case]
 
 
@@ -1217,13 +1241,19 @@ _REFUSALS = [
     ("array-shape", "array seq2seq.enc.l0.fwd.w_z has shape (4800,), expected (16, 300)"),
     ("render-track-width", "expected 10 coefficients, got (3,)"),
     ("retarget-track-width", "expected 10 coefficients, got (3,)"),
+    ("generate-duration-nan", "speech duration must be finite, got nan"),
+    ("generate-duration-negative", "speech duration must be positive, got -1.0"),
+    ("generate-duration-too-long", "speech duration must be at most 86400 s, got 1000000000.0"),
+    ("generate-no-words", "cannot estimate duration of empty text"),
+    ("schedule-no-words", "cannot plan chunks for empty text"),
+    ("baseline-random-empty-dataset", "no training records"),
 ]
 
 
 @pytest.mark.parametrize("case, reason", _REFUSALS, ids=[case for case, _ in _REFUSALS])
 def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
     # each refusal a command line can reach: exit 1, one `command: reason`
-    # line on stderr, nothing on stdout, and no output file
+    # line on stderr, nothing on stdout, and no output file or directory
     root, _ = workspace
     args = _refusal_args(case, root, tmp_path)
     capsys.readouterr()
@@ -1232,7 +1262,7 @@ def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
     assert stdout == ""
     [line] = err.splitlines()
     assert line.startswith(f"{args[0]}: {reason}"), line
-    assert [p for p in (tmp_path / "out").glob("**/*") if p.is_file()] == []
+    assert not (tmp_path / "out").exists()
     assert not (tmp_path / "c.jsonl").exists()
 
 

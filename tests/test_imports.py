@@ -55,9 +55,10 @@ def _module_names(tree, modules):
     }
 
 
-# The tape ops that only bench/test_bench.py still runs (tsum(mul(x, x))
-# .backward() through a traced Tensor.backward); the benchmark change that
-# retargets that test deletes them and this entry.
+# The benchmark's probe ops: src/'s tape is what bench/test_bench.py runs
+# (tsum(mul(x, x)).backward() through a traced Tensor.backward), and the
+# general tape is tests/tape_oracle.py. The benchmark change that retargets
+# that test deletes them and this entry.
 _BENCH_TEST_ONLY = {"autodiff.mul", "autodiff.tsum"}
 
 

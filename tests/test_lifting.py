@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gesturegen import autodiff as ad
 from gesturegen import lifting
 from gesturegen.autodiff import Tensor
 from gesturegen.config import Config
@@ -73,7 +72,7 @@ def _recorded_step(params, x, targets):
         h = _relu(h)
     out = _add(_matmul(h, _transpose(leaves["lift.fc3.w"])), leaves["lift.fc3.b"])
     diff = _add(out, -targets)
-    loss = tape.tmean(ad.mul(diff, diff))
+    loss = tape.tmean(tape.mul(diff, diff))
     loss.backward()
     return loss.data
 
@@ -211,7 +210,7 @@ class TestBatchNormNode:
         x, scale, shift, weights = _bn_inputs(seed)
         leaves = [Tensor(v, requires_grad=True) for v in (x, scale, shift)]
         out, mu, var = _composed_batch_norm(*leaves, 1e-5)
-        ad.tsum(ad.mul(out, weights)).backward()
+        tape.tsum(tape.mul(out, weights)).backward()
         composed = (out.data, mu[0], var[0], [leaf.grad for leaf in leaves])
         plain = _bn_plain(x, scale, shift, weights)
         for a, b in zip(plain[:3], composed[:3]):
