@@ -7,8 +7,7 @@ writes what its backward rule reads into buffers its caller hands it, and
 `_attend`, which returns it.
 `_affine_backward`, `_gru_backward` and `_attend_backward` turn an output
 gradient into input gradients and add each weight's gradient into the
-accumulator they are given, and `_gesture_loss` returns the training loss
-with its gradient. The lift net's dense layers run on `_affine` and
+accumulator they are given. The lift net's dense layers run on `_affine` and
 `_affine_backward` as well. Each rule is the one the fused tape node of
 that op had, with the same operations in the same order, so
 `model.backward`, which chains them, gives the recorded graph's bits.
@@ -280,34 +279,3 @@ def _attend_backward(g, state, w_query_t, v, annotations, weights, t, dv, dw_que
     dw_query += (state.T @ d_q).T
     return d_annotations, d_pre, d_state
 
-
-def _gesture_loss(p, target, alpha: float, beta: float):
-    """The training loss of a (B, m, d) prediction against a (B, m, d)
-    target array (formula in the ``training`` module docstring). Returns
-    (total, mse, continuity, variance, d total / d p). Both round as the same
-    loss composed of add / mul / sum / slice / sqrt ops does; a zero-length
-    step has subgradient 0."""
-    b, m, d = p.shape
-    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
-    diff = p + -target
-    mse = (diff * diff).sum() * inv_n
-    steps = p[:, 1:] + p[:, :-1] * -1.0
-    norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
-    continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
-    centered = p + p.sum(axis=1, keepdims=True) * inv_m * -1.0
-    variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
-    total = (mse + continuity * alpha) + variance * beta
-    # p's five contributions in the composed graph's order: mse, p[:, 1:]
-    # and p[:, :-1] of the steps, centered, mean
-    g_diff = inv_n * diff
-    g_p = g_diff + g_diff
-    local = np.where(norms > 0.0, 0.5 / np.where(norms > 0.0, norms, 1.0), 0.0)
-    g_steps = ((alpha * inv_b * inv_steps) * local)[:, :, None] * steps
-    g_steps = g_steps + g_steps
-    g_p[:, 1:] += g_steps
-    g_p[:, :-1] -= g_steps
-    g_centered = (beta * -1.0 * inv_bd * inv_m) * centered
-    g_centered = g_centered + g_centered
-    g_p += g_centered
-    g_p += g_centered.sum(axis=1, keepdims=True) * -1.0 * inv_m
-    return total, float(mse), float(continuity), float(variance), g_p

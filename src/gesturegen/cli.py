@@ -234,9 +234,10 @@ def cmd_generate(cfg: Config, args) -> int:
 
 
 def cmd_schedule(cfg: Config, args) -> int:
+    sizes = _checkpoint(cfg, "model").model.cfg if cfg.checkpoint else cfg  # plan as generate would
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
-    plan = plan_chunks(tokens, duration, cfg.n_seed_poses, cfg.n_output_poses)
+    plan = plan_chunks(tokens, duration, sizes.n_seed_poses, sizes.n_output_poses)
     payload = {
         "word_count": len(tokens),
         "words_per_chunk": plan.words_per_chunk,
@@ -244,7 +245,7 @@ def cmd_schedule(cfg: Config, args) -> int:
         "chunks": [list(c) for c in plan.chunks],
         "speech_duration": float(duration),
         "frame_duration": 1.0 / DEFAULT_FPS,
-        "generated_frames": len(plan.chunks) * cfg.n_output_poses,
+        "generated_frames": len(plan.chunks) * sizes.n_output_poses,
     }
     print(_write_json(cfg, payload, args.out, "plan file"))
     return 0

@@ -32,8 +32,9 @@ candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
 `b (3H,)`. Every weight enters a pass as stored, read through its
 transpose; the encoder projects all timesteps' inputs with one GEMM per
 layer and direction before the recurrence, and a decoder step's attention
-scores the annotation projection made once per pass. A batch of word
-sequences of different lengths runs as one zero-padded rollout: padded
+scores the annotation projection made once per pass. Both modes take a
+batch of word sequences of different lengths as `text.EmbeddingTable.embed`
+makes it, zero-padded with its lengths, and run it as one rollout: padded
 steps carry the encoder state in both directions and get attention weight
 exactly 0, so every row equals its own unpadded rollout.
 
@@ -348,16 +349,6 @@ def _decoder(model, record, mask=None, rng=None, dropout=0.0):
     return rollout
 
 
-def pad_words(chunks):
-    """Zero-pad (s_i, word_dim) word sequences into one (B, max s_i,
-    word_dim) batch; returns it and the (B,) word counts."""
-    lengths = np.array([len(c) for c in chunks])
-    batch = np.zeros((len(chunks), lengths.max(), chunks[0].shape[1]))
-    for row, c in enumerate(chunks):
-        batch[row, : len(c)] = c
-    return batch, lengths
-
-
 def _check_word_dim(model, embedded: np.ndarray):
     """Refuse a (B, s, D) word batch whose width D is not the model's
     word_dim: an embedding table of the wrong width."""
@@ -423,17 +414,17 @@ def forward_graph(
     return poses, attention, TrainPass(model, record, embedded, seed_poses, _keep_masks(lengths, s), mask, dropout)
 
 
-def forward(model, chunks, seed_poses):
-    """Eval-mode rollout of an utterance: chunks is the list of its (s_i,
-    word_dim) embedded word chunks, seed_poses the first chunk's (n, 10)
-    seeds. Every chunk is encoded in one zero-padded batch; the decoder then
-    runs chunk by chunk on that chunk's own s_i annotations, each chunk
+def forward(model, embedded, seed_poses, lengths):
+    """Eval-mode rollout of an utterance: embedded is the (B, s, word_dim)
+    zero-padded batch of its B word chunks, ``lengths`` their (B,) word
+    counts (`text.EmbeddingTable.embed` makes both), seed_poses the first
+    chunk's (n, 10) seeds. Every chunk is encoded in one batch; the decoder
+    then runs chunk by chunk on that chunk's own s_i annotations, each chunk
     after the first seeded with the last n poses before it. The record is
     one eval-mode `Workspace` that the call makes. Returns one (poses (m,
     10), attention (m, s_i)) pair of fresh arrays per chunk."""
-    chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
+    embedded, lengths = np.asarray(embedded, dtype=np.float64), np.asarray(lengths)
     seeds = np.asarray(seed_poses, dtype=np.float64)[None]
-    embedded, lengths = pad_words(chunks)
     _check_word_dim(model, embedded)
     batch, s = embedded.shape[:2]
     record = Workspace(model.cfg, batch, s, train=False).carve(batch, s)

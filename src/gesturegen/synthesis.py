@@ -84,9 +84,9 @@ def generate_gesture(model: Seq2SeqModel, plan: ChunkPlan, table):
     Returns (TimedPoseTrack, list of per-chunk attention matrices (m, s_i)).
     """
     seeds = np.zeros((model.cfg.n_seed_poses, model.cfg.gesture_dim))
-    chunks = [np.stack([table.lookup(w) for w in chunk]) for chunk in plan.chunks]
+    embedded, lengths = table.embed(plan.chunks)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # save_track_csv and export_attention report these
-        rollouts = forward(model, chunks, seeds)
+        rollouts = forward(model, embedded, seeds, lengths)
     return TimedPoseTrack(frames=np.concatenate([poses for poses, _ in rollouts])), [attn for _, attn in rollouts]
 
 

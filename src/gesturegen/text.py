@@ -1,4 +1,4 @@
-"""Tokenization and word-embedding lookup.
+"""Tokenization and the word embedding that feeds the model.
 
 The embedding file format is plain text: one token per line followed by its
 vector, space-separated decimals; no token appears twice. Any dimension is
@@ -44,12 +44,17 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.entries)
 
-    def lookup(self, token: str) -> np.ndarray:
-        """Stored vector, or an exact zero vector for unknown tokens."""
-        vec = self.entries.get(token)
-        if vec is None:
-            return np.zeros(self.dim)
-        return vec
+    def embed(self, sequences):
+        """One zero-padded (B, longest, dim) batch of B token sequences'
+        stored vectors, an unknown token as an exact zero row, and the (B,)
+        sequence lengths."""
+        lengths = np.array([len(tokens) for tokens in sequences])
+        batch = np.zeros((len(sequences), lengths.max(), self.dim))
+        zero = np.zeros(self.dim)
+        for row, tokens in enumerate(sequences):
+            for col, token in enumerate(tokens):
+                batch[row, col] = self.entries.get(token, zero)
+        return batch, lengths
 
 
 def load_embedding_table(path) -> EmbeddingTable:

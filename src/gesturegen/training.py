@@ -1,9 +1,9 @@
 """Loss, optimizer, training-pair construction, and the training loop.
 
-The loss is a weighted sum of three terms over the m generated poses:
-mean squared error against the targets, mean consecutive-pose distance
-(continuity), and the negative per-dimension temporal variance (rewarding
-dynamic motion):
+The loss, `compute_loss_graph` with its gradient, is a weighted sum of
+three terms over the m generated poses: mean squared error against the
+targets, mean consecutive-pose distance (continuity), and the negative
+per-dimension temporal variance (rewarding dynamic motion):
 
     total = mse + alpha * continuity + beta * variance
 """
@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import Config
 from .errors import InvalidConfig, write_rows
-from .model import ParamStore, Seq2SeqModel, Workspace, backward, forward_graph, pad_words
+from .model import ParamStore, Seq2SeqModel, Workspace, backward, forward_graph
 from .pose import encode_pose, normalize_pose
 from .synthesis import plan_chunks
 
@@ -56,14 +55,39 @@ class AdamState:
         self.second = np.zeros_like(store.values)
 
 
-def compute_loss_graph(pred, target: np.ndarray, cfg: Config):
-    """The loss of a (B, m, d) prediction array, averaged over the batch,
-    with the weights ``cfg.alpha`` and ``cfg.beta``. Returns (LossBreakdown,
-    d total / d pred), the gradient that `model.backward` takes."""
-    if pred.shape[1] < 2:
+def compute_loss_graph(p, target: np.ndarray, cfg: Config):
+    """The loss of a (B, m, d) prediction array p against a (B, m, d) target
+    array, averaged over the batch, with the weights ``cfg.alpha`` and
+    ``cfg.beta``. Returns (LossBreakdown, d total / d p), the gradient that
+    `model.backward` takes. Both round as the same loss composed of add /
+    mul / sum / slice / sqrt ops does; a zero-length step has subgradient 0."""
+    if p.shape[1] < 2:
         raise InvalidConfig("need at least 2 poses per sequence")
-    total, mse, continuity, variance, g_pred = ad._gesture_loss(pred, target, cfg.alpha, cfg.beta)
-    return LossBreakdown(mse=mse, continuity=continuity, variance=variance, total=float(total)), g_pred
+    alpha, beta = cfg.alpha, cfg.beta
+    b, m, d = p.shape
+    inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
+    diff = p + -target
+    mse = (diff * diff).sum() * inv_n
+    steps = p[:, 1:] + p[:, :-1] * -1.0
+    norms = np.sqrt((steps * steps).sum(axis=2))  # (B, m-1)
+    continuity = (norms.sum(axis=1) * inv_steps).sum() * inv_b
+    centered = p + p.sum(axis=1, keepdims=True) * inv_m * -1.0
+    variance = ((centered * centered).sum(axis=1) * inv_m).sum() * inv_bd * -1.0
+    total = (mse + continuity * alpha) + variance * beta
+    # p's five contributions in the composed graph's order: mse, p[:, 1:]
+    # and p[:, :-1] of the steps, centered, mean
+    g_diff = inv_n * diff
+    g_p = g_diff + g_diff
+    local = np.where(norms > 0.0, 0.5 / np.where(norms > 0.0, norms, 1.0), 0.0)
+    g_steps = ((alpha * inv_b * inv_steps) * local)[:, :, None] * steps
+    g_steps = g_steps + g_steps
+    g_p[:, 1:] += g_steps
+    g_p[:, :-1] -= g_steps
+    g_centered = (beta * -1.0 * inv_bd * inv_m) * centered
+    g_centered = g_centered + g_centered
+    g_p += g_centered
+    g_p += g_centered.sum(axis=1, keepdims=True) * -1.0 * inv_m
+    return LossBreakdown(mse=float(mse), continuity=float(continuity), variance=float(variance), total=float(total)), g_p
 
 
 def clip_gradients(store: ParamStore):
@@ -132,15 +156,15 @@ def _check_finite(store: ParamStore, loss: float, where: str):
 
 
 def _train_step(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, rng, ws: Workspace):
-    """One batch's word lookup, forward pass (its record in ``ws``), loss and
+    """One batch's embedding, forward pass (its record in ``ws``), loss and
     backward into the store's cleared gradients; returns its LossBreakdown.
     What the step makes outside ``ws`` (the word batch, poses, the loss
     gradient, the record's views) is gone when it returns, before the next
     batch is built."""
     n = model.cfg.n_seed_poses
-    emb, words = pad_words([np.stack([table.lookup(w) for w in p.words]) for p in pairs])
-    seeds = np.stack([p.target_poses[:n] for p in pairs])
-    targets = np.stack([p.target_poses[n:] for p in pairs])
+    emb, words = table.embed([p.words for p in pairs])
+    known = np.stack([p.target_poses for p in pairs])
+    seeds, targets = known[:, :n], known[:, n:]
     model.store.zero_grads()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports these
         poses, _, run = forward_graph(model, emb, seeds, words, rng=rng, dropout=cfg.dropout, workspace=ws)
@@ -158,7 +182,7 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     ``lr``, ``batch_size``, ``dropout``, ``epochs`` and ``seed``;
     ``model.cfg`` is not changed.
 
-    Each batch looks its words up in ``table`` as it is built, and every
+    Each batch embeds its words with ``table.embed`` as it is built, and every
     pass keeps its record in one `model.Workspace` that the run makes once
     (up to ``batch_size`` rows of the pairs' longest word count) and owns:
     each step's forward pass overwrites the last step's record, which is

@@ -76,7 +76,7 @@ def test_criterion_1_gradient_check():
     h = Config()  # the full loss: mse + 0.01 continuity + 1.0 variance
 
     def loss_value():
-        [(poses, _)] = forward(model, [emb[0]], seeds[0])
+        [(poses, _)] = forward(model, emb, seeds[0], [emb.shape[1]])
         return compute_loss(poses, target[0], h).total
 
     pred, _, run = forward_graph(model, emb, seeds, [emb.shape[1]])
@@ -299,8 +299,8 @@ def test_criterion_6_toy_learnability(toy_system):
     test_pairs = make_training_pairs(test_recs, pca, 10, 20)
     se_model = se_base = count = 0.0
     for p in test_pairs:
-        emb = np.stack([table.lookup(w) for w in p.words])
-        [(pred, _)] = forward(model, [emb], p.target_poses[:10])
+        emb, lengths = table.embed([p.words])
+        [(pred, _)] = forward(model, emb, p.target_poses[:10], lengths)
         target = p.target_poses[10:]
         se_model += float(np.sum((pred - target) ** 2))
         se_base += float(np.sum(target**2))  # the mean pose is the zero vector

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import tape_oracle as tape
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
+from gesturegen.config import Config
 from gesturegen.errors import InvalidConfig
 from gesturegen.model import _dropout_scale
+from gesturegen.training import compute_loss_graph
 
 
 def _fd_check(build, shapes, seed=0, step=1e-6, tol=1e-6):
@@ -104,9 +106,11 @@ def _attention_rule(mask=None):
 
 
 def _loss_rule(target, alpha, beta):
+    cfg = Config(alpha=alpha, beta=beta)
+
     def rule(g, p):
-        total, *_, g_p = ad._gesture_loss(p, target, alpha, beta)
-        return total, [g * g_p]
+        loss, g_p = compute_loss_graph(p, target, cfg)
+        return np.float64(loss.total), [g * g_p]
 
     return rule
 
@@ -227,8 +231,8 @@ def test_gesture_loss_matches_finite_differences():
 
 
 def test_gesture_loss_subgradient_at_zero_steps():
-    total, mse, continuity, variance, grad = ad._gesture_loss(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), 0.7, 0.3)
-    assert (mse, continuity, variance, float(total)) == (0.0, 0.0, 0.0, 0.0)
+    loss, grad = compute_loss_graph(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), Config(alpha=0.7, beta=0.3))
+    assert (loss.mse, loss.continuity, loss.variance, loss.total) == (0.0, 0.0, 0.0, 0.0)
     assert np.all(np.isfinite(grad))
     assert np.array_equal(grad, np.zeros((2, 3, 4)))
 

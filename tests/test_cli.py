@@ -319,6 +319,26 @@ def test_schedule_output(capsys):
     assert payload["chunk_count"] == 7
 
 
+def test_schedule_plans_with_the_checkpoint_model(workspace, tmp_path, capsys):
+    # given a checkpoint, schedule plans with its model's n and m, as
+    # generate does, not with the config's 10 and 20
+    from gesturegen.checkpoint import Checkpoint, save_checkpoint
+    from gesturegen.model import ModelConfig, init_model
+
+    root, _ = workspace
+    cfg = ModelConfig(word_dim=300, hidden=4, att_dim=4, n_seed_poses=4, n_output_poses=8, dropout=0.1)
+    save_checkpoint(Checkpoint(config={}, model=init_model(cfg, seed=0)), tmp_path / "ck.ggck")
+    text = " ".join(f"w{i}" for i in range(12))
+    args = ["--checkpoint", str(tmp_path / "ck.ggck"), "--text", text, "--duration", "4", "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(["schedule", *args]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert main(["generate", *args, "--embeddings", str(root / "emb.txt")]) == 0
+    summary = capsys.readouterr().out.splitlines()[1]
+    assert summary.startswith(f"12 words, {plan['chunk_count']} chunks of {plan['words_per_chunk']}; "), summary
+    assert plan["generated_frames"] == plan["chunk_count"] * 8
+
+
 def test_schedule_tiny_duration_is_one_chunk(capsys):
     # the words-per-chunk quotient overflows to infinity before its clamp
     rc = main(["schedule", "--text", "hi there", "--duration", "1e-308"])
@@ -1186,6 +1206,7 @@ def test_table_of_the_wrong_width_is_single_line(workspace, tmp_path, capsys, co
 def _refusal_args(case, root, tmp):
     """The command line of a refusal case, with the files it reads written under tmp."""
     from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+    from gesturegen.pose import L_WRIST
     from test_checkpoint import edit_header
 
     ck, kept = ["--checkpoint", str(root / "ck.ggck")], str(root / "kept.jsonl")
@@ -1193,7 +1214,7 @@ def _refusal_args(case, root, tmp):
     (tmp / "empty.jsonl").write_text("")
     (tmp / "narrow.csv").write_text("t_s,c1,c2,c3\n0.0,0.1,0.2,0.3\n")
     path = tmp / "ck.ggck"
-    if case == "no-embedding-table":  # a basis, and no table reference
+    if case in ("no-embedding-table", "schedule-no-model"):  # a basis, and no table reference or model
         save_checkpoint(Checkpoint(config={}, pca=load_checkpoint(root / "ck.ggck").pca), path)
     elif case == "header-not-json":
         raw = (root / "ck.ggck").read_bytes()
@@ -1202,6 +1223,36 @@ def _refusal_args(case, root, tmp):
     elif case == "array-shape":  # one array listed flattened: the same bytes, the wrong shape
         shutil.copyfile(root / "ck.ggck", path)
         edit_header(path, lambda h: next(e for e in h["arrays"] if e["name"] == "seq2seq.enc.l0.fwd.w_z").update(shape=[4800]))
+    elif case == "checkpoint-bad-magic":
+        path.write_bytes(b"GGCX" + (root / "ck.ggck").read_bytes()[4:])
+    elif case == "checkpoint-array-short":  # the payload without its last array
+        raw = (root / "ck.ggck").read_bytes()
+        header = json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
+        path.write_bytes(raw[: -8 * int(np.prod(header["arrays"][-1]["shape"]))])
+    elif case == "checkpoint-version-2":
+        raw = (root / "ck.ggck").read_bytes()
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    elif case in ("train-no-pairs", "train-one-output-pose"):
+        shutil.copyfile(root / "ck.ggck", path)  # train writes its checkpoint back to --checkpoint
+    record = json.loads((root / "kept.jsonl").read_text().splitlines()[0])
+    frames, words = record["frames"], record["words"]
+    records = {
+        "five-frames": {**record, "frames": frames[:5]},
+        "short": {**record, "frames": frames[:20]},  # under n + m = 30 frames
+        "null-joint": {**record, "frames": [[None if j == L_WRIST else joint for j, joint in enumerate(frames[0])], *frames[1:]]},
+        "half-null": {**record, "frames": [[[None, 3.0], *frames[0][1:]], *frames[1:]]},
+        "words-back": {**record, "words": [words[1], words[0], *words[2:]]},
+        "fps-25": {**record, "fps": 25},
+    }
+    for name, rec in records.items():
+        (tmp / f"{name}.jsonl").write_text(json.dumps(rec) + "\n")
+    header, row = "t_s," + ",".join(f"c{i + 1}" for i in range(10)), ",".join(["0.5"] * 10)
+    (tmp / "no-header.csv").write_text(f"0.0,{row}\n")
+    (tmp / "non-numeric.csv").write_text(f"{header}\n0.0,x,{row[4:]}\n")
+    (tmp / "short-row.csv").write_text(f"{header}\n0.0,{row}\n0.083,{row[4:]}\n")
+    (tmp / "nan.csv").write_text(f"{header}\n0.0,nan,{row[4:]}\n")
+    (tmp / "m1.json").write_text('{"n_output_poses": 1}')
+    train = ["train", "--checkpoint", str(path), "--embeddings", str(root / "emb.txt"), "--hidden", "4", "--att-dim", "4"]
     generate = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2"]
     return {
         "config-missing": ["schedule", "--text", "hi", "--config", str(tmp / "missing.json")],
@@ -1222,7 +1273,22 @@ def _refusal_args(case, root, tmp):
         "generate-duration-too-long": ["generate", *ck, "--text", "we hold a big idea", "--duration", "1e9"],
         "generate-no-words": ["generate", *ck, "--text", "!!"],
         "schedule-no-words": ["schedule", "--text", "!!", "--duration", "2"],
+        "schedule-no-model": ["schedule", "--checkpoint", str(path), "--text", "hi", "--duration", "2"],
         "baseline-random-empty-dataset": ["baseline", "random", *ck, "--dataset", str(tmp / "empty.jsonl"), "--duration", "2"],
+        "fit-pca-too-few-poses": ["fit-pca", "--dataset", str(tmp / "five-frames.jsonl"), "--checkpoint", str(path)],
+        "fit-pca-missing-joint": ["fit-pca", "--dataset", str(tmp / "null-joint.jsonl"), "--checkpoint", str(path)],
+        "curate-half-null-joint": ["curate", "--dataset", str(tmp / "half-null.jsonl")],
+        "curate-words-back": ["curate", "--dataset", str(tmp / "words-back.jsonl")],
+        "curate-fps": ["curate", "--dataset", str(tmp / "fps-25.jsonl")],
+        "render-track-no-header": ["render", *ck, "--track", str(tmp / "no-header.csv")],
+        "render-track-non-numeric": ["render", *ck, "--track", str(tmp / "non-numeric.csv")],
+        "eval-short-row": ["eval", "--generated", str(tmp / "short-row.csv"), "--reference", str(root / "track.csv")],
+        "baseline-manual-nan": ["baseline", "manual", "--file", str(tmp / "nan.csv"), "--duration", "2"],
+        "checkpoint-bad-magic": generate,
+        "checkpoint-array-short": generate,
+        "checkpoint-version-2": generate,
+        "train-no-pairs": [*train, "--dataset", str(tmp / "short.jsonl")],
+        "train-one-output-pose": [*train, "--dataset", kept, "--config", str(tmp / "m1.json"), "--epochs", "1"],
     }[case]
 
 
@@ -1246,22 +1312,42 @@ _REFUSALS = [
     ("generate-duration-too-long", "speech duration must be at most 86400 s, got 1000000000.0"),
     ("generate-no-words", "cannot estimate duration of empty text"),
     ("schedule-no-words", "cannot plan chunks for empty text"),
+    ("schedule-no-model", "checkpoint has no trained generation model; run train first"),
     ("baseline-random-empty-dataset", "no training records"),
+    ("fit-pca-too-few-poses", "need at least 11 poses, got 5"),
+    ("fit-pca-missing-joint", "missing joints: l_wrist"),
+    ("curate-half-null-joint", "{tmp}/half-null.jsonl: bad record on line 1: a joint has exactly one NaN coordinate"),
+    ("curate-words-back", "{tmp}/words-back.jsonl: bad record on line 1: word timestamps must be non-decreasing"),
+    ("curate-fps", "{tmp}/fps-25.jsonl: bad record on line 1: fps must be 12, got 25"),
+    ("render-track-no-header", "{tmp}/no-header.csv: line 1 does not start with 't_s,'"),
+    ("render-track-non-numeric", "{tmp}/non-numeric.csv: line 2: non-numeric value"),
+    ("eval-short-row", "{tmp}/short-row.csv: line 3: expected 10 values, got 9"),
+    ("baseline-manual-nan", "{tmp}/nan.csv: line 2: non-finite value"),
+    ("checkpoint-bad-magic", "not a checkpoint file (bad magic)"),
+    ("checkpoint-array-short", "checkpoint is {size} bytes, its header implies {full}"),
+    ("checkpoint-version-2", "unsupported checkpoint format version 2"),
+    ("train-no-pairs", "no training pairs"),
+    ("train-one-output-pose", "need at least 2 poses per sequence"),
 ]
 
 
 @pytest.mark.parametrize("case, reason", _REFUSALS, ids=[case for case, _ in _REFUSALS])
 def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
     # each refusal a command line can reach: exit 1, one `command: reason`
-    # line on stderr, nothing on stdout, and no output file or directory
+    # line on stderr, nothing on stdout but train's table load line where a
+    # training step refuses, and no output file or directory; a reason names
+    # the case's files by {tmp}, its checkpoint's bytes by {size} and the
+    # workspace checkpoint's by {full}
     root, _ = workspace
     args = _refusal_args(case, root, tmp_path)
+    path = tmp_path / "ck.ggck"
+    sizes = {"size": path.stat().st_size if path.exists() else None, "full": (root / "ck.ggck").stat().st_size}
     capsys.readouterr()
     assert main([*args, "--out-dir", str(tmp_path / "out")]) == 1
     stdout, err = capsys.readouterr()
-    assert stdout == ""
+    assert stdout == ("loaded 44 embeddings (dim 300)\n" if case in ("train-no-pairs", "train-one-output-pose") else "")
     [line] = err.splitlines()
-    assert line.startswith(f"{args[0]}: {reason}"), line
+    assert line.startswith(f"{args[0]}: {reason.format(tmp=tmp_path, **sizes)}"), line
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "c.jsonl").exists()
 

@@ -6,6 +6,7 @@ does every defaulted parameter."""
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,26 @@ def test_module_imports_first(name):
         for key in _package_modules():
             del sys.modules[key]
         sys.modules.update(loaded)
+
+
+def test_readme_names_resolve():
+    # every backticked `gesturegen.<module>...` or `<module>.<name>...` in
+    # the README names a package module and attributes it has; a file name
+    # such as `config.py` is no reference
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {m.name for m in pkgutil.iter_modules(gesturegen.__path__)}
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        for ref in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            module, *names = ref.removeprefix("gesturegen.").split(".")
+            if module not in modules or names == ["py"]:
+                continue
+            obj, checked = importlib.import_module(f"gesturegen.{module}"), checked + 1
+            for name in names:
+                obj = getattr(obj, name, None)
+            if obj is None:
+                missing.append(ref)
+    assert checked > 0 and missing == []
 
 
 def test_config_imports_only_lower_modules():

@@ -20,8 +20,8 @@ from gesturegen.model import (
     forward,
     forward_graph,
     init_model,
-    pad_words,
 )
+from gesturegen.text import EmbeddingTable
 from gesturegen.training import compute_loss_graph
 
 TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=3, dropout=0.1)
@@ -50,6 +50,15 @@ def gate(p, k):
     gate-stacked cell parameter, as a writable view."""
     hidden = p.value.shape[0] // 3
     return p.value[k * hidden : (k + 1) * hidden]
+
+
+def embed(chunks):
+    """`EmbeddingTable.embed` of word chunks given as (s_i, word_dim)
+    arrays, each row the vector of a token of its own: the zero-padded
+    batch and its lengths."""
+    tokens = [[f"{i}.{j}" for j in range(len(c))] for i, c in enumerate(chunks)]
+    entries = {t: row for ts, c in zip(tokens, chunks) for t, row in zip(ts, c)}
+    return EmbeddingTable(dim=chunks[0].shape[1], entries=entries).embed(tokens)
 
 
 def encode(model, words):
@@ -151,7 +160,7 @@ class TestGruCell:
 
     def test_shape_mismatch(self, tiny):
         with pytest.raises(InvalidConfig, match="word dim 6 != "):
-            forward(tiny, [np.zeros((3, 6))], np.zeros((2, 10)))
+            forward(tiny, np.zeros((1, 3, 6)), np.zeros((2, 10)), [3])
 
 
 class TestEncoder:
@@ -237,7 +246,7 @@ class TestDecodeStep:
 class TestForward:
     def test_shapes_and_row_sums(self, tiny):
         rng = np.random.default_rng(6)
-        [(poses, attn)] = forward(tiny, [rng.normal(size=(5, 7))], rng.normal(size=(2, 10)))
+        [(poses, attn)] = forward(tiny, rng.normal(size=(1, 5, 7)), rng.normal(size=(2, 10)), [5])
         assert poses.shape == (3, 10)
         assert attn.shape == (3, 5)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
@@ -245,8 +254,8 @@ class TestForward:
     def test_eval_bitwise_deterministic(self, tiny):
         rng = np.random.default_rng(7)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        [(p1, a1)] = forward(tiny, [emb], seeds)
-        [(p2, a2)] = forward(tiny, [emb], seeds)
+        [(p1, a1)] = forward(tiny, emb[None], seeds, [len(emb)])
+        [(p2, a2)] = forward(tiny, emb[None], seeds, [len(emb)])
         assert np.array_equal(p1, p2) and np.array_equal(a1, a2)
 
     def test_eval_builds_no_graph_objects(self, tiny, monkeypatch):
@@ -257,10 +266,11 @@ class TestForward:
         rng = np.random.default_rng(12)
         chunks, seeds = [rng.normal(size=(s, 7)) for s in (3, 1, 2)], rng.normal(size=(2, 10))
         lift, poses = init_lift_params(seed=0), rng.normal(size=(5, 14))
+        embedded, lengths = embed(chunks)
         built = []
         init = Tensor.__init__
         monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
-        assert len(forward(tiny, chunks, seeds)) == 3 and len(built) == 0
+        assert len(forward(tiny, embedded, seeds, lengths)) == 3 and len(built) == 0
         assert lift_forward(lift, poses).shape == (5, 7) and len(built) == 0
         train, _, run = forward_graph(tiny, chunks[0][None], seeds[None], [len(chunks[0])], rng=rng, dropout=0.1)
         backward(run, compute_loss_graph(train, rng.normal(size=train.shape), Config())[1])
@@ -292,7 +302,8 @@ class TestForward:
         rng = np.random.default_rng(seed)
         chunks = [rng.normal(size=(s, word_dim)) for s in words]
         seeds = rng.normal(size=(n, 10))
-        rollouts = forward(model, chunks, seeds)
+        embedded, lengths = embed(chunks)
+        rollouts = forward(model, embedded, seeds, lengths)
         if len(chunks) == 1:
             train_poses, train_attn, _ = forward_graph(model, chunks[0][None], seeds[None], words)
             recorded_poses, recorded_attn = tape.forward_graph(model, chunks[0][None], seeds[None])
@@ -300,7 +311,6 @@ class TestForward:
                 assert np.array_equal(rollouts[0][0], plain)
             for plain in (train_attn[0], recorded_attn[0]):
                 assert np.array_equal(rollouts[0][1], plain)
-        embedded, lengths = pad_words(chunks)
         annotations = tape.encode_graph(model, embedded, lengths)
         projected = tape.linear(annotations, tape._operand(model.att_ann))
         for row, (s, (poses, attn)) in enumerate(zip(lengths, rollouts, strict=True)):
@@ -325,13 +335,13 @@ class TestForward:
         affine = ad._affine
         monkeypatch.setattr(ad, "_affine", lambda *args: calls.append(1) or affine(*args))
         rng = np.random.default_rng(12)
-        forward(model, [rng.normal(size=(4, 7))], rng.normal(size=(3, 10)))
+        forward(model, rng.normal(size=(1, 4, 7)), rng.normal(size=(3, 10)), [4])
         assert len(calls) == 35
 
     def test_train_mode_dropout_changes_output(self, tiny):
         rng = np.random.default_rng(9)
         emb, seeds = rng.normal(size=(4, 7)), rng.normal(size=(2, 10))
-        [(p_eval, _)] = forward(tiny, [emb], seeds)
+        [(p_eval, _)] = forward(tiny, emb[None], seeds, [len(emb)])
         rng = np.random.default_rng(0)
         p_train = forward_graph(tiny, emb[None], seeds[None], [len(emb)], rng=rng, dropout=tiny.cfg.dropout)[0][0]
         assert not np.array_equal(p_eval, p_train)
@@ -372,7 +382,7 @@ class TestBackward:
         h = Config()
 
         def loss_value():
-            [(poses, _)] = forward(tiny, [emb[0]], seeds[0])
+            [(poses, _)] = forward(tiny, emb, seeds[0], [emb.shape[1]])
             return compute_loss_graph(poses[None], target, h)[0].total
 
         poses, _, run = forward_graph(tiny, emb, seeds, [emb.shape[1]])
@@ -450,7 +460,7 @@ class TestPaddedBatch:
         emb, seeds = _padded_batch(rng, lengths, s)
         out_poses, out_attn, _ = forward_graph(model, emb, seeds, lengths=lengths)
         for row, length in enumerate(lengths):
-            [(poses, attn)] = forward(model, [emb[row, :length]], seeds[row])
+            [(poses, attn)] = forward(model, emb[row : row + 1, :length], seeds[row], [length])
             assert np.max(np.abs(out_poses[row] - poses)) <= 1e-12
             assert np.max(np.abs(out_attn[row, :, :length] - attn)) <= 1e-12
             assert np.all(out_attn[row, :, length:] == 0.0)
@@ -522,7 +532,7 @@ class TestPaddedBatch:
         monkeypatch.setattr(ad, "_gru_cell", spy)
         monkeypatch.setattr(Workspace, "carve", spy_carve)
         forward_graph(model, emb, seeds, lengths, rng, 0.1)
-        forward(model, [emb[row, :length] for row, length in enumerate(lengths)], seeds[0])
+        forward(model, emb, seeds[0], lengths)
         steps, encoder = PADDED.n_seed_poses + PADDED.n_output_poses, 2 * 2 * 3
         train = encoder + 2 * steps
         assert len(calls) == train + (encoder + 3 * 2 * steps)  # train, then eval's 3 chunks

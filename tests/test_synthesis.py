@@ -177,7 +177,8 @@ class TestGenerateGesture:
         assert track.frames.shape == (m * len(plan.chunks), cfg.gesture_dim)
         seeds, frames = np.zeros((n, 10)), []
         for chunk, attn in zip(plan.chunks, maps, strict=True):
-            [(poses, single)] = forward(model, [np.stack([table.lookup(w) for w in chunk])], seeds)
+            emb, lengths = table.embed([chunk])
+            [(poses, single)] = forward(model, emb, seeds, lengths)
             assert np.max(np.abs(attn - single)) <= 1e-12
             frames.append(poses)
             seeds = np.concatenate([seeds, poses])[-n:]
@@ -368,7 +369,7 @@ class TestTrackCsv:
         tokens = [f"tok{i}" for i in range(len(frames))]
         write_rows(path, "embedding table", frames, labels=tokens, sep=" ")
         table = load_embedding_table(path)
-        assert np.stack([table.lookup(t) for t in tokens]).tobytes() == frames.tobytes()
+        assert table.embed([tokens])[0][0].tobytes() == frames.tobytes()
 
     @_codec_settings
     @given(frames=_finite_frames(len(ANGLE_NAMES)))

@@ -53,7 +53,7 @@ def test_loader_two_lines(tmp_path):
     table = load_embedding_table(path)
     assert len(table) == 2
     assert table.dim == 3
-    assert np.array_equal(table.lookup("beta"), [-0.5, 0.25, 0.125])
+    assert np.array_equal(table.embed([["beta"]])[0][0, 0], [-0.5, 0.25, 0.125])
 
 
 def test_loader_refuses_repeated_token(tmp_path):
@@ -94,18 +94,44 @@ def test_synthetic_table_round_trip(tmp_path):
     table = load_embedding_table(path)
     assert table.dim == 300
     rng = np.random.default_rng(9)
-    for token in sorted(tokens):
+    [rows], _ = table.embed([sorted(tokens)])
+    for row in rows:
         expected = rng.normal(0.0, 0.4, size=300)
-        assert np.array_equal(table.lookup(token), expected)  # bit-exact round trip
+        assert np.array_equal(row, expected)  # bit-exact round trip
 
 
 def test_embed_tokens():
     table = EmbeddingTable(dim=300, entries={"known": np.arange(300.0)})
-    out = [table.lookup(tok) for tok in ["known", "unknown", "known"]]
-    assert [len(v) for v in out] == [300, 300, 300]
+    [out], lengths = table.embed([["known", "unknown", "known"]])
+    assert [len(v) for v in out] == [300, 300, 300] and lengths.tolist() == [3]
     assert np.array_equal(out[0], np.arange(300.0))
     assert np.array_equal(out[1], np.zeros(300))
     assert np.count_nonzero(out[1]) == 0
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "unknown", "x"]), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sequences=st.lists(_TOKENS | _TOKENS.map(tuple), min_size=1, max_size=5),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embed_stacks_and_zero_pads_stored_vectors(sequences, dim, seed):
+    """Each row of the batch is its sequence's stored vectors (an exact zero
+    row for an unknown token) stacked and zero-padded to the longest
+    sequence, bit for bit, and the lengths are the sequences' lengths."""
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable(dim=dim, entries={token: rng.normal(size=dim) for token in "abc"})
+    batch, lengths = table.embed(sequences)
+    longest = max(map(len, sequences))
+    assert batch.shape == (len(sequences), longest, dim)
+    assert lengths.tolist() == [len(tokens) for tokens in sequences]
+    for row, tokens in zip(batch, sequences, strict=True):
+        vectors = [table.entries.get(token, np.zeros(dim)) for token in tokens]
+        expected = np.concatenate([np.stack(vectors), np.zeros((longest - len(tokens), dim))])
+        assert row.tobytes() == expected.tobytes()
 
 
 # Awkward floats for the shortest-repr formatter: signed zero, subnormal,
@@ -162,7 +188,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
     emb.write_text("\ufeffhello 1.0 2.0\nworld 3.0 4.0\n", encoding="utf-8")
     table = load_embedding_table(emb)
     assert sorted(table.entries) == ["hello", "world"]
-    assert np.array_equal(table.lookup("hello"), [1.0, 2.0])
+    assert np.array_equal(table.embed([["hello"]])[0][0, 0], [1.0, 2.0])
     track = tmp_path / "track.csv"
     track.write_text("\ufefft_s,c1,c2\n0.0,0.5,1.5\n", encoding="utf-8")
     assert np.array_equal(load_track_csv(track).frames, [[0.5, 1.5]])
