@@ -5,10 +5,11 @@ length, a JSON header (sorted keys), then the concatenated raw float64
 bytes of every array in header order. Writing is fully deterministic given
 the content, and numeric payloads round-trip bit-exactly. Every array is
 finite both ways: saving refuses a non-finite value and loading rejects one.
-Loading checks the whole header first, then builds the zeroed parameter
-layouts, drawing no weights, and reads each array from its file offset
-straight into its view; the pose basis gets fresh arrays. A header that
-lists an array name twice is refused.
+Loading checks the whole header first, then builds every part's arrays
+(the model's and lift net's zeroed parameter layouts, drawing no weights,
+and a pose basis sized by the header), and reads each array from its file
+offset straight into its view after one shape check. A header that lists
+an array name twice is refused.
 The model's arrays and their order are `model.stored_arrays`.
 """
 
@@ -31,7 +32,6 @@ from .pose import POSE_DIM, PcaModel
 
 MAGIC = b"GGCK"
 FORMAT_VERSION = 1
-_PCA_FIELDS = ("mean", "components", "explained_variance_ratio")
 _LIFT_CFG = {"bn_momentum": BN_MOMENTUM, "bn_eps": BN_EPS}  # the header's lift_cfg, the lift net's fixed settings
 
 
@@ -50,7 +50,7 @@ def _format1_arrays(ck: Checkpoint) -> list:
     Saving writes these views and loading fills them."""
     arrays = []
     if ck.pca is not None:
-        arrays += [(f"pca.{key}", getattr(ck.pca, key)) for key in _PCA_FIELDS]
+        arrays += [(f"pca.{f.name}", getattr(ck.pca, f.name)) for f in fields(PcaModel)]
     if ck.model is not None:
         arrays += [(f"seq2seq.{name}", view) for name, view in stored_arrays(ck.model)]
     if ck.lift is not None:
@@ -88,36 +88,10 @@ def save_checkpoint(ck: Checkpoint, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _header_config(header, key, types):
-    """The keyword arguments stored under header[key], or None if absent;
-    ``types`` maps each key to its annotated type."""
-    entry = header.get(key)
-    if not entry:
-        return None
-    if not isinstance(entry, dict) or set(entry) != set(types):
-        raise MalformedFile(f"corrupt checkpoint header: {key} must have the keys {', '.join(sorted(types))}")
-    for name, value in entry.items():
-        check_setting(name, value, types[name], f"corrupt checkpoint header: {key}.", MalformedFile)
-    return entry
-
-
-def _check_basis(pca: PcaModel):
-    """Refuse a pose basis that is not a (16,) mean, (k, 16) components and
-    (k,) variance ratios with k a valid gesture_dim."""
-    shapes = tuple(getattr(pca, key).shape for key in _PCA_FIELDS)
-    k = shapes[1][0] if shapes[1] else 0
-    if shapes != ((POSE_DIM,), (k, POSE_DIM), (k,)):
-        raise MalformedFile(
-            f"corrupt pose basis: mean, components and explained_variance_ratio have shapes "
-            f"{', '.join(map(str, shapes))}, expected ({POSE_DIM},), (k, {POSE_DIM}), (k,)"
-        )
-    check_setting("gesture_dim", k, "int", "corrupt pose basis: ", MalformedFile)
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint: the header's layout first (magic, version, array
-    entries, file size), then each array from its file offset straight into
-    the view it fills; the pose basis goes into fresh arrays."""
+    """Read a checkpoint: the header first (magic, version, array entries,
+    file size, part settings), then each array from its file offset straight
+    into the view it fills."""
     try:
         with open(path, "rb") as fh:
             return _read_checkpoint(fh)
@@ -153,42 +127,42 @@ def _read_checkpoint(fh) -> Checkpoint:
     if size != offset:
         raise MalformedFile(f"checkpoint is {size} bytes, its header implies {offset}")
 
-    def read(name, into=None):  # into a C-contiguous view, or a fresh array
+    model_cfg, lift_cfg, ref = header.get("model_cfg"), header.get("lift_cfg"), header.get("embedding_ref")
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    if model_cfg is not None:
+        if not isinstance(model_cfg, dict) or set(model_cfg) != set(types):
+            raise MalformedFile(f"corrupt checkpoint header: model_cfg must have the keys {', '.join(sorted(types))}")
+        for name, value in model_cfg.items():
+            check_setting(name, value, types[name], "corrupt checkpoint header: model_cfg.", MalformedFile)
+    if lift_cfg not in (None, _LIFT_CFG):
+        raise MalformedFile(f"corrupt checkpoint header: lift_cfg must be null or {_LIFT_CFG}, got {lift_cfg!r}")
+    if ref is not None and not (
+        isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
+    ):
+        raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
+    pca = None
+    if header.get("has_pca"):
+        if "pca.components" not in spans:
+            raise MalformedFile("checkpoint is missing array pca.components")
+        components = spans["pca.components"][1]
+        k = components[0] if components else 0
+        check_setting("gesture_dim", k, "int", "corrupt pose basis: ", MalformedFile)
+        pca = PcaModel(np.empty(POSE_DIM), np.empty((k, POSE_DIM)), np.empty(k))
+    model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
+    lift = None if lift_cfg is None else build_lift_params()
+
+    ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
+    for name, into in _format1_arrays(ck):  # each a C-contiguous view
         if name not in spans:
             raise MalformedFile(f"checkpoint is missing array {name}")
         start, shape = spans[name]
-        if into is None:
-            into = np.empty(shape)
-        elif into.shape != shape:
+        if into.shape != shape:
             raise MalformedFile(f"array {name} has shape {shape}, expected {into.shape}")
         fh.seek(start)
         if fh.readinto(into) != into.nbytes:
             raise MalformedFile(f"checkpoint ended inside array {name}")
         if sys.byteorder != "little":
             into.byteswap(inplace=True)  # the file is little-endian
-        return into
-
-    pca = None
-    if header.get("has_pca"):
-        pca = PcaModel(**{key: read(f"pca.{key}") for key in _PCA_FIELDS})
-        _check_basis(pca)
-
-    model_cfg = _header_config(header, "model_cfg", {f.name: f.type for f in fields(ModelConfig)})
-    lift_cfg = _header_config(header, "lift_cfg", dict.fromkeys(_LIFT_CFG, "float"))
-    if lift_cfg not in (None, _LIFT_CFG):
-        raise MalformedFile(f"corrupt checkpoint header: lift_cfg must be null or {_LIFT_CFG}, got {lift_cfg}")
-    ref = header.get("embedding_ref")
-    if ref is not None and not (
-        isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
-    ):
-        raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
-    model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
-    lift = None if lift_cfg is None else build_lift_params()
-
-    ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
-    for name, target in _format1_arrays(ck):
-        if not name.startswith("pca."):  # the pose basis is read above
-            read(name, target)
-        if not np.isfinite(target).all():
+        if not np.isfinite(into).all():
             raise MalformedFile(f"array {name} has non-finite values")
     return ck

@@ -175,10 +175,14 @@ def cmd_pca_sweep(cfg: Config, args) -> int:
 
 
 def cmd_train(cfg: Config, args) -> int:
+    if cfg.n_output_poses < 2:  # the loss's continuity term needs a step between two poses
+        raise InvalidConfig("need at least 2 poses per sequence")
     ck = _checkpoint(cfg, "pca")
     records = load_records_jsonl(_require(cfg.dataset, "dataset path"))
     pairs = make_training_pairs(records, ck.pca, cfg.n_seed_poses, cfg.n_output_poses)
     del records  # training holds the pairs, not every record's frames
+    if not pairs:
+        raise InvalidConfig("no training pairs")
     table, ref = _load_table(cfg, ck)
     model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
 

@@ -56,13 +56,11 @@ class AdamState:
 
 
 def compute_loss_graph(p, target: np.ndarray, cfg: Config):
-    """The loss of a (B, m, d) prediction array p against a (B, m, d) target
-    array, averaged over the batch, with the weights ``cfg.alpha`` and
+    """The loss of a (B, m, d) prediction array p, m >= 2, against a (B, m, d)
+    target array, averaged over the batch, with the weights ``cfg.alpha`` and
     ``cfg.beta``. Returns (LossBreakdown, d total / d p), the gradient that
     `model.backward` takes. Both round as the same loss composed of add /
     mul / sum / slice / sqrt ops does; a zero-length step has subgradient 0."""
-    if p.shape[1] < 2:
-        raise InvalidConfig("need at least 2 poses per sequence")
     alpha, beta = cfg.alpha, cfg.beta
     b, m, d = p.shape
     inv_n, inv_b, inv_steps, inv_m, inv_bd = 1.0 / p.size, 1.0 / b, 1.0 / (m - 1), 1.0 / m, 1.0 / (b * d)
@@ -175,7 +173,7 @@ def _train_step(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
 
 
 def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, table, on_epoch=None) -> TrainResult:
-    """Seeded shuffle, fixed-size batches (last partial batch kept), one
+    """Seeded shuffle of the (non-empty) pairs, fixed-size batches (last partial batch kept), one
     zero-padded train-mode rollout per batch with ground-truth seed poses,
     loss on the m outputs, backward, clip, Adam step. Deterministic for a
     fixed seed when run single-threaded. ``cfg`` gives the loss weights,
@@ -194,8 +192,6 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
     (0-based) epoch and batch. ``on_epoch(epoch_index, model, breakdown)``
     runs after every epoch, for checkpointing.
     """
-    if not pairs:
-        raise InvalidConfig("no training pairs")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     ws = Workspace(model.cfg, min(cfg.batch_size, len(pairs)), max(len(p.words) for p in pairs))

@@ -5,9 +5,13 @@ import os
 import stat
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gesturegen import checkpoint, errors
 from gesturegen.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -147,7 +151,10 @@ class TestVersioning:
         [
             (lambda h: h["model_cfg"].update(word_dxm=h["model_cfg"].pop("word_dim")), "model_cfg must have the keys"),
             (lambda h: h["model_cfg"].pop("dropout"), "model_cfg must have the keys"),
-            (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must have the keys"),
+            (lambda h: h["lift_cfg"].update(bn_epsilon=1e-5), "lift_cfg must be null or "),
+            (lambda h: h.update(lift_cfg={}), r"lift_cfg must be null or .*, got \{\}$"),
+            (lambda h: h.update(lift_cfg="a\nb"), r"lift_cfg must be null or .*, got 'a\\nb'$"),
+            (lambda h: h.update(model_cfg={}), "model_cfg must have the keys"),
             (lambda h: h["model_cfg"].update(hidden="5"), "model_cfg.hidden must be an integer, got '5'"),
             (lambda h: h["model_cfg"].update(hidden=1025), "model_cfg.hidden must be <= 1024, got 1025"),
             (lambda h: h["lift_cfg"].update(bn_eps=0.0), "lift_cfg must be null or "),
@@ -158,6 +165,9 @@ class TestVersioning:
             "unknown_model_key",
             "missing_model_key",
             "unknown_lift_key",
+            "empty_lift_cfg",
+            "multiline_string_lift_cfg",
+            "empty_model_cfg",
             "non_numeric_model_value",
             "model_value_above_bound",
             "lift_value_below_bound",
@@ -219,20 +229,59 @@ class TestVersioning:
             assert getattr(loaded, key).tobytes() == getattr(ck.pca, key).tobytes()
 
     @pytest.mark.parametrize(
-        "mean, components, ratio, reason",
+        "mean, components, ratio, message",
         [
-            ((3,), (2, 5), (2,), r"have shapes \(3,\), \(2, 5\), \(2,\), expected \(16,\), \(k, 16\), \(k,\)"),
-            ((16,), (2, 16), (3,), r"have shapes \(16,\), \(2, 16\), \(3,\)"),
-            ((16,), (0, 16), (0,), "gesture_dim must be >= 1, got 0"),
-            ((16,), (17, 16), (17,), "gesture_dim must be <= 16, got 17"),
+            ((3,), (2, 5), (2,), r"array pca\.mean has shape \(3,\), expected \(16,\)"),
+            ((16,), (2, 16), (3,), r"array pca\.explained_variance_ratio has shape \(3,\), expected \(2,\)"),
+            ((16,), (0, 16), (0,), "corrupt pose basis: gesture_dim must be >= 1, got 0"),
+            ((16,), (17, 16), (17,), "corrupt pose basis: gesture_dim must be <= 16, got 17"),
         ],
         ids=["misshapen", "ratio_length", "no_components", "too_many_components"],
     )
-    def test_bad_pose_basis_rejected(self, tmp_path, mean, components, ratio, reason):
+    def test_bad_pose_basis_rejected(self, tmp_path, mean, components, ratio, message):
         pca = PcaModel(mean=np.zeros(mean), components=np.zeros(components), explained_variance_ratio=np.zeros(ratio))
         save_checkpoint(Checkpoint(config={}, pca=pca), tmp_path / "p.ggck")
-        with pytest.raises(MalformedFile, match=f"^corrupt pose basis: .*{reason}"):
+        with pytest.raises(MalformedFile, match=f"^{message}$"):
             load_checkpoint(tmp_path / "p.ggck")
+
+    def test_pose_basis_without_components_rejected(self, tmp_path):
+        # the basis is sized by its components entry: a header without one is
+        # refused before any array is built
+        pca = _full_checkpoint().pca
+        path = tmp_path / "p.ggck"
+        save_checkpoint(Checkpoint(config={}, pca=pca), path)
+        drop_components(path, pca)
+        with pytest.raises(MalformedFile, match=r"^checkpoint is missing array pca\.components$"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), k=st.integers(0, 17), drop=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_pose_basis_loads_exactly_or_is_refused(self, tmp_path, data, k, drop, seed):
+        """A pose basis of drawn shapes, its components entry kept or dropped,
+        loads bit for bit when it is a (16,) mean, (k, 16) components and (k,)
+        ratios with 1 <= k <= 16, and is refused with one MalformedFile line
+        otherwise."""
+        shapes = (
+            data.draw(st.one_of(st.just((16,)), hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=17))),
+            data.draw(st.one_of(st.just((k, 16)), st.sampled_from([(), (k,), (k, 15), (k, 17), (k, 0), (k, 16, 1)]))),
+            data.draw(st.one_of(st.just((k,)), st.tuples(st.integers(0, 18)))),
+        )
+        rng = np.random.default_rng(seed)
+        pca = PcaModel(rng.normal(size=shapes[0]), rng.normal(size=shapes[1]), rng.uniform(size=shapes[2]))
+        path = tmp_path / "p.ggck"
+        save_checkpoint(Checkpoint(config={}, pca=pca), path)
+        if drop:
+            drop_components(path, pca)
+        valid = not drop and shapes == ((16,), (k, 16), (k,)) and 1 <= k <= 16
+        try:
+            loaded = load_checkpoint(path).pca
+        except MalformedFile as exc:
+            assert not valid and len(str(exc).splitlines()) == 1, exc
+            return
+        assert valid, shapes
+        for f in fields(PcaModel):
+            saved, got = getattr(pca, f.name), getattr(loaded, f.name)
+            assert got.shape == saved.shape and got.tobytes() == saved.tobytes(), f.name
 
 
 class _FailingFile:
@@ -405,6 +454,15 @@ def edit_header(path, edit):
     edit(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + header_len :])
+
+
+def drop_components(path, pca):
+    """Remove the pca.components entry and its payload from a saved checkpoint
+    that holds the pose basis ``pca`` alone."""
+    edit_header(path, lambda h: h["arrays"].pop(1))
+    raw = path.read_bytes()
+    start = len(raw) - 8 * (pca.components.size + pca.explained_variance_ratio.size)
+    path.write_bytes(raw[:start] + raw[start + 8 * pca.components.size :])
 
 
 def patch_array_value(path, name, value):

@@ -1334,8 +1334,8 @@ _REFUSALS = [
 @pytest.mark.parametrize("case, reason", _REFUSALS, ids=[case for case, _ in _REFUSALS])
 def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
     # each refusal a command line can reach: exit 1, one `command: reason`
-    # line on stderr, nothing on stdout but train's table load line where a
-    # training step refuses, and no output file or directory; a reason names
+    # line on stderr, nothing on stdout (train refuses before its table
+    # loads), and no output file or directory; a reason names
     # the case's files by {tmp}, its checkpoint's bytes by {size} and the
     # workspace checkpoint's by {full}
     root, _ = workspace
@@ -1345,7 +1345,7 @@ def test_refusal_is_one_line(workspace, tmp_path, capsys, case, reason):
     capsys.readouterr()
     assert main([*args, "--out-dir", str(tmp_path / "out")]) == 1
     stdout, err = capsys.readouterr()
-    assert stdout == ("loaded 44 embeddings (dim 300)\n" if case in ("train-no-pairs", "train-one-output-pose") else "")
+    assert stdout == ""
     [line] = err.splitlines()
     assert line.startswith(f"{args[0]}: {reason.format(tmp=tmp_path, **sizes)}"), line
     assert not (tmp_path / "out").exists()
