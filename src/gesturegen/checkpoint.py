@@ -128,6 +128,11 @@ def _read_checkpoint(fh) -> Checkpoint:
         raise MalformedFile(f"checkpoint is {size} bytes, its header implies {offset}")
 
     model_cfg, lift_cfg, ref = header.get("model_cfg"), header.get("lift_cfg"), header.get("embedding_ref")
+    has_pca, config = header.get("has_pca"), header.get("config")
+    if not isinstance(has_pca, bool):
+        raise MalformedFile(f"corrupt checkpoint header: has_pca must be true or false, got {has_pca!r}")
+    if not isinstance(config, dict):
+        raise MalformedFile("corrupt checkpoint header: config must be an object")
     types = {f.name: f.type for f in fields(ModelConfig)}
     if model_cfg is not None:
         if not isinstance(model_cfg, dict) or set(model_cfg) != set(types):
@@ -140,8 +145,10 @@ def _read_checkpoint(fh) -> Checkpoint:
         isinstance(ref, dict) and set(ref) == {"path", "sha256"} and all(isinstance(v, str) for v in ref.values())
     ):
         raise MalformedFile("corrupt checkpoint header: embedding_ref must be null or string path and sha256")
+    if ref is not None:
+        check_setting("embedding_ref.path", ref["path"], "str", "corrupt checkpoint header: ", MalformedFile)
     pca = None
-    if header.get("has_pca"):
+    if has_pca:
         if "pca.components" not in spans:
             raise MalformedFile("checkpoint is missing array pca.components")
         components = spans["pca.components"][1]
@@ -151,7 +158,7 @@ def _read_checkpoint(fh) -> Checkpoint:
     model = None if model_cfg is None else build_model(ModelConfig(**model_cfg))
     lift = None if lift_cfg is None else build_lift_params()
 
-    ck = Checkpoint(config=header.get("config", {}), pca=pca, model=model, lift=lift, embedding_ref=ref)
+    ck = Checkpoint(config=config, pca=pca, model=model, lift=lift, embedding_ref=ref)
     for name, into in _format1_arrays(ck):  # each a C-contiguous view
         if name not in spans:
             raise MalformedFile(f"checkpoint is missing array {name}")

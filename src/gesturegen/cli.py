@@ -1,6 +1,6 @@
 """Command-line surface. Every command reads an optional JSON config plus
 flag overrides, writes machine-readable files, and prints a short summary:
-on stdout, or on stderr when an output file is stdout itself. Exit code 0
+on stdout, or on stderr when a path it is given is stdout itself. Exit code 0
 on success; failures print one `command: reason` line."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +73,13 @@ def _checkpoint(cfg: Config, *parts) -> Checkpoint:
 
 def _save(cfg: Config, ck: Checkpoint, path, **parts):
     """Write ``ck`` with ``parts`` replaced and this run's config to ``path``."""
-    save_checkpoint(replace(ck, config=cfg.to_dict(), **parts), path)
+    save_checkpoint(replace(ck, config=asdict(cfg), **parts), path)
 
 
-def _load_table(cfg: Config, ck: Checkpoint):
+def _load_table(cfg: Config, ck: Checkpoint, word_dim: int):
     """The embedding table and its ``{"path", "sha256"}`` reference: the
     configured file, else the checkpoint's, which must match its hash
-    before it is parsed."""
+    before it is parsed. It must be ``word_dim``, the model's, wide."""
     path = cfg.embeddings or (ck.embedding_ref or {}).get("path")
     if not path:
         raise InvalidConfig("no embedding table: pass --embeddings or set it in the config")
@@ -87,6 +87,8 @@ def _load_table(cfg: Config, ck: Checkpoint):
     if not cfg.embeddings and ref["sha256"] != ck.embedding_ref["sha256"]:
         raise MalformedFile(f"embedding file {path} does not match the checkpoint reference hash")
     table = load_embedding_table(path)
+    if table.dim != word_dim:
+        raise InvalidConfig(f"word dim {table.dim} != {word_dim}")
     print(f"loaded {len(table)} embeddings (dim {table.dim})")
     return table, ref
 
@@ -183,7 +185,7 @@ def cmd_train(cfg: Config, args) -> int:
     del records  # training holds the pairs, not every record's frames
     if not pairs:
         raise InvalidConfig("no training pairs")
-    table, ref = _load_table(cfg, ck)
+    table, ref = _load_table(cfg, ck, cfg.word_dim)
     model = init_model(cfg.model_config(ck.pca.n_components), cfg.seed)
 
     epoch_start = time.perf_counter()
@@ -222,7 +224,7 @@ def cmd_generate(cfg: Config, args) -> int:
     tokens = tokenize(args.text)
     duration = estimate_speech_duration(tokens, cfg.words_per_minute) if args.duration is None else args.duration
     plan = _timed(seconds, "plan", plan_chunks, tokens, duration, ck.model.cfg.n_seed_poses, ck.model.cfg.n_output_poses)
-    table, _ = _timed(seconds, "table load", _load_table, cfg, ck)
+    table, _ = _timed(seconds, "table load", _load_table, cfg, ck, ck.model.cfg.word_dim)
     track, maps = _timed(seconds, "inference", generate_gesture, ck.model, plan, table)
     aligned = _timed(seconds, "align", align_track, track, duration)
     out = _output(cfg, args.out, "track.csv")
@@ -331,9 +333,6 @@ def cmd_render(cfg: Config, args) -> int:
     return 0
 
 
-# Flags that name an output file; the checkpoint path is one too for some commands
-_OUTPUT_FLAGS = ("out", "attention", "report", "history", "embeddings_out")
-
 # Config fields every command takes as a flag
 _COMMON = ("seed", "out_dir", "checkpoint", "dataset", "embeddings")
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
@@ -419,10 +418,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        # An output named /dev/stdout, /dev/fd/1 or /proc/self/fd/1 is this process's
-        # stdout: the summary goes to stderr then, so stdout carries the data alone.
-        outputs = [getattr(args, flag, None) for flag in _OUTPUT_FLAGS] + [cfg.checkpoint]
-        to_stdout = any(path and _descriptor(path) == (f"/proc/{os.getpid()}/fd", "1") for path in outputs)
+        # A string flag or setting naming /dev/stdout, /dev/fd/1 or /proc/self/fd/1 names
+        # this process's stdout: the summary goes to stderr then, so stdout carries the
+        # data alone. Every string is tested, so no output flag can be missed.
+        strings = [v for v in (*vars(args).values(), *asdict(cfg).values()) if isinstance(v, str) and v]
+        to_stdout = any(_descriptor(v) == (f"/proc/{os.getpid()}/fd", "1") for v in strings)
         with contextlib.redirect_stdout(sys.stderr if to_stdout else sys.stdout):
             code = args.func(cfg, args)
         sys.stdout.flush()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import InvalidConfig, MalformedFile
 from .model import ModelConfig
@@ -36,16 +36,24 @@ _BOUNDS = {
 }
 
 
+def finite_number(value) -> bool:
+    """True for a finite number that is not a bool: JSON true and false load
+    as bools, and a bool is an int. An int too large for a float is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def check_setting(name: str, value, kind: str, label: str = "config ", error=InvalidConfig) -> None:
     """Raise ``error`` unless ``value`` has the annotated type ``kind`` and
     meets every bound of setting ``name``; the message names the setting
-    as ``label`` plus ``name``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, _TYPES[kind])
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
+    as ``label`` plus ``name``. A string may not hold a NUL byte, which no
+    path can."""
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]) or (kind == "float" and not finite_number(value)):
         raise error(f"{label}{name} must be {_KIND[kind]}, got {value!r}")
+    if kind == "str" and "\x00" in value:
+        raise error(f"{label}{name} must not hold a NUL byte, got {value!r}")
     for term in filter(None, _BOUNDS.get(name, "").split(", ")):
         op, bound = term.split()
         if not _OPS[op](value, float(bound)):
@@ -87,9 +95,6 @@ class Config:
         for f in fields(self):
             check_setting(f.name, getattr(self, f.name), f.type)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def model_config(self, gesture_dim: int) -> ModelConfig:
         """The model record for a pose basis of ``gesture_dim`` components."""
         shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "gesture_dim"}
@@ -104,7 +109,7 @@ def load_config(path=None) -> Config:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
         raise MalformedFile(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedFile("config must be a JSON object")

@@ -23,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import finite_number
 from .errors import InvalidConfig, MalformedFile, open_for_write
 from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST, rowdot
 from .synthesis import DEFAULT_FPS
-
-
-def _finite(value) -> bool:
-    """True for a finite number that is not a bool: JSON true and false
-    load as bools, and a bool is an int."""
-    return not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class WordSpan:
     def __post_init__(self):
         if not isinstance(self.surface, str) or not self.surface:
             raise InvalidConfig(f"word surface must be a non-empty string, got {self.surface!r}")
-        if not (_finite(self.t_start) and _finite(self.t_end)):
+        if not (finite_number(self.t_start) and finite_number(self.t_end)):
             raise InvalidConfig(f"word {self.surface!r} needs finite times, got {self.t_start!r} to {self.t_end!r}")
         if self.t_end < self.t_start:
             raise InvalidConfig(f"word {self.surface!r} ends before it starts")
@@ -59,7 +54,7 @@ class DatasetRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidConfig(f"record id must be a non-empty string, got {self.id!r}")
-        if not (_finite(self.frame_height) and self.frame_height > 0):
+        if not (finite_number(self.frame_height) and self.frame_height > 0):
             raise InvalidConfig(f"frame height must be a finite positive number, got {self.frame_height!r}")
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.shape[1:] != (8, 2) or len(self.frames) == 0:
@@ -302,7 +297,7 @@ def load_records_jsonl(path) -> list:
                             frames=frames,
                         )
                     )
-                except (KeyError, ValueError, TypeError, InvalidConfig) as exc:
+                except (KeyError, ValueError, TypeError, OverflowError, InvalidConfig) as exc:
                     raise MalformedFile(f"{path}: bad record on line {line_no}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read dataset: {exc}") from exc

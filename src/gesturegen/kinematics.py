@@ -17,10 +17,9 @@ because nothing in an 8-joint skeleton determines them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .config import finite_number
 from .errors import DegeneratePose, InvalidConfig
 from .pose import HEAD, L_ELBOW, L_SHOULDER, L_WRIST, NECK, R_ELBOW, R_SHOULDER, R_WRIST, rowdot
 from .synthesis import TimedPoseTrack, save_track_csv
@@ -147,15 +146,13 @@ def compute_joint_angles(joints) -> np.ndarray:
 
 
 def _is_range(bounds) -> bool:
-    """True for a pair of finite numbers (lo, hi) with lo <= hi; a bool
-    (JSON true or false) is not a number here."""
+    """True for a pair of finite numbers (lo, hi) with lo <= hi (see
+    `config.finite_number`)."""
     try:
         lo, hi = bounds
-        if isinstance(lo, bool) or isinstance(hi, bool):
-            return False
-        return -math.inf < lo <= hi < math.inf  # False for NaN, TypeError for non-numbers
     except (TypeError, ValueError):
         return False
+    return finite_number(lo) and finite_number(hi) and lo <= hi
 
 
 def clamp_angles(angles, limits: dict | None):

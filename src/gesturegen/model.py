@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidConfig
 from .pose import GESTURE_DIM
 
 
@@ -349,13 +348,6 @@ def _decoder(model, record, mask=None, rng=None, dropout=0.0):
     return rollout
 
 
-def _check_word_dim(model, embedded: np.ndarray):
-    """Refuse a (B, s, D) word batch whose width D is not the model's
-    word_dim: an embedding table of the wrong width."""
-    if embedded.shape[2] != model.cfg.word_dim:
-        raise InvalidConfig(f"word dim {embedded.shape[2]} != {model.cfg.word_dim}")
-
-
 @dataclass
 class TrainPass:
     """What `backward` reads of one `forward_graph` pass: its train record
@@ -398,7 +390,6 @@ def forward_graph(
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     seed_poses = np.asarray(seed_poses, dtype=np.float64)
-    _check_word_dim(model, embedded)
     batch, s, _ = embedded.shape
     lengths, mask = np.asarray(lengths), None
     if np.any(lengths < s):
@@ -425,7 +416,6 @@ def forward(model, embedded, seed_poses, lengths):
     10), attention (m, s_i)) pair of fresh arrays per chunk."""
     embedded, lengths = np.asarray(embedded, dtype=np.float64), np.asarray(lengths)
     seeds = np.asarray(seed_poses, dtype=np.float64)[None]
-    _check_word_dim(model, embedded)
     batch, s = embedded.shape[:2]
     record = Workspace(model.cfg, batch, s, train=False).carve(batch, s)
     annotations = _encode(model, embedded, lengths, record)

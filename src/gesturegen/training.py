@@ -10,7 +10,7 @@ per-dimension temporal variance (rewarding dynamic motion):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def make_training_pairs(records, pca, n: int, m: int) -> list[TrainingPair]:
             chunk = chunks[min(start // m, len(chunks) - 1)]
             seeds = np.zeros((n, coeffs.shape[1]))
             lo = max(0, start - n)
-            if start > 0:
-                seeds[n - (start - lo) :] = coeffs[lo:start]
+            seeds[n - (start - lo) :] = coeffs[lo:start]
             pairs.append(TrainingPair(words=list(chunk), target_poses=np.concatenate([seeds, coeffs[start : start + m]])))
     return pairs
 
@@ -199,18 +198,15 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(pairs))
-        sums = np.zeros(4)
+        sums = np.zeros(len(fields(LossBreakdown)))
         for bstart in range(0, len(perm), cfg.batch_size):
             batch = perm[bstart : bstart + cfg.batch_size]
             breakdown = _train_step([pairs[i] for i in batch], cfg, model, table, rng, ws)
             _check_finite(model.store, breakdown.total, f"epoch {epoch}, batch {bstart // cfg.batch_size}")
             clip_gradients(model.store)
             adam_step(model.store, state, cfg.lr)
-            sums += np.array([breakdown.mse, breakdown.continuity, breakdown.variance, breakdown.total]) * len(batch)
-        means = sums / len(pairs)
-        breakdown = LossBreakdown(
-            mse=float(means[0]), continuity=float(means[1]), variance=float(means[2]), total=float(means[3])
-        )
+            sums += np.array(astuple(breakdown)) * len(batch)
+        breakdown = LossBreakdown(*map(float, sums / len(pairs)))
         history.append(breakdown)
         if on_epoch is not None:
             on_epoch(epoch, model, breakdown)
@@ -218,6 +214,6 @@ def train_model(pairs: list[TrainingPair], cfg: Config, model: Seq2SeqModel, tab
 
 
 def write_history_csv(history, path):
-    rows = np.array([[b.mse, b.continuity, b.variance, b.total] for b in history]).reshape(-1, 4)
-    header = "epoch,mse,continuity,variance,total"
-    write_rows(path, "history file", rows, header=header, labels=map(str, range(len(rows))))
+    names = [f.name for f in fields(LossBreakdown)]
+    rows = np.array([astuple(b) for b in history]).reshape(-1, len(names))
+    write_rows(path, "history file", rows, header=",".join(["epoch", *names]), labels=map(str, range(len(rows))))

@@ -160,6 +160,12 @@ class TestVersioning:
             (lambda h: h["lift_cfg"].update(bn_eps=0.0), "lift_cfg must be null or "),
             (lambda h: h.update(embedding_ref={"sha256": "x"}), "embedding_ref must be null or string path and sha256"),
             (lambda h: h.update(embedding_ref="emb.txt"), "embedding_ref must be null or string path and sha256"),
+            (lambda h: h["embedding_ref"].update(path="emb\x00.txt"), r"embedding_ref.path must not hold a NUL byte, got 'emb\\x00.txt'$"),
+            (lambda h: h.update(has_pca="no"), "has_pca must be true or false, got 'no'$"),
+            (lambda h: h.update(has_pca=1), "has_pca must be true or false, got 1$"),
+            (lambda h: h.pop("has_pca"), "has_pca must be true or false, got None$"),
+            (lambda h: h.update(config=5), "config must be an object$"),
+            (lambda h: h.pop("config"), "config must be an object$"),
         ],
         ids=[
             "unknown_model_key",
@@ -173,6 +179,12 @@ class TestVersioning:
             "lift_value_below_bound",
             "embedding_ref_without_path",
             "embedding_ref_string",
+            "embedding_ref_nul_path",
+            "string_has_pca",
+            "int_has_pca",
+            "missing_has_pca",
+            "int_config",
+            "missing_config",
         ],
     )
     def test_bad_config_header_rejected(self, tmp_path, monkeypatch, edit, reason):

@@ -834,20 +834,23 @@ def test_diverging_lift_train_is_single_line(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, stdout_path",
-    [("curate", "/dev/stdout"), ("curate", "/proc/self/fd/1"), ("generate", "/dev/stdout")],
+    [("curate", "/dev/stdout"), ("curate", "/proc/self/fd/1"), ("generate", "/dev/stdout"), ("curate-report", "/dev/stdout")],
 )
 def test_summary_on_stderr_when_output_is_stdout(workspace, tmp_path, command, stdout_path):
     # As `gesturegen curate --out /dev/stdout > f`: f holds the data alone,
     # byte-equal to a file output, and the summary goes to stderr.
+    # curate-report sends the report, not the kept records, to stdout.
     root, _ = workspace
+    dataset = ["curate", "--dataset", str(root / "corpus.jsonl")]
     args = {
-        "curate": ["--dataset", str(root / "corpus.jsonl"), "--report", str(tmp_path / "report.json")],
-        "generate": ["--checkpoint", str(root / "ck.ggck"), "--text", TEXT_25, "--duration", "15.0"],
+        "curate": [*dataset, "--report", str(tmp_path / "report.json"), "--out"],
+        "curate-report": [*dataset, "--out", str(tmp_path / "kept.jsonl"), "--report"],
+        "generate": ["generate", "--checkpoint", str(root / "ck.ggck"), "--text", TEXT_25, "--duration", "15.0", "--out"],
     }[command]
     env = {**os.environ, "PYTHONPATH": str(Path(gesturegen.__file__).parents[1])}
 
     def run(out, stdout):
-        cli = [sys.executable, "-m", "gesturegen.cli", command, *args, "--out-dir", str(tmp_path / "o"), "--out", out]
+        cli = [sys.executable, "-m", "gesturegen.cli", *args, out, "--out-dir", str(tmp_path / "o")]
         return subprocess.run(cli, stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
 
     to_file = run(str(tmp_path / "g"), subprocess.PIPE)
@@ -1187,8 +1190,8 @@ def test_table_without_values_is_single_line(workspace, tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["train", "generate"])
 def test_table_of_the_wrong_width_is_single_line(workspace, tmp_path, capsys, command):
-    # the fixture's model reads 300-d words: a 50-d table is refused by the
-    # model's one shape check, as one line and before any output is written
+    # the fixture's model reads 300-d words: a 50-d table is refused where it
+    # is loaded, as one line, before its `loaded` line and any output
     root, train_args = workspace
     path = tmp_path / "emb50.txt"
     path.write_text("".join(f"{word} " + " ".join(["0.25"] * 50) + "\n" for word in ("we", "hold", "idea")))
@@ -1199,7 +1202,7 @@ def test_table_of_the_wrong_width_is_single_line(workspace, tmp_path, capsys, co
     capsys.readouterr()
     out = ["--embeddings", str(path), "--out-dir", str(tmp_path / "out"), "--out", str(tmp_path / "out.file")]
     assert main([*args, *out]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"{command}: word dim 50 != 300"]
+    assert capsys.readouterr() == ("", f"{command}: word dim 50 != 300\n")
     assert not (tmp_path / "out.file").exists()
 
 
@@ -1232,6 +1235,9 @@ def _refusal_args(case, root, tmp):
     elif case == "checkpoint-version-2":
         raw = (root / "ck.ggck").read_bytes()
         path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    elif case == "nul-table-ref":
+        shutil.copyfile(root / "ck.ggck", path)
+        edit_header(path, lambda h: h["embedding_ref"].update(path="emb\x00.txt"))
     elif case in ("train-no-pairs", "train-one-output-pose"):
         shutil.copyfile(root / "ck.ggck", path)  # train writes its checkpoint back to --checkpoint
     record = json.loads((root / "kept.jsonl").read_text().splitlines()[0])
@@ -1243,6 +1249,9 @@ def _refusal_args(case, root, tmp):
         "half-null": {**record, "frames": [[[None, 3.0], *frames[0][1:]], *frames[1:]]},
         "words-back": {**record, "words": [words[1], words[0], *words[2:]]},
         "fps-25": {**record, "fps": 25},
+        "huge-height": {**record, "frame_height": _HUGE},
+        "huge-word-time": {**record, "words": [["big", _HUGE, _HUGE], *words[1:]]},
+        "huge-coordinate": {**record, "frames": [[[_HUGE, 3.0], *frames[0][1:]], *frames[1:]]},
     }
     for name, rec in records.items():
         (tmp / f"{name}.jsonl").write_text(json.dumps(rec) + "\n")
@@ -1252,6 +1261,11 @@ def _refusal_args(case, root, tmp):
     (tmp / "short-row.csv").write_text(f"{header}\n0.0,{row}\n0.083,{row[4:]}\n")
     (tmp / "nan.csv").write_text(f"{header}\n0.0,nan,{row[4:]}\n")
     (tmp / "m1.json").write_text('{"n_output_poses": 1}')
+    (tmp / "huge-rate.json").write_text(json.dumps({"words_per_minute": _HUGE}))
+    (tmp / "huge-limit.json").write_text(json.dumps({"l_sh_pitch": [0, _HUGE]}))
+    (tmp / "over-digit-limit.json").write_text('{"lr": 1' + "0" * 4999 + "}")  # past int's 4300-digit limit
+    (tmp / "nul-checkpoint.json").write_text(json.dumps({"checkpoint": "x\u0000/y"}))
+    (tmp / "nul-dataset.json").write_text(json.dumps({"dataset": "a\u0000b"}))
     train = ["train", "--checkpoint", str(path), "--embeddings", str(root / "emb.txt"), "--hidden", "4", "--att-dim", "4"]
     generate = ["generate", "--checkpoint", str(path), "--text", "we hold a big idea", "--duration", "2"]
     return {
@@ -1289,10 +1303,20 @@ def _refusal_args(case, root, tmp):
         "checkpoint-version-2": generate,
         "train-no-pairs": [*train, "--dataset", str(tmp / "short.jsonl")],
         "train-one-output-pose": [*train, "--dataset", kept, "--config", str(tmp / "m1.json"), "--epochs", "1"],
+        "schedule-huge-rate": ["schedule", "--text", "hi", "--config", str(tmp / "huge-rate.json")],
+        "retarget-huge-limit": ["retarget", *ck, "--track", str(root / "track.csv"), "--limits", str(tmp / "huge-limit.json")],
+        "curate-huge-height": ["curate", "--dataset", str(tmp / "huge-height.jsonl")],
+        "curate-huge-word-time": ["curate", "--dataset", str(tmp / "huge-word-time.jsonl")],
+        "curate-huge-coordinate": ["curate", "--dataset", str(tmp / "huge-coordinate.jsonl")],
+        "config-over-digit-limit": ["schedule", "--text", "hi", "--config", str(tmp / "over-digit-limit.json")],
+        "config-nul-checkpoint": ["schedule", "--text", "hi", "--config", str(tmp / "nul-checkpoint.json")],
+        "config-nul-dataset": ["curate", "--config", str(tmp / "nul-dataset.json")],
+        "nul-table-ref": generate,
     }[case]
 
 
 _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_HUGE = 10**400  # a JSON integer too large for a float
 _REFUSALS = [
     ("config-missing", "cannot read config: [Errno 2] No such file or directory: "),
     ("config-not-utf8", f"cannot read config: {_NOT_UTF8}"),
@@ -1328,6 +1352,21 @@ _REFUSALS = [
     ("checkpoint-version-2", "unsupported checkpoint format version 2"),
     ("train-no-pairs", "no training pairs"),
     ("train-one-output-pose", "need at least 2 poses per sequence"),
+    ("schedule-huge-rate", f"config words_per_minute must be a finite number, got {_HUGE}"),
+    ("retarget-huge-limit", f"limits for l_sh_pitch must be two finite numbers lo <= hi, got (0, {_HUGE})"),
+    (
+        "curate-huge-height",
+        f"{{tmp}}/huge-height.jsonl: bad record on line 1: frame height must be a finite positive number, got {_HUGE}",
+    ),
+    (
+        "curate-huge-word-time",
+        f"{{tmp}}/huge-word-time.jsonl: bad record on line 1: word 'big' needs finite times, got {_HUGE} to {_HUGE}",
+    ),
+    ("curate-huge-coordinate", "{tmp}/huge-coordinate.jsonl: bad record on line 1: int too large to convert to float"),
+    ("config-over-digit-limit", "config is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ("config-nul-checkpoint", "config checkpoint must not hold a NUL byte, got 'x\\x00/y'"),
+    ("config-nul-dataset", "config dataset must not hold a NUL byte, got 'a\\x00b'"),
+    ("nul-table-ref", "corrupt checkpoint header: embedding_ref.path must not hold a NUL byte, got 'emb\\x00.txt'"),
 ]
 
 

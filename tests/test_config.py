@@ -3,12 +3,13 @@ every default: training and lift training read it directly, the model
 record is built from it, and the CLI flag overrides set its fields."""
 
 import argparse
-from dataclasses import fields
+import math
+from dataclasses import asdict, fields
 
 import pytest
 
 from gesturegen.cli import _apply_overrides, build_parser, main
-from gesturegen.config import _BOUNDS, Config
+from gesturegen.config import _BOUNDS, Config, finite_number
 from gesturegen.model import ModelConfig
 
 MODEL_VALUES = dict(word_dim=9, hidden=11, att_dim=13, n_seed_poses=3, n_output_poses=5, dropout=0.3)
@@ -61,9 +62,20 @@ def test_override_flag_sets_its_field(name):
     cfg = _apply_overrides(Config(), args)
     value = getattr(cfg, name)
     assert value == getattr(args, name) and value != getattr(Config(), name)
-    assert {k: v for k, v in cfg.to_dict().items() if k != name} == {
-        k: v for k, v in Config().to_dict().items() if k != name
+    assert {k: v for k, v in asdict(cfg).items() if k != name} == {
+        k: v for k, v in asdict(Config()).items() if k != name
     }
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(True, False), (False, False), (math.nan, False), (math.inf, False), (-math.inf, False), (10**400, False)]
+    + [("1", False), (None, False), (1, True), (1.5, True), (-0.0, True), (10**300, True)],
+)
+def test_finite_number(value, expected):
+    # the one test of "a finite number" for every outside number: a bool is
+    # not one, and an int too large for a float is not finite
+    assert finite_number(value) is expected
 
 
 @pytest.mark.parametrize("value", ["NaN", "0", "-12"])

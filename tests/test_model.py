@@ -9,7 +9,6 @@ import tape_oracle as tape
 from gesturegen import autodiff as ad
 from gesturegen.autodiff import Tensor
 from gesturegen.config import Config
-from gesturegen.errors import InvalidConfig
 from gesturegen.model import (
     ModelConfig,
     Workspace,
@@ -157,10 +156,6 @@ class TestGruCell:
             h = rng.normal(0, 4.0, 4)
             out = cell_step(cell, rng.normal(0, 2.0, 7), h)
             assert np.max(np.abs(out)) <= max(np.max(np.abs(h)), 1.0) + 1e-12
-
-    def test_shape_mismatch(self, tiny):
-        with pytest.raises(InvalidConfig, match="word dim 6 != "):
-            forward(tiny, np.zeros((1, 3, 6)), np.zeros((2, 10)), [3])
 
 
 class TestEncoder:

@@ -489,12 +489,6 @@ class TestTrainModel:
         digest = hashlib.sha256(repr(result.history).encode() + model.store.values.tobytes()).hexdigest()
         assert digest == "44e89533a2f6b9cd8e555ec1ea4b89410dd6d75cf4b84fab2007b309ca912d29"
 
-    def test_embedding_width_mismatch(self):
-        rng = np.random.default_rng(12)
-        cfg = ModelConfig(word_dim=5, hidden=4, att_dim=4, n_seed_poses=2, n_output_poses=4, dropout=0.1)
-        with pytest.raises(InvalidConfig, match="word dim 6 != 5"):
-            train_model(_template_pairs(2, 2, 4, rng), Config(epochs=1), init_model(cfg, seed=0), _toy_table())
-
 
 def _assert_packed(store):
     """Each value and grad is a view of ``store.values`` or ``store.grads``
