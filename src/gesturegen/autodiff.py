@@ -1,10 +1,11 @@
 """The plain-array kernels of the seq2seq model and the lift net with their
 hand-written backward rules, and a minimal reverse-mode tape.
 
-The model's forward arithmetic lives in three kernels, `_affine` (x W^T + b
-for a weight stored (out, in), read through its transpose), `_gru_cell`, which
-writes what its backward rule reads into buffers its caller hands it, and
-`_attend`, which returns it.
+The model's forward arithmetic lives in three kernels: `_affine` (x W^T + b
+for a weight stored (out, in), read through its transpose), `_gru_cell`,
+which writes what its backward rule reads into the buffers its caller
+hands it, and `_attention`, which binds its operands and buffers once and
+returns the step that fills them.
 `_affine_backward`, `_gru_backward` and `_attend_backward` turn an output
 gradient into input gradients and add each weight's gradient into the
 accumulator they are given. The lift net's dense layers run on `_affine` and
@@ -14,14 +15,20 @@ that op had, with the same operations in the same order, so
 Nothing in training or evaluation records a graph.
 
 The forward kernels are written for a batch-1 decoder step, whose cost is
-numpy's per-call dispatch more than its arithmetic (about 60 calls on 64-
-to 192-wide rows). They take every 2-D product through ``ndarray.dot`` or
-``np.dot(..., out)``, not ``@``/``np.matmul``, a gufunc that dispatches
-about 0.5 us slower per call at batch 1 and makes the same BLAS call, so
-the same bits; they call ufuncs through module-level bindings and reduce
-with ``ufunc.reduce``, since ``ndarray.max`` and ``.sum`` go through
-numpy's Python-level wrappers. The backward rules run at batch 64, where
-dispatch is a negligible share of their cost, and keep the plain forms.
+numpy's per-call dispatch more than its arithmetic (about 50 calls on 64-
+to 192-wide rows). Every operand comes cut: the caller binds each buffer
+and view once per pass, so a step allocates nothing and slices nothing.
+Every 2-D product goes through ``ndarray.dot``, with ``out`` where a buffer
+is bound. Not ``np.dot``: in numpy 2 that is a
+``numpy._ArrayFunctionDispatcher``, which runs a Python-level dispatcher on
+every call. At (1, 64) x (64, 128) into ``out`` it took a median 1.49 us
+against ``ndarray.dot``'s 1.25 us (2-vCPU x86-64, numpy 2.4.6, one OpenBLAS
+thread), for the same bits. Not ``@``/``np.matmul`` either: that gufunc
+dispatches about 0.5 us slower per call at batch 1 and makes the same BLAS
+call. The kernels call ufuncs through module-level bindings and reduce with
+``ufunc.reduce`` into bound rows, since ``ndarray.max`` and ``.sum`` go
+through numpy's Python-level wrappers. The backward rules run at batch 64,
+where dispatch is a negligible share of their cost, and keep the plain forms.
 
 The tape here is the benchmark's probe: `Tensor` with the two ops `mul`
 and `tsum` on recording tensors, which `bench/` runs through a traced
@@ -127,7 +134,7 @@ def tsum(x: Tensor) -> Tensor:
 # -- the model's kernels and their backward rules --------------------------------
 
 # What the forward kernels call, bound once (see the module docstring)
-_dot, _matmul = np.dot, np.matmul
+_matmul = np.matmul
 _add, _subtract, _multiply, _divide, _tanh, _exp = np.add, np.subtract, np.multiply, np.divide, np.tanh, np.exp
 _max_reduce, _sum_reduce = np.maximum.reduce, np.add.reduce
 # 0-d operands: a Python float is converted to an array on every ufunc call
@@ -138,13 +145,14 @@ def _affine(x, w_t, b=None, out=None):
     """x w_t (+ b) on plain arrays: one GEMM for a (B, in) x, into a fresh
     array or the C-contiguous buffer ``out`` with the same bits either way,
     and one over the flattened leading dims for a (B, s, in) x, into
-    ``out``. The product is ``np.dot``, not the ``np.matmul`` gufunc, and
-    the bias add a bound ufunc: at batch 1 each call's dispatch is most of
-    its cost."""
+    ``out``. The product is ``ndarray.dot``, not ``np.dot``, whose
+    Python-level dispatcher runs on every call, and the bias add a bound
+    ufunc: at batch 1 each call's dispatch is most of its cost (see the
+    module docstring)."""
     if x.ndim == 2:
-        out = x.dot(w_t) if out is None else _dot(x, w_t, out)
+        out = x.dot(w_t, out)
     else:
-        _dot(x.reshape(-1, x.shape[-1]), w_t, out.reshape(-1, out.shape[-1]))
+        x.reshape(-1, x.shape[-1]).dot(w_t, out.reshape(-1, out.shape[-1]))
     if b is not None:
         _add(out, b, out)  # the product is fresh: add the bias in place
     return out
@@ -170,32 +178,50 @@ def _gru_blocks(u_t, b):
     return u_t[:, :two], u_t[:, two:], b[:two], b[two:]
 
 
-def _gru_cell(gxt, h, u_zr, u_c, b_zr, b_c, h_next, zr, c):
+def _gru_split(gx):
+    """The (..., 2H) update-and-reset and (..., H) candidate columns of a
+    (..., 3H) input projection: a ``_gru_cell`` step's ``gx``."""
+    two = 2 * gx.shape[-1] // 3
+    return gx[..., :two], gx[..., two:]
+
+
+def _gru_slot(h_next, zr, c, rh):
+    """A ``_gru_cell`` step's buffers: the (B, H) ``h_next``, the (B, 2H)
+    stacked update and reset gates ``zr`` with its z and r views, the (B,
+    H) candidate ``c`` and the C-contiguous (B, H) scratch ``rh`` for r*h,
+    which may be ``h_next`` when that is C-contiguous too."""
+    hidden = c.shape[-1]
+    return h_next, zr, zr[:, :hidden], zr[:, hidden:], c, rh
+
+
+def _gru_cell(gx, h, kernel, slot):
     """One GRU update, gates ordered update (z), reset (r), candidate:
 
         z = sigm((gx_z + h Uz) + bz);  r = sigm((gx_r + h Ur) + br)
         c = tanh((gx_c + (r*h) Uc) + bc);  h' = h + z * (c - h)
 
-    from the step's (B, 3H) input projection gx = x W^T, the (B, H) state h
-    and the ``_gru_blocks`` of U and b (u stored gate-stacked, (3H, H)),
-    into the caller's buffers: z and r stacked into the (B, 2H) ``zr`` and
-    c into the (B, H) ``c``, what ``_gru_backward`` reads (it rebuilds r*h
-    from r and h), both C-contiguous for ``np.dot(..., out)``, and h' into
-    the (B, H) ``h_next``, which only ufuncs write, so it may be a strided
-    view. Each chain runs in place on the product that starts it, in the
-    order above, and no buffer may be h."""
-    hidden = h.shape[-1]
-    two = 2 * hidden
-    _dot(h, u_zr, zr)
-    _add(gxt[:, :two], zr, zr)
+    from the step's input projection gx = x W^T as its ``_gru_split``
+    columns, the (B, H) state h and the ``kernel``, the ``_gru_blocks`` of U
+    and b (u stored gate-stacked, (3H, H)), into the ``_gru_slot`` buffers
+    ``slot``: z and r into ``zr`` and c into ``c``, what ``_gru_backward``
+    reads (it rebuilds r*h from r and h), both C-contiguous for
+    ``ndarray.dot(..., out)``, r*h into ``rh``, and h' into ``h_next``,
+    which only ufuncs write, so it may be a strided view. Each chain runs
+    in place on the product that starts it, in the order above, and no
+    buffer may be h. Every operand comes cut, so a step is numpy calls
+    only."""
+    gx_zr, gx_c = gx
+    u_zr, u_c, b_zr, b_c = kernel
+    h_next, zr, z, r, c, rh = slot
+    h.dot(u_zr, zr)
+    _add(gx_zr, zr, zr)
     _add(zr, b_zr, zr)
     _multiply(zr, _HALF, zr)  # overflow-free logistic: 0.5 * (tanh(0.5 * a) + 1)
     _tanh(zr, zr)
     _add(zr, _ONE, zr)
     _multiply(zr, _HALF, zr)
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    _dot(_multiply(r, h), u_c, c)
-    _add(gxt[:, two:], c, c)
+    _multiply(r, h, rh).dot(u_c, c)  # a strided r*h would cost ndarray.dot a copy
+    _add(gx_c, c, c)
     _add(c, b_c, c)
     _tanh(c, c)
     _subtract(c, h, h_next)
@@ -237,33 +263,40 @@ def _gru_backward(g, h, u_zr, u_c, zr, c, du, db, keep=None, with_dh=True):
     return d_pre, d_h
 
 
-def _attend(query, projected, v_col, annotations, mask):
-    """Additive attention (Bahdanau et al. 2015) over s annotations:
+def _attention(projected, v_col, annotations, mask, query, t, weights, context):
+    """Additive attention (Bahdanau et al. 2015) over s annotations, bound
+    to its operands and buffers. Returns the step ``attend()``:
 
         t = tanh(query + projected);  scores = t v + mask
         weights = softmax(scores);  context = weights annotations
 
-    from the (B, A) query projection state w_query^T, the (B, s, A)
-    annotation projection, the (A, 1) score column v, the (B, s, C)
+    from the (B, A) query projection state w_query^T in ``query``, the (B,
+    s, A) annotation projection, the (A, 1) score column v, the (B, s, C)
     annotations and an optional (B, s) score mask (-inf gives a position
-    weight exactly 0). Returns (context (B, C), weights (B, s), t (B, s,
-    A)); ``_attend_backward`` reads the last two. The tanh and the softmax
-    run in place on the fresh sum and scores."""
+    weight exactly 0), into the C-contiguous (B, s, A) ``t`` and (B, s)
+    ``weights``, which ``_attend_backward`` reads, and the (B, C)
+    ``context``, which may be a strided view. The tanh and the softmax run
+    in place on the sum and the scores; each view and the (B, 1) reduction
+    row are cut here, once."""
     batch, s, att = projected.shape
-    t = _add(query.reshape(batch, 1, att), projected)
-    _tanh(t, t)
-    weights = t.reshape(-1, att).dot(v_col).reshape(batch, s)
-    if mask is not None:
-        _add(weights, mask, weights)
-    _subtract(weights, _max_reduce(weights, -1, keepdims=True), weights)
-    _exp(weights, weights)
-    _divide(weights, _sum_reduce(weights, -1, keepdims=True), weights)
-    context = _matmul(weights.reshape(batch, 1, s), annotations).reshape(batch, -1)
-    return context, weights, t
+    query3, context3, weights3 = query[:, None], context[:, None], weights[:, None]
+    t2, scores, top = t.reshape(-1, att), weights.reshape(-1, 1), np.empty((batch, 1))
+
+    def attend():
+        _tanh(_add(query3, projected, t), t)
+        t2.dot(v_col, scores)  # the (B * s, 1) scores, softmaxed in place into the weights
+        if mask is not None:
+            _add(weights, mask, weights)
+        _subtract(weights, _max_reduce(weights, -1, None, top, True), weights)
+        _exp(weights, weights)
+        _divide(weights, _sum_reduce(weights, -1, None, top, True), weights)
+        _matmul(weights3, annotations, context3)
+
+    return attend
 
 
 def _attend_backward(g, state, w_query_t, v, annotations, weights, t, dv, dw_query, with_dstate=True):
-    """The rule of one ``_attend`` call on query state w_query_t, with the
+    """The rule of one ``_attention`` step on query state w_query_t, with the
     (A,) score vector v, for the gradient g of its (B, C) context. Adds the
     score vector's gradient into dv and the stored (A, H) query weight's
     into dw_query. Returns (the annotations' gradient, the projection's

@@ -11,21 +11,25 @@ One plain-array pass serves both modes and writes every step into one
 record: `_record_shapes` names each array a pass keeps, and a `Workspace`
 carves a pass's C-contiguous views of them out of a float64 and a bool
 arena. `_encode` and `_decoder` bind each weight's transpose, gate blocks
-and bias slices once per pass and run the steps on the kernels
-`autodiff._affine`, `_gru_cell` and `_attend`; step t of a cell writes its
-gates into the cell's slot t % depth and its state once: an encoder step
-into its column block of the layer output, a decoder step into the slot.
+and bias slices and each record slot's gate views once per pass, and
+`_input_row` the decoder's scratch rows once per rollout, so a decoder
+step is numpy calls on bound operands: `autodiff._affine`, a query
+product, `_attention`'s step, `_gru_cell` and two row copies (the
+pre-linear output into the input row, the attention weights into the
+rollout's map). It cuts no view and allocates nothing but a train step's
+dropout draw. Step t of a cell writes its gates into the cell's slot
+t % depth and its state once: an encoder step into its column block of
+the layer output, a decoder step into the slot.
 The modes differ only in the table. A train record (`forward_graph`)
 keeps every step, the dropped-out words and the dropout masks, and
 `backward` walks it in reverse through the kernels' backward rules into
 the store's gradients; nothing records a graph. It leaves out the
 decoder's attention and first-cell input, which `backward` rebuilds
-through the calls the forward step made (`autodiff._attend`,
-`_input_row`), so the gradients keep their bits. An eval record
-(`forward`) keeps one encoder slot, two decoder slots and one decoder
-row: `forward` encodes all word chunks of an utterance in one batch, then
-decodes them in order on that row, each seeded with the last poses of the
-one before.
+through the binder the rollout used (`_input_row`), so the gradients
+keep their bits. An eval record (`forward`) keeps one encoder slot, two
+decoder slots and one decoder row: `forward` encodes all word chunks of an
+utterance in one batch, then decodes them in order on that row, each
+seeded with the last poses of the one before.
 
 A GRU cell is three parameters with the update (z), reset (r) and
 candidate (h) gates stacked along rows: `w (3H, in)`, `u (3H, H)` and
@@ -179,10 +183,10 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> Seq2SeqModel:
 
 
 def _cell_weights(cell):
-    """A GRU cell's plain operands, bound once per pass: w^T, then the
-    `autodiff._gru_cell` weight operands."""
+    """A GRU cell's plain operands, bound once per pass: (w^T, the
+    `autodiff._gru_cell` kernel)."""
     w, u, b = (p.value for p in cell)
-    return (w.T, *ad._gru_blocks(u.T, b))
+    return w.T, ad._gru_blocks(u.T, b)
 
 
 def _record_shapes(cfg: ModelConfig, batch: int, words: int, train: bool) -> dict:
@@ -192,10 +196,14 @@ def _record_shapes(cfg: ModelConfig, batch: int, words: int, train: bool) -> dic
     in turn, each encoder layer's output (the one copy of its states), per
     cell and step its stacked (z, r) and candidate gates (``enc_*``,
     ``dec_*``) and a decoder cell's state, the annotation projection and
-    the m + 1 emitted poses. A train record keeps every step, the
-    dropped-out words and each decoder step's dropout mask as bools; an
-    eval record keeps one step slot that all encoder cells share and two
-    per decoder cell, in one row that every chunk reuses."""
+    the m + 1 emitted poses. Then a decoder step's scratch, which every
+    step rewrites and `backward` rebuilds: each cell's input projection
+    ``dec_gx``, the first cell's input row ``dec_x``, the pre-linear output
+    ``dec_pre``, the attention query, its tanh ``dec_t`` and its weights. A
+    train record keeps every step, the dropped-out words and each decoder
+    step's dropout mask as bools; an eval record keeps one step slot that
+    all encoder cells share and two per decoder cell, in one row that every
+    chunk reuses."""
     hidden, steps, f64 = cfg.hidden, cfg.n_seed_poses + cfg.n_output_poses, np.dtype(np.float64)
     if train:
         enc, dec, rows = (2, 2, words), steps, batch
@@ -212,6 +220,12 @@ def _record_shapes(cfg: ModelConfig, batch: int, words: int, train: bool) -> dic
         "dec_zr": (2, dec, rows, 2 * hidden),
         "dec_c": (2, dec, rows, hidden),
         "pose": (cfg.n_output_poses + 1, rows, cfg.gesture_dim),
+        "dec_gx": (2, rows, 3 * hidden),
+        "dec_x": (rows, 3 * hidden),
+        "dec_pre": (rows, hidden),
+        "dec_query": (rows, cfg.att_dim),
+        "dec_t": (rows, words, cfg.att_dim),
+        "dec_weights": (rows, words),
     }
     table = {name: (shape, f64) for name, shape in shapes.items()}
     if train:
@@ -261,15 +275,34 @@ def _dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def _input_row(pre, context, scale):
-    """The decoder's first-cell input x: the (B, H) pre-linear output next
-    to the (B, 2H) attention context, times the dropout multiplier
-    ``scale`` (None: no dropout), as a (B, 3H) row. The rollout builds it
-    here and `backward` rebuilds it here, so both read the same bits."""
-    x = np.concatenate([pre, context], axis=-1)
-    if scale is not None:
-        x *= scale
-    return x
+def _input_row(model, record, annotations, projected, mask):
+    """The decoder's first-cell input, bound once per rollout to the
+    record's scratch rows for the (B, s, 2H) annotations, their (B, s, A)
+    projection and the score ``mask``. Returns (row, x, weights, t):
+    ``row(prev, state, scale)`` writes into the (B, 3H) ``x`` the pre-linear
+    output of the pose ``prev`` next to the attention context of the
+    top-layer ``state``, times the dropout multiplier ``scale`` (None: no
+    dropout), and leaves the attention's weights and t in ``weights`` and
+    ``t``. The rollout builds x here and `backward` rebuilds it here, so
+    both read the same bits."""
+    batch, s, att = projected.shape
+    hidden = model.cfg.hidden
+    x, pre, query = record["dec_x"], record["dec_pre"], record["dec_query"]
+    t = record["dec_t"].reshape(-1)[: batch * s * att].reshape(batch, s, att)  # an eval record fits the longest chunk
+    weights = record["dec_weights"].reshape(-1)[: batch * s].reshape(batch, s)
+    v_col, x_pre = model.att_score.value.reshape(-1, 1), x[:, :hidden]
+    attend = ad._attention(projected, v_col, annotations, mask, query, t, weights, x[:, hidden:])
+    pre_t, pre_b, w_query_t, affine = model.pre_w.value.T, model.pre_b.value, model.att_query.value.T, ad._affine
+
+    def row(prev, state, scale):
+        affine(prev, pre_t, pre_b, pre)
+        x_pre[...] = pre  # a strided view of x past batch 1, which ndarray.dot cannot write
+        state.dot(w_query_t, query)
+        attend()
+        if scale is not None:
+            np.multiply(x, scale, x)
+
+    return row, x, weights, t
 
 
 def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
@@ -284,16 +317,19 @@ def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
     s = inputs.shape[1]
     hidden = model.cfg.hidden
     keep = _keep_masks(lengths, s)
-    halves, gx = (slice(hidden), slice(hidden, None)), record["gx"]
-    buffers = [record[k] for k in ("enc_zr", "enc_c")]  # eval: all cells share one slot
+    halves, gx, rh = (slice(hidden), slice(hidden, None)), record["gx"], np.empty((len(inputs), hidden))
+    gx_zr, gx_c = ad._gru_split(gx)
+    gx_steps = [(gx_zr[:, t], gx_c[:, t]) for t in range(s)]
     for i, (layer, states) in enumerate(zip(model.encoder, record["enc_out"])):
         for d, (cell, reverse, half) in enumerate(zip(layer, (False, True), halves)):
-            w_t, *kernel = _cell_weights(cell)
+            w_t, kernel = _cell_weights(cell)
             ad._affine(inputs, w_t, None, gx)
-            h, slots = record["zero"], list(zip(*(b[i % len(b), d % len(b[0])] for b in buffers)))
+            cell_zr, cell_c = (b[i % len(b), d % b.shape[1]] for b in (record["enc_zr"], record["enc_c"]))  # eval: one slot
+            slots = [ad._gru_slot(states[:, t, half], cell_zr[t % len(cell_zr)], cell_c[t % len(cell_c)], rh) for t in range(s)]
+            h = record["zero"]
             for t in range(s - 1, -1, -1) if reverse else range(s):
-                out, (zr, c) = states[:, t, half], slots[t % len(slots)]
-                ad._gru_cell(gx[:, t], h, *kernel, out, zr, c)
+                out = slots[t][0]
+                ad._gru_cell(gx_steps[t], h, kernel, slots[t])
                 if keep[t] is not None:
                     np.copyto(out, h, where=~keep[t][:, None])  # padded rows carry h
                 h = out
@@ -302,45 +338,47 @@ def _encode(model, inputs: np.ndarray, lengths, record) -> np.ndarray:
 
 
 def _decoder(model, record, mask=None, rng=None, dropout=0.0):
-    """The decoder, every weight bound once per pass. A step is the
-    pre-linear, attention of the top layer's previous state over the (B, s,
-    2H) annotations (scored through their (B, s, A) projection plus
-    ``mask``: 0 on words, -inf on padding), dropout at rate ``dropout`` on
-    the first cell's input (masks drawn from ``rng`` into the record's
-    ``keep``), the two GRU cells and, when it emits, the post-linear into
-    the record's ``pose`` rows. The decoder warms on the (B, n, 10) seed
-    poses, where only the last step emits (its pose feeds the first output
-    step), then emits m poses, each feeding the next. Step k writes each
-    cell's state and gates into slot k % depth of ``record``. Returns
-    rollout(seed_poses, annotations, projected) -> (fresh (B, m, 10) poses,
-    fresh (B, m, s) attention)."""
-    w_query_t, v_col = model.att_query.value.T, model.att_score.value.reshape(-1, 1)
-    pre_t, pre_b, post_t, post_b = model.pre_w.value.T, model.pre_b.value, model.post_w.value.T, model.post_b.value
-    (w1_t, *cell1), (w2_t, *cell2) = (_cell_weights(cell) for cell in model.decoder)
-    (h1s, h2s), (zr1s, zr2s), (c1s, c2s) = record["dec_h"], record["dec_zr"], record["dec_c"]
-    steps, emitted = list(zip(h1s, zr1s, c1s, h2s, zr2s, c2s)), list(record["pose"])  # cut once, for every chunk
-    n = model.cfg.n_seed_poses
+    """The decoder, every weight, buffer and record slot bound once per
+    pass. A step is the pre-linear, attention of the top layer's previous
+    state over the (B, s, 2H) annotations (scored through their (B, s, A)
+    projection plus ``mask``: 0 on words, -inf on padding), dropout at rate
+    ``dropout`` on the first cell's input (masks drawn from ``rng`` into the
+    record's ``keep``), the two GRU cells and, when it emits, the
+    post-linear into the record's ``pose`` rows. The decoder warms on the
+    (B, n, 10) seed poses, where only the last step emits (its pose feeds
+    the first output step), then emits m poses, each feeding the next. Step
+    k writes each cell's state and gates into slot k % depth of ``record``.
+    Returns rollout(seed_poses, annotations, projected) -> (fresh (B, m, 10)
+    poses, fresh (B, m, s) attention)."""
+    post_t, post_b = model.post_w.value.T, model.post_b.value
+    (w1_t, cell1), (w2_t, cell2) = (_cell_weights(cell) for cell in model.decoder)
+    gx1, gx2 = record["dec_gx"]
+    cols1, cols2 = ad._gru_split(gx1), ad._gru_split(gx2)
+    slots = [[ad._gru_slot(h, zr, c, h) for h, zr, c in zip(*(record[k][i] for k in ("dec_h", "dec_zr", "dec_c")))] for i in (0, 1)]
+    steps, emitted = list(zip(*slots)), list(record["pose"])  # cut once, for every chunk
+    n, affine, gru_cell = model.cfg.n_seed_poses, ad._affine, ad._gru_cell
 
     def rollout(seed_poses, annotations, projected):
         batch, m = seed_poses.shape[0], model.cfg.n_output_poses
+        row, x, weights, _ = _input_row(model, record, annotations, projected, mask)
         h1 = h2 = record["zero"][:batch]
-        rows = np.empty((batch, m, projected.shape[1]))
+        seeds, rows = list(seed_poses.swapaxes(0, 1)), np.empty((batch, m, projected.shape[1]))
         for k in range(n + m):
-            h1_next, zr1, c1, h2_next, zr2, c2 = steps[k % len(steps)]
-            prev = seed_poses[:, k] if k < n else pose
-            pre = ad._affine(prev, pre_t, pre_b)
-            context, weights, t = ad._attend(h2.dot(w_query_t), projected, v_col, annotations, mask)
+            slot1, slot2 = steps[k % len(steps)]
             scale = None
             if dropout > 0.0:
                 keep = record["keep"][k]
                 np.greater_equal(rng.random(keep.shape), dropout, out=keep)  # one draw per entry of x
                 scale = _dropout_scale(keep, dropout)
-            x = _input_row(pre, context, scale)
-            ad._gru_cell(ad._affine(x, w1_t), h1, *cell1, h1_next, zr1, c1)
-            ad._gru_cell(ad._affine(h1_next, w2_t), h2, *cell2, h2_next, zr2, c2)
-            h1, h2 = h1_next, h2_next
+            row(seeds[k] if k < n else pose, h2, scale)
+            affine(x, w1_t, None, gx1)
+            gru_cell(cols1, h1, cell1, slot1)
+            h1 = slot1[0]
+            affine(h1, w2_t, None, gx2)
+            gru_cell(cols2, h2, cell2, slot2)
+            h2 = slot2[0]
             if k >= n - 1:
-                pose = ad._affine(h2, post_t, post_b, emitted[k - n + 1])
+                pose = affine(h2, post_t, post_b, emitted[k - n + 1])
             if k >= n:
                 rows[:, k - n] = weights
         return record["pose"][1:].swapaxes(0, 1).copy(), rows
@@ -456,10 +494,10 @@ def backward(run: TrainPass, g_poses: np.ndarray):
     model, record = run.model, run.record
     n, hidden = model.cfg.n_seed_poses, model.cfg.hidden
     (w1, u1, b1), (w2, u2, b2) = model.decoder
-    blocks1, blocks2 = (_cell_weights(cell)[1:3] for cell in model.decoder)
+    blocks1, blocks2 = (_cell_weights(cell)[1][:2] for cell in model.decoder)
     w_query_t, v = model.att_query.value.T, model.att_score.value
-    v_col, pre_t, pre_b = v.reshape(-1, 1), model.pre_w.value.T, model.pre_b.value
     annotations, projected, zero = record["enc_out"][1], record["projected"], record["zero"]
+    row, x, weights, t = _input_row(model, record, annotations, projected, run.mask)
     (h1s, h2s), (zr1s, zr2s), (c1s, c2s), pose_rows = record["dec_h"], record["dec_zr"], record["dec_c"], record["pose"]
     d_ann = d_proj = d_pose = d_h1 = d_h2 = d_query = None  # what step k + 1 sent back to step k
     for k in range(len(h1s) - 1, -1, -1):
@@ -473,9 +511,8 @@ def backward(run: TrainPass, g_poses: np.ndarray):
         d_pre2, d_h2 = ad._gru_backward(d_h2, h2, *blocks2, zr2s[k], c2s[k], u2.grad, b2.grad, with_dh=k > 0)
         d_h1 = _sum(d_h1, ad._affine_backward(d_pre2, h1s[k], w2.value, w2.grad))
         d_pre1, d_h1 = ad._gru_backward(d_h1, h1, *blocks1, zr1s[k], c1s[k], u1.grad, b1.grad, with_dh=k > 0)
-        context, weights, t = ad._attend(h2.dot(w_query_t), projected, v_col, annotations, run.mask)
         scale = _dropout_scale(record["keep"][k], run.dropout) if run.dropout > 0.0 else None
-        x = _input_row(ad._affine(prev, pre_t, pre_b), context, scale)
+        row(prev, h2, scale)
         d_x = ad._affine_backward(d_pre1, x, w1.value, w1.grad)
         if scale is not None:
             d_x *= scale  # a fresh product
@@ -496,7 +533,7 @@ def backward(run: TrainPass, g_poses: np.ndarray):
         d_in, states = None, record["enc_out"][depth]
         cells = zip(model.encoder[depth], record["enc_zr"][depth], record["enc_c"][depth], halves, (False, True))
         for (w, u, b), zrs, cs, half, reverse in cells:
-            blocks, d_gx, d_h = _cell_weights((w, u, b))[1:3], np.zeros(inputs.shape[:2] + (3 * hidden,)), None
+            blocks, d_gx, d_h = _cell_weights((w, u, b))[1][:2], np.zeros(inputs.shape[:2] + (3 * hidden,)), None
             for i, step in enumerate(range(s) if reverse else range(s - 1, -1, -1)):  # the forward steps in reverse
                 h = zero if i == s - 1 else states[:, step + 1 if reverse else step - 1, half]  # the state the step started from
                 g = _sum(d_out[:, step, half], d_h)

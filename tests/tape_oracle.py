@@ -10,7 +10,7 @@ fused ops call the package's plain kernels, as they always did.
 
 import numpy as np
 
-from gesturegen.autodiff import Tensor, _affine, _attend, _gru_blocks, _gru_cell
+from gesturegen.autodiff import Tensor, _affine, _attention, _gru_blocks, _gru_cell, _gru_slot, _gru_split
 
 
 def _data(x):
@@ -94,10 +94,9 @@ def gru_step(gx, h, u, b, t=None, keep=None):
     hd, ud, bd = _data(h), _data(u).T, _data(b)
     hidden = hd.shape[-1]
     two = 2 * hidden
-    u_zr, u_c, b_zr, b_c = _gru_blocks(ud, bd)
-    out_val, zr, c = np.empty(hd.shape), np.empty((len(hd), two)), np.empty(hd.shape)
-    _gru_cell(gxt, hd, u_zr, u_c, b_zr, b_c, out_val, zr, c)
-    z, r = zr[:, :hidden], zr[:, hidden:]
+    u_zr, u_c, b_zr, b_c = kernel = _gru_blocks(ud, bd)
+    out_val, zr, z, r, c, _ = slot = _gru_slot(np.empty(hd.shape), np.empty((len(hd), two)), np.empty(hd.shape), np.empty(hd.shape))
+    _gru_cell(_gru_split(gxt), hd, kernel, slot)
     rh = r * hd  # the cell's r*h: the same one multiply
     if keep is not None:
         keep = keep[:, None]
@@ -173,13 +172,21 @@ def gesture_loss(pred, target, alpha: float, beta: float):
     return _wrap(total, (pred,), backprop), float(mse), float(continuity), float(variance)
 
 
+def attend(query, projected, v_col, annotations, mask=None):
+    """One ``_attention`` step on fresh buffers: (context, weights, t)."""
+    batch, s, _ = projected.shape
+    t, weights, context = np.empty(projected.shape), np.empty((batch, s)), np.empty((batch, annotations.shape[-1]))
+    _attention(projected, v_col, annotations, mask, query, t, weights, context)()
+    return context, weights, t
+
+
 def attention(state, w_query, projected, v, annotations, mask=None):
     """Additive attention as one fused node: (context, a tensor when an
     operand records, weights array)."""
     state_v, proj_v, v_v, ann_v = map(_data, (state, projected, v, annotations))
     w_query_v = _data(w_query).T
     batch, s, att = proj_v.shape
-    context, weights, t = _attend(state_v @ w_query_v, proj_v, v_v.reshape(att, 1), ann_v, mask)
+    context, weights, t = attend(state_v @ w_query_v, proj_v, v_v.reshape(att, 1), ann_v, mask)
     if not _records(state, w_query, projected, v, annotations):
         return context, weights
 

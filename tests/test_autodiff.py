@@ -67,6 +67,13 @@ def _fd_check_rule(rule, shapes, out_shape, seed=0, step=1e-6, tol=1e-6):
 # -- the backward rules, as rule(g, *inputs) -> (output, input gradients) ----------
 
 
+def _gru_cell(gxt, h, kernel):
+    """One ``ad._gru_cell`` step of the (B, 3H) gxt into fresh buffers: (h', zr, c)."""
+    slot = ad._gru_slot(np.empty(h.shape), np.empty((len(h), 2 * h.shape[1])), np.empty(h.shape), np.empty(h.shape))
+    ad._gru_cell(ad._gru_split(gxt), h, kernel, slot)
+    return slot[0], slot[1], slot[4]
+
+
 def _linear_rule(g, x, w, b=None):
     dw, db = np.zeros_like(w), None if b is None else np.zeros_like(b)
     dx = ad._affine_backward(g, x, w, dw, db)
@@ -79,9 +86,8 @@ def _gru_rule(t=None, keep=None):
     the rows where keep is False carried, as the model's encoder runs it."""
 
     def rule(g, gx, h, u, b):
-        u_zr, u_c, b_zr, b_c = ad._gru_blocks(u.T, b)
-        out, zr, c = np.empty(h.shape), np.empty((len(h), 2 * h.shape[1])), np.empty(h.shape)
-        ad._gru_cell(gx if t is None else gx[:, t], h, u_zr, u_c, b_zr, b_c, out, zr, c)
+        u_zr, u_c, b_zr, b_c = kernel = ad._gru_blocks(u.T, b)
+        out, zr, c = _gru_cell(gx if t is None else gx[:, t], h, kernel)
         if keep is not None:
             out = np.where(keep[:, None], out, h)
         du, db = np.zeros_like(u), np.zeros_like(b)
@@ -97,7 +103,7 @@ def _gru_rule(t=None, keep=None):
 
 def _attention_rule(mask=None):
     def rule(g, state, w_query, projected, v, annotations):
-        context, weights, t = ad._attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)
+        context, weights, t = tape.attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)
         dw_query, dv = np.zeros_like(w_query), np.zeros_like(v)
         d_ann, d_proj, d_state = ad._attend_backward(g, state, w_query.T, v, annotations, weights, t, dv, dw_query)
         return context, [d_state, dw_query, d_proj, dv, d_ann]
@@ -447,7 +453,7 @@ def test_attention_bit_equal_to_composed_graph(batch, masked):
     mask = _padding_mask(rng, batch, s) if masked else None
     g = rng.normal(size=(batch, 2 * hidden))
     state, w_query, projected, v, annotations = values
-    weights = ad._attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)[1]
+    weights = tape.attend(state @ w_query.T, projected, v.reshape(-1, 1), annotations, mask)[1]
     context, grads = _attention_rule(mask)(g, *values)
     results = [[context, weights] + grads]
     leaves = [Tensor(v, requires_grad=True) for v in values]
@@ -596,9 +602,10 @@ def test_fused_node_gradients_match_finite_differences(node, batch, widths, seed
 
 
 # -- the forward kernels against their `@` spelling ------------------------------
-# The kernels take 2-D products through np.dot and reduce through bound
-# ufuncs to save per-call dispatch at batch 1; these references spell the
-# same operations with `@` and the ndarray methods, in the same order.
+# The kernels take 2-D products through ndarray.dot, reduce through bound
+# ufuncs and write into buffers bound once per pass, to save per-call
+# dispatch at batch 1; these references spell the same operations with `@`
+# and the ndarray methods, in the same order, on fresh arrays.
 
 
 def _affine_at(x, w_t, b):
@@ -643,14 +650,22 @@ def _assert_same_bits(got, want):
 )
 # the toy model's batch-1 decode products: the first cell's input projection
 # 1x192.192x192 with its 1x64.64x128 and 1x64.64x64 gate products and the
-# 1x64.64x64 attention query, then the pre-linear 1x10.10x64
+# 1x64.64x64 attention query, then the pre-linear 1x10.10x64; the paper's
+# widths (hidden 200, att 200); a batch past 1, where the bound context and
+# encoder state are strided views
 @example(batch=1, words=1, widths=[192, 192], hidden=64, att=64, seed=0)
 @example(batch=1, words=7, widths=[10, 64], hidden=64, att=64, seed=1)
+@example(batch=1, words=4, widths=[600, 600], hidden=200, att=200, seed=2)
+@example(batch=3, words=6, widths=[10, 64], hidden=64, att=64, seed=3)
 def test_forward_kernels_bit_equal_to_matmul_spelling(batch, words, widths, hidden, att, seed):
-    """`_affine` (2-d input fresh and into ``out``, 3-d input into ``out``), `_gru_cell`
-    (into its output buffers, on a time slice of a (B, s, 3H) projection)
-    and `_attend` (with and without a padding mask, on a query formed by
-    ``ndarray.dot``) give the bits of the same operations written with `@`."""
+    """`_affine` (2-d input fresh and into ``out``, 3-d input into ``out``),
+    `_gru_cell` (on a time slice of a (B, s, 3H) projection, into fresh
+    buffers and into slots cut from one arena, h' a contiguous row or a
+    strided block of a layer output) and `_attention` (with and without a
+    padding mask, on fresh buffers and on buffers bound once and stepped
+    twice: t and weights cut from a longer record row, the context a
+    strided block of a (B, 3H) input row) give the bits of the same
+    operations written with `@`."""
     rng = np.random.default_rng(seed)
     n_in, n_out = widths
     w_t, b = rng.normal(size=(n_out, n_in)).T, rng.normal(size=n_out)
@@ -662,13 +677,31 @@ def test_forward_kernels_bit_equal_to_matmul_spelling(batch, words, widths, hidd
 
     gx, h = rng.normal(size=(batch, words, 3 * hidden)), rng.normal(size=(batch, hidden))
     kernel = ad._gru_blocks(rng.normal(size=(3 * hidden, hidden)).T, rng.normal(size=3 * hidden))
-    gxt = gx[:, int(rng.integers(words))]
-    h_next, zr, c = np.empty((batch, hidden)), np.empty((batch, 2 * hidden)), np.empty((batch, hidden))
-    ad._gru_cell(gxt, h, *kernel, h_next, zr, c)
-    _assert_same_bits([h_next, zr[:, :hidden], zr[:, hidden:], c], _gru_cell_at(gxt, h, *kernel))
+    gx_zr, gx_c = ad._gru_split(gx)
+    cols = [(gx_zr[:, t], gx_c[:, t]) for t in range(words)]  # as _encode cuts them
+    arena, states = np.empty(batch * 5 * hidden), np.empty((batch, words, 2 * hidden))
+    zr, c = arena[: 2 * batch * hidden].reshape(batch, -1), arena[2 * batch * hidden : 3 * batch * hidden].reshape(batch, -1)
+    row, scratch = (arena[k * batch * hidden : (k + 1) * batch * hidden].reshape(batch, -1) for k in (3, 4))
+    for step in range(words):
+        want = _gru_cell_at(gx[:, step], h, *kernel)
+        h_next, *gates = _gru_cell(gx[:, step], h, kernel)
+        _assert_same_bits([h_next, gates[0][:, :hidden], gates[0][:, hidden:], gates[1]], want)
+        for h_next, rh in ((row, row), (states[:, step, hidden:], scratch)):  # as _decoder and _encode bind them
+            slot = ad._gru_slot(h_next, zr, c, rh)
+            ad._gru_cell(cols[step], h, kernel, slot)
+            _assert_same_bits([h_next, *slot[2:5]], want)
 
     w_query_t, v_col = rng.normal(size=(att, hidden)).T, rng.normal(size=(att, 1))
     projected, annotations = rng.normal(size=(batch, words, att)), rng.normal(size=(batch, words, 2 * hidden))
+    record = np.empty(batch * (words + 1) * (att + 1))
+    t = record[: batch * words * att].reshape(batch, words, att)
+    weights = record[batch * (words + 1) * att :][: batch * words].reshape(batch, words)
+    x, query = np.empty((batch, 3 * hidden)), np.empty((batch, att))
     for mask in (None, _padding_mask(rng, batch, words)):
-        want = _attend_at(h @ w_query_t, projected, v_col, annotations, mask)
-        _assert_same_bits(ad._attend(h.dot(w_query_t), projected, v_col, annotations, mask), want)
+        attend = ad._attention(projected, v_col, annotations, mask, query, t, weights, x[:, hidden:])
+        for state in (h, rng.normal(size=(batch, hidden))):
+            want = _attend_at(state @ w_query_t, projected, v_col, annotations, mask)
+            _assert_same_bits(tape.attend(state.dot(w_query_t), projected, v_col, annotations, mask), want)
+            state.dot(w_query_t, query)
+            attend()
+            _assert_same_bits([x[:, hidden:], weights, t], want)

@@ -236,17 +236,75 @@ def _matmul_operators(tree):
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult))
 
 
-def test_decode_kernels_use_no_matmul_operator():
-    # A batch-1 decoder step costs numpy's per-call dispatch more than its
-    # arithmetic, so the kernels it runs take 2-D products through
-    # ndarray.dot / np.dot, not the `@` gufunc (see the autodiff docstring).
-    # _attend's batched context product is an np.matmul call and may stay.
-    assert _matmul_operators(ast.parse("a @ b\na.dot(b)\nnp.matmul(a, b)\na @= b\n")) == [1, 4]
+def _numpy_dot_uses(tree):
+    """Lines in ``tree`` of every binding of the module-level ``np.dot`` (or
+    ``numpy.dot``) to a name, by assignment (tuple assignments too) or by
+    ``from numpy import dot``, and of every call of it or of such a name;
+    ``ndarray.dot`` calls are not found."""
+
+    def is_dot(node):
+        return isinstance(node, ast.Attribute) and node.attr == "dot" and getattr(node.value, "id", None) in ("np", "numpy")
+
+    bound, lines = set(), []
+    for node in ast.walk(tree):
+        names = set()
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                tuples = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                pairs = zip(target.elts, node.value.elts) if tuples else [(target, node.value)]
+                names |= {name.id for name, value in pairs if isinstance(name, ast.Name) and is_dot(value)}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = {alias.asname or alias.name for alias in node.names if alias.name == "dot"}
+        bound |= names
+        lines += [node.lineno] if names else []
+    calls = (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return sorted(lines + [node.lineno for node in calls if is_dot(node.func) or getattr(node.func, "id", None) in bound])
+
+
+# The batch-1 decoder step and what it calls: the decode kernels, the
+# binders that cut their operands once per pass, and the passes themselves.
+_DECODE_FUNCTIONS = {
+    "autodiff": {"_affine", "_gru_cell", "_attention"},
+    "model": {"_input_row", "_encode", "_decoder"},
+}
+
+
+def _decode_functions():
+    """(module.name, AST node) of every `_DECODE_FUNCTIONS` entry, with the
+    module's tree."""
     package = Path(gesturegen.__file__).parent
-    found = {}
-    for module, names in (("autodiff", {"_affine", "_gru_cell", "_attend"}), ("model", {"_decoder"})):
+    for module, names in _DECODE_FUNCTIONS.items():
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names}
         assert set(functions) == names
-        found |= {f"{module}.{name}": _matmul_operators(node) for name, node in functions.items()}
+        yield tree, {f"{module}.{name}": node for name, node in functions.items()}
+
+
+def test_decode_kernels_use_no_matmul_operator():
+    # A batch-1 decoder step costs numpy's per-call dispatch more than its
+    # arithmetic, so the kernels it runs take 2-D products through
+    # ndarray.dot, not the `@` gufunc (see the autodiff docstring).
+    # _attention's batched context product is an np.matmul call and may stay.
+    assert _matmul_operators(ast.parse("a @ b\na.dot(b)\nnp.matmul(a, b)\na @= b\n")) == [1, 4]
+    found = {}
+    for _, functions in _decode_functions():
+        found |= {name: _matmul_operators(node) for name, node in functions.items()}
     assert all(lines == [] for lines in found.values()), found
+
+
+def test_decode_kernels_call_no_numpy_dot():
+    # np.dot is a numpy._ArrayFunctionDispatcher: every call first runs its
+    # Python-level dispatcher (numpy/_core/multiarray.py, dot). At (1, 64) x
+    # (64, 128) into ``out``, the decoder's gate product, np.dot took a
+    # median 1.49 us a call and ndarray.dot 1.25 us (2-vCPU x86-64, numpy
+    # 2.4.6, one OpenBLAS thread), for the same bits, and a decoder step
+    # makes nine or ten 2-D products. So neither module of the decode path
+    # calls np.dot or binds it to a name.
+    assert _numpy_dot_uses(
+        ast.parse(
+            "_dot, _mm = np.dot, np.matmul\nd = numpy.dot\nfrom numpy import dot as nd\n"
+            "np.dot(a, b)\na.dot(b, out)\n_dot(a, b, out)\nd(a, b)\nnd(a, b)\n_mm(a, b)\nx.dot(b)\n"
+        )
+    ) == [1, 2, 3, 4, 6, 7, 8]
+    for tree, functions in _decode_functions():
+        assert _numpy_dot_uses(tree) == [], sorted(functions)

@@ -32,11 +32,11 @@ TINY = ModelConfig(word_dim=7, hidden=4, att_dim=4, n_seed_poses=2, n_output_pos
 
 def cell_step(cell, x, h):
     """One GRU cell update of an (input,) vector and an (H,) state."""
-    w_t, *kernel = _cell_weights(cell)
+    w_t, kernel = _cell_weights(cell)
     h = np.asarray(h, dtype=np.float64)[None]
-    out, zr, c = np.empty_like(h), np.empty((1, 2 * h.shape[1])), np.empty_like(h)
-    ad._gru_cell(ad._affine(np.asarray(x)[None], w_t), h, *kernel, out, zr, c)
-    return out[0]
+    slot = ad._gru_slot(np.empty_like(h), np.empty((1, 2 * h.shape[1])), np.empty_like(h), np.empty_like(h))
+    ad._gru_cell(ad._gru_split(ad._affine(np.asarray(x)[None], w_t)), h, kernel, slot)
+    return slot[0][0]
 
 
 def eval_record(model, batch, words):
@@ -76,7 +76,7 @@ def attend(model, state, annotations):
     """(weights (s,), context (2H,)) for an (H,) query over (s, 2H) annotations."""
     annotations, projected = project(model, annotations)
     query = np.asarray(state)[None] @ model.att_query.value.T
-    context, weights, _ = ad._attend(query, projected, model.att_score.value.reshape(-1, 1), annotations, None)
+    context, weights, _ = tape.attend(query, projected, model.att_score.value.reshape(-1, 1), annotations)
     return weights[0], context[0]
 
 
@@ -506,9 +506,10 @@ class TestPaddedBatch:
 
     def test_every_gru_cell_call_gets_its_output_buffers(self, monkeypatch):
         # both modes write every cell step into their record: each
-        # _gru_cell call is handed C-contiguous zr and c buffers, none of
-        # its three buffers is the state it reads, and an encoder step's h'
-        # is its block of the record's enc_out, the one copy of that state
+        # _gru_cell call is handed C-contiguous zr, c and r*h buffers and
+        # zr's z and r views, none of its four buffers is the state it
+        # reads, and an encoder step's h' is its block of the record's
+        # enc_out, the one copy of that state
         model = init_model(PADDED, seed=7)
         rng = np.random.default_rng(7)
         lengths = np.array([3, 1, 2])
@@ -516,9 +517,9 @@ class TestPaddedBatch:
         calls, records = [], []
         cell, carve = ad._gru_cell, Workspace.carve
 
-        def spy(gxt, h, *args):
-            calls.append((h, args[4:]))
-            return cell(gxt, h, *args)
+        def spy(gx, h, kernel, slot):
+            calls.append((h, slot))
+            return cell(gx, h, kernel, slot)
 
         def spy_carve(ws, batch, words):
             records.append(carve(ws, batch, words))
@@ -531,12 +532,13 @@ class TestPaddedBatch:
         steps, encoder = PADDED.n_seed_poses + PADDED.n_output_poses, 2 * 2 * 3
         train = encoder + 2 * steps
         assert len(calls) == train + (encoder + 3 * 2 * steps)  # train, then eval's 3 chunks
-        for h, (h_next, zr, c) in calls:
-            assert zr.flags.c_contiguous and c.flags.c_contiguous
-            assert not any(np.shares_memory(b, h) for b in (h_next, zr, c))
+        for h, (h_next, zr, z, r, c, rh) in calls:
+            assert zr.flags.c_contiguous and c.flags.c_contiguous and rh.flags.c_contiguous
+            assert not any(np.shares_memory(b, h) for b in (h_next, zr, c, rh))
+            assert np.shares_memory(z, zr) and np.shares_memory(r, zr) and not np.shares_memory(z, r)
         assert len(records) == 2
         for record, block in zip(records, (calls[:encoder], calls[train : train + encoder])):
-            assert all(np.shares_memory(h_next, record["enc_out"]) for _, (h_next, _, _) in block)
+            assert all(np.shares_memory(slot[0], record["enc_out"]) for _, slot in block)
 
     def test_toy_gradients_pinned(self):
         # test_gradients_pinned at the toy training shape (criterion 6, the
@@ -570,6 +572,8 @@ class TestPaddedBatch:
     @example(batch=3, max_words=4, padded=True, dropout=0.1, dims=(7, 5, 4), n=2, m=3, seed=3)
     # the toy training shape (criterion 6, the train benchmark)
     @example(batch=64, max_words=6, padded=True, dropout=0.1, dims=(300, 64, 64), n=10, m=20, seed=0)
+    # the paper's widths (`Config()`: word 300, hidden 200, att 200)
+    @example(batch=64, max_words=6, padded=True, dropout=0.1, dims=(300, 200, 200), n=10, m=20, seed=0)
     def test_train_step_equals_tape_oracle(self, batch, max_words, padded, dropout, dims, n, m, seed):
         """One train step (forward_graph, compute_loss_graph, backward) is
         bit-equal to the same step recorded on the tape (the oracle): poses,

@@ -349,6 +349,32 @@ def test_long_utterance_files_pinned(tmp_path):
     ]
 
 
+def test_paper_generate_pinned(tmp_path):
+    """The criterion-12 plan (25 words over 15 s) on a seeded, untrained
+    model at the paper's widths (`Config()`: hidden 200, att 200, word
+    300): the sha256 of its track and attention files. Every other pin runs
+    the toy widths or smaller; this one guards the batch-1 decoder step at
+    the shape the paper runs."""
+    from gesturegen.corpus import corpus_vocabulary
+
+    cfg = Config()
+    model = init_model(cfg.model_config(10), seed=12)
+    vocab = corpus_vocabulary()
+    rng = np.random.default_rng(9)
+    words = [vocab[i] for i in rng.integers(0, len(vocab), size=25)]
+    table = EmbeddingTable(dim=cfg.word_dim, entries={w: rng.normal(0.0, 0.4, size=cfg.word_dim) for w in sorted(set(words))})
+    plan = plan_chunks(words, 15.0, cfg.n_seed_poses, cfg.n_output_poses)
+    assert len(plan.chunks) == 7  # six of 4 words and one of 1
+    track, maps = generate_gesture(model, plan, table)
+    save_track_csv(align_track(track, 15.0), tmp_path / "track.csv")
+    export_attention(maps, plan.chunks, tmp_path / "attn.csv")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("track.csv", "attn.csv")]
+    assert digests == [
+        "fd8ca3e95aa816062e04da372f2fb41bf504fe452e4cb6ab4be5f749333af276",
+        "51401e17f592834af3a6b7cd88ab13d4a514dbd12ea45ea08a4e8ff9b383be3b",
+    ]
+
+
 def _finite_frames(width):
     """(T, width) float64 frames of any finite values, T in [1, 20]."""
     rows = st.integers(min_value=1, max_value=20)
